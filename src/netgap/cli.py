@@ -580,7 +580,6 @@ def _add_common(p, cert_default: str | None = None) -> None:
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search-node budget")
     p.add_argument("--max-subspaces", type=int, default=10**6, help="enumeration limit")
     p.add_argument("--timeout-secs", type=float, default=None, help="wall-clock limit")
-    p.add_argument("--seed", type=int, default=None, help="reserved; all algorithms deterministic")
     if cert_default is not None:
         p.add_argument("--cert", default=cert_default, help="certificate output path")
 

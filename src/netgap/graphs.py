@@ -38,6 +38,14 @@ class UGraph:
             adj[b].add(a)
         return adj
 
+    def adjacency_masks(self) -> list[int]:
+        """Neighbourhoods as bitmasks: bit u of entry v is set iff uv is an edge."""
+        adj = [0] * self.num_vertices
+        for a, b in self.edges:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        return adj
+
     def degree_sequence(self) -> list[int]:
         adj = self.adjacency()
         return [len(s) for s in adj]

@@ -18,6 +18,7 @@ from .networks import Network, build_combination, combination_parameters
 from .subspaces import (
     ENUMERATION_LIMIT,
     canonicalize,
+    direct_sum_masks,
     enumerate_subspaces,
     subspace_from_rows,
     sum_dim,
@@ -213,12 +214,7 @@ def _ic_search(
     # pairwise independence masks: necessary within any configuration of
     # size >= alpha, and the maximum is always >= h >= alpha (coordinate
     # subspaces), so restricting to pairwise-independent sets is safe
-    pair_ok = [0] * n_univ
-    for i in range(n_univ):
-        for j in range(i + 1, n_univ):
-            if sum_dim([universe[i], universe[j]]) == 2 * t:
-                pair_ok[i] |= 1 << j
-                pair_ok[j] |= 1 << i
+    pair_ok = direct_sum_masks(universe)
 
     # symmetry: pin the canonical first subspace and a canonical complement
     first = 0
@@ -274,7 +270,7 @@ def _ic_search(
             chosen.pop()
         return False
 
-    if sum_dim([universe[first], universe[second]]) != 2 * t:
+    if not pair_ok[first] >> second & 1:
         raise AssertionError("canonical pair is not independent")
     initial = pair_ok[first] & pair_ok[second] & ~(1 << first) & ~(1 << second)
     hit = extend(0, initial)

@@ -10,10 +10,11 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from .errors import SizeLimitExceeded, UnsolvableNetwork
 from .gf import FieldSpec, make_field
-from .subspaces import Subspace, enumerate_subspaces, sum_dim
+from .subspaces import Subspace, direct_sum_masks, enumerate_subspaces, sum_dim
 
 MAX_TERMINAL_SCAN = 10**6
 
@@ -34,14 +35,29 @@ class Network:
     edges: tuple[Edge, ...]
     labels: dict | None = dc_field(default=None, compare=False)
 
+    @cached_property
+    def _incidence(self) -> tuple[dict, dict]:
+        """(outgoing, incoming) edge lists per node, in edge-list order.
+
+        Built on first use from the edges alone, so nodes without edges and
+        names outside `nodes` read as empty; not a field, so it stays out of
+        equality, hashing and the JSON form.
+        """
+        outs: dict[str, list[Edge]] = {}
+        ins: dict[str, list[Edge]] = {}
+        for e in self.edges:
+            outs.setdefault(e.tail, []).append(e)
+            ins.setdefault(e.head, []).append(e)
+        return outs, ins
+
     def in_edges(self, node: str) -> list[Edge]:
-        return [e for e in self.edges if e.head == node]
+        return list(self._incidence[1].get(node, ()))
 
     def out_edges(self, node: str) -> list[Edge]:
-        return [e for e in self.edges if e.tail == node]
+        return list(self._incidence[0].get(node, ()))
 
     def in_degree(self, node: str) -> int:
-        return sum(1 for e in self.edges if e.head == node)
+        return len(self._incidence[1].get(node, ()))
 
     def edge_by_id(self, eid: str) -> Edge:
         for e in self.edges:
@@ -60,25 +76,15 @@ class Network:
         )
 
 
-def _adjacency(net: Network) -> tuple[dict, dict]:
-    outs: dict[str, list[Edge]] = {v: [] for v in net.nodes}
-    ins: dict[str, list[Edge]] = {v: [] for v in net.nodes}
-    for e in net.edges:
-        outs[e.tail].append(e)
-        ins[e.head].append(e)
-    return outs, ins
-
-
 def topological_order(net: Network) -> list[str]:
     """Kahn's algorithm; raises on cycles. Deterministic by node order."""
-    outs, ins = _adjacency(net)
-    indeg = {v: len(ins[v]) for v in net.nodes}
+    indeg = {v: net.in_degree(v) for v in net.nodes}
     order = []
     ready = deque(v for v in net.nodes if indeg[v] == 0)
     while ready:
         v = ready.popleft()
         order.append(v)
-        for e in outs[v]:
+        for e in net.out_edges(v):
             indeg[e.head] -= 1
             if indeg[e.head] == 0:
                 ready.append(e.head)
@@ -89,12 +95,11 @@ def topological_order(net: Network) -> list[str]:
 
 def essential_nodes(net: Network) -> set[str]:
     """Nodes on some source-to-terminal path."""
-    outs, ins = _adjacency(net)
     fwd = {net.source}
     frontier = deque([net.source])
     while frontier:
         v = frontier.popleft()
-        for e in outs[v]:
+        for e in net.out_edges(v):
             if e.head not in fwd:
                 fwd.add(e.head)
                 frontier.append(e.head)
@@ -102,7 +107,7 @@ def essential_nodes(net: Network) -> set[str]:
     frontier = deque(net.terminals)
     while frontier:
         v = frontier.popleft()
-        for e in ins[v]:
+        for e in net.in_edges(v):
             if e.tail not in back:
                 back.add(e.tail)
                 frontier.append(e.tail)
@@ -281,14 +286,23 @@ def build_kneser(
             f"scanning {n_subsets} candidate terminals of K_{{{q},{t};{h}}} exceeds "
             f"limit {max_terminal_scan}; use implicit mode"
         )
+    if h == 2:
+        # t + t = 2t, so two middles span F_q^{2t} iff they meet only in 0
+        masks = direct_sum_masks(middles)
+        spanning = ((i, j) for i in range(r) for j in range(i + 1, r) if masks[i] >> j & 1)
+    else:
+        spanning = (
+            subset
+            for subset in itertools.combinations(range(r), h)
+            if sum_dim([middles[i] for i in subset]) == n
+        )
     middle_ids = [f"m{i}" for i in range(r)]
     terminals = []
     pairs = []
-    for subset in itertools.combinations(range(r), h):
-        if sum_dim([middles[i] for i in subset]) == n:
-            tname = "t" + "_".join(str(i) for i in subset)
-            terminals.append(tname)
-            pairs.extend((tname, middle_ids[i]) for i in subset)
+    for subset in spanning:
+        tname = "t" + "_".join(str(i) for i in subset)
+        terminals.append(tname)
+        pairs.extend((tname, middle_ids[i]) for i in subset)
     ids = _edge_ids(r + len(pairs))
     edges = [Edge(ids[i], "s", middle_ids[i]) for i in range(r)]
     edges.extend(Edge(ids[r + k], m, tname) for k, (tname, m) in enumerate(pairs))
@@ -404,8 +418,7 @@ def is_subcombination(net: Network) -> bool:
     starves that terminal, dropping a source edge starves any terminal the
     middle node feeds (and it feeds one, since all nodes are essential).
     """
-    outs, ins = _adjacency(net)
-    middles = [e.head for e in outs[net.source]]
+    middles = [e.head for e in net.out_edges(net.source)]
     if len(set(middles)) != len(middles):
         return False
     middle_set = set(middles)
@@ -415,15 +428,15 @@ def is_subcombination(net: Network) -> bool:
     if set(net.nodes) != {net.source} | middle_set | term_set:
         return False
     for mid in middles:
-        if len(ins[mid]) != 1:
+        if net.in_degree(mid) != 1:
             return False
-        if any(e.head not in term_set for e in outs[mid]):
+        if any(e.head not in term_set for e in net.out_edges(mid)):
             return False
     for term in net.terminals:
-        feeders = [e.tail for e in ins[term]]
+        feeders = [e.tail for e in net.in_edges(term)]
         if len(feeders) != net.h or len(set(feeders)) != net.h:
             return False
-        if not set(feeders) <= middle_set or outs[term]:
+        if not set(feeders) <= middle_set or net.out_edges(term):
             return False
     return True
 

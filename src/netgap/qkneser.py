@@ -17,6 +17,7 @@ from .graphs import Coloring, Hypergraph, UGraph
 from .subspaces import (
     ENUMERATION_LIMIT,
     Subspace,
+    direct_sum_masks,
     enumerate_subspaces,
     intersection,
     spread,
@@ -49,11 +50,8 @@ def build_qkneser(q: int, n: int, m: int, *, limit: int = ENUMERATION_LIMIT) -> 
     """qK_{n:m}: m-subspaces of F_q^n, adjacent iff trivially intersecting."""
     fld = field_of_order(q)
     verts = enumerate_subspaces(fld, n, m, limit=limit)
-    edges = []
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            if sum_dim([verts[i], verts[j]]) == 2 * m:
-                edges.append((i, j))
+    masks = direct_sum_masks(verts)
+    edges = [(i, j) for i, mask in enumerate(masks) for j in _bits(mask >> (i + 1) << (i + 1))]
     return UGraph.from_edges(len(verts), edges, labels=tuple(verts))
 
 
@@ -99,19 +97,39 @@ def qkneser_clique_number(q: int, t: int) -> int:
 # cliques
 # ---------------------------------------------------------------------------
 
+def _degree_order(adj: list[int]) -> tuple[list[int], list[int]]:
+    """The static order (-degree, v) and the neighbour masks relabelled into it.
+
+    Position i holds vertex order[i]; in the relabelled masks the vertex
+    earliest in the order is the lowest set bit.
+    """
+    order = sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count(), v))
+    pos = [0] * len(adj)
+    for i, v in enumerate(order):
+        pos[v] = i
+    relabelled = []
+    for v in order:
+        mask = 0
+        for u in _bits(adj[v]):
+            mask |= 1 << pos[u]
+        relabelled.append(mask)
+    return order, relabelled
+
+
 def max_clique(g: UGraph, budget: int = DEFAULT_BUDGET) -> tuple[tuple[int, ...], bool]:
-    """Exact maximum clique by branch and bound; (clique, completed)."""
-    n = g.num_vertices
-    adj = [0] * n
-    for a, b in g.edges:
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-    order = sorted(range(n), key=lambda v: (-bin(adj[v]).count("1"), v))
-    pos = {v: i for i, v in enumerate(order)}
+    """Exact maximum clique by branch and bound; (clique, completed).
+
+    Branches on candidates in the static order (-degree, v).  Running out
+    of `budget` nodes returns the best clique with completed=False; a
+    BudgetExhausted raised from outside the search (the CLI's wall-clock
+    alarm) propagates.
+    """
+    order, adj = _degree_order(g.adjacency_masks())
     best: list[int] = []
+    current: list[int] = []
     bud = _Budget(budget)
 
-    def expand(current: list[int], candidates: int) -> None:
+    def expand(candidates: int) -> None:
         nonlocal best
         bud.spend("clique")
         if not candidates:
@@ -119,18 +137,23 @@ def max_clique(g: UGraph, budget: int = DEFAULT_BUDGET) -> tuple[tuple[int, ...]
                 best = list(current)
             return
         while candidates:
-            if len(current) + bin(candidates).count("1") <= len(best):
+            if len(current) + candidates.bit_count() <= len(best):
                 return
-            # take the candidate earliest in the static order
-            v = min((v for v in _bits(candidates)), key=lambda v: pos[v])
-            candidates &= ~(1 << v)
-            expand(current + [v], candidates & adj[v])
+            low = candidates & -candidates
+            candidates ^= low
+            v = low.bit_length() - 1
+            current.append(v)
+            expand(candidates & adj[v])
+            current.pop()
 
     try:
-        expand([], (1 << n) - 1)
-        return tuple(sorted(best)), True
+        expand((1 << len(adj)) - 1)
+        completed = True
     except BudgetExhausted:
-        return tuple(sorted(best)), False
+        if bud.remaining > 0:
+            raise
+        completed = False
+    return tuple(sorted(order[v] for v in best)), completed
 
 
 def _bits(mask: int):
@@ -144,67 +167,73 @@ def _bits(mask: int):
 # k-colorability (DSATUR branch and bound)
 # ---------------------------------------------------------------------------
 
-def _k_colorable(adj: list[list[int]], k: int, pinned: tuple[int, ...], bud: _Budget) -> Coloring | None:
+def _k_colorable(adj: list[int], k: int, pinned: tuple[int, ...], bud: _Budget) -> Coloring | None:
     """Complete search for a proper k-coloring with a clique pinned to colors 0..;
-    returns None only after exhausting the (symmetry-reduced) space."""
+    returns None only after exhausting the (symmetry-reduced) space.
+
+    `adj` holds neighbour bitmasks.  DSATUR picks the most saturated vertex,
+    then the highest degree, then the lowest index: with vertices relabelled
+    into the static order (-degree, v) and uncolored vertices bucketed by
+    saturation, that is the lowest bit of the highest non-empty bucket.
+    """
     n = len(adj)
     # the symmetry reduction is only sound when the pinned set is a clique
     for i, v in enumerate(pinned):
-        neighbors = set(adj[v])
-        assert all(u in neighbors for u in pinned[i + 1 :]), "pinned set is not a clique"
+        assert all(adj[v] >> u & 1 for u in pinned[i + 1 :]), "pinned set is not a clique"
     if len(pinned) > k:
         return None
+    order, radj = _degree_order(adj)
+    pos = {v: i for i, v in enumerate(order)}
     color = [-1] * n
-    forbid = [0] * n
-    counts = [[0] * k for _ in range(n)]
-    degree = [len(a) for a in adj]
-    kmask = (1 << k) - 1
+    # seen[c]: vertices with a neighbour colored c (c is forbidden for them)
+    seen = [0] * k
+    # level[s]: uncolored vertices whose neighbours use exactly s colors
+    level = [0] * (k + 1)
+    level[0] = (1 << n) - 1
 
     def assign(v: int, c: int) -> None:
         color[v] = c
-        for u in adj[v]:
-            counts[u][c] += 1
-            if counts[u][c] == 1:
-                forbid[u] |= 1 << c
-
-    def unassign(v: int, c: int) -> None:
-        color[v] = -1
-        for u in adj[v]:
-            counts[u][c] -= 1
-            if counts[u][c] == 0:
-                forbid[u] &= ~(1 << c)
+        bit = 1 << v
+        for s in range(k + 1):
+            if level[s] & bit:
+                level[s] ^= bit
+                break
+        gained = radj[v] & ~seen[c]
+        seen[c] |= radj[v]
+        # descending, so that a vertex rises by one level only
+        for s in range(k - 1, -1, -1):
+            rising = level[s] & gained
+            if rising:
+                level[s] ^= rising
+                level[s + 1] |= rising
 
     for i, v in enumerate(pinned):
-        if forbid[v] & (1 << i):
+        if seen[i] >> pos[v] & 1:
             return None
-        assign(v, i)
-
-    uncolored = n - len(pinned)
+        assign(pos[v], i)
 
     def search(remaining: int, max_used: int) -> bool:
         if remaining == 0:
             return True
-        # DSATUR: most saturated, then highest degree, then lowest index
-        best_v, best_key = -1, None
-        for v in range(n):
-            if color[v] == -1:
-                sat = bin(forbid[v] & kmask).count("1")
-                key = (-sat, -degree[v], v)
-                if best_key is None or key < best_key:
-                    best_v, best_key = v, key
-        v = best_v
-        cap = min(k - 1, max_used + 1)
-        allowed = ~forbid[v] & ((1 << (cap + 1)) - 1)
-        for c in _bits(allowed):
+        s = k
+        while not level[s]:
+            s -= 1
+        v = (level[s] & -level[s]).bit_length() - 1
+        for c in range(min(k - 1, max_used + 1) + 1):
+            if seen[c] >> v & 1:
+                continue
             bud.spend("coloring")
+            saved_level, saved_seen = level[:], seen[c]
             assign(v, c)
             if search(remaining - 1, max(max_used, c)):
                 return True
-            unassign(v, c)
+            color[v] = -1
+            level[:] = saved_level
+            seen[c] = saved_seen
         return False
 
-    if search(uncolored, len(pinned) - 1):
-        return {v: color[v] for v in range(n)}
+    if search(n - len(pinned), len(pinned) - 1):
+        return {v: color[pos[v]] for v in range(n)}
     return None
 
 
@@ -269,11 +298,11 @@ def chromatic_number(target, budget: int = DEFAULT_BUDGET) -> ChiResult:
     hi = max(witness.values()) + 1
     if lo >= hi:
         return ChiResult(hi, hi, witness, clique, bud.used)
-    adj_list = [sorted(s) for s in g.adjacency()]
+    adj = g.adjacency_masks()
     k = lo
     while k < hi:
         try:
-            found = _k_colorable(adj_list, k, clique, bud)
+            found = _k_colorable(adj, k, clique, bud)
         except BudgetExhausted:
             return ChiResult(k, hi, witness, clique, bud.used)
         if found is not None:
@@ -306,7 +335,7 @@ def find_homomorphism(g1: UGraph, g2: UGraph, budget: int = DEFAULT_BUDGET) -> d
         clique, complete = max_clique(g1, budget=max(budget // 10, 1000))
         if not complete:
             clique = clique[:1]
-        coloring = _k_colorable([sorted(s) for s in g1.adjacency()], g2.num_vertices, clique, bud)
+        coloring = _k_colorable(g1.adjacency_masks(), g2.num_vertices, clique, bud)
         return dict(coloring) if coloring is not None else None
 
     # adjacent vertices get distinct adjacent images, so a clique maps
@@ -319,10 +348,7 @@ def find_homomorphism(g1: UGraph, g2: UGraph, budget: int = DEFAULT_BUDGET) -> d
 
     n1, n2 = g1.num_vertices, g2.num_vertices
     adj1 = g1.adjacency()
-    adj2_mask = [0] * n2
-    for a, b in g2.edges:
-        adj2_mask[a] |= 1 << b
-        adj2_mask[b] |= 1 << a
+    adj2_mask = g2.adjacency_masks()
     full2 = (1 << n2) - 1
 
     # order: seed with the clique, then most-placed-neighbors first

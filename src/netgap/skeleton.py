@@ -27,14 +27,7 @@ class SkeletonGraph:
 
 
 def skeleton(net: Network) -> SkeletonGraph:
-    in_by_node: dict[str, list[Edge]] = {v: [] for v in net.nodes}
-    out_by_node: dict[str, list[Edge]] = {v: [] for v in net.nodes}
-    for e in net.edges:
-        in_by_node[e.head].append(e)
-        out_by_node[e.tail].append(e)
-    indeg = {v: len(in_by_node[v]) for v in net.nodes}
-
-    roots = [e for e in net.edges if indeg[e.tail] != 1]
+    roots = [e for e in net.edges if net.in_degree(e.tail) != 1]
     class_members: list[list[str]] = []
     edge_class: dict[str, int] = {}
     for idx, root in enumerate(roots):
@@ -44,14 +37,14 @@ def skeleton(net: Network) -> SkeletonGraph:
             e = frontier.pop()
             members.append(e.id)
             edge_class[e.id] = idx
-            if indeg[e.head] == 1:
-                frontier.extend(out_by_node[e.head])
+            if net.in_degree(e.head) == 1:
+                frontier.extend(net.out_edges(e.head))
         class_members.append(members)
 
     class_ids = [min(members) for members in class_members]
     edge_pairs = set()
     for v in net.nodes:
-        incoming = [edge_class[e.id] for e in in_by_node[v]]
+        incoming = [edge_class[e.id] for e in net.in_edges(v)]
         for i in range(len(incoming)):
             for j in range(i + 1, len(incoming)):
                 a, b = incoming[i], incoming[j]

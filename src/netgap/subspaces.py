@@ -146,6 +146,36 @@ def sum_dim(spaces) -> int:
     return rank(Matrix.from_rows(first.field, rows))
 
 
+def direct_sum_masks(spaces) -> list[int]:
+    """Pairwise direct sums as bitmasks over the given list.
+
+    Bit j of entry i (j != i) is set iff spaces i and j share no nonzero
+    vector, i.e. dim(S_i + S_j) = dim S_i + dim S_j.  Every nonzero vector
+    records the spaces holding it, so space i meets exactly the holders of
+    its own vectors; bit i is cleared explicitly, which keeps dim-0 spaces
+    in direct sum with every other space but not with themselves.
+    """
+    spaces = list(spaces)
+    points = []
+    for s in spaces:
+        if s.field != spaces[0].field or s.ambient != spaces[0].ambient:
+            raise ValueError("direct_sum_masks: mixed fields or ambient spaces")
+        points.append([vec for vec in s.vectors() if any(vec)])
+    holders: dict[tuple, int] = {}
+    for i, pts in enumerate(points):
+        bit = 1 << i
+        for vec in pts:
+            holders[vec] = holders.get(vec, 0) | bit
+    full = (1 << len(spaces)) - 1
+    masks = []
+    for i, pts in enumerate(points):
+        meets = 1 << i
+        for vec in pts:
+            meets |= holders[vec]
+        masks.append(full & ~meets)
+    return masks
+
+
 def subspace_sum(spaces) -> Subspace:
     spaces = list(spaces)
     first = spaces[0]

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -231,18 +232,29 @@ sys.exit(getattr(importlib.import_module(module), attr)())
 """
 
 
-def _run_console_entry_point(*argv):
-    tomllib = pytest.importorskip("tomllib")
-    with PYPROJECT.open("rb") as fh:
-        target = tomllib.load(fh)["project"]["scripts"]["netgap"]
+def _child_env():
     # The child must import the same netgap as this suite, whether it comes
     # from a checkout, an editable install or a regular install.
     package_root = str(Path(netgap.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
+def _run_console_entry_point(*argv):
+    tomllib = pytest.importorskip("tomllib")
+    with PYPROJECT.open("rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["netgap"]
     return subprocess.run(
         [sys.executable, "-c", _CONSOLE_SCRIPT, target, *argv],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_child_env(),
+    )
+
+
+def _run_module(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "netgap", *argv],
+        capture_output=True, text=True, env=_child_env(), timeout=60,
     )
 
 
@@ -256,6 +268,23 @@ def test_console_entry_point_propagates_exit_code():
     # main()'s return value to sys.exit yields the usage exit code.
     proc = _run_console_entry_point("psi", "0")
     assert proc.returncode == EXIT_USAGE and "positive argument" in proc.stderr
+
+
+def test_python_dash_m_netgap():
+    proc = _run_module("psi", "5")
+    assert proc.returncode == 0 and proc.stdout.strip() == "5"
+
+
+def test_chi_wall_clock_timeout_is_enforced(tmp_path):
+    # building qK_{6:3} and searching its cliques takes far longer than the
+    # limit; the alarm must end the run with the budget exit code
+    start = time.monotonic()
+    proc = _run_module(
+        "chi", "--qkneser", "2", "6", "3", "--timeout-secs", "0.5",
+        "--cert", str(tmp_path / "chi.json"),
+    )
+    assert proc.returncode == EXIT_BUDGET, proc.stderr
+    assert time.monotonic() - start < 10
 
 
 @pytest.mark.skipif(shutil.which("netgap") is None, reason="netgap console script not installed")

@@ -54,3 +54,25 @@ def test_builders_and_reports_are_reproducible():
     rows1 = [{k: v for k, v in row.items() if k != "runtime_s"} for row in gap_table_rows()]
     rows2 = [{k: v for k, v in row.items() if k != "runtime_s"} for row in gap_table_rows()]
     assert rows1 == rows2
+
+
+def test_chromatic_node_count_is_reproducible_and_pinned():
+    g = build_qkneser(3, 4, 2)
+    first, second = chromatic_number(g), chromatic_number(g)
+    assert first.nodes_used == second.nodes_used
+    assert first.coloring == second.coloring
+    # chi(3K_{4:2}) = 12: refuting 10 and 11 colors, then finding 12.  A
+    # change to the search that lowers this count must state why (a
+    # stronger bound, a different branching rule); a kernel rewrite alone
+    # must keep it.
+    assert first.chi == 12
+    assert first.nodes_used == 81108
+
+
+def test_ic_node_count_is_reproducible_and_pinned():
+    a, b = ic_max_size(5, 1, 3, 3), ic_max_size(5, 1, 3, 3)
+    assert a.nodes_used == b.nodes_used
+    assert ic_to_json(a.witness) == ic_to_json(b.witness)
+    # size 6 against the bound 7, proven exhaustively; as above, a lower
+    # count needs a stated reason
+    assert (a.size, a.exact, a.nodes_used) == (6, True, 4200)

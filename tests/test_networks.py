@@ -217,3 +217,93 @@ def test_json_roundtrip_with_labels(tmp_path):
 def test_dot_export_mentions_roles():
     dot = network_to_dot(build_butterfly())
     assert "shape=box" in dot and "doublecircle" in dot and '"s" -> "v1"' in dot
+
+
+def _build_kneser_h2_oracle(q, t):
+    """K_{q,t;2} with every middle pair tested by sum_dim, as the builder did
+    before it read direct sums off point-incidence masks."""
+    import itertools
+
+    from netgap.gf import field_of_order
+    from netgap.networks import _edge_ids
+    from netgap.subspaces import enumerate_subspaces
+
+    middles = enumerate_subspaces(field_of_order(q), 2 * t, t)
+    r = len(middles)
+    middle_ids = [f"m{i}" for i in range(r)]
+    terminals, pairs = [], []
+    for subset in itertools.combinations(range(r), 2):
+        if sum_dim([middles[i] for i in subset]) == 2 * t:
+            tname = "t" + "_".join(str(i) for i in subset)
+            terminals.append(tname)
+            pairs.extend((tname, middle_ids[i]) for i in subset)
+    ids = _edge_ids(r + len(pairs))
+    edges = [Edge(ids[i], "s", middle_ids[i]) for i in range(r)]
+    edges.extend(Edge(ids[r + k], m, tname) for k, (tname, m) in enumerate(pairs))
+    return Network(
+        h=2,
+        source="s",
+        terminals=tuple(terminals),
+        nodes=("s", *middle_ids, *terminals),
+        edges=tuple(edges),
+        labels=dict(zip(middle_ids, middles)),
+    )
+
+
+@pytest.mark.parametrize("q,t", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2)])
+def test_build_kneser_h2_matches_sum_dim_oracle(q, t):
+    assert network_to_json(build_kneser(q, t, 2)) == network_to_json(_build_kneser_h2_oracle(q, t))
+
+
+def _index_test_networks():
+    bf = build_butterfly()
+    isolated = Network(
+        h=bf.h,
+        source=bf.source,
+        terminals=bf.terminals,
+        nodes=bf.nodes + ("lonely",),
+        edges=bf.edges,
+    )
+    yield bf
+    yield isolated
+    yield build_combination(2, 4, 2)
+    yield build_kneser(2, 1, 2)
+    yield parallelize(bf, 3)  # parallel edges
+    yield extend_messages(build_combination(2, 3, 2), 4)  # parallel edges to terminals
+    for e in bf.edges:
+        yield bf.without_edge(e.id)
+
+
+def test_adjacency_index_matches_edge_scan():
+    for net in _index_test_networks():
+        for node in net.nodes + ("absent",):
+            ins = [e for e in net.edges if e.head == node]
+            outs = [e for e in net.edges if e.tail == node]
+            assert net.in_edges(node) == ins
+            assert net.out_edges(node) == outs
+            assert net.in_degree(node) == len(ins)
+
+
+def test_adjacency_index_survives_caller_mutation():
+    net = build_butterfly()
+    ins, outs = net.in_edges("v3"), net.out_edges("s")
+    ins.append(Edge("bogus", "s", "v3"))
+    outs.clear()
+    assert [e.id for e in net.in_edges("v3")] == ["e3", "e4"]
+    assert [e.id for e in net.out_edges("s")] == ["e1", "e2"]
+    assert net.in_degree("v3") == 2
+
+
+def test_adjacency_index_stays_out_of_equality_and_json():
+    import dataclasses
+
+    fresh, used = build_butterfly(), build_butterfly()
+    used.in_edges("t1")
+    assert fresh == used and hash(fresh) == hash(used)
+    assert network_to_json(fresh) == network_to_json(used)
+    assert [f.name for f in dataclasses.fields(used)] == [
+        "h", "source", "terminals", "nodes", "edges", "labels"
+    ]
+    reduced = used.without_edge("e5")
+    assert [e.id for e in reduced.in_edges("t1")] == ["e8"]
+    assert [e.id for e in used.in_edges("t1")] == ["e5", "e8"]

@@ -1,6 +1,10 @@
 import itertools
+import signal
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netgap.graphs import (
     UGraph,
@@ -12,7 +16,11 @@ from netgap.graphs import (
     ugraph_to_dimacs,
     ugraph_to_json,
 )
+from netgap.errors import BudgetExhausted
 from netgap.qkneser import (
+    DEFAULT_BUDGET,
+    _Budget,
+    _k_colorable,
     build_qkneser,
     build_qkneser_hyper,
     canonical_coloring,
@@ -233,3 +241,206 @@ def test_homomorphism_matches_brute_force(seed):
     assert (phi is not None) == _brute_hom_exists(g1, g2)
     if phi is not None:
         assert is_homomorphism(g1, g2, phi)
+
+
+# ---------------------------------------------------------------------------
+# the bit-parallel kernels against the scan-based code they replaced
+# ---------------------------------------------------------------------------
+
+def _build_qkneser_oracle(q, n, m):
+    from netgap.gf import field_of_order
+    from netgap.subspaces import enumerate_subspaces
+
+    verts = enumerate_subspaces(field_of_order(q), n, m)
+    edges = [
+        (i, j)
+        for i in range(len(verts))
+        for j in range(i + 1, len(verts))
+        if sum_dim([verts[i], verts[j]]) == 2 * m
+    ]
+    return UGraph.from_edges(len(verts), edges, labels=tuple(verts))
+
+
+def _bits(mask):
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def _max_clique_oracle(g, budget=DEFAULT_BUDGET):
+    """Scan-based branch and bound: picks the earliest candidate by min()."""
+    n = g.num_vertices
+    adj = [0] * n
+    for a, b in g.edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    order = sorted(range(n), key=lambda v: (-bin(adj[v]).count("1"), v))
+    pos = {v: i for i, v in enumerate(order)}
+    best = []
+    bud = _Budget(budget)
+
+    def expand(current, candidates):
+        nonlocal best
+        bud.spend("clique")
+        if not candidates:
+            if len(current) > len(best):
+                best = list(current)
+            return
+        while candidates:
+            if len(current) + bin(candidates).count("1") <= len(best):
+                return
+            v = min(_bits(candidates), key=lambda v: pos[v])
+            candidates &= ~(1 << v)
+            expand(current + [v], candidates & adj[v])
+
+    try:
+        expand([], (1 << n) - 1)
+        return tuple(sorted(best)), True
+    except BudgetExhausted:
+        return tuple(sorted(best)), False
+
+
+def _k_colorable_oracle(adj, k, pinned, bud):
+    """Scan-based DSATUR: an O(n) pick per node and per-neighbour color counts."""
+    n = len(adj)
+    if len(pinned) > k:
+        return None
+    color = [-1] * n
+    forbid = [0] * n
+    counts = [[0] * k for _ in range(n)]
+    degree = [len(a) for a in adj]
+    kmask = (1 << k) - 1
+
+    def assign(v, c):
+        color[v] = c
+        for u in adj[v]:
+            counts[u][c] += 1
+            if counts[u][c] == 1:
+                forbid[u] |= 1 << c
+
+    def unassign(v, c):
+        color[v] = -1
+        for u in adj[v]:
+            counts[u][c] -= 1
+            if counts[u][c] == 0:
+                forbid[u] &= ~(1 << c)
+
+    for i, v in enumerate(pinned):
+        if forbid[v] & (1 << i):
+            return None
+        assign(v, i)
+
+    def search(remaining, max_used):
+        if remaining == 0:
+            return True
+        best_v, best_key = -1, None
+        for v in range(n):
+            if color[v] == -1:
+                sat = bin(forbid[v] & kmask).count("1")
+                key = (-sat, -degree[v], v)
+                if best_key is None or key < best_key:
+                    best_v, best_key = v, key
+        v = best_v
+        cap = min(k - 1, max_used + 1)
+        allowed = ~forbid[v] & ((1 << (cap + 1)) - 1)
+        for c in _bits(allowed):
+            bud.spend("coloring")
+            assign(v, c)
+            if search(remaining - 1, max(max_used, c)):
+                return True
+            unassign(v, c)
+        return False
+
+    if search(n - len(pinned), len(pinned) - 1):
+        return {v: color[v] for v in range(n)}
+    return None
+
+
+def _random_graph(n, density_bits):
+    pairs = list(itertools.combinations(range(n), 2))
+    return UGraph.from_edges(n, [p for i, p in enumerate(pairs) if density_bits >> i & 1])
+
+
+@pytest.mark.parametrize("q,n,m", [(2, 2, 1), (2, 3, 1), (2, 4, 2), (3, 4, 2), (2, 5, 2), (4, 2, 1)])
+def test_build_qkneser_matches_sum_dim_oracle(q, n, m):
+    assert build_qkneser(q, n, m) == _build_qkneser_oracle(q, n, m)
+
+
+def _brute_clique_number(g):
+    edge_set = set(g.edges)
+    for size in range(g.num_vertices, 0, -1):
+        for subset in itertools.combinations(range(g.num_vertices), size):
+            if all(pair in edge_set for pair in itertools.combinations(subset, 2)):
+                return size
+    return 0
+
+
+@given(st.integers(0, 12), st.integers(0, 2**66 - 1), st.integers(1, 40))
+@settings(max_examples=150, deadline=None)
+def test_max_clique_matches_brute_force_and_scan_oracle(n, bits, budget):
+    g = _random_graph(n, bits)
+    clique, complete = max_clique(g)
+    assert complete and len(clique) == _brute_clique_number(g)
+    assert all(pair in set(g.edges) for pair in itertools.combinations(clique, 2))
+    assert (clique, complete) == _max_clique_oracle(g)
+    # the same search tree: a node budget stops both at the same clique
+    assert max_clique(g, budget=budget) == _max_clique_oracle(g, budget=budget)
+
+
+def _compare_colorable(g, k, pinned, budget=DEFAULT_BUDGET):
+    new_bud, old_bud = _Budget(budget), _Budget(budget)
+    outcomes = []
+    for fn, adj, bud in (
+        (_k_colorable, g.adjacency_masks(), new_bud),
+        (_k_colorable_oracle, [sorted(s) for s in g.adjacency()], old_bud),
+    ):
+        try:
+            outcomes.append(fn(adj, k, pinned, bud))
+        except BudgetExhausted:
+            outcomes.append("exhausted")
+    assert outcomes[0] == outcomes[1]
+    assert new_bud.used == old_bud.used
+    return outcomes[0], new_bud.used
+
+
+@given(st.integers(1, 14), st.integers(0, 2**91 - 1), st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_k_colorable_matches_scan_dsatur(n, bits, extra):
+    g = _random_graph(n, bits)
+    clique, _ = max_clique(g)
+    for k in range(max(len(clique) - 1, 0), len(clique) + extra + 1):
+        found, used = _compare_colorable(g, k, clique)
+        if found is not None:
+            assert is_proper_coloring(g, found)
+        if used > 1:
+            _compare_colorable(g, k, clique, budget=used // 2)
+
+
+def test_k_colorable_matches_scan_dsatur_on_qkneser():
+    g = build_qkneser(2, 4, 2)
+    clique, _ = max_clique(g)
+    assert _compare_colorable(g, 5, clique) == (None, 100)
+    found, _ = _compare_colorable(g, 6, clique)
+    assert is_proper_coloring(g, found)
+    assert _compare_colorable(g, 5, clique[:1])[0] is None
+    assert _compare_colorable(g, 5, clique, budget=40)[0] == "exhausted"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+def test_max_clique_propagates_an_outside_budget_exhausted():
+    # qK_{6:3} over F_2: 1395 vertices; a 10^6-node clique search takes
+    # seconds.  A BudgetExhausted from a wall-clock alarm is not the search's
+    # own budget running out and must end the search at once.
+    g = build_qkneser(2, 6, 3)
+
+    def on_alarm(signum, frame):
+        raise BudgetExhausted("wall-clock timeout")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    start = time.monotonic()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        with pytest.raises(BudgetExhausted, match="wall-clock"):
+            max_clique(g, budget=10**6)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 1.0

@@ -9,11 +9,13 @@ from netgap.errors import SizeLimitExceeded
 from netgap.gf import Matrix, make_field
 from netgap.subspaces import (
     canonicalize,
+    direct_sum_masks,
     enumerate_subspaces,
     gaussian_coefficient,
     intersection,
     spread,
     subspace_from_rows,
+    subspaces_up_to_dim,
     sum_dim,
 )
 
@@ -159,3 +161,39 @@ def test_intersection_dimension_formula(bits):
     a = canonicalize(f, Matrix.from_rows(f, rows[:3]))
     b = canonicalize(f, Matrix.from_rows(f, rows[3:]))
     assert intersection(a, b).dim == a.dim + b.dim - sum_dim([a, b])
+
+
+def _direct_sum_masks_oracle(spaces):
+    """The pairwise sum_dim loop the mask helper replaced."""
+    masks = [0] * len(spaces)
+    for i in range(len(spaces)):
+        for j in range(i + 1, len(spaces)):
+            if sum_dim([spaces[i], spaces[j]]) == spaces[i].dim + spaces[j].dim:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return masks
+
+
+@pytest.mark.parametrize(
+    "q,n,t",
+    [(2, 2, 1), (2, 4, 2), (3, 4, 2), (4, 2, 1), (2, 3, 0), (2, 3, 2), (3, 3, 2), (2, 4, 3)],
+)
+def test_direct_sum_masks_match_sum_dim(q, n, t):
+    f = make_field(*{2: (2, 1), 3: (3, 1), 4: (2, 2)}[q])
+    same_dim = enumerate_subspaces(f, n, t)
+    assert direct_sum_masks(same_dim) == _direct_sum_masks_oracle(same_dim)
+    # mixed dimensions down to the zero space, which is in direct sum with
+    # every other space
+    mixed = subspaces_up_to_dim(f, n, t)
+    assert direct_sum_masks(mixed) == _direct_sum_masks_oracle(mixed)
+
+
+def test_direct_sum_masks_edge_cases():
+    f = make_field(2, 1)
+    zero = subspace_from_rows(f, [], 3)
+    line = subspace_from_rows(f, [(1, 0, 0)], 3)
+    assert direct_sum_masks([]) == []
+    assert direct_sum_masks([zero, zero, line]) == [0b110, 0b101, 0b011]
+    assert direct_sum_masks([line, line]) == [0, 0]
+    with pytest.raises(ValueError):
+        direct_sum_masks([line, subspace_from_rows(f, [(1, 0)], 2)])
