@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import signal
 import sys
 import time
 
@@ -22,7 +21,7 @@ from .certs import (
     hypergraph_coloring_certificate,
     ic_certificate,
 )
-from .errors import BudgetExhausted, NetgapError
+from .errors import BudgetExhausted, NetgapError, deadline
 from .gaplab import (
     Extremal,
     gap_exact,
@@ -577,11 +576,20 @@ def cmd_check_cert(args) -> int:
 
 def _add_common(p, cert_default: str | None = None) -> None:
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search-node budget")
-    p.add_argument("--max-subspaces", type=int, default=10**6, help="enumeration limit")
-    p.add_argument("--timeout-secs", type=float, default=None, help="wall-clock limit")
     if cert_default is not None:
         p.add_argument("--cert", default=cert_default, help="certificate output path")
+
+
+def _add_search_limits(p) -> None:
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search-node budget")
+    p.add_argument(
+        "--timeout-secs", type=float, default=None,
+        help="wall-clock limit, checked cooperatively by every search",
+    )
+
+
+def _add_max_subspaces(p) -> None:
+    p.add_argument("--max-subspaces", type=int, default=10**6, help="enumeration limit")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -603,6 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="write network JSON here")
     p.add_argument("--dot", help="also write DOT here")
     _add_common(p)
+    _add_max_subspaces(p)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("skeleton", help="edge-class skeleton of a network")
@@ -619,6 +628,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qkneser-hyper", type=int, nargs=3, metavar=("Q", "T", "H"))
     p.add_argument("--dimacs", help="also export the (co-occurrence) graph as DIMACS")
     _add_common(p, cert_default="chi-cert.json")
+    _add_search_limits(p)
+    _add_max_subspaces(p)
     p.set_defaults(func=cmd_chi)
 
     p = sub.add_parser("hom", help="graph homomorphism search")
@@ -627,11 +638,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to-qkneser", type=int, nargs=3, metavar=("Q", "N", "M"))
     p.add_argument("--to-complete", type=int, metavar="K")
     _add_common(p, cert_default="hom-cert.json")
+    _add_search_limits(p)
+    _add_max_subspaces(p)
     p.set_defaults(func=cmd_hom)
 
     p = sub.add_parser("coloring", help="canonical q-Kneser coloring")
     p.add_argument("--qkneser", type=int, nargs=3, metavar=("Q", "N", "M"), required=True)
     _add_common(p, cert_default="coloring-cert.json")
+    _add_max_subspaces(p)
     p.set_defaults(func=cmd_coloring)
 
     p = sub.add_parser("solve", help="exhaustive (q,t)-solution search")
@@ -639,6 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--t", type=int, default=1)
     _add_common(p, cert_default="solution-cert.json")
+    _add_search_limits(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="verify a network code")
@@ -663,6 +678,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=int)
     p.add_argument("--witness", help="IC JSON (check)")
     _add_common(p, cert_default="ic-cert.json")
+    _add_search_limits(p)
+    _add_max_subspaces(p)
     p.set_defaults(func=cmd_ic)
 
     p = sub.add_parser("psi", help="smallest prime power >= x")
@@ -678,6 +695,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "qs":
             p.add_argument("--method", choices=["auto", "chi", "search"], default="auto")
         _add_common(p, cert_default=f"{name}-cert.json")
+        _add_search_limits(p)
+        _add_max_subspaces(p)
         p.set_defaults(func=func)
 
     p = sub.add_parser("gap", help="exact gap with certificates")
@@ -686,6 +705,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--comb", type=int, nargs=3, metavar=("H", "R", "S"))
     p.add_argument("--cert-prefix", default="gap", help="certificate path prefix")
     _add_common(p)
+    _add_search_limits(p)
+    _add_max_subspaces(p)
     p.set_defaults(func=cmd_gap)
 
     p = sub.add_parser("formula", help="closed-form gap bounds")
@@ -709,6 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact-limit", type=int, default=4, help="resolve q^t <= this exactly")
     p.add_argument("-o", "--output")
     _add_common(p)
+    _add_search_limits(p)
     p.set_defaults(func=cmd_gap_table)
 
     p = sub.add_parser("check-cert", help="re-verify certificates")
@@ -722,25 +744,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    timeout = getattr(args, "timeout_secs", None)
-    if timeout:
-        def _on_alarm(signum, frame):
-            raise BudgetExhausted("wall-clock timeout")
-
-        signal.signal(signal.SIGALRM, _on_alarm)
-        signal.setitimer(signal.ITIMER_REAL, timeout)
     start = time.time()
     try:
-        return args.func(args)
+        with deadline(getattr(args, "timeout_secs", None)):
+            return args.func(args)
     except BudgetExhausted as exc:
         print(f"budget exhausted after {time.time() - start:.1f}s: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (NetgapError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    finally:
-        if timeout:
-            signal.setitimer(signal.ITIMER_REAL, 0)
 
 
 def run() -> None:

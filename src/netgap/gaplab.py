@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .errors import BudgetExhausted, UnsolvableNetwork
+from .errors import BudgetExhausted, SizeLimitExceeded, UnsolvableNetwork
 from .lincode import search_solution
 from .mdsic import ic_exists_of_size
 from .networks import (
@@ -258,8 +258,6 @@ def qv_exact(net: Network, budget: int = DEFAULT_BUDGET) -> Extremal:
                         and skel_clique_size > qkneser_clique_number(q, t)
                     ):
                         continue  # cliques map injectively; the target is too small
-                    from .errors import SizeLimitExceeded
-
                     try:
                         target = build_qkneser(q, 2 * t, t)
                     except SizeLimitExceeded:

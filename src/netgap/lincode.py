@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExhausted
+from .errors import Budget
 from .gf import FieldSpec, Matrix, field_of_order, make_field, rank, rowspace_contains, solve_left, stack
 from .networks import Network, combination_parameters, min_cut, parallelize
 from .subspaces import Subspace, enumerate_subspaces, subspace_from_rows, subspace_sum, subspaces_up_to_dim
@@ -203,7 +203,7 @@ def search_solution(
 
     assignment: dict = {}
     node_space: dict = {}
-    budget_left = [budget]
+    bud = Budget(budget)
 
     def terminal_ok(term: str) -> bool:
         assigned = [assignment[eid] for eid in in_edges_of[term] if eid in assignment]
@@ -224,9 +224,7 @@ def search_solution(
         else:
             cands = candidates_within(node_space[e.tail])
         for w in cands:
-            if budget_left[0] <= 0:
-                raise BudgetExhausted("solution search budget exhausted")
-            budget_left[0] -= 1
+            bud.spend("solution search")
             assignment[e.id] = w
             ok = terminal_ok(e.head) if e.head in terminal_set else True
             if ok:

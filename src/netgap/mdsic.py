@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import SizeLimitExceeded
+from .errors import Budget, BudgetExhausted, SizeLimitExceeded
 from .gf import FieldSpec, Matrix, field_of_order
 from .lincode import NetworkCode, solution_from_classical_code, verify_solution
 from .networks import Network, build_combination, combination_parameters
@@ -229,8 +229,7 @@ def _ic_search(
 
     chosen = [first, second]
     best = list(chosen)
-    nodes = [0]
-    stopped_early = [False]
+    bud = Budget(budget)
 
     def alpha_ok(new: int) -> bool:
         if len(chosen) + 1 < alpha:
@@ -242,7 +241,7 @@ def _ic_search(
         return True
 
     def extend(start: int, cand_mask: int) -> bool:
-        """Returns True to stop the whole search (target hit or budget out)."""
+        """Returns True to stop the whole search at the target or the bound."""
         nonlocal best
         if len(chosen) > len(best):
             best = list(chosen)
@@ -256,10 +255,7 @@ def _ic_search(
         for j in range(start, n_univ):
             if not (cand_mask >> j) & 1:
                 continue
-            nodes[0] += 1
-            if nodes[0] > budget:
-                stopped_early[0] = True
-                return True
+            bud.spend()
             if len(chosen) + bin(cand_mask >> j).count("1") <= len(best):
                 return False
             if not alpha_ok(j):
@@ -273,14 +269,15 @@ def _ic_search(
     if not pair_ok[first] >> second & 1:
         raise AssertionError("canonical pair is not independent")
     initial = pair_ok[first] & pair_ok[second] & ~(1 << first) & ~(1 << second)
-    hit = extend(0, initial)
+    try:
+        # stopping at the target size proves nothing about the maximum
+        exact = not (extend(0, initial) and target is not None)
+    except BudgetExhausted:
+        exact = False
     witness = IndependentConfiguration(
         field=fld, t=t, h=h, members=tuple(universe[i] for i in best)
     )
-    exact = not stopped_early[0]
-    if target is not None and hit and not stopped_early[0]:
-        exact = False  # stopped as soon as the target size was reached
-    return ICSearchResult(len(best), witness, bound, exact, nodes[0])
+    return ICSearchResult(len(best), witness, bound, exact, bud.used)
 
 
 def ic_max_size(
@@ -294,8 +291,9 @@ def ic_max_size(
 ) -> ICSearchResult:
     """Exact maximum size of a (t;h,alpha)_q-IC with witness.
 
-    The proven size bound prunes the search; on budget exhaustion the
-    result is a lower bound flagged inexact.
+    The proven size bound prunes the search; when the node budget or the
+    wall-clock deadline stops it, the result is a lower bound flagged
+    inexact.
     """
     fld = field_of_order(q)
     return _ic_search(fld, t, h, alpha, budget, None, limit)
@@ -316,8 +314,6 @@ def ic_exists_of_size(
     Raises SizeLimitExceeded on enormous universes and BudgetExhausted when
     the search stops early.
     """
-    from .errors import BudgetExhausted
-
     if size <= 0:
         raise ValueError("size must be positive")
     fld = field_of_order(q)

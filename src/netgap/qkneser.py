@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import BudgetExhausted, SizeLimitExceeded
+from .errors import Budget, BudgetExhausted, SizeLimitExceeded
 from .gf import field_of_order
 from .graphs import Coloring, Hypergraph, UGraph
 from .subspaces import (
@@ -26,20 +26,6 @@ from .subspaces import (
 )
 
 DEFAULT_BUDGET = 10**8
-
-
-class _Budget:
-    __slots__ = ("remaining", "used")
-
-    def __init__(self, limit: int):
-        self.remaining = limit
-        self.used = 0
-
-    def spend(self, what: str = "search") -> None:
-        if self.remaining <= 0:
-            raise BudgetExhausted(f"{what} budget exhausted", nodes_used=self.used)
-        self.remaining -= 1
-        self.used += 1
 
 
 # ---------------------------------------------------------------------------
@@ -120,14 +106,13 @@ def max_clique(g: UGraph, budget: int = DEFAULT_BUDGET) -> tuple[tuple[int, ...]
     """Exact maximum clique by branch and bound; (clique, completed).
 
     Branches on candidates in the static order (-degree, v).  Running out
-    of `budget` nodes returns the best clique with completed=False; a
-    BudgetExhausted raised from outside the search (the CLI's wall-clock
-    alarm) propagates.
+    of `budget` nodes returns the best clique with completed=False; any
+    other BudgetExhausted (the wall-clock deadline) propagates.
     """
     order, adj = _degree_order(g.adjacency_masks())
     best: list[int] = []
     current: list[int] = []
-    bud = _Budget(budget)
+    bud = Budget(budget)
 
     def expand(candidates: int) -> None:
         nonlocal best
@@ -150,7 +135,7 @@ def max_clique(g: UGraph, budget: int = DEFAULT_BUDGET) -> tuple[tuple[int, ...]
         expand((1 << len(adj)) - 1)
         completed = True
     except BudgetExhausted:
-        if bud.remaining > 0:
+        if not bud.out_of_nodes:
             raise
         completed = False
     return tuple(sorted(order[v] for v in best)), completed
@@ -167,7 +152,7 @@ def _bits(mask: int):
 # k-colorability (DSATUR branch and bound)
 # ---------------------------------------------------------------------------
 
-def _k_colorable(adj: list[int], k: int, pinned: tuple[int, ...], bud: _Budget) -> Coloring | None:
+def _k_colorable(adj: list[int], k: int, pinned: tuple[int, ...], bud: Budget) -> Coloring | None:
     """Complete search for a proper k-coloring with a clique pinned to colors 0..;
     returns None only after exhausting the (symmetry-reduced) space.
 
@@ -280,8 +265,10 @@ class ChiResult:
 def chromatic_number(target, budget: int = DEFAULT_BUDGET) -> ChiResult:
     """Exact chromatic number of a UGraph or Hypergraph.
 
-    On budget exhaustion returns the best-known bracket (lo < hi) instead
-    of raising; the witness coloring always uses hi colors.
+    When the coloring search runs out of budget or time, returns the
+    best-known bracket (lo < hi) instead of raising; the witness coloring
+    always uses hi colors.  A deadline passed during the clique search
+    raises BudgetExhausted.
     """
     if isinstance(target, Hypergraph):
         return chromatic_number(target.co_occurrence(), budget)
@@ -291,7 +278,7 @@ def chromatic_number(target, budget: int = DEFAULT_BUDGET) -> ChiResult:
         return ChiResult(0, 0, {}, (), 0)
     if not g.edges:
         return ChiResult(1, 1, {v: 0 for v in range(n)}, (0,), 0)
-    bud = _Budget(budget)
+    bud = Budget(budget)
     clique, clique_complete = max_clique(g, budget=max(budget // 10, 1000))
     lo = len(clique) if clique_complete else max(len(clique), 2)
     witness = greedy_coloring(g)
@@ -331,7 +318,7 @@ def find_homomorphism(g1: UGraph, g2: UGraph, budget: int = DEFAULT_BUDGET) -> d
     if g1.num_vertices == g2.num_vertices and set(g1.edges) == set(g2.edges):
         return {v: v for v in range(g1.num_vertices)}
     if g2.is_complete():
-        bud = _Budget(budget)
+        bud = Budget(budget)
         clique, complete = max_clique(g1, budget=max(budget // 10, 1000))
         if not complete:
             clique = clique[:1]
@@ -364,7 +351,7 @@ def find_homomorphism(g1: UGraph, g2: UGraph, budget: int = DEFAULT_BUDGET) -> d
     pos_of = {v: i for i, v in enumerate(order)}
     mapped_neighbors = [[u for u in adj1[v] if pos_of[u] < pos_of[v]] for v in order]
 
-    bud = _Budget(budget)
+    bud = Budget(budget)
     phi: dict[int, int] = {}
 
     def search(i: int) -> bool:

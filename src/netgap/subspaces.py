@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import SizeLimitExceeded
+from .errors import Budget, SizeLimitExceeded
 from .gf import FieldSpec, Matrix, rank, rref
 
 ENUMERATION_LIMIT = 10**6
@@ -93,7 +93,8 @@ def enumerate_subspaces(field: FieldSpec, n: int, t: int, *, limit: int = ENUMER
     """All t-subspaces of F_q^n in canonical order.
 
     Iterates RREF profiles (pivot sets x free entries) so the cost is linear
-    in the output size.
+    in the output size.  Each subspace is one node of a Budget sized to the
+    count, so only the wall-clock deadline can stop the enumeration.
     """
     count = gaussian_coefficient(n, t, field.q)
     if count > limit:
@@ -101,6 +102,7 @@ def enumerate_subspaces(field: FieldSpec, n: int, t: int, *, limit: int = ENUMER
     out: list[Subspace] = []
     if t == 0:
         return [Subspace(field, n, 0, Matrix.zeros(field, 0, n))]
+    bud = Budget(count)
     for pivots in itertools.combinations(range(n), t):
         pivot_set = set(pivots)
         free_positions = [
@@ -113,6 +115,7 @@ def enumerate_subspaces(field: FieldSpec, n: int, t: int, *, limit: int = ENUMER
         for i, p in enumerate(pivots):
             template[i][p] = 1
         for values in itertools.product(field.elements(), repeat=len(free_positions)):
+            bud.spend()
             rows = [list(r) for r in template]
             for (i, j), v in zip(free_positions, values):
                 rows[i][j] = v

@@ -1,0 +1,132 @@
+"""The one search budget: node limits and the cooperative wall-clock deadline."""
+
+import pytest
+
+from netgap import errors
+from netgap.errors import Budget, BudgetExhausted, deadline
+from netgap.gf import field_of_order
+from netgap.graphs import UGraph, complete_graph
+from netgap.lincode import search_solution
+from netgap.mdsic import ic_exists_of_size, ic_max_size
+from netgap.networks import build_combination
+from netgap.qkneser import build_qkneser, chromatic_number, find_homomorphism, max_clique
+from netgap.subspaces import enumerate_subspaces
+
+# a deadline already in the past when the block is entered
+EXPIRED = -1.0
+
+# the deadline is read before every 1024th node, so an expired one stops a
+# search after exactly this many nodes
+FIRST_CHECKPOINT = 1023
+
+
+def test_node_limit_counts_every_node():
+    bud = Budget(3)
+    for _ in range(3):
+        bud.spend()
+    with pytest.raises(BudgetExhausted, match="coloring budget exhausted") as exc:
+        bud.spend("coloring")
+    assert exc.value.nodes_used == 3 and bud.used == 3 and bud.out_of_nodes
+
+
+def test_expired_deadline_stops_at_the_first_checkpoint():
+    bud = Budget(10**9)
+    with deadline(EXPIRED):
+        with pytest.raises(BudgetExhausted, match="wall-clock") as exc:
+            for _ in range(2048):
+                bud.spend()
+    assert exc.value.nodes_used == FIRST_CHECKPOINT and not bud.out_of_nodes
+
+
+def test_no_deadline_outside_the_block():
+    with deadline(EXPIRED):
+        assert errors._deadline is not None
+    assert errors._deadline is None
+    with pytest.raises(RuntimeError):
+        with deadline(EXPIRED):
+            raise RuntimeError("leaves the block")
+    assert errors._deadline is None
+    bud = Budget(4096)
+    for _ in range(4096):
+        bud.spend()
+
+
+def test_zero_or_none_sets_no_deadline():
+    for seconds in (None, 0):
+        with deadline(seconds):
+            assert errors._deadline is None
+
+
+def test_max_clique_stops_at_an_expired_deadline():
+    # 3K_{4:2}: a complete clique search takes about 507k nodes
+    g = build_qkneser(3, 4, 2)
+    with deadline(EXPIRED), pytest.raises(BudgetExhausted, match="wall-clock") as exc:
+        max_clique(g)
+    assert exc.value.nodes_used == FIRST_CHECKPOINT
+
+
+def test_search_solution_stops_at_an_expired_deadline():
+    # the (2,2) search on N_{2,6,2} is negative and takes far more nodes
+    with deadline(EXPIRED), pytest.raises(BudgetExhausted, match="wall-clock") as exc:
+        search_solution(build_combination(2, 6, 2), 2, 2)
+    assert exc.value.nodes_used == FIRST_CHECKPOINT
+
+
+def test_ic_searches_stop_at_an_expired_deadline():
+    # the exhaustive (1;3,3)_5 search takes 4200 nodes
+    with deadline(EXPIRED):
+        result = ic_max_size(5, 1, 3, 3)
+    assert not result.exact and result.nodes_used == FIRST_CHECKPOINT
+    assert result.size < result.bound
+    with deadline(EXPIRED), pytest.raises(BudgetExhausted):
+        ic_exists_of_size(5, 1, 3, 3, 7)
+
+
+def _mycielski(g):
+    n = g.num_vertices
+    edges = list(g.edges)
+    for a, b in g.edges:
+        edges += [(a, n + b), (b, n + a)]
+    edges += [(n + v, 2 * n) for v in range(n)]
+    return UGraph.from_edges(2 * n + 1, edges)
+
+
+def _mycielski_6():
+    # triangle-free with chi = 6: the clique search is short, the coloring
+    # search long (about 450k nodes)
+    g = UGraph.from_edges(2, [(0, 1)])
+    for _ in range(4):
+        g = _mycielski(g)
+    return g
+
+
+@pytest.mark.parametrize(
+    "target", [lambda: complete_graph(5), lambda: build_qkneser(2, 4, 2)], ids=["K5", "2K42"]
+)
+def test_find_homomorphism_stops_at_an_expired_deadline(target):
+    # both the coloring route (complete target) and the general search
+    # outlast the first checkpoint; their clique searches end before it
+    with deadline(EXPIRED), pytest.raises(BudgetExhausted, match="wall-clock") as exc:
+        find_homomorphism(_mycielski_6(), target())
+    assert exc.value.nodes_used == FIRST_CHECKPOINT
+
+
+def test_chromatic_number_past_the_deadline_raises_or_brackets():
+    # 3K_{4:2}: the deadline ends the clique search, which cannot bound chi
+    with deadline(EXPIRED), pytest.raises(BudgetExhausted, match="wall-clock"):
+        chromatic_number(build_qkneser(3, 4, 2))
+    # M6: the deadline ends the coloring search after 2 and 3 colors are refuted
+    with deadline(EXPIRED):
+        res = chromatic_number(_mycielski_6())
+    assert not res.exact and (res.lo, res.hi) == (4, 6)
+    assert res.nodes_used == FIRST_CHECKPOINT
+
+
+def test_enumeration_stops_at_an_expired_deadline():
+    fld = field_of_order(2)
+    # 1395 subspaces: the checkpoint before the 1024th one fires
+    with deadline(EXPIRED), pytest.raises(BudgetExhausted, match="wall-clock"):
+        enumerate_subspaces(fld, 6, 3)
+    # 155 subspaces: no checkpoint is reached
+    with deadline(EXPIRED):
+        assert len(enumerate_subspaces(fld, 5, 2)) == 155

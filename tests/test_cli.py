@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -9,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import netgap
-from netgap.cli import EXIT_BUDGET, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
+from netgap import errors
+from netgap.cli import EXIT_BUDGET, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, build_parser, main
+from netgap.networks import build_kneser, network_to_json
 
 
 def run_cli(args, capsys):
@@ -251,10 +254,10 @@ def _run_console_entry_point(*argv):
     )
 
 
-def _run_module(*argv):
+def _run_module(*argv, timeout=60):
     return subprocess.run(
         [sys.executable, "-m", "netgap", *argv],
-        capture_output=True, text=True, env=_child_env(), timeout=60,
+        capture_output=True, text=True, env=_child_env(), timeout=timeout,
     )
 
 
@@ -277,7 +280,7 @@ def test_python_dash_m_netgap():
 
 def test_chi_wall_clock_timeout_is_enforced(tmp_path):
     # building qK_{6:3} and searching its cliques takes far longer than the
-    # limit; the alarm must end the run with the budget exit code
+    # limit; the deadline must end the run with the budget exit code
     start = time.monotonic()
     proc = _run_module(
         "chi", "--qkneser", "2", "6", "3", "--timeout-secs", "0.5",
@@ -285,6 +288,90 @@ def test_chi_wall_clock_timeout_is_enforced(tmp_path):
     )
     assert proc.returncode == EXIT_BUDGET, proc.stderr
     assert time.monotonic() - start < 10
+
+
+def test_gap_timeout_holds_after_a_bracketed_qs(tmp_path):
+    # With the edge list shuffled, the wall-clock limit passes inside the
+    # q_s coloring search, which reports a bracket; the q_v searches that
+    # follow must still stop at the limit.
+    obj = network_to_json(build_kneser(3, 2, 2))
+    random.Random(2).shuffle(obj["edges"])
+    net_path = tmp_path / "k322-shuffled.json"
+    net_path.write_text(json.dumps(obj))
+    start = time.monotonic()
+    proc = _run_module(
+        "gap", "--network", str(net_path), "--timeout-secs", "0.55",
+        "--cert-prefix", str(tmp_path / "gap"), timeout=20,
+    )
+    assert proc.returncode == EXIT_BUDGET, proc.stderr
+    assert time.monotonic() - start < 3
+
+
+@pytest.mark.parametrize(
+    "first, exit_code",
+    [
+        (["chi", "--qkneser", "2", "4", "2"], EXIT_OK),  # ends before any checkpoint
+        (["chi", "--qkneser", "3", "4", "2"], EXIT_BUDGET),
+        (["solve", "--network", "missing.json", "--q", "2"], EXIT_USAGE),
+    ],
+    ids=["return", "budget", "usage"],
+)
+def test_main_clears_the_deadline(tmp_path, capsys, first, exit_code):
+    code, _, _ = run_cli(
+        first + ["--timeout-secs", "1e-9", "--cert", str(tmp_path / "first.json")], capsys
+    )
+    assert code == exit_code and errors._deadline is None
+    # 4200 search nodes: a deadline left behind would stop it at node 1024
+    code, out, _ = run_cli(
+        ["ic", "search", "--q", "5", "--t", "1", "--h", "3", "--alpha", "3",
+         "--cert", str(tmp_path / "ic.json")],
+        capsys,
+    )
+    assert code == EXIT_OK and "max size = 6" in out
+
+
+SEARCH_COMMANDS = {"chi", "hom", "solve", "ic", "qs", "qv", "gap", "gap-table"}
+ENUMERATING_COMMANDS = {"build", "chi", "hom", "coloring", "ic", "qs", "qv", "gap"}
+MINIMAL_ARGV = {
+    "build": ["build", "comb"],
+    "skeleton": ["skeleton", "--network", "n.json"],
+    "chi": ["chi"],
+    "hom": ["hom", "--from", "g.json"],
+    "coloring": ["coloring", "--qkneser", "2", "4", "2"],
+    "solve": ["solve", "--network", "n.json", "--q", "2"],
+    "verify": ["verify", "--network", "n.json", "--code", "c.json"],
+    "mds": ["mds", "--q", "4", "--r", "5", "--h", "2"],
+    "ic": ["ic", "bound"],
+    "psi": ["psi", "5"],
+    "qs": ["qs"],
+    "qv": ["qv"],
+    "gap": ["gap"],
+    "formula": ["formula", "kneser-h2", "q=2", "t=1"],
+    "gap-table": ["gap-table"],
+    "check-cert": ["check-cert", "c.json"],
+}
+
+
+def _parses(argv) -> bool:
+    """True if argv parses; a rejected flag must give the usage exit code,
+    so `psi 5 --budget 3` exits 2."""
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit as exc:
+        assert exc.code == EXIT_USAGE
+        return False
+    return True
+
+
+@pytest.mark.parametrize("command", sorted(MINIMAL_ARGV))
+def test_limit_flags_only_where_they_are_read(command, capsys):
+    base = MINIMAL_ARGV[command]
+    assert _parses(base)
+    searches = command in SEARCH_COMMANDS
+    assert _parses(base + ["--budget", "3"]) == searches
+    assert _parses(base + ["--timeout-secs", "0.5"]) == searches
+    assert _parses(base + ["--max-subspaces", "10"]) == (command in ENUMERATING_COMMANDS)
+    capsys.readouterr()
 
 
 @pytest.mark.skipif(shutil.which("netgap") is None, reason="netgap console script not installed")

@@ -16,10 +16,9 @@ from netgap.graphs import (
     ugraph_to_dimacs,
     ugraph_to_json,
 )
-from netgap.errors import BudgetExhausted
+from netgap.errors import Budget, BudgetExhausted
 from netgap.qkneser import (
     DEFAULT_BUDGET,
-    _Budget,
     _k_colorable,
     build_qkneser,
     build_qkneser_hyper,
@@ -275,7 +274,7 @@ def _max_clique_oracle(g, budget=DEFAULT_BUDGET):
     order = sorted(range(n), key=lambda v: (-bin(adj[v]).count("1"), v))
     pos = {v: i for i, v in enumerate(order)}
     best = []
-    bud = _Budget(budget)
+    bud = Budget(budget)
 
     def expand(current, candidates):
         nonlocal best
@@ -386,7 +385,7 @@ def test_max_clique_matches_brute_force_and_scan_oracle(n, bits, budget):
 
 
 def _compare_colorable(g, k, pinned, budget=DEFAULT_BUDGET):
-    new_bud, old_bud = _Budget(budget), _Budget(budget)
+    new_bud, old_bud = Budget(budget), Budget(budget)
     outcomes = []
     for fn, adj, bud in (
         (_k_colorable, g.adjacency_masks(), new_bud),
