@@ -6,7 +6,7 @@ homomorphisms, MDS codes, independent configurations, and exact
 q_s / q_v / gap computation with replayable certificates.
 """
 
-from .errors import BudgetExhausted, NetgapError, SizeLimitExceeded, UnsolvableNetwork
+from .errors import BudgetExhausted, InternalError, NetgapError, SizeLimitExceeded, UnsolvableNetwork
 from .gf import FieldSpec, Matrix, field_of_order, make_field, rank, rowspace_contains, rref
 from .subspaces import (
     Subspace,

@@ -25,6 +25,10 @@ class BudgetExhausted(NetgapError):
         self.nodes_used = nodes_used
 
 
+class InternalError(NetgapError):
+    """A self-check of a result failed: a bug in netgap, never a verdict."""
+
+
 class UnsolvableNetwork(NetgapError):
     """The network fails the cut criterion; minimality is undefined for it."""
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import Budget
+from .errors import Budget, InternalError
 from .gf import FieldSpec, Matrix, field_of_order, make_field, rank, rowspace_contains, solve_left, stack
 from .networks import Network, combination_parameters, min_cut, parallelize
 from .subspaces import Subspace, enumerate_subspaces, subspace_from_rows, subspace_sum, subspaces_up_to_dim
@@ -140,7 +140,8 @@ def _completion_dfs_order(net: Network) -> list:
                 visit(e.head)
 
     visit(net.source)
-    assert len(scheduled) == len(net.edges), "network has unreachable edges"
+    if len(scheduled) != len(net.edges):
+        raise ValueError("network has edges unreachable from the source")
     return scheduled
 
 
@@ -155,6 +156,49 @@ def _prefix_subspaces(fld: FieldSpec, ambient: int, t: int) -> list[Subspace]:
             rows.append(row)
         out.append(subspace_from_rows(fld, rows, ambient))
     return out
+
+
+class RunningEchelon:
+    """Echelon basis of a growing sum of subspaces, for push/pop use.
+
+    `rows` holds (pivot, row) pairs in insertion order: each row is 1 at its
+    pivot and 0 at the pivots of the rows before it, so reducing a vector
+    against the rows in order clears every pivot.  `push` appends the
+    reduced vectors that stay nonzero and returns how many it appended;
+    `pop` drops that many again.  len(rows) is the dimension of the sum.
+    """
+
+    __slots__ = ("rows", "_add", "_neg_mul", "_scale")
+
+    def __init__(self, fld: FieldSpec):
+        q = fld.q
+        self._add = [[fld.add(a, b) for b in range(q)] for a in range(q)]
+        # _neg_mul[c][y] = -c*y, _scale[a][y] = a^{-1}*y
+        self._neg_mul = [[fld.neg(fld.mul(c, y)) for y in range(q)] for c in range(q)]
+        self._scale = [None] + [[fld.mul(fld.inv(a), y) for y in range(q)] for a in range(1, q)]
+        self.rows: list[tuple[int, list[int]]] = []
+
+    def push(self, vectors) -> int:
+        rows, add = self.rows, self._add
+        before = len(rows)
+        for vec in vectors:
+            for piv, b in rows:
+                c = vec[piv]
+                if c:
+                    m = self._neg_mul[c]
+                    vec = [add[x][m[y]] for x, y in zip(vec, b)]
+            for j, x in enumerate(vec):
+                if x:
+                    if x != 1:
+                        s = self._scale[x]
+                        vec = [s[y] for y in vec]
+                    rows.append((j, vec))
+                    break
+        return len(rows) - before
+
+    def pop(self, count: int) -> None:
+        if count:
+            del self.rows[-count:]
 
 
 def search_solution(
@@ -176,16 +220,19 @@ def search_solution(
             return None  # cut bound: rank at the terminal cannot reach ht
 
     order = _completion_dfs_order(net)
-    terminal_set = set(net.terminals)
-    in_edges_of = {v: [e.id for e in net.in_edges(v)] for v in net.nodes}
-    global_candidates = subspaces_up_to_dim(fld, nt, t)
-    first_candidates = _prefix_subspaces(fld, nt, t)
 
-    # candidates inside a node's accumulated space, cached per space
+    def with_rows(spaces) -> list[tuple[Subspace, list]]:
+        return [(w, w.basis.row_list()) for w in spaces]
+
+    global_candidates = with_rows(subspaces_up_to_dim(fld, nt, t))
+    first_candidates = with_rows(_prefix_subspaces(fld, nt, t))
+
+    # candidates inside a node's accumulated space, cached per space (an
+    # RREF basis determines its space)
     sub_cache: dict = {}
 
-    def candidates_within(space: Subspace) -> list[Subspace]:
-        key = space.sort_key
+    def candidates_within(space: Subspace) -> list[tuple[Subspace, list]]:
+        key = space.basis.data
         cached = sub_cache.get(key)
         if cached is not None:
             return cached
@@ -198,46 +245,56 @@ def search_solution(
                 else:
                     rows = abstract.basis.mul(space.basis).row_list()
                     out.append(subspace_from_rows(fld, rows, nt))
-        sub_cache[key] = out
+        out = sub_cache[key] = with_rows(out)
         return out
 
+    # edge id -> its space on the current search path; an entry left behind
+    # by backtracking is rewritten before it is read again
     assignment: dict = {}
+    # the space a node forwards, kept only for nodes with out-edges; a node
+    # with one in-edge forwards that edge's (already canonical) subspace
     node_space: dict = {}
+    has_out = {e.tail for e in net.edges}
+    in_degree = {v: net.in_degree(v) for v in net.nodes}
+    # in-edges of each node not yet assigned on the current search path
+    remaining = dict(in_degree)
+    # terminal -> echelon basis of the sum of its assigned in-edge spaces
+    echelon = {term: RunningEchelon(fld) for term in net.terminals}
     bud = Budget(budget)
-
-    def terminal_ok(term: str) -> bool:
-        assigned = [assignment[eid] for eid in in_edges_of[term] if eid in assignment]
-        unassigned = len(in_edges_of[term]) - len(assigned)
-        dim = subspace_sum(assigned).dim if assigned else 0
-        if dim + t * unassigned < nt:
-            return False
-        if unassigned == 0 and dim != nt:
-            return False
-        return True
 
     def rec(i: int) -> bool:
         if i == len(order):
             return True
         e = order[i]
+        head = e.head
         if e.tail == net.source:
             cands = first_candidates if i == 0 else global_candidates
         else:
             cands = candidates_within(node_space[e.tail])
-        for w in cands:
+        ech = echelon.get(head)
+        remaining[head] -= 1
+        unassigned = remaining[head]
+        forwards = unassigned == 0 and head in has_out
+        for w, rows in cands:
             bud.spend("solution search")
             assignment[e.id] = w
-            ok = terminal_ok(e.head) if e.head in terminal_set else True
-            if ok:
-                completed = all(eid in assignment for eid in in_edges_of[e.head])
-                if completed:
-                    node_space[e.head] = subspace_sum(
-                        [assignment[eid] for eid in in_edges_of[e.head]]
-                    )
-                if rec(i + 1):
-                    return True
-                if completed:
-                    del node_space[e.head]
-            del assignment[e.id]
+            added = 0
+            if ech is not None:
+                # the terminal can still reach rank ht only if every
+                # unassigned in-edge adds t more dimensions
+                added = ech.push(rows)
+                if len(ech.rows) + t * unassigned < nt:
+                    ech.pop(added)
+                    continue
+            if forwards:
+                node_space[head] = w if in_degree[head] == 1 else subspace_sum(
+                    [assignment[f.id] for f in net.in_edges(head)]
+                )
+            if rec(i + 1):
+                return True
+            if ech is not None:
+                ech.pop(added)
+        remaining[head] += 1
         return False
 
     if not rec(0):
@@ -250,7 +307,8 @@ def search_solution(
         mats[e.id] = Matrix.from_rows(fld, rows)
     code = NetworkCode(field=fld, t=t, h=net.h, assignment=mats)
     verdict = verify_solution(net, code)
-    assert verdict.ok, "internal error: search produced a rejected code"
+    if not verdict.ok:
+        raise InternalError(f"solution search produced a rejected code: {verdict.failure}")
     return code
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import Budget, BudgetExhausted, SizeLimitExceeded
+from .errors import Budget, BudgetExhausted, InternalError, SizeLimitExceeded
 from .gf import FieldSpec, Matrix, field_of_order
 from .lincode import NetworkCode, solution_from_classical_code, verify_solution
 from .networks import Network, build_combination, combination_parameters
@@ -371,7 +371,8 @@ def solution_to_ic(net: Network, code: NetworkCode) -> IndependentConfiguration:
             raise ValueError(f"source edge {e.id} carries a rank-deficient space")
         members.append(sub)
     config = IndependentConfiguration(field=code.field, t=code.t, h=h, members=tuple(members))
-    assert ic_is_valid(config, h)
+    if not ic_is_valid(config, h):
+        raise InternalError("an accepted solution's middle spaces do not form an IC")
     return config
 
 

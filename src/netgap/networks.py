@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
-from .errors import SizeLimitExceeded, UnsolvableNetwork
+from .errors import Budget, SizeLimitExceeded, UnsolvableNetwork
 from .gf import FieldSpec, make_field
 from .subspaces import Subspace, direct_sum_masks, enumerate_subspaces, sum_dim
 
@@ -43,9 +43,11 @@ class Network:
         names outside `nodes` read as empty; not a field, so it stays out of
         equality, hashing and the JSON form.
         """
+        bud = Budget(len(self.edges))  # one node per edge: only the deadline stops it
         outs: dict[str, list[Edge]] = {}
         ins: dict[str, list[Edge]] = {}
         for e in self.edges:
+            bud.spend()
             outs.setdefault(e.tail, []).append(e)
             ins.setdefault(e.head, []).append(e)
         return outs, ins
@@ -78,11 +80,13 @@ class Network:
 
 def topological_order(net: Network) -> list[str]:
     """Kahn's algorithm; raises on cycles. Deterministic by node order."""
+    bud = Budget(len(net.nodes))  # one node per node placed: only the deadline stops it
     indeg = {v: net.in_degree(v) for v in net.nodes}
     order = []
     ready = deque(v for v in net.nodes if indeg[v] == 0)
     while ready:
         v = ready.popleft()
+        bud.spend()
         order.append(v)
         for e in net.out_edges(v):
             indeg[e.head] -= 1
@@ -95,10 +99,14 @@ def topological_order(net: Network) -> list[str]:
 
 def essential_nodes(net: Network) -> set[str]:
     """Nodes on some source-to-terminal path."""
+    # one node per visit, at most one per source, terminal and edge head in
+    # each direction, so only the deadline stops it
+    bud = Budget(1 + len(net.terminals) + 2 * len(net.edges))
     fwd = {net.source}
     frontier = deque([net.source])
     while frontier:
         v = frontier.popleft()
+        bud.spend()
         for e in net.out_edges(v):
             if e.head not in fwd:
                 fwd.add(e.head)
@@ -107,6 +115,7 @@ def essential_nodes(net: Network) -> set[str]:
     frontier = deque(net.terminals)
     while frontier:
         v = frontier.popleft()
+        bud.spend()
         for e in net.in_edges(v):
             if e.tail not in back:
                 back.add(e.tail)
@@ -289,23 +298,32 @@ def build_kneser(
     if h == 2:
         # t + t = 2t, so two middles span F_q^{2t} iff they meet only in 0
         masks = direct_sum_masks(middles)
-        spanning = ((i, j) for i in range(r) for j in range(i + 1, r) if masks[i] >> j & 1)
+
+        def spans(subset) -> bool:
+            return masks[subset[0]] >> subset[1] & 1
     else:
-        spanning = (
-            subset
-            for subset in itertools.combinations(range(r), h)
-            if sum_dim([middles[i] for i in subset]) == n
-        )
+
+        def spans(subset) -> bool:
+            return sum_dim([middles[i] for i in subset]) == n
+
+    # one node per candidate terminal scanned and per terminal edge made, so
+    # only the deadline stops the construction
+    bud = Budget((h + 1) * n_subsets)
     middle_ids = [f"m{i}" for i in range(r)]
     terminals = []
     pairs = []
-    for subset in spanning:
+    for subset in itertools.combinations(range(r), h):
+        bud.spend()
+        if not spans(subset):
+            continue
         tname = "t" + "_".join(str(i) for i in subset)
         terminals.append(tname)
         pairs.extend((tname, middle_ids[i]) for i in subset)
     ids = _edge_ids(r + len(pairs))
     edges = [Edge(ids[i], "s", middle_ids[i]) for i in range(r)]
-    edges.extend(Edge(ids[r + k], m, tname) for k, (tname, m) in enumerate(pairs))
+    for k, (tname, m) in enumerate(pairs):
+        bud.spend()
+        edges.append(Edge(ids[r + k], m, tname))
     net = Network(
         h=h,
         source="s",

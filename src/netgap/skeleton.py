@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import Budget
 from .graphs import UGraph
 from .networks import Edge, Network, validate_network
 
@@ -27,6 +28,9 @@ class SkeletonGraph:
 
 
 def skeleton(net: Network) -> SkeletonGraph:
+    # one node per edge classed and per node joined, so only the deadline
+    # stops the construction
+    bud = Budget(len(net.edges) + len(net.nodes))
     roots = [e for e in net.edges if net.in_degree(e.tail) != 1]
     class_members: list[list[str]] = []
     edge_class: dict[str, int] = {}
@@ -35,6 +39,7 @@ def skeleton(net: Network) -> SkeletonGraph:
         frontier = [root]
         while frontier:
             e = frontier.pop()
+            bud.spend()
             members.append(e.id)
             edge_class[e.id] = idx
             if net.in_degree(e.head) == 1:
@@ -44,6 +49,7 @@ def skeleton(net: Network) -> SkeletonGraph:
     class_ids = [min(members) for members in class_members]
     edge_pairs = set()
     for v in net.nodes:
+        bud.spend()
         incoming = [edge_class[e.id] for e in net.in_edges(v)]
         for i in range(len(incoming)):
             for j in range(i + 1, len(incoming)):

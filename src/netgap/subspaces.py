@@ -159,11 +159,19 @@ def direct_sum_masks(spaces) -> list[int]:
     in direct sum with every other space but not with themselves.
     """
     spaces = list(spaces)
-    points = []
     for s in spaces:
         if s.field != spaces[0].field or s.ambient != spaces[0].ambient:
             raise ValueError("direct_sum_masks: mixed fields or ambient spaces")
-        points.append([vec for vec in s.vectors() if any(vec)])
+    # one node per vector listed, so only the deadline stops the listing
+    bud = Budget(sum(s.field.q**s.dim for s in spaces))
+    points = []
+    for s in spaces:
+        pts = []
+        for vec in s.vectors():
+            bud.spend()
+            if any(vec):
+                pts.append(vec)
+        points.append(pts)
     holders: dict[tuple, int] = {}
     for i, pts in enumerate(points):
         bit = 1 << i

@@ -8,9 +8,17 @@ from netgap.gf import field_of_order
 from netgap.graphs import UGraph, complete_graph
 from netgap.lincode import search_solution
 from netgap.mdsic import ic_exists_of_size, ic_max_size
-from netgap.networks import build_combination
+from netgap.networks import (
+    build_combination,
+    build_kneser,
+    essential_nodes,
+    network_from_json,
+    network_to_json,
+    topological_order,
+)
 from netgap.qkneser import build_qkneser, chromatic_number, find_homomorphism, max_clique
-from netgap.subspaces import enumerate_subspaces
+from netgap.skeleton import skeleton
+from netgap.subspaces import direct_sum_masks, enumerate_subspaces
 
 # a deadline already in the past when the block is entered
 EXPIRED = -1.0
@@ -130,3 +138,38 @@ def test_enumeration_stops_at_an_expired_deadline():
     # 155 subspaces: no checkpoint is reached
     with deadline(EXPIRED):
         assert len(enumerate_subspaces(fld, 5, 2)) == 155
+
+
+def test_kneser_network_construction_stops_at_an_expired_deadline():
+    # K_{2,2;2}: 35 middles (no checkpoint while listing them or their 140
+    # vectors), then 595 candidate terminals and 560 terminal edges
+    with deadline(EXPIRED), pytest.raises(BudgetExhausted, match="wall-clock"):
+        build_kneser(2, 2, 2)
+    assert len(build_kneser(2, 2, 2).terminals) == 280
+
+
+def test_direct_sum_masks_stop_at_an_expired_deadline():
+    # 130 planes of F_3^4 with 9 vectors each
+    planes = enumerate_subspaces(field_of_order(3), 4, 2)
+    with deadline(EXPIRED), pytest.raises(BudgetExhausted, match="wall-clock"):
+        direct_sum_masks(planes)
+
+
+def test_skeleton_stops_at_an_expired_deadline():
+    net = build_kneser(3, 2, 2)  # 130 middles, thousands of terminal edges
+    with deadline(EXPIRED), pytest.raises(BudgetExhausted, match="wall-clock"):
+        skeleton(net)
+    assert skeleton(net).graph.num_vertices == 130
+
+
+def test_network_validation_stops_at_an_expired_deadline():
+    # reading a network builds its edge index and validates it (topological
+    # order, essential nodes), each a pass over thousands of nodes or edges
+    net = build_kneser(3, 2, 2)  # its edge index is built here
+    for check in (topological_order, essential_nodes):
+        with deadline(EXPIRED), pytest.raises(BudgetExhausted, match="wall-clock"):
+            check(net)
+    obj = network_to_json(net)
+    with deadline(EXPIRED), pytest.raises(BudgetExhausted, match="wall-clock"):
+        network_from_json(obj)
+    assert network_from_json(obj) == net

@@ -278,6 +278,62 @@ def test_python_dash_m_netgap():
     assert proc.returncode == 0 and proc.stdout.strip() == "5"
 
 
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize(
+    "script, line",
+    [
+        ("reproduce_gap_results.py", "K_{2,2;2}: q_v=4 q_s=5 gap=1"),
+        ("kneser_chromatic.py", "qK_{4:2} over F_2: 35 vertices, clique >= 5, chi = 6"),
+    ],
+)
+def test_experiment_script_runs(script, line):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / script)],
+        capture_output=True, text=True, env=_child_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert line in proc.stdout
+
+
+# Child process body: with `python -O` stripping every assert, each
+# self-check must still raise once the check it guards is made to fail.
+_SELF_CHECKS_UNDER_O = """
+from netgap import lincode, mdsic
+from netgap.errors import InternalError
+from netgap.networks import Edge, Network, build_butterfly, build_combination
+
+assert False, "asserts are on"
+res = mdsic.ic_max_size(2, 2, 2, 2)
+net, code = build_combination(2, res.size, 2), mdsic.ic_to_solution(res.witness)
+mdsic.ic_is_valid = lambda config, alpha: False
+try:
+    mdsic.solution_to_ic(net, code)
+except InternalError:
+    print("ic check")
+lincode.verify_solution = lambda net, code: lincode.Verdict(ok=False, terminal_ranks={})
+try:
+    lincode.search_solution(build_butterfly(), 2, 1)
+except InternalError:
+    print("search check")
+edges = (Edge("e1", "s", "t"), Edge("e2", "s", "t"), Edge("e3", "a", "t"))
+try:
+    lincode.search_solution(Network(2, "s", ("t",), ("s", "a", "t"), edges), 2, 1)
+except ValueError:
+    print("order check")
+"""
+
+
+def test_self_checks_survive_python_dash_o():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _SELF_CHECKS_UNDER_O],
+        capture_output=True, text=True, env=_child_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:3] == ["ic check", "search check", "order check"]
+
+
 def test_chi_wall_clock_timeout_is_enforced(tmp_path):
     # building qK_{6:3} and searching its cliques takes far longer than the
     # limit; the deadline must end the run with the budget exit code

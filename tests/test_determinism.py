@@ -1,6 +1,9 @@
 """Repeated runs must produce identical artifacts: the searches carry no
 randomness and every ordering is pinned to the canonical subspace order."""
 
+import pytest
+
+from netgap.errors import BudgetExhausted
 from netgap.gaplab import gap_exact, gap_table_rows
 from netgap.lincode import code_to_json, search_solution
 from netgap.mdsic import ic_max_size, ic_to_json
@@ -76,3 +79,24 @@ def test_ic_node_count_is_reproducible_and_pinned():
     # size 6 against the bound 7, proven exhaustively; as above, a lower
     # count needs a stated reason
     assert (a.size, a.exact, a.nodes_used) == (6, True, 4200)
+
+
+@pytest.mark.parametrize(
+    ("params", "q", "t", "found", "nodes"),
+    [
+        ((2, 6, 2), 2, 2, False, 191280),
+        ((3, 6, 3), 3, 1, False, 56608),
+        ((3, 5, 3), 2, 2, True, 6803),
+        ((3, 6, 3), 2, 1, False, 2836),
+        ((3, 6, 3), 4, 1, True, 375),
+    ],
+    ids=["N262-q2t2-none", "N363-q3-none", "N353-q2t2-found", "N363-q2-none", "N363-q4-found"],
+)
+def test_solution_search_node_count_is_pinned(params, q, t, found, nodes):
+    # a budget of exactly `nodes` reaches the verdict and one node less
+    # does not; a faster rank test must walk the same search tree
+    net = build_combination(*params)
+    assert (search_solution(net, q, t, budget=nodes) is not None) == found
+    with pytest.raises(BudgetExhausted) as exc:
+        search_solution(net, q, t, budget=nodes - 1)
+    assert exc.value.nodes_used == nodes - 1

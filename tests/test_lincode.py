@@ -1,11 +1,16 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from netgap.errors import BudgetExhausted
+from netgap import lincode
+from netgap.errors import BudgetExhausted, InternalError
 from netgap.gf import Matrix, make_field
 from netgap.lincode import (
     NetworkCode,
+    RunningEchelon,
+    Verdict,
     code_from_json,
     code_to_json,
     extend_solution,
@@ -25,6 +30,7 @@ from netgap.networks import (
     extend_messages,
     is_minimal,
 )
+from netgap.subspaces import subspace_from_rows, subspace_sum
 
 F2 = make_field(2, 1)
 
@@ -254,3 +260,74 @@ def test_search_matches_brute_force_on_random_networks(seed):
             net = cand
         found = search_solution(net, q, 1)
         assert (found is not None) == _brute_force_scalar_solvable(net, q)
+
+
+# --- the running echelon basis of the search's terminal rank test -----------
+
+# F_2, F_3 and F_4 (m = 2, so neither add nor mul is plain mod-p arithmetic)
+ECHELON_FIELDS = {"F2": make_field(2, 1), "F3": make_field(3, 1), "F4": make_field(2, 2)}
+
+
+@given(st.sampled_from(sorted(ECHELON_FIELDS)), st.integers(1, 5), st.data())
+@settings(max_examples=200, deadline=None)
+def test_running_echelon_matches_subspace_sum(field_name, n, data):
+    fld = ECHELON_FIELDS[field_name]
+    vector = st.lists(st.integers(0, fld.q - 1), min_size=n, max_size=n)
+    # a push of up to three vectors (zero and dependent ones included), or a pop
+    steps = data.draw(st.lists(st.one_of(st.none(), st.lists(vector, max_size=3)), max_size=14))
+    ech = RunningEchelon(fld)
+    pushed = []  # (space spanned by the pushed vectors, rows the push added)
+    for step in steps:
+        if step is None:
+            if not pushed:
+                continue
+            ech.pop(pushed.pop()[1])
+        else:
+            pushed.append((subspace_from_rows(fld, step, n), ech.push(step)))
+        # oracle: the sum rebuilt from scratch, as the search did before
+        expected = subspace_sum([space for space, _ in pushed]) if pushed else None
+        assert len(ech.rows) == (expected.dim if expected else 0)
+        if expected:
+            assert subspace_from_rows(fld, [row for _, row in ech.rows], n) == expected
+        for k, (piv, row) in enumerate(ech.rows):
+            assert row[piv] == 1
+            assert all(row[p] == 0 for p, _ in ech.rows[:k])
+
+
+def test_running_echelon_push_reports_new_dimensions_only():
+    f3 = ECHELON_FIELDS["F3"]
+    ech = RunningEchelon(f3)
+    assert ech.push([(0, 2, 1), (0, 1, 2)]) == 1  # the second row is 2x the first
+    assert ech.push([(0, 0, 0)]) == 0
+    assert ech.push([(1, 1, 1), (0, 1, 2)]) == 1
+    ech.pop(1)
+    assert [piv for piv, _ in ech.rows] == [1]
+    ech.pop(0)
+    assert len(ech.rows) == 1
+
+
+# --- self-checks that must hold under python -O ------------------------------
+
+def test_search_raises_internal_error_when_its_code_is_rejected(monkeypatch):
+    def reject(net, code):
+        return Verdict(ok=False, terminal_ranks={}, failure="rejected on purpose", failure_kind="local")
+
+    monkeypatch.setattr(lincode, "verify_solution", reject)
+    with pytest.raises(InternalError, match="rejected on purpose"):
+        search_solution(build_butterfly(), 2, 1)
+
+
+def test_search_rejects_a_network_with_unreachable_edges():
+    # the edge a -> t cannot be reached from the source, so no edge order
+    # covers it; the cut bound at t still holds through the two s -> t edges
+    net = Network(
+        h=2,
+        source="s",
+        terminals=("t",),
+        nodes=("s", "a", "t"),
+        edges=(Edge("e1", "s", "t"), Edge("e2", "s", "t"), Edge("e3", "a", "t")),
+    )
+    with pytest.raises(ValueError, match="unreachable"):
+        lincode._completion_dfs_order(net)
+    with pytest.raises(ValueError, match="unreachable"):
+        search_solution(net, 2, 1)

@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+from netgap import mdsic
+from netgap.errors import InternalError
 from netgap.gf import Matrix, field_of_order, make_field
 from netgap.lincode import search_solution, verify_solution
 from netgap.mdsic import (
@@ -144,6 +146,15 @@ def test_ic_to_solution_and_back():
     assert sorted(s.sort_key for s in back.members) == sorted(
         s.sort_key for s in res.witness.members
     )
+
+
+def test_solution_to_ic_raises_internal_error_when_the_ic_check_fails(monkeypatch):
+    res = ic_max_size(2, 2, 2, 2)
+    net = build_combination(2, res.size, 2)
+    code = ic_to_solution(res.witness)
+    monkeypatch.setattr(mdsic, "ic_is_valid", lambda config, alpha: False)
+    with pytest.raises(InternalError, match="do not form an IC"):
+        solution_to_ic(net, code)
 
 
 def test_three_lines_solve_n_2_3_2():
