@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
+from .errors import Budget
 from .subspaces import Subspace
 
 
@@ -22,13 +24,17 @@ class UGraph:
 
     @classmethod
     def from_edges(cls, num_vertices, edge_iter, labels=None, names=None) -> "UGraph":
+        # one node per listed edge and no node limit (the iterable may be a
+        # generator of unknown length): only the deadline stops it
+        bud = Budget(sys.maxsize)
         seen = set()
         for a, b in edge_iter:
+            bud.spend()
             if a == b:
                 raise ValueError(f"self-loop at vertex {a}")
             if not (0 <= a < num_vertices and 0 <= b < num_vertices):
                 raise ValueError(f"edge ({a},{b}) out of range")
-            seen.add((min(a, b), max(a, b)))
+            seen.add((a, b) if a < b else (b, a))
         return cls(num_vertices, tuple(sorted(seen)), labels, names)
 
     def adjacency(self) -> list[set[int]]:

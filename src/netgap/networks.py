@@ -450,11 +450,15 @@ def is_subcombination(net: Network) -> bool:
             return False
         if any(e.head not in term_set for e in net.out_edges(mid)):
             return False
+    outs, ins = net._incidence
+    bud = Budget(len(net.terminals))  # one node per terminal: only the deadline stops it
     for term in net.terminals:
-        feeders = [e.tail for e in net.in_edges(term)]
-        if len(feeders) != net.h or len(set(feeders)) != net.h:
+        bud.spend()
+        in_list = ins.get(term, ())
+        feeders = {e.tail for e in in_list}
+        if len(in_list) != net.h or len(feeders) != net.h:
             return False
-        if not set(feeders) <= middle_set or net.out_edges(term):
+        if not feeders <= middle_set or term in outs:
             return False
     return True
 
@@ -524,9 +528,12 @@ def is_solvable(net: Network) -> bool:
     if is_subcombination(net):
         return True  # h disjoint source-middle-terminal paths per terminal
     solver = _FlowSolver(net)
-    return all(
-        solver.max_flow_to(solver.node_index[t], cutoff=net.h) >= net.h for t in net.terminals
-    )
+    bud = Budget(len(net.terminals))  # one node per terminal: only the deadline stops it
+    for t in net.terminals:
+        bud.spend()
+        if solver.max_flow_to(solver.node_index[t], cutoff=net.h) < net.h:
+            return False
+    return True
 
 
 def is_minimal(net: Network) -> bool:

@@ -2,13 +2,16 @@
 
 The chromatic-number solver is a DSATUR branch and bound over iterated
 k-colorability tests, with a maximum clique pinned to distinct colors to
-break color symmetry.  Hypergraph coloring reduces to coloring the
-co-occurrence graph, since properness here is a pairwise condition.
+break color symmetry.  The maximum clique comes from a branch and bound
+whose branches are cut by a greedy coloring of their candidates.
+Hypergraph coloring reduces to coloring the co-occurrence graph, since
+properness here is a pairwise condition.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .errors import Budget, BudgetExhausted, SizeLimitExceeded
@@ -89,25 +92,35 @@ def _degree_order(adj: list[int]) -> tuple[list[int], list[int]]:
     Position i holds vertex order[i]; in the relabelled masks the vertex
     earliest in the order is the lowest set bit.
     """
-    order = sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count(), v))
-    pos = [0] * len(adj)
-    for i, v in enumerate(order):
-        pos[v] = i
-    relabelled = []
-    for v in order:
-        mask = 0
-        for u in _bits(adj[v]):
-            mask |= 1 << pos[u]
-        relabelled.append(mask)
-    return order, relabelled
+    n = len(adj)
+    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
+    if not n:  # itemgetter needs an index
+        return order, []
+    # permute each mask's binary string (most significant bit first) at C
+    # speed rather than setting its bits one by one
+    width = f"0{n}b"
+    pick = operator.itemgetter(*[n - 1 - v for v in reversed(order)])
+    return order, [int("".join(pick(format(adj[v], width))), 2) for v in order]
 
 
 def max_clique(g: UGraph, budget: int = DEFAULT_BUDGET) -> tuple[tuple[int, ...], bool]:
     """Exact maximum clique by branch and bound; (clique, completed).
 
-    Branches on candidates in the static order (-degree, v).  Running out
-    of `budget` nodes returns the best clique with completed=False; any
-    other BudgetExhausted (the wall-clock deadline) propagates.
+    Branches on candidates in the static order (-degree, v), lowest first.
+    Each node bounds its branches by a greedy colouring of its candidates
+    (Tomita & Seki, DMTCS 2003): classes are built from the highest
+    candidate down, each taking the highest uncoloured vertex and then
+    every lower one not adjacent to the class so far.  A clique among the
+    candidates at or above v has at most one vertex per class whose top
+    is at or above v, so once v passes the top of class `need` (the
+    clique still needs more than `need` vertices to beat the best) every
+    later branch is cut.  The bound never cuts a branch holding a larger
+    clique and the branching order is kept, so the result is the first
+    maximum clique in that order, as without the bound.
+
+    Running out of `budget` nodes returns the best clique with
+    completed=False; any other BudgetExhausted (the wall-clock deadline)
+    propagates.
     """
     order, adj = _degree_order(g.adjacency_masks())
     best: list[int] = []
@@ -121,12 +134,26 @@ def max_clique(g: UGraph, budget: int = DEFAULT_BUDGET) -> tuple[tuple[int, ...]
             if len(current) > len(best):
                 best = list(current)
             return
+        # tops[i]: the highest vertex of colour class i, decreasing in i
+        tops = []
+        rest = candidates
+        while rest:
+            top = rest.bit_length() - 1
+            tops.append(top)
+            rest ^= 1 << top
+            free = rest & ~adj[top]
+            while free:
+                w = free.bit_length() - 1
+                rest ^= 1 << w
+                free &= ~adj[w]
+                free ^= 1 << w
         while candidates:
-            if len(current) + candidates.bit_count() <= len(best):
-                return
             low = candidates & -candidates
-            candidates ^= low
             v = low.bit_length() - 1
+            need = len(best) - len(current)
+            if need >= 0 and (need >= len(tops) or v > tops[need]):
+                return
+            candidates ^= low
             current.append(v)
             expand(candidates & adj[v])
             current.pop()
@@ -176,26 +203,26 @@ def _k_colorable(adj: list[int], k: int, pinned: tuple[int, ...], bud: Budget) -
     level = [0] * (k + 1)
     level[0] = (1 << n) - 1
 
-    def assign(v: int, c: int) -> None:
+    def assign(v: int, c: int, s: int) -> None:
+        """Color v, which sits at saturation level s, with c."""
         color[v] = c
-        bit = 1 << v
-        for s in range(k + 1):
-            if level[s] & bit:
-                level[s] ^= bit
-                break
+        level[s] ^= 1 << v
         gained = radj[v] & ~seen[c]
-        seen[c] |= radj[v]
+        if not gained:
+            return
+        seen[c] |= gained
         # descending, so that a vertex rises by one level only
-        for s in range(k - 1, -1, -1):
-            rising = level[s] & gained
+        for i in range(k - 1, -1, -1):
+            rising = level[i] & gained
             if rising:
-                level[s] ^= rising
-                level[s + 1] |= rising
+                level[i] ^= rising
+                level[i + 1] |= rising
 
     for i, v in enumerate(pinned):
-        if seen[i] >> pos[v] & 1:
+        v = pos[v]
+        if seen[i] >> v & 1:
             return None
-        assign(pos[v], i)
+        assign(v, i, next(s for s in range(k + 1) if level[s] >> v & 1))
 
     def search(remaining: int, max_used: int) -> bool:
         if remaining == 0:
@@ -209,7 +236,7 @@ def _k_colorable(adj: list[int], k: int, pinned: tuple[int, ...], bud: Budget) -
                 continue
             bud.spend("coloring")
             saved_level, saved_seen = level[:], seen[c]
-            assign(v, c)
+            assign(v, c, s)
             if search(remaining - 1, max(max_used, c)):
                 return True
             color[v] = -1
@@ -223,23 +250,45 @@ def _k_colorable(adj: list[int], k: int, pinned: tuple[int, ...], bud: Budget) -
 
 
 def greedy_coloring(g: UGraph) -> Coloring:
-    """DSATUR greedy; proper but not necessarily optimal."""
+    """DSATUR greedy; proper but not necessarily optimal.
+
+    Colors the uncolored vertex with the most distinct neighbour colors,
+    then the highest degree, then the lowest index, with the least color
+    its neighbours leave free: on bitmasks in the static order (-degree,
+    v), as in `_k_colorable`.  Spends one node per vertex, so only the
+    wall-clock deadline can stop it.
+    """
     n = g.num_vertices
-    adj = g.adjacency()
-    color: dict[int, int] = {}
-    forbid = [set() for _ in range(n)]
-    degree = [len(adj[v]) for v in range(n)]
+    order, radj = _degree_order(g.adjacency_masks())
+    bud = Budget(n)
+    color: Coloring = {}
+    # seen[c]: vertices with a neighbour colored c; level[s]: uncolored
+    # vertices whose neighbours use exactly s colors
+    seen: list[int] = []
+    level = [(1 << n) - 1]
+    s = 0
     for _ in range(n):
-        v = min(
-            (u for u in range(n) if u not in color),
-            key=lambda u: (-len(forbid[u]), -degree[u], u),
-        )
+        bud.spend("coloring")
+        while not level[s]:
+            s -= 1
+        low = level[s] & -level[s]
+        level[s] ^= low
+        v = low.bit_length() - 1
         c = 0
-        while c in forbid[v]:
+        while c < len(seen) and seen[c] & low:
             c += 1
-        color[v] = c
-        for u in adj[v]:
-            forbid[u].add(c)
+        if c == len(seen):
+            seen.append(0)
+            level.append(0)
+        color[order[v]] = c  # in the order picked, as the certificates list it
+        gained = radj[v] & ~seen[c]
+        seen[c] |= gained
+        for i in range(len(level) - 2, -1, -1):
+            rising = level[i] & gained
+            if rising:
+                level[i] ^= rising
+                level[i + 1] |= rising
+        s = len(level) - 1
     return color
 
 
@@ -267,8 +316,8 @@ def chromatic_number(target, budget: int = DEFAULT_BUDGET) -> ChiResult:
 
     When the coloring search runs out of budget or time, returns the
     best-known bracket (lo < hi) instead of raising; the witness coloring
-    always uses hi colors.  A deadline passed during the clique search
-    raises BudgetExhausted.
+    always uses hi colors.  A deadline passed during the clique search or
+    the greedy coloring raises BudgetExhausted.
     """
     if isinstance(target, Hypergraph):
         return chromatic_number(target.co_occurrence(), budget)

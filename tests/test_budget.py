@@ -5,18 +5,26 @@ import pytest
 from netgap import errors
 from netgap.errors import Budget, BudgetExhausted, deadline
 from netgap.gf import field_of_order
-from netgap.graphs import UGraph, complete_graph
+from netgap.graphs import UGraph, complete_graph, ugraph_from_json
 from netgap.lincode import search_solution
 from netgap.mdsic import ic_exists_of_size, ic_max_size
 from netgap.networks import (
     build_combination,
     build_kneser,
     essential_nodes,
+    is_solvable,
+    is_subcombination,
     network_from_json,
     network_to_json,
     topological_order,
 )
-from netgap.qkneser import build_qkneser, chromatic_number, find_homomorphism, max_clique
+from netgap.qkneser import (
+    build_qkneser,
+    chromatic_number,
+    find_homomorphism,
+    greedy_coloring,
+    max_clique,
+)
 from netgap.skeleton import skeleton
 from netgap.subspaces import direct_sum_masks, enumerate_subspaces
 
@@ -66,7 +74,7 @@ def test_zero_or_none_sets_no_deadline():
 
 
 def test_max_clique_stops_at_an_expired_deadline():
-    # 3K_{4:2}: a complete clique search takes about 507k nodes
+    # 3K_{4:2}: a complete clique search takes 8,442 nodes
     g = build_qkneser(3, 4, 2)
     with deadline(EXPIRED), pytest.raises(BudgetExhausted, match="wall-clock") as exc:
         max_clique(g)
@@ -173,3 +181,51 @@ def test_network_validation_stops_at_an_expired_deadline():
     with deadline(EXPIRED), pytest.raises(BudgetExhausted, match="wall-clock"):
         network_from_json(obj)
     assert network_from_json(obj) == net
+
+
+def test_greedy_coloring_stops_at_an_expired_deadline():
+    # one node per vertex: a 2000-vertex path passes the first checkpoint
+    path = UGraph.from_edges(2000, [(v, v + 1) for v in range(1999)])
+    with deadline(EXPIRED), pytest.raises(BudgetExhausted, match="wall-clock") as exc:
+        greedy_coloring(path)
+    assert exc.value.nodes_used == FIRST_CHECKPOINT
+    # 130 vertices: no checkpoint is reached
+    g = build_qkneser(3, 4, 2)
+    with deadline(EXPIRED):
+        assert max(greedy_coloring(g).values()) + 1 == 12
+
+
+def test_graph_from_edges_stops_at_an_expired_deadline():
+    # one node per listed edge, from a list or any other iterable
+    pairs = [(a, b) for a in range(50) for b in range(a + 1, 50)]  # 1225 edges
+    for edges in (pairs, iter(pairs)):
+        with deadline(EXPIRED), pytest.raises(BudgetExhausted, match="wall-clock"):
+            UGraph.from_edges(50, edges)
+    obj = {"vertices": list(range(50)), "edges": pairs}
+    with deadline(EXPIRED), pytest.raises(BudgetExhausted, match="wall-clock"):
+        ugraph_from_json(obj)
+    with deadline(EXPIRED):
+        assert complete_graph(45).is_complete()  # 990 edges
+
+
+def test_subcombination_check_stops_at_an_expired_deadline():
+    # K_{3,2;2}: 5265 terminals, each checked for h distinct middle feeders
+    net = build_kneser(3, 2, 2)
+    with deadline(EXPIRED), pytest.raises(BudgetExhausted, match="wall-clock"):
+        is_subcombination(net)
+    with deadline(EXPIRED), pytest.raises(BudgetExhausted, match="wall-clock"):
+        is_solvable(net)
+    assert is_subcombination(net) and is_solvable(net)
+
+
+def test_cut_check_stops_at_an_expired_deadline():
+    # N_{2,20,3}: 1140 terminals of in-degree 3, so not a sub-combination
+    # network; is_solvable runs one max-flow per terminal
+    net = build_combination(2, 20, 3)
+    assert not is_subcombination(net)
+    with deadline(EXPIRED), pytest.raises(BudgetExhausted, match="wall-clock"):
+        is_solvable(net)
+    assert is_solvable(net)
+    # N_{2,12,3}: 220 terminals, no checkpoint is reached
+    with deadline(EXPIRED):
+        assert is_solvable(build_combination(2, 12, 3))

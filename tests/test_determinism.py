@@ -7,8 +7,15 @@ from netgap.errors import BudgetExhausted
 from netgap.gaplab import gap_exact, gap_table_rows
 from netgap.lincode import code_to_json, search_solution
 from netgap.mdsic import ic_max_size, ic_to_json
-from netgap.networks import build_butterfly, build_combination, network_to_json
-from netgap.qkneser import build_qkneser, canonical_coloring, chromatic_number, find_homomorphism
+from netgap.networks import build_butterfly, build_combination, build_kneser, network_to_json
+from netgap.qkneser import (
+    build_qkneser,
+    canonical_coloring,
+    chromatic_number,
+    find_homomorphism,
+    max_clique,
+)
+from netgap.skeleton import skeleton
 from netgap.subspaces import enumerate_subspaces
 from netgap.gf import make_field
 
@@ -70,6 +77,29 @@ def test_chromatic_node_count_is_reproducible_and_pinned():
     # must keep it.
     assert first.chi == 12
     assert first.nodes_used == 81108
+
+
+@pytest.mark.parametrize(
+    ("graph", "nodes", "clique"),
+    [
+        (lambda: build_qkneser(2, 4, 2), 17, (0, 6, 11, 13, 34)),
+        (lambda: build_qkneser(3, 4, 2), 8442, (0, 12, 24, 29, 41, 53, 55, 67, 79, 129)),
+        (
+            lambda: skeleton(build_kneser(3, 2, 2)).graph,
+            8442,
+            (0, 12, 24, 29, 41, 53, 55, 67, 79, 129),
+        ),
+    ],
+    ids=["2K42", "3K42", "skeleton-K322"],
+)
+def test_clique_node_count_is_pinned(graph, nodes, clique):
+    # a budget of exactly `nodes` proves the clique maximum and one node
+    # less does not.  The colour bound cut 3K_{4:2} from 507,400 nodes (2K_{4:2}
+    # from 313) and kept the clique the popcount bound found, which
+    # chromatic_number pins; a change to the clique must state why
+    g = graph()
+    assert max_clique(g, budget=nodes) == (clique, True)
+    assert max_clique(g, budget=nodes - 1)[1] is False
 
 
 def test_ic_node_count_is_reproducible_and_pinned():

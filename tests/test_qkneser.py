@@ -25,6 +25,7 @@ from netgap.qkneser import (
     canonical_coloring,
     chromatic_number,
     find_homomorphism,
+    greedy_coloring,
     max_clique,
     spread_clique,
 )
@@ -372,6 +373,55 @@ def _brute_clique_number(g):
     return 0
 
 
+def _colour_bound_clique_oracle(g, budget=DEFAULT_BUDGET):
+    """Colour-bounded branch and bound on sorted lists of positions in the
+    static order (-degree, v), branching on the lowest position first."""
+    n = g.num_vertices
+    nbrs = g.adjacency()
+    order = sorted(range(n), key=lambda v: (-len(nbrs[v]), v))
+    pos = {v: i for i, v in enumerate(order)}
+    adj = [{pos[u] for u in nbrs[v]} for v in order]
+    best = []
+    bud = Budget(budget)
+
+    def colour_tops(candidates):
+        # greedy classes from the highest position down; the top of each
+        tops = []
+        uncoloured = sorted(candidates, reverse=True)
+        while uncoloured:
+            cls, rest = [], []
+            for u in uncoloured:
+                if all(u not in adj[w] for w in cls):
+                    cls.append(u)
+                else:
+                    rest.append(u)
+            tops.append(cls[0])
+            uncoloured = rest
+        return tops
+
+    def expand(current, candidates):
+        nonlocal best
+        bud.spend("clique")
+        if not candidates:
+            if len(current) > len(best):
+                best = list(current)
+            return
+        tops = colour_tops(candidates)
+        for i, v in enumerate(candidates):
+            # at most one clique vertex per class with a top at or above v
+            bound = sum(1 for top in tops if top >= v)
+            if len(current) + bound <= len(best):
+                return
+            expand(current + [v], [u for u in candidates[i + 1 :] if u in adj[v]])
+
+    try:
+        expand([], list(range(n)))
+        completed = True
+    except BudgetExhausted:
+        completed = False
+    return tuple(sorted(order[v] for v in best)), completed
+
+
 @given(st.integers(0, 12), st.integers(0, 2**66 - 1), st.integers(1, 40))
 @settings(max_examples=150, deadline=None)
 def test_max_clique_matches_brute_force_and_scan_oracle(n, bits, budget):
@@ -379,9 +429,62 @@ def test_max_clique_matches_brute_force_and_scan_oracle(n, bits, budget):
     clique, complete = max_clique(g)
     assert complete and len(clique) == _brute_clique_number(g)
     assert all(pair in set(g.edges) for pair in itertools.combinations(clique, 2))
+    # the colour bound only cuts branches that cannot beat the best clique,
+    # so a complete run returns the popcount-bounded search's clique
     assert (clique, complete) == _max_clique_oracle(g)
-    # the same search tree: a node budget stops both at the same clique
-    assert max_clique(g, budget=budget) == _max_clique_oracle(g, budget=budget)
+    # the same search tree as the colour-bound oracle: a node budget stops
+    # both at the same clique
+    assert max_clique(g, budget=budget) == _colour_bound_clique_oracle(g, budget=budget)
+    # and a subtree of the popcount-bounded one: it ends within its budget
+    if _max_clique_oracle(g, budget=budget)[1]:
+        assert max_clique(g, budget=budget)[1]
+
+
+@given(st.integers(0, 24), st.integers(0, 2**276 - 1))
+@settings(max_examples=100, deadline=None)
+def test_colour_bound_oracle_matches_brute_force(n, bits):
+    g = _random_graph(n, bits)
+    clique, complete = _colour_bound_clique_oracle(g)
+    assert complete and (clique, complete) == max_clique(g)
+    if n <= 12:
+        assert len(clique) == _brute_clique_number(g)
+
+
+def _greedy_coloring_oracle(g):
+    """Set-based DSATUR greedy: an O(n) pick by min() per vertex."""
+    n = g.num_vertices
+    adj = g.adjacency()
+    color = {}
+    forbid = [set() for _ in range(n)]
+    degree = [len(adj[v]) for v in range(n)]
+    for _ in range(n):
+        v = min(
+            (u for u in range(n) if u not in color),
+            key=lambda u: (-len(forbid[u]), -degree[u], u),
+        )
+        c = 0
+        while c in forbid[v]:
+            c += 1
+        color[v] = c
+        for u in adj[v]:
+            forbid[u].add(c)
+    return color
+
+
+@given(st.integers(0, 24), st.integers(0, 2**276 - 1))
+@settings(max_examples=150, deadline=None)
+def test_greedy_coloring_matches_set_oracle(n, bits):
+    g = _random_graph(n, bits)
+    coloring = greedy_coloring(g)
+    # the same picks in the same order, hence the same certificate listing
+    assert list(coloring.items()) == list(_greedy_coloring_oracle(g).items())
+    assert is_proper_coloring(g, coloring)
+
+
+def test_greedy_coloring_matches_set_oracle_on_qkneser():
+    for args in [(2, 4, 2), (3, 4, 2), (2, 5, 2)]:
+        g = build_qkneser(*args)
+        assert list(greedy_coloring(g).items()) == list(_greedy_coloring_oracle(g).items())
 
 
 def _compare_colorable(g, k, pinned, budget=DEFAULT_BUDGET):
