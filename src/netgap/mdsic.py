@@ -4,6 +4,13 @@ A (t;h,alpha)_q independent configuration is a set of t-subspaces of
 F_q^{ht} in which every alpha members are in direct sum.  Size-r
 configurations with alpha = h are exactly the (q,t)-vector solutions of
 the full minimal combination network on r middle nodes.
+
+The IC search lists the universe of t-subspaces once into a
+DirectSumIndex.  Its pair masks restrict candidates to spaces independent
+of every chosen member, and its cached `blocked` masks over the chosen
+(alpha-1)-subsets decide the alpha-wise test with bit tests, so the search
+makes no rank call per candidate.  Replaying a witness (`ic_is_valid`,
+behind `ic check`) keeps the rank-based `sum_dim` check.
 """
 
 from __future__ import annotations
@@ -17,8 +24,9 @@ from .lincode import NetworkCode, solution_from_classical_code, verify_solution
 from .networks import Network, build_combination, combination_parameters
 from .subspaces import (
     ENUMERATION_LIMIT,
+    DirectSumIndex,
+    Subspace,
     canonicalize,
-    direct_sum_masks,
     enumerate_subspaces,
     subspace_from_rows,
     sum_dim,
@@ -168,6 +176,13 @@ class IndependentConfiguration:
 
 
 def ic_is_valid(config: IndependentConfiguration, alpha: int) -> bool:
+    """Every member is a t-subspace of F_q^{ht} and every alpha are in direct sum.
+
+    This replays witnesses (`ic check`, and the self-checks of the
+    solution bridge), so it tests each alpha-subset with its own `sum_dim`
+    rank computation on purpose: a verdict never rests on the
+    DirectSumIndex that the search used to find the configuration.
+    """
     if alpha > config.h:
         raise ValueError(f"alpha={alpha} exceeds h={config.h}")
     n = config.h * config.t
@@ -196,6 +211,30 @@ class ICSearchResult:
     nodes_used: int
 
 
+def _coordinate_subspace(fld: FieldSpec, n: int, t: int, offset: int) -> Subspace:
+    """The t-subspace of F_q^n spanned by unit vectors offset, ..., offset+t-1."""
+    rows = []
+    for i in range(t):
+        row = [0] * n
+        row[offset + i] = 1
+        rows.append(row)
+    return subspace_from_rows(fld, rows, n)
+
+
+def _alpha_ok(index: DirectSumIndex, chosen: list[int], new: int, alpha: int) -> bool:
+    """Every alpha of chosen + [new] are in direct sum, given chosen is an IC.
+
+    Only the alpha-sets holding `new` are new; for alpha = 2 the search's
+    pair masks have already decided them.
+    """
+    if alpha == 2 or len(chosen) + 1 < alpha:
+        return True
+    for subset in itertools.combinations(chosen, alpha - 1):
+        if index.blocked(subset) >> new & 1:
+            return False
+    return True
+
+
 def _ic_search(
     fld: FieldSpec,
     t: int,
@@ -214,31 +253,18 @@ def _ic_search(
     # pairwise independence masks: necessary within any configuration of
     # size >= alpha, and the maximum is always >= h >= alpha (coordinate
     # subspaces), so restricting to pairwise-independent sets is safe
-    pair_ok = direct_sum_masks(universe)
+    index = DirectSumIndex(universe)
+    pair_ok = index.pair_masks()
 
     # symmetry: pin the canonical first subspace and a canonical complement
     first = 0
-    complement_rows = []
-    for i in range(t):
-        row = [0] * n
-        row[t + i] = 1
-        complement_rows.append(row)
-    complement = subspace_from_rows(fld, complement_rows, n)
+    complement = _coordinate_subspace(fld, n, t, t)
     index_of = {s.sort_key: i for i, s in enumerate(universe)}
     second = index_of[complement.sort_key]
 
     chosen = [first, second]
     best = list(chosen)
     bud = Budget(budget)
-
-    def alpha_ok(new: int) -> bool:
-        if len(chosen) + 1 < alpha:
-            return True
-        for subset in itertools.combinations(chosen, alpha - 1):
-            spaces = [universe[i] for i in subset] + [universe[new]]
-            if sum_dim(spaces) != alpha * t:
-                return False
-        return True
 
     def extend(start: int, cand_mask: int) -> bool:
         """Returns True to stop the whole search at the target or the bound."""
@@ -258,7 +284,7 @@ def _ic_search(
             bud.spend()
             if len(chosen) + bin(cand_mask >> j).count("1") <= len(best):
                 return False
-            if not alpha_ok(j):
+            if not _alpha_ok(index, chosen, j, alpha):
                 continue
             chosen.append(j)
             if extend(j + 1, cand_mask & pair_ok[j]):
@@ -274,6 +300,10 @@ def _ic_search(
         exact = not (extend(0, initial) and target is not None)
     except BudgetExhausted:
         exact = False
+    finally:
+        # the recursive closure refers to itself; breaking that cycle frees
+        # the index and its cache on return, not at the next cyclic GC
+        del extend
     witness = IndependentConfiguration(
         field=fld, t=t, h=h, members=tuple(universe[i] for i in best)
     )
@@ -311,8 +341,10 @@ def ic_exists_of_size(
 ) -> IndependentConfiguration | None:
     """A (t;h,alpha)_q-IC with `size` members, or None (complete search).
 
-    Raises SizeLimitExceeded on enormous universes and BudgetExhausted when
-    the search stops early.
+    Any single t-subspace is an IC, so size 1 returns the canonical first
+    one (the span of the first t unit vectors) without listing the
+    universe.  Otherwise raises SizeLimitExceeded on enormous universes and
+    BudgetExhausted when the search stops early.
     """
     if size <= 0:
         raise ValueError("size must be positive")
@@ -320,7 +352,7 @@ def ic_exists_of_size(
     if size > ic_size_bound(q, t, h, alpha):
         return None
     if size == 1:
-        members = (enumerate_subspaces(fld, h * t, t, limit=limit)[0],)
+        members = (_coordinate_subspace(fld, h * t, t, 0),)
         return IndependentConfiguration(fld, t, h, members)
     result = _ic_search(fld, t, h, alpha, budget, size, limit)
     if result.size >= size:

@@ -8,13 +8,14 @@ m-parallelization rely on.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 from .errors import Budget, SizeLimitExceeded, UnsolvableNetwork
 from .gf import FieldSpec, make_field
-from .subspaces import Subspace, direct_sum_masks, enumerate_subspaces, sum_dim
+from .subspaces import DirectSumIndex, Subspace, direct_sum_masks, enumerate_subspaces
 
 MAX_TERMINAL_SCAN = 10**6
 
@@ -232,7 +233,9 @@ class ImplicitKneser:
     """Kneser network with the terminal rule kept as a predicate.
 
     Used when listing all spanning h-subsets of the middle layer is
-    infeasible; middle nodes are still materialized.
+    infeasible; middle nodes are still materialized.  The terminal test
+    reads a DirectSumIndex over the middles, built on first use and kept,
+    with its cached span masks, for the life of the object.
     """
 
     field: FieldSpec
@@ -241,15 +244,16 @@ class ImplicitKneser:
     h: int
     middles: tuple[Subspace, ...]
 
-    @property
-    def ambient(self) -> int:
-        return self.h * self.t
+    @cached_property
+    def _index(self) -> DirectSumIndex:
+        return DirectSumIndex(self.middles)
 
     def is_terminal(self, indices) -> bool:
         indices = tuple(sorted(set(indices)))
         if len(indices) != self.h:
             return False
-        return sum_dim([self.middles[i] for i in indices]) == self.ambient
+        # h t-subspaces span F_q^{ht} iff they are in direct sum
+        return self._index.in_direct_sum(indices)
 
     def stream_terminals(self, max_count: int):
         """Yield spanning h-subsets in lexicographic order, up to max_count."""
@@ -257,7 +261,7 @@ class ImplicitKneser:
         for subset in itertools.combinations(range(len(self.middles)), self.h):
             if count >= max_count:
                 return
-            if sum_dim([self.middles[i] for i in subset]) == self.ambient:
+            if self._index.in_direct_sum(subset):
                 count += 1
                 yield subset
 
@@ -295,20 +299,22 @@ def build_kneser(
             f"scanning {n_subsets} candidate terminals of K_{{{q},{t};{h}}} exceeds "
             f"limit {max_terminal_scan}; use implicit mode"
         )
+    # h t-subspaces span F_q^{ht} iff they are in direct sum.  One node per
+    # candidate terminal scanned, per terminal edge made and per vector
+    # listed in a span, so only the deadline stops the construction
     if h == 2:
-        # t + t = 2t, so two middles span F_q^{2t} iff they meet only in 0
         masks = direct_sum_masks(middles)
+        bud = Budget(3 * n_subsets)
 
         def spans(subset) -> bool:
             return masks[subset[0]] >> subset[1] & 1
     else:
+        index = DirectSumIndex(middles)
+        bud = Budget((h + 1) * n_subsets + math.comb(r, h - 1) * q ** ((h - 1) * t))
 
         def spans(subset) -> bool:
-            return sum_dim([middles[i] for i in subset]) == n
+            return index.in_direct_sum(subset, bud)
 
-    # one node per candidate terminal scanned and per terminal edge made, so
-    # only the deadline stops the construction
-    bud = Budget((h + 1) * n_subsets)
     middle_ids = [f"m{i}" for i in range(r)]
     terminals = []
     pairs = []

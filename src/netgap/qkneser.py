@@ -19,13 +19,13 @@ from .gf import field_of_order
 from .graphs import Coloring, Hypergraph, UGraph
 from .subspaces import (
     ENUMERATION_LIMIT,
+    DirectSumIndex,
     Subspace,
     direct_sum_masks,
     enumerate_subspaces,
     intersection,
     spread,
     subspace_from_rows,
-    sum_dim,
 )
 
 DEFAULT_BUDGET = 10**8
@@ -49,17 +49,18 @@ def build_qkneser_hyper(q: int, t: int, h: int, *, limit: int = ENUMERATION_LIMI
     if h < 2:
         raise ValueError("hypergraph generalization needs h >= 2")
     fld = field_of_order(q)
-    n = h * t
-    verts = enumerate_subspaces(fld, n, t, limit=limit)
+    verts = enumerate_subspaces(fld, h * t, t, limit=limit)
     n_subsets = 1
     for i in range(h):
         n_subsets = n_subsets * (len(verts) - i) // (i + 1)
     if n_subsets > limit:
         raise SizeLimitExceeded(f"{n_subsets} candidate hyperedges exceed limit {limit}")
+    # h t-subspaces sum to F_q^{ht} iff they are in direct sum
+    index = DirectSumIndex(verts)
     hyperedges = [
         subset
         for subset in itertools.combinations(range(len(verts)), h)
-        if sum_dim([verts[i] for i in subset]) == n
+        if index.in_direct_sum(subset)
     ]
     return Hypergraph.from_hyperedges(len(verts), h, hyperedges, labels=tuple(verts))
 

@@ -4,12 +4,19 @@ A subspace is identified with its reduced-row-echelon basis, so equality
 and ordering of subspaces are plain tuple comparisons.  The canonical
 total order is (pivot-column set, then flattened basis entries), which
 fixes vertex numbering for everything built downstream.
+
+Direct sums over a fixed list of subspaces -- "which pairs are
+independent", "which spaces does the span of these members meet" -- are
+answered by one DirectSumIndex, which lists every nonzero vector once and
+turns each question into bit tests; `sum_dim` is the rank-based check
+for one-off questions and the reference the index is tested against.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import Budget, SizeLimitExceeded
 from .gf import FieldSpec, Matrix, rank, rref
@@ -149,42 +156,117 @@ def sum_dim(spaces) -> int:
     return rank(Matrix.from_rows(first.field, rows))
 
 
+class DirectSumIndex:
+    """Which members of a list of subspaces are in direct sum, by bit tests.
+
+    Every nonzero vector of every space is listed once and mapped to the
+    bitmask of the spaces holding it (`holders`).  A set of spaces meets a
+    space S_j in a nonzero vector iff some nonzero vector of their span has
+    bit j among its holders, so direct sums become mask tests instead of
+    rank computations.  Answers over index subsets are cached for the life
+    of the index; build one per search and drop it with the search.
+    """
+
+    def __init__(self, spaces):
+        spaces = list(spaces)
+        for s in spaces:
+            if s.field != spaces[0].field or s.ambient != spaces[0].ambient:
+                raise ValueError("DirectSumIndex: mixed fields or ambient spaces")
+        self.spaces = spaces
+        self.full = (1 << len(spaces)) - 1
+        # one node per vector listed, so only the deadline stops the listing
+        bud = Budget(sum(s.field.q**s.dim for s in spaces))
+        points = []
+        for s in spaces:
+            pts = []
+            for vec in s.vectors():
+                bud.spend()
+                if any(vec):
+                    pts.append(vec)
+            points.append(pts)
+        holders: dict[tuple, int] = {}
+        for i, pts in enumerate(points):
+            bit = 1 << i
+            for vec in pts:
+                holders[vec] = holders.get(vec, 0) | bit
+        self.points = points  # nonzero vectors of each space
+        self.holders = holders
+        self._blocked: dict[tuple, int] = {}
+
+    @cached_property
+    def _add(self) -> list[list[int]]:
+        f = self.spaces[0].field
+        return [[f.add(a, b) for b in f.elements()] for a in f.elements()]
+
+    def pair_masks(self) -> list[int]:
+        """Bit j of entry i (j != i) is set iff spaces i and j are in direct sum.
+
+        That is, they share no nonzero vector: dim(S_i + S_j) = dim S_i +
+        dim S_j.  Space i meets exactly the holders of its own vectors; bit i
+        is cleared explicitly, which keeps dim-0 spaces in direct sum with
+        every other space but not with themselves.
+        """
+        holders = self.holders
+        masks = []
+        for i, pts in enumerate(self.points):
+            meets = 1 << i
+            for vec in pts:
+                meets |= holders[vec]
+            masks.append(self.full & ~meets)
+        return masks
+
+    def blocked(self, subset: tuple[int, ...], bud: Budget | None = None) -> int:
+        """Spaces that meet the span of the spaces at `subset` nontrivially.
+
+        Bit j is set iff spaces[j] shares a nonzero vector with the span;
+        every bit is set when the members of `subset` are not themselves in
+        direct sum.  So for j outside `subset`, the subset members and
+        spaces[j] are in direct sum iff bit j is clear.  The span is listed
+        member by member as sums of the members' own vectors; a member whose
+        bit is already set by the span of those before it is a dependence,
+        found without a rank call.  `bud`, when given, is spent one node per
+        vector listed; the answer is cached per subset.
+        """
+        mask = self._blocked.get(subset)
+        if mask is not None:
+            return mask
+        add = self._add
+        holders = self.holders
+        span = [(0,) * self.spaces[0].ambient]
+        mask = 0
+        for i in subset:
+            if mask >> i & 1:
+                mask = self.full
+                break
+            new = [
+                tuple([add[x][y] for x, y in zip(u, w)])
+                for u in span
+                for w in self.points[i]
+            ]
+            for vec in new:
+                if bud is not None:
+                    bud.spend()
+                mask |= holders.get(vec, 0)
+            span += new
+        self._blocked[subset] = mask
+        return mask
+
+    def in_direct_sum(self, subset: tuple[int, ...], bud: Budget | None = None) -> bool:
+        """Are the spaces at the non-empty `subset` in direct sum?
+
+        Read off `blocked` of all but the last member, so subsets sharing
+        that prefix share one span listing.
+        """
+        return not self.blocked(subset[:-1], bud) >> subset[-1] & 1
+
+
 def direct_sum_masks(spaces) -> list[int]:
     """Pairwise direct sums as bitmasks over the given list.
 
     Bit j of entry i (j != i) is set iff spaces i and j share no nonzero
-    vector, i.e. dim(S_i + S_j) = dim S_i + dim S_j.  Every nonzero vector
-    records the spaces holding it, so space i meets exactly the holders of
-    its own vectors; bit i is cleared explicitly, which keeps dim-0 spaces
-    in direct sum with every other space but not with themselves.
+    vector; see DirectSumIndex.pair_masks.
     """
-    spaces = list(spaces)
-    for s in spaces:
-        if s.field != spaces[0].field or s.ambient != spaces[0].ambient:
-            raise ValueError("direct_sum_masks: mixed fields or ambient spaces")
-    # one node per vector listed, so only the deadline stops the listing
-    bud = Budget(sum(s.field.q**s.dim for s in spaces))
-    points = []
-    for s in spaces:
-        pts = []
-        for vec in s.vectors():
-            bud.spend()
-            if any(vec):
-                pts.append(vec)
-        points.append(pts)
-    holders: dict[tuple, int] = {}
-    for i, pts in enumerate(points):
-        bit = 1 << i
-        for vec in pts:
-            holders[vec] = holders.get(vec, 0) | bit
-    full = (1 << len(spaces)) - 1
-    masks = []
-    for i, pts in enumerate(points):
-        meets = 1 << i
-        for vec in pts:
-            meets |= holders[vec]
-        masks.append(full & ~meets)
-    return masks
+    return DirectSumIndex(spaces).pair_masks()
 
 
 def subspace_sum(spaces) -> Subspace:

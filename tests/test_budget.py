@@ -26,7 +26,7 @@ from netgap.qkneser import (
     max_clique,
 )
 from netgap.skeleton import skeleton
-from netgap.subspaces import direct_sum_masks, enumerate_subspaces
+from netgap.subspaces import DirectSumIndex, direct_sum_masks, enumerate_subspaces
 
 # a deadline already in the past when the block is entered
 EXPIRED = -1.0
@@ -161,6 +161,26 @@ def test_direct_sum_masks_stop_at_an_expired_deadline():
     planes = enumerate_subspaces(field_of_order(3), 4, 2)
     with deadline(EXPIRED), pytest.raises(BudgetExhausted, match="wall-clock"):
         direct_sum_masks(planes)
+
+
+def test_direct_sum_index_stops_at_an_expired_deadline():
+    fld = field_of_order(3)
+    # 130 planes of F_3^4 with 9 vectors each: the listing passes the checkpoint
+    with deadline(EXPIRED), pytest.raises(BudgetExhausted, match="wall-clock") as exc:
+        DirectSumIndex(enumerate_subspaces(fld, 4, 2))
+    assert exc.value.nodes_used == FIRST_CHECKPOINT
+    # 40 lines of F_3^4 with 3 vectors each: no checkpoint is reached
+    with deadline(EXPIRED):
+        assert len(DirectSumIndex(enumerate_subspaces(fld, 4, 1)).pair_masks()) == 40
+
+
+def test_kneser_span_listings_spend_on_the_construction_budget():
+    # K_{3,1;3}: 286 candidate terminals and 702 terminal edges stay under
+    # the first checkpoint; the 78 listed spans of two lines (8 vectors
+    # each) carry the construction past it
+    with deadline(EXPIRED), pytest.raises(BudgetExhausted, match="wall-clock"):
+        build_kneser(3, 1, 3)
+    assert len(build_kneser(3, 1, 3).terminals) == 234
 
 
 def test_skeleton_stops_at_an_expired_deadline():

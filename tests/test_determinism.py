@@ -112,6 +112,20 @@ def test_ic_node_count_is_reproducible_and_pinned():
 
 
 @pytest.mark.parametrize(
+    ("params", "size", "nodes"),
+    [((2, 2, 3, 3), 6, 302), ((3, 1, 3, 3), 4, 92), ((5, 1, 3, 3), 6, 4200)],
+    ids=["ic-2233", "ic-3133", "ic-5133"],
+)
+def test_ic_node_count_is_pinned_at_the_budget_boundary(params, size, nodes):
+    # a budget of exactly `nodes` finishes the search and one node less
+    # does not; a faster alpha test must walk the same search tree
+    res = ic_max_size(*params, budget=nodes)
+    assert (res.size, res.exact, res.nodes_used) == (size, True, nodes)
+    short = ic_max_size(*params, budget=nodes - 1)
+    assert not short.exact and short.nodes_used == nodes - 1
+
+
+@pytest.mark.parametrize(
     ("params", "q", "t", "found", "nodes"),
     [
         ((2, 6, 2), 2, 2, False, 191280),

@@ -26,7 +26,7 @@ from netgap.mdsic import (
     solvability_by_code,
 )
 from netgap.networks import build_combination
-from netgap.subspaces import enumerate_subspaces, spread, subspace_from_rows
+from netgap.subspaces import enumerate_subspaces, spread, subspace_from_rows, sum_dim
 
 
 def test_rs_code_examples():
@@ -135,6 +135,52 @@ def test_ic_exists_of_size():
     assert ic_exists_of_size(2, 1, 2, 2, 4) is None
     assert ic_exists_of_size(2, 2, 2, 2, 5) is not None
     assert ic_exists_of_size(2, 2, 2, 2, 6) is None
+
+
+@pytest.mark.parametrize("q,t,h", [(2, 1, 2), (3, 2, 2), (4, 1, 3), (2, 2, 3)])
+def test_size_one_ic_is_the_canonical_first_subspace(q, t, h):
+    config = ic_exists_of_size(q, t, h, h, 1)
+    first = enumerate_subspaces(field_of_order(q), h * t, t)[0]
+    assert config.members == (first,) and ic_is_valid(config, h)
+
+
+def test_size_one_ic_lists_no_universe(monkeypatch):
+    # 13,910,980,083 subspaces of F_2^12 of dimension 4: far past any
+    # enumeration limit, yet any single one of them is an IC
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("a size-1 IC needs no universe")
+
+    monkeypatch.setattr(mdsic, "enumerate_subspaces", no_enumeration)
+    config = ic_exists_of_size(2, 4, 3, 3, 1)
+    assert len(config.members) == 1
+    (member,) = config.members
+    assert member.dim == 4 and member.ambient == 12 and member.pivots == (0, 1, 2, 3)
+    assert ic_is_valid(config, 3)
+
+
+def _alpha_ok_oracle(index, chosen, new, alpha):
+    """The IC search's alpha test before the direct-sum index: one sum_dim
+    per (alpha-1)-subset of the chosen set, for every candidate."""
+    if len(chosen) + 1 < alpha:
+        return True
+    universe = index.spaces
+    t = universe[new].dim
+    for subset in itertools.combinations(chosen, alpha - 1):
+        spaces = [universe[i] for i in subset] + [universe[new]]
+        if sum_dim(spaces) != alpha * t:
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "q,t,h,alpha", [(2, 2, 3, 3), (3, 1, 3, 3), (4, 1, 3, 3), (2, 1, 4, 4), (3, 2, 2, 2)]
+)
+def test_ic_search_walks_the_sum_dim_oracle_tree(monkeypatch, q, t, h, alpha):
+    fast = ic_max_size(q, t, h, alpha)
+    monkeypatch.setattr(mdsic, "_alpha_ok", _alpha_ok_oracle)
+    slow = ic_max_size(q, t, h, alpha)
+    assert (fast.size, fast.exact, fast.nodes_used) == (slow.size, slow.exact, slow.nodes_used)
+    assert ic_to_json(fast.witness) == ic_to_json(slow.witness)
 
 
 def test_ic_to_solution_and_back():

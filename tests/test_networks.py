@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -219,29 +220,35 @@ def test_dot_export_mentions_roles():
     assert "shape=box" in dot and "doublecircle" in dot and '"s" -> "v1"' in dot
 
 
-def _build_kneser_h2_oracle(q, t):
-    """K_{q,t;2} with every middle pair tested by sum_dim, as the builder did
-    before it read direct sums off point-incidence masks."""
-    import itertools
+def _sum_dim_terminals(middles, h):
+    """The h-subsets of middles spanning their ambient space, in
+    lexicographic order, each tested by sum_dim."""
+    n = middles[0].ambient
+    for subset in itertools.combinations(range(len(middles)), h):
+        if sum_dim([middles[i] for i in subset]) == n:
+            yield subset
 
+
+def _build_kneser_oracle(q, t, h):
+    """K_{q,t;h} with every h-subset of middles tested by sum_dim, as the
+    builder did before it read direct sums off a DirectSumIndex."""
     from netgap.gf import field_of_order
     from netgap.networks import _edge_ids
     from netgap.subspaces import enumerate_subspaces
 
-    middles = enumerate_subspaces(field_of_order(q), 2 * t, t)
+    middles = enumerate_subspaces(field_of_order(q), h * t, t)
     r = len(middles)
     middle_ids = [f"m{i}" for i in range(r)]
     terminals, pairs = [], []
-    for subset in itertools.combinations(range(r), 2):
-        if sum_dim([middles[i] for i in subset]) == 2 * t:
-            tname = "t" + "_".join(str(i) for i in subset)
-            terminals.append(tname)
-            pairs.extend((tname, middle_ids[i]) for i in subset)
+    for subset in _sum_dim_terminals(middles, h):
+        tname = "t" + "_".join(str(i) for i in subset)
+        terminals.append(tname)
+        pairs.extend((tname, middle_ids[i]) for i in subset)
     ids = _edge_ids(r + len(pairs))
     edges = [Edge(ids[i], "s", middle_ids[i]) for i in range(r)]
     edges.extend(Edge(ids[r + k], m, tname) for k, (tname, m) in enumerate(pairs))
     return Network(
-        h=2,
+        h=h,
         source="s",
         terminals=tuple(terminals),
         nodes=("s", *middle_ids, *terminals),
@@ -252,7 +259,26 @@ def _build_kneser_h2_oracle(q, t):
 
 @pytest.mark.parametrize("q,t", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2)])
 def test_build_kneser_h2_matches_sum_dim_oracle(q, t):
-    assert network_to_json(build_kneser(q, t, 2)) == network_to_json(_build_kneser_h2_oracle(q, t))
+    assert network_to_json(build_kneser(q, t, 2)) == network_to_json(_build_kneser_oracle(q, t, 2))
+
+
+@pytest.mark.parametrize("q,t,h", [(2, 1, 3), (3, 1, 3), (4, 1, 3), (2, 1, 4)])
+def test_build_kneser_h3_h4_matches_sum_dim_oracle(q, t, h):
+    assert network_to_json(build_kneser(q, t, h)) == network_to_json(_build_kneser_oracle(q, t, h))
+    imp = build_kneser(q, t, h, mode="implicit")
+    expected = list(_sum_dim_terminals(imp.middles, h))
+    assert list(imp.stream_terminals(10**6)) == expected
+    spanning = set(expected)
+    for subset in itertools.combinations(range(len(imp.middles)), h):
+        assert imp.is_terminal(subset) == (subset in spanning)
+
+
+@pytest.mark.parametrize("q,t,h", [(3, 1, 4), (2, 2, 3)])
+def test_implicit_kneser_stream_matches_sum_dim_oracle(q, t, h):
+    # too many candidate terminals to scan them all with sum_dim
+    imp = build_kneser(q, t, h, mode="implicit")
+    expected = list(itertools.islice(_sum_dim_terminals(imp.middles, h), 200))
+    assert list(imp.stream_terminals(200)) == expected
 
 
 def _index_test_networks():

@@ -364,6 +364,21 @@ def test_build_qkneser_matches_sum_dim_oracle(q, n, m):
     assert build_qkneser(q, n, m) == _build_qkneser_oracle(q, n, m)
 
 
+@pytest.mark.parametrize("q,t,h", [(2, 1, 2), (2, 2, 2), (2, 1, 3), (3, 1, 3), (4, 1, 3), (2, 1, 4)])
+def test_build_qkneser_hyper_matches_sum_dim_oracle(q, t, h):
+    from netgap.gf import field_of_order
+    from netgap.subspaces import enumerate_subspaces
+
+    verts = enumerate_subspaces(field_of_order(q), h * t, t)
+    expected = tuple(
+        subset
+        for subset in itertools.combinations(range(len(verts)), h)
+        if sum_dim([verts[i] for i in subset]) == h * t
+    )
+    hyper = build_qkneser_hyper(q, t, h)
+    assert hyper.hyperedges == expected and hyper.labels == tuple(verts)
+
+
 def _brute_clique_number(g):
     edge_set = set(g.edges)
     for size in range(g.num_vertices, 0, -1):

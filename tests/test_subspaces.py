@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from netgap.errors import SizeLimitExceeded
 from netgap.gf import Matrix, make_field
 from netgap.subspaces import (
+    DirectSumIndex,
     canonicalize,
     direct_sum_masks,
     enumerate_subspaces,
@@ -197,3 +198,85 @@ def test_direct_sum_masks_edge_cases():
     assert direct_sum_masks([line, line]) == [0, 0]
     with pytest.raises(ValueError):
         direct_sum_masks([line, subspace_from_rows(f, [(1, 0)], 2)])
+
+
+def _blocked_oracle(spaces, subset):
+    """blocked(subset) by one sum_dim per space: bit j is set iff the subset
+    members and spaces[j] are not in direct sum."""
+    members = [spaces[i] for i in subset]
+    dims = sum(s.dim for s in members)
+    mask = 0
+    for j, s in enumerate(spaces):
+        if sum_dim(members + [s]) != dims + s.dim:
+            mask |= 1 << j
+    return mask
+
+
+@st.composite
+def _universe_and_subsets(draw):
+    """Up to 7 subspaces of F_q^{4t} and a few subsets of up to 3 of them.
+
+    Basis rows use only the first `width` coordinates, so narrow draws pile
+    the spaces into a small subspace and make dependent subsets common.
+    """
+    q = draw(st.sampled_from([2, 3, 4]))
+    t = draw(st.sampled_from([1, 2]))
+    f = make_field(*{2: (2, 1), 3: (3, 1), 4: (2, 2)}[q])
+    n = 4 * t
+    width = draw(st.integers(1, n))
+    entry = st.integers(0, q - 1)
+    row = st.lists(entry, min_size=width, max_size=width).map(lambda r: r + [0] * (n - width))
+    spaces = draw(st.lists(st.lists(row, min_size=t, max_size=t), min_size=1, max_size=7))
+    spaces = [subspace_from_rows(f, rows, n) for rows in spaces]
+    index_subset = st.lists(st.integers(0, len(spaces) - 1), max_size=3, unique=True)
+    subsets = draw(st.lists(index_subset.map(tuple), min_size=1, max_size=4))
+    return spaces, subsets
+
+
+@settings(max_examples=150, deadline=None)
+@given(_universe_and_subsets())
+def test_blocked_matches_sum_dim(case):
+    spaces, subsets = case
+    index = DirectSumIndex(spaces)
+    for subset in subsets:
+        expected = _blocked_oracle(spaces, subset)
+        assert index.blocked(subset) == expected
+        assert index.blocked(subset) == expected  # the cached answer
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_blocked_on_dependent_triples_of_lines(q):
+    # h = alpha = 4, t = 1: three lines of F_q^4 are dependent exactly when
+    # coplanar, and then they block every line
+    f = make_field(*{2: (2, 1), 3: (3, 1), 4: (2, 2)}[q])
+    lines = enumerate_subspaces(f, 4, 1)
+    position = {s.sort_key: k for k, s in enumerate(lines)}
+    index = DirectSumIndex(lines)
+    full = (1 << len(lines)) - 1
+    rng = random.Random(q)
+    for _ in range(10):
+        i, j, new = rng.sample(range(len(lines)), 3)
+        # a third line inside the plane of the first two, then any third line
+        u, v = lines[i].basis.row(0), lines[j].basis.row(0)
+        inside = subspace_from_rows(f, [[f.add(x, y) for x, y in zip(u, v)]], 4)
+        coplanar = (i, j, position[inside.sort_key])
+        assert index.blocked(coplanar) == full == _blocked_oracle(lines, coplanar)
+        k = rng.choice([k for k in range(len(lines)) if sum_dim([lines[x] for x in (i, j, k)]) == 3])
+        mask = index.blocked((i, j, k))
+        assert mask == _blocked_oracle(lines, (i, j, k)) != full
+        assert (mask >> new & 1) == (sum_dim([lines[x] for x in (i, j, k, new)]) != 4)
+
+
+def test_index_pair_masks_and_edge_cases():
+    f = make_field(2, 1)
+    zero = subspace_from_rows(f, [], 3)
+    line = subspace_from_rows(f, [(1, 0, 0)], 3)
+    index = DirectSumIndex([zero, line, line])
+    assert index.pair_masks() == direct_sum_masks([zero, line, line]) == [0b110, 0b001, 0b001]
+    # the empty span meets nothing; a repeated line is a dependent pair
+    assert index.blocked(()) == 0
+    assert index.blocked((0,)) == 0
+    assert index.blocked((1,)) == 0b110
+    assert index.blocked((1, 2)) == 0b111
+    assert index.blocked((0, 1)) == 0b110
+    assert index.in_direct_sum((0, 1)) and not index.in_direct_sum((1, 2))
