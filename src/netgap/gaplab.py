@@ -16,6 +16,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .errors import BudgetExhausted, SizeLimitExceeded, UnsolvableNetwork
+from .gf import prime_power
 from .lincode import search_solution
 from .mdsic import ic_exists_of_size
 from .networks import (
@@ -43,16 +44,7 @@ from .skeleton import skeleton
 
 def is_prime_power(n: int) -> bool:
     """True iff n = p^k for a prime p and k >= 1."""
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return n == 1
-        p += 1
-    return True  # n itself is prime
+    return prime_power(n) is not None
 
 
 def psi(x) -> int:
@@ -107,21 +99,11 @@ def verify_bertrand_range(n_max: int) -> bool:
 
 def candidate_qt_pairs(v: int) -> list[tuple[int, int]]:
     """(q, t) with q^t = v, smaller q first (the deterministic tie order)."""
-    if not is_prime_power(v):
+    pp = prime_power(v)
+    if pp is None:
         return []
-    p = 2
-    n = v
-    while n % p:
-        p += 1
-    k = 0
-    while n > 1:
-        n //= p
-        k += 1
-    pairs = []
-    for d in range(1, k + 1):
-        if k % d == 0:
-            pairs.append((p**d, k // d))
-    return pairs  # ascending d = ascending q
+    p, k = pp
+    return [(p**d, k // d) for d in range(1, k + 1) if k % d == 0]  # ascending d = ascending q
 
 
 # ---------------------------------------------------------------------------

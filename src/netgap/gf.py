@@ -3,10 +3,16 @@
 Field elements are plain ints in [0, q): the base-p digits of the code are
 the coefficients of the element written in the polynomial basis, lowest
 degree first.  All matrices are row-major tuples of such codes.
+
+This module is the one home of field arithmetic: prime-power
+factorisation, polynomials over any F_q (which also give F_{p^m} its
+modulus and the spreads their extension field), and the per-field
+log/antilog and element tables.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -20,76 +26,27 @@ TABLE_LIMIT = 2**16
 Felt = int
 
 
-def is_prime(n: int) -> bool:
+def prime_power(n: int) -> tuple[int, int] | None:
+    """(p, m) with n = p^m for a prime p and m >= 1, or None."""
     if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
-# ---------------------------------------------------------------------------
-# polynomial helpers over F_p (coefficient lists, low degree first)
-# ---------------------------------------------------------------------------
-
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    """Remainder of a modulo monic-leading b, coefficients in F_p."""
-    a = list(a)
-    inv_lead = pow(b[-1], p - 2, p) if b[-1] != 1 else 1
-    while len(a) >= len(b) and any(a):
-        _poly_trim(a)
-        if len(a) < len(b):
+        return None
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
             break
-        factor = (a[-1] * inv_lead) % p
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[i + shift] = (a[i + shift] - factor * c) % p
-    return _poly_trim(a)
+        p += 1
+    else:
+        return n, 1
+    m = 0
+    while n % p == 0:
+        n //= p
+        m += 1
+    return (p, m) if n == 1 else None
 
 
-def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return _poly_trim(out)
-
-
-def _poly_irreducible(f: list[int], p: int) -> bool:
-    """Exhaustive test: no monic divisor of degree 1..deg(f)//2."""
-    deg = len(f) - 1
-    if deg <= 0:
-        return False
-    if deg == 1:
-        return True
-    for d in range(1, deg // 2 + 1):
-        for code in range(p**d):
-            g = [0] * (d + 1)
-            g[d] = 1
-            c = code
-            for i in range(d):
-                g[i] = c % p
-                c //= p
-            if not _poly_mod(f, g, p):
-                return False
-    return True
+def is_prime(n: int) -> bool:
+    pp = prime_power(n)
+    return pp is not None and pp[1] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +110,9 @@ class FieldSpec:
         return self._mul_schoolbook(a, b)
 
     def _mul_schoolbook(self, a: Felt, b: Felt) -> Felt:
-        prod = _poly_mul(self._decode(a), self._decode(b), self.p)
-        rem = _poly_mod(prod, list(self.modulus), self.p)
-        return self._encode(rem + [0] * (self.m - len(rem)))
+        fp = make_field(self.p, 1)
+        prod = poly_mul(fp, self._decode(a), self._decode(b))
+        return self._encode(poly_mod(fp, prod, self.modulus))
 
     def inv(self, a: Felt) -> Felt:
         if a == 0:
@@ -188,8 +145,79 @@ class FieldSpec:
             raise ValueError(f"element code {a} out of range for field of size {self.q}")
 
 
+# ---------------------------------------------------------------------------
+# polynomials over a field (coefficient lists, low degree first)
+# ---------------------------------------------------------------------------
+
+def _trim(a: list[Felt]) -> list[Felt]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def poly_mul(f: FieldSpec, a: Sequence[Felt], b: Sequence[Felt]) -> list[Felt]:
+    """Product of two polynomials over f, without trailing zeros."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            if y:
+                out[i + j] = f.add(out[i + j], f.mul(x, y))
+    return _trim(out)
+
+
+def poly_mod(f: FieldSpec, a: Sequence[Felt], b: Sequence[Felt]) -> list[Felt]:
+    """Remainder of a modulo b (nonzero top coefficient) over f, without trailing zeros."""
+    a = list(a)
+    inv_lead = f.inv(b[-1])
+    while True:
+        _trim(a)
+        if len(a) < len(b):
+            return a
+        factor = f.mul(a[-1], inv_lead)
+        shift = len(a) - len(b)
+        for i, c in enumerate(b):
+            if c:
+                a[i + shift] = f.sub(a[i + shift], f.mul(factor, c))
+
+
+def _monic(f: FieldSpec, deg: int):
+    """Every monic polynomial of degree deg over f, by the base-q code of its
+    lower coefficients read low degree first."""
+    for code in range(f.q**deg):
+        poly = [0] * (deg + 1)
+        poly[deg] = 1
+        for i in range(deg):
+            poly[i] = code % f.q
+            code //= f.q
+        yield poly
+
+
+def _irreducible(f: FieldSpec, poly: Sequence[Felt]) -> bool:
+    """Exhaustive test: no monic divisor of degree 1..deg(poly)//2."""
+    deg = len(poly) - 1
+    divisors = (g for d in range(1, deg // 2 + 1) for g in _monic(f, d))
+    return deg >= 1 and all(poly_mod(f, poly, g) for g in divisors)
+
+
+def smallest_irreducible(f: FieldSpec, deg: int) -> list[Felt]:
+    """The first monic irreducible polynomial of degree deg over f in _monic order."""
+    for poly in _monic(f, deg):
+        if _irreducible(f, poly):
+            return poly
+    raise AssertionError(f"no irreducible polynomial of degree {deg} over F_{f.q}")
+
+
+# ---------------------------------------------------------------------------
+# field construction and per-field tables
+# ---------------------------------------------------------------------------
+
 _FIELD_CACHE: dict[tuple[int, int], FieldSpec] = {}
 _TABLE_CACHE: dict[FieldSpec, tuple[list[int], list[int]]] = {}
+_ELEMENT_TABLE_CACHE: dict[FieldSpec, tuple[list, list, list]] = {}
 
 
 def _tables(f: FieldSpec) -> tuple[list[int], list[int]]:
@@ -198,7 +226,7 @@ def _tables(f: FieldSpec) -> tuple[list[int], list[int]]:
     if cached is not None:
         return cached
     order = f.q - 1
-    factors = _prime_factors(order)
+    factors = [d for d in range(2, order + 1) if order % d == 0 and is_prime(d)]
     gen = None
     for cand in range(2, f.q):
         if all(_pow_schoolbook(f, cand, order // ell) != 1 for ell in factors):
@@ -227,25 +255,28 @@ def _pow_schoolbook(f: FieldSpec, a: Felt, k: int) -> Felt:
     return out
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+def element_tables(f: FieldSpec) -> tuple[list[list[Felt]], list[list[Felt]], list]:
+    """Shared q x q element tables (add, neg_mul, scale), built once per field.
+
+    add[a][b] = a+b, neg_mul[c][y] = -c*y and scale[a][y] = a^{-1}*y, with
+    scale[0] None.  Every caller gets the same lists: index, never modify.
+    """
+    cached = _ELEMENT_TABLE_CACHE.get(f)
+    if cached is None:
+        q = f.q
+        cached = _ELEMENT_TABLE_CACHE[f] = (
+            [[f.add(a, b) for b in range(q)] for a in range(q)],
+            [[f.neg(f.mul(c, y)) for y in range(q)] for c in range(q)],
+            [None] + [[f.mul(f.inv(a), y) for y in range(q)] for a in range(1, q)],
+        )
+    return cached
 
 
 def make_field(p: int, m: int, *, max_q: int = MAX_FIELD_SIZE) -> FieldSpec:
-    """F_{p^m} with the lexicographically smallest monic irreducible modulus.
+    """F_{p^m} with modulus smallest_irreducible(F_p, m); F_p itself has modulus x.
 
-    Coefficient tuples are compared low degree first, so the result is
-    bit-identical across runs.
+    The modulus is the first monic irreducible polynomial in a fixed
+    order, so the result is bit-identical across runs.
     """
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
@@ -257,42 +288,19 @@ def make_field(p: int, m: int, *, max_q: int = MAX_FIELD_SIZE) -> FieldSpec:
     cached = _FIELD_CACHE.get((p, m))
     if cached is not None:
         return cached
-    modulus = None
-    for code in range(p**m):
-        coeffs = [0] * (m + 1)
-        coeffs[m] = 1
-        c = code
-        for i in range(m):
-            coeffs[i] = c % p
-            c //= p
-        if _poly_irreducible(coeffs, p):
-            modulus = tuple(coeffs)
-            break
-    assert modulus is not None, "no irreducible polynomial found"
-    field = FieldSpec(p=p, m=m, modulus=modulus, q=q)
+    field = FieldSpec(p=p, m=1, modulus=(0, 1), q=p)
+    if m > 1:
+        field = FieldSpec(p=p, m=m, modulus=tuple(smallest_irreducible(field, m)), q=q)
     _FIELD_CACHE[(p, m)] = field
     return field
 
 
 def field_of_order(q: int, *, max_q: int = MAX_FIELD_SIZE) -> FieldSpec:
     """The field of size q, for q any prime power."""
-    if q < 2:
+    pp = prime_power(q)
+    if pp is None:
         raise ValueError(f"q={q} is not a prime power")
-    n = q
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            break
-        p += 1
-    else:
-        p = n
-    m = 0
-    while n > 1:
-        if n % p:
-            raise ValueError(f"q={q} is not a prime power")
-        n //= p
-        m += 1
-    return make_field(p, m, max_q=max_q)
+    return make_field(*pp, max_q=max_q)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +349,18 @@ class Matrix:
 
     def row_list(self) -> list[tuple[Felt, ...]]:
         return [self.row(i) for i in range(self.rows)]
+
+    def row_combinations(self):
+        """Every combination of the rows, coefficient tuples in itertools.product
+        order over the field elements: q^rows vectors, so only small row counts."""
+        f = self.field
+        rows = self.row_list()
+        for coeffs in itertools.product(f.elements(), repeat=self.rows):
+            vec = [0] * self.cols
+            for c, row in zip(coeffs, rows):
+                if c:
+                    vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, row)]
+            yield tuple(vec)
 
     def stack(self, other: "Matrix") -> "Matrix":
         if other.cols != self.cols or other.field != self.field:

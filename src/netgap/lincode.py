@@ -14,9 +14,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import Budget, InternalError
-from .gf import FieldSpec, Matrix, field_of_order, make_field, rank, rowspace_contains, solve_left, stack
+from .gf import (
+    FieldSpec,
+    Matrix,
+    element_tables,
+    field_of_order,
+    make_field,
+    rank,
+    rowspace_contains,
+    solve_left,
+    stack,
+)
 from .networks import Network, combination_parameters, min_cut, parallelize
-from .subspaces import Subspace, enumerate_subspaces, subspace_from_rows, subspace_sum, subspaces_up_to_dim
+from .subspaces import (
+    Subspace,
+    coordinate_subspace,
+    enumerate_subspaces,
+    subspace_from_rows,
+    subspace_sum,
+    subspaces_up_to_dim,
+)
 
 DEFAULT_SEARCH_BUDGET = 10**8
 
@@ -145,19 +162,6 @@ def _completion_dfs_order(net: Network) -> list:
     return scheduled
 
 
-def _prefix_subspaces(fld: FieldSpec, ambient: int, t: int) -> list[Subspace]:
-    """<e_1..e_d> for d = t down to 0: canonical representatives per dimension."""
-    out = []
-    for d in range(t, -1, -1):
-        rows = []
-        for i in range(d):
-            row = [0] * ambient
-            row[i] = 1
-            rows.append(row)
-        out.append(subspace_from_rows(fld, rows, ambient))
-    return out
-
-
 class RunningEchelon:
     """Echelon basis of a growing sum of subspaces, for push/pop use.
 
@@ -171,11 +175,8 @@ class RunningEchelon:
     __slots__ = ("rows", "_add", "_neg_mul", "_scale")
 
     def __init__(self, fld: FieldSpec):
-        q = fld.q
-        self._add = [[fld.add(a, b) for b in range(q)] for a in range(q)]
-        # _neg_mul[c][y] = -c*y, _scale[a][y] = a^{-1}*y
-        self._neg_mul = [[fld.neg(fld.mul(c, y)) for y in range(q)] for c in range(q)]
-        self._scale = [None] + [[fld.mul(fld.inv(a), y) for y in range(q)] for a in range(1, q)]
+        # _neg_mul[c][y] = -c*y, _scale[a][y] = a^{-1}*y; shared, read-only
+        self._add, self._neg_mul, self._scale = element_tables(fld)
         self.rows: list[tuple[int, list[int]]] = []
 
     def push(self, vectors) -> int:
@@ -225,7 +226,8 @@ def search_solution(
         return [(w, w.basis.row_list()) for w in spaces]
 
     global_candidates = with_rows(subspaces_up_to_dim(fld, nt, t))
-    first_candidates = with_rows(_prefix_subspaces(fld, nt, t))
+    # <e_1..e_d> for d = t down to 0: canonical representatives per dimension
+    first_candidates = with_rows(coordinate_subspace(fld, nt, d) for d in range(t, -1, -1))
 
     # candidates inside a node's accumulated space, cached per space (an
     # RREF basis determines its space)
@@ -356,12 +358,7 @@ def extend_solution(base: Network, ext: Network, code: NetworkCode) -> NetworkCo
         assignment[e.id] = Matrix.from_rows(fld, rows)
 
     def block_matrix(block: int) -> Matrix:
-        rows = []
-        for i in range(t):
-            row = [0] * width_new
-            row[block * t + i] = 1
-            rows.append(row)
-        return Matrix.from_rows(fld, rows)
+        return coordinate_subspace(fld, width_new, t, block * t).basis
 
     for i, e in enumerate(to_source):
         assignment[e.id] = block_matrix(i)

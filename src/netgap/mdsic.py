@@ -25,8 +25,8 @@ from .networks import Network, build_combination, combination_parameters
 from .subspaces import (
     ENUMERATION_LIMIT,
     DirectSumIndex,
-    Subspace,
     canonicalize,
+    coordinate_subspace,
     enumerate_subspaces,
     subspace_from_rows,
     sum_dim,
@@ -41,16 +41,6 @@ class LinearCode:
     length: int
     dim: int
     generator: Matrix  # dim x length, full row rank
-
-    def codewords(self):
-        f = self.field
-        for msg in itertools.product(f.elements(), repeat=self.dim):
-            word = [0] * self.length
-            for i, c in enumerate(msg):
-                if c:
-                    row = self.generator.row(i)
-                    word = [f.add(x, f.mul(c, y)) for x, y in zip(word, row)]
-            yield tuple(word)
 
 
 @dataclass(frozen=True)
@@ -99,7 +89,7 @@ def min_distance(code, *, limit: int = BRUTE_FORCE_LIMIT) -> int:
             raise SizeLimitExceeded(f"{total} codewords exceed brute-force limit {limit}")
         best = None
         zero = (0,) * code.length
-        for word in code.codewords():
+        for word in code.generator.row_combinations():
             if word == zero:
                 continue
             w = sum(1 for x in word if x)
@@ -211,16 +201,6 @@ class ICSearchResult:
     nodes_used: int
 
 
-def _coordinate_subspace(fld: FieldSpec, n: int, t: int, offset: int) -> Subspace:
-    """The t-subspace of F_q^n spanned by unit vectors offset, ..., offset+t-1."""
-    rows = []
-    for i in range(t):
-        row = [0] * n
-        row[offset + i] = 1
-        rows.append(row)
-    return subspace_from_rows(fld, rows, n)
-
-
 def _alpha_ok(index: DirectSumIndex, chosen: list[int], new: int, alpha: int) -> bool:
     """Every alpha of chosen + [new] are in direct sum, given chosen is an IC.
 
@@ -258,7 +238,7 @@ def _ic_search(
 
     # symmetry: pin the canonical first subspace and a canonical complement
     first = 0
-    complement = _coordinate_subspace(fld, n, t, t)
+    complement = coordinate_subspace(fld, n, t, t)
     index_of = {s.sort_key: i for i, s in enumerate(universe)}
     second = index_of[complement.sort_key]
 
@@ -352,7 +332,7 @@ def ic_exists_of_size(
     if size > ic_size_bound(q, t, h, alpha):
         return None
     if size == 1:
-        members = (_coordinate_subspace(fld, h * t, t, 0),)
+        members = (coordinate_subspace(fld, h * t, t),)
         return IndependentConfiguration(fld, t, h, members)
     result = _ic_search(fld, t, h, alpha, budget, size, limit)
     if result.size >= size:

@@ -62,12 +62,6 @@ class Network:
     def in_degree(self, node: str) -> int:
         return len(self._incidence[1].get(node, ()))
 
-    def edge_by_id(self, eid: str) -> Edge:
-        for e in self.edges:
-            if e.id == eid:
-                return e
-        raise KeyError(eid)
-
     def without_edge(self, eid: str) -> "Network":
         return Network(
             h=self.h,
@@ -546,15 +540,12 @@ def is_minimal(net: Network) -> bool:
     """True iff removing any single edge breaks the cut criterion.
 
     Raises UnsolvableNetwork when the input itself fails the criterion,
-    since minimality is undefined there.
+    since minimality is undefined there.  Each reduced network goes
+    through is_solvable, so the deadline reaches every max flow.
     """
     if not is_solvable(net):
         raise UnsolvableNetwork("network fails the cut criterion; minimality undefined")
-    for e in net.edges:
-        reduced = net.without_edge(e.id)
-        if all(min_cut(reduced, t) >= net.h for t in net.terminals):
-            return False
-    return True
+    return not any(is_solvable(net.without_edge(e.id)) for e in net.edges)
 
 
 # ---------------------------------------------------------------------------

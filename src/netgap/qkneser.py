@@ -21,6 +21,7 @@ from .subspaces import (
     ENUMERATION_LIMIT,
     DirectSumIndex,
     Subspace,
+    coordinate_subspace,
     direct_sum_masks,
     enumerate_subspaces,
     intersection,
@@ -441,17 +442,11 @@ def canonical_coloring(q: int, n: int, m: int, *, limit: int = ENUMERATION_LIMIT
         raise ValueError(f"construction needs n >= 2m, got n={n}, m={m}")
     fld = field_of_order(q)
     verts = enumerate_subspaces(fld, n, m, limit=limit)
-    s_dim = n - m + 1
-    s_rows = []
-    for i in range(s_dim):
-        row = [0] * n
-        row[i] = 1
-        s_rows.append(row)
-    s_space = subspace_from_rows(fld, s_rows, n)
+    s_space = coordinate_subspace(fld, n, n - m + 1)
 
     def least_line(space: Subspace) -> tuple:
         best = None
-        for vec in space.vectors():
+        for vec in space.basis.row_combinations():
             if not any(vec):
                 continue
             line = subspace_from_rows(fld, [vec], n)

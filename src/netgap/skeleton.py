@@ -103,10 +103,10 @@ def skeleton_roundtrip_check(g: UGraph) -> bool:
     middle_of_vertex = {f"v{name}": i for i, name in enumerate(names)}
 
     # each class must contain exactly one source edge; its head names the vertex
+    edge_of = {e.id: e for e in net.edges}
     class_vertex: dict[int, int] = {}
     for idx, cid in enumerate(skel.class_ids):
-        members = skel.classes[cid]
-        src_edges = [net.edge_by_id(eid) for eid in members if net.edge_by_id(eid).tail == net.source]
+        src_edges = [edge_of[eid] for eid in skel.classes[cid] if edge_of[eid].tail == net.source]
         if len(src_edges) != 1:
             return False
         class_vertex[idx] = middle_of_vertex[src_edges[0].head]

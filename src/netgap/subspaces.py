@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import Budget, SizeLimitExceeded
-from .gf import FieldSpec, Matrix, rank, rref
+from .gf import FieldSpec, Matrix, element_tables, poly_mod, rank, rref, smallest_irreducible
 
 ENUMERATION_LIMIT = 10**6
 
@@ -46,28 +45,6 @@ class Subspace:
     def sort_key(self) -> tuple:
         return (self.pivots, self.basis.data)
 
-    def contains_vector(self, vec: tuple[int, ...]) -> bool:
-        f = self.field
-        residual = list(vec)
-        for i in range(self.dim):
-            row = self.basis.row(i)
-            piv = self.pivots[i]
-            c = residual[piv]
-            if c:
-                residual = [f.sub(x, f.mul(c, y)) for x, y in zip(residual, row)]
-        return not any(residual)
-
-    def vectors(self):
-        """All q^dim vectors of the subspace (small spaces only)."""
-        f = self.field
-        rows = self.basis.row_list()
-        for coeffs in itertools.product(f.elements(), repeat=self.dim):
-            vec = [0] * self.ambient
-            for c, row in zip(coeffs, rows):
-                if c:
-                    vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, row)]
-            yield tuple(vec)
-
 
 def canonicalize(field: FieldSpec, vectors: Matrix) -> Subspace:
     """Subspace spanned by the rows; zero span yields dim 0."""
@@ -81,6 +58,16 @@ def subspace_from_rows(field: FieldSpec, rows, ambient: int) -> Subspace:
     if not rows:
         return Subspace(field, ambient, 0, Matrix.zeros(field, 0, ambient))
     return canonicalize(field, Matrix.from_rows(field, rows))
+
+
+def coordinate_subspace(field: FieldSpec, n: int, d: int, offset: int = 0) -> Subspace:
+    """The d-subspace of F_q^n spanned by unit vectors offset, ..., offset+d-1."""
+    rows = []
+    for i in range(offset, offset + d):
+        row = [0] * n
+        row[i] = 1
+        rows.append(row)
+    return subspace_from_rows(field, rows, n)
 
 
 def gaussian_coefficient(n: int, t: int, q: int) -> int:
@@ -179,7 +166,7 @@ class DirectSumIndex:
         points = []
         for s in spaces:
             pts = []
-            for vec in s.vectors():
+            for vec in s.basis.row_combinations():
                 bud.spend()
                 if any(vec):
                     pts.append(vec)
@@ -192,11 +179,6 @@ class DirectSumIndex:
         self.points = points  # nonzero vectors of each space
         self.holders = holders
         self._blocked: dict[tuple, int] = {}
-
-    @cached_property
-    def _add(self) -> list[list[int]]:
-        f = self.spaces[0].field
-        return [[f.add(a, b) for b in f.elements()] for a in f.elements()]
 
     def pair_masks(self) -> list[int]:
         """Bit j of entry i (j != i) is set iff spaces i and j are in direct sum.
@@ -230,7 +212,7 @@ class DirectSumIndex:
         mask = self._blocked.get(subset)
         if mask is not None:
             return mask
-        add = self._add
+        add = element_tables(self.spaces[0].field)[0]
         holders = self.holders
         span = [(0,) * self.spaces[0].ambient]
         mask = 0
@@ -299,72 +281,6 @@ def intersection(a: Subspace, b: Subspace) -> Subspace:
     return subspace_from_rows(f, inter_rows, n)
 
 
-# ---------------------------------------------------------------------------
-# polynomial machinery over an arbitrary FieldSpec (used for spreads)
-# ---------------------------------------------------------------------------
-
-def _fpoly_mul(f: FieldSpec, a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] = f.add(out[i + j], f.mul(x, y))
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _fpoly_mod(f: FieldSpec, a, b):
-    a = list(a)
-    inv_lead = f.inv(b[-1])
-    while True:
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            return a
-        factor = f.mul(a[-1], inv_lead)
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            if c:
-                a[i + shift] = f.sub(a[i + shift], f.mul(factor, c))
-
-
-def _fpoly_irreducible(f: FieldSpec, poly) -> bool:
-    deg = len(poly) - 1
-    if deg <= 0:
-        return False
-    if deg == 1:
-        return True
-    for d in range(1, deg // 2 + 1):
-        for code in range(f.q**d):
-            g = [0] * (d + 1)
-            g[d] = 1
-            c = code
-            for i in range(d):
-                g[i] = c % f.q
-                c //= f.q
-            if not _fpoly_mod(f, poly, g):
-                return False
-    return True
-
-
-def _smallest_irreducible(f: FieldSpec, deg: int):
-    for code in range(f.q**deg):
-        poly = [0] * (deg + 1)
-        poly[deg] = 1
-        c = code
-        for i in range(deg):
-            poly[i] = c % f.q
-            c //= f.q
-        if _fpoly_irreducible(f, poly):
-            return poly
-    raise AssertionError("no irreducible polynomial over extension field")
-
-
 def spread(field: FieldSpec, t: int, *, limit: int = ENUMERATION_LIMIT) -> list[Subspace]:
     """A t-spread of F_q^{2t}: q^t+1 pairwise trivially intersecting t-subspaces.
 
@@ -376,14 +292,14 @@ def spread(field: FieldSpec, t: int, *, limit: int = ENUMERATION_LIMIT) -> list[
     if q**t + 1 > limit or 2 * t * q**t > limit:
         raise SizeLimitExceeded(f"spread of F_{q}^{2*t} exceeds limit {limit}")
     n = 2 * t
-    g = _smallest_irreducible(field, t)
+    g = smallest_irreducible(field, t)
 
     def coords(poly) -> list[int]:
         return list(poly) + [0] * (t - len(poly))
 
     def times_y_power(beta, i):
         shifted = [0] * i + list(beta)
-        return _fpoly_mod(field, shifted, g)
+        return poly_mod(field, shifted, g)
 
     members: list[Subspace] = []
     for code in range(q**t):
@@ -400,11 +316,6 @@ def spread(field: FieldSpec, t: int, *, limit: int = ENUMERATION_LIMIT) -> list[
             left[i] = 1
             rows.append(left + coords(times_y_power(beta, i)))
         members.append(subspace_from_rows(field, rows, n))
-    rows = []
-    for i in range(t):
-        right = [0] * t
-        right[i] = 1
-        rows.append([0] * t + right)
-    members.append(subspace_from_rows(field, rows, n))
+    members.append(coordinate_subspace(field, n, t, t))
     assert len(members) == q**t + 1
     return members

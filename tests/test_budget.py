@@ -1,5 +1,8 @@
 """The one search budget: node limits and the cooperative wall-clock deadline."""
 
+import itertools
+import types
+
 import pytest
 
 from netgap import errors
@@ -9,9 +12,12 @@ from netgap.graphs import UGraph, complete_graph, ugraph_from_json
 from netgap.lincode import search_solution
 from netgap.mdsic import ic_exists_of_size, ic_max_size
 from netgap.networks import (
+    Edge,
+    Network,
     build_combination,
     build_kneser,
     essential_nodes,
+    is_minimal,
     is_solvable,
     is_subcombination,
     network_from_json,
@@ -249,3 +255,23 @@ def test_cut_check_stops_at_an_expired_deadline():
     # N_{2,12,3}: 220 terminals, no checkpoint is reached
     with deadline(EXPIRED):
         assert is_solvable(build_combination(2, 12, 3))
+
+
+def test_minimality_check_reads_the_deadline_on_each_reduced_network(monkeypatch):
+    # a single path of 1100 edges: building the edge index of each reduced
+    # network passes a deadline checkpoint.  The clock below ticks once per
+    # read, and the deadline falls between the first and the second read
+    # after the up-front cut check, so only the reduced networks' checks
+    # can reach it.
+    nodes = ("s", *(f"v{i}" for i in range(1, 1100)), "t")
+    edges = tuple(Edge(f"e{i}", a, b) for i, (a, b) in enumerate(zip(nodes, nodes[1:])))
+    net = Network(h=1, source="s", terminals=("t",), nodes=nodes, edges=edges)
+    assert is_solvable(net)
+    ticks = itertools.count()
+    monkeypatch.setattr(errors, "time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
+    with deadline(10**9):
+        start = next(ticks)
+        is_solvable(net)
+        upfront = next(ticks) - start - 1
+    with deadline(upfront + 1.5), pytest.raises(BudgetExhausted, match="wall-clock"):
+        is_minimal(net)

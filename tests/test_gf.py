@@ -5,16 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netgap.gaplab import is_prime_power
 from netgap.gf import (
     Matrix,
+    element_tables,
     field_of_order,
     is_prime,
     make_field,
+    poly_mod,
+    poly_mul,
+    prime_power,
     rank,
     rowspace_contains,
     rref,
     solve_left,
+    smallest_irreducible,
 )
+from netgap.lincode import RunningEchelon
+
+EXHAUSTIVE_QS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
 
 def test_make_field_prime_field_modulus_is_x():
@@ -41,6 +50,67 @@ def test_make_field_f9_modulus_matches_lex_scan_oracle():
     assert make_field(3, 2).modulus == first_irreducible() == (1, 0, 1)
 
 
+def _first_irreducible_oracle(p, m):
+    """First monic degree-m polynomial over F_p, in low-degree-first code
+    order, that is not a product of two monic polynomials of lower degree."""
+
+    def monic(d):
+        for code in range(p**d):
+            yield tuple(code // p**i % p for i in range(d)) + (1,)
+
+    def mul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+        return tuple(out)
+
+    reducible = {mul(a, b) for d in range(1, m // 2 + 1) for a in monic(d) for b in monic(m - d)}
+    return next(f for f in monic(m) if f not in reducible)
+
+
+def test_make_field_modulus_matches_factor_oracle():
+    checked = 0
+    for q in range(4, 2**10 + 1):
+        p, m = prime_power(q) or (0, 0)
+        if m >= 2:
+            assert make_field(p, m).modulus == _first_irreducible_oracle(p, m), q
+            checked += 1
+    assert checked == 26
+
+
+def test_polynomial_arithmetic_over_an_extension_field():
+    # over F_4 = F_2[x]/(x^2+x+1) with codes 0, 1, x=2, x+1=3
+    f4 = make_field(2, 2)
+    g = smallest_irreducible(f4, 2)
+    assert g == [2, 1, 1]  # y^2 + y + x: first monic quadratic over F_4 without a root
+    assert all(f4.add(f4.add(f4.mul(y, y), y), 2) != 0 for y in range(4))
+    rng = random.Random(11)
+    for _ in range(100):
+        a = [rng.randrange(4) for _ in range(rng.randrange(6))]
+        b = [rng.randrange(4) for _ in range(rng.randrange(1, 4))] + [rng.randrange(1, 4)]
+        r = poly_mod(f4, a, b)
+        assert len(r) < len(b) and (not r or r[-1])
+        # a - r is a multiple of b
+        diff = [f4.sub(x, y) for x, y in itertools.zip_longest(a, r, fillvalue=0)]
+        assert poly_mod(f4, diff, b) == []
+        assert poly_mod(f4, poly_mul(f4, a, b), b) == []
+
+
+def test_prime_power_matches_brute_force():
+    primes = [n for n in range(2, 2000) if all(n % d for d in range(2, n))]
+    powers = {p**m: (p, m) for p in primes for m in range(1, 12) if p**m < 2000}
+    for n in range(-2, 2000):
+        assert prime_power(n) == powers.get(n), n
+        assert is_prime(n) == (n in primes)
+        assert is_prime_power(n) == (n in powers)
+        if n in powers:
+            assert (field_of_order(n).p, field_of_order(n).m) == powers[n]
+        else:
+            with pytest.raises(ValueError, match=f"q={n} is not a prime power"):
+                field_of_order(n)
+
+
 def test_make_field_rejects_bad_parameters():
     with pytest.raises(ValueError):
         make_field(4, 1)
@@ -65,7 +135,7 @@ def test_felt_examples():
     assert f4.mul(2, 2) == 3
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+@pytest.mark.parametrize("q", EXHAUSTIVE_QS)
 def test_field_axioms_exhaustive(q):
     f = field_of_order(q)
     elems = list(f.elements())
@@ -76,6 +146,23 @@ def test_field_axioms_exhaustive(q):
         assert f.mul(a, f.inv(a)) == 1
     for a in elems:
         assert f.add(a, f.neg(a)) == 0
+
+
+@pytest.mark.parametrize("q", EXHAUSTIVE_QS)
+def test_element_tables_match_field_operations(q):
+    f = field_of_order(q)
+    add, neg_mul, scale = element_tables(f)
+    assert scale[0] is None
+    for a, b in itertools.product(f.elements(), repeat=2):
+        assert add[a][b] == f.add(a, b)
+        assert neg_mul[a][b] == f.neg(f.mul(a, b))
+        if a:
+            assert scale[a][b] == f.mul(f.inv(a), b)
+    # one set of tables per field, read by every running echelon
+    ech = RunningEchelon(f)
+    assert element_tables(f) is element_tables(make_field(f.p, f.m))
+    assert (ech._add, ech._neg_mul, ech._scale) == element_tables(f)
+    assert ech._add is add
 
 
 def test_inv_of_zero_raises():

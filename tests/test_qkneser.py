@@ -116,6 +116,22 @@ def test_spread_clique_examples():
         assert (a, b) in edge_set
 
 
+# spread_clique at the commit before the polynomial arithmetic moved into
+# netgap.gf: the extension-field modulus fixes which spread is built
+@pytest.mark.parametrize(
+    "q,t,clique",
+    [
+        (2, 1, (0, 1, 2)),
+        (3, 1, (0, 1, 2, 3)),
+        (2, 2, (0, 7, 9, 14, 34)),
+        (3, 2, (0, 15, 21, 28, 43, 49, 56, 71, 77, 129)),
+        (4, 2, (0, 25, 46, 55, 65, 88, 111, 118, 130, 155, 172, 181, 195, 218, 237, 244, 356)),
+    ],
+)
+def test_spread_clique_is_pinned(q, t, clique):
+    assert spread_clique(q, t) == clique
+
+
 def test_max_clique_on_kneser():
     clique, complete = max_clique(build_qkneser(2, 4, 2))
     assert complete and len(clique) == 5

@@ -138,7 +138,7 @@ def test_spread_defining_properties(q, t):
     seen = {}
     for i, s in enumerate(members):
         assert s.dim == t
-        for v in s.vectors():
+        for v in s.basis.row_combinations():
             if any(v):
                 assert v not in seen
                 seen[v] = i
