@@ -19,11 +19,6 @@ from netgap.networks import build_butterfly, build_combination, build_kneser
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--budget", type=int, default=10**8)
-    parser.add_argument(
-        "--deep",
-        action="store_true",
-        help="also resolve K_{3,2;2} exactly (complete 12-chromatic search, ~15s)",
-    )
     args = parser.parse_args()
 
     print("== exact gaps on desk-scale instances ==")
@@ -32,9 +27,10 @@ def main() -> None:
         ("K_{2,1;2}", build_kneser(2, 1, 2)),
         ("K_{3,1;2}", build_kneser(3, 1, 2)),
         ("K_{2,2;2}", build_kneser(2, 2, 2)),
-    ] + [(f"N_{{2,{r},2}}", build_combination(2, r, 2)) for r in range(3, 7)]
-    if args.deep:
-        instances.append(("K_{3,2;2}", build_kneser(3, 2, 2)))
+        ("K_{3,2;2}", build_kneser(3, 2, 2)),
+    ] + [(f"N_{{2,{r},2}}", build_combination(2, r, 2)) for r in range(3, 7)] + [
+        (f"N_{{3,{r},3}}", build_combination(3, r, 3)) for r in (6, 7)
+    ]
     for name, net in instances:
         start = time.time()
         report = gap_exact(net, args.budget, description=name)

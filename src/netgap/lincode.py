@@ -7,6 +7,15 @@ directly: a code exists iff edge spaces of dimension <= t can be chosen
 with containment at every node and full sum at every terminal, so the
 search assigns canonical subspaces edge by edge with pruning, quotienting
 out global basis changes by pinning the first source edge.
+
+Two reductions keep the search tree small without losing a solution.  A
+node whose accumulated space has dimension <= t forwards that whole space
+on each out-edge, since a larger edge space never breaks a downstream
+containment or lowers a terminal's rank.  In a full combination network
+the middle nodes are interchangeable, so the source spaces after the
+pinned first one are taken in non-decreasing candidate order (orderly
+generation: one representative per orbit of the middle-node permutations
+that fix the first).
 """
 
 from __future__ import annotations
@@ -238,15 +247,21 @@ def search_solution(
         cached = sub_cache.get(key)
         if cached is not None:
             return cached
-        out = []
         d = space.dim
-        for dim in range(min(t, d), -1, -1):
-            for abstract in enumerate_subspaces(fld, d, dim):
-                if dim == 0:
-                    out.append(subspace_from_rows(fld, [], nt))
-                else:
-                    rows = abstract.basis.mul(space.basis).row_list()
-                    out.append(subspace_from_rows(fld, rows, nt))
+        if d <= t:
+            # a space that fits in one edge is forwarded whole: enlarging an
+            # edge's space keeps every downstream containment and never
+            # lowers a terminal's rank, so its proper subspaces add nothing
+            out = [space]
+        else:
+            out = []
+            for dim in range(t, -1, -1):
+                for abstract in enumerate_subspaces(fld, d, dim):
+                    if dim == 0:
+                        out.append(subspace_from_rows(fld, [], nt))
+                    else:
+                        rows = abstract.basis.mul(space.basis).row_list()
+                        out.append(subspace_from_rows(fld, rows, nt))
         out = sub_cache[key] = with_rows(out)
         return out
 
@@ -262,6 +277,14 @@ def search_solution(
     remaining = dict(in_degree)
     # terminal -> echelon basis of the sum of its assigned in-edge spaces
     echelon = {term: RunningEchelon(fld) for term in net.terminals}
+    # In a full combination network every permutation of the middle nodes,
+    # with the terminals permuted along, is an automorphism; those fixing the
+    # pinned first source edge map any solution to one whose later source
+    # spaces sit at non-decreasing positions of global_candidates.  So each
+    # later source edge starts at the position its predecessor chose, kept
+    # on this stack.  Any other network is searched unsorted.
+    sorted_sources = combination_parameters(net) is not None
+    source_pos = [0]
     bud = Budget(budget)
 
     def rec(i: int) -> bool:
@@ -273,11 +296,14 @@ def search_solution(
             cands = first_candidates if i == 0 else global_candidates
         else:
             cands = candidates_within(node_space[e.tail])
+        sorted_edge = sorted_sources and i > 0 and e.tail == net.source
+        start = source_pos[-1] if sorted_edge else 0
         ech = echelon.get(head)
         remaining[head] -= 1
         unassigned = remaining[head]
         forwards = unassigned == 0 and head in has_out
-        for w, rows in cands:
+        for pos in range(start, len(cands)):
+            w, rows = cands[pos]
             bud.spend("solution search")
             assignment[e.id] = w
             added = 0
@@ -292,8 +318,12 @@ def search_solution(
                 node_space[head] = w if in_degree[head] == 1 else subspace_sum(
                     [assignment[f.id] for f in net.in_edges(head)]
                 )
+            if sorted_edge:
+                source_pos.append(pos)
             if rec(i + 1):
                 return True
+            if sorted_edge:
+                source_pos.pop()
             if ech is not None:
                 ech.pop(added)
         remaining[head] += 1

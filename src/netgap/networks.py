@@ -484,8 +484,13 @@ class _FlowSolver:
             self.to.append(u)
         self.src = self.node_index[net.source]
 
-    def max_flow_to(self, terminal_index: int, cutoff: int | None = None) -> int:
+    def max_flow_to(
+        self, terminal_index: int, cutoff: int | None = None, without: int | None = None
+    ) -> int:
+        """Max flow to a node; `without` is the index of an edge left out."""
         cap = bytearray(b"\x01\x00" * (len(self.to) // 2))
+        if without is not None:
+            cap[2 * without] = 0
         to, adj = self.to, self.adj
         dst = terminal_index
         flow = 0
@@ -540,12 +545,38 @@ def is_minimal(net: Network) -> bool:
     """True iff removing any single edge breaks the cut criterion.
 
     Raises UnsolvableNetwork when the input itself fails the criterion,
-    since minimality is undefined there.  Each reduced network goes
-    through is_solvable, so the deadline reaches every max flow.
+    since minimality is undefined there.  One flow solver serves every
+    reduced network, and only the terminals reachable from the removed
+    edge's head are re-checked: no path to any other terminal uses the
+    edge, so their flows cannot drop.  Each max flow spends one budget
+    node, so the deadline reaches them.
     """
     if not is_solvable(net):
         raise UnsolvableNetwork("network fails the cut criterion; minimality undefined")
-    return not any(is_solvable(net.without_edge(e.id)) for e in net.edges)
+    solver = _FlowSolver(net)
+    term_bit = {t: 1 << k for k, t in enumerate(net.terminals)}
+    term_index = [solver.node_index[t] for t in net.terminals]
+    # bitmask of the terminals reachable from each node, itself included
+    reach: dict[str, int] = {}
+    for v in reversed(topological_order(net)):
+        mask = term_bit.get(v, 0)
+        for e in net.out_edges(v):
+            mask |= reach[e.head]
+        reach[v] = mask
+    # one node per max flow: only the deadline stops it
+    bud = Budget(sum(reach[e.head].bit_count() for e in net.edges))
+    for k, e in enumerate(net.edges):
+        mask = reach[e.head]
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            bud.spend()
+            flow = solver.max_flow_to(term_index[low.bit_length() - 1], net.h, without=k)
+            if flow < net.h:
+                break
+        else:
+            return False  # every terminal keeps its cut without this edge
+    return True
 
 
 # ---------------------------------------------------------------------------

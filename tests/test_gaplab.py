@@ -145,6 +145,15 @@ def test_kneser_3_2_2_gap_two():
     assert report.gap == gap_formulas("kneser-h2", q=3, t=2).value
 
 
+def test_n_3_7_3_values():
+    # q = 4 and q = 5 are refuted by the exhaustive search, which sorts the
+    # interchangeable middle nodes' source spaces; q = 7 is found
+    report = gap_exact(build_combination(3, 7, 3), description="N_{3,7,3}")
+    assert report.exact
+    assert report.qs.value == 7 and report.qs.method == "exhaustive"
+    assert report.qv.value == 7 and report.gap == 0
+
+
 def test_qv_le_qs_on_resolved_instances():
     for net in (build_butterfly(), build_combination(2, 4, 2), build_kneser(2, 1, 2)):
         report = gap_exact(net)

@@ -21,16 +21,19 @@ from netgap.lincode import (
     split_to_scalar,
     verify_solution,
 )
+from netgap.mdsic import ic_exists_of_size
 from netgap.networks import (
     Edge,
     Network,
     build_butterfly,
     build_combination,
     build_kneser,
+    combination_parameters,
     extend_messages,
     is_minimal,
+    prune,
 )
-from netgap.subspaces import subspace_from_rows, subspace_sum
+from netgap.subspaces import subspace_from_rows, subspace_sum, subspaces_up_to_dim
 
 F2 = make_field(2, 1)
 
@@ -260,6 +263,134 @@ def test_search_matches_brute_force_on_random_networks(seed):
             net = cand
         found = search_solution(net, q, 1)
         assert (found is not None) == _brute_force_scalar_solvable(net, q)
+
+
+# --- the isomorph-free search on (sub-)combination networks ----------------
+
+def _brute_force_source_spaces(net, q, t):
+    """Independent oracle for (sub-)combination networks: a middle node can
+    send no more than its source edge's space, so a (q,t)-solution exists iff
+    some tuple of <= t-dim source spaces sums to F_q^{ht} at every terminal."""
+    import itertools
+
+    nt = net.h * t
+    spaces = subspaces_up_to_dim(make_field(q, 1), nt, t)
+    middles = [e.head for e in net.out_edges(net.source)]
+    feeders = [[middles.index(e.tail) for e in net.in_edges(term)] for term in net.terminals]
+    return any(
+        all(subspace_sum([choice[i] for i in f]).dim == nt for f in feeders)
+        for choice in itertools.product(spaces, repeat=len(middles))
+    )
+
+
+@pytest.mark.parametrize(
+    ("params", "q", "t"),
+    [
+        ((2, 2, 2), 2, 2),
+        ((2, 3, 2), 2, 1),
+        ((2, 4, 2), 2, 1),
+        ((2, 4, 2), 3, 1),
+        ((2, 5, 2), 3, 1),
+        ((2, 4, 3), 2, 1),
+        ((2, 5, 3), 2, 1),  # solvable only with two equal source spaces
+        ((3, 4, 3), 2, 1),
+        ((3, 4, 2), 2, 1),
+    ],
+)
+def test_search_matches_brute_force_on_combination_networks(params, q, t):
+    net = build_combination(*params)
+    assert (search_solution(net, q, t) is not None) == _brute_force_source_spaces(net, q, t)
+
+
+def _terminal_subset(net, keep):
+    dropped = set(net.terminals) - set(keep)
+    return prune(
+        Network(
+            h=net.h,
+            source=net.source,
+            terminals=tuple(keep),
+            nodes=net.nodes,
+            edges=tuple(e for e in net.edges if e.head not in dropped),
+        )
+    )
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_search_matches_brute_force_on_every_terminal_subset(q):
+    import itertools
+
+    full = build_combination(2, 4, 2)
+    full_shapes = 0
+    for k in range(1, len(full.terminals) + 1):
+        for keep in itertools.combinations(full.terminals, k):
+            net = _terminal_subset(full, keep)
+            # the search sorts source spaces only where this is not None: a
+            # single terminal (N_{2,2,2}), a triangle (N_{2,3,2}) and all six
+            full_shapes += combination_parameters(net) is not None
+            found = search_solution(net, q, 1)
+            assert (found is not None) == _brute_force_source_spaces(net, q, 1), keep
+    assert full_shapes == 6 + 4 + 1
+
+
+@pytest.mark.parametrize(
+    ("h", "q", "t", "rs"),
+    [
+        (2, 2, 1, range(2, 5)),
+        (2, 3, 1, range(2, 6)),
+        (2, 2, 2, range(4, 7)),
+        (3, 2, 1, range(3, 7)),
+        (3, 3, 1, range(4, 7)),
+        (3, 4, 1, range(5, 8)),
+    ],
+)
+def test_search_agrees_with_the_ic_route_on_minimal_combination_networks(h, q, t, rs):
+    # N_{h,r,h} has a (q,t)-solution iff a (t;h,h)_q-IC of size r exists;
+    # the IC search is an independent implementation
+    for r in rs:
+        found = search_solution(build_combination(h, r, h), q, t) is not None
+        assert found == (ic_exists_of_size(q, t, h, h, r) is not None), r
+
+
+def _relabelled(net, seed):
+    import random
+
+    rng = random.Random(seed)
+    names = [f"v{i}" for i in range(len(net.nodes))]
+    rng.shuffle(names)
+    node = dict(zip(net.nodes, names))
+    ids = [f"a{i}" for i in range(len(net.edges))]
+    rng.shuffle(ids)
+    edges = [Edge(eid, node[e.tail], node[e.head]) for eid, e in zip(ids, net.edges)]
+    rng.shuffle(edges)
+    terminals = [node[v] for v in net.terminals]
+    rng.shuffle(terminals)
+    nodes = list(names)
+    rng.shuffle(nodes)
+    return Network(
+        h=net.h,
+        source=node[net.source],
+        terminals=tuple(terminals),
+        nodes=tuple(nodes),
+        edges=tuple(edges),
+    )
+
+
+@pytest.mark.parametrize(
+    ("params", "q", "t", "found"),
+    [
+        ((2, 5, 2), 3, 1, False),
+        ((2, 5, 2), 4, 1, True),
+        ((2, 5, 2), 2, 2, True),
+        ((3, 5, 3), 2, 2, True),
+        ((3, 6, 3), 3, 1, False),
+        ((3, 6, 3), 4, 1, True),
+    ],
+)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_relabelled_combination_network_keeps_its_verdict(params, q, t, found, seed):
+    net = _relabelled(build_combination(*params), seed)
+    assert combination_parameters(net) == params
+    assert (search_solution(net, q, t) is not None) == found
 
 
 # --- the running echelon basis of the search's terminal rank test -----------

@@ -100,6 +100,37 @@ def test_combination_minimal_iff_s_equals_h(r):
                 is_minimal(build_combination(s + 1, r, s))
 
 
+def _with_edge(net, tail, head):
+    return Network(
+        h=net.h,
+        source=net.source,
+        terminals=net.terminals,
+        nodes=net.nodes,
+        edges=net.edges + (Edge("extra", tail, head),),
+    )
+
+
+@pytest.mark.parametrize(
+    "net",
+    [
+        build_butterfly(),
+        build_combination(2, 5, 2),
+        build_combination(3, 5, 3),
+        build_combination(2, 4, 3),
+        build_kneser(2, 1, 2),
+        parallelize(build_butterfly(), 2),
+        extend_messages(build_butterfly(), 3),
+        _with_edge(build_butterfly(), "s", "t1"),
+        _with_edge(build_butterfly(), "v3", "v4"),
+        _with_edge(build_combination(2, 4, 2), "s", "t0_1"),
+    ],
+)
+def test_is_minimal_matches_the_per_edge_definition(net):
+    # oracle: drop each edge in turn and rerun the whole cut criterion
+    expected = not any(is_solvable(net.without_edge(e.id)) for e in net.edges)
+    assert is_minimal(net) == expected
+
+
 def test_minimal_in_degree_bound():
     # minimal networks with solutions cannot have nodes of in-degree above h
     for net in (build_butterfly(), build_combination(2, 5, 2), build_combination(3, 4, 3)):
