@@ -13,7 +13,7 @@ import argparse
 import time
 
 from netgap.graphs import is_proper_coloring, is_proper_hypergraph_coloring
-from netgap.qkneser import build_qkneser, build_qkneser_hyper, chromatic_number, max_clique
+from netgap.qkneser import build_qkneser, build_qkneser_hyper, chromatic_number
 
 
 def main() -> None:
@@ -26,11 +26,10 @@ def main() -> None:
         g = build_qkneser(q, 2 * t, t)
         start = time.time()
         res = chromatic_number(g, args.budget)
-        clique, _ = max_clique(g)
         assert res.exact and is_proper_coloring(g, res.coloring)
         print(
             f"qK_{{{2 * t}:{t}}} over F_{q}: {g.num_vertices} vertices, "
-            f"clique >= {len(clique)}, chi = {res.chi}  ({time.time() - start:.2f}s)"
+            f"clique >= {len(res.clique)}, chi = {res.chi}  ({time.time() - start:.2f}s)"
         )
 
     print("\n== hypergraphs qK^h_{ht:t} ==")

@@ -2,8 +2,12 @@
 
 Exit codes: 0 success, 1 verified-negative result (no solution, no
 homomorphism, rejected code), 2 usage or input error, 3 budget or timeout
-exhaustion.  Every search result is written beside a replayable
-certificate which `check-cert` re-verifies from first principles.
+exhaustion.  An input deeper than a recursive search can follow (the
+homomorphism search into a non-complete target and the solution search's
+edge order recurse once per vertex or edge) raises RecursionError, which
+exits 2 with an error line, never 1, the code of a verified negative.
+Every search result is written beside a replayable certificate which
+`check-cert` re-verifies from first principles.
 """
 
 from __future__ import annotations
@@ -449,44 +453,28 @@ def _extremal_json(e: Extremal) -> dict:
     return {"lower": e.lo, "upper": e.hi, "method": e.method}
 
 
-def cmd_qs(args) -> int:
+def cmd_extremal(args) -> int:
+    """`qs` or `qv`, by the subcommand's name: the same report for either value."""
     net, desc = _load_gap_network(args)
-    res = qs_exact(net, args.budget, method=args.method)
+    if args.command == "qs":
+        res = qs_exact(net, args.budget, method=args.method)
+    else:
+        res = qv_exact(net, args.budget)
+    label = args.command.replace("q", "q_")
     cert = _certificate_from_extremal(net, res)
     if cert is not None:
         _write_json(args.cert, cert)
     if res.exact:
         _emit(
             args,
-            {"q_s": res.value, "method": res.method, "certificate": args.cert if cert else None},
-            f"q_s({desc}) = {res.value}  [{res.method}]",
+            {label: res.value, "method": res.method, "certificate": args.cert if cert else None},
+            f"{label}({desc}) = {res.value}  [{res.method}]",
         )
         return EXIT_OK
     _emit(
         args,
-        {"q_s_lower": res.lo, "q_s_upper": res.hi, "method": res.method},
-        f"q_s({desc}) in [{res.lo}, {res.hi}] (budget exhausted)",
-    )
-    return EXIT_BUDGET
-
-
-def cmd_qv(args) -> int:
-    net, desc = _load_gap_network(args)
-    res = qv_exact(net, args.budget)
-    cert = _certificate_from_extremal(net, res)
-    if cert is not None:
-        _write_json(args.cert, cert)
-    if res.exact:
-        _emit(
-            args,
-            {"q_v": res.value, "method": res.method, "certificate": args.cert if cert else None},
-            f"q_v({desc}) = {res.value}  [{res.method}]",
-        )
-        return EXIT_OK
-    _emit(
-        args,
-        {"q_v_lower": res.lo, "q_v_upper": res.hi, "method": res.method},
-        f"q_v({desc}) in [{res.lo}, {res.hi}] (budget exhausted)",
+        {f"{label}_lower": res.lo, f"{label}_upper": res.hi, "method": res.method},
+        f"{label}({desc}) in [{res.lo}, {res.hi}] (budget exhausted)",
     )
     return EXIT_BUDGET
 
@@ -687,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_psi)
 
-    for name, func in (("qs", cmd_qs), ("qv", cmd_qv)):
+    for name in ("qs", "qv"):
         p = sub.add_parser(name, help=f"exact {name.replace('q', 'q_')}")
         p.add_argument("--network")
         p.add_argument("--kneser", type=int, nargs=3, metavar=("Q", "T", "H"))
@@ -697,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p, cert_default=f"{name}-cert.json")
         _add_search_limits(p)
         _add_max_subspaces(p)
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_extremal)
 
     p = sub.add_parser("gap", help="exact gap with certificates")
     p.add_argument("--network")
@@ -753,6 +741,9 @@ def main(argv=None) -> int:
         return EXIT_BUDGET
     except (NetgapError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError as exc:
+        print(f"error: input too deep for a recursive search ({exc})", file=sys.stderr)
         return EXIT_USAGE
 
 

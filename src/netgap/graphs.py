@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import Budget
 from .subspaces import Subspace
@@ -52,6 +54,14 @@ class UGraph:
             adj[b] |= 1 << a
         return adj
 
+    @cached_property
+    def static_order(self) -> tuple[list[int], list[int]]:
+        """`degree_order` of the adjacency masks, built once per graph.
+
+        Not a field, so it stays out of equality and hashing.
+        """
+        return degree_order(self.adjacency_masks())
+
     def degree_sequence(self) -> list[int]:
         adj = self.adjacency()
         return [len(s) for s in adj]
@@ -59,6 +69,23 @@ class UGraph:
     def is_complete(self) -> bool:
         n = self.num_vertices
         return len(self.edges) == n * (n - 1) // 2
+
+
+def degree_order(adj: list[int]) -> tuple[list[int], list[int]]:
+    """The static order (-degree, v) and the neighbour masks relabelled into it.
+
+    Position i holds vertex order[i]; in the relabelled masks the vertex
+    earliest in the order is the lowest set bit.
+    """
+    n = len(adj)
+    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
+    if not n:  # itemgetter needs an index
+        return order, []
+    # permute each mask's binary string (most significant bit first) at C
+    # speed rather than setting its bits one by one
+    width = f"0{n}b"
+    pick = operator.itemgetter(*[n - 1 - v for v in reversed(order)])
+    return order, [int("".join(pick(format(adj[v], width))), 2) for v in order]
 
 
 def complete_graph(n: int) -> UGraph:

@@ -34,7 +34,7 @@ from .gf import (
     solve_left,
     stack,
 )
-from .networks import Network, combination_parameters, min_cut, parallelize
+from .networks import Network, combination_parameters, is_solvable, parallelize
 from .subspaces import (
     Subspace,
     coordinate_subspace,
@@ -225,9 +225,8 @@ def search_solution(
     """
     fld = field_of_order(q)
     nt = net.h * t
-    for term in net.terminals:
-        if min_cut(net, term) < net.h:
-            return None  # cut bound: rank at the terminal cannot reach ht
+    if not is_solvable(net):
+        return None  # cut bound: rank at some terminal cannot reach ht
 
     order = _completion_dfs_order(net)
 

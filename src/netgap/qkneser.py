@@ -1,9 +1,12 @@
 """q-Kneser graphs and hypergraphs, exact chromatic number, homomorphisms.
 
-The chromatic-number solver is a DSATUR branch and bound over iterated
-k-colorability tests, with a maximum clique pinned to distinct colors to
-break color symmetry.  The maximum clique comes from a branch and bound
-whose branches are cut by a greedy coloring of their candidates.
+Every coloring here comes from one DSATUR search (`_dsatur`) on the
+graph's cached static order.  The greedy coloring is its first dive with
+as many colors as vertices, which never backtracks; the chromatic-number
+solver runs it for iterated k-colorability tests, with a maximum clique
+pinned to distinct colors to break color symmetry; homomorphisms into a
+complete graph are k-colorings.  The maximum clique comes from a branch
+and bound whose branches are cut by a greedy coloring of their candidates.
 Hypergraph coloring reduces to coloring the co-occurrence graph, since
 properness here is a pairwise condition.
 """
@@ -11,12 +14,11 @@ properness here is a pairwise condition.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 
 from .errors import Budget, BudgetExhausted, SizeLimitExceeded
 from .gf import field_of_order
-from .graphs import Coloring, Hypergraph, UGraph
+from .graphs import Coloring, Hypergraph, UGraph, degree_order
 from .subspaces import (
     ENUMERATION_LIMIT,
     DirectSumIndex,
@@ -88,23 +90,6 @@ def qkneser_clique_number(q: int, t: int) -> int:
 # cliques
 # ---------------------------------------------------------------------------
 
-def _degree_order(adj: list[int]) -> tuple[list[int], list[int]]:
-    """The static order (-degree, v) and the neighbour masks relabelled into it.
-
-    Position i holds vertex order[i]; in the relabelled masks the vertex
-    earliest in the order is the lowest set bit.
-    """
-    n = len(adj)
-    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
-    if not n:  # itemgetter needs an index
-        return order, []
-    # permute each mask's binary string (most significant bit first) at C
-    # speed rather than setting its bits one by one
-    width = f"0{n}b"
-    pick = operator.itemgetter(*[n - 1 - v for v in reversed(order)])
-    return order, [int("".join(pick(format(adj[v], width))), 2) for v in order]
-
-
 def max_clique(g: UGraph, budget: int = DEFAULT_BUDGET) -> tuple[tuple[int, ...], bool]:
     """Exact maximum clique by branch and bound; (clique, completed).
 
@@ -124,7 +109,7 @@ def max_clique(g: UGraph, budget: int = DEFAULT_BUDGET) -> tuple[tuple[int, ...]
     completed=False; any other BudgetExhausted (the wall-clock deadline)
     propagates.
     """
-    order, adj = _degree_order(g.adjacency_masks())
+    order, adj = g.static_order
     best: list[int] = []
     current: list[int] = []
     bud = Budget(budget)
@@ -181,117 +166,108 @@ def _bits(mask: int):
 # k-colorability (DSATUR branch and bound)
 # ---------------------------------------------------------------------------
 
-def _k_colorable(adj: list[int], k: int, pinned: tuple[int, ...], bud: Budget) -> Coloring | None:
+def _dsatur(
+    static: tuple[list[int], list[int]], k: int, pinned: tuple[int, ...], bud: Budget
+) -> Coloring | None:
     """Complete search for a proper k-coloring with a clique pinned to colors 0..;
     returns None only after exhausting the (symmetry-reduced) space.
 
-    `adj` holds neighbour bitmasks.  DSATUR picks the most saturated vertex,
-    then the highest degree, then the lowest index: with vertices relabelled
-    into the static order (-degree, v) and uncolored vertices bucketed by
-    saturation, that is the lowest bit of the highest non-empty bucket.
+    `static` is a graph's `UGraph.static_order`: its vertices in the order
+    (-degree, v) and their neighbour bitmasks relabelled into it.  DSATUR
+    picks the most saturated vertex, then the highest degree, then the
+    lowest index (with uncolored vertices bucketed by saturation, the lowest
+    bit of the highest non-empty bucket), and tries its free colors from 0.
+    An explicit stack of frames replaces recursion, so the depth is not
+    bounded by the interpreter.  The coloring is listed in the order the
+    vertices were colored, pinned vertices first.
     """
-    n = len(adj)
-    # the symmetry reduction is only sound when the pinned set is a clique
-    for i, v in enumerate(pinned):
-        assert all(adj[v] >> u & 1 for u in pinned[i + 1 :]), "pinned set is not a clique"
+    order, adj = static
+    n = len(order)
     if len(pinned) > k:
         return None
-    order, radj = _degree_order(adj)
-    pos = {v: i for i, v in enumerate(order)}
-    color = [-1] * n
+    at = [order.index(v) for v in pinned]
+    # the symmetry reduction is only sound when the pinned set is a clique
+    for i, v in enumerate(at):
+        assert all(adj[v] >> u & 1 for u in at[i + 1 :]), "pinned set is not a clique"
     # seen[c]: vertices with a neighbour colored c (c is forbidden for them)
     seen = [0] * k
     # level[s]: uncolored vertices whose neighbours use exactly s colors
     level = [0] * (k + 1)
     level[0] = (1 << n) - 1
 
-    def assign(v: int, c: int, s: int) -> None:
-        """Color v, which sits at saturation level s, with c."""
-        color[v] = c
+    def assign(v: int, c: int, s: int, top: int) -> None:
+        """Color v, which sits at saturation level s, with c; colors 0..top are then in use."""
         level[s] ^= 1 << v
-        gained = radj[v] & ~seen[c]
+        gained = adj[v] & ~seen[c]
         if not gained:
             return
         seen[c] |= gained
-        # descending, so that a vertex rises by one level only
-        for i in range(k - 1, -1, -1):
+        # a vertex gaining c saw at most the other top colors; descending,
+        # so that it rises by one level only
+        for i in range(top, -1, -1):
             rising = level[i] & gained
             if rising:
                 level[i] ^= rising
                 level[i + 1] |= rising
 
-    for i, v in enumerate(pinned):
-        v = pos[v]
+    for i, v in enumerate(at):
         if seen[i] >> v & 1:
             return None
-        assign(v, i, next(s for s in range(k + 1) if level[s] >> v & 1))
+        assign(v, i, next(s for s in range(k + 1) if level[s] >> v & 1), i)
 
-    def search(remaining: int, max_used: int) -> bool:
-        if remaining == 0:
-            return True
-        s = k
+    # one frame per colored vertex: [vertex, level, color, highest color
+    # allowed, highest color in use before it, saved levels, saved seen[color]]
+    stack: list[list] = []
+    used = len(pinned) - 1  # colors in use are always 0..used
+    todo = n - len(pinned)
+    while len(stack) < todo:
+        s = used + 1 if used < k else k
         while not level[s]:
             s -= 1
         v = (level[s] & -level[s]).bit_length() - 1
-        for c in range(min(k - 1, max_used + 1) + 1):
-            if seen[c] >> v & 1:
-                continue
-            bud.spend("coloring")
-            saved_level, saved_seen = level[:], seen[c]
-            assign(v, c, s)
-            if search(remaining - 1, max(max_used, c)):
-                return True
-            color[v] = -1
-            level[:] = saved_level
-            seen[c] = saved_seen
-        return False
+        frame = [v, s, -1, used + 1 if used + 1 < k else k - 1, used, None, 0]
+        stack.append(frame)
+        while True:
+            v, s, c, cap, used, saved_level, saved_seen = frame
+            if saved_level is not None:  # undo the color tried last
+                level[: len(saved_level)] = saved_level
+                seen[c] = saved_seen
+            c += 1
+            while c <= cap and seen[c] >> v & 1:
+                c += 1
+            if c <= cap:
+                break
+            stack.pop()
+            if not stack:
+                return None
+            frame = stack[-1]
+        bud.spend("coloring")
+        top = c if c > used else used
+        frame[2], frame[5], frame[6] = c, level[: top + 2], seen[c]
+        assign(v, c, s, top)
+        used = top
+    coloring = {order[v]: c for c, v in enumerate(at)}
+    coloring.update((order[f[0]], f[2]) for f in stack)
+    return coloring
 
-    if search(n - len(pinned), len(pinned) - 1):
-        return {v: color[pos[v]] for v in range(n)}
-    return None
+
+def _k_colorable(adj: list[int], k: int, pinned: tuple[int, ...], bud: Budget) -> Coloring | None:
+    """`_dsatur` on bare neighbour bitmasks, ordering them first; a graph's
+    own searches read its cached `UGraph.static_order` instead."""
+    return _dsatur(degree_order(adj), k, pinned, bud)
 
 
 def greedy_coloring(g: UGraph) -> Coloring:
-    """DSATUR greedy; proper but not necessarily optimal.
+    """DSATUR greedy: the first dive of `_dsatur` with k = n colors.
 
-    Colors the uncolored vertex with the most distinct neighbour colors,
+    With n colors a free color always exists, so the dive never backtracks:
+    it colors the uncolored vertex with the most distinct neighbour colors,
     then the highest degree, then the lowest index, with the least color
-    its neighbours leave free: on bitmasks in the static order (-degree,
-    v), as in `_k_colorable`.  Spends one node per vertex, so only the
+    its neighbours leave free.  Spends one node per vertex, so only the
     wall-clock deadline can stop it.
     """
     n = g.num_vertices
-    order, radj = _degree_order(g.adjacency_masks())
-    bud = Budget(n)
-    color: Coloring = {}
-    # seen[c]: vertices with a neighbour colored c; level[s]: uncolored
-    # vertices whose neighbours use exactly s colors
-    seen: list[int] = []
-    level = [(1 << n) - 1]
-    s = 0
-    for _ in range(n):
-        bud.spend("coloring")
-        while not level[s]:
-            s -= 1
-        low = level[s] & -level[s]
-        level[s] ^= low
-        v = low.bit_length() - 1
-        c = 0
-        while c < len(seen) and seen[c] & low:
-            c += 1
-        if c == len(seen):
-            seen.append(0)
-            level.append(0)
-        color[order[v]] = c  # in the order picked, as the certificates list it
-        gained = radj[v] & ~seen[c]
-        seen[c] |= gained
-        for i in range(len(level) - 2, -1, -1):
-            rising = level[i] & gained
-            if rising:
-                level[i] ^= rising
-                level[i + 1] |= rising
-        s = len(level) - 1
-    return color
+    return _dsatur(g.static_order, n, (), Budget(n))
 
 
 @dataclass
@@ -336,11 +312,10 @@ def chromatic_number(target, budget: int = DEFAULT_BUDGET) -> ChiResult:
     hi = max(witness.values()) + 1
     if lo >= hi:
         return ChiResult(hi, hi, witness, clique, bud.used)
-    adj = g.adjacency_masks()
     k = lo
     while k < hi:
         try:
-            found = _k_colorable(adj, k, clique, bud)
+            found = _dsatur(g.static_order, k, clique, bud)
         except BudgetExhausted:
             return ChiResult(k, hi, witness, clique, bud.used)
         if found is not None:
@@ -373,8 +348,7 @@ def find_homomorphism(g1: UGraph, g2: UGraph, budget: int = DEFAULT_BUDGET) -> d
         clique, complete = max_clique(g1, budget=max(budget // 10, 1000))
         if not complete:
             clique = clique[:1]
-        coloring = _k_colorable(g1.adjacency_masks(), g2.num_vertices, clique, bud)
-        return dict(coloring) if coloring is not None else None
+        return _dsatur(g1.static_order, g2.num_vertices, clique, bud)
 
     # adjacent vertices get distinct adjacent images, so a clique maps
     # injectively onto a clique; compare maximum cliques when both resolve

@@ -354,6 +354,50 @@ def test_chi_wall_clock_timeout_is_enforced(tmp_path):
     assert time.monotonic() - start < 10
 
 
+def _write_cycle(path, n):
+    edges = [[v, (v + 1) % n] for v in range(n)]
+    path.write_text(json.dumps({"vertices": list(range(n)), "edges": edges}))
+
+
+def test_chi_and_complete_target_hom_on_a_long_odd_cycle(tmp_path, capsys):
+    # 1201 vertices: deeper than the interpreter's recursion limit
+    cycle = tmp_path / "cycle.json"
+    _write_cycle(cycle, 1201)
+    cert = tmp_path / "chi.json"
+    code, out, _ = run_cli(["chi", "--graph", str(cycle), "--json", "--cert", str(cert)], capsys)
+    assert code == EXIT_OK and json.loads(out)["chi"] == 3
+    code, _, _ = run_cli(["check-cert", str(cert)], capsys)
+    assert code == EXIT_OK
+    code, _, _ = run_cli(
+        ["hom", "--from", str(cycle), "--to-complete", "3", "--cert", str(tmp_path / "h.json")],
+        capsys,
+    )
+    assert code == EXIT_OK
+
+
+def test_too_deep_recursive_searches_exit_with_the_usage_code(tmp_path):
+    # the homomorphism search into a non-complete target recurses once per
+    # source vertex, the solution search's edge order once per edge; a
+    # RecursionError must not leave the CLI with 1, the verified-negative code
+    from netgap.networks import Edge, Network
+
+    cycle, c5 = tmp_path / "cycle.json", tmp_path / "c5.json"
+    _write_cycle(cycle, 1201)
+    _write_cycle(c5, 5)
+    proc = _run_module(
+        "hom", "--from", str(cycle), "--to", str(c5), "--cert", str(tmp_path / "h.json")
+    )
+    assert proc.returncode == EXIT_USAGE and "error:" in proc.stderr, proc.stderr
+    nodes = ("s", *(f"v{i}" for i in range(1, 1100)), "t")
+    edges = tuple(Edge(f"e{i}", a, b) for i, (a, b) in enumerate(zip(nodes, nodes[1:])))
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps(network_to_json(Network(1, "s", ("t",), nodes, edges))))
+    proc = _run_module(
+        "solve", "--network", str(path), "--q", "2", "--cert", str(tmp_path / "s.json")
+    )
+    assert proc.returncode == EXIT_USAGE and "error:" in proc.stderr, proc.stderr
+
+
 def test_gap_timeout_holds_after_a_bracketed_qs(tmp_path):
     # With the edge list shuffled, the wall-clock limit passes inside the
     # q_s coloring search, which reports a bracket; the q_v searches that

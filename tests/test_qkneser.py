@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from netgap.graphs import (
     UGraph,
     complete_graph,
+    degree_order,
     is_homomorphism,
     is_proper_coloring,
     is_proper_hypergraph_coloring,
@@ -555,6 +556,53 @@ def test_k_colorable_matches_scan_dsatur_on_qkneser():
     assert is_proper_coloring(g, found)
     assert _compare_colorable(g, 5, clique[:1])[0] is None
     assert _compare_colorable(g, 5, clique, budget=40)[0] == "exhausted"
+
+
+@given(st.integers(0, 16), st.integers(0, 2**120 - 1))
+@settings(max_examples=100, deadline=None)
+def test_greedy_coloring_is_the_first_dive_of_the_search(n, bits):
+    # with as many colors as vertices a free color always exists, so the
+    # search never backtracks: one node per vertex, the greedy picks in order
+    g = _random_graph(n, bits)
+    bud = Budget(DEFAULT_BUDGET)
+    found = _k_colorable(g.adjacency_masks(), n, (), bud)
+    assert list(found.items()) == list(greedy_coloring(g).items())
+    assert bud.used == n
+
+
+def test_search_lists_the_pinned_clique_first():
+    g = build_qkneser(2, 4, 2)
+    clique, _ = max_clique(g)
+    found = _k_colorable(g.adjacency_masks(), 6, clique, Budget(DEFAULT_BUDGET))
+    assert list(found.items())[: len(clique)] == [(v, c) for c, v in enumerate(clique)]
+    assert is_proper_coloring(g, found)
+
+
+def test_static_order_is_built_once_and_left_out_of_equality():
+    g = build_qkneser(2, 4, 2)
+    assert g.static_order is g.static_order
+    assert g.static_order == degree_order(g.adjacency_masks())
+    assert g == UGraph(g.num_vertices, g.edges, g.labels)
+
+
+def _cycle(n):
+    return UGraph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+
+
+def test_chromatic_number_of_a_long_odd_cycle():
+    # refuting 2 colors colors every vertex on one branch: deeper than the
+    # interpreter's recursion limit, so only a search without recursion ends
+    cycle = _cycle(1201)
+    res = chromatic_number(cycle)
+    assert res.exact and res.chi == 3
+    assert is_proper_coloring(cycle, res.coloring)
+
+
+def test_homomorphism_of_a_long_odd_cycle_into_complete_graphs():
+    cycle = _cycle(1201)
+    phi = find_homomorphism(cycle, complete_graph(3))
+    assert phi is not None and is_homomorphism(cycle, complete_graph(3), phi)
+    assert find_homomorphism(cycle, complete_graph(2)) is None
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
