@@ -186,12 +186,15 @@ def qs_exact(net: Network, budget: int = DEFAULT_BUDGET, method: str = "auto") -
     if method == "chi" and not (net.h == 2 and _routing_minimal(net)):
         raise ValueError("the chromatic route needs a minimal network with h = 2")
     if use_chi:
+        # a scalar solution over F_q is a homomorphism of the skeleton into
+        # qK_{2:1} = K_{q+1}, so q_s = psi(chi - 1) and only the colour
+        # counts q + 1 decide it; q_s is exact once the bracket's ends agree
         skel = skeleton(net)
-        res = chromatic_number(skel.graph, budget)
-        if res.exact:
-            value = psi(res.chi - 1)
-            return Extremal(value, value, "skeleton-chi", certificate=("coloring", skel, res))
-        return Extremal(psi(res.lo - 1), psi(res.hi - 1), "skeleton-chi-bracket")
+        res = chromatic_number(skel.graph, budget, needed=lambda k: is_prime_power(k - 1))
+        lo, hi = psi(res.lo - 1), psi(res.hi - 1)
+        if lo == hi:
+            return Extremal(hi, hi, "skeleton-chi", certificate=("coloring", skel, res))
+        return Extremal(lo, hi, "skeleton-chi-bracket")
     bound = _scalar_upper_bound(net)
     q = 2
     while q <= bound:
@@ -219,11 +222,11 @@ def qv_exact(net: Network, budget: int = DEFAULT_BUDGET) -> Extremal:
     ic_route = comb is not None and comb[1] >= comb[0] and comb[2] == comb[0]
     hom_route = net.h == 2 and _routing_minimal(net)
     skel = skeleton(net) if hom_route else None
-    skel_clique_size = None
+    # any clique found, proven maximum or not, maps injectively
+    skel_clique_size = 0
     if hom_route:
-        clique, complete = max_clique(skel.graph, budget=max(budget // 10, 1000))
-        if complete:
-            skel_clique_size = len(clique)
+        clique, _ = max_clique(skel.graph, budget=max(budget // 10, 1000))
+        skel_clique_size = len(clique)
     v_max = _scalar_upper_bound(net)
     v = 2
     while v <= v_max:
@@ -235,11 +238,8 @@ def qv_exact(net: Network, budget: int = DEFAULT_BUDGET) -> Extremal:
                     if witness is not None:
                         return Extremal(v, v, "ic", certificate=("ic", witness))
                 elif hom_route:
-                    if (
-                        skel_clique_size is not None
-                        and skel_clique_size > qkneser_clique_number(q, t)
-                    ):
-                        continue  # cliques map injectively; the target is too small
+                    if skel_clique_size > qkneser_clique_number(q, t):
+                        continue  # the target's cliques are too small
                     try:
                         target = build_qkneser(q, 2 * t, t)
                     except SizeLimitExceeded:

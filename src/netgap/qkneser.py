@@ -3,10 +3,11 @@
 Every coloring here comes from one DSATUR search (`_dsatur`) on the
 graph's cached static order.  The greedy coloring is its first dive with
 as many colors as vertices, which never backtracks; the chromatic-number
-solver runs it for iterated k-colorability tests, with a maximum clique
-pinned to distinct colors to break color symmetry; homomorphisms into a
-complete graph are k-colorings.  The maximum clique comes from a branch
-and bound whose branches are cut by a greedy coloring of their candidates.
+solver runs it for iterated k-colorability tests (every k, or only the
+counts its caller needs decided), with a maximum clique pinned to
+distinct colors to break color symmetry; homomorphisms into a complete
+graph are k-colorings.  The maximum clique comes from a branch and bound
+whose branches are cut by a greedy coloring of their candidates.
 Hypergraph coloring reduces to coloring the co-occurrence graph, since
 properness here is a pairwise condition.
 """
@@ -14,11 +15,12 @@ properness here is a pairwise condition.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import Budget, BudgetExhausted, SizeLimitExceeded
 from .gf import field_of_order
-from .graphs import Coloring, Hypergraph, UGraph, degree_order
+from .graphs import Coloring, Hypergraph, UGraph
 from .subspaces import (
     ENUMERATION_LIMIT,
     DirectSumIndex,
@@ -251,12 +253,6 @@ def _dsatur(
     return coloring
 
 
-def _k_colorable(adj: list[int], k: int, pinned: tuple[int, ...], bud: Budget) -> Coloring | None:
-    """`_dsatur` on bare neighbour bitmasks, ordering them first; a graph's
-    own searches read its cached `UGraph.static_order` instead."""
-    return _dsatur(degree_order(adj), k, pinned, bud)
-
-
 def greedy_coloring(g: UGraph) -> Coloring:
     """DSATUR greedy: the first dive of `_dsatur` with k = n colors.
 
@@ -289,16 +285,23 @@ class ChiResult:
         return self.hi
 
 
-def chromatic_number(target, budget: int = DEFAULT_BUDGET) -> ChiResult:
+def chromatic_number(
+    target, budget: int = DEFAULT_BUDGET, needed: Callable[[int], bool] | None = None
+) -> ChiResult:
     """Exact chromatic number of a UGraph or Hypergraph.
 
     When the coloring search runs out of budget or time, returns the
     best-known bracket (lo < hi) instead of raising; the witness coloring
     always uses hi colors.  A deadline passed during the clique search or
     the greedy coloring raises BudgetExhausted.
+
+    `needed(k)`, when given, names the color counts k the caller needs
+    decided, and only those are tested: lo rises only past a refuted k and
+    hi is the color count of the returned coloring, so no needed k lies in
+    [lo, hi) but the bracket may stay open.  By default every k is needed.
     """
     if isinstance(target, Hypergraph):
-        return chromatic_number(target.co_occurrence(), budget)
+        return chromatic_number(target.co_occurrence(), budget, needed)
     g: UGraph = target
     n = g.num_vertices
     if n == 0:
@@ -312,16 +315,17 @@ def chromatic_number(target, budget: int = DEFAULT_BUDGET) -> ChiResult:
     hi = max(witness.values()) + 1
     if lo >= hi:
         return ChiResult(hi, hi, witness, clique, bud.used)
-    k = lo
-    while k < hi:
+    for k in range(lo, hi):
+        if needed is not None and not needed(k):
+            continue
         try:
             found = _dsatur(g.static_order, k, clique, bud)
         except BudgetExhausted:
-            return ChiResult(k, hi, witness, clique, bud.used)
+            return ChiResult(lo, hi, witness, clique, bud.used)
         if found is not None:
-            return ChiResult(k, k, found, clique, bud.used)
-        k += 1
-    return ChiResult(hi, hi, witness, clique, bud.used)
+            return ChiResult(lo, max(found.values()) + 1, found, clique, bud.used)
+        lo = k + 1
+    return ChiResult(lo, hi, witness, clique, bud.used)
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +355,12 @@ def find_homomorphism(g1: UGraph, g2: UGraph, budget: int = DEFAULT_BUDGET) -> d
         return _dsatur(g1.static_order, g2.num_vertices, clique, bud)
 
     # adjacent vertices get distinct adjacent images, so a clique maps
-    # injectively onto a clique; compare maximum cliques when both resolve
-    clique, complete1 = max_clique(g1, budget=max(budget // 10, 1000))
-    if complete1:
-        clique2, complete2 = max_clique(g2, budget=max(budget // 10, 1000))
-        if complete2 and len(clique) > len(clique2):
-            return None
+    # injectively onto a clique: any clique of g1 larger than g2's proven
+    # maximum rules a homomorphism out
+    clique, _ = max_clique(g1, budget=max(budget // 10, 1000))
+    clique2, complete2 = max_clique(g2, budget=max(budget // 10, 1000))
+    if complete2 and len(clique) > len(clique2):
+        return None
 
     n1, n2 = g1.num_vertices, g2.num_vertices
     adj1 = g1.adjacency()

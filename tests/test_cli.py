@@ -154,6 +154,20 @@ def test_qs_qv_commands(tmp_path, capsys):
     assert code == EXIT_OK
 
 
+def test_qs_exact_under_a_budget_writes_a_replayable_certificate(tmp_path, capsys):
+    # 50,000 nodes settle q_s(K_{3,2;2}) = 11: refuting 10 colors of the
+    # skeleton gives chi >= 11 and the greedy 12-coloring is the certificate
+    cert = tmp_path / "qs.json"
+    code, out, _ = run_cli(
+        ["qs", "--kneser", "3", "2", "2", "--budget", "50000", "--json", "--cert", str(cert)],
+        capsys,
+    )
+    assert code == EXIT_OK
+    assert json.loads(out) == {"q_s": 11, "method": "skeleton-chi", "certificate": str(cert)}
+    code, out, _ = run_cli(["check-cert", str(cert)], capsys)
+    assert code == EXIT_OK and "proper coloring with 12 colors" in out
+
+
 def test_mds_command(tmp_path, capsys):
     out_path = tmp_path / "rs.json"
     code, out, _ = run_cli(
@@ -399,9 +413,9 @@ def test_too_deep_recursive_searches_exit_with_the_usage_code(tmp_path):
 
 
 def test_gap_timeout_holds_after_a_bracketed_qs(tmp_path):
-    # With the edge list shuffled, the wall-clock limit passes inside the
-    # q_s coloring search, which reports a bracket; the q_v searches that
-    # follow must still stop at the limit.
+    # With the edge list shuffled, q_s is settled quickly but the q_v
+    # search cannot settle the relabelled skeleton; it must still stop at
+    # the limit.
     obj = network_to_json(build_kneser(3, 2, 2))
     random.Random(2).shuffle(obj["edges"])
     net_path = tmp_path / "k322-shuffled.json"
@@ -413,6 +427,32 @@ def test_gap_timeout_holds_after_a_bracketed_qs(tmp_path):
     )
     assert proc.returncode == EXIT_BUDGET, proc.stderr
     assert time.monotonic() - start < 3
+
+
+def test_gap_timeout_holds_after_a_qs_bracketed_by_the_limit(tmp_path):
+    # The skeleton is the Mycielski graph M6 (chi = 6, triangle-free):
+    # refuting 5 colors, which q_s = 4 or 5 hinges on, outlasts the limit,
+    # so q_s is a bracket; the q_v searches that follow must still stop.
+    from netgap.graphs import UGraph
+    from netgap.skeleton import reverse_skeleton
+
+    g = UGraph.from_edges(2, [(0, 1)])
+    for _ in range(4):
+        n = g.num_vertices
+        edges = list(g.edges) + [(a, n + b) for a, b in g.edges] + [(b, n + a) for a, b in g.edges]
+        g = UGraph.from_edges(2 * n + 1, edges + [(n + v, 2 * n) for v in range(n)])
+    net_path = tmp_path / "m6.json"
+    net_path.write_text(json.dumps(network_to_json(reverse_skeleton(g))))
+    start = time.monotonic()
+    proc = _run_module(
+        "gap", "--network", str(net_path), "--timeout-secs", "1", "--json",
+        "--cert-prefix", str(tmp_path / "gap"), timeout=20,
+    )
+    assert proc.returncode == EXIT_BUDGET, proc.stderr
+    assert time.monotonic() - start < 3
+    report = json.loads(proc.stdout)
+    assert report["q_s"] == {"lower": 4, "upper": 5, "method": "skeleton-chi-bracket"}
+    assert report["q_v"]["method"] == "bracket"
 
 
 @pytest.mark.parametrize(

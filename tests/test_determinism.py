@@ -4,7 +4,8 @@ randomness and every ordering is pinned to the canonical subspace order."""
 import pytest
 
 from netgap.errors import BudgetExhausted
-from netgap.gaplab import gap_exact, gap_table_rows
+from netgap.gaplab import gap_exact, gap_table_rows, qs_exact
+from netgap.graphs import is_proper_coloring
 from netgap.lincode import code_to_json, search_solution
 from netgap.mdsic import ic_max_size, ic_to_json
 from netgap.networks import build_butterfly, build_combination, build_kneser, network_to_json
@@ -13,6 +14,7 @@ from netgap.qkneser import (
     canonical_coloring,
     chromatic_number,
     find_homomorphism,
+    greedy_coloring,
     max_clique,
 )
 from netgap.skeleton import skeleton
@@ -77,6 +79,26 @@ def test_chromatic_node_count_is_reproducible_and_pinned():
     # must keep it.
     assert first.chi == 12
     assert first.nodes_used == 81108
+
+
+def test_qs_threshold_node_count_is_pinned_at_the_budget_boundary():
+    # q_s(K_{3,2;2}) tests only the color counts q + 1 of its skeleton
+    # 3K_{4:2}: refuting 10 colors (1,207 nodes, as in the full chi search)
+    # proves q_s >= 11, and 11 colors are never tried, so the certificate
+    # is the greedy 12-coloring.  One node less leaves 10 colors open, so
+    # q_s is bracketed by psi(9) and psi(11).
+    net = build_kneser(3, 2, 2)
+    for budget in (1207, 10**8):
+        qs = qs_exact(net, budget=budget)
+        assert (qs.lo, qs.hi, qs.method) == (11, 11, "skeleton-chi")
+        kind, skel, res = qs.certificate
+        assert kind == "coloring" and res.nodes_used == 1207
+        assert (res.lo, res.hi) == (11, 12) and is_proper_coloring(skel.graph, res.coloring)
+        assert list(res.coloring.items()) == list(greedy_coloring(skel.graph).items())
+    short = qs_exact(net, budget=1206)
+    assert (short.lo, short.hi, short.method, short.certificate) == (
+        9, 11, "skeleton-chi-bracket", None
+    )
 
 
 @pytest.mark.parametrize(

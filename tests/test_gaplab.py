@@ -78,19 +78,51 @@ def test_butterfly_chi_and_search_agree():
 
 def test_chi_and_search_agree_on_reverse_skeletons():
     from netgap.graphs import UGraph, complete_graph
+    from netgap.qkneser import chromatic_number
     from netgap.skeleton import reverse_skeleton
 
     instances = [
         complete_graph(3),
         UGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),  # C5
         UGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)]),  # P4
+        # the greedy coloring overshoots chi on these; (chi, greedy, clique)
+        UGraph.from_edges(  # (3, 4, 3)
+            8, [(0, 1), (1, 2), (1, 7), (2, 4), (2, 6), (3, 5), (3, 6), (3, 7), (5, 6), (5, 7)]
+        ),
+        UGraph.from_edges(  # (4, 5, 3)
+            8,
+            [(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (1, 6), (2, 3), (2, 4), (2, 5),
+             (2, 7), (3, 5), (3, 6), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7)],
+        ),
+        UGraph.from_edges(  # (5, 6, 5)
+            10,
+            [(0, 2), (0, 4), (0, 5), (0, 7), (0, 9), (1, 3), (1, 4), (1, 5), (1, 6), (1, 8),
+             (1, 9), (2, 4), (2, 5), (2, 7), (2, 8), (3, 6), (4, 5), (4, 6), (4, 7), (4, 8),
+             (4, 9), (5, 6), (5, 7), (5, 8), (5, 9), (6, 7), (6, 9), (8, 9)],
+        ),
+        UGraph.from_edges(  # (6, 7, 5)
+            11,
+            [(0, 1), (0, 4), (0, 5), (0, 6), (0, 7), (0, 10), (1, 2), (1, 3), (1, 6), (1, 7),
+             (1, 8), (1, 10), (2, 3), (2, 4), (2, 6), (2, 7), (2, 9), (3, 4), (3, 5), (3, 6),
+             (3, 7), (3, 8), (3, 9), (3, 10), (4, 5), (4, 7), (4, 9), (4, 10), (5, 7), (5, 8),
+             (5, 9), (5, 10), (6, 7), (6, 8), (6, 9), (7, 8), (7, 9), (7, 10), (8, 10)],
+        ),
     ]
     for g in instances:
         net = reverse_skeleton(g)
         via_chi = qs_exact(net, method="chi")
         via_search = qs_exact(net, method="search")
         assert via_chi.exact and via_search.exact
-        assert via_chi.value == via_search.value
+        # the chi route tests only the counts q + 1; the exact chi is the oracle
+        assert via_chi.value == via_search.value == psi(chromatic_number(g).chi - 1)
+    # K_{3,2;2}: 10 colors of the skeleton 3K_{4:2} are refuted and 11 is
+    # skipped (10 is no prime power), so chi stays in [11, 12], and
+    # psi(10) = psi(11) = 11 is certified by the greedy 12-coloring
+    net = build_kneser(3, 2, 2)
+    via_chi = qs_exact(net, method="chi")
+    _, skel, res = via_chi.certificate
+    assert (res.lo, res.hi) == (11, 12)
+    assert via_chi.value == psi(chromatic_number(skel.graph).chi - 1) == 11
 
 
 def test_chi_method_requires_two_messages():
@@ -136,13 +168,23 @@ def test_kneser_2_2_2_gap_one():
 
 
 def test_kneser_3_2_2_gap_two():
-    # the q=3, t=2 instance end to end: chi(3K_{4:2}) = 12 resolved by
-    # complete search, vector side certified by the identity homomorphism
+    # the q=3, t=2 instance end to end: refuting 10 colors of the skeleton
+    # 3K_{4:2} proves q_s >= 11 and the greedy 12-coloring q_s <= psi(11) =
+    # 11 (11 colors would decide nothing); vector side certified by the
+    # identity homomorphism
     net = build_kneser(3, 2, 2)
     report = gap_exact(net, description="K_{3,2;2}")
     assert report.exact
     assert report.qv.value == 9 and report.qs.value == 11 and report.gap == 2
     assert report.gap == gap_formulas("kneser-h2", q=3, t=2).value
+
+
+def test_qv_skips_targets_below_a_clique_not_proven_maximum():
+    # the skeleton's 5,000-node clique search finds a 10-clique of 3K_{4:2}
+    # without proving it maximum (8,442 nodes); cliques map injectively, so
+    # every qK_{2t:t} with q^t + 1 < 10 is skipped before any search
+    qv = qv_exact(build_kneser(3, 2, 2), budget=50000)
+    assert qv.exact and qv.value == 9 and qv.method == "homomorphism"
 
 
 def test_n_3_7_3_values():

@@ -20,7 +20,7 @@ from netgap.graphs import (
 from netgap.errors import Budget, BudgetExhausted
 from netgap.qkneser import (
     DEFAULT_BUDGET,
-    _k_colorable,
+    _dsatur,
     build_qkneser,
     build_qkneser_hyper,
     canonical_coloring,
@@ -186,6 +186,15 @@ def test_hom_generic_backtracking_target_not_complete():
     assert triangle_to_star is None
 
 
+def test_hom_refuted_by_a_source_clique_not_proven_maximum():
+    # the 1,000-node clique search finds a 10-clique of 3K_{4:2} without
+    # proving it maximum (that takes 8,442 nodes); 2K_{4:2}'s cliques are
+    # proven to have 5 vertices, and cliques map injectively
+    g1, g2 = build_qkneser(3, 4, 2), build_qkneser(2, 4, 2)
+    assert max_clique(g1, budget=1000) == ((0, 12, 24, 29, 41, 53, 55, 67, 79, 129), False)
+    assert find_homomorphism(g1, g2, budget=10000) is None
+
+
 def test_canonical_coloring_values_and_properness():
     cases = [((2, 5, 2), 15), ((3, 3, 1), 13), ((2, 4, 2), None)]
     for (q, n, m), expected in cases:
@@ -244,6 +253,22 @@ def test_chromatic_number_matches_brute_force(seed):
     res = chromatic_number(g)
     assert res.exact and is_proper_coloring(g, res.coloring)
     assert res.chi == _brute_chi(g)
+
+
+@given(st.integers(1, 8), st.integers(0, 2**28 - 1), st.integers(0, 2**9 - 1))
+@settings(max_examples=150, deadline=None)
+def test_chromatic_number_tests_only_the_needed_counts(n, bits, needed_bits):
+    # lo rises only past a refuted count and hi is the coloring's own count,
+    # so the bracket holds chi and no needed count lies inside [lo, hi)
+    g = _random_graph(n, bits)
+    res = chromatic_number(g, needed=lambda k: needed_bits >> k & 1)
+    chi = _brute_chi(g)
+    assert res.lo <= chi <= res.hi
+    assert is_proper_coloring(g, res.coloring)
+    assert len(set(res.coloring.values())) == res.hi
+    assert not any(needed_bits >> k & 1 for k in range(res.lo, res.hi))
+    # needing every count is the default: the same search, node for node
+    assert chromatic_number(g, needed=lambda k: True) == chromatic_number(g)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -523,7 +548,7 @@ def _compare_colorable(g, k, pinned, budget=DEFAULT_BUDGET):
     new_bud, old_bud = Budget(budget), Budget(budget)
     outcomes = []
     for fn, adj, bud in (
-        (_k_colorable, g.adjacency_masks(), new_bud),
+        (_dsatur, degree_order(g.adjacency_masks()), new_bud),
         (_k_colorable_oracle, [sorted(s) for s in g.adjacency()], old_bud),
     ):
         try:
@@ -565,7 +590,7 @@ def test_greedy_coloring_is_the_first_dive_of_the_search(n, bits):
     # search never backtracks: one node per vertex, the greedy picks in order
     g = _random_graph(n, bits)
     bud = Budget(DEFAULT_BUDGET)
-    found = _k_colorable(g.adjacency_masks(), n, (), bud)
+    found = _dsatur(degree_order(g.adjacency_masks()), n, (), bud)
     assert list(found.items()) == list(greedy_coloring(g).items())
     assert bud.used == n
 
@@ -573,7 +598,7 @@ def test_greedy_coloring_is_the_first_dive_of_the_search(n, bits):
 def test_search_lists_the_pinned_clique_first():
     g = build_qkneser(2, 4, 2)
     clique, _ = max_clique(g)
-    found = _k_colorable(g.adjacency_masks(), 6, clique, Budget(DEFAULT_BUDGET))
+    found = _dsatur(degree_order(g.adjacency_masks()), 6, clique, Budget(DEFAULT_BUDGET))
     assert list(found.items())[: len(clique)] == [(v, c) for c, v in enumerate(clique)]
     assert is_proper_coloring(g, found)
 
