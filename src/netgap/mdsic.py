@@ -11,6 +11,19 @@ of every chosen member, and its cached `blocked` masks over the chosen
 (alpha-1)-subsets decide the alpha-wise test with bit tests, so the search
 makes no rank call per candidate.  Replaying a witness (`ic_is_valid`,
 behind `ic check`) keeps the rank-based `sum_dim` check.
+
+Frame lemma.  GL(ht, q) maps ICs to ICs of the same size, and it maps any
+IC with at least alpha + [alpha = h] members to one that starts with the
+standard frame (`standard_frame`): the coordinate blocks B_1, ..., B_alpha
+of F_q^{ht} and, when alpha = h, the diagonal D = {(x, ..., x)}.  Proof
+sketch: the first alpha members are in direct sum, so a basis change maps
+them onto B_1, ..., B_alpha.  When alpha = h, every h of the first h + 1
+members are in direct sum; so the (h+1)-th member meets no sum of h - 1
+blocks, and it is the graph {(x, A_2 x, ..., A_h x)} of invertible t x t
+matrices A_i.  The block-diagonal map diag(I, A_2^{-1}, ..., A_h^{-1})
+fixes every block and sends that graph to D.  Every maximum IC is at least
+that large (the frame itself is an IC), so the search pins the frame and
+looks only for the rest.
 """
 
 from __future__ import annotations
@@ -19,14 +32,14 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import Budget, BudgetExhausted, InternalError, SizeLimitExceeded
-from .gf import FieldSpec, Matrix, field_of_order
+from .gf import FieldSpec, Matrix, field_of_order, prime_power
 from .lincode import NetworkCode, solution_from_classical_code, verify_solution
 from .networks import Network, build_combination, combination_parameters
 from .subspaces import (
     ENUMERATION_LIMIT,
     DirectSumIndex,
+    Subspace,
     canonicalize,
-    coordinate_subspace,
     enumerate_subspaces,
     subspace_from_rows,
     sum_dim,
@@ -189,6 +202,10 @@ def ic_size_bound(q: int, t: int, h: int, alpha: int) -> int:
     """Proven ceiling on the size of a (t;h,alpha)_q independent configuration."""
     if alpha < 2 or alpha > h:
         raise ValueError(f"require 2 <= alpha <= h, got alpha={alpha}, h={h}")
+    if t < 1:
+        raise ValueError(f"require t >= 1, got t={t}")
+    if prime_power(q) is None:
+        raise ValueError(f"q={q} is not a prime power")
     return (q ** ((h - alpha + 2) * t) - 1) // (q**t - 1) + alpha - 2
 
 
@@ -199,6 +216,27 @@ class ICSearchResult:
     bound: int
     exact: bool
     nodes_used: int
+
+
+def standard_frame(fld: FieldSpec, t: int, h: int, alpha: int) -> list[Subspace]:
+    """The members every IC search starts from (the frame lemma above).
+
+    The first alpha coordinate blocks of F_q^{ht}, then, when alpha = h,
+    the diagonal {(x, ..., x)}, spanned by the rows that repeat a unit
+    vector of F_q^t in every block (e_1 + ... + e_h for t = 1).  Each basis
+    is already reduced (its pivots are the first block's columns or unit
+    columns), so no rank computation is needed.
+    """
+    n = h * t
+
+    def member(columns_of_row) -> Subspace:
+        rows = [[int(j in cols) for j in range(n)] for cols in columns_of_row]
+        return Subspace(fld, n, t, Matrix.from_rows(fld, rows))
+
+    members = [member([{b * t + i} for i in range(t)]) for b in range(alpha)]
+    if alpha == h:
+        members.append(member([{b * t + i for b in range(h)} for i in range(t)]))
+    return members
 
 
 def _alpha_ok(index: DirectSumIndex, chosen: list[int], new: int, alpha: int) -> bool:
@@ -224,6 +262,15 @@ def _ic_search(
     target: int | None,
     limit: int,
 ) -> ICSearchResult:
+    """Largest IC that contains the standard frame, or the first with
+    `target` members.
+
+    By the frame lemma (module docstring) that is the largest IC of all:
+    any IC with at least as many members as the frame maps under GL(ht, q)
+    to one that starts with the frame.  The search adds candidates after the frame
+    in universe order, each independent of every chosen member (pair masks)
+    and passing the alpha-wise test (`_alpha_ok`).
+    """
     q = fld.q
     n = h * t
     bound = ic_size_bound(q, t, h, alpha)
@@ -236,13 +283,16 @@ def _ic_search(
     index = DirectSumIndex(universe)
     pair_ok = index.pair_masks()
 
-    # symmetry: pin the canonical first subspace and a canonical complement
-    first = 0
-    complement = coordinate_subspace(fld, n, t, t)
+    # symmetry: GL(ht, q) maps every maximum configuration onto one that
+    # contains the standard frame (module docstring), so the search starts
+    # from it; the checks below guard the frame itself
     index_of = {s.sort_key: i for i, s in enumerate(universe)}
-    second = index_of[complement.sort_key]
-
-    chosen = [first, second]
+    chosen = [index_of[s.sort_key] for s in standard_frame(fld, t, h, alpha)]
+    initial = (1 << n_univ) - 1
+    for k, i in enumerate(chosen):
+        if not (initial >> i & 1 and _alpha_ok(index, chosen[:k], i, alpha)):
+            raise AssertionError("the standard frame is not an independent configuration")
+        initial &= pair_ok[i]
     best = list(chosen)
     bud = Budget(budget)
 
@@ -272,9 +322,6 @@ def _ic_search(
             chosen.pop()
         return False
 
-    if not pair_ok[first] >> second & 1:
-        raise AssertionError("canonical pair is not independent")
-    initial = pair_ok[first] & pair_ok[second] & ~(1 << first) & ~(1 << second)
     try:
         # stopping at the target size proves nothing about the maximum
         exact = not (extend(0, initial) and target is not None)
@@ -321,19 +368,19 @@ def ic_exists_of_size(
 ) -> IndependentConfiguration | None:
     """A (t;h,alpha)_q-IC with `size` members, or None (complete search).
 
-    Any single t-subspace is an IC, so size 1 returns the canonical first
-    one (the span of the first t unit vectors) without listing the
-    universe.  Otherwise raises SizeLimitExceeded on enormous universes and
-    BudgetExhausted when the search stops early.
+    The standard frame is itself an IC, so a size up to its length returns
+    its first `size` members without listing the universe (size 1: the
+    span of the first t unit vectors).  Otherwise raises SizeLimitExceeded
+    on enormous universes and BudgetExhausted when the search stops early.
     """
     if size <= 0:
         raise ValueError("size must be positive")
     fld = field_of_order(q)
     if size > ic_size_bound(q, t, h, alpha):
         return None
-    if size == 1:
-        members = (coordinate_subspace(fld, h * t, t),)
-        return IndependentConfiguration(fld, t, h, members)
+    frame = standard_frame(fld, t, h, alpha)
+    if size <= len(frame):
+        return IndependentConfiguration(fld, t, h, tuple(frame[:size]))
     result = _ic_search(fld, t, h, alpha, budget, size, limit)
     if result.size >= size:
         return IndependentConfiguration(

@@ -165,12 +165,24 @@ class DirectSumIndex:
         bud = Budget(sum(s.field.q**s.dim for s in spaces))
         points = []
         for s in spaces:
-            pts = []
-            for vec in s.basis.row_combinations():
-                bud.spend()
-                if any(vec):
-                    pts.append(vec)
-            points.append(pts)
+            # the span as sums, row by row: old vectors plus each nonzero
+            # multiple of the next row, so every vector is listed once;
+            # -c*y over c != 0 gives every nonzero multiple
+            add, neg_mul, _ = element_tables(s.field)
+            nonzero = neg_mul[1:]
+            span = [(0,) * s.ambient]
+            bud.spend()
+            for row in s.basis.row_list():
+                multiples = [[mul[y] for y in row] for mul in nonzero]
+                new = [
+                    tuple([add[x][y] for x, y in zip(u, m)])
+                    for u in span
+                    for m in multiples
+                ]
+                for _ in new:
+                    bud.spend()
+                span += new
+            points.append(span[1:])
         holders: dict[tuple, int] = {}
         for i, pts in enumerate(points):
             bit = 1 << i

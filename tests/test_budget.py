@@ -95,13 +95,14 @@ def test_search_solution_stops_at_an_expired_deadline():
 
 
 def test_ic_searches_stop_at_an_expired_deadline():
-    # the exhaustive (1;3,3)_5 search takes 4200 nodes
+    # the exhaustive (1;4,3)_3 search takes 58,130 nodes (maximum 10, bound
+    # 14), so both searches pass the first checkpoint
     with deadline(EXPIRED):
-        result = ic_max_size(5, 1, 3, 3)
+        result = ic_max_size(3, 1, 4, 3)
     assert not result.exact and result.nodes_used == FIRST_CHECKPOINT
     assert result.size < result.bound
     with deadline(EXPIRED), pytest.raises(BudgetExhausted):
-        ic_exists_of_size(5, 1, 3, 3, 7)
+        ic_exists_of_size(3, 1, 4, 3, 11)
 
 
 def _mycielski(g):

@@ -194,6 +194,41 @@ def test_ic_commands(tmp_path, capsys):
     assert code == EXIT_OK and "valid" in out
 
 
+@pytest.mark.parametrize("action", ["search", "bound"])
+def test_ic_rejects_t_zero_with_the_usage_code(capsys, action):
+    code, _, err = run_cli(
+        ["ic", action, "--q", "5", "--t", "0", "--h", "4", "--alpha", "4"], capsys
+    )
+    assert code == EXIT_USAGE and "t >= 1" in err
+
+
+def test_ic_search_settles_the_arcs_of_pg_3_5(tmp_path, capsys):
+    cert = tmp_path / "ic.json"
+    code, out, _ = run_cli(
+        ["ic", "search", "--q", "5", "--t", "1", "--h", "4", "--alpha", "4",
+         "--timeout-secs", "20", "--json", "--cert", str(cert)],
+        capsys,
+    )
+    assert code == EXIT_OK
+    assert json.loads(out) == {"size": 6, "bound": 8, "exact": True, "certificate": str(cert)}
+    assert run_cli(["check-cert", str(cert)], capsys)[0] == EXIT_OK
+
+
+def test_qv_of_n_4_8_4_by_the_ic_route(tmp_path, capsys):
+    # ic_size_bound refutes every q^t < 5, the frame-pinned search refutes
+    # (5,1) and finds an 8-arc of PG(3,7)
+    cert = tmp_path / "qv.json"
+    code, out, _ = run_cli(
+        ["qv", "--comb", "4", "8", "4", "--timeout-secs", "20", "--json", "--cert", str(cert)],
+        capsys,
+    )
+    assert code == EXIT_OK
+    obj = json.loads(out)
+    assert (obj["q_v"], obj["method"]) == (7, "ic")
+    code, out, _ = run_cli(["check-cert", str(cert)], capsys)
+    assert code == EXIT_OK and "OK" in out
+
+
 def test_formula_command(capsys):
     code, out, _ = run_cli(["formula", "kneser-h2", "q=2", "t=2"], capsys)
     assert code == EXIT_OK and "= 1" in out
@@ -469,13 +504,13 @@ def test_main_clears_the_deadline(tmp_path, capsys, first, exit_code):
         first + ["--timeout-secs", "1e-9", "--cert", str(tmp_path / "first.json")], capsys
     )
     assert code == exit_code and errors._deadline is None
-    # 4200 search nodes: a deadline left behind would stop it at node 1024
+    # 58,130 search nodes: a deadline left behind would stop it at node 1024
     code, out, _ = run_cli(
-        ["ic", "search", "--q", "5", "--t", "1", "--h", "3", "--alpha", "3",
+        ["ic", "search", "--q", "3", "--t", "1", "--h", "4", "--alpha", "3",
          "--cert", str(tmp_path / "ic.json")],
         capsys,
     )
-    assert code == EXIT_OK and "max size = 6" in out
+    assert code == EXIT_OK and "max size = 10" in out
 
 
 SEARCH_COMMANDS = {"chi", "hom", "solve", "ic", "qs", "qv", "gap", "gap-table"}

@@ -24,9 +24,18 @@ from netgap.mdsic import (
     rs_code,
     solution_to_ic,
     solvability_by_code,
+    standard_frame,
 )
 from netgap.networks import build_combination
-from netgap.subspaces import enumerate_subspaces, spread, subspace_from_rows, sum_dim
+from netgap.subspaces import (
+    DirectSumIndex,
+    canonicalize,
+    coordinate_subspace,
+    enumerate_subspaces,
+    spread,
+    subspace_from_rows,
+    sum_dim,
+)
 
 
 def test_rs_code_examples():
@@ -105,6 +114,12 @@ def test_ic_size_bound_values():
     assert ic_size_bound(2, 2, 2, 2) == 5
     with pytest.raises(ValueError):
         ic_size_bound(2, 1, 3, 1)
+    # no configuration space: t = 0 divided by q^0 - 1, q = 6 has no field
+    with pytest.raises(ValueError, match="t >= 1"):
+        ic_size_bound(5, 0, 4, 4)
+    for q in (0, 1, 6):
+        with pytest.raises(ValueError, match="not a prime power"):
+            ic_size_bound(q, 1, 3, 3)
 
 
 @pytest.mark.parametrize(
@@ -156,6 +171,146 @@ def test_size_one_ic_lists_no_universe(monkeypatch):
     (member,) = config.members
     assert member.dim == 4 and member.ambient == 12 and member.pivots == (0, 1, 2, 3)
     assert ic_is_valid(config, 3)
+
+
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_sizes_up_to_the_frame_list_no_universe(monkeypatch, size):
+    # the standard frame of (4;3,3)_2 has four members, and each prefix is
+    # an IC; size 1 is the test above
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("a prefix of the frame needs no universe")
+
+    monkeypatch.setattr(mdsic, "enumerate_subspaces", no_enumeration)
+    config = ic_exists_of_size(2, 4, 3, 3, size)
+    frame = standard_frame(field_of_order(2), 4, 3, 3)
+    assert config.members == tuple(frame[:size]) and ic_is_valid(config, 3)
+    # alpha < h pins only the coordinate blocks
+    if size == 2:
+        config = ic_exists_of_size(2, 4, 3, 2, size)
+        assert config.members == tuple(frame[:size]) and ic_is_valid(config, 2)
+
+
+@pytest.mark.parametrize(
+    "q,t,h", [(2, 1, 2), (3, 1, 3), (4, 1, 4), (2, 2, 2), (3, 2, 3), (2, 3, 2), (5, 1, 3)]
+)
+def test_standard_frame_is_a_reduced_ic(q, t, h):
+    fld = field_of_order(q)
+    for alpha in range(2, h + 1):
+        frame = standard_frame(fld, t, h, alpha)
+        assert len(frame) == alpha + (alpha == h)
+        assert all(canonicalize(fld, s.basis) == s for s in frame)
+        assert ic_is_valid(IndependentConfiguration(fld, t, h, tuple(frame)), alpha)
+        # the blocks are the coordinate subspaces, in block order
+        for b in range(alpha):
+            assert frame[b] == coordinate_subspace(fld, h * t, t, b * t)
+    if h * t == 2:
+        # (1;2,2): the frame is the three points 0:1, 1:0 and 1:1
+        rows = [s.basis.row(0) for s in standard_frame(fld, t, h, h)]
+        assert rows == [(1, 0), (0, 1), (1, 1)]
+
+
+def _two_pin_search(q, t, h, alpha):
+    """The IC search before the frame pin, kept as an oracle: it pins the
+    canonical first subspace and one coordinate complement and searches the
+    rest in the same order with the same masks.  Returns (size, exact,
+    witness)."""
+    fld = field_of_order(q)
+    n = h * t
+    bound = ic_size_bound(q, t, h, alpha)
+    universe = enumerate_subspaces(fld, n, t)
+    index = DirectSumIndex(universe)
+    pair_ok = index.pair_masks()
+    position = {s.sort_key: i for i, s in enumerate(universe)}
+    chosen = [0, position[coordinate_subspace(fld, n, t, t).sort_key]]
+    best = list(chosen)
+
+    def extend(start, cand_mask):
+        nonlocal best
+        if len(chosen) > len(best):
+            best = list(chosen)
+            if len(best) == bound:
+                return True
+        if len(chosen) + bin(cand_mask >> start).count("1") <= len(best):
+            return False
+        for j in range(start, len(universe)):
+            if not cand_mask >> j & 1:
+                continue
+            if len(chosen) + bin(cand_mask >> j).count("1") <= len(best):
+                return False
+            if not mdsic._alpha_ok(index, chosen, j, alpha):
+                continue
+            chosen.append(j)
+            if extend(j + 1, cand_mask & pair_ok[j]):
+                return True
+            chosen.pop()
+        return False
+
+    extend(0, pair_ok[chosen[0]] & pair_ok[chosen[1]])
+    witness = IndependentConfiguration(fld, t, h, tuple(universe[i] for i in best))
+    return len(best), True, witness
+
+
+@pytest.mark.parametrize(
+    "q,t,h,alpha",
+    [
+        (2, 2, 3, 3),
+        (5, 1, 3, 3),
+        (3, 2, 2, 2),
+        (3, 1, 3, 3),
+        (4, 1, 3, 3),
+        (3, 1, 4, 4),
+        (4, 1, 4, 4),
+        (2, 2, 2, 2),
+        (4, 2, 2, 2),
+        (2, 1, 3, 2),
+        (3, 1, 4, 3),
+    ],
+)
+def test_frame_pinned_search_agrees_with_the_two_pin_search(q, t, h, alpha):
+    # the frame pin changes the tree and the witness, never the maximum
+    size, exact, witness = _two_pin_search(q, t, h, alpha)
+    res = ic_max_size(q, t, h, alpha)
+    assert (res.size, res.exact) == (size, exact)
+    assert ic_is_valid(witness, alpha) and ic_is_valid(res.witness, alpha)
+    frame = standard_frame(field_of_order(q), t, h, alpha)
+    assert res.witness.members[: len(frame)] == tuple(frame)
+
+
+def _brute_force_max(q, t, h, alpha):
+    """Largest IC by trying every subset of the universe, largest first."""
+    fld = field_of_order(q)
+    universe = enumerate_subspaces(fld, h * t, t)
+    for size in range(len(universe), 0, -1):
+        for members in itertools.combinations(universe, size):
+            if ic_is_valid(IndependentConfiguration(fld, t, h, members), alpha):
+                return size
+    raise AssertionError("a single subspace is always an IC")
+
+
+@pytest.mark.parametrize(
+    "q,t,h,alpha",
+    [(2, 1, 2, 2), (3, 1, 2, 2), (4, 1, 2, 2), (2, 1, 3, 2), (2, 1, 3, 3), (3, 1, 3, 3)],
+)
+def test_frame_pinned_search_agrees_with_brute_force(q, t, h, alpha):
+    expected = _brute_force_max(q, t, h, alpha)
+    res = ic_max_size(q, t, h, alpha)
+    assert res.exact and res.size == expected == _two_pin_search(q, t, h, alpha)[0]
+    assert ic_is_valid(res.witness, alpha)
+    witness = ic_exists_of_size(q, t, h, alpha, expected)
+    assert len(witness.members) == expected and ic_is_valid(witness, alpha)
+    assert ic_exists_of_size(q, t, h, alpha, expected + 1) is None
+
+
+def test_frame_pin_settles_the_7_arc_in_pg_3_5():
+    # a (1;4,4)_5 configuration is an arc of PG(3,5): at most q + 1 = 6
+    # points (Casse 1979), and the normal rational curve attains 6 (Segre
+    # 1955); over F_7 the curve gives 8 points
+    res = ic_max_size(5, 1, 4, 4)
+    assert (res.size, res.bound, res.exact) == (6, 8, True)
+    assert ic_is_valid(res.witness, 4)
+    assert ic_exists_of_size(5, 1, 4, 4, 7) is None
+    found = ic_exists_of_size(7, 1, 4, 4, 8)
+    assert len(found.members) == 8 and ic_is_valid(found, 4)
 
 
 def _alpha_ok_oracle(index, chosen, new, alpha):

@@ -280,3 +280,35 @@ def test_index_pair_masks_and_edge_cases():
     assert index.blocked((1, 2)) == 0b111
     assert index.blocked((0, 1)) == 0b110
     assert index.in_direct_sum((0, 1)) and not index.in_direct_sum((1, 2))
+
+
+def _row_combination_index(spaces):
+    """A DirectSumIndex whose vectors are listed by Matrix.row_combinations,
+    one FieldSpec.add/mul per coordinate: the listing the element tables
+    replaced, kept as the oracle."""
+    index = DirectSumIndex.__new__(DirectSumIndex)
+    index.spaces = list(spaces)
+    index.full = (1 << len(spaces)) - 1
+    index.points = [[v for v in s.basis.row_combinations() if any(v)] for s in spaces]
+    index.holders = {}
+    for i, pts in enumerate(index.points):
+        for v in pts:
+            index.holders[v] = index.holders.get(v, 0) | 1 << i
+    index._blocked = {}
+    return index
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1)], ids=["F2", "F3", "F4", "F5"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_index_listing_matches_row_combinations(p, m, n):
+    f = make_field(p, m)
+    spaces = [s for d in (0, 1, n) for s in enumerate_subspaces(f, n, d)]
+    fast, slow = DirectSumIndex(spaces), _row_combination_index(spaces)
+    for s, pts, expected in zip(spaces, fast.points, slow.points):
+        assert len(pts) == len(set(pts)) == f.q**s.dim - 1
+        assert set(pts) == set(expected)
+    assert fast.pair_masks() == slow.pair_masks()
+    for subset in itertools.chain(
+        [()], itertools.combinations(range(len(spaces)), 1), itertools.combinations(range(len(spaces)), 2)
+    ):
+        assert fast.blocked(subset) == slow.blocked(subset)
