@@ -78,9 +78,9 @@ def _read_json(path: str) -> dict:
 
 
 def _write_json(path: str, obj: dict) -> None:
+    # compact and one line: json.dumps without indent runs the C encoder
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
 def _emit(args, obj: dict, human: str) -> None:

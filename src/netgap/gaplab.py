@@ -32,7 +32,7 @@ from .qkneser import (
     build_qkneser,
     chromatic_number,
     find_homomorphism,
-    max_clique,
+    greedy_clique,
     qkneser_clique_number,
 )
 from .skeleton import skeleton
@@ -222,11 +222,8 @@ def qv_exact(net: Network, budget: int = DEFAULT_BUDGET) -> Extremal:
     ic_route = comb is not None and comb[1] >= comb[0] and comb[2] == comb[0]
     hom_route = net.h == 2 and _routing_minimal(net)
     skel = skeleton(net) if hom_route else None
-    # any clique found, proven maximum or not, maps injectively
-    skel_clique_size = 0
-    if hom_route:
-        clique, _ = max_clique(skel.graph, budget=max(budget // 10, 1000))
-        skel_clique_size = len(clique)
+    # any clique, proven maximum or not, maps injectively
+    skel_clique_size = len(greedy_clique(skel.graph)) if hom_route else 0
     v_max = _scalar_upper_bound(net)
     v = 2
     while v <= v_max:

@@ -76,14 +76,15 @@ class Network:
 def topological_order(net: Network) -> list[str]:
     """Kahn's algorithm; raises on cycles. Deterministic by node order."""
     bud = Budget(len(net.nodes))  # one node per node placed: only the deadline stops it
-    indeg = {v: net.in_degree(v) for v in net.nodes}
+    outs, ins = net._incidence
+    indeg = {v: len(ins.get(v, ())) for v in net.nodes}
     order = []
     ready = deque(v for v in net.nodes if indeg[v] == 0)
     while ready:
         v = ready.popleft()
         bud.spend()
         order.append(v)
-        for e in net.out_edges(v):
+        for e in outs.get(v, ()):
             indeg[e.head] -= 1
             if indeg[e.head] == 0:
                 ready.append(e.head)
@@ -97,12 +98,13 @@ def essential_nodes(net: Network) -> set[str]:
     # one node per visit, at most one per source, terminal and edge head in
     # each direction, so only the deadline stops it
     bud = Budget(1 + len(net.terminals) + 2 * len(net.edges))
+    outs, ins = net._incidence
     fwd = {net.source}
     frontier = deque([net.source])
     while frontier:
         v = frontier.popleft()
         bud.spend()
-        for e in net.out_edges(v):
+        for e in outs.get(v, ()):
             if e.head not in fwd:
                 fwd.add(e.head)
                 frontier.append(e.head)
@@ -111,7 +113,7 @@ def essential_nodes(net: Network) -> set[str]:
     while frontier:
         v = frontier.popleft()
         bud.spend()
-        for e in net.in_edges(v):
+        for e in ins.get(v, ()):
             if e.tail not in back:
                 back.add(e.tail)
                 frontier.append(e.tail)
@@ -476,7 +478,9 @@ class _FlowSolver:
         self.n = len(net.nodes)
         self.to: list[int] = []
         self.adj: list[list[int]] = [[] for _ in net.nodes]
+        bud = Budget(len(net.edges))  # one node per edge: only the deadline stops it
         for e in net.edges:
+            bud.spend()
             u, v = self.node_index[e.tail], self.node_index[e.head]
             self.adj[u].append(len(self.to))
             self.to.append(v)

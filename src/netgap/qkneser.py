@@ -4,10 +4,12 @@ Every coloring here comes from one DSATUR search (`_dsatur`) on the
 graph's cached static order.  The greedy coloring is its first dive with
 as many colors as vertices, which never backtracks; the chromatic-number
 solver runs it for iterated k-colorability tests (every k, or only the
-counts its caller needs decided), with a maximum clique pinned to
-distinct colors to break color symmetry; homomorphisms into a complete
-graph are k-colorings.  The maximum clique comes from a branch and bound
-whose branches are cut by a greedy coloring of their candidates.
+counts its caller needs decided), with a clique pinned to distinct
+colors to break color symmetry; homomorphisms into a complete graph are
+k-colorings.  The maximum clique comes from a branch and bound whose
+branches are cut by a greedy coloring of their candidates.  Where any
+clique serves (a lower bound, a pin), the first dive of that branch and
+bound, `greedy_clique`, gives one without the proof of maximality.
 Hypergraph coloring reduces to coloring the co-occurrence graph, since
 properness here is a pairwise condition.
 """
@@ -45,7 +47,11 @@ def build_qkneser(q: int, n: int, m: int, *, limit: int = ENUMERATION_LIMIT) -> 
     fld = field_of_order(q)
     verts = enumerate_subspaces(fld, n, m, limit=limit)
     masks = direct_sum_masks(verts)
-    edges = [(i, j) for i, mask in enumerate(masks) for j in _bits(mask >> (i + 1) << (i + 1))]
+    bud = Budget(len(masks))  # one node per vertex row: only the deadline stops it
+    edges = []
+    for i, mask in enumerate(masks):
+        bud.spend()
+        edges.extend((i, j) for j in _bits(mask >> (i + 1) << (i + 1)))
     return UGraph.from_edges(len(verts), edges, labels=tuple(verts))
 
 
@@ -155,6 +161,26 @@ def max_clique(g: UGraph, budget: int = DEFAULT_BUDGET) -> tuple[tuple[int, ...]
             raise
         completed = False
     return tuple(sorted(order[v] for v in best)), completed
+
+
+def greedy_clique(g: UGraph) -> tuple[int, ...]:
+    """A clique: the first dive of `max_clique`'s branching order.
+
+    Takes the lowest candidate in the static order (-degree, v) until none
+    is left, which is the first leaf `max_clique` reaches, so it stands to
+    `max_clique` as `greedy_coloring` stands to `_dsatur`.  Spends one node
+    per clique vertex, so only the wall-clock deadline can stop it.
+    """
+    order, adj = g.static_order
+    bud = Budget(len(adj))
+    clique = []
+    candidates = (1 << len(adj)) - 1
+    while candidates:
+        bud.spend("clique")
+        v = (candidates & -candidates).bit_length() - 1
+        clique.append(order[v])
+        candidates &= adj[v]
+    return tuple(sorted(clique))
 
 
 def _bits(mask: int):
@@ -271,7 +297,7 @@ class ChiResult:
     lo: int
     hi: int
     coloring: Coloring  # proper coloring with hi colors
-    clique: tuple[int, ...]
+    clique: tuple[int, ...]  # a clique, pinned to colors 0..; lo >= its size
     nodes_used: int
 
     @property
@@ -290,10 +316,12 @@ def chromatic_number(
 ) -> ChiResult:
     """Exact chromatic number of a UGraph or Hypergraph.
 
-    When the coloring search runs out of budget or time, returns the
-    best-known bracket (lo < hi) instead of raising; the witness coloring
-    always uses hi colors.  A deadline passed during the clique search or
-    the greedy coloring raises BudgetExhausted.
+    lo starts at the size of a clique (`greedy_clique`, not a proven
+    maximum: any clique bounds chi and may be pinned), hi at the greedy
+    coloring's color count.  When the coloring search runs out of budget
+    or time, returns the best-known bracket (lo < hi) instead of raising;
+    the witness coloring always uses hi colors.  A deadline passed during
+    the clique dive or the greedy coloring raises BudgetExhausted.
 
     `needed(k)`, when given, names the color counts k the caller needs
     decided, and only those are tested: lo rises only past a refuted k and
@@ -309,8 +337,8 @@ def chromatic_number(
     if not g.edges:
         return ChiResult(1, 1, {v: 0 for v in range(n)}, (0,), 0)
     bud = Budget(budget)
-    clique, clique_complete = max_clique(g, budget=max(budget // 10, 1000))
-    lo = len(clique) if clique_complete else max(len(clique), 2)
+    clique = greedy_clique(g)
+    lo = len(clique)
     witness = greedy_coloring(g)
     hi = max(witness.values()) + 1
     if lo >= hi:
@@ -347,17 +375,14 @@ def find_homomorphism(g1: UGraph, g2: UGraph, budget: int = DEFAULT_BUDGET) -> d
         return {v: 0 for v in range(g1.num_vertices)}
     if g1.num_vertices == g2.num_vertices and set(g1.edges) == set(g2.edges):
         return {v: v for v in range(g1.num_vertices)}
-    if g2.is_complete():
-        bud = Budget(budget)
-        clique, complete = max_clique(g1, budget=max(budget // 10, 1000))
-        if not complete:
-            clique = clique[:1]
-        return _dsatur(g1.static_order, g2.num_vertices, clique, bud)
-
     # adjacent vertices get distinct adjacent images, so a clique maps
-    # injectively onto a clique: any clique of g1 larger than g2's proven
-    # maximum rules a homomorphism out
-    clique, _ = max_clique(g1, budget=max(budget // 10, 1000))
+    # injectively onto a clique: any clique of g1 may be pinned to distinct
+    # colors, and any one larger than g2's proven maximum rules a
+    # homomorphism out
+    clique = greedy_clique(g1)
+    if g2.is_complete():
+        return _dsatur(g1.static_order, g2.num_vertices, clique, Budget(budget))
+
     clique2, complete2 = max_clique(g2, budget=max(budget // 10, 1000))
     if complete2 and len(clique) > len(clique2):
         return None

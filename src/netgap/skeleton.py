@@ -31,7 +31,8 @@ def skeleton(net: Network) -> SkeletonGraph:
     # one node per edge classed and per node joined, so only the deadline
     # stops the construction
     bud = Budget(len(net.edges) + len(net.nodes))
-    roots = [e for e in net.edges if net.in_degree(e.tail) != 1]
+    outs, ins = net._incidence
+    roots = [e for e in net.edges if len(ins.get(e.tail, ())) != 1]
     class_members: list[list[str]] = []
     edge_class: dict[str, int] = {}
     for idx, root in enumerate(roots):
@@ -42,15 +43,15 @@ def skeleton(net: Network) -> SkeletonGraph:
             bud.spend()
             members.append(e.id)
             edge_class[e.id] = idx
-            if net.in_degree(e.head) == 1:
-                frontier.extend(net.out_edges(e.head))
+            if len(ins[e.head]) == 1:
+                frontier.extend(outs.get(e.head, ()))
         class_members.append(members)
 
     class_ids = [min(members) for members in class_members]
     edge_pairs = set()
     for v in net.nodes:
         bud.spend()
-        incoming = [edge_class[e.id] for e in net.in_edges(v)]
+        incoming = [edge_class[e.id] for e in ins.get(v, ())]
         for i in range(len(incoming)):
             for j in range(i + 1, len(incoming)):
                 a, b = incoming[i], incoming[j]

@@ -5,10 +5,10 @@ import types
 
 import pytest
 
-from netgap import errors
+from netgap import errors, qkneser
 from netgap.errors import Budget, BudgetExhausted, deadline
 from netgap.gf import field_of_order
-from netgap.graphs import UGraph, complete_graph, ugraph_from_json
+from netgap.graphs import UGraph, complete_graph, is_proper_coloring, ugraph_from_json
 from netgap.lincode import search_solution
 from netgap.mdsic import ic_exists_of_size, ic_max_size
 from netgap.networks import (
@@ -20,6 +20,7 @@ from netgap.networks import (
     is_minimal,
     is_solvable,
     is_subcombination,
+    min_cut,
     network_from_json,
     network_to_json,
     topological_order,
@@ -135,14 +136,58 @@ def test_find_homomorphism_stops_at_an_expired_deadline(target):
 
 
 def test_chromatic_number_past_the_deadline_raises_or_brackets():
-    # 3K_{4:2}: the deadline ends the clique search, which cannot bound chi
+    # a 2000-vertex path: the deadline ends the greedy coloring, so there is
+    # no upper bound and it raises
+    path = UGraph.from_edges(2000, [(v, v + 1) for v in range(1999)])
     with deadline(EXPIRED), pytest.raises(BudgetExhausted, match="wall-clock"):
-        chromatic_number(build_qkneser(3, 4, 2))
+        chromatic_number(path)
+    # 3K_{4:2}: the clique dive (10 nodes) and the greedy coloring (130)
+    # pass no checkpoint, so the deadline ends the coloring search on 10
+    # colors (1,207 nodes) and leaves the bracket they give
+    g = build_qkneser(3, 4, 2)
+    with deadline(EXPIRED):
+        res = chromatic_number(g)
+    assert (res.lo, res.hi, res.nodes_used) == (10, 12, FIRST_CHECKPOINT)
+    assert len(res.clique) == 10 and is_proper_coloring(g, res.coloring)
     # M6: the deadline ends the coloring search after 2 and 3 colors are refuted
     with deadline(EXPIRED):
         res = chromatic_number(_mycielski_6())
     assert not res.exact and (res.lo, res.hi) == (4, 6)
     assert res.nodes_used == FIRST_CHECKPOINT
+
+
+def test_qkneser_edge_listing_stops_at_an_expired_deadline(monkeypatch):
+    # qK_{6:3} over F_2: 1395 vertex rows pass the first checkpoint.  Its
+    # subspaces and their masks are made before the deadline, and the graph
+    # must not be reached, so only the edge listing can stop it
+    fld = field_of_order(2)
+    verts = enumerate_subspaces(fld, 6, 3)
+    masks = direct_sum_masks(verts)
+    monkeypatch.setattr(qkneser, "enumerate_subspaces", lambda *args, **kw: verts)
+    monkeypatch.setattr(qkneser, "direct_sum_masks", lambda spaces: masks)
+
+    def unreached(*args, **kw):
+        raise AssertionError("the edge listing read no deadline")
+
+    monkeypatch.setattr(qkneser, "UGraph", types.SimpleNamespace(from_edges=unreached))
+    with deadline(EXPIRED), pytest.raises(BudgetExhausted, match="wall-clock") as exc:
+        build_qkneser(2, 6, 3)
+    assert exc.value.nodes_used == FIRST_CHECKPOINT
+
+
+def test_flow_solver_set_up_stops_at_an_expired_deadline():
+    # a single path of 1100 edges: the arc set-up passes the first
+    # checkpoint before any flow is pushed
+    nodes = ("s", *(f"v{i}" for i in range(1, 1100)), "t")
+    edges = tuple(Edge(f"e{i}", a, b) for i, (a, b) in enumerate(zip(nodes, nodes[1:])))
+    net = Network(h=1, source="s", terminals=("t",), nodes=nodes, edges=edges)
+    with deadline(EXPIRED), pytest.raises(BudgetExhausted, match="wall-clock") as exc:
+        min_cut(net, "t")
+    assert exc.value.nodes_used == FIRST_CHECKPOINT
+    assert min_cut(net, "t") == 1
+    # N_{2,12,3}: 672 edges, no checkpoint is reached
+    with deadline(EXPIRED):
+        assert min_cut(build_combination(2, 12, 3), "t0_1_2") == 3
 
 
 def test_enumeration_stops_at_an_expired_deadline():
@@ -259,11 +304,12 @@ def test_cut_check_stops_at_an_expired_deadline():
 
 
 def test_minimality_check_reads_the_deadline_on_each_reduced_network(monkeypatch):
-    # a single path of 1100 edges: building the edge index of each reduced
-    # network passes a deadline checkpoint.  The clock below ticks once per
-    # read, and the deadline falls between the first and the second read
-    # after the up-front cut check, so only the reduced networks' checks
-    # can reach it.
+    # a single path of 1100 edges: the checks of the reduced networks pass
+    # a deadline checkpoint.  The clock below ticks once per read, and the
+    # deadline falls between the second and the third read after the
+    # up-front cut check (the first two are the flow solver's arc set-up
+    # and the topological order), so only the reduced networks' checks can
+    # reach it.
     nodes = ("s", *(f"v{i}" for i in range(1, 1100)), "t")
     edges = tuple(Edge(f"e{i}", a, b) for i, (a, b) in enumerate(zip(nodes, nodes[1:])))
     net = Network(h=1, source="s", terminals=("t",), nodes=nodes, edges=edges)
@@ -274,5 +320,5 @@ def test_minimality_check_reads_the_deadline_on_each_reduced_network(monkeypatch
         start = next(ticks)
         is_solvable(net)
         upfront = next(ticks) - start - 1
-    with deadline(upfront + 1.5), pytest.raises(BudgetExhausted, match="wall-clock"):
+    with deadline(upfront + 2.5), pytest.raises(BudgetExhausted, match="wall-clock"):
         is_minimal(net)

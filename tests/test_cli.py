@@ -12,7 +12,15 @@ import pytest
 
 import netgap
 from netgap import errors
-from netgap.cli import EXIT_BUDGET, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, build_parser, main
+from netgap.cli import (
+    EXIT_BUDGET,
+    EXIT_NEGATIVE,
+    EXIT_OK,
+    EXIT_USAGE,
+    _write_json,
+    build_parser,
+    main,
+)
 from netgap.networks import build_kneser, network_to_json
 
 
@@ -92,6 +100,78 @@ def test_chi_qkneser_with_certificate(tmp_path, capsys):
     assert code == EXIT_OK and "= 6" in out
     code, out, _ = run_cli(["check-cert", str(cert)], capsys)
     assert code == EXIT_OK and "OK" in out
+
+
+def test_chi_brackets_4k42_within_a_short_timeout(tmp_path, capsys):
+    # 4K_{4:2}: the clique dive gives 17 (the partial-spread ceiling) and
+    # the greedy coloring 20 (chi is 20); the deadline ends the coloring
+    # search with an honest bracket and a certificate for its upper end
+    cert = tmp_path / "chi.json"
+    code, out, _ = run_cli(
+        ["chi", "--qkneser", "4", "4", "2", "--timeout-secs", "2", "--json", "--cert", str(cert)],
+        capsys,
+    )
+    assert code == EXIT_BUDGET
+    res = json.loads(out)
+    assert res["exact"] is False and 17 <= res["chi_lower"] <= 20 <= res["chi_upper"]
+    code, out, _ = run_cli(["check-cert", str(cert)], capsys)
+    assert code == EXIT_OK and f"proper coloring with {res['chi_upper']} colors" in out
+
+
+def test_written_certificates_are_compact_sorted_and_reproducible(tmp_path, capsys):
+    obj = {"kind": "x", "b": [1, [2, 3]], "a": {"z": None, "y": "\u00e9"}}
+    path = tmp_path / "obj.json"
+    _write_json(str(path), obj)
+    text = path.read_text()
+    assert json.loads(text) == obj
+    assert text == json.dumps(obj, sort_keys=True) + "\n" and text.count("\n") == 1
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    for cert in (first, second):
+        code, _, _ = run_cli(["chi", "--qkneser", "2", "4", "2", "--cert", str(cert)], capsys)
+        assert code == EXIT_OK
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_check_cert_replays_an_indented_certificate(tmp_path, capsys):
+    # certificates once were written with indent=2; the parsed content is
+    # what check-cert reads, so those files still replay
+    cert = tmp_path / "qs.json"
+    code, _, _ = run_cli(["qs", "--kneser", "2", "2", "2", "--cert", str(cert)], capsys)
+    assert code == EXIT_OK
+    indented = tmp_path / "qs-indented.json"
+    indented.write_text(json.dumps(json.loads(cert.read_text()), indent=2, sort_keys=True) + "\n")
+    assert indented.read_text() != cert.read_text()
+    code, out, _ = run_cli(["check-cert", str(indented)], capsys)
+    assert code == EXIT_OK and "OK" in out
+
+
+def test_kneser_q_s_and_q_v_run_no_clique_search(tmp_path, capsys, monkeypatch):
+    # any clique bounds chi and maps injectively, so the routes take the
+    # clique dive; a maximum clique search here would spend thousands of
+    # nodes on a proof that no answer reads
+    calls = []
+
+    def counted(original):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for module in (netgap, netgap.qkneser, netgap.gaplab, netgap.cli):
+        if hasattr(module, "max_clique"):
+            monkeypatch.setattr(module, "max_clique", counted(module.max_clique))
+    net_path = tmp_path / "k322.json"
+    net_path.write_text(json.dumps(network_to_json(build_kneser(3, 2, 2))))
+    code, out, _ = run_cli(
+        ["qs", "--network", str(net_path), "--json", "--cert", str(tmp_path / "qs.json")], capsys
+    )
+    assert code == EXIT_OK and json.loads(out)["q_s"] == 11
+    code, out, _ = run_cli(
+        ["qv", "--kneser", "3", "2", "2", "--json", "--cert", str(tmp_path / "qv.json")], capsys
+    )
+    assert code == EXIT_OK and json.loads(out)["q_v"] == 9
+    assert calls == []
 
 
 def test_chi_hypergraph(tmp_path, capsys):
@@ -392,8 +472,8 @@ def test_self_checks_survive_python_dash_o():
 
 
 def test_chi_wall_clock_timeout_is_enforced(tmp_path):
-    # building qK_{6:3} and searching its cliques takes far longer than the
-    # limit; the deadline must end the run with the budget exit code
+    # building qK_{6:3} and searching its colorings takes far longer than
+    # the limit; the deadline must end the run with the budget exit code
     start = time.monotonic()
     proc = _run_module(
         "chi", "--qkneser", "2", "6", "3", "--timeout-secs", "0.5",

@@ -26,10 +26,13 @@ from netgap.qkneser import (
     canonical_coloring,
     chromatic_number,
     find_homomorphism,
+    greedy_clique,
     greedy_coloring,
     max_clique,
     spread_clique,
 )
+from netgap.networks import build_kneser
+from netgap.skeleton import skeleton
 from netgap.subspaces import sum_dim
 
 
@@ -650,3 +653,67 @@ def test_max_clique_propagates_an_outside_budget_exhausted():
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert time.monotonic() - start < 1.0
+
+
+@given(st.integers(0, 16), st.integers(0, 2**120 - 1))
+@settings(max_examples=150, deadline=None)
+def test_greedy_clique_is_the_first_dive_of_the_clique_search(n, bits):
+    # a maximal clique: every pair adjacent, no vertex outside adjacent to
+    # all of it; and the first leaf of max_clique, which the root and one
+    # node per member reach before any other node is spent
+    g = _random_graph(n, bits)
+    clique = greedy_clique(g)
+    edges = set(g.edges)
+    assert list(clique) == sorted(set(clique))
+    assert all(pair in edges for pair in itertools.combinations(clique, 2))
+    adj = g.adjacency()
+    assert not any(
+        v not in clique and all(u in adj[v] for u in clique) for v in range(n)
+    )
+    assert max_clique(g, budget=len(clique) + 1)[0] == clique
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        lambda: build_qkneser(2, 4, 2),
+        lambda: build_qkneser(3, 4, 2),
+        lambda: skeleton(build_kneser(2, 2, 2)).graph,
+        lambda: skeleton(build_kneser(3, 2, 2)).graph,
+    ],
+    ids=["2K42", "3K42", "skeleton-K222", "skeleton-K322"],
+)
+def test_greedy_clique_is_the_maximum_clique_on_the_kneser_ladder(graph):
+    # the colour-bounded search finds its maximum on the first dive here and
+    # spends the rest of its nodes proving it; the dive alone gives it
+    g = graph()
+    clique, complete = max_clique(g)
+    assert complete and greedy_clique(g) == clique
+
+
+@pytest.mark.parametrize(("q", "n", "m", "bound"), [(4, 4, 2, 17), (2, 6, 2, 21)])
+def test_greedy_clique_meets_the_partial_spread_bound(q, n, m, bound):
+    # pairwise trivially intersecting m-subspaces have disjoint nonzero
+    # vectors, so a clique of qK_{n:m} has at most (q^n - 1) / (q^m - 1)
+    # members; the dive reaches that ceiling, so the clique is maximum
+    assert (q**n - 1) // (q**m - 1) == bound
+    g = build_qkneser(q, n, m)
+    clique = greedy_clique(g)
+    assert len(clique) == bound
+    assert all(sum_dim([g.labels[a], g.labels[b]]) == 2 * m for a, b in itertools.combinations(clique, 2))
+
+
+@given(st.integers(1, 8), st.integers(0, 2**28 - 1), st.integers(0, 2**9 - 1))
+@settings(max_examples=150, deadline=None)
+def test_chromatic_number_from_a_greedy_clique_matches_brute_force(n, bits, needed_bits):
+    # lo starts at the greedy clique, which may be smaller than the maximum;
+    # with every count needed chi is exact, with some the bracket holds it
+    g = _random_graph(n, bits)
+    chi = _brute_chi(g)
+    res = chromatic_number(g)
+    assert res.exact and res.chi == chi and is_proper_coloring(g, res.coloring)
+    edges = set(g.edges)
+    assert all(pair in edges for pair in itertools.combinations(res.clique, 2))
+    assert len(res.clique) <= chi
+    some = chromatic_number(g, needed=lambda k: needed_bits >> k & 1)
+    assert some.lo <= chi <= some.hi and is_proper_coloring(g, some.coloring)
