@@ -42,9 +42,9 @@ _deadline: float | None = None
 def deadline(seconds: float | None):
     """Stop the searches run inside the block once `seconds` have passed.
 
-    The limit is checked cooperatively by `Budget.spend`: it ends the
-    running search at its next checkpoint and, once past, every later
-    search too.  None or 0 sets no limit.
+    The limit is checked cooperatively by `check_deadline`: it ends the
+    running search or walk at its next checkpoint and, once past, every
+    later one too.  None or 0 sets no limit.
     """
     global _deadline
     _deadline = time.monotonic() + seconds if seconds else None
@@ -52,6 +52,17 @@ def deadline(seconds: float | None):
         yield
     finally:
         _deadline = None
+
+
+def check_deadline(done: int) -> None:
+    """Raise BudgetExhausted, with `done` nodes used, once the deadline has passed.
+
+    `Budget.spend` calls it before every 1024th node; walks that no node
+    limit could stop call it at the same checkpoints, before the element
+    at 0-based index i with i & 1023 == 1023, passing i.
+    """
+    if _deadline is not None and time.monotonic() >= _deadline:
+        raise BudgetExhausted("wall-clock timeout", nodes_used=done)
 
 
 class Budget:
@@ -76,6 +87,6 @@ class Budget:
         used = self.used + 1
         if used > self.limit:
             raise BudgetExhausted(f"{what} budget exhausted", nodes_used=self.used)
-        if not used & 1023 and _deadline is not None and time.monotonic() >= _deadline:
-            raise BudgetExhausted("wall-clock timeout", nodes_used=self.used)
+        if not used & 1023:
+            check_deadline(self.used)
         self.used = used

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import operator
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import Budget
+from .errors import check_deadline
 from .subspaces import Subspace
 
 
@@ -26,12 +25,11 @@ class UGraph:
 
     @classmethod
     def from_edges(cls, num_vertices, edge_iter, labels=None, names=None) -> "UGraph":
-        # one node per listed edge and no node limit (the iterable may be a
-        # generator of unknown length): only the deadline stops it
-        bud = Budget(sys.maxsize)
+        # the deadline is read before every 1024th listed edge
         seen = set()
-        for a, b in edge_iter:
-            bud.spend()
+        for i, (a, b) in enumerate(edge_iter):
+            if i & 1023 == 1023:
+                check_deadline(i)
             if a == b:
                 raise ValueError(f"self-loop at vertex {a}")
             if not (0 <= a < num_vertices and 0 <= b < num_vertices):

@@ -13,9 +13,9 @@ from collections import deque
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
-from .errors import Budget, SizeLimitExceeded, UnsolvableNetwork
+from .errors import Budget, SizeLimitExceeded, UnsolvableNetwork, check_deadline
 from .gf import FieldSpec, make_field
-from .subspaces import DirectSumIndex, Subspace, direct_sum_masks, enumerate_subspaces
+from .subspaces import DirectSumIndex, Subspace, enumerate_subspaces
 
 MAX_TERMINAL_SCAN = 10**6
 
@@ -44,14 +44,54 @@ class Network:
         names outside `nodes` read as empty; not a field, so it stays out of
         equality, hashing and the JSON form.
         """
-        bud = Budget(len(self.edges))  # one node per edge: only the deadline stops it
         outs: dict[str, list[Edge]] = {}
         ins: dict[str, list[Edge]] = {}
-        for e in self.edges:
-            bud.spend()
+        for i, e in enumerate(self.edges):
+            if i & 1023 == 1023:
+                check_deadline(i)
             outs.setdefault(e.tail, []).append(e)
             ins.setdefault(e.head, []).append(e)
         return outs, ins
+
+    @cached_property
+    def _shape(self) -> tuple[bool, tuple[int, int, int] | None]:
+        """(`is_subcombination`, `combination_parameters`) from one walk over
+        the source edges, the middles and the terminals' in-lists, cached
+        like `_incidence` and like it outside equality, hashing and JSON.
+        """
+        outs, ins = self._incidence
+        src_out = outs.get(self.source, ())
+        middles = {e.head for e in src_out}
+        terms = set(self.terminals)
+        if (
+            len(middles) != len(src_out)
+            or middles & terms
+            or set(self.nodes) != {self.source} | middles | terms
+            or any(len(ins[m]) != 1 for m in middles)
+        ):
+            return False, None
+        # a sub-combination network's middles feed only terminals, each drawing h edges
+        sub = self.source not in terms and terms.issuperset(
+            [e.head for m in middles for e in outs.get(m, ())]
+        )
+        degrees, feeder_sets = set(), set()
+        for i, term in enumerate(self.terminals):
+            if i & 1023 == 1023:
+                check_deadline(i)
+            in_list = ins.get(term, ())
+            feeders = frozenset([e.tail for e in in_list])
+            if len(feeders) != len(in_list) or not feeders <= middles or term in outs:
+                return False, None
+            degrees.add(len(in_list))
+            feeder_sets.add(feeders)
+        sub = sub and degrees <= {self.h}
+        # a full combination network has one terminal per s-subset of its r middles
+        if self.source in middles or len(degrees) != 1:
+            return sub, None
+        r, (s,) = len(src_out), degrees
+        if len(feeder_sets) != len(self.terminals) or len(self.terminals) != math.comb(r, s):
+            return sub, None
+        return sub, (self.h, r, s)
 
     def in_edges(self, node: str) -> list[Edge]:
         return list(self._incidence[1].get(node, ()))
@@ -75,19 +115,16 @@ class Network:
 
 def topological_order(net: Network) -> list[str]:
     """Kahn's algorithm; raises on cycles. Deterministic by node order."""
-    bud = Budget(len(net.nodes))  # one node per node placed: only the deadline stops it
     outs, ins = net._incidence
     indeg = {v: len(ins.get(v, ())) for v in net.nodes}
-    order = []
-    ready = deque(v for v in net.nodes if indeg[v] == 0)
-    while ready:
-        v = ready.popleft()
-        bud.spend()
-        order.append(v)
+    order = [v for v in net.nodes if not indeg[v]]
+    for i, v in enumerate(order):  # the order is its own queue
+        if i & 1023 == 1023:
+            check_deadline(i)
         for e in outs.get(v, ()):
             indeg[e.head] -= 1
-            if indeg[e.head] == 0:
-                ready.append(e.head)
+            if not indeg[e.head]:
+                order.append(e.head)
     if len(order) != len(net.nodes):
         raise ValueError("network graph contains a cycle")
     return order
@@ -130,19 +167,23 @@ def validate_network(net: Network) -> None:
         raise ValueError("duplicate node ids")
     if net.source not in node_set:
         raise ValueError("source not among nodes")
-    ids = [e.id for e in net.edges]
-    if len(set(ids)) != len(ids):
+    if len({e.id for e in net.edges}) != len(net.edges):
         raise ValueError("duplicate edge ids")
-    for e in net.edges:
-        if e.tail not in node_set or e.head not in node_set:
-            raise ValueError(f"edge {e.id} references unknown node")
+    outs, ins = net._incidence
+    if not node_set.issuperset(outs) or not node_set.issuperset(ins):
+        bad = next(e for e in net.edges if e.tail not in node_set or e.head not in node_set)
+        raise ValueError(f"edge {bad.id} references unknown node")
     for t in net.terminals:
         if t not in node_set:
             raise ValueError(f"terminal {t} not among nodes")
     topological_order(net)
-    if net.in_degree(net.source) != 0:
+    if net.source in ins:
         raise ValueError("source must have in-degree 0")
-    if essential_nodes(net) != node_set:
+    # in a DAG every node is reached from a node of in-degree 0 and reaches
+    # a node of out-degree 0, so every node lies on a source-to-terminal
+    # path iff the source is the only node of in-degree 0 and every node of
+    # out-degree 0 is a terminal
+    if len(ins) != len(node_set) - 1 or not outs.keys() >= node_set.difference(net.terminals):
         raise ValueError("network contains non-essential nodes")
 
 
@@ -174,9 +215,7 @@ def build_combination(h: int, r: int, s: int, *, max_terminals: int = MAX_TERMIN
         raise ValueError(f"require r >= s >= 1, got r={r}, s={s}")
     if h < 1:
         raise ValueError("h must be >= 1")
-    n_terminals = 1
-    for i in range(s):
-        n_terminals = n_terminals * (r - i) // (i + 1)
+    n_terminals = math.comb(r, s)
     if n_terminals > max_terminals:
         raise SizeLimitExceeded(f"{n_terminals} terminals exceed limit {max_terminals}")
     middles = [f"m{i}" for i in range(r)]
@@ -287,9 +326,7 @@ def build_kneser(
         return ImplicitKneser(field=fld, q=q, t=t, h=h, middles=tuple(middles))
     if mode != "materialized":
         raise ValueError(f"unknown mode {mode!r}")
-    n_subsets = 1
-    for i in range(h):
-        n_subsets = n_subsets * (r - i) // (i + 1)
+    n_subsets = math.comb(r, h)
     if n_subsets > max_terminal_scan:
         raise SizeLimitExceeded(
             f"scanning {n_subsets} candidate terminals of K_{{{q},{t};{h}}} exceeds "
@@ -299,7 +336,7 @@ def build_kneser(
     # candidate terminal scanned, per terminal edge made and per vector
     # listed in a span, so only the deadline stops the construction
     if h == 2:
-        masks = direct_sum_masks(middles)
+        masks = DirectSumIndex(middles).pair_masks()
         bud = Budget(3 * n_subsets)
 
         def spans(subset) -> bool:
@@ -392,41 +429,7 @@ def parallelize(net: Network, m: int) -> Network:
 
 def combination_parameters(net: Network) -> tuple[int, int, int] | None:
     """(h, r, s) if the network is a full combination network, else None."""
-    src_out = net.out_edges(net.source)
-    middles = [e.head for e in src_out]
-    if len(set(middles)) != len(middles):
-        return None
-    middle_set = set(middles)
-    if net.source in middle_set or middle_set & set(net.terminals):
-        return None
-    if set(net.nodes) != {net.source} | middle_set | set(net.terminals):
-        return None
-    r = len(middles)
-    s = None
-    seen_subsets = set()
-    for term in net.terminals:
-        ins = net.in_edges(term)
-        feeders = [e.tail for e in ins]
-        if net.out_edges(term):
-            return None
-        if len(set(feeders)) != len(feeders) or not set(feeders) <= middle_set:
-            return None
-        if s is None:
-            s = len(feeders)
-        elif len(feeders) != s:
-            return None
-        seen_subsets.add(frozenset(feeders))
-    if s is None:
-        return None
-    for mid in middles:
-        if net.in_degree(mid) != 1:
-            return None
-    expected = 1
-    for i in range(s):
-        expected = expected * (r - i) // (i + 1)
-    if len(seen_subsets) != len(net.terminals) or len(net.terminals) != expected:
-        return None
-    return (net.h, r, s)
+    return net._shape[1]
 
 
 def is_subcombination(net: Network) -> bool:
@@ -438,31 +441,7 @@ def is_subcombination(net: Network) -> bool:
     starves that terminal, dropping a source edge starves any terminal the
     middle node feeds (and it feeds one, since all nodes are essential).
     """
-    middles = [e.head for e in net.out_edges(net.source)]
-    if len(set(middles)) != len(middles):
-        return False
-    middle_set = set(middles)
-    term_set = set(net.terminals)
-    if net.source in term_set or middle_set & term_set:
-        return False
-    if set(net.nodes) != {net.source} | middle_set | term_set:
-        return False
-    for mid in middles:
-        if net.in_degree(mid) != 1:
-            return False
-        if any(e.head not in term_set for e in net.out_edges(mid)):
-            return False
-    outs, ins = net._incidence
-    bud = Budget(len(net.terminals))  # one node per terminal: only the deadline stops it
-    for term in net.terminals:
-        bud.spend()
-        in_list = ins.get(term, ())
-        feeders = {e.tail for e in in_list}
-        if len(in_list) != net.h or len(feeders) != net.h:
-            return False
-        if not feeders <= middle_set or term in outs:
-            return False
-    return True
+    return net._shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +457,9 @@ class _FlowSolver:
         self.n = len(net.nodes)
         self.to: list[int] = []
         self.adj: list[list[int]] = [[] for _ in net.nodes]
-        bud = Budget(len(net.edges))  # one node per edge: only the deadline stops it
-        for e in net.edges:
-            bud.spend()
+        for i, e in enumerate(net.edges):
+            if i & 1023 == 1023:
+                check_deadline(i)
             u, v = self.node_index[e.tail], self.node_index[e.head]
             self.adj[u].append(len(self.to))
             self.to.append(v)

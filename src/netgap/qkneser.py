@@ -17,10 +17,11 @@ properness here is a pairwise condition.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .errors import Budget, BudgetExhausted, SizeLimitExceeded
+from .errors import Budget, BudgetExhausted, SizeLimitExceeded, check_deadline
 from .gf import field_of_order
 from .graphs import Coloring, Hypergraph, UGraph
 from .subspaces import (
@@ -28,7 +29,6 @@ from .subspaces import (
     DirectSumIndex,
     Subspace,
     coordinate_subspace,
-    direct_sum_masks,
     enumerate_subspaces,
     intersection,
     spread,
@@ -46,11 +46,11 @@ def build_qkneser(q: int, n: int, m: int, *, limit: int = ENUMERATION_LIMIT) -> 
     """qK_{n:m}: m-subspaces of F_q^n, adjacent iff trivially intersecting."""
     fld = field_of_order(q)
     verts = enumerate_subspaces(fld, n, m, limit=limit)
-    masks = direct_sum_masks(verts)
-    bud = Budget(len(masks))  # one node per vertex row: only the deadline stops it
+    masks = DirectSumIndex(verts).pair_masks()
     edges = []
     for i, mask in enumerate(masks):
-        bud.spend()
+        if i & 1023 == 1023:
+            check_deadline(i)
         edges.extend((i, j) for j in _bits(mask >> (i + 1) << (i + 1)))
     return UGraph.from_edges(len(verts), edges, labels=tuple(verts))
 
@@ -61,9 +61,7 @@ def build_qkneser_hyper(q: int, t: int, h: int, *, limit: int = ENUMERATION_LIMI
         raise ValueError("hypergraph generalization needs h >= 2")
     fld = field_of_order(q)
     verts = enumerate_subspaces(fld, h * t, t, limit=limit)
-    n_subsets = 1
-    for i in range(h):
-        n_subsets = n_subsets * (len(verts) - i) // (i + 1)
+    n_subsets = math.comb(len(verts), h)
     if n_subsets > limit:
         raise SizeLimitExceeded(f"{n_subsets} candidate hyperedges exceed limit {limit}")
     # h t-subspaces sum to F_q^{ht} iff they are in direct sum

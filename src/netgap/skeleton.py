@@ -10,11 +10,12 @@ into a q-Kneser graph.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .errors import Budget
+from .errors import check_deadline
 from .graphs import UGraph
-from .networks import Edge, Network, validate_network
+from .networks import Edge, Network, _edge_ids, validate_network
 
 
 @dataclass(frozen=True)
@@ -28,35 +29,40 @@ class SkeletonGraph:
 
 
 def skeleton(net: Network) -> SkeletonGraph:
-    # one node per edge classed and per node joined, so only the deadline
-    # stops the construction
-    bud = Budget(len(net.edges) + len(net.nodes))
+    # the deadline is read before every 1024th edge classed or node joined
     outs, ins = net._incidence
-    roots = [e for e in net.edges if len(ins.get(e.tail, ())) != 1]
+    single = {v for v, in_list in ins.items() if len(in_list) == 1}
+    roots = [e for e in net.edges if e.tail not in single]
     class_members: list[list[str]] = []
     edge_class: dict[str, int] = {}
+    done = 0
     for idx, root in enumerate(roots):
         members = []
         frontier = [root]
         while frontier:
             e = frontier.pop()
-            bud.spend()
+            if done & 1023 == 1023:
+                check_deadline(done)
+            done += 1
             members.append(e.id)
             edge_class[e.id] = idx
-            if len(ins[e.head]) == 1:
+            if e.head in single:
                 frontier.extend(outs.get(e.head, ()))
         class_members.append(members)
 
     class_ids = [min(members) for members in class_members]
     edge_pairs = set()
-    for v in net.nodes:
-        bud.spend()
-        incoming = [edge_class[e.id] for e in ins.get(v, ())]
-        for i in range(len(incoming)):
-            for j in range(i + 1, len(incoming)):
-                a, b = incoming[i], incoming[j]
-                if a != b:
-                    edge_pairs.add((min(a, b), max(a, b)))
+    for i, v in enumerate(net.nodes, done):
+        if i & 1023 == 1023:
+            check_deadline(i)
+        incoming = ins.get(v, ())
+        if len(incoming) == 2:  # the common case, without sorting
+            a, b = edge_class[incoming[0].id], edge_class[incoming[1].id]
+            if a != b:
+                edge_pairs.add((a, b) if a < b else (b, a))
+        elif len(incoming) > 2:
+            joined = sorted({edge_class[e.id] for e in incoming})
+            edge_pairs.update(itertools.combinations(joined, 2))
     graph = UGraph.from_edges(len(roots), edge_pairs, names=tuple(class_ids))
     classes = {class_ids[i]: frozenset(class_members[i]) for i in range(len(roots))}
     return SkeletonGraph(graph=graph, classes=classes)
@@ -76,9 +82,7 @@ def reverse_skeleton(g: UGraph) -> Network:
         raise ValueError(f"isolated vertices {isolated} would be non-essential middle nodes")
     middles = [f"v{name}" for name in names]
     terminals = [f"t{names[a]}_{names[b]}" for a, b in g.edges]
-    n_edges = g.num_vertices + 2 * len(g.edges)
-    width = len(str(n_edges - 1))
-    ids = [f"e{i:0{width}d}" for i in range(n_edges)]
+    ids = _edge_ids(g.num_vertices + 2 * len(g.edges))
     edges = [Edge(ids[i], "s", middles[i]) for i in range(g.num_vertices)]
     k = g.num_vertices
     for (a, b), term in zip(g.edges, terminals):

@@ -254,15 +254,6 @@ class DirectSumIndex:
         return not self.blocked(subset[:-1], bud) >> subset[-1] & 1
 
 
-def direct_sum_masks(spaces) -> list[int]:
-    """Pairwise direct sums as bitmasks over the given list.
-
-    Bit j of entry i (j != i) is set iff spaces i and j share no nonzero
-    vector; see DirectSumIndex.pair_masks.
-    """
-    return DirectSumIndex(spaces).pair_masks()
-
-
 def subspace_sum(spaces) -> Subspace:
     spaces = list(spaces)
     first = spaces[0]

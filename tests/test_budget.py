@@ -33,7 +33,7 @@ from netgap.qkneser import (
     max_clique,
 )
 from netgap.skeleton import skeleton
-from netgap.subspaces import DirectSumIndex, direct_sum_masks, enumerate_subspaces
+from netgap.subspaces import DirectSumIndex, enumerate_subspaces
 
 # a deadline already in the past when the block is entered
 EXPIRED = -1.0
@@ -162,9 +162,11 @@ def test_qkneser_edge_listing_stops_at_an_expired_deadline(monkeypatch):
     # must not be reached, so only the edge listing can stop it
     fld = field_of_order(2)
     verts = enumerate_subspaces(fld, 6, 3)
-    masks = direct_sum_masks(verts)
+    masks = DirectSumIndex(verts).pair_masks()
     monkeypatch.setattr(qkneser, "enumerate_subspaces", lambda *args, **kw: verts)
-    monkeypatch.setattr(qkneser, "direct_sum_masks", lambda spaces: masks)
+    monkeypatch.setattr(
+        qkneser, "DirectSumIndex", lambda spaces: types.SimpleNamespace(pair_masks=lambda: masks)
+    )
 
     def unreached(*args, **kw):
         raise AssertionError("the edge listing read no deadline")
@@ -212,7 +214,7 @@ def test_direct_sum_masks_stop_at_an_expired_deadline():
     # 130 planes of F_3^4 with 9 vectors each
     planes = enumerate_subspaces(field_of_order(3), 4, 2)
     with deadline(EXPIRED), pytest.raises(BudgetExhausted, match="wall-clock"):
-        direct_sum_masks(planes)
+        DirectSumIndex(planes).pair_masks()
 
 
 def test_direct_sum_index_stops_at_an_expired_deadline():

@@ -17,7 +17,7 @@ from netgap.gaplab import (
     qv_exact,
     verify_bertrand_range,
 )
-from netgap.networks import build_butterfly, build_combination, build_kneser
+from netgap.networks import build_butterfly, build_combination, build_kneser, is_minimal
 
 
 def test_psi_examples():
@@ -284,3 +284,41 @@ def test_gap_table_rows_match_formulas():
         assert row["q_v"] == q**t
         assert row["q_s"] == psi(q**t + q ** (t - 1) - 1)
         assert row["gap"] == row["q_s"] - row["q_v"]
+
+
+def test_gap_computes_each_network_structure_once(monkeypatch):
+    import functools
+
+    from netgap import gaplab
+    from netgap.networks import Network
+    from netgap.skeleton import skeleton
+
+    shapes = []
+    walk = Network._shape.func
+
+    def counted_shape(net):
+        shapes.append(net)
+        return walk(net)
+
+    prop = functools.cached_property(counted_shape)
+    prop.__set_name__(Network, "_shape")
+    monkeypatch.setattr(Network, "_shape", prop)
+    skeletons = []
+    monkeypatch.setattr(gaplab, "skeleton", lambda net: skeletons.append(net) or skeleton(net))
+    minimality = []
+    monkeypatch.setattr(
+        gaplab, "is_minimal", lambda net: minimality.append(net) or is_minimal(net)
+    )
+
+    net = build_kneser(2, 2, 2)
+    report = gap_exact(net)
+    assert (report.qs.value, report.qv.value) == (5, 4)
+    assert len(shapes) == len({id(n) for n in shapes}) == 1
+    assert skeletons == [net] and minimality == []
+
+    # not a sub-combination network, so route selection runs the
+    # edge-deletion test, once for both routes
+    bf = build_butterfly()
+    report = gap_exact(bf)
+    assert report.exact and minimality == [bf]
+    assert skeletons == [net, bf]

@@ -1,8 +1,11 @@
+import collections
 import itertools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netgap.errors import SizeLimitExceeded, UnsolvableNetwork
 from netgap.networks import (
@@ -364,3 +367,288 @@ def test_adjacency_index_stays_out_of_equality_and_json():
     reduced = used.without_edge("e5")
     assert [e.id for e in reduced.in_edges("t1")] == ["e8"]
     assert [e.id for e in used.in_edges("t1")] == ["e5", "e8"]
+
+
+# ---------------------------------------------------------------------------
+# the one-walk shape and the one-sweep validation against the code they replaced
+# ---------------------------------------------------------------------------
+
+
+def _lists(net):
+    """(outgoing, incoming) edge lists per node, built from the edge list."""
+    outs, ins = {}, {}
+    for e in net.edges:
+        outs.setdefault(e.tail, []).append(e)
+        ins.setdefault(e.head, []).append(e)
+    return outs, ins
+
+
+def _combination_parameters_oracle(net):
+    """The separate terminal walk that the cached shape replaced."""
+    outs, ins = _lists(net)
+    middles = [e.head for e in outs.get(net.source, ())]
+    if len(set(middles)) != len(middles):
+        return None
+    middle_set = set(middles)
+    if net.source in middle_set or middle_set & set(net.terminals):
+        return None
+    if set(net.nodes) != {net.source} | middle_set | set(net.terminals):
+        return None
+    r = len(middles)
+    s = None
+    seen_subsets = set()
+    for term in net.terminals:
+        feeders = [e.tail for e in ins.get(term, ())]
+        if outs.get(term):
+            return None
+        if len(set(feeders)) != len(feeders) or not set(feeders) <= middle_set:
+            return None
+        if s is None:
+            s = len(feeders)
+        elif len(feeders) != s:
+            return None
+        seen_subsets.add(frozenset(feeders))
+    if s is None:
+        return None
+    for mid in middles:
+        if len(ins.get(mid, ())) != 1:
+            return None
+    expected = 1
+    for i in range(s):
+        expected = expected * (r - i) // (i + 1)
+    if len(seen_subsets) != len(net.terminals) or len(net.terminals) != expected:
+        return None
+    return (net.h, r, s)
+
+
+def _is_subcombination_oracle(net):
+    """The separate terminal walk that the cached shape replaced."""
+    outs, ins = _lists(net)
+    middles = [e.head for e in outs.get(net.source, ())]
+    if len(set(middles)) != len(middles):
+        return False
+    middle_set = set(middles)
+    term_set = set(net.terminals)
+    if net.source in term_set or middle_set & term_set:
+        return False
+    if set(net.nodes) != {net.source} | middle_set | term_set:
+        return False
+    for mid in middles:
+        if len(ins.get(mid, ())) != 1:
+            return False
+        if any(e.head not in term_set for e in outs.get(mid, ())):
+            return False
+    for term in net.terminals:
+        in_list = ins.get(term, ())
+        feeders = {e.tail for e in in_list}
+        if len(in_list) != net.h or len(feeders) != net.h:
+            return False
+        if not feeders <= middle_set or term in outs:
+            return False
+    return True
+
+
+def _topological_order_oracle(net):
+    """Kahn's algorithm on a deque, as validation ran it."""
+    outs, ins = _lists(net)
+    indeg = {v: len(ins.get(v, ())) for v in net.nodes}
+    order = []
+    ready = collections.deque(v for v in net.nodes if indeg[v] == 0)
+    while ready:
+        v = ready.popleft()
+        order.append(v)
+        for e in outs.get(v, ()):
+            indeg[e.head] -= 1
+            if indeg[e.head] == 0:
+                ready.append(e.head)
+    if len(order) != len(net.nodes):
+        raise ValueError("network graph contains a cycle")
+    return order
+
+
+def _essential_nodes_oracle(net):
+    """Forward search from the source meets backward search from the terminals."""
+    outs, ins = _lists(net)
+    fwd, frontier = {net.source}, [net.source]
+    while frontier:
+        for e in outs.get(frontier.pop(), ()):
+            if e.head not in fwd:
+                fwd.add(e.head)
+                frontier.append(e.head)
+    back, frontier = set(net.terminals), list(net.terminals)
+    while frontier:
+        for e in ins.get(frontier.pop(), ()):
+            if e.tail not in back:
+                back.add(e.tail)
+                frontier.append(e.tail)
+    return fwd & back
+
+
+def _validate_oracle(net):
+    """validate_network as a topological order plus two searches."""
+    if net.h < 1:
+        raise ValueError("message count h must be >= 1")
+    if not net.terminals:
+        raise ValueError("network needs at least one terminal")
+    node_set = set(net.nodes)
+    if len(node_set) != len(net.nodes):
+        raise ValueError("duplicate node ids")
+    if net.source not in node_set:
+        raise ValueError("source not among nodes")
+    ids = [e.id for e in net.edges]
+    if len(set(ids)) != len(ids):
+        raise ValueError("duplicate edge ids")
+    for e in net.edges:
+        if e.tail not in node_set or e.head not in node_set:
+            raise ValueError(f"edge {e.id} references unknown node")
+    for t in net.terminals:
+        if t not in node_set:
+            raise ValueError(f"terminal {t} not among nodes")
+    _topological_order_oracle(net)
+    if any(e.head == net.source for e in net.edges):
+        raise ValueError("source must have in-degree 0")
+    if _essential_nodes_oracle(net) != node_set:
+        raise ValueError("network contains non-essential nodes")
+
+
+def _outcome(fn, net):
+    """fn's answer, or the message of the ValueError it raised."""
+    try:
+        return "ok", fn(net)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+_SHAPE_BASES = [
+    lambda: build_butterfly(),
+    lambda: build_combination(2, 3, 2),
+    lambda: build_combination(2, 4, 2),
+    lambda: build_combination(3, 4, 3),
+    lambda: build_combination(2, 4, 3),
+    lambda: build_combination(1, 3, 1),
+    lambda: build_kneser(2, 1, 2),
+    lambda: build_kneser(3, 1, 2),
+]
+
+
+@st.composite
+def _mutated_networks(draw):
+    """A small builder network with a few random edits, never validated.
+
+    Edits drop edges, add parallel edges, middle -> middle edges, terminal
+    out-edges, edges into the source (a self-loop among them), edges to
+    unknown nodes or with a repeated id, extra or repeated nodes, repeated,
+    unknown or no terminals, make the source a terminal, strip everything
+    but the source, and change h.
+    """
+    net = draw(st.sampled_from(_SHAPE_BASES))()
+    nodes, edges, terminals, h = list(net.nodes), list(net.edges), list(net.terminals), net.h
+    middles = [e.head for e in net.out_edges(net.source)]
+    fresh = itertools.count()
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(
+            st.sampled_from(
+                ["drop", "parallel", "middle", "terminal-out", "fed-source", "extra-node",
+                 "unknown-node", "repeat-id", "repeat-node", "repeat-terminal",
+                 "unknown-terminal", "no-terminals", "source-terminal", "source-loop",
+                 "strip", "h"]
+            )
+        )
+        pick = st.sampled_from
+        if kind == "drop" and edges:
+            edges.remove(draw(pick(edges)))
+        elif kind == "parallel" and edges:
+            e = draw(pick(edges))
+            edges.append(Edge(f"p{next(fresh)}", e.tail, e.head))
+        elif kind == "middle" and middles:
+            edges.append(Edge(f"m{next(fresh)}", draw(pick(middles)), draw(pick(middles))))
+        elif kind == "terminal-out" and terminals:
+            edges.append(Edge(f"o{next(fresh)}", draw(pick(terminals)), draw(pick(nodes))))
+        elif kind == "fed-source":
+            # from a new node, the source is fed without closing a cycle
+            if draw(st.booleans()):
+                nodes.append(f"n{next(fresh)}")
+            edges.append(Edge(f"f{next(fresh)}", draw(pick(nodes)), net.source))
+        elif kind == "extra-node":
+            extra = f"x{next(fresh)}"
+            nodes.append(extra)
+            if draw(st.booleans()):
+                edges.append(Edge(f"x{next(fresh)}", draw(pick(nodes)), extra))
+        elif kind == "unknown-node":
+            edges.append(Edge(f"u{next(fresh)}", draw(pick(nodes)), "nowhere"))
+        elif kind == "repeat-id" and edges:
+            e = draw(pick(edges))
+            edges.append(Edge(e.id, net.source, draw(pick(nodes))))
+        elif kind == "repeat-node":
+            nodes.append(draw(pick(nodes)))
+        elif kind == "unknown-terminal":
+            terminals.append("nobody")
+        elif kind == "no-terminals":
+            terminals = []
+        elif kind == "source-terminal":
+            terminals.append(net.source)
+        elif kind == "source-loop":
+            edges.append(Edge(f"l{next(fresh)}", net.source, net.source))
+        elif kind == "strip":
+            nodes, edges, middles = [net.source], [], []
+        elif kind == "repeat-terminal" and terminals:
+            terminals.append(draw(pick(terminals)))
+        elif kind == "h":
+            h = draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        edges = draw(st.permutations(edges))
+    return Network(
+        h=h, source=net.source, terminals=tuple(terminals), nodes=tuple(nodes), edges=tuple(edges)
+    )
+
+
+@settings(max_examples=600, deadline=None)
+@given(_mutated_networks())
+def test_shape_and_validation_match_the_separate_walks(net):
+    assert combination_parameters(net) == _combination_parameters_oracle(net)
+    assert is_subcombination(net) == _is_subcombination_oracle(net)
+    # a fresh copy, so validation runs before the shape is cached
+    copy = Network(net.h, net.source, net.terminals, net.nodes, net.edges)
+    assert _outcome(validate_network, copy) == _outcome(_validate_oracle, net)
+    if set(net.nodes) >= {v for e in net.edges for v in (e.tail, e.head)}:
+        assert _outcome(topological_order, net) == _outcome(_topological_order_oracle, net)
+
+
+def test_shape_on_degenerate_networks():
+    # a source feeding itself as its one "middle" next to a terminal of
+    # in-degree 0 (one 0-subset of one middle), and a source that is its own
+    # only terminal: answers the random edits rarely reach
+    loop = (Edge("l", "s", "s"),)
+    looped = Network(h=1, source="s", terminals=("t",), nodes=("s", "t"), edges=loop)
+    lone = [Network(h=h, source="s", terminals=("s",), nodes=("s",), edges=()) for h in (0, 1)]
+    for net in [looped, *lone]:
+        assert combination_parameters(net) == _combination_parameters_oracle(net)
+        assert is_subcombination(net) == _is_subcombination_oracle(net)
+    assert combination_parameters(looped) is None and not is_subcombination(looped)
+    assert [combination_parameters(net) for net in lone] == [(0, 0, 0), (1, 0, 0)]
+    assert not any(is_subcombination(net) for net in lone)
+
+
+def test_shape_oracles_agree_on_the_builders():
+    # the oracles themselves see the shapes the builders promise
+    for make in _SHAPE_BASES:
+        net = make()
+        _validate_oracle(net)
+        assert _essential_nodes_oracle(net) == set(essential_nodes(net)) == set(net.nodes)
+    assert _combination_parameters_oracle(build_combination(2, 4, 3)) == (2, 4, 3)
+    assert _is_subcombination_oracle(build_kneser(3, 1, 2))
+    assert not _is_subcombination_oracle(build_butterfly())
+    k322 = build_kneser(3, 2, 2)
+    assert is_subcombination(k322) and combination_parameters(k322) is None
+    assert _is_subcombination_oracle(k322) and _combination_parameters_oracle(k322) is None
+
+
+def test_shape_is_computed_once_and_stays_out_of_equality():
+    import dataclasses
+
+    net, other = build_combination(2, 4, 2), build_combination(2, 4, 2)
+    assert combination_parameters(net) == (2, 4, 2) and is_subcombination(net)
+    assert "_shape" in vars(net) and "_shape" not in vars(other)
+    assert net == other and hash(net) == hash(other)
+    assert network_to_json(net) == network_to_json(other)
+    assert "_shape" not in [f.name for f in dataclasses.fields(net)]

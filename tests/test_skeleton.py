@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -100,6 +101,41 @@ def test_partition_property_random_dags(seed):
         union |= members
         total += len(members)
     assert union == all_edges and total == len(all_edges)
+
+
+def _skeleton_oracle(net):
+    """Classes by traversal from each root, joins by every pair of in-edges."""
+    ins = {v: [e for e in net.edges if e.head == v] for v in net.nodes}
+    roots = [e for e in net.edges if len(ins[e.tail]) != 1]
+    edge_class, members = {}, []
+    for idx, root in enumerate(roots):
+        frontier, cls = [root], set()
+        while frontier:
+            e = frontier.pop()
+            cls.add(e.id)
+            edge_class[e.id] = idx
+            if len(ins[e.head]) == 1:
+                frontier.extend(f for f in net.edges if f.tail == e.head)
+        members.append(cls)
+    pairs = set()
+    for v in net.nodes:
+        for a, b in itertools.combinations([edge_class[e.id] for e in ins[v]], 2):
+            if a != b:
+                pairs.add((min(a, b), max(a, b)))
+    return [min(cls) for cls in members], members, sorted(pairs)
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=80, deadline=None)
+def test_skeleton_matches_the_pairwise_join_oracle(seed):
+    net = _random_network(random.Random(seed))
+    if net is None:
+        return
+    skel = skeleton(net)
+    ids, members, pairs = _skeleton_oracle(net)
+    assert list(skel.class_ids) == ids
+    assert [skel.classes[cid] for cid in ids] == members
+    assert list(skel.graph.edges) == pairs
 
 
 def test_reverse_skeleton_triangle():

@@ -10,7 +10,6 @@ from netgap.gf import Matrix, make_field
 from netgap.subspaces import (
     DirectSumIndex,
     canonicalize,
-    direct_sum_masks,
     enumerate_subspaces,
     gaussian_coefficient,
     intersection,
@@ -165,7 +164,7 @@ def test_intersection_dimension_formula(bits):
 
 
 def _direct_sum_masks_oracle(spaces):
-    """The pairwise sum_dim loop the mask helper replaced."""
+    """The pairwise sum_dim loop that DirectSumIndex.pair_masks replaced."""
     masks = [0] * len(spaces)
     for i in range(len(spaces)):
         for j in range(i + 1, len(spaces)):
@@ -182,22 +181,22 @@ def _direct_sum_masks_oracle(spaces):
 def test_direct_sum_masks_match_sum_dim(q, n, t):
     f = make_field(*{2: (2, 1), 3: (3, 1), 4: (2, 2)}[q])
     same_dim = enumerate_subspaces(f, n, t)
-    assert direct_sum_masks(same_dim) == _direct_sum_masks_oracle(same_dim)
+    assert DirectSumIndex(same_dim).pair_masks() == _direct_sum_masks_oracle(same_dim)
     # mixed dimensions down to the zero space, which is in direct sum with
     # every other space
     mixed = subspaces_up_to_dim(f, n, t)
-    assert direct_sum_masks(mixed) == _direct_sum_masks_oracle(mixed)
+    assert DirectSumIndex(mixed).pair_masks() == _direct_sum_masks_oracle(mixed)
 
 
 def test_direct_sum_masks_edge_cases():
     f = make_field(2, 1)
     zero = subspace_from_rows(f, [], 3)
     line = subspace_from_rows(f, [(1, 0, 0)], 3)
-    assert direct_sum_masks([]) == []
-    assert direct_sum_masks([zero, zero, line]) == [0b110, 0b101, 0b011]
-    assert direct_sum_masks([line, line]) == [0, 0]
+    assert DirectSumIndex([]).pair_masks() == []
+    assert DirectSumIndex([zero, zero, line]).pair_masks() == [0b110, 0b101, 0b011]
+    assert DirectSumIndex([line, line]).pair_masks() == [0, 0]
     with pytest.raises(ValueError):
-        direct_sum_masks([line, subspace_from_rows(f, [(1, 0)], 2)])
+        DirectSumIndex([line, subspace_from_rows(f, [(1, 0)], 2)])
 
 
 def _blocked_oracle(spaces, subset):
@@ -272,7 +271,7 @@ def test_index_pair_masks_and_edge_cases():
     zero = subspace_from_rows(f, [], 3)
     line = subspace_from_rows(f, [(1, 0, 0)], 3)
     index = DirectSumIndex([zero, line, line])
-    assert index.pair_masks() == direct_sum_masks([zero, line, line]) == [0b110, 0b001, 0b001]
+    assert index.pair_masks() == [0b110, 0b001, 0b001]
     # the empty span meets nothing; a repeated line is a dependent pair
     assert index.blocked(()) == 0
     assert index.blocked((0,)) == 0
