@@ -54,12 +54,17 @@ def deadline(seconds: float | None):
         _deadline = None
 
 
+# the one checkpoint cadence: the deadline is read before the node or
+# element at 0-based index i when i & CHECKPOINT_MASK == CHECKPOINT_MASK,
+# that is before every 1024th one
+CHECKPOINT_MASK = 1023
+
+
 def check_deadline(done: int) -> None:
     """Raise BudgetExhausted, with `done` nodes used, once the deadline has passed.
 
-    `Budget.spend` calls it before every 1024th node; walks that no node
-    limit could stop call it at the same checkpoints, before the element
-    at 0-based index i with i & 1023 == 1023, passing i.
+    `Budget.spend` calls it at every checkpoint; walks that no node limit
+    could stop call it at the same checkpoints themselves, passing i.
     """
     if _deadline is not None and time.monotonic() >= _deadline:
         raise BudgetExhausted("wall-clock timeout", nodes_used=done)
@@ -68,8 +73,8 @@ def check_deadline(done: int) -> None:
 class Budget:
     """Node counter for one search, also enforcing the wall-clock deadline.
 
-    `spend` raises BudgetExhausted when the node limit is reached, and
-    before every 1024th node when the deadline has passed.
+    `spend` raises BudgetExhausted when the node limit is reached, and at
+    every checkpoint once the deadline has passed.
     """
 
     __slots__ = ("limit", "used")
@@ -84,9 +89,9 @@ class Budget:
         return self.used >= self.limit
 
     def spend(self, what: str = "search") -> None:
-        used = self.used + 1
-        if used > self.limit:
-            raise BudgetExhausted(f"{what} budget exhausted", nodes_used=self.used)
-        if not used & 1023:
-            check_deadline(self.used)
-        self.used = used
+        i = self.used
+        if i >= self.limit:
+            raise BudgetExhausted(f"{what} budget exhausted", nodes_used=i)
+        if i & CHECKPOINT_MASK == CHECKPOINT_MASK:
+            check_deadline(i)
+        self.used = i + 1

@@ -14,7 +14,6 @@ import math
 import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import BudgetExhausted, SizeLimitExceeded, UnsolvableNetwork
 from .gf import prime_power
@@ -24,9 +23,7 @@ from .networks import (
     Network,
     build_kneser,
     combination_parameters,
-    is_minimal,
     is_solvable,
-    is_subcombination,
 )
 from .qkneser import (
     DEFAULT_BUDGET,
@@ -36,7 +33,6 @@ from .qkneser import (
     greedy_clique,
     qkneser_clique_number,
 )
-from .skeleton import SkeletonGraph, skeleton
 
 # ---------------------------------------------------------------------------
 # prime powers
@@ -163,49 +159,20 @@ def _scalar_upper_bound(net: Network) -> int:
     return psi(max(2, len(net.terminals)))
 
 
-# edge counts up to which the edge-deletion minimality test is cheap enough
-# to run for route selection; bigger networks must be structurally minimal
-_MINIMALITY_PROBE_EDGES = 120
-
-
-class _Routes:
-    """Route facts of one network, each computed on first use; `gap_exact`
-    shares one instance between the q_s and q_v routes."""
-
-    def __init__(self, net: Network):
-        self.net = net
-
-    @cached_property
-    def minimal(self) -> bool:
-        """Minimality for route selection: structural shortcut, else exact test."""
-        if is_subcombination(self.net):
-            return True
-        if len(self.net.edges) <= _MINIMALITY_PROBE_EDGES:
-            return is_minimal(self.net)
-        return False  # unknown; fall back to certified exhaustive routes
-
-    @cached_property
-    def skeleton(self) -> SkeletonGraph:
-        return skeleton(self.net)
-
-
-def qs_exact(
-    net: Network, budget: int = DEFAULT_BUDGET, method: str = "auto", *, _routes=None
-) -> Extremal:
+def qs_exact(net: Network, budget: int = DEFAULT_BUDGET, method: str = "auto") -> Extremal:
     """Smallest field size with a scalar linear solution, with certificate."""
     if not is_solvable(net):
         raise UnsolvableNetwork("network fails the cut criterion")
     if method not in ("auto", "chi", "search"):
         raise ValueError(f"unknown method {method!r}")
-    routes = _routes or _Routes(net)
-    use_chi = method == "chi" or (method == "auto" and net.h == 2 and routes.minimal)
-    if method == "chi" and not (net.h == 2 and routes.minimal):
+    use_chi = method == "chi" or (method == "auto" and net.h == 2 and net._routing_minimal)
+    if method == "chi" and not (net.h == 2 and net._routing_minimal):
         raise ValueError("the chromatic route needs a minimal network with h = 2")
     if use_chi:
         # a scalar solution over F_q is a homomorphism of the skeleton into
         # qK_{2:1} = K_{q+1}, so q_s = psi(chi - 1) and only the colour
         # counts q + 1 decide it; q_s is exact once the bracket's ends agree
-        skel = routes.skeleton
+        skel = net._skeleton
         res = chromatic_number(skel.graph, budget, needed=lambda k: is_prime_power(k - 1))
         lo, hi = psi(res.lo - 1), psi(res.hi - 1)
         if lo == hi:
@@ -224,7 +191,7 @@ def qs_exact(
     raise AssertionError("scalar scan passed the sufficiency bound without a solution")
 
 
-def qv_exact(net: Network, budget: int = DEFAULT_BUDGET, *, _routes=None) -> Extremal:
+def qv_exact(net: Network, budget: int = DEFAULT_BUDGET) -> Extremal:
     """Smallest q^t with a (q,t)-linear solution, with certificate.
 
     Candidate values ascend; ties between (q,t) pairs prefer smaller q.
@@ -236,9 +203,8 @@ def qv_exact(net: Network, budget: int = DEFAULT_BUDGET, *, _routes=None) -> Ext
         raise UnsolvableNetwork("network fails the cut criterion")
     comb = combination_parameters(net)
     ic_route = comb is not None and comb[1] >= comb[0] and comb[2] == comb[0]
-    routes = _routes or _Routes(net)
-    hom_route = net.h == 2 and routes.minimal
-    skel = routes.skeleton if hom_route else None
+    hom_route = net.h == 2 and net._routing_minimal
+    skel = net._skeleton if hom_route else None
     # any clique, proven maximum or not, maps injectively
     skel_clique_size = len(greedy_clique(skel.graph)) if hom_route else 0
     v_max = _scalar_upper_bound(net)
@@ -277,9 +243,8 @@ def qv_exact(net: Network, budget: int = DEFAULT_BUDGET, *, _routes=None) -> Ext
 
 
 def gap_exact(net: Network, budget: int = DEFAULT_BUDGET, description: str = "network") -> GapReport:
-    routes = _Routes(net)
-    qs = qs_exact(net, budget, _routes=routes)
-    qv = qv_exact(net, budget, _routes=routes)
+    qs = qs_exact(net, budget)
+    qv = qv_exact(net, budget)
     if qs.exact and qv.exact:
         assert qv.value <= qs.value, "vector optimum exceeded scalar optimum"
     return GapReport(network=description, qs=qs, qv=qv)

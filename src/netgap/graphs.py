@@ -6,7 +6,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import check_deadline
+from .errors import CHECKPOINT_MASK, check_deadline
 from .subspaces import Subspace
 
 
@@ -28,7 +28,7 @@ class UGraph:
         # the deadline is read before every 1024th listed edge
         seen = set()
         for i, (a, b) in enumerate(edge_iter):
-            if i & 1023 == 1023:
+            if i & CHECKPOINT_MASK == CHECKPOINT_MASK:
                 check_deadline(i)
             if a == b:
                 raise ValueError(f"self-loop at vertex {a}")

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
-from .errors import Budget, SizeLimitExceeded, UnsolvableNetwork, check_deadline
+from .errors import CHECKPOINT_MASK, Budget, SizeLimitExceeded, UnsolvableNetwork, check_deadline
 from .gf import FieldSpec, make_field
 from .subspaces import DirectSumIndex, Subspace, enumerate_subspaces
 
@@ -25,6 +25,11 @@ class Edge:
     id: str
     tail: str
     head: str
+
+
+# edge counts up to which the edge-deletion minimality test is cheap enough
+# to run for route selection; bigger networks must be structurally minimal
+_MINIMALITY_PROBE_EDGES = 120
 
 
 @dataclass(frozen=True)
@@ -47,7 +52,7 @@ class Network:
         outs: dict[str, list[Edge]] = {}
         ins: dict[str, list[Edge]] = {}
         for i, e in enumerate(self.edges):
-            if i & 1023 == 1023:
+            if i & CHECKPOINT_MASK == CHECKPOINT_MASK:
                 check_deadline(i)
             outs.setdefault(e.tail, []).append(e)
             ins.setdefault(e.head, []).append(e)
@@ -76,7 +81,7 @@ class Network:
         )
         degrees, feeder_sets = set(), set()
         for i, term in enumerate(self.terminals):
-            if i & 1023 == 1023:
+            if i & CHECKPOINT_MASK == CHECKPOINT_MASK:
                 check_deadline(i)
             in_list = ins.get(term, ())
             feeders = frozenset([e.tail for e in in_list])
@@ -92,6 +97,23 @@ class Network:
         if len(feeder_sets) != len(self.terminals) or len(self.terminals) != math.comb(r, s):
             return sub, None
         return sub, (self.h, r, s)
+
+    @cached_property
+    def _routing_minimal(self) -> bool:
+        """Minimality for route selection, cached like `_shape`: the
+        sub-combination shape, else the edge-deletion test on networks of at
+        most _MINIMALITY_PROBE_EDGES edges, else False (unknown, so the
+        routes fall back to certified exhaustive searches)."""
+        if self._shape[0]:
+            return True
+        return len(self.edges) <= _MINIMALITY_PROBE_EDGES and is_minimal(self)
+
+    @cached_property
+    def _skeleton(self):
+        """The edge-class skeleton, built on first use and cached like `_shape`."""
+        from .skeleton import skeleton
+
+        return skeleton(self)
 
     def in_edges(self, node: str) -> list[Edge]:
         return list(self._incidence[1].get(node, ()))
@@ -119,7 +141,7 @@ def topological_order(net: Network) -> list[str]:
     indeg = {v: len(ins.get(v, ())) for v in net.nodes}
     order = [v for v in net.nodes if not indeg[v]]
     for i, v in enumerate(order):  # the order is its own queue
-        if i & 1023 == 1023:
+        if i & CHECKPOINT_MASK == CHECKPOINT_MASK:
             check_deadline(i)
         for e in outs.get(v, ()):
             indeg[e.head] -= 1
@@ -458,7 +480,7 @@ class _FlowSolver:
         self.to: list[int] = []
         self.adj: list[list[int]] = [[] for _ in net.nodes]
         for i, e in enumerate(net.edges):
-            if i & 1023 == 1023:
+            if i & CHECKPOINT_MASK == CHECKPOINT_MASK:
                 check_deadline(i)
             u, v = self.node_index[e.tail], self.node_index[e.head]
             self.adj[u].append(len(self.to))

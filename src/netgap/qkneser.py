@@ -21,7 +21,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .errors import Budget, BudgetExhausted, SizeLimitExceeded, check_deadline
+from .errors import CHECKPOINT_MASK, Budget, BudgetExhausted, SizeLimitExceeded, check_deadline
 from .gf import field_of_order
 from .graphs import Coloring, Hypergraph, UGraph
 from .subspaces import (
@@ -49,7 +49,7 @@ def build_qkneser(q: int, n: int, m: int, *, limit: int = ENUMERATION_LIMIT) -> 
     masks = DirectSumIndex(verts).pair_masks()
     edges = []
     for i, mask in enumerate(masks):
-        if i & 1023 == 1023:
+        if i & CHECKPOINT_MASK == CHECKPOINT_MASK:
             check_deadline(i)
         edges.extend((i, j) for j in _bits(mask >> (i + 1) << (i + 1)))
     return UGraph.from_edges(len(verts), edges, labels=tuple(verts))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import check_deadline
+from .errors import CHECKPOINT_MASK, check_deadline
 from .graphs import UGraph
 from .networks import Edge, Network, _edge_ids, validate_network
 
@@ -41,7 +41,7 @@ def skeleton(net: Network) -> SkeletonGraph:
         frontier = [root]
         while frontier:
             e = frontier.pop()
-            if done & 1023 == 1023:
+            if done & CHECKPOINT_MASK == CHECKPOINT_MASK:
                 check_deadline(done)
             done += 1
             members.append(e.id)
@@ -53,14 +53,10 @@ def skeleton(net: Network) -> SkeletonGraph:
     class_ids = [min(members) for members in class_members]
     edge_pairs = set()
     for i, v in enumerate(net.nodes, done):
-        if i & 1023 == 1023:
+        if i & CHECKPOINT_MASK == CHECKPOINT_MASK:
             check_deadline(i)
         incoming = ins.get(v, ())
-        if len(incoming) == 2:  # the common case, without sorting
-            a, b = edge_class[incoming[0].id], edge_class[incoming[1].id]
-            if a != b:
-                edge_pairs.add((a, b) if a < b else (b, a))
-        elif len(incoming) > 2:
+        if len(incoming) > 1:
             joined = sorted({edge_class[e.id] for e in incoming})
             edge_pairs.update(itertools.combinations(joined, 2))
     graph = UGraph.from_edges(len(roots), edge_pairs, names=tuple(class_ids))

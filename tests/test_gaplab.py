@@ -288,10 +288,14 @@ def test_gap_table_rows_match_formulas():
 
 def test_gap_computes_each_network_structure_once(monkeypatch):
     import functools
+    import importlib
 
-    from netgap import gaplab
+    from netgap import networks
     from netgap.networks import Network
     from netgap.skeleton import skeleton
+
+    # the package exports the function under the module's name
+    skeleton_module = importlib.import_module("netgap.skeleton")
 
     shapes = []
     walk = Network._shape.func
@@ -304,10 +308,12 @@ def test_gap_computes_each_network_structure_once(monkeypatch):
     prop.__set_name__(Network, "_shape")
     monkeypatch.setattr(Network, "_shape", prop)
     skeletons = []
-    monkeypatch.setattr(gaplab, "skeleton", lambda net: skeletons.append(net) or skeleton(net))
+    monkeypatch.setattr(
+        skeleton_module, "skeleton", lambda net: skeletons.append(net) or skeleton(net)
+    )
     minimality = []
     monkeypatch.setattr(
-        gaplab, "is_minimal", lambda net: minimality.append(net) or is_minimal(net)
+        networks, "is_minimal", lambda net: minimality.append(net) or is_minimal(net)
     )
 
     net = build_kneser(2, 2, 2)
@@ -322,3 +328,7 @@ def test_gap_computes_each_network_structure_once(monkeypatch):
     report = gap_exact(bf)
     assert report.exact and minimality == [bf]
     assert skeletons == [net, bf]
+    # both facts live on the network, so later calls on it reuse them
+    qs_exact(bf)
+    qv_exact(bf)
+    assert minimality == [bf] and skeletons == [net, bf]
