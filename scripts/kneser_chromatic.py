@@ -12,13 +12,14 @@ Usage:
 import argparse
 import time
 
+from netgap.errors import DEFAULT_BUDGET
 from netgap.graphs import is_proper_coloring, is_proper_hypergraph_coloring
 from netgap.qkneser import build_qkneser, build_qkneser_hyper, chromatic_number
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--budget", type=int, default=10**8)
+    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     args = parser.parse_args()
 
     print("== graphs qK_{2t:t} ==")

@@ -12,13 +12,14 @@ Usage:
 import argparse
 import time
 
+from netgap.errors import DEFAULT_BUDGET
 from netgap.gaplab import gap_exact, gap_formulas, gap_table_rows, psi
 from netgap.networks import build_butterfly, build_combination, build_kneser
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--budget", type=int, default=10**8)
+    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     args = parser.parse_args()
 
     print("== exact gaps on desk-scale instances ==")

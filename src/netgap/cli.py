@@ -2,12 +2,10 @@
 
 Exit codes: 0 success, 1 verified-negative result (no solution, no
 homomorphism, rejected code), 2 usage or input error, 3 budget or timeout
-exhaustion.  An input deeper than a recursive search can follow (the
-homomorphism search into a non-complete target and the solution search's
-edge order recurse once per vertex or edge) raises RecursionError, which
-exits 2 with an error line, never 1, the code of a verified negative.
-Every search result is written beside a replayable certificate which
-`check-cert` re-verifies from first principles.
+exhaustion.  Every search runs on an explicit stack, so the depth of an
+input never limits it; a JSON file nested deeper than the decoder follows
+is an input error.  Every search result is written beside a replayable
+certificate which `check-cert` re-verifies from first principles.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from .certs import (
     hypergraph_coloring_certificate,
     ic_certificate,
 )
-from .errors import BudgetExhausted, NetgapError, deadline
+from .errors import DEFAULT_BUDGET, BudgetExhausted, NetgapError, deadline
 from .gaplab import (
     Extremal,
     gap_exact,
@@ -57,7 +55,6 @@ from .networks import (
     parallelize,
 )
 from .qkneser import (
-    DEFAULT_BUDGET,
     build_qkneser,
     build_qkneser_hyper,
     canonical_coloring,
@@ -65,6 +62,7 @@ from .qkneser import (
     find_homomorphism,
 )
 from .skeleton import reverse_skeleton, skeleton, skeleton_to_dot, skeleton_to_json
+from .subspaces import ENUMERATION_LIMIT
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -74,7 +72,10 @@ EXIT_BUDGET = 3
 
 def _read_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _write_json(path: str, obj: dict) -> None:
@@ -123,22 +124,7 @@ def cmd_build(args) -> int:
         net = build_combination(args.params[0], args.params[1], args.params[2])
     elif args.what == "kneser":
         q, t, h = args.params
-        mode = "implicit" if args.implicit else "materialized"
-        built = build_kneser(q, t, h, mode, max_terminal_scan=args.max_subspaces)
-        if args.implicit:
-            sample = [list(s) for s in built.stream_terminals(10)]
-            obj = {
-                "kind": "kneser-implicit",
-                "q": q,
-                "t": t,
-                "h": h,
-                "middle_nodes": len(built.middles),
-                "terminal_rule": "h-subsets of middle labels summing to F_q^{ht}",
-                "sample_terminals": sample,
-            }
-            _write_output(args, obj, f"implicit K_{{{q},{t};{h}}}: {len(built.middles)} middle nodes")
-            return EXIT_OK
-        net = built
+        net = build_kneser(q, t, h, max_terminal_scan=args.max_subspaces)
     elif args.what == "from-graph":
         if not args.graph:
             raise ValueError("build from-graph needs --graph")
@@ -577,7 +563,7 @@ def _add_search_limits(p) -> None:
 
 
 def _add_max_subspaces(p) -> None:
-    p.add_argument("--max-subspaces", type=int, default=10**6, help="enumeration limit")
+    p.add_argument("--max-subspaces", type=int, default=ENUMERATION_LIMIT, help="enumeration limit")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -595,7 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--network", help="network JSON (extend/parallelize)")
     p.add_argument("--messages", type=int, help="new message count (extend)")
     p.add_argument("--factor", type=int, help="parallelization factor")
-    p.add_argument("--implicit", action="store_true", help="implicit Kneser terminals")
     p.add_argument("-o", "--output", help="write network JSON here")
     p.add_argument("--dot", help="also write DOT here")
     _add_common(p)
@@ -741,9 +726,6 @@ def main(argv=None) -> int:
         return EXIT_BUDGET
     except (NetgapError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except RecursionError as exc:
-        print(f"error: input too deep for a recursive search ({exc})", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -70,6 +70,10 @@ def check_deadline(done: int) -> None:
         raise BudgetExhausted("wall-clock timeout", nodes_used=done)
 
 
+# the node limit of every search that is given none
+DEFAULT_BUDGET = 10**8
+
+
 class Budget:
     """Node counter for one search, also enforcing the wall-clock deadline.
 

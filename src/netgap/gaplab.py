@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .errors import BudgetExhausted, SizeLimitExceeded, UnsolvableNetwork
+from .errors import DEFAULT_BUDGET, BudgetExhausted, SizeLimitExceeded, UnsolvableNetwork
 from .gf import prime_power
 from .lincode import search_solution
 from .mdsic import ic_exists_of_size
@@ -26,7 +26,6 @@ from .networks import (
     is_solvable,
 )
 from .qkneser import (
-    DEFAULT_BUDGET,
     build_qkneser,
     chromatic_number,
     find_homomorphism,

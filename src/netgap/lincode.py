@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import Budget, InternalError
+from .errors import DEFAULT_BUDGET, Budget, InternalError
 from .gf import (
     FieldSpec,
     Matrix,
@@ -43,8 +43,6 @@ from .subspaces import (
     subspace_sum,
     subspaces_up_to_dim,
 )
-
-DEFAULT_SEARCH_BUDGET = 10**8
 
 
 @dataclass(frozen=True)
@@ -150,22 +148,28 @@ def solution_from_classical_code(net: Network, generator: Matrix) -> NetworkCode
 
 def _completion_dfs_order(net: Network) -> list:
     """Edge order for the search: a linear extension that completes merge
-    nodes and terminals as early as possible, so rank checks prune early."""
+    nodes and terminals as early as possible, so rank checks prune early.
+
+    A depth-first walk on an explicit stack of out-edge iterators: a node is
+    entered as soon as its last in-edge is scheduled, before the rest of
+    its tail's out-edges.
+    """
     remaining_in = {v: net.in_degree(v) for v in net.nodes}
     scheduled = []
     seen = set()
-
-    def visit(node: str) -> None:
-        for e in net.out_edges(node):
+    walk = [iter(net.out_edges(net.source))]
+    while walk:
+        for e in walk[-1]:
             if e.id in seen:
                 continue
             seen.add(e.id)
             scheduled.append(e)
             remaining_in[e.head] -= 1
             if remaining_in[e.head] == 0:
-                visit(e.head)
-
-    visit(net.source)
+                walk.append(iter(net.out_edges(e.head)))
+                break
+        else:
+            walk.pop()
     if len(scheduled) != len(net.edges):
         raise ValueError("network has edges unreachable from the source")
     return scheduled
@@ -215,7 +219,7 @@ def search_solution(
     net: Network,
     q: int,
     t: int,
-    budget: int = DEFAULT_SEARCH_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> NetworkCode | None:
     """Smallest-footprint complete search for a (q,t)-linear solution.
 
@@ -271,65 +275,78 @@ def search_solution(
     # with one in-edge forwards that edge's (already canonical) subspace
     node_space: dict = {}
     has_out = {e.tail for e in net.edges}
-    in_degree = {v: net.in_degree(v) for v in net.nodes}
-    # in-edges of each node not yet assigned on the current search path
-    remaining = dict(in_degree)
     # terminal -> echelon basis of the sum of its assigned in-edge spaces
     echelon = {term: RunningEchelon(fld) for term in net.terminals}
     # In a full combination network every permutation of the middle nodes,
     # with the terminals permuted along, is an automorphism; those fixing the
     # pinned first source edge map any solution to one whose later source
     # spaces sit at non-decreasing positions of global_candidates.  So each
-    # later source edge starts at the position its predecessor chose, kept
-    # on this stack.  Any other network is searched unsorted.
+    # later source edge starts at the position the previous one chose.  Any
+    # other network is searched unsorted.
     sorted_sources = combination_parameters(net) is not None
-    source_pos = [0]
-    bud = Budget(budget)
 
-    def rec(i: int) -> bool:
-        if i == len(order):
-            return True
-        e = order[i]
+    # One plan entry per position of `order`: the edge; its candidates
+    # (None: those within its tail's space, known once the tail is
+    # complete); the position whose choice starts its candidates (None:
+    # start at 0); its head's echelon (None off the terminals); how many of
+    # the head's in-edges come later; and the head's in-edge ids when the
+    # head then forwards (None otherwise).
+    remaining = {v: net.in_degree(v) for v in net.nodes}
+    plan = []
+    last_sorted = None
+    for i, e in enumerate(order):
         head = e.head
+        remaining[head] -= 1
+        after = remaining[head]
+        ins = [f.id for f in net.in_edges(head)] if after == 0 and head in has_out else None
+        cands, start_from = None, None
         if e.tail == net.source:
             cands = first_candidates if i == 0 else global_candidates
-        else:
-            cands = candidates_within(node_space[e.tail])
-        sorted_edge = sorted_sources and i > 0 and e.tail == net.source
-        start = source_pos[-1] if sorted_edge else 0
-        ech = echelon.get(head)
-        remaining[head] -= 1
-        unassigned = remaining[head]
-        forwards = unassigned == 0 and head in has_out
-        for pos in range(start, len(cands)):
-            w, rows = cands[pos]
-            bud.spend("solution search")
-            assignment[e.id] = w
-            added = 0
-            if ech is not None:
-                # the terminal can still reach rank ht only if every
-                # unassigned in-edge adds t more dimensions
-                added = ech.push(rows)
-                if len(ech.rows) + t * unassigned < nt:
-                    ech.pop(added)
-                    continue
-            if forwards:
-                node_space[head] = w if in_degree[head] == 1 else subspace_sum(
-                    [assignment[f.id] for f in net.in_edges(head)]
-                )
-            if sorted_edge:
-                source_pos.append(pos)
-            if rec(i + 1):
-                return True
-            if sorted_edge:
-                source_pos.pop()
-            if ech is not None:
-                ech.pop(added)
-        remaining[head] += 1
-        return False
+            if sorted_sources and i > 0:
+                start_from, last_sorted = last_sorted, i
+        plan.append((e, cands, start_from, echelon.get(head), after, ins))
 
-    if not rec(0):
-        return None
+    bud = Budget(budget)
+    # An explicit stack replaces recursion, so the depth is not bounded by
+    # the interpreter: one frame per position on the search path,
+    # [candidates, next position, rows the chosen candidate added].
+    frames: list[list] = []
+    while len(frames) < len(plan):
+        e, cands, start_from, ech, after, ins = plan[len(frames)]
+        if cands is None:
+            cands = candidates_within(node_space[e.tail])
+        frame = [cands, 0 if start_from is None else frames[start_from][1] - 1, 0]
+        frames.append(frame)
+        while True:
+            cands, pos, added = frame
+            if added:  # undo the candidate tried last
+                ech.pop(added)
+            for pos in range(pos, len(cands)):
+                w, rows = cands[pos]
+                bud.spend("solution search")
+                assignment[e.id] = w
+                added = 0
+                if ech is None:
+                    break
+                # the terminal can still reach rank ht only if every later
+                # in-edge adds t more dimensions
+                added = ech.push(rows)
+                if len(ech.rows) + t * after >= nt:
+                    break
+                ech.pop(added)
+            else:
+                frames.pop()
+                if not frames:
+                    return None
+                frame = frames[-1]
+                e, _, _, ech, after, ins = plan[len(frames) - 1]
+                continue
+            frame[1], frame[2] = pos + 1, added
+            if ins is not None:
+                node_space[e.head] = w if len(ins) == 1 else subspace_sum(
+                    [assignment[f] for f in ins]
+                )
+            break
 
     mats = {}
     for e in net.edges:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import Budget, BudgetExhausted, InternalError, SizeLimitExceeded
+from .errors import DEFAULT_BUDGET, Budget, BudgetExhausted, InternalError, SizeLimitExceeded
 from .gf import FieldSpec, Matrix, field_of_order, prime_power
 from .lincode import NetworkCode, solution_from_classical_code, verify_solution
 from .networks import Network, build_combination, combination_parameters
@@ -269,7 +269,9 @@ def _ic_search(
     any IC with at least as many members as the frame maps under GL(ht, q)
     to one that starts with the frame.  The search adds candidates after the frame
     in universe order, each independent of every chosen member (pair masks)
-    and passing the alpha-wise test (`_alpha_ok`).
+    and passing the alpha-wise test (`_alpha_ok`).  An explicit stack
+    replaces recursion, so the configuration size is not bounded by the
+    interpreter.
     """
     q = fld.q
     n = h * t
@@ -294,43 +296,50 @@ def _ic_search(
             raise AssertionError("the standard frame is not an independent configuration")
         initial &= pair_ok[i]
     best = list(chosen)
+    base = len(chosen)
     bud = Budget(budget)
-
-    def extend(start: int, cand_mask: int) -> bool:
-        """Returns True to stop the whole search at the target or the bound."""
-        nonlocal best
-        if len(chosen) > len(best):
-            best = list(chosen)
-            if target is not None and len(best) >= target:
-                return True
-            if len(best) == bound:
-                return True
-        remaining = cand_mask >> start
-        if len(chosen) + bin(remaining).count("1") <= len(best):
-            return False
-        for j in range(start, n_univ):
-            if not (cand_mask >> j) & 1:
-                continue
-            bud.spend()
-            if len(chosen) + bin(cand_mask >> j).count("1") <= len(best):
-                return False
-            if not _alpha_ok(index, chosen, j, alpha):
-                continue
-            chosen.append(j)
-            if extend(j + 1, cand_mask & pair_ok[j]):
-                return True
-            chosen.pop()
-        return False
-
+    # one frame per open node, the k-th extending chosen[:base + k]:
+    # [its candidate mask, the next universe index to try]
+    stack: list[list[int]] = []
+    cand_mask, start = initial, 0
+    stopped = False  # at the target or the bound
     try:
+        while True:
+            if len(chosen) > len(best):
+                best = list(chosen)
+                if (target is not None and len(best) >= target) or len(best) == bound:
+                    stopped = True
+                    break
+            if len(chosen) + bin(cand_mask >> start).count("1") > len(best):
+                stack.append([cand_mask, start])
+            # add the next candidate of the innermost open node
+            while stack:
+                frame = stack[-1]
+                del chosen[base + len(stack) - 1 :]  # leave the branch taken last
+                cand_mask, j = frame
+                rest = cand_mask >> j
+                while rest:
+                    j += (rest & -rest).bit_length() - 1
+                    bud.spend()
+                    if len(chosen) + bin(cand_mask >> j).count("1") <= len(best):
+                        rest = 0  # no later branch of this node beats the best
+                        break
+                    if _alpha_ok(index, chosen, j, alpha):
+                        break
+                    j += 1
+                    rest = cand_mask >> j
+                if rest:
+                    frame[1] = j + 1
+                    chosen.append(j)
+                    cand_mask, start = cand_mask & pair_ok[j], j + 1
+                    break
+                stack.pop()
+            else:
+                break
         # stopping at the target size proves nothing about the maximum
-        exact = not (extend(0, initial) and target is not None)
+        exact = not (stopped and target is not None)
     except BudgetExhausted:
         exact = False
-    finally:
-        # the recursive closure refers to itself; breaking that cycle frees
-        # the index and its cache on return, not at the next cyclic GC
-        del extend
     witness = IndependentConfiguration(
         field=fld, t=t, h=h, members=tuple(universe[i] for i in best)
     )
@@ -342,7 +351,7 @@ def ic_max_size(
     t: int,
     h: int,
     alpha: int,
-    budget: int = 10**8,
+    budget: int = DEFAULT_BUDGET,
     *,
     limit: int = ENUMERATION_LIMIT,
 ) -> ICSearchResult:
@@ -362,7 +371,7 @@ def ic_exists_of_size(
     h: int,
     alpha: int,
     size: int,
-    budget: int = 10**8,
+    budget: int = DEFAULT_BUDGET,
     *,
     limit: int = ENUMERATION_LIMIT,
 ) -> IndependentConfiguration | None:

@@ -14,10 +14,8 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 from .errors import CHECKPOINT_MASK, Budget, SizeLimitExceeded, UnsolvableNetwork, check_deadline
-from .gf import FieldSpec, make_field
-from .subspaces import DirectSumIndex, Subspace, enumerate_subspaces
-
-MAX_TERMINAL_SCAN = 10**6
+from .gf import make_field
+from .subspaces import ENUMERATION_LIMIT, DirectSumIndex, enumerate_subspaces
 
 
 @dataclass(frozen=True)
@@ -231,7 +229,7 @@ def _edge_ids(count: int) -> list[str]:
     return [f"e{i:0{width}d}" for i in range(count)]
 
 
-def build_combination(h: int, r: int, s: int, *, max_terminals: int = MAX_TERMINAL_SCAN) -> Network:
+def build_combination(h: int, r: int, s: int, *, max_terminals: int = ENUMERATION_LIMIT) -> Network:
     """The N_{h,r,s} combination network."""
     if s < 1 or r < s:
         raise ValueError(f"require r >= s >= 1, got r={r}, s={s}")
@@ -285,52 +283,7 @@ def build_butterfly() -> Network:
     return net
 
 
-@dataclass(frozen=True)
-class ImplicitKneser:
-    """Kneser network with the terminal rule kept as a predicate.
-
-    Used when listing all spanning h-subsets of the middle layer is
-    infeasible; middle nodes are still materialized.  The terminal test
-    reads a DirectSumIndex over the middles, built on first use and kept,
-    with its cached span masks, for the life of the object.
-    """
-
-    field: FieldSpec
-    q: int
-    t: int
-    h: int
-    middles: tuple[Subspace, ...]
-
-    @cached_property
-    def _index(self) -> DirectSumIndex:
-        return DirectSumIndex(self.middles)
-
-    def is_terminal(self, indices) -> bool:
-        indices = tuple(sorted(set(indices)))
-        if len(indices) != self.h:
-            return False
-        # h t-subspaces span F_q^{ht} iff they are in direct sum
-        return self._index.in_direct_sum(indices)
-
-    def stream_terminals(self, max_count: int):
-        """Yield spanning h-subsets in lexicographic order, up to max_count."""
-        count = 0
-        for subset in itertools.combinations(range(len(self.middles)), self.h):
-            if count >= max_count:
-                return
-            if self._index.in_direct_sum(subset):
-                count += 1
-                yield subset
-
-
-def build_kneser(
-    q: int,
-    t: int,
-    h: int,
-    mode: str = "materialized",
-    *,
-    max_terminal_scan: int = MAX_TERMINAL_SCAN,
-):
+def build_kneser(q: int, t: int, h: int, *, max_terminal_scan: int = ENUMERATION_LIMIT) -> Network:
     """The Kneser network K_{q,t;h}.
 
     Middle nodes carry all t-subspaces of F_q^{ht} in canonical order; a
@@ -344,15 +297,11 @@ def build_kneser(
     n = h * t
     middles = enumerate_subspaces(fld, n, t)
     r = len(middles)
-    if mode == "implicit":
-        return ImplicitKneser(field=fld, q=q, t=t, h=h, middles=tuple(middles))
-    if mode != "materialized":
-        raise ValueError(f"unknown mode {mode!r}")
     n_subsets = math.comb(r, h)
     if n_subsets > max_terminal_scan:
         raise SizeLimitExceeded(
             f"scanning {n_subsets} candidate terminals of K_{{{q},{t};{h}}} exceeds "
-            f"limit {max_terminal_scan}; use implicit mode"
+            f"limit {max_terminal_scan}"
         )
     # h t-subspaces span F_q^{ht} iff they are in direct sum.  One node per
     # candidate terminal scanned, per terminal edge made and per vector

@@ -21,7 +21,14 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .errors import CHECKPOINT_MASK, Budget, BudgetExhausted, SizeLimitExceeded, check_deadline
+from .errors import (
+    CHECKPOINT_MASK,
+    DEFAULT_BUDGET,
+    Budget,
+    BudgetExhausted,
+    SizeLimitExceeded,
+    check_deadline,
+)
 from .gf import field_of_order
 from .graphs import Coloring, Hypergraph, UGraph
 from .subspaces import (
@@ -34,9 +41,6 @@ from .subspaces import (
     spread,
     subspace_from_rows,
 )
-
-DEFAULT_BUDGET = 10**8
-
 
 # ---------------------------------------------------------------------------
 # builders
@@ -113,46 +117,54 @@ def max_clique(g: UGraph, budget: int = DEFAULT_BUDGET) -> tuple[tuple[int, ...]
 
     Running out of `budget` nodes returns the best clique with
     completed=False; any other BudgetExhausted (the wall-clock deadline)
-    propagates.
+    propagates.  An explicit stack replaces recursion, so the clique size
+    is not bounded by the interpreter.
     """
     order, adj = g.static_order
     best: list[int] = []
     current: list[int] = []
     bud = Budget(budget)
-
-    def expand(candidates: int) -> None:
-        nonlocal best
-        bud.spend("clique")
-        if not candidates:
-            if len(current) > len(best):
-                best = list(current)
-            return
-        # tops[i]: the highest vertex of colour class i, decreasing in i
-        tops = []
-        rest = candidates
-        while rest:
-            top = rest.bit_length() - 1
-            tops.append(top)
-            rest ^= 1 << top
-            free = rest & ~adj[top]
-            while free:
-                w = free.bit_length() - 1
-                rest ^= 1 << w
-                free &= ~adj[w]
-                free ^= 1 << w
-        while candidates:
-            low = candidates & -candidates
-            v = low.bit_length() - 1
-            need = len(best) - len(current)
-            if need >= 0 and (need >= len(tops) or v > tops[need]):
-                return
-            candidates ^= low
-            current.append(v)
-            expand(candidates & adj[v])
-            current.pop()
-
+    # one frame per open node, the k-th extending current[:k]:
+    # [its untried candidates, the tops of its colour classes]
+    stack: list[list] = []
+    candidates = (1 << len(adj)) - 1
     try:
-        expand((1 << len(adj)) - 1)
+        while True:
+            bud.spend("clique")
+            if candidates:
+                # tops[i]: the highest vertex of colour class i, decreasing in i
+                tops = []
+                rest = candidates
+                while rest:
+                    top = rest.bit_length() - 1
+                    tops.append(top)
+                    rest ^= 1 << top
+                    free = rest & ~adj[top]
+                    while free:
+                        w = free.bit_length() - 1
+                        rest ^= 1 << w
+                        free &= ~adj[w]
+                        free ^= 1 << w
+                stack.append([candidates, tops])
+            elif len(current) > len(best):
+                best = list(current)
+            # branch on the next candidate of the innermost open node
+            while stack:
+                frame = stack[-1]
+                del current[len(stack) - 1 :]  # leave the branch taken last
+                candidates, tops = frame
+                if candidates:
+                    low = candidates & -candidates
+                    v = low.bit_length() - 1
+                    need = len(best) - len(current)
+                    if need < 0 or (need < len(tops) and v <= tops[need]):
+                        frame[0] = candidates ^ low
+                        current.append(v)
+                        candidates = frame[0] & adj[v]
+                        break
+                stack.pop()
+            else:
+                break
         completed = True
     except BudgetExhausted:
         if not bud.out_of_nodes:
@@ -327,7 +339,7 @@ def chromatic_number(
     [lo, hi) but the bracket may stay open.  By default every k is needed.
     """
     if isinstance(target, Hypergraph):
-        return chromatic_number(target.co_occurrence(), budget, needed)
+        target = target.co_occurrence()
     g: UGraph = target
     n = g.num_vertices
     if n == 0:
@@ -405,27 +417,28 @@ def find_homomorphism(g1: UGraph, g2: UGraph, budget: int = DEFAULT_BUDGET) -> d
 
     bud = Budget(budget)
     phi: dict[int, int] = {}
-
-    def search(i: int) -> bool:
-        if i == n1:
-            return True
-        v = order[i]
+    # one entry per position on the search path: the untried images of its
+    # vertex, lowest first; an explicit stack, so the depth is not bounded
+    # by the interpreter.  phi holds stale images past the path, each
+    # rewritten before it is read again.
+    untried: list[int] = []
+    while len(untried) < n1:
         cand = full2
-        for u in mapped_neighbors[i]:
+        for u in mapped_neighbors[len(untried)]:
             cand &= adj2_mask[phi[u]]
             if not cand:
-                return False
-        for w in _bits(cand):
-            bud.spend("homomorphism")
-            phi[v] = w
-            if search(i + 1):
-                return True
-            del phi[v]
-        return False
-
-    if search(0):
-        return dict(phi)
-    return None
+                break
+        untried.append(cand)
+        while not untried[-1]:
+            untried.pop()
+            if not untried:
+                return None
+        cand = untried[-1]
+        low = cand & -cand
+        untried[-1] = cand ^ low
+        bud.spend("homomorphism")
+        phi[order[len(untried) - 1]] = low.bit_length() - 1
+    return phi
 
 
 # ---------------------------------------------------------------------------

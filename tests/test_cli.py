@@ -329,11 +329,6 @@ def test_gap_table_csv(tmp_path, capsys):
     assert lines[2].startswith("K_{2,2;2},4,5,1")
 
 
-def test_build_kneser_implicit(capsys):
-    code, out, _ = run_cli(["build", "kneser", "2", "2", "3", "--implicit"], capsys)
-    assert code == EXIT_OK and "651 middle nodes" in out
-
-
 def test_usage_error_exit_codes(tmp_path, capsys):
     code, _, err = run_cli(["build", "comb", "2", "2", "3"], capsys)
     assert code == EXIT_USAGE and "error" in err
@@ -504,27 +499,37 @@ def test_chi_and_complete_target_hom_on_a_long_odd_cycle(tmp_path, capsys):
     assert code == EXIT_OK
 
 
-def test_too_deep_recursive_searches_exit_with_the_usage_code(tmp_path):
-    # the homomorphism search into a non-complete target recurses once per
-    # source vertex, the solution search's edge order once per edge; a
-    # RecursionError must not leave the CLI with 1, the verified-negative code
+def test_searches_deeper_than_the_recursion_limit_give_certified_answers(tmp_path, capsys):
+    # the homomorphism search into a non-complete target goes one level
+    # per source vertex, the solution search one per edge
     from netgap.networks import Edge, Network
 
     cycle, c5 = tmp_path / "cycle.json", tmp_path / "c5.json"
     _write_cycle(cycle, 1201)
     _write_cycle(c5, 5)
-    proc = _run_module(
-        "hom", "--from", str(cycle), "--to", str(c5), "--cert", str(tmp_path / "h.json")
+    hom_cert = tmp_path / "h.json"
+    code, _, err = run_cli(
+        ["hom", "--from", str(cycle), "--to", str(c5), "--cert", str(hom_cert)], capsys
     )
-    assert proc.returncode == EXIT_USAGE and "error:" in proc.stderr, proc.stderr
+    assert code == EXIT_OK, err
     nodes = ("s", *(f"v{i}" for i in range(1, 1100)), "t")
     edges = tuple(Edge(f"e{i}", a, b) for i, (a, b) in enumerate(zip(nodes, nodes[1:])))
     path = tmp_path / "path.json"
     path.write_text(json.dumps(network_to_json(Network(1, "s", ("t",), nodes, edges))))
-    proc = _run_module(
-        "solve", "--network", str(path), "--q", "2", "--cert", str(tmp_path / "s.json")
+    solve_cert = tmp_path / "s.json"
+    code, _, err = run_cli(
+        ["solve", "--network", str(path), "--q", "2", "--cert", str(solve_cert)], capsys
     )
-    assert proc.returncode == EXIT_USAGE and "error:" in proc.stderr, proc.stderr
+    assert code == EXIT_OK, err
+    code, out, _ = run_cli(["check-cert", str(hom_cert), str(solve_cert)], capsys)
+    assert code == EXIT_OK and out.count(": OK") == 2, out
+
+
+def test_json_nested_deeper_than_the_decoder_is_an_input_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, _, err = run_cli(["check-cert", str(deep)], capsys)
+    assert code == EXIT_USAGE and "error:" in err and "nested too deeply" in err, err
 
 
 def test_gap_timeout_holds_after_a_bracketed_qs(tmp_path):

@@ -186,6 +186,11 @@ def test_kneser_213():
     net = build_kneser(2, 1, 3)
     middles = [v for v in net.nodes if v.startswith("m")]
     assert len(middles) == 7 and len(net.terminals) == 28
+    # K_{2,2;3} has C(651, 3) candidate terminals: refused, never truncated
+    with pytest.raises(SizeLimitExceeded):
+        build_kneser(2, 2, 3)
+    with pytest.raises(ValueError):
+        build_kneser(2, 1, 1)
 
 
 @pytest.mark.parametrize("q,t", [(2, 1), (3, 1), (2, 2)])
@@ -199,18 +204,6 @@ def test_kneser_terminals_are_qkneser_edges(q, t):
         feeders = sorted(int(e.tail[1:]) for e in net.in_edges(term))
         terminal_pairs.add(tuple(feeders))
     assert terminal_pairs == set(graph.edges)
-
-
-def test_kneser_implicit_mode():
-    imp = build_kneser(2, 2, 3, mode="implicit")
-    assert len(imp.middles) == 651
-    first = list(imp.stream_terminals(5))
-    assert len(first) == 5 and all(imp.is_terminal(s) for s in first)
-    assert not imp.is_terminal((0, 1, 2)) or sum_dim([imp.middles[i] for i in (0, 1, 2)]) == 6
-    with pytest.raises(SizeLimitExceeded):
-        build_kneser(2, 2, 3)  # materialized must refuse, never truncate
-    with pytest.raises(ValueError):
-        build_kneser(2, 1, 1)
 
 
 def test_is_subcombination():
@@ -299,20 +292,6 @@ def test_build_kneser_h2_matches_sum_dim_oracle(q, t):
 @pytest.mark.parametrize("q,t,h", [(2, 1, 3), (3, 1, 3), (4, 1, 3), (2, 1, 4)])
 def test_build_kneser_h3_h4_matches_sum_dim_oracle(q, t, h):
     assert network_to_json(build_kneser(q, t, h)) == network_to_json(_build_kneser_oracle(q, t, h))
-    imp = build_kneser(q, t, h, mode="implicit")
-    expected = list(_sum_dim_terminals(imp.middles, h))
-    assert list(imp.stream_terminals(10**6)) == expected
-    spanning = set(expected)
-    for subset in itertools.combinations(range(len(imp.middles)), h):
-        assert imp.is_terminal(subset) == (subset in spanning)
-
-
-@pytest.mark.parametrize("q,t,h", [(3, 1, 4), (2, 2, 3)])
-def test_implicit_kneser_stream_matches_sum_dim_oracle(q, t, h):
-    # too many candidate terminals to scan them all with sum_dim
-    imp = build_kneser(q, t, h, mode="implicit")
-    expected = list(itertools.islice(_sum_dim_terminals(imp.middles, h), 200))
-    assert list(imp.stream_terminals(200)) == expected
 
 
 def _index_test_networks():

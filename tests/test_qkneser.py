@@ -17,9 +17,8 @@ from netgap.graphs import (
     ugraph_to_dimacs,
     ugraph_to_json,
 )
-from netgap.errors import Budget, BudgetExhausted
+from netgap.errors import DEFAULT_BUDGET, Budget, BudgetExhausted
 from netgap.qkneser import (
-    DEFAULT_BUDGET,
     _dsatur,
     build_qkneser,
     build_qkneser_hyper,
@@ -631,6 +630,14 @@ def test_homomorphism_of_a_long_odd_cycle_into_complete_graphs():
     phi = find_homomorphism(cycle, complete_graph(3))
     assert phi is not None and is_homomorphism(cycle, complete_graph(3), phi)
     assert find_homomorphism(cycle, complete_graph(2)) is None
+
+
+def test_max_clique_larger_than_the_recursion_limit():
+    # K_1100 minus the edge 01: the search goes one level per clique vertex
+    n = 1100
+    g = UGraph(n, tuple((a, b) for a in range(n) for b in range(a + 1, n) if (a, b) != (0, 1)))
+    clique, completed = max_clique(g)
+    assert completed and len(clique) == n - 1 and not {0, 1} <= set(clique)
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")

@@ -1,4 +1,5 @@
-"""netgap depends on the Python standard library alone."""
+"""Source-wide guards: netgap depends on the Python standard library alone,
+and no function in it calls itself."""
 
 import ast
 import sys
@@ -32,3 +33,29 @@ def test_package_imports_only_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_no_function_in_the_package_calls_itself():
+    # every search runs on an explicit stack, so no input is too deep for it
+    recursive = []
+    for path in sorted((ROOT / "src" / "netgap").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = node.func
+                if isinstance(callee, ast.Name):
+                    name = callee.id
+                elif (
+                    isinstance(callee, ast.Attribute)
+                    and isinstance(callee.value, ast.Name)
+                    and callee.value.id in ("self", "cls")
+                ):
+                    name = callee.attr  # a method calling itself
+                else:
+                    continue
+                if name == fn.name:
+                    recursive.append(f"{path.name}:{node.lineno} {fn.name}")
+    assert recursive == []
