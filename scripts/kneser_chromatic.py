@@ -2,8 +2,9 @@
 """Exact chromatic numbers of small q-Kneser graphs and hypergraphs.
 
 Each value comes from a complete branch-and-bound search; the witness
-coloring and, where the instance is a hypergraph, the reduction to its
-co-occurrence graph are re-validated before printing.
+coloring (of the hypergraph itself, where the instance is one) is
+replayed as a certificate before printing, and a rejected witness or an
+undecided search stops the script.
 
 Usage:
     python scripts/kneser_chromatic.py [--budget N]
@@ -12,9 +13,17 @@ Usage:
 import argparse
 import time
 
+from netgap.certs import check_certificate, coloring_certificate, hypergraph_coloring_certificate
 from netgap.errors import DEFAULT_BUDGET
-from netgap.graphs import is_proper_coloring, is_proper_hypergraph_coloring
+from netgap.graphs import ugraph_to_json
 from netgap.qkneser import build_qkneser, build_qkneser_hyper, chromatic_number
+
+
+def _certify(res, cert: dict) -> None:
+    """Raise unless the search was exact and the certificate replays."""
+    ok, message = check_certificate(cert)
+    if not (res.exact and ok):
+        raise RuntimeError(f"{cert['context']}: exact={res.exact}, certificate: {message}")
 
 
 def main() -> None:
@@ -24,23 +33,29 @@ def main() -> None:
 
     print("== graphs qK_{2t:t} ==")
     for q, t in ((2, 1), (3, 1), (4, 1), (5, 1), (2, 2)):
+        desc = f"qK_{{{2 * t}:{t}}} over F_{q}"
         g = build_qkneser(q, 2 * t, t)
         start = time.time()
         res = chromatic_number(g, args.budget)
-        assert res.exact and is_proper_coloring(g, res.coloring)
+        colors = {str(v): c for v, c in res.coloring.items()}
+        _certify(res, coloring_certificate(ugraph_to_json(g), colors, desc))
         print(
-            f"qK_{{{2 * t}:{t}}} over F_{q}: {g.num_vertices} vertices, "
+            f"{desc}: {g.num_vertices} vertices, "
             f"clique >= {len(res.clique)}, chi = {res.chi}  ({time.time() - start:.2f}s)"
         )
 
     print("\n== hypergraphs qK^h_{ht:t} ==")
     for q, t, h in ((2, 1, 3), (2, 1, 4)):
+        desc = f"qK^{h}_{{{h * t}:{t}}} over F_{q}"
         hyper = build_qkneser_hyper(q, t, h)
         start = time.time()
         res = chromatic_number(hyper, args.budget)
-        assert res.exact and is_proper_hypergraph_coloring(hyper, res.coloring)
+        cert = hypergraph_coloring_certificate(
+            hyper.num_vertices, hyper.hyperedges, res.coloring, desc
+        )
+        _certify(res, cert)
         print(
-            f"qK^{h}_{{{h * t}:{t}}} over F_{q}: {hyper.num_vertices} vertices, "
+            f"{desc}: {hyper.num_vertices} vertices, "
             f"{len(hyper.hyperedges)} hyperedges, chi = {res.chi}  ({time.time() - start:.2f}s)"
         )
 

@@ -1,13 +1,35 @@
-"""Self-contained certificates and their independent verification.
+"""Self-contained certificates and the one checker for each of them.
 
 Certificates embed the full instance (graph, network, code, or
 configuration) so `check` re-derives every claim from field and rank
-primitives alone, without trusting the solvers that produced them.
+primitives alone, without trusting the solvers that produced them.  The
+checkers here are netgap's only coloring, homomorphism, network-code and
+independent-configuration predicates: `lincode.verify_solution` and
+`mdsic.ic_is_valid` replay their arguments through them, and this module
+imports nothing from netgap but `gf`.
+
+A network-code certificate is checked for its shape before any rank:
+q = p^m; every edge has a t x ht matrix over F_q; the code's h is the
+network's; the source, the terminals and every edge endpoint are listed
+nodes; every node without inputs but the source has no outputs; and the
+edge graph is acyclic (Kahn's sweep), so every terminal's data flows from
+the source.  An independent-configuration certificate needs 1 <= alpha <= h.
 """
 
 from __future__ import annotations
 
-from .gf import Matrix, make_field, rank
+import itertools
+from dataclasses import dataclass
+
+from .gf import Matrix, make_field, rank, stack
+
+
+@dataclass
+class Verdict:
+    ok: bool
+    terminal_ranks: dict
+    failure: str | None = None
+    failure_kind: str | None = None  # "shape" | "local" | "terminal"
 
 
 def coloring_certificate(graph_json: dict, colors: dict, context: str = "") -> dict:
@@ -99,68 +121,105 @@ def _check_homomorphism(cert: dict) -> tuple[bool, str]:
     return True, "valid homomorphism"
 
 
-def _check_network_code(cert: dict) -> tuple[bool, str]:
-    net = cert["network"]
-    code = cert["code"]
+def _matrix(fld, rows, t: int, width: int) -> Matrix | None:
+    """`rows` as a t x width matrix over fld, or None when the shape is off
+    or an entry is not an element of fld."""
+    if len(rows) != t or any(len(row) != width for row in rows):
+        return None
+    mat = Matrix.from_rows(fld, rows)
+    elements = range(fld.q)
+    return mat if all(x in elements for x in mat.data) else None
+
+
+def network_code_verdict(cert: dict) -> Verdict:
+    """Every terminal's rank and the first failure of a network-code
+    certificate: "shape" (module docstring), "local" (an edge not computable
+    from its tail's inputs) or "terminal" (a terminal below rank ht)."""
+    net, code = cert["network"], cert["code"]
+
+    def shape(failure: str) -> Verdict:
+        return Verdict(ok=False, terminal_ranks={}, failure=failure, failure_kind="shape")
+
     fld = make_field(code["p"], code["m"])
-    t, h = code["t"], code["h"]
-    if h != net["h"]:
-        return False, f"code h={h} mismatches network h={net['h']}"
-    nt = h * t
+    if code["q"] != fld.q:
+        return shape(f"code declares q={code['q']}, but p^m = {fld.q}")
+    t, nt = code["t"], net["h"] * code["t"]
     mats = {}
-    for eid, rows in code["edges"].items():
-        if len(rows) != t or any(len(r) != nt for r in rows):
-            return False, f"edge {eid}: matrix is not {t}x{nt}"
-        mats[eid] = Matrix.from_rows(fld, rows)
-    in_edges: dict[str, list[str]] = {}
-    out_edges: dict[str, list[str]] = {}
     for e in net["edges"]:
-        if e["id"] not in mats:
-            return False, f"edge {e['id']} has no assignment"
-        in_edges.setdefault(e["to"], []).append(e["id"])
-        out_edges.setdefault(e["from"], []).append(e["id"])
+        if e["id"] not in code["edges"]:
+            return shape(f"missing assignment for edge {e['id']}")
+        mat = _matrix(fld, code["edges"][e["id"]], t, nt)
+        if mat is None:
+            return shape(f"edge {e['id']}: matrix must be {t}x{nt} over the code's field")
+        mats[e["id"]] = mat
+    if code["h"] != net["h"]:
+        return shape(f"code declares h={code['h']}, network has h={net['h']}")
+
+    nodes = {n["id"] for n in net["nodes"]}
     source = net["source"]
-    for node in (n["id"] for n in net["nodes"]):
+    if source not in nodes or not nodes.issuperset(net["terminals"]):
+        return shape("the source or a terminal is not among the nodes")
+    in_edges: dict[str, list[str]] = {}
+    out_edges: dict[str, list[dict]] = {}
+    for e in net["edges"]:
+        if e["from"] not in nodes or e["to"] not in nodes:
+            return shape(f"edge {e['id']} references unknown node")
+        in_edges.setdefault(e["to"], []).append(e["id"])
+        out_edges.setdefault(e["from"], []).append(e)
+    # Kahn's sweep in node order: every node is reached iff there is no cycle
+    indegree = {n["id"]: len(in_edges.get(n["id"], ())) for n in net["nodes"]}
+    ready = [v for v, d in indegree.items() if not d]
+    stray = next((v for v in ready if v != source and v in out_edges), None)
+    if stray is not None:
+        return shape(f"non-source node {stray} has outputs but no inputs")
+    for v in ready:  # the list is its own queue
+        for e in out_edges.get(v, ()):
+            indegree[e["to"]] -= 1
+            if not indegree[e["to"]]:
+                ready.append(e["to"])
+    if len(ready) != len(indegree):
+        return shape("network graph contains a cycle")
+
+    for node in indegree:
         if node == source or node not in out_edges:
             continue
-        incoming = in_edges.get(node, [])
-        if not incoming:
-            return False, f"non-source node {node} has outputs but no inputs"
-        stacked = mats[incoming[0]]
-        for eid in incoming[1:]:
-            stacked = stacked.stack(mats[eid])
-        base_rank = rank(stacked)
-        for eid in out_edges[node]:
-            if rank(stacked.stack(mats[eid])) != base_rank:
-                return False, f"edge {eid} at node {node} is not computable from inputs"
+        incoming = stack(*[mats[eid] for eid in in_edges[node]])
+        base_rank = rank(incoming)
+        for e in out_edges[node]:
+            if rank(incoming.stack(mats[e["id"]])) != base_rank:
+                failure = f"edge {e['id']} leaving node {node} is not computable from its inputs"
+                return Verdict(ok=False, terminal_ranks={}, failure=failure, failure_kind="local")
+    ranks = {}
+    failure = None
     for term in net["terminals"]:
-        stacked = None
-        for eid in in_edges.get(term, []):
-            stacked = mats[eid] if stacked is None else stacked.stack(mats[eid])
-        r = rank(stacked) if stacked is not None else 0
-        if r != nt:
-            return False, f"terminal {term} has rank {r} < {nt}"
-    return True, "accepted linear solution"
+        incoming = in_edges.get(term)
+        r = ranks[term] = rank(stack(*[mats[eid] for eid in incoming])) if incoming else 0
+        if r != nt and failure is None:
+            failure = f"terminal {term} has rank {r} < {nt}"
+    if failure:
+        return Verdict(ok=False, terminal_ranks=ranks, failure=failure, failure_kind="terminal")
+    return Verdict(ok=True, terminal_ranks=ranks)
+
+
+def _check_network_code(cert: dict) -> tuple[bool, str]:
+    v = network_code_verdict(cert)
+    return v.ok, v.failure or "accepted linear solution"
 
 
 def _check_ic(cert: dict) -> tuple[bool, str]:
-    import itertools
-
     obj = cert["ic"]
     fld = make_field(obj["p"], obj["m"])
     t, h, alpha = obj["t"], obj["h"], cert["alpha"]
-    nt = h * t
+    if not 1 <= alpha <= h:
+        return False, f"alpha={alpha} is outside 1..{h}"
     bases = []
     for rows in obj["members"]:
-        mat = Matrix.from_rows(fld, rows)
-        if mat.cols != nt or rank(mat) != t or mat.rows != t:
+        mat = _matrix(fld, rows, t, h * t)
+        if mat is None or rank(mat) != t:
             return False, "member is not a t-dimensional subspace of F_q^{ht}"
         bases.append(mat)
     for subset in itertools.combinations(bases, alpha):
-        stacked = subset[0]
-        for mat in subset[1:]:
-            stacked = stacked.stack(mat)
-        if rank(stacked) != alpha * t:
+        if rank(stack(*subset)) != alpha * t:
             return False, "an alpha-subset fails the direct-sum condition"
     return True, f"valid ({t};{h},{alpha})_{fld.q} independent configuration of size {len(bases)}"
 

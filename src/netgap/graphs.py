@@ -129,33 +129,6 @@ class Hypergraph:
 Coloring = dict[int, int]
 
 
-def is_proper_coloring(graph: UGraph, coloring: Coloring) -> bool:
-    if set(coloring) != set(range(graph.num_vertices)):
-        return False
-    return all(coloring[a] != coloring[b] for a, b in graph.edges)
-
-
-def is_proper_hypergraph_coloring(hyper: Hypergraph, coloring: Coloring) -> bool:
-    if set(coloring) != set(range(hyper.num_vertices)):
-        return False
-    for he in hyper.hyperedges:
-        colors = [coloring[v] for v in he]
-        if len(set(colors)) != len(colors):
-            return False
-    return True
-
-
-def is_homomorphism(g1: UGraph, g2: UGraph, mapping: dict[int, int]) -> bool:
-    if set(mapping) != set(range(g1.num_vertices)):
-        return False
-    edge_set = set(g2.edges)
-    for a, b in g1.edges:
-        fa, fb = mapping[a], mapping[b]
-        if fa == fb or (min(fa, fb), max(fa, fb)) not in edge_set:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # file formats
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Linear network codes as per-edge global coding matrices.
 
-A (q,t)-code stores one t x ht matrix per edge.  Verification checks local
+A (q,t)-code stores one t x ht matrix per edge.  Verification replays the
+code as a certificate through `certs`, which checks the shapes, local
 consistency (each outgoing row space inside the stacked incoming one) and
 full rank ht at every terminal.  The solution search works over row spaces
 directly: a code exists iff edge spaces of dimension <= t can be chosen
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .certs import Verdict, code_certificate, network_code_verdict
 from .errors import DEFAULT_BUDGET, Budget, InternalError
 from .gf import (
     FieldSpec,
@@ -30,11 +32,10 @@ from .gf import (
     field_of_order,
     make_field,
     rank,
-    rowspace_contains,
     solve_left,
     stack,
 )
-from .networks import Network, combination_parameters, is_solvable, parallelize
+from .networks import Network, combination_parameters, is_solvable, network_to_json, parallelize
 from .subspaces import (
     Subspace,
     coordinate_subspace,
@@ -56,64 +57,23 @@ class NetworkCode:
         return self.assignment[edge_id]
 
 
-@dataclass
-class Verdict:
-    ok: bool
-    terminal_ranks: dict
-    failure: str | None = None
-    failure_kind: str | None = None  # "local" | "terminal"
-
-
-def _stacked_incoming(net: Network, code: NetworkCode, node: str) -> Matrix:
-    mats = [code.assignment[e.id] for e in net.in_edges(node)]
-    if not mats:
-        raise ValueError(f"node {node} has no incoming edges")
-    return stack(*mats)
-
-
 def verify_solution(net: Network, code: NetworkCode) -> Verdict:
-    nt = net.h * code.t
-    for e in net.edges:
-        if e.id not in code.assignment:
-            raise ValueError(f"missing assignment for edge {e.id}")
-        mat = code.assignment[e.id]
-        if mat.rows != code.t or mat.cols != nt or mat.field != code.field:
-            raise ValueError(f"edge {e.id}: matrix must be {code.t}x{nt} over the code's field")
-    if code.h != net.h:
-        raise ValueError(f"code declares h={code.h}, network has h={net.h}")
-
-    for node in net.nodes:
-        if node == net.source:
-            continue
-        outs = net.out_edges(node)
-        if not outs:
-            continue
-        incoming = _stacked_incoming(net, code, node)
-        for e in outs:
-            if not rowspace_contains(incoming, code.assignment[e.id]):
-                return Verdict(
-                    ok=False,
-                    terminal_ranks={},
-                    failure=f"edge {e.id} leaving node {node} is not computable from its inputs",
-                    failure_kind="local",
-                )
-    ranks = {}
-    failure = None
-    for term in net.terminals:
-        r = rank(_stacked_incoming(net, code, term))
-        ranks[term] = r
-        if r != nt and failure is None:
-            failure = f"terminal {term} has rank {r} < {nt}"
-    if failure:
-        return Verdict(ok=False, terminal_ranks=ranks, failure=failure, failure_kind="terminal")
-    return Verdict(ok=True, terminal_ranks=ranks)
+    """Replay the code through `certs.network_code_verdict`, the one
+    network-code predicate; a malformed network or code raises ValueError."""
+    verdict = network_code_verdict(code_certificate(network_to_json(net), code_to_json(code)))
+    if verdict.failure_kind == "shape":
+        raise ValueError(verdict.failure)
+    return verdict
 
 
 def node_space_dim(net: Network, code: NetworkCode, node: str) -> int:
     """Dimension of the message space a node has access to."""
     if node == net.source:
         raise ValueError("the source holds all messages; its space is not edge-derived")
-    return rank(_stacked_incoming(net, code, node))
+    mats = [code.assignment[e.id] for e in net.in_edges(node)]
+    if not mats:
+        raise ValueError(f"node {node} has no incoming edges")
+    return rank(stack(*mats))
 
 
 def solution_from_classical_code(net: Network, generator: Matrix) -> NetworkCode:

@@ -9,8 +9,8 @@ The IC search lists the universe of t-subspaces once into a
 DirectSumIndex.  Its pair masks restrict candidates to spaces independent
 of every chosen member, and its cached `blocked` masks over the chosen
 (alpha-1)-subsets decide the alpha-wise test with bit tests, so the search
-makes no rank call per candidate.  Replaying a witness (`ic_is_valid`,
-behind `ic check`) keeps the rank-based `sum_dim` check.
+makes no rank call per candidate.  `ic_is_valid`, behind `ic check`,
+replays a witness through `certs`.
 
 Frame lemma.  GL(ht, q) maps ICs to ICs of the same size, and it maps any
 IC with at least alpha + [alpha = h] members to one that starts with the
@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .certs import check_certificate, ic_certificate
 from .errors import DEFAULT_BUDGET, Budget, BudgetExhausted, InternalError, SizeLimitExceeded
 from .gf import FieldSpec, Matrix, field_of_order, prime_power
 from .lincode import NetworkCode, solution_from_classical_code, verify_solution
@@ -42,7 +43,6 @@ from .subspaces import (
     canonicalize,
     enumerate_subspaces,
     subspace_from_rows,
-    sum_dim,
 )
 
 BRUTE_FORCE_LIMIT = 10**6
@@ -182,20 +182,13 @@ def ic_is_valid(config: IndependentConfiguration, alpha: int) -> bool:
     """Every member is a t-subspace of F_q^{ht} and every alpha are in direct sum.
 
     This replays witnesses (`ic check`, and the self-checks of the
-    solution bridge), so it tests each alpha-subset with its own `sum_dim`
-    rank computation on purpose: a verdict never rests on the
-    DirectSumIndex that the search used to find the configuration.
+    solution bridge) through the certificate checker, so a verdict never
+    rests on the DirectSumIndex that the search used to find the
+    configuration.
     """
     if alpha > config.h:
         raise ValueError(f"alpha={alpha} exceeds h={config.h}")
-    n = config.h * config.t
-    for member in config.members:
-        if member.dim != config.t or member.ambient != n:
-            return False
-    for subset in itertools.combinations(config.members, alpha):
-        if sum_dim(subset) != alpha * config.t:
-            return False
-    return True
+    return check_certificate(ic_certificate(ic_to_json(config), alpha))[0]
 
 
 def ic_size_bound(q: int, t: int, h: int, alpha: int) -> int:

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import pytest
 
 from netgap.gf import field_of_order, make_field
-from netgap.graphs import complete_graph, is_homomorphism, is_proper_coloring
+from netgap.graphs import complete_graph
 from netgap.lincode import (
     extend_solution,
     node_space_dim,
@@ -50,6 +50,8 @@ from netgap.qkneser import (
 )
 from netgap.skeleton import skeleton
 from netgap.subspaces import enumerate_subspaces, gaussian_coefficient
+
+from certified import coloring_ok, homomorphism_ok
 
 
 @contextmanager
@@ -114,7 +116,7 @@ def test_c03_chromatic_number_of_2K42():
         g = build_qkneser(2, 4, 2)
         res = chromatic_number(g)
         assert res.exact and res.chi == 6
-        assert is_proper_coloring(g, res.coloring)
+        assert coloring_ok(g, res.coloring)
         assert len(set(res.coloring.values())) == 6
 
         # independent 5-infeasibility oracle: a 5-coloring of 35 vertices
@@ -150,7 +152,7 @@ def test_c04_kneser_network_gap_at_2_2():
         assert report.qv.value == 4 and report.qv.method == "homomorphism"
         kind, skel, target, phi = report.qv.certificate
         assert kind == "hom" and phi == {v: v for v in range(35)}  # identity witness
-        assert is_homomorphism(skel.graph, target, phi)
+        assert homomorphism_ok(skel.graph, target, phi)
         assert report.qs.value == 5 and report.qs.method == "skeleton-chi"
         _, _, chi_res = report.qs.certificate
         assert chi_res.chi == 6 and psi(6 - 1) == 5
@@ -162,7 +164,7 @@ def test_c05_clique_and_homomorphism_consistency():
         g = build_qkneser(2, 4, 2)
         assert find_homomorphism(g, complete_graph(4)) is None
         phi = find_homomorphism(g, complete_graph(6))
-        assert phi is not None and is_homomorphism(g, complete_graph(6), phi)
+        assert phi is not None and homomorphism_ok(g, complete_graph(6), phi)
         clique = spread_clique(2, 2)
         assert len(clique) == 5
         edge_set = set(g.edges)
@@ -175,7 +177,7 @@ def test_c06_canonical_coloring_color_counts():
         for (q, n, m), expected in (((2, 5, 2), 15), ((3, 3, 1), 13)):
             colors = canonical_coloring(q, n, m)
             g = build_qkneser(q, n, m)
-            assert is_proper_coloring(g, colors)
+            assert coloring_ok(g, colors)
             assert len(set(colors.values())) == expected
             assert expected == (q ** (n - m + 1) - 1) // (q - 1)
 

@@ -8,7 +8,7 @@ import pytest
 from netgap import errors, qkneser
 from netgap.errors import Budget, BudgetExhausted, deadline
 from netgap.gf import field_of_order
-from netgap.graphs import UGraph, complete_graph, is_proper_coloring, ugraph_from_json
+from netgap.graphs import UGraph, complete_graph, ugraph_from_json
 from netgap.lincode import search_solution
 from netgap.mdsic import ic_exists_of_size, ic_max_size
 from netgap.networks import (
@@ -34,6 +34,8 @@ from netgap.qkneser import (
 )
 from netgap.skeleton import skeleton
 from netgap.subspaces import DirectSumIndex, enumerate_subspaces
+
+from certified import coloring_ok
 
 # a deadline already in the past when the block is entered
 EXPIRED = -1.0
@@ -148,7 +150,7 @@ def test_chromatic_number_past_the_deadline_raises_or_brackets():
     with deadline(EXPIRED):
         res = chromatic_number(g)
     assert (res.lo, res.hi, res.nodes_used) == (10, 12, FIRST_CHECKPOINT)
-    assert len(res.clique) == 10 and is_proper_coloring(g, res.coloring)
+    assert len(res.clique) == 10 and coloring_ok(g, res.coloring)
     # M6: the deadline ends the coloring search after 2 and 3 colors are refuted
     with deadline(EXPIRED):
         res = chromatic_number(_mycielski_6())

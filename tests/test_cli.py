@@ -348,6 +348,27 @@ def test_check_cert_rejects_tampered(tmp_path, capsys):
     assert code == EXIT_NEGATIVE and "FAIL" in out
 
 
+def test_check_cert_fails_ic_alpha_out_of_range_and_checks_the_next_file(tmp_path, capsys):
+    good = tmp_path / "ic.json"
+    run_cli(
+        ["ic", "search", "--q", "2", "--t", "1", "--h", "2", "--alpha", "2", "--cert", str(good)],
+        capsys,
+    )
+    paths = []
+    for alpha in (0, 5):
+        obj = json.loads(good.read_text())
+        obj["alpha"] = alpha
+        paths.append(tmp_path / f"alpha-{alpha}.json")
+        paths[-1].write_text(json.dumps(obj))
+    proc = _run_module("check-cert", *map(str, paths), str(good))
+    assert proc.returncode == EXIT_NEGATIVE and proc.stderr == ""
+    assert proc.stdout.splitlines() == [
+        f"{paths[0]}: FAIL - alpha=0 is outside 1..2",
+        f"{paths[1]}: FAIL - alpha=5 is outside 1..2",
+        f"{good}: OK - valid (1;2,2)_2 independent configuration of size 3",
+    ]
+
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 # Child process body: import the declared `module:attr` target and call it

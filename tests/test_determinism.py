@@ -5,7 +5,6 @@ import pytest
 
 from netgap.errors import BudgetExhausted
 from netgap.gaplab import gap_exact, gap_table_rows, qs_exact
-from netgap.graphs import is_proper_coloring
 from netgap.lincode import code_to_json, search_solution
 from netgap.mdsic import ic_max_size, ic_to_json
 from netgap.networks import build_butterfly, build_combination, build_kneser, network_to_json
@@ -20,6 +19,8 @@ from netgap.qkneser import (
 from netgap.skeleton import skeleton
 from netgap.subspaces import enumerate_subspaces
 from netgap.gf import make_field
+
+from certified import coloring_ok
 
 
 def test_enumeration_is_reproducible():
@@ -93,7 +94,7 @@ def test_qs_threshold_node_count_is_pinned_at_the_budget_boundary():
         assert (qs.lo, qs.hi, qs.method) == (11, 11, "skeleton-chi")
         kind, skel, res = qs.certificate
         assert kind == "coloring" and res.nodes_used == 1207
-        assert (res.lo, res.hi) == (11, 12) and is_proper_coloring(skel.graph, res.coloring)
+        assert (res.lo, res.hi) == (11, 12) and coloring_ok(skel.graph, res.coloring)
         assert list(res.coloring.items()) == list(greedy_coloring(skel.graph).items())
     short = qs_exact(net, budget=1206)
     assert (short.lo, short.hi, short.method, short.certificate) == (

@@ -10,9 +10,6 @@ from netgap.graphs import (
     UGraph,
     complete_graph,
     degree_order,
-    is_homomorphism,
-    is_proper_coloring,
-    is_proper_hypergraph_coloring,
     ugraph_from_json,
     ugraph_to_dimacs,
     ugraph_to_json,
@@ -33,6 +30,8 @@ from netgap.qkneser import (
 from netgap.networks import build_kneser
 from netgap.skeleton import skeleton
 from netgap.subspaces import sum_dim
+
+from certified import coloring_ok, homomorphism_ok, hypergraph_coloring_ok
 
 
 def test_qkneser_2_2_1_is_triangle():
@@ -88,7 +87,7 @@ def test_chi_hypergraph_2_1_3_is_7():
     hyper = build_qkneser_hyper(2, 1, 3)
     res = chromatic_number(hyper)
     assert res.exact and res.chi == 7
-    assert is_proper_hypergraph_coloring(hyper, res.coloring)
+    assert hypergraph_coloring_ok(hyper, res.coloring)
 
 
 def test_hypergraph_graph_chromatic_equality():
@@ -105,7 +104,7 @@ def test_chi_bracket_on_budget_exhaustion():
     g = build_qkneser(2, 4, 2)
     res = chromatic_number(g, budget=5)
     assert not res.exact and res.lo <= 6 <= res.hi
-    assert is_proper_coloring(g, res.coloring)
+    assert coloring_ok(g, res.coloring)
 
 
 def test_spread_clique_examples():
@@ -175,7 +174,7 @@ def test_hom_k4_to_k3_nonexistent():
 def test_hom_c5_to_k3_found_and_valid():
     c5 = UGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     phi = find_homomorphism(c5, complete_graph(3))
-    assert phi is not None and is_homomorphism(c5, complete_graph(3), phi)
+    assert phi is not None and homomorphism_ok(c5, complete_graph(3), phi)
 
 
 def test_hom_generic_backtracking_target_not_complete():
@@ -183,7 +182,7 @@ def test_hom_generic_backtracking_target_not_complete():
     path = UGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     star = UGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     phi = find_homomorphism(path, star)
-    assert phi is not None and is_homomorphism(path, star, phi)
+    assert phi is not None and homomorphism_ok(path, star, phi)
     triangle_to_star = find_homomorphism(complete_graph(3), star)
     assert triangle_to_star is None
 
@@ -202,7 +201,7 @@ def test_canonical_coloring_values_and_properness():
     for (q, n, m), expected in cases:
         colors = canonical_coloring(q, n, m)
         g = build_qkneser(q, n, m)
-        assert is_proper_coloring(g, colors)
+        assert coloring_ok(g, colors)
         used = len(set(colors.values()))
         if expected is not None:
             assert used == expected
@@ -253,7 +252,7 @@ def test_chromatic_number_matches_brute_force(seed):
     edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.5]
     g = UGraph.from_edges(n, edges)
     res = chromatic_number(g)
-    assert res.exact and is_proper_coloring(g, res.coloring)
+    assert res.exact and coloring_ok(g, res.coloring)
     assert res.chi == _brute_chi(g)
 
 
@@ -266,7 +265,7 @@ def test_chromatic_number_tests_only_the_needed_counts(n, bits, needed_bits):
     res = chromatic_number(g, needed=lambda k: needed_bits >> k & 1)
     chi = _brute_chi(g)
     assert res.lo <= chi <= res.hi
-    assert is_proper_coloring(g, res.coloring)
+    assert coloring_ok(g, res.coloring)
     assert len(set(res.coloring.values())) == res.hi
     assert not any(needed_bits >> k & 1 for k in range(res.lo, res.hi))
     # needing every count is the default: the same search, node for node
@@ -284,7 +283,7 @@ def test_homomorphism_matches_brute_force(seed):
     phi = find_homomorphism(g1, g2)
     assert (phi is not None) == _brute_hom_exists(g1, g2)
     if phi is not None:
-        assert is_homomorphism(g1, g2, phi)
+        assert homomorphism_ok(g1, g2, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +536,7 @@ def test_greedy_coloring_matches_set_oracle(n, bits):
     coloring = greedy_coloring(g)
     # the same picks in the same order, hence the same certificate listing
     assert list(coloring.items()) == list(_greedy_coloring_oracle(g).items())
-    assert is_proper_coloring(g, coloring)
+    assert coloring_ok(g, coloring)
 
 
 def test_greedy_coloring_matches_set_oracle_on_qkneser():
@@ -570,7 +569,7 @@ def test_k_colorable_matches_scan_dsatur(n, bits, extra):
     for k in range(max(len(clique) - 1, 0), len(clique) + extra + 1):
         found, used = _compare_colorable(g, k, clique)
         if found is not None:
-            assert is_proper_coloring(g, found)
+            assert coloring_ok(g, found)
         if used > 1:
             _compare_colorable(g, k, clique, budget=used // 2)
 
@@ -580,7 +579,7 @@ def test_k_colorable_matches_scan_dsatur_on_qkneser():
     clique, _ = max_clique(g)
     assert _compare_colorable(g, 5, clique) == (None, 100)
     found, _ = _compare_colorable(g, 6, clique)
-    assert is_proper_coloring(g, found)
+    assert coloring_ok(g, found)
     assert _compare_colorable(g, 5, clique[:1])[0] is None
     assert _compare_colorable(g, 5, clique, budget=40)[0] == "exhausted"
 
@@ -602,7 +601,7 @@ def test_search_lists_the_pinned_clique_first():
     clique, _ = max_clique(g)
     found = _dsatur(degree_order(g.adjacency_masks()), 6, clique, Budget(DEFAULT_BUDGET))
     assert list(found.items())[: len(clique)] == [(v, c) for c, v in enumerate(clique)]
-    assert is_proper_coloring(g, found)
+    assert coloring_ok(g, found)
 
 
 def test_static_order_is_built_once_and_left_out_of_equality():
@@ -622,13 +621,13 @@ def test_chromatic_number_of_a_long_odd_cycle():
     cycle = _cycle(1201)
     res = chromatic_number(cycle)
     assert res.exact and res.chi == 3
-    assert is_proper_coloring(cycle, res.coloring)
+    assert coloring_ok(cycle, res.coloring)
 
 
 def test_homomorphism_of_a_long_odd_cycle_into_complete_graphs():
     cycle = _cycle(1201)
     phi = find_homomorphism(cycle, complete_graph(3))
-    assert phi is not None and is_homomorphism(cycle, complete_graph(3), phi)
+    assert phi is not None and homomorphism_ok(cycle, complete_graph(3), phi)
     assert find_homomorphism(cycle, complete_graph(2)) is None
 
 
@@ -718,9 +717,9 @@ def test_chromatic_number_from_a_greedy_clique_matches_brute_force(n, bits, need
     g = _random_graph(n, bits)
     chi = _brute_chi(g)
     res = chromatic_number(g)
-    assert res.exact and res.chi == chi and is_proper_coloring(g, res.coloring)
+    assert res.exact and res.chi == chi and coloring_ok(g, res.coloring)
     edges = set(g.edges)
     assert all(pair in edges for pair in itertools.combinations(res.clique, 2))
     assert len(res.clique) <= chi
     some = chromatic_number(g, needed=lambda k: needed_bits >> k & 1)
-    assert some.lo <= chi <= some.hi and is_proper_coloring(g, some.coloring)
+    assert some.lo <= chi <= some.hi and coloring_ok(g, some.coloring)

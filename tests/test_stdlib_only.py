@@ -59,3 +59,17 @@ def test_no_function_in_the_package_calls_itself():
                 if name == fn.name:
                     recursive.append(f"{path.name}:{node.lineno} {fn.name}")
     assert recursive == []
+
+
+def test_certs_imports_nothing_from_netgap_but_gf():
+    # the replayer must not depend on the solvers whose output it checks
+    path = ROOT / "src" / "netgap" / "certs.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    relative, absolute = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            (relative if node.level else absolute).add(node.module)
+        elif isinstance(node, ast.Import):
+            absolute.update(alias.name for alias in node.names)
+    assert relative == {"gf"}
+    assert [name for name in absolute if name.split(".")[0] == "netgap"] == []
