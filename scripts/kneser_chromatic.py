@@ -13,9 +13,9 @@ Usage:
 import argparse
 import time
 
-from netgap.certs import check_certificate, coloring_certificate, hypergraph_coloring_certificate
+from netgap.certs import check_certificate
 from netgap.errors import DEFAULT_BUDGET
-from netgap.graphs import ugraph_to_json
+from netgap.graphs import coloring_certificate, hypergraph_coloring_certificate
 from netgap.qkneser import build_qkneser, build_qkneser_hyper, chromatic_number
 
 
@@ -37,8 +37,7 @@ def main() -> None:
         g = build_qkneser(q, 2 * t, t)
         start = time.time()
         res = chromatic_number(g, args.budget)
-        colors = {str(v): c for v, c in res.coloring.items()}
-        _certify(res, coloring_certificate(ugraph_to_json(g), colors, desc))
+        _certify(res, coloring_certificate(g, res.coloring, desc))
         print(
             f"{desc}: {g.num_vertices} vertices, "
             f"clique >= {len(res.clique)}, chi = {res.chi}  ({time.time() - start:.2f}s)"
@@ -50,10 +49,7 @@ def main() -> None:
         hyper = build_qkneser_hyper(q, t, h)
         start = time.time()
         res = chromatic_number(hyper, args.budget)
-        cert = hypergraph_coloring_certificate(
-            hyper.num_vertices, hyper.hyperedges, res.coloring, desc
-        )
-        _certify(res, cert)
+        _certify(res, hypergraph_coloring_certificate(hyper, res.coloring, desc))
         print(
             f"{desc}: {hyper.num_vertices} vertices, "
             f"{len(hyper.hyperedges)} hyperedges, chi = {res.chi}  ({time.time() - start:.2f}s)"

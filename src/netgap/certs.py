@@ -6,7 +6,11 @@ primitives alone, without trusting the solvers that produced them.  The
 checkers here are netgap's only coloring, homomorphism, network-code and
 independent-configuration predicates: `lincode.verify_solution` and
 `mdsic.ic_is_valid` replay their arguments through them, and this module
-imports nothing from netgap but `gf`.
+imports nothing from netgap but `gf`.  Each kind has one maker, beside
+the objects it serialises: `graphs` makes coloring, hypergraph-coloring
+and homomorphism certificates, `lincode` network-code ones and `mdsic`
+independent-configuration ones.  A malformed certificate (a missing key,
+a value of the wrong type) is rejected, never raised.
 
 A network-code certificate is checked for its shape before any rank:
 q = p^m; every edge has a t x ht matrix over F_q; the code's h is the
@@ -30,45 +34,6 @@ class Verdict:
     terminal_ranks: dict
     failure: str | None = None
     failure_kind: str | None = None  # "shape" | "local" | "terminal"
-
-
-def coloring_certificate(graph_json: dict, colors: dict, context: str = "") -> dict:
-    return {
-        "kind": "coloring",
-        "context": context,
-        "graph": graph_json,
-        "colors": {str(k): v for k, v in colors.items()},
-        "num_colors": len(set(colors.values())),
-    }
-
-
-def hypergraph_coloring_certificate(num_vertices: int, hyperedges, colors: dict, context: str = "") -> dict:
-    return {
-        "kind": "hypergraph-coloring",
-        "context": context,
-        "num_vertices": num_vertices,
-        "hyperedges": [list(he) for he in hyperedges],
-        "colors": {str(k): v for k, v in colors.items()},
-        "num_colors": len(set(colors.values())),
-    }
-
-
-def homomorphism_certificate(g1_json: dict, g2_json: dict, mapping: dict, context: str = "") -> dict:
-    return {
-        "kind": "homomorphism",
-        "context": context,
-        "from": g1_json,
-        "to": g2_json,
-        "map": {str(k): str(v) for k, v in mapping.items()},
-    }
-
-
-def code_certificate(network_json: dict, code_json: dict, context: str = "") -> dict:
-    return {"kind": "network-code", "context": context, "network": network_json, "code": code_json}
-
-
-def ic_certificate(ic_json: dict, alpha: int, context: str = "") -> dict:
-    return {"kind": "independent-configuration", "context": context, "alpha": alpha, "ic": ic_json}
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +199,11 @@ _CHECKERS = {
 
 
 def check_certificate(cert: dict) -> tuple[bool, str]:
-    kind = cert.get("kind")
-    checker = _CHECKERS.get(kind)
-    if checker is None:
-        return False, f"unknown certificate kind {kind!r}"
-    return checker(cert)
+    try:
+        kind = cert.get("kind")
+        checker = _CHECKERS.get(kind)
+        if checker is None:
+            return False, f"unknown certificate kind {kind!r}"
+        return checker(cert)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        return False, f"malformed certificate: {type(exc).__name__}: {exc}"

@@ -5,7 +5,10 @@ homomorphism, rejected code), 2 usage or input error, 3 budget or timeout
 exhaustion.  Every search runs on an explicit stack, so the depth of an
 input never limits it; a JSON file nested deeper than the decoder follows
 is an input error.  Every search result is written beside a replayable
-certificate which `check-cert` re-verifies from first principles.
+certificate which `check-cert` re-verifies from first principles.  Each
+certificate is made by its kind's maker in `graphs`, `lincode` or `mdsic`
+(for `qs`, `qv` and `gap`, by the route that settled the value); this
+module only writes it.
 """
 
 from __future__ import annotations
@@ -15,14 +18,7 @@ import json
 import sys
 import time
 
-from .certs import (
-    check_certificate,
-    code_certificate,
-    coloring_certificate,
-    homomorphism_certificate,
-    hypergraph_coloring_certificate,
-    ic_certificate,
-)
+from .certs import check_certificate
 from .errors import DEFAULT_BUDGET, BudgetExhausted, NetgapError, deadline
 from .gaplab import (
     Extremal,
@@ -33,14 +29,19 @@ from .gaplab import (
     qs_exact,
     qv_exact,
 )
-from .graphs import ugraph_from_json, ugraph_to_json
-from .lincode import code_from_json, code_to_json, search_solution, verify_solution
+from .graphs import (
+    coloring_certificate,
+    homomorphism_certificate,
+    hypergraph_coloring_certificate,
+    ugraph_from_json,
+)
+from .lincode import code_certificate, code_from_json, search_solution, verify_solution
 from .mdsic import (
+    ic_certificate,
     ic_from_json,
     ic_is_valid,
     ic_max_size,
     ic_size_bound,
-    ic_to_json,
     linear_code_to_json,
     min_distance,
     rs_code,
@@ -97,20 +98,6 @@ def _write_output(args, obj: dict, human: str) -> None:
         print(f"wrote {args.output}")
     else:
         _emit(args, obj, human)
-
-
-def _qkneser_graph_json(g) -> dict:
-    obj = ugraph_to_json(g)
-    if g.labels is not None:
-        obj["labels"] = {
-            str(i): [list(row) for row in s.basis.row_list()] for i, s in enumerate(g.labels)
-        }
-    return obj
-
-
-def _named_colors(g, coloring: dict) -> dict:
-    names = g.names or tuple(str(v) for v in range(g.num_vertices))
-    return {names[v]: c for v, c in coloring.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +188,9 @@ def cmd_chi(args) -> int:
             fh.write(ugraph_to_dimacs(target))
     res = chromatic_number(target, args.budget)
     if hyper is not None:
-        cert = hypergraph_coloring_certificate(
-            hyper.num_vertices, hyper.hyperedges, res.coloring, context=desc
-        )
+        cert = hypergraph_coloring_certificate(hyper, res.coloring, desc)
     else:
-        cert = coloring_certificate(
-            _qkneser_graph_json(target), _named_colors(target, res.coloring), context=desc
-        )
+        cert = coloring_certificate(target, res.coloring, desc)
     _write_json(args.cert, cert)
     if res.exact:
         _emit(
@@ -252,14 +235,7 @@ def cmd_hom(args) -> int:
             f"no homomorphism into {desc2} (complete search)",
         )
         return EXIT_NEGATIVE
-    names1 = g1.names or tuple(str(v) for v in range(g1.num_vertices))
-    names2 = g2.names or tuple(str(v) for v in range(g2.num_vertices))
-    cert = homomorphism_certificate(
-        ugraph_to_json(g1),
-        ugraph_to_json(g2),
-        {names1[v]: names2[w] for v, w in phi.items()},
-        context=f"{args.source} -> {desc2}",
-    )
+    cert = homomorphism_certificate(g1, g2, phi, f"{args.source} -> {desc2}")
     _write_json(args.cert, cert)
     _emit(
         args,
@@ -273,11 +249,7 @@ def cmd_coloring(args) -> int:
     q, n, m = args.qkneser
     colors = canonical_coloring(q, n, m, limit=args.max_subspaces)
     g = build_qkneser(q, n, m, limit=args.max_subspaces)
-    cert = coloring_certificate(
-        _qkneser_graph_json(g),
-        _named_colors(g, colors),
-        context=f"canonical coloring of qK_{{{n}:{m}}} over F_{q}",
-    )
+    cert = coloring_certificate(g, colors, f"canonical coloring of qK_{{{n}:{m}}} over F_{q}")
     _write_json(args.cert, cert)
     used = len(set(colors.values()))
     _emit(
@@ -302,7 +274,7 @@ def cmd_solve(args) -> int:
             f"no ({args.q},{args.t})-linear solution (complete search)",
         )
         return EXIT_NEGATIVE
-    cert = code_certificate(network_to_json(net), code_to_json(code), context=args.network)
+    cert = code_certificate(net, code, args.network)
     _write_json(args.cert, cert)
     _emit(
         args,
@@ -365,9 +337,9 @@ def cmd_ic(args) -> int:
         return EXIT_OK if ok else EXIT_NEGATIVE
     result = ic_max_size(args.q, args.t, args.h, args.alpha, args.budget, limit=args.max_subspaces)
     cert = ic_certificate(
-        ic_to_json(result.witness),
+        result.witness,
         args.alpha,
-        context=f"maximum ({args.t};{args.h},{args.alpha})_{args.q} configuration",
+        f"maximum ({args.t};{args.h},{args.alpha})_{args.q} configuration",
     )
     _write_json(args.cert, cert)
     obj = {
@@ -388,36 +360,6 @@ def cmd_psi(args) -> int:
     value = psi(int(args.x)) if args.x == int(args.x) else psi(args.x)
     _emit(args, {"psi": value}, str(value))
     return EXIT_OK
-
-
-def _certificate_from_extremal(net, extremal: Extremal) -> dict | None:
-    payload = extremal.certificate
-    if payload is None:
-        return None
-    kind = payload[0]
-    if kind == "coloring":
-        _, skel, res = payload
-        return coloring_certificate(
-            ugraph_to_json(skel.graph),
-            _named_colors(skel.graph, res.coloring),
-            context="skeleton coloring",
-        )
-    if kind == "code":
-        code = payload[1]
-        return code_certificate(network_to_json(net), code_to_json(code))
-    if kind == "hom":
-        _, skel, target, phi = payload
-        names1 = skel.graph.names
-        return homomorphism_certificate(
-            ugraph_to_json(skel.graph),
-            ugraph_to_json(target),
-            {names1[v]: str(w) for v, w in phi.items()},
-            context="skeleton into q-Kneser graph",
-        )
-    if kind == "ic":
-        witness = payload[1]
-        return ic_certificate(ic_to_json(witness), witness.h, context="vector solution as IC")
-    return None
 
 
 def _load_gap_network(args):
@@ -442,18 +384,13 @@ def _extremal_json(e: Extremal) -> dict:
 def cmd_extremal(args) -> int:
     """`qs` or `qv`, by the subcommand's name: the same report for either value."""
     net, desc = _load_gap_network(args)
-    if args.command == "qs":
-        res = qs_exact(net, args.budget, method=args.method)
-    else:
-        res = qv_exact(net, args.budget)
+    res = (qs_exact if args.command == "qs" else qv_exact)(net, args.budget)
     label = args.command.replace("q", "q_")
-    cert = _certificate_from_extremal(net, res)
-    if cert is not None:
-        _write_json(args.cert, cert)
     if res.exact:
+        _write_json(args.cert, res.certificate)
         _emit(
             args,
-            {label: res.value, "method": res.method, "certificate": args.cert if cert else None},
+            {label: res.value, "method": res.method, "certificate": args.cert},
             f"{label}({desc}) = {res.value}  [{res.method}]",
         )
         return EXIT_OK
@@ -469,9 +406,8 @@ def cmd_gap(args) -> int:
     net, desc = _load_gap_network(args)
     report = gap_exact(net, args.budget, description=desc)
     for label, extremal in (("qs", report.qs), ("qv", report.qv)):
-        cert = _certificate_from_extremal(net, extremal)
-        if cert is not None:
-            _write_json(f"{args.cert_prefix}-{label}-cert.json", cert)
+        if extremal.exact:
+            _write_json(f"{args.cert_prefix}-{label}-cert.json", extremal.certificate)
     if report.exact:
         _emit(
             args,
@@ -665,8 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--network")
         p.add_argument("--kneser", type=int, nargs=3, metavar=("Q", "T", "H"))
         p.add_argument("--comb", type=int, nargs=3, metavar=("H", "R", "S"))
-        if name == "qs":
-            p.add_argument("--method", choices=["auto", "chi", "search"], default="auto")
         _add_common(p, cert_default=f"{name}-cert.json")
         _add_search_limits(p)
         _add_max_subspaces(p)
@@ -702,13 +636,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, nargs="+", default=[1, 2])
     p.add_argument("--exact-limit", type=int, default=4, help="resolve q^t <= this exactly")
     p.add_argument("-o", "--output")
-    _add_common(p)
     _add_search_limits(p)
     p.set_defaults(func=cmd_gap_table)
 
     p = sub.add_parser("check-cert", help="re-verify certificates")
     p.add_argument("certs", nargs="+")
-    _add_common(p)
     p.set_defaults(func=cmd_check_cert)
 
     return parser

@@ -12,13 +12,20 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DEFAULT_BUDGET, BudgetExhausted, SizeLimitExceeded, UnsolvableNetwork
+from .errors import (
+    DEFAULT_BUDGET,
+    BudgetExhausted,
+    InternalError,
+    SizeLimitExceeded,
+    UnsolvableNetwork,
+)
 from .gf import prime_power
-from .lincode import search_solution
-from .mdsic import ic_exists_of_size
+from .graphs import coloring_certificate, homomorphism_certificate
+from .lincode import code_certificate, search_solution
+from .mdsic import ic_certificate, ic_exists_of_size
 from .networks import (
     Network,
     build_kneser,
@@ -108,12 +115,18 @@ def candidate_qt_pairs(v: int) -> list[tuple[int, int]]:
 
 @dataclass
 class Extremal:
-    """An exact value (lo == hi) or an honest bracket from a stopped search."""
+    """An exact value (lo == hi) with its certificate, or an honest bracket
+    from a stopped search.  The certificate is the dict that
+    `certs.check_certificate` replays."""
 
     lo: int
     hi: int
     method: str
-    certificate: object | None = None
+    certificate: dict | None = None
+
+    def __post_init__(self):
+        if self.exact and self.certificate is None:
+            raise InternalError(f"exact {self.method} value {self.lo} without a certificate")
 
     @property
     def exact(self) -> bool:
@@ -131,7 +144,6 @@ class GapReport:
     network: str
     qs: Extremal
     qv: Extremal
-    certificates: dict = dc_field(default_factory=dict)
 
     @property
     def exact(self) -> bool:
@@ -158,16 +170,15 @@ def _scalar_upper_bound(net: Network) -> int:
     return psi(max(2, len(net.terminals)))
 
 
-def qs_exact(net: Network, budget: int = DEFAULT_BUDGET, method: str = "auto") -> Extremal:
-    """Smallest field size with a scalar linear solution, with certificate."""
+def qs_exact(net: Network, budget: int = DEFAULT_BUDGET) -> Extremal:
+    """Smallest field size with a scalar linear solution, with certificate.
+
+    Minimal two-message networks take the skeleton's chromatic number;
+    every other network the exhaustive code search.
+    """
     if not is_solvable(net):
         raise UnsolvableNetwork("network fails the cut criterion")
-    if method not in ("auto", "chi", "search"):
-        raise ValueError(f"unknown method {method!r}")
-    use_chi = method == "chi" or (method == "auto" and net.h == 2 and net._routing_minimal)
-    if method == "chi" and not (net.h == 2 and net._routing_minimal):
-        raise ValueError("the chromatic route needs a minimal network with h = 2")
-    if use_chi:
+    if net.h == 2 and net._routing_minimal:
         # a scalar solution over F_q is a homomorphism of the skeleton into
         # qK_{2:1} = K_{q+1}, so q_s = psi(chi - 1) and only the colour
         # counts q + 1 decide it; q_s is exact once the bracket's ends agree
@@ -175,7 +186,8 @@ def qs_exact(net: Network, budget: int = DEFAULT_BUDGET, method: str = "auto") -
         res = chromatic_number(skel.graph, budget, needed=lambda k: is_prime_power(k - 1))
         lo, hi = psi(res.lo - 1), psi(res.hi - 1)
         if lo == hi:
-            return Extremal(hi, hi, "skeleton-chi", certificate=("coloring", skel, res))
+            cert = coloring_certificate(skel.graph, res.coloring, "skeleton coloring")
+            return Extremal(hi, hi, "skeleton-chi", certificate=cert)
         return Extremal(lo, hi, "skeleton-chi-bracket")
     bound = _scalar_upper_bound(net)
     q = 2
@@ -185,7 +197,7 @@ def qs_exact(net: Network, budget: int = DEFAULT_BUDGET, method: str = "auto") -
         except BudgetExhausted:
             return Extremal(q, bound, "exhaustive-bracket")
         if code is not None:
-            return Extremal(q, q, "exhaustive", certificate=("code", code))
+            return Extremal(q, q, "exhaustive", certificate=code_certificate(net, code))
         q = psi(q + 1)
     raise AssertionError("scalar scan passed the sufficiency bound without a solution")
 
@@ -215,26 +227,27 @@ def qv_exact(net: Network, budget: int = DEFAULT_BUDGET) -> Extremal:
                     h, r = comb[0], comb[1]
                     witness = ic_exists_of_size(q, t, h, h, r, budget)
                     if witness is not None:
-                        return Extremal(v, v, "ic", certificate=("ic", witness))
-                elif hom_route:
+                        cert = ic_certificate(witness, h, "vector solution as IC")
+                        return Extremal(v, v, "ic", certificate=cert)
+                    continue
+                if hom_route:
                     if skel_clique_size > qkneser_clique_number(q, t):
                         continue  # the target's cliques are too small
                     try:
                         target = build_qkneser(q, 2 * t, t)
                     except SizeLimitExceeded:
-                        code = search_solution(net, q, t, budget)
-                        if code is not None:
-                            return Extremal(v, v, "exhaustive", certificate=("code", code))
+                        target = None  # too many t-subspaces to list: search codes
+                    if target is not None:
+                        phi = find_homomorphism(skel.graph, target, budget)
+                        if phi is not None:
+                            cert = homomorphism_certificate(
+                                skel.graph, target, phi, "skeleton into q-Kneser graph"
+                            )
+                            return Extremal(v, v, "homomorphism", certificate=cert)
                         continue
-                    phi = find_homomorphism(skel.graph, target, budget)
-                    if phi is not None:
-                        return Extremal(
-                            v, v, "homomorphism", certificate=("hom", skel, target, phi)
-                        )
-                else:
-                    code = search_solution(net, q, t, budget)
-                    if code is not None:
-                        return Extremal(v, v, "exhaustive", certificate=("code", code))
+                code = search_solution(net, q, t, budget)
+                if code is not None:
+                    return Extremal(v, v, "exhaustive", certificate=code_certificate(net, code))
             except BudgetExhausted:
                 return Extremal(v, v_max, "bracket")
         v = psi(v + 1)

@@ -1,4 +1,4 @@
-"""Undirected graphs, uniform hypergraphs, colorings, and their file formats."""
+"""Undirected graphs, uniform hypergraphs, colorings, their file formats and certificates."""
 
 from __future__ import annotations
 
@@ -51,6 +51,11 @@ class UGraph:
             adj[a] |= 1 << b
             adj[b] |= 1 << a
         return adj
+
+    @cached_property
+    def vertex_names(self) -> tuple[str, ...]:
+        """The names, or each vertex's index as a string when there are none."""
+        return self.names or tuple(str(v) for v in range(self.num_vertices))
 
     @cached_property
     def static_order(self) -> tuple[list[int], list[int]]:
@@ -134,7 +139,7 @@ Coloring = dict[int, int]
 # ---------------------------------------------------------------------------
 
 def ugraph_to_json(g: UGraph) -> dict:
-    names = g.names or [str(v) for v in range(g.num_vertices)]
+    names = g.vertex_names
     return {
         "vertices": list(names),
         "edges": [[names[a], names[b]] for a, b in g.edges],
@@ -157,7 +162,7 @@ def ugraph_to_dimacs(g: UGraph) -> str:
 
 
 def ugraph_to_dot(g: UGraph) -> str:
-    names = g.names or [str(v) for v in range(g.num_vertices)]
+    names = g.vertex_names
     lines = ["graph G {"]
     for name in names:
         lines.append(f'  "{name}";')
@@ -165,3 +170,46 @@ def ugraph_to_dot(g: UGraph) -> str:
         lines.append(f'  "{names[a]}" -- "{names[b]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# certificates, replayed by `certs.check_certificate`
+# ---------------------------------------------------------------------------
+
+def coloring_certificate(g: UGraph, coloring: Coloring, context: str = "") -> dict:
+    """The graph (with its subspace labels, if any) and each vertex's color by name."""
+    graph = ugraph_to_json(g)
+    if g.labels is not None:
+        graph["labels"] = {
+            str(i): [list(row) for row in s.basis.row_list()] for i, s in enumerate(g.labels)
+        }
+    names = g.vertex_names
+    return {
+        "kind": "coloring",
+        "context": context,
+        "graph": graph,
+        "colors": {names[v]: c for v, c in coloring.items()},
+        "num_colors": len(set(coloring.values())),
+    }
+
+
+def hypergraph_coloring_certificate(hyper: Hypergraph, coloring: Coloring, context: str = "") -> dict:
+    return {
+        "kind": "hypergraph-coloring",
+        "context": context,
+        "num_vertices": hyper.num_vertices,
+        "hyperedges": [list(he) for he in hyper.hyperedges],
+        "colors": {str(v): c for v, c in coloring.items()},
+        "num_colors": len(set(coloring.values())),
+    }
+
+
+def homomorphism_certificate(g1: UGraph, g2: UGraph, phi: dict, context: str = "") -> dict:
+    names1, names2 = g1.vertex_names, g2.vertex_names
+    return {
+        "kind": "homomorphism",
+        "context": context,
+        "from": ugraph_to_json(g1),
+        "to": ugraph_to_json(g2),
+        "map": {names1[v]: names2[w] for v, w in phi.items()},
+    }

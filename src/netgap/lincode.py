@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .certs import Verdict, code_certificate, network_code_verdict
+from .certs import Verdict, network_code_verdict
 from .errors import DEFAULT_BUDGET, Budget, InternalError
 from .gf import (
     FieldSpec,
@@ -60,7 +60,7 @@ class NetworkCode:
 def verify_solution(net: Network, code: NetworkCode) -> Verdict:
     """Replay the code through `certs.network_code_verdict`, the one
     network-code predicate; a malformed network or code raises ValueError."""
-    verdict = network_code_verdict(code_certificate(network_to_json(net), code_to_json(code)))
+    verdict = network_code_verdict(code_certificate(net, code))
     if verdict.failure_kind == "shape":
         raise ValueError(verdict.failure)
     return verdict
@@ -422,3 +422,13 @@ def code_from_json(obj: dict) -> NetworkCode:
         if assignment[eid].rows != t or assignment[eid].cols != h * t:
             raise ValueError(f"edge {eid}: expected {t}x{h * t} matrix")
     return NetworkCode(field=fld, t=t, h=h, assignment=assignment)
+
+
+def code_certificate(net: Network, code: NetworkCode, context: str = "") -> dict:
+    """The network and the code, replayed by `certs.network_code_verdict`."""
+    return {
+        "kind": "network-code",
+        "context": context,
+        "network": network_to_json(net),
+        "code": code_to_json(code),
+    }

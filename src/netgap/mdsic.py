@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .certs import check_certificate, ic_certificate
+from .certs import check_certificate
 from .errors import DEFAULT_BUDGET, Budget, BudgetExhausted, InternalError, SizeLimitExceeded
 from .gf import FieldSpec, Matrix, field_of_order, prime_power
 from .lincode import NetworkCode, solution_from_classical_code, verify_solution
@@ -188,7 +188,7 @@ def ic_is_valid(config: IndependentConfiguration, alpha: int) -> bool:
     """
     if alpha > config.h:
         raise ValueError(f"alpha={alpha} exceeds h={config.h}")
-    return check_certificate(ic_certificate(ic_to_json(config), alpha))[0]
+    return check_certificate(ic_certificate(config, alpha))[0]
 
 
 def ic_size_bound(q: int, t: int, h: int, alpha: int) -> int:
@@ -481,3 +481,13 @@ def ic_from_json(obj: dict) -> IndependentConfiguration:
     n = obj["h"] * obj["t"]
     members = tuple(subspace_from_rows(fld, rows, n) for rows in obj["members"])
     return IndependentConfiguration(field=fld, t=obj["t"], h=obj["h"], members=members)
+
+
+def ic_certificate(config: IndependentConfiguration, alpha: int, context: str = "") -> dict:
+    """The configuration and the alpha it claims, replayed by `certs`."""
+    return {
+        "kind": "independent-configuration",
+        "context": context,
+        "alpha": alpha,
+        "ic": ic_to_json(config),
+    }

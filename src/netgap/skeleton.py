@@ -71,7 +71,7 @@ def reverse_skeleton(g: UGraph) -> Network:
     by its two endpoint middle nodes.  The result is a sub-network of the
     full combination network on len(g) middle nodes.
     """
-    names = g.names or tuple(str(v) for v in range(g.num_vertices))
+    names = g.vertex_names
     degrees = g.degree_sequence()
     isolated = [names[v] for v in range(g.num_vertices) if degrees[v] == 0]
     if isolated:
@@ -100,7 +100,7 @@ def skeleton_roundtrip_check(g: UGraph) -> bool:
     """skeleton(reverse_skeleton(g)) matches g under the natural labels."""
     net = reverse_skeleton(g)
     skel = skeleton(net)
-    names = g.names or tuple(str(v) for v in range(g.num_vertices))
+    names = g.vertex_names
     middle_of_vertex = {f"v{name}": i for i, name in enumerate(names)}
 
     # each class must contain exactly one source edge; its head names the vertex

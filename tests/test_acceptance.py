@@ -11,6 +11,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from netgap.certs import check_certificate
 from netgap.gf import field_of_order, make_field
 from netgap.graphs import complete_graph
 from netgap.lincode import (
@@ -87,7 +88,9 @@ def test_c02_butterfly_pipeline():
         report = gap_exact(net, description="butterfly")
         assert report.exact and report.qs.value == 2 and report.qv.value == 2
         assert report.gap == 0
-        assert qs_exact(net, method="chi").value == qs_exact(net, method="search").value == 2
+        qs = qs_exact(net)
+        assert qs.method == "skeleton-chi" and qs.value == 2
+        assert search_solution(net, 2, 1) is not None  # the search route agrees
 
 
 def _all_independent_sets_of_size(g, size):
@@ -150,12 +153,13 @@ def test_c04_kneser_network_gap_at_2_2():
         report = gap_exact(net, description="K_{2,2;2}")
         assert report.exact
         assert report.qv.value == 4 and report.qv.method == "homomorphism"
-        kind, skel, target, phi = report.qv.certificate
-        assert kind == "hom" and phi == {v: v for v in range(35)}  # identity witness
-        assert homomorphism_ok(skel.graph, target, phi)
+        hom = report.qv.certificate
+        names = net._skeleton.graph.vertex_names
+        assert hom["map"] == {names[v]: str(v) for v in range(35)}  # identity witness
+        assert check_certificate(hom) == (True, "valid homomorphism")
         assert report.qs.value == 5 and report.qs.method == "skeleton-chi"
-        _, _, chi_res = report.qs.certificate
-        assert chi_res.chi == 6 and psi(6 - 1) == 5
+        assert check_certificate(report.qs.certificate) == (True, "proper coloring with 6 colors")
+        assert chromatic_number(net._skeleton.graph).chi == 6 and psi(6 - 1) == 5
         assert report.gap == 1 == psi(5) - 4
 
 

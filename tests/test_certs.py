@@ -5,21 +5,18 @@ import json
 
 import pytest
 
-from netgap.certs import (
-    check_certificate,
-    code_certificate,
+from netgap.certs import check_certificate, network_code_verdict
+from netgap.gf import Matrix, make_field, rank, stack
+from netgap.graphs import (
+    UGraph,
     coloring_certificate,
+    complete_graph,
     homomorphism_certificate,
     hypergraph_coloring_certificate,
-    ic_certificate,
-    network_code_verdict,
 )
-from netgap.cli import _named_colors
-from netgap.gf import Matrix, make_field, rank, stack
-from netgap.graphs import UGraph, complete_graph, ugraph_to_json
-from netgap.lincode import code_to_json, search_solution
-from netgap.mdsic import ic_max_size, ic_to_json
-from netgap.networks import build_butterfly, network_to_json
+from netgap.lincode import code_certificate, search_solution
+from netgap.mdsic import ic_certificate, ic_max_size
+from netgap.networks import build_butterfly
 from netgap.qkneser import build_qkneser, build_qkneser_hyper, chromatic_number, find_homomorphism
 
 
@@ -40,7 +37,7 @@ def assert_rejected(cert: dict, message: str) -> None:
 def coloring_cert():
     g = build_qkneser(2, 4, 2)
     res = chromatic_number(g)
-    return coloring_certificate(ugraph_to_json(g), _named_colors(g, res.coloring))
+    return coloring_certificate(g, res.coloring)
 
 
 def test_coloring_accepted(coloring_cert):
@@ -70,7 +67,7 @@ def test_coloring_rejected(coloring_cert, edit, message):
 def hypergraph_cert():
     hyper = build_qkneser_hyper(2, 1, 3)
     res = chromatic_number(hyper)
-    return hypergraph_coloring_certificate(hyper.num_vertices, hyper.hyperedges, res.coloring)
+    return hypergraph_coloring_certificate(hyper, res.coloring)
 
 
 def test_hypergraph_coloring_accepted(hypergraph_cert):
@@ -101,9 +98,7 @@ def hom_cert():
     c5 = UGraph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
     k3 = complete_graph(3)
     phi = find_homomorphism(c5, k3)
-    return homomorphism_certificate(
-        ugraph_to_json(c5), ugraph_to_json(k3), {str(v): str(w) for v, w in phi.items()}
-    )
+    return homomorphism_certificate(c5, k3, phi)
 
 
 def test_homomorphism_accepted(hom_cert):
@@ -127,7 +122,7 @@ def test_homomorphism_rejected(hom_cert, edit, message):
 @pytest.fixture(scope="module")
 def code_cert():
     net = build_butterfly()
-    return code_certificate(network_to_json(net), code_to_json(search_solution(net, 2, 1)))
+    return code_certificate(net, search_solution(net, 2, 1))
 
 
 def test_network_code_accepted(code_cert):
@@ -144,7 +139,7 @@ def _one_message_cert(edges, nodes=("s", "a", "t"), source="s", terminals=("t",)
         "edges": [{"id": eid, "from": a, "to": b} for eid, a, b in edges],
     }
     code = {"q": 2, "p": 2, "m": 1, "t": 1, "h": 1, "edges": {e[0]: [[1]] for e in edges}}
-    return code_certificate(network, code)
+    return {"kind": "network-code", "network": network, "code": code}
 
 
 def test_forwarding_along_a_path_is_accepted():
@@ -223,7 +218,7 @@ def test_terminal_ranks_match_the_stacked_inputs(code_cert):
 @pytest.fixture(scope="module")
 def ic_cert():
     res = ic_max_size(2, 2, 2, 2)
-    return ic_certificate(ic_to_json(res.witness), 2)
+    return ic_certificate(res.witness, 2)
 
 
 def test_ic_accepted(ic_cert):
@@ -256,3 +251,25 @@ def test_unknown_kind_rejected():
     assert check_certificate({"kind": "proof-by-assertion"}) == (
         False, "unknown certificate kind 'proof-by-assertion'"
     )
+
+
+# --- malformed certificates --------------------------------------------------
+
+@pytest.mark.parametrize(
+    ("fixture", "edit"),
+    [
+        ("coloring_cert", lambda c: c["graph"]["edges"].append(["0", "unlisted"])),
+        ("hypergraph_cert", lambda c: c["hyperedges"].append([0, 99, 100])),
+        ("hom_cert", lambda c: c["to"].pop("edges")),
+        ("code_cert", lambda c: c["code"].pop("p")),
+        ("ic_cert", lambda c: c.update(alpha="2")),
+        ("ic_cert", lambda c: c["ic"].pop("t")),
+    ],
+    ids=["coloring", "hypergraph", "homomorphism", "network-code", "ic-alpha", "ic-t"],
+)
+def test_malformed_certificate_is_rejected_not_raised(request, fixture, edit):
+    assert_rejected(tampered(request.getfixturevalue(fixture), edit), "malformed certificate: ")
+
+
+def test_a_certificate_that_is_no_object_is_rejected():
+    assert_rejected([], "malformed certificate: ")

@@ -17,7 +17,6 @@ from netgap.cli import (
     EXIT_NEGATIVE,
     EXIT_OK,
     EXIT_USAGE,
-    _write_json,
     build_parser,
     main,
 )
@@ -119,11 +118,14 @@ def test_chi_brackets_4k42_within_a_short_timeout(tmp_path, capsys):
 
 
 def test_written_certificates_are_compact_sorted_and_reproducible(tmp_path, capsys):
-    obj = {"kind": "x", "b": [1, [2, 3]], "a": {"z": None, "y": "\u00e9"}}
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"vertices": ["z", "\u00e9", "a"], "edges": [["z", "a"]]}))
     path = tmp_path / "obj.json"
-    _write_json(str(path), obj)
+    code, _, _ = run_cli(["chi", "--graph", str(graph), "--cert", str(path)], capsys)
+    assert code == EXIT_OK
     text = path.read_text()
-    assert json.loads(text) == obj
+    obj = json.loads(text)
+    assert obj["colors"].keys() == {"z", "\u00e9", "a"}
     assert text == json.dumps(obj, sort_keys=True) + "\n" and text.count("\n") == 1
     first, second = tmp_path / "a.json", tmp_path / "b.json"
     for cert in (first, second):
@@ -367,6 +369,45 @@ def test_check_cert_fails_ic_alpha_out_of_range_and_checks_the_next_file(tmp_pat
         f"{paths[1]}: FAIL - alpha=5 is outside 1..2",
         f"{good}: OK - valid (1;2,2)_2 independent configuration of size 3",
     ]
+
+
+def _malformed_ic_alpha(cert):
+    cert["alpha"] = "2"
+
+
+def _malformed_ic_without_t(cert):
+    del cert["ic"]["t"]
+
+
+def _coloring_edge_to_an_unlisted_vertex(cert):
+    cert["graph"]["edges"].append([cert["graph"]["vertices"][0], "unlisted"])
+
+
+def test_check_cert_fails_each_malformed_certificate_and_checks_the_next_file(tmp_path, capsys):
+    ic, chi = tmp_path / "ic.json", tmp_path / "chi.json"
+    run_cli(
+        ["ic", "search", "--q", "2", "--t", "1", "--h", "2", "--alpha", "2", "--cert", str(ic)],
+        capsys,
+    )
+    run_cli(["chi", "--qkneser", "2", "2", "1", "--cert", str(chi)], capsys)
+    argv = []
+    for good, edit in (
+        (ic, _malformed_ic_alpha),
+        (ic, _malformed_ic_without_t),
+        (chi, _coloring_edge_to_an_unlisted_vertex),
+    ):
+        obj = json.loads(good.read_text())
+        edit(obj)
+        bad = tmp_path / f"{edit.__name__}.json"
+        bad.write_text(json.dumps(obj))
+        argv += [str(bad), str(good)]
+    proc = _run_module("check-cert", *argv)
+    assert proc.returncode == EXIT_NEGATIVE and proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert [line.split(": ", 1)[0] for line in lines] == argv
+    for bad_line, good_line in zip(lines[::2], lines[1::2]):
+        assert ": FAIL - malformed certificate: " in bad_line
+        assert ": OK - " in good_line
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -620,6 +661,7 @@ def test_main_clears_the_deadline(tmp_path, capsys, first, exit_code):
 
 
 SEARCH_COMMANDS = {"chi", "hom", "solve", "ic", "qs", "qv", "gap", "gap-table"}
+TEXT_ONLY_COMMANDS = {"gap-table", "check-cert"}  # they print no JSON, so take no --json
 ENUMERATING_COMMANDS = {"build", "chi", "hom", "coloring", "ic", "qs", "qv", "gap"}
 MINIMAL_ARGV = {
     "build": ["build", "comb"],
@@ -660,6 +702,7 @@ def test_limit_flags_only_where_they_are_read(command, capsys):
     assert _parses(base + ["--budget", "3"]) == searches
     assert _parses(base + ["--timeout-secs", "0.5"]) == searches
     assert _parses(base + ["--max-subspaces", "10"]) == (command in ENUMERATING_COMMANDS)
+    assert _parses(base + ["--json"]) == (command not in TEXT_ONLY_COMMANDS)
     capsys.readouterr()
 
 

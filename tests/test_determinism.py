@@ -3,8 +3,9 @@ randomness and every ordering is pinned to the canonical subspace order."""
 
 import pytest
 
+from netgap.certs import check_certificate
 from netgap.errors import BudgetExhausted
-from netgap.gaplab import gap_exact, gap_table_rows, qs_exact
+from netgap.gaplab import gap_exact, gap_table_rows, is_prime_power, qs_exact
 from netgap.lincode import code_to_json, search_solution
 from netgap.mdsic import ic_max_size, ic_to_json
 from netgap.networks import build_butterfly, build_combination, build_kneser, network_to_json
@@ -19,8 +20,6 @@ from netgap.qkneser import (
 from netgap.skeleton import skeleton
 from netgap.subspaces import enumerate_subspaces
 from netgap.gf import make_field
-
-from certified import coloring_ok
 
 
 def test_enumeration_is_reproducible():
@@ -89,13 +88,16 @@ def test_qs_threshold_node_count_is_pinned_at_the_budget_boundary():
     # is the greedy 12-coloring.  One node less leaves 10 colors open, so
     # q_s is bracketed by psi(9) and psi(11).
     net = build_kneser(3, 2, 2)
+    graph = net._skeleton.graph
+    res = chromatic_number(graph, needed=lambda k: is_prime_power(k - 1))
+    assert res.nodes_used == 1207 and (res.lo, res.hi) == (11, 12)
+    names = graph.vertex_names
+    greedy = [(names[v], c) for v, c in greedy_coloring(graph).items()]
     for budget in (1207, 10**8):
         qs = qs_exact(net, budget=budget)
         assert (qs.lo, qs.hi, qs.method) == (11, 11, "skeleton-chi")
-        kind, skel, res = qs.certificate
-        assert kind == "coloring" and res.nodes_used == 1207
-        assert (res.lo, res.hi) == (11, 12) and coloring_ok(skel.graph, res.coloring)
-        assert list(res.coloring.items()) == list(greedy_coloring(skel.graph).items())
+        assert check_certificate(qs.certificate) == (True, "proper coloring with 12 colors")
+        assert list(qs.certificate["colors"].items()) == greedy
     short = qs_exact(net, budget=1206)
     assert (short.lo, short.hi, short.method, short.certificate) == (
         9, 11, "skeleton-chi-bracket", None

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netgap.errors import UnsolvableNetwork
+from netgap.certs import check_certificate
+from netgap.errors import InternalError, UnsolvableNetwork
 from netgap.gaplab import (
+    Extremal,
     candidate_qt_pairs,
     gap_exact,
     gap_formulas,
@@ -17,6 +19,7 @@ from netgap.gaplab import (
     qv_exact,
     verify_bertrand_range,
 )
+from netgap.lincode import search_solution
 from netgap.networks import build_butterfly, build_combination, build_kneser, is_minimal
 
 
@@ -68,12 +71,19 @@ def test_butterfly_gap_zero():
     assert report.qs.value == 2 and report.qv.value == 2 and report.gap == 0
 
 
+def _qs_by_search(net) -> int:
+    """The oracle for the chromatic route: the least prime power with a
+    scalar solution, scanned with the exhaustive code search."""
+    q = 2
+    while search_solution(net, q, 1) is None:
+        q = psi(q + 1)
+    return q
+
+
 def test_butterfly_chi_and_search_agree():
     net = build_butterfly()
-    via_chi = qs_exact(net, method="chi")
-    via_search = qs_exact(net, method="search")
-    assert via_chi.exact and via_search.exact
-    assert via_chi.value == via_search.value == 2
+    qs = qs_exact(net)
+    assert qs.method == "skeleton-chi" and qs.value == _qs_by_search(net) == 2
 
 
 def test_chi_and_search_agree_on_reverse_skeletons():
@@ -110,24 +120,20 @@ def test_chi_and_search_agree_on_reverse_skeletons():
     ]
     for g in instances:
         net = reverse_skeleton(g)
-        via_chi = qs_exact(net, method="chi")
-        via_search = qs_exact(net, method="search")
-        assert via_chi.exact and via_search.exact
+        qs = qs_exact(net)
+        assert qs.method == "skeleton-chi"
         # the chi route tests only the counts q + 1; the exact chi is the oracle
-        assert via_chi.value == via_search.value == psi(chromatic_number(g).chi - 1)
+        assert qs.value == _qs_by_search(net) == psi(chromatic_number(g).chi - 1)
     # K_{3,2;2}: 10 colors of the skeleton 3K_{4:2} are refuted and 11 is
     # skipped (10 is no prime power), so chi stays in [11, 12], and
     # psi(10) = psi(11) = 11 is certified by the greedy 12-coloring
     net = build_kneser(3, 2, 2)
-    via_chi = qs_exact(net, method="chi")
-    _, skel, res = via_chi.certificate
+    qs = qs_exact(net)
+    graph = net._skeleton.graph
+    res = chromatic_number(graph, needed=lambda k: is_prime_power(k - 1))
     assert (res.lo, res.hi) == (11, 12)
-    assert via_chi.value == psi(chromatic_number(skel.graph).chi - 1) == 11
-
-
-def test_chi_method_requires_two_messages():
-    with pytest.raises(ValueError):
-        qs_exact(build_combination(3, 4, 3), method="chi")
+    assert check_certificate(qs.certificate) == (True, "proper coloring with 12 colors")
+    assert qs.value == psi(chromatic_number(graph).chi - 1) == 11
 
 
 def test_unsolvable_reported_distinctly():
@@ -136,9 +142,10 @@ def test_unsolvable_reported_distinctly():
 
 
 def test_exhausted_budgets_yield_honest_brackets():
-    net = build_combination(2, 4, 2)
-    qs = qs_exact(net, budget=3, method="search")
+    net = build_combination(3, 5, 3)  # h = 3: the exhaustive route
+    qs = qs_exact(net, budget=3)
     assert not qs.exact and qs.lo == 2 and qs.hi >= 3
+    assert (qs.method, qs.certificate) == ("exhaustive-bracket", None)
     with pytest.raises(ValueError):
         qs.value
     # v = 4 needs a real IC search on N_{2,5,2}; one node is never enough
@@ -149,6 +156,35 @@ def test_exhausted_budgets_yield_honest_brackets():
     assert not report.exact
     lo, hi = report.gap
     assert lo == 0 and hi >= 0  # true gap 0 stays inside the bracket
+
+
+@pytest.mark.parametrize(
+    ("run", "method"),
+    [
+        (lambda: qs_exact(build_butterfly()), "skeleton-chi"),
+        (lambda: qv_exact(build_butterfly()), "homomorphism"),
+        (lambda: qv_exact(build_combination(2, 5, 2)), "ic"),
+        (lambda: qs_exact(build_combination(3, 5, 3)), "exhaustive"),
+        (lambda: qv_exact(build_combination(2, 4, 3)), "exhaustive"),
+        (lambda: qs_exact(build_kneser(3, 2, 2), budget=1206), "skeleton-chi-bracket"),
+        (lambda: qs_exact(build_combination(3, 5, 3), budget=3), "exhaustive-bracket"),
+        (lambda: qv_exact(build_combination(2, 5, 2), budget=1), "bracket"),
+    ],
+    ids=["qs-chi", "qv-hom", "qv-ic", "qs-search", "qv-search", "qs-chi-bracket",
+         "qs-search-bracket", "qv-bracket"],
+)
+def test_every_route_returns_its_replayable_certificate(run, method):
+    res = run()
+    assert res.method == method
+    if "bracket" in method:
+        assert not res.exact and res.certificate is None
+    else:
+        assert res.exact and check_certificate(res.certificate)[0]
+
+
+def test_an_exact_value_without_a_certificate_is_an_internal_error():
+    with pytest.raises(InternalError):
+        Extremal(4, 4, "exhaustive")
 
 
 def test_n_2_5_2_values():

@@ -1,5 +1,6 @@
 """Source-wide guards: netgap depends on the Python standard library alone,
-and no function in it calls itself."""
+no function in it calls itself, and the tests use only the CLI's public
+names."""
 
 import ast
 import sys
@@ -73,3 +74,18 @@ def test_certs_imports_nothing_from_netgap_but_gf():
             absolute.update(alias.name for alias in node.names)
     assert relative == {"gf"}
     assert [name for name in absolute if name.split(".")[0] == "netgap"] == []
+
+
+def test_no_test_module_imports_a_private_name_from_the_cli():
+    # the CLI only parses arguments and writes what the library made; a test
+    # that needs one of its helpers is testing something the library owns
+    private = []
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "netgap.cli":
+                private += [
+                    f"{path.name}:{node.lineno} {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert private == []
