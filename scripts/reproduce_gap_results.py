@@ -31,7 +31,7 @@ def main() -> None:
         ("K_{3,2;2}", build_kneser(3, 2, 2)),
     ] + [(f"N_{{2,{r},2}}", build_combination(2, r, 2)) for r in range(3, 7)] + [
         (f"N_{{3,{r},3}}", build_combination(3, r, 3)) for r in (6, 7)
-    ]
+    ] + [(f"N_{{4,{r},4}}", build_combination(4, r, 4)) for r in (7, 8)]
     for name, net in instances:
         start = time.time()
         report = gap_exact(net, args.budget, description=name)
@@ -52,7 +52,7 @@ def main() -> None:
         res = gap_formulas("kneser-h2", q=q, t=t)
         flag = "" if res.hypotheses_ok else " (outside hypotheses)"
         print(f"two-message Kneser gap at (q={q}, t={t}): {res.value}{flag}")
-    for h, r in ((2, 5), (3, 5), (3, 6), (4, 7)):
+    for h, r in ((2, 5), (3, 5), (3, 6), (4, 7), (4, 8)):
         res = gap_formulas("combination-upper", h=h, r=r)
         print(f"full combination upper bound at (h={h}, r={r}): {res.value}")
     for q, t, h in ((2, 3, 3), (2, 4, 3), (3, 3, 3)):

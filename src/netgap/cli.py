@@ -472,12 +472,20 @@ def cmd_gap_table(args) -> int:
 
 
 def cmd_check_cert(args) -> int:
-    all_ok = True
+    """Check every file: exit 2 if any was unreadable, else 1 if any failed."""
+    status = EXIT_OK
     for path in args.certs:
-        ok, message = check_certificate(_read_json(path))
+        try:
+            obj = _read_json(path)
+        except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            print(f"error: {exc}", file=sys.stderr)
+            status = EXIT_USAGE
+            continue
+        ok, message = check_certificate(obj)
         print(f"{path}: {'OK' if ok else 'FAIL'} - {message}")
-        all_ok = all_ok and ok
-    return EXIT_OK if all_ok else EXIT_NEGATIVE
+        if not ok and status == EXIT_OK:
+            status = EXIT_NEGATIVE
+    return status
 
 
 # ---------------------------------------------------------------------------
@@ -646,9 +654,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # one parser per process: parse_args leaves it unchanged, and building
+    # it takes milliseconds that in-process callers would pay per call
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     start = time.time()
     try:
         with deadline(getattr(args, "timeout_secs", None)):

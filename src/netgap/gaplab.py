@@ -25,12 +25,13 @@ from .errors import (
 from .gf import prime_power
 from .graphs import coloring_certificate, homomorphism_certificate
 from .lincode import code_certificate, search_solution
-from .mdsic import ic_certificate, ic_exists_of_size
+from .mdsic import subcombination_solution
 from .networks import (
     Network,
     build_kneser,
     combination_parameters,
     is_solvable,
+    is_subcombination,
 )
 from .qkneser import (
     build_qkneser,
@@ -170,11 +171,20 @@ def _scalar_upper_bound(net: Network) -> int:
     return psi(max(2, len(net.terminals)))
 
 
+def _by_middle_spaces(net: Network) -> bool:
+    """Route q_s and q_v through `subcombination_solution`: sub-combination
+    networks with h >= 3 and full N_{2,r,2}.  Every other two-message
+    sub-combination network takes the skeleton routes."""
+    full = combination_parameters(net) is not None
+    return is_subcombination(net) and (net.h >= 3 or (net.h == 2 and full))
+
+
 def qs_exact(net: Network, budget: int = DEFAULT_BUDGET) -> Extremal:
     """Smallest field size with a scalar linear solution, with certificate.
 
-    Minimal two-message networks take the skeleton's chromatic number;
-    every other network the exhaustive code search.
+    Minimal two-message networks take the skeleton's chromatic number,
+    sub-combination networks with h >= 3 the assignment search over their
+    middle nodes, and every other network the exhaustive code search.
     """
     if not is_solvable(net):
         raise UnsolvableNetwork("network fails the cut criterion")
@@ -189,11 +199,12 @@ def qs_exact(net: Network, budget: int = DEFAULT_BUDGET) -> Extremal:
             cert = coloring_certificate(skel.graph, res.coloring, "skeleton coloring")
             return Extremal(hi, hi, "skeleton-chi", certificate=cert)
         return Extremal(lo, hi, "skeleton-chi-bracket")
+    solve = subcombination_solution if _by_middle_spaces(net) else search_solution
     bound = _scalar_upper_bound(net)
     q = 2
     while q <= bound:
         try:
-            code = search_solution(net, q, 1, budget)
+            code = solve(net, q, 1, budget)
         except BudgetExhausted:
             return Extremal(q, bound, "exhaustive-bracket")
         if code is not None:
@@ -206,15 +217,19 @@ def qv_exact(net: Network, budget: int = DEFAULT_BUDGET) -> Extremal:
     """Smallest q^t with a (q,t)-linear solution, with certificate.
 
     Candidate values ascend; ties between (q,t) pairs prefer smaller q.
-    Each candidate is decided by the cheapest certified route: IC search on
-    full minimal combination networks, skeleton homomorphism on minimal
+    Each candidate is decided by the cheapest certified route: the
+    assignment search over the middle nodes on sub-combination networks
+    with h >= 3 and full N_{2,r,2} (labelled `ic` on a full N_{h,r,h},
+    where it is the IC search), skeleton homomorphism on the other minimal
     two-message networks, exhaustive code search otherwise.
     """
     if not is_solvable(net):
         raise UnsolvableNetwork("network fails the cut criterion")
-    comb = combination_parameters(net)
-    ic_route = comb is not None and comb[1] >= comb[0] and comb[2] == comb[0]
-    hom_route = net.h == 2 and net._routing_minimal
+    by_middles = _by_middle_spaces(net)
+    solve = subcombination_solution if by_middles else search_solution
+    # on a full N_{h,r,h} the middle spaces form an IC
+    method = "ic" if by_middles and combination_parameters(net) else "exhaustive"
+    hom_route = not by_middles and net.h == 2 and net._routing_minimal
     skel = net._skeleton if hom_route else None
     # any clique, proven maximum or not, maps injectively
     skel_clique_size = len(greedy_clique(skel.graph)) if hom_route else 0
@@ -223,13 +238,6 @@ def qv_exact(net: Network, budget: int = DEFAULT_BUDGET) -> Extremal:
     while v <= v_max:
         for q, t in candidate_qt_pairs(v):
             try:
-                if ic_route:
-                    h, r = comb[0], comb[1]
-                    witness = ic_exists_of_size(q, t, h, h, r, budget)
-                    if witness is not None:
-                        cert = ic_certificate(witness, h, "vector solution as IC")
-                        return Extremal(v, v, "ic", certificate=cert)
-                    continue
                 if hom_route:
                     if skel_clique_size > qkneser_clique_number(q, t):
                         continue  # the target's cliques are too small
@@ -245,9 +253,9 @@ def qv_exact(net: Network, budget: int = DEFAULT_BUDGET) -> Extremal:
                             )
                             return Extremal(v, v, "homomorphism", certificate=cert)
                         continue
-                code = search_solution(net, q, t, budget)
+                code = solve(net, q, t, budget)
                 if code is not None:
-                    return Extremal(v, v, "exhaustive", certificate=code_certificate(net, code))
+                    return Extremal(v, v, method, certificate=code_certificate(net, code))
             except BudgetExhausted:
                 return Extremal(v, v_max, "bracket")
         v = psi(v + 1)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -82,13 +81,19 @@ def degree_order(adj: list[int]) -> tuple[list[int], list[int]]:
     """
     n = len(adj)
     order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
-    if not n:  # itemgetter needs an index
-        return order, []
-    # permute each mask's binary string (most significant bit first) at C
-    # speed rather than setting its bits one by one
-    width = f"0{n}b"
-    pick = operator.itemgetter(*[n - 1 - v for v in reversed(order)])
-    return order, [int("".join(pick(format(adj[v], width))), 2) for v in order]
+    bit = [0] * n
+    for i, v in enumerate(order):
+        bit[v] = 1 << i
+    masks = []
+    for v in order:
+        # set the relabelled bits one by one: O(degree) steps per mask
+        mask, relabelled = adj[v], 0
+        while mask:
+            low = mask & -mask
+            relabelled |= bit[low.bit_length() - 1]
+            mask ^= low
+        masks.append(relabelled)
+    return order, masks
 
 
 def complete_graph(n: int) -> UGraph:

@@ -3,14 +3,17 @@
 A (t;h,alpha)_q independent configuration is a set of t-subspaces of
 F_q^{ht} in which every alpha members are in direct sum.  Size-r
 configurations with alpha = h are exactly the (q,t)-vector solutions of
-the full minimal combination network on r middle nodes.
+the full minimal combination network on r middle nodes.  On any
+sub-combination network a solution is one t-subspace per middle node with
+every terminal's h spaces in direct sum: an assignment over the
+hypergraph of the terminals, of which the IC is the complete case.
 
-The IC search lists the universe of t-subspaces once into a
-DirectSumIndex.  Its pair masks restrict candidates to spaces independent
-of every chosen member, and its cached `blocked` masks over the chosen
-(alpha-1)-subsets decide the alpha-wise test with bit tests, so the search
-makes no rank call per candidate.  `ic_is_valid`, behind `ic check`,
-replays a witness through `certs`.
+One assignment search serves both.  It lists the universe of t-subspaces
+once into a DirectSumIndex.  Its pair masks restrict candidates to spaces
+independent of every chosen co-member, and its cached `blocked` masks
+over the other members of a hyperedge decide the alpha-wise test with bit
+tests, so the search makes no rank call per candidate.  `ic_is_valid`,
+behind `ic check`, replays a witness through `certs`.
 
 Frame lemma.  GL(ht, q) maps ICs to ICs of the same size, and it maps any
 IC with at least alpha + [alpha = h] members to one that starts with the
@@ -23,7 +26,9 @@ blocks, and it is the graph {(x, A_2 x, ..., A_h x)} of invertible t x t
 matrices A_i.  The block-diagonal map diag(I, A_2^{-1}, ..., A_h^{-1})
 fixes every block and sends that graph to D.  Every maximum IC is at least
 that large (the frame itself is an IC), so the search pins the frame and
-looks only for the rest.
+looks only for the rest.  The same maps pin a hypergraph's assignment:
+any hyperedge's members to the blocks, and a vertex w to D when every h
+of those members and w form a hyperedge.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .certs import check_certificate
 from .errors import DEFAULT_BUDGET, Budget, BudgetExhausted, InternalError, SizeLimitExceeded
 from .gf import FieldSpec, Matrix, field_of_order, prime_power
 from .lincode import NetworkCode, solution_from_classical_code, verify_solution
-from .networks import Network, build_combination, combination_parameters
+from .networks import Network, build_combination, combination_parameters, is_subcombination
 from .subspaces import (
     ENUMERATION_LIMIT,
     DirectSumIndex,
@@ -246,66 +251,145 @@ def _alpha_ok(index: DirectSumIndex, chosen: list[int], new: int, alpha: int) ->
     return True
 
 
-def _ic_search(
+def _search_order(edges: list[tuple[int, ...]], size: int) -> tuple[list[int], int]:
+    """Search order of a hypergraph's vertices 0..size-1, and how many of
+    the first take the standard frame.
+
+    The frame is a hyperedge's h vertices, and a vertex w when every h of
+    the h + 1 form a hyperedge (the frame lemma, module docstring); else
+    the lowest hyperedge alone.  The rest follow most-constrained first:
+    the vertex completing the most hyperedges, then sharing the most with
+    placed vertices, then the lowest, read off a per-vertex index.  The
+    hyperedges are taken in vertex order, so the order of the list (a
+    network's terminal list) does not change the search.
+    """
+    known = {frozenset(e) for e in edges}
+    hyperedges = sorted(known, key=sorted)
+    edges_of: list[list[frozenset]] = [[] for _ in range(size)]
+    for e in hyperedges:
+        for v in e:
+            edges_of[v].append(e)
+    frame = sorted(hyperedges[0])
+    for e in hyperedges:
+        # w joins e - {v} in a hyperedge for every member v of e
+        first, second = sorted(e)[:2]
+        joins = [f - e for f in edges_of[second] if first not in f and len(f - e) == 1]
+        w = next((x for x in joins if all(e - {v} | x in known for v in e)), None)
+        if w is not None:
+            frame = sorted(e) + sorted(w)
+            break
+    position: dict[int, int] = {}
+    left = {e: len(e) for e in known}
+    completes, shared = [0] * size, [0] * size
+    for k in range(size):
+        v = frame[k] if k < len(frame) else max(
+            (u for u in range(size) if u not in position),
+            key=lambda u: (completes[u], shared[u], -u),
+        )
+        position[v] = k
+        for e in edges_of[v]:
+            left[e] -= 1
+            for u in e:
+                if u in position:
+                    continue
+                shared[u] += 1
+                completes[u] += left[e] == 1
+    return sorted(position, key=position.get), len(frame)
+
+
+def _assignment_search(
     fld: FieldSpec,
     t: int,
     h: int,
     alpha: int,
     budget: int,
-    target: int | None,
     limit: int,
-) -> ICSearchResult:
-    """Largest IC that contains the standard frame, or the first with
-    `target` members.
+    size: int,
+    edges: list[tuple[int, ...]] | None = None,
+    target: int | None = None,
+) -> tuple[list[int], list[Subspace], bool, int]:
+    """One t-subspace of F_q^{ht} per vertex of a hypergraph, the members of
+    every hyperedge in direct sum: the longest assignable prefix of the
+    search order, or the first with `target` vertices.
 
-    By the frame lemma (module docstring) that is the largest IC of all:
-    any IC with at least as many members as the frame maps under GL(ht, q)
-    to one that starts with the frame.  The search adds candidates after the frame
-    in universe order, each independent of every chosen member (pair masks)
-    and passing the alpha-wise test (`_alpha_ok`).  An explicit stack
-    replaces recursion, so the configuration size is not bounded by the
-    interpreter.
+    `edges` lists hyperedges of alpha vertices among 0..size-1 (terminals
+    over middle nodes); None is the complete alpha-uniform hypergraph,
+    whose assignments are ICs.  A vertex takes a candidate that the pair
+    masks of its assigned co-members allow and that `blocked` of the other
+    members of each hyperedge it completes leaves clear (`_alpha_ok`).
+    The first vertices take the standard frame.  The vertices of the
+    complete hypergraph are interchangeable, so they take ascending
+    universe indices, and a node is cut once its candidates cannot beat
+    the best prefix.  Returns (search order, spaces of the best prefix,
+    exact, nodes used); a search stopped at the target is not exact.
     """
-    q = fld.q
+    complete = edges is None
     n = h * t
-    bound = ic_size_bound(q, t, h, alpha)
     universe = enumerate_subspaces(fld, n, t, limit=limit)
-    n_univ = len(universe)
-
-    # pairwise independence masks: necessary within any configuration of
-    # size >= alpha, and the maximum is always >= h >= alpha (coordinate
-    # subspaces), so restricting to pairwise-independent sets is safe
     index = DirectSumIndex(universe)
     pair_ok = index.pair_masks()
+    # per position (and one past the last): the earlier positions sharing a
+    # hyperedge with it, and the other members' positions of each
+    # hyperedge it completes.  In the complete hypergraph that is every
+    # earlier position, whose alpha-sets `_alpha_ok` tests together.
+    if complete:
+        order, pinned = list(range(size)), alpha + (alpha == h)
+        earlier = [range(k) for k in range(size + 1)]
+        members = [[p] for p in earlier]
+    else:
+        order, pinned = _search_order(edges, size)
+        position = {v: k for k, v in enumerate(order)}
+        members = [[] for _ in range(size + 1)]
+        for e in dict.fromkeys(frozenset(e) for e in edges):
+            last = max(e, key=position.get)
+            members[position[last]].append(tuple(sorted(position[u] for u in e if u != last)))
+        earlier = [sorted({p for c in cs for p in c}) for cs in members]
 
-    # symmetry: GL(ht, q) maps every maximum configuration onto one that
-    # contains the standard frame (module docstring), so the search starts
-    # from it; the checks below guard the frame itself
+    chosen: list[int] = []
+
+    def candidates() -> int:
+        mask = index.full
+        for p in earlier[len(chosen)]:
+            mask &= pair_ok[chosen[p]]
+        return mask
+
+    def fits(j: int) -> bool:
+        return all(
+            _alpha_ok(index, [chosen[p] for p in c], j, alpha) for c in members[len(chosen)]
+        )
+
+    def reach(mask: int, j: int) -> int:
+        # each later vertex of the complete hypergraph takes a distinct
+        # candidate after j; elsewhere nothing smaller than `size` is known
+        return len(chosen) + bin(mask >> j).count("1") if complete else size
+
+    # symmetry: GL(ht, q) maps every assignment onto one that puts the
+    # standard frame on the first positions (module docstring); the checks
+    # below guard the frame itself
     index_of = {s.sort_key: i for i, s in enumerate(universe)}
-    chosen = [index_of[s.sort_key] for s in standard_frame(fld, t, h, alpha)]
-    initial = (1 << n_univ) - 1
-    for k, i in enumerate(chosen):
-        if not (initial >> i & 1 and _alpha_ok(index, chosen[:k], i, alpha)):
+    for s in standard_frame(fld, t, h, alpha)[:pinned]:
+        i = index_of[s.sort_key]
+        if not (candidates() >> i & 1 and fits(i)):
             raise AssertionError("the standard frame is not an independent configuration")
-        initial &= pair_ok[i]
+        chosen.append(i)
     best = list(chosen)
     base = len(chosen)
     bud = Budget(budget)
     # one frame per open node, the k-th extending chosen[:base + k]:
     # [its candidate mask, the next universe index to try]
     stack: list[list[int]] = []
-    cand_mask, start = initial, 0
-    stopped = False  # at the target or the bound
+    cand_mask, start = candidates(), 0
+    stopped = target is not None and len(best) >= target  # at the target or the bound
     try:
-        while True:
+        while not stopped:
             if len(chosen) > len(best):
                 best = list(chosen)
-                if (target is not None and len(best) >= target) or len(best) == bound:
+                if (target is not None and len(best) >= target) or len(best) == size:
                     stopped = True
                     break
-            if len(chosen) + bin(cand_mask >> start).count("1") > len(best):
+            if reach(cand_mask, start) > len(best):
                 stack.append([cand_mask, start])
-            # add the next candidate of the innermost open node
+            # assign the next candidate of the innermost open node
             while stack:
                 frame = stack[-1]
                 del chosen[base + len(stack) - 1 :]  # leave the branch taken last
@@ -314,17 +398,19 @@ def _ic_search(
                 while rest:
                     j += (rest & -rest).bit_length() - 1
                     bud.spend()
-                    if len(chosen) + bin(cand_mask >> j).count("1") <= len(best):
+                    if reach(cand_mask, j) <= len(best):
                         rest = 0  # no later branch of this node beats the best
                         break
-                    if _alpha_ok(index, chosen, j, alpha):
+                    if fits(j):
                         break
                     j += 1
                     rest = cand_mask >> j
                 if rest:
                     frame[1] = j + 1
                     chosen.append(j)
-                    cand_mask, start = cand_mask & pair_ok[j], j + 1
+                    # the complete hypergraph's interchangeable vertices
+                    # take ascending universe indices
+                    cand_mask, start = candidates(), (j + 1 if complete else 0)
                     break
                 stack.pop()
             else:
@@ -333,10 +419,7 @@ def _ic_search(
         exact = not (stopped and target is not None)
     except BudgetExhausted:
         exact = False
-    witness = IndependentConfiguration(
-        field=fld, t=t, h=h, members=tuple(universe[i] for i in best)
-    )
-    return ICSearchResult(len(best), witness, bound, exact, bud.used)
+    return order, [universe[i] for i in best], exact, bud.used
 
 
 def ic_max_size(
@@ -355,7 +438,9 @@ def ic_max_size(
     inexact.
     """
     fld = field_of_order(q)
-    return _ic_search(fld, t, h, alpha, budget, None, limit)
+    bound = ic_size_bound(q, t, h, alpha)
+    _, best, exact, nodes = _assignment_search(fld, t, h, alpha, budget, limit, bound)
+    return ICSearchResult(len(best), IndependentConfiguration(fld, t, h, tuple(best)), bound, exact, nodes)
 
 
 def ic_exists_of_size(
@@ -378,19 +463,67 @@ def ic_exists_of_size(
     if size <= 0:
         raise ValueError("size must be positive")
     fld = field_of_order(q)
-    if size > ic_size_bound(q, t, h, alpha):
+    bound = ic_size_bound(q, t, h, alpha)
+    if size > bound:
         return None
     frame = standard_frame(fld, t, h, alpha)
     if size <= len(frame):
         return IndependentConfiguration(fld, t, h, tuple(frame[:size]))
-    result = _ic_search(fld, t, h, alpha, budget, size, limit)
-    if result.size >= size:
-        return IndependentConfiguration(
-            fld, t, h, tuple(result.witness.members[:size])
-        )
-    if not result.exact:
-        raise BudgetExhausted("IC existence search ran out of budget", nodes_used=result.nodes_used)
+    _, best, exact, nodes = _assignment_search(fld, t, h, alpha, budget, limit, bound, target=size)
+    if len(best) >= size:
+        return IndependentConfiguration(fld, t, h, tuple(best[:size]))
+    if not exact:
+        raise BudgetExhausted("IC existence search ran out of budget", nodes_used=nodes)
     return None
+
+
+def subcombination_solution(
+    net: Network,
+    q: int,
+    t: int,
+    budget: int = DEFAULT_BUDGET,
+) -> NetworkCode | None:
+    """A verified (q,t)-linear solution of a sub-combination network with
+    h >= 2, or None when the complete search proves none exists; raises
+    BudgetExhausted when undecided.
+
+    The solution is one t-subspace per middle node, each terminal's h in
+    direct sum (`_assignment_search`); on a full N_{h,r,h} an IC of size r
+    (`ic_exists_of_size`, which `ic_size_bound` may refute outright).
+    Each middle forwards its source edge's space, on the network's own
+    edge ids.
+    """
+    if not is_subcombination(net) or net.h < 2:
+        raise ValueError("the assignment search needs a sub-combination network with h >= 2")
+    fld = field_of_order(q)
+    sources = net.out_edges(net.source)
+    size = len(sources)
+    if combination_parameters(net) is not None:
+        config = ic_exists_of_size(q, t, net.h, net.h, size, budget)
+        spaces = None if config is None else list(config.members)
+    else:
+        position = {e.head: i for i, e in enumerate(sources)}
+        edges = [tuple(position[e.tail] for e in net.in_edges(v)) for v in net.terminals]
+        order, best, exact, nodes = _assignment_search(
+            fld, t, net.h, net.h, budget, ENUMERATION_LIMIT, size, edges, target=size
+        )
+        if len(best) < size and not exact:
+            raise BudgetExhausted("assignment search ran out of budget", nodes_used=nodes)
+        spaces = None if len(best) < size else [s for _, s in sorted(zip(order, best))]
+    if spaces is None:
+        return None
+    code = _forwarding_code(net, fld, t, spaces)
+    verdict = verify_solution(net, code)
+    if not verdict.ok:
+        raise InternalError(f"assignment search produced a rejected code: {verdict.failure}")
+    return code
+
+
+def _forwarding_code(net: Network, fld: FieldSpec, t: int, spaces) -> NetworkCode:
+    """The i-th space on the i-th source edge, forwarded by its middle node."""
+    middle = {e.head: s.basis for e, s in zip(net.out_edges(net.source), spaces)}
+    assignment = {e.id: middle[e.head if e.tail == net.source else e.tail] for e in net.edges}
+    return NetworkCode(field=fld, t=t, h=net.h, assignment=assignment)
 
 
 def ic_to_solution(config: IndependentConfiguration) -> NetworkCode:
@@ -401,19 +534,8 @@ def ic_to_solution(config: IndependentConfiguration) -> NetworkCode:
     """
     if not ic_is_valid(config, config.h):
         raise ValueError("not a valid independent configuration at alpha = h")
-    t, h = config.t, config.h
-    r = len(config.members)
-    net = build_combination(h, r, h)
-    fld = config.field
-    assignment = {}
-    middle_mat = {}
-    for i, e in enumerate(net.out_edges(net.source)):
-        assignment[e.id] = config.members[i].basis
-        middle_mat[e.head] = assignment[e.id]
-    for e in net.edges:
-        if e.tail in middle_mat:
-            assignment[e.id] = middle_mat[e.tail]
-    return NetworkCode(field=fld, t=t, h=h, assignment=assignment)
+    net = build_combination(config.h, len(config.members), config.h)
+    return _forwarding_code(net, config.field, config.t, config.members)
 
 
 def solution_to_ic(net: Network, code: NetworkCode) -> IndependentConfiguration:

@@ -311,6 +311,25 @@ def test_qv_of_n_4_8_4_by_the_ic_route(tmp_path, capsys):
     assert code == EXIT_OK and "OK" in out
 
 
+@pytest.mark.parametrize("r", [7, 8])
+def test_gap_of_n_4_r_4_is_exact_and_certified(tmp_path, capsys, r):
+    # q_s: ic_size_bound refutes q = 2, 3 (and q = 4 at r = 8), the
+    # frame-pinned assignment search refutes the rest below 7 and finds 7
+    prefix = str(tmp_path / "gap")
+    code, out, _ = run_cli(
+        ["gap", "--comb", "4", str(r), "4", "--timeout-secs", "30", "--json",
+         "--cert-prefix", prefix],
+        capsys,
+    )
+    assert code == EXIT_OK
+    obj = json.loads(out)
+    assert (obj["q_s"], obj["q_v"], obj["gap"]) == (7, 7, 0)
+    assert obj["methods"] == "qs:exhaustive;qv:ic"
+    certs = [f"{prefix}-qs-cert.json", f"{prefix}-qv-cert.json"]
+    code, out, _ = run_cli(["check-cert", *certs], capsys)
+    assert code == EXIT_OK and out.count(": OK - accepted linear solution") == 2
+
+
 def test_formula_command(capsys):
     code, out, _ = run_cli(["formula", "kneser-h2", "q=2", "t=2"], capsys)
     assert code == EXIT_OK and "= 1" in out
@@ -410,6 +429,59 @@ def test_check_cert_fails_each_malformed_certificate_and_checks_the_next_file(tm
         assert ": OK - " in good_line
 
 
+@pytest.mark.parametrize("unreadable", ["missing", "truncated"])
+def test_check_cert_reports_an_unreadable_file_and_checks_the_next(tmp_path, capsys, unreadable):
+    good = tmp_path / "good.json"
+    run_cli(["chi", "--qkneser", "2", "2", "1", "--cert", str(good)], capsys)
+    bad = tmp_path / f"{unreadable}.json"
+    if unreadable == "truncated":
+        bad.write_text('{"kind": ')
+    proc = _run_module("check-cert", str(bad), str(good))
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert proc.stdout.splitlines() == [f"{good}: OK - proper coloring with 3 colors"]
+
+
+def _help_text(parse, argv, capsys) -> str:
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def _networks(csv_text) -> list[str]:
+    # the network name holds commas; the five columns after it do not
+    return [row.rsplit(",", 5)[0] for row in csv_text.splitlines()[1:]]
+
+
+def test_main_builds_one_parser_and_reuses_it(monkeypatch, capsys):
+    from netgap import cli
+
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    monkeypatch.setattr(cli, "_parser", None)
+    # each call parses into its own namespace: the --json of one command
+    # is not seen by the next
+    code, out, _ = run_cli(
+        ["ic", "bound", "--q", "2", "--t", "1", "--h", "3", "--alpha", "3", "--json"], capsys
+    )
+    assert code == EXIT_OK and json.loads(out) == {"bound": 4}
+    code, out, _ = run_cli(["psi", "6"], capsys)
+    assert code == EXIT_OK and out == "7\n"
+    # gap-table's default --q and --t lists outlive a call that overrides them
+    code, out, _ = run_cli(["gap-table", "--q", "2", "--t", "1", "--exact-limit", "0"], capsys)
+    assert code == EXIT_OK and _networks(out) == ["K_{2,1;2}"]
+    code, out, _ = run_cli(["gap-table", "--exact-limit", "0"], capsys)
+    assert _networks(out) == [
+        "K_{2,1;2}", "K_{2,2;2}", "K_{3,1;2}", "K_{3,2;2}"
+    ]
+    assert built == [1]
+    for argv in (["--help"], ["qs", "--help"], ["gap-table", "--help"]):
+        fresh = _help_text(build_parser().parse_args, argv, capsys)
+        assert _help_text(main, argv, capsys) == fresh
+    assert built == [1]
+
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 # Child process body: import the declared `module:attr` target and call it
@@ -473,6 +545,8 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
     [
         ("reproduce_gap_results.py", "K_{2,2;2}: q_v=4 q_s=5 gap=1"),
         ("reproduce_gap_results.py", "N_{3,7,3}: q_v=7 q_s=7 gap=0"),
+        ("reproduce_gap_results.py", "N_{4,7,4}: q_v=7 q_s=7 gap=0"),
+        ("reproduce_gap_results.py", "N_{4,8,4}: q_v=7 q_s=7 gap=0"),
         ("kneser_chromatic.py", "qK_{4:2} over F_2: 35 vertices, clique >= 5, chi = 6"),
     ],
 )

@@ -7,7 +7,7 @@ from netgap.certs import check_certificate
 from netgap.errors import BudgetExhausted
 from netgap.gaplab import gap_exact, gap_table_rows, is_prime_power, qs_exact
 from netgap.lincode import code_to_json, search_solution
-from netgap.mdsic import ic_max_size, ic_to_json
+from netgap.mdsic import ic_max_size, ic_to_json, subcombination_solution
 from netgap.networks import build_butterfly, build_combination, build_kneser, network_to_json
 from netgap.qkneser import (
     build_qkneser,
@@ -20,6 +20,8 @@ from netgap.qkneser import (
 from netgap.skeleton import skeleton
 from netgap.subspaces import enumerate_subspaces
 from netgap.gf import make_field
+
+from subnetworks import relabel, sub_combination
 
 
 def test_enumeration_is_reproducible():
@@ -178,3 +180,20 @@ def test_solution_search_node_count_is_pinned(params, q, t, found, nodes):
     with pytest.raises(BudgetExhausted) as exc:
         search_solution(net, q, t, budget=nodes - 1)
     assert exc.value.nodes_used == nodes - 1
+
+
+@pytest.mark.parametrize(("q", "found", "nodes"), [(5, False, 579), (7, True, 88)])
+def test_middle_space_search_node_count_is_pinned_at_the_budget_boundary(q, found, nodes):
+    # N_{3,8,3} keeping 50 of its 56 terminals (random.Random(1)): the frame
+    # pins four middles (every 3 of them feed a terminal), the other four
+    # follow most-constrained first; a faster direct-sum test must walk the
+    # same search tree.  The frame and the order follow the middles, so
+    # shuffling the terminal list and renaming every id changes nothing; a
+    # frame taken from the first listed terminal walks 381 and 531 nodes
+    # for q = 5 on these two copies
+    net = sub_combination(3, 8, 50, 1)
+    for copy in (net, relabel(net, 3), relabel(net, 4)):
+        assert (subcombination_solution(copy, q, 1, budget=nodes) is not None) == found
+        with pytest.raises(BudgetExhausted) as exc:
+            subcombination_solution(copy, q, 1, budget=nodes - 1)
+        assert exc.value.nodes_used == nodes - 1

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,16 @@ from netgap.gaplab import (
     verify_bertrand_range,
 )
 from netgap.lincode import search_solution
-from netgap.networks import build_butterfly, build_combination, build_kneser, is_minimal
+from netgap.networks import (
+    build_butterfly,
+    build_combination,
+    build_kneser,
+    combination_parameters,
+    is_minimal,
+    is_subcombination,
+)
+
+from subnetworks import relabel, sub_combination
 
 
 def test_psi_examples():
@@ -142,9 +152,11 @@ def test_unsolvable_reported_distinctly():
 
 
 def test_exhausted_budgets_yield_honest_brackets():
-    net = build_combination(3, 5, 3)  # h = 3: the exhaustive route
+    # h = 3: the assignment search.  ic_size_bound(2, 1, 3, 3) = 4 < 5
+    # refutes q = 2 without a node, and three nodes do not decide q = 3
+    net = build_combination(3, 5, 3)
     qs = qs_exact(net, budget=3)
-    assert not qs.exact and qs.lo == 2 and qs.hi >= 3
+    assert not qs.exact and qs.lo == 3 and qs.hi >= 4
     assert (qs.method, qs.certificate) == ("exhaustive-bracket", None)
     with pytest.raises(ValueError):
         qs.value
@@ -164,14 +176,21 @@ def test_exhausted_budgets_yield_honest_brackets():
         (lambda: qs_exact(build_butterfly()), "skeleton-chi"),
         (lambda: qv_exact(build_butterfly()), "homomorphism"),
         (lambda: qv_exact(build_combination(2, 5, 2)), "ic"),
+        # h = 3 sub-combination network: the assignment search
         (lambda: qs_exact(build_combination(3, 5, 3)), "exhaustive"),
+        (lambda: qs_exact(build_combination(3, 5, 3), budget=3), "exhaustive-bracket"),
+        # terminals of in-degree 4 > h = 3: the code search
+        (lambda: qs_exact(build_combination(3, 5, 4)), "exhaustive"),
+        (lambda: qs_exact(build_combination(3, 5, 4), budget=3), "exhaustive-bracket"),
         (lambda: qv_exact(build_combination(2, 4, 3)), "exhaustive"),
         (lambda: qs_exact(build_kneser(3, 2, 2), budget=1206), "skeleton-chi-bracket"),
-        (lambda: qs_exact(build_combination(3, 5, 3), budget=3), "exhaustive-bracket"),
         (lambda: qv_exact(build_combination(2, 5, 2), budget=1), "bracket"),
+        # one message: no IC (alpha >= 2), so the code search
+        (lambda: qv_exact(build_combination(1, 3, 1)), "exhaustive"),
     ],
-    ids=["qs-chi", "qv-hom", "qv-ic", "qs-search", "qv-search", "qs-chi-bracket",
-         "qs-search-bracket", "qv-bracket"],
+    ids=["qs-chi", "qv-hom", "qv-ic", "qs-assignment", "qs-assignment-bracket",
+         "qs-search", "qs-search-bracket", "qv-search", "qs-chi-bracket",
+         "qv-bracket", "qv-one-message"],
 )
 def test_every_route_returns_its_replayable_certificate(run, method):
     res = run()
@@ -224,8 +243,8 @@ def test_qv_skips_targets_below_a_clique_not_proven_maximum():
 
 
 def test_n_3_7_3_values():
-    # q = 4 and q = 5 are refuted by the exhaustive search, which sorts the
-    # interchangeable middle nodes' source spaces; q = 7 is found
+    # the IC search on the full network: ic_size_bound refutes q <= 4,
+    # the search refutes q = 5 and finds q = 7
     report = gap_exact(build_combination(3, 7, 3), description="N_{3,7,3}")
     assert report.exact
     assert report.qs.value == 7 and report.qs.method == "exhaustive"
@@ -368,3 +387,91 @@ def test_gap_computes_each_network_structure_once(monkeypatch):
     qs_exact(bf)
     qv_exact(bf)
     assert minimality == [bf] and skeletons == [net, bf]
+
+
+# ---------------------------------------------------------------------------
+# the assignment search over the middle nodes (sub-combination networks)
+# ---------------------------------------------------------------------------
+
+def _qv_by_search(net) -> int:
+    """The oracle for the middle-space route's q_v: the least q^t with a
+    (q,t)-solution, scanned with the exhaustive code search."""
+    v = 2
+    while all(search_solution(net, q, t) is None for q, t in candidate_qt_pairs(v)):
+        v = psi(v + 1)
+    return v
+
+
+def _random_sub_combination(seed):
+    r = 5 + seed % 2
+    half = math.comb(r, 3) // 2
+    return sub_combination(3, r, half + seed * 7 % half, seed)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_middle_space_route_agrees_with_the_code_search(seed):
+    # h = 3 networks from random terminal subsets of N_{3,5,3} and N_{3,6,3};
+    # their q_s and q_v range over 2, 3 and 4
+    net = _random_sub_combination(seed)
+    assert is_subcombination(net) and combination_parameters(net) is None
+    qs, qv = qs_exact(net), qv_exact(net)
+    assert (qs.value, qv.value) == (_qs_by_search(net), _qv_by_search(net))
+    assert (qs.method, qv.method) == ("exhaustive", "exhaustive")
+    # the same verdicts, and certificates on the new ids, after relabelling
+    for relabelled in (relabel(net, seed), relabel(net, seed + 100)):
+        qs_r, qv_r = qs_exact(relabelled), qv_exact(relabelled)
+        assert (qs_r.value, qv_r.value, qs_r.method, qv_r.method) == (
+            qs.value, qv.value, qs.method, qv.method
+        )
+        for res in (qs_r, qv_r):
+            assert check_certificate(res.certificate) == (True, "accepted linear solution")
+
+
+@pytest.mark.parametrize(
+    ("build", "expected"),
+    [
+        (lambda: build_combination(3, 6, 3), (4, "exhaustive", 4, "ic")),
+        (lambda: build_combination(3, 5, 3), (4, "exhaustive", 4, "ic")),
+        (lambda: sub_combination(3, 6, 15, 5), (3, "exhaustive", 3, "exhaustive")),
+        (lambda: build_kneser(2, 2, 2), (5, "skeleton-chi", 4, "homomorphism")),
+    ],
+    ids=["N363", "N353", "N363-15-terminals", "K222"],
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_route_methods_are_pinned_and_certificates_replay_on_relabelled_inputs(
+    build, expected, seed
+):
+    # the benchmark reads `exhaustive` for q_s of N_{3,6,3} and `ic` for q_v
+    # of N_{3,5,3}, on inputs relabelled like these at every non-zero seed
+    net = build() if seed == 0 else relabel(build(), seed)
+    qs, qv = qs_exact(net), qv_exact(net)
+    assert (qs.value, qs.method, qv.value, qv.method) == expected
+    assert check_certificate(qs.certificate)[0] and check_certificate(qv.certificate)[0]
+
+
+def test_fifty_terminals_of_n_3_8_3_are_exact_within_the_default_budget():
+    # random.Random(1) keeps 50 of the 56 terminals, so ic_size_bound no
+    # longer applies: the assignment search refutes q = 2, 3, 4 and 5, and
+    # t = 2 over F_2, then finds a solution over F_7
+    net = sub_combination(3, 8, 50, 1)
+    report = gap_exact(net)
+    assert (report.qs.value, report.qv.value, report.gap) == (7, 7, 0)
+    assert report.methods == "qs:exhaustive;qv:exhaustive"
+    assert check_certificate(report.qs.certificate)[0]
+    assert check_certificate(report.qv.certificate)[0]
+
+
+@pytest.mark.parametrize("budget", [1, 2, 5, 20, 60, 150, 400])
+def test_a_stopped_middle_space_search_is_a_bracket_never_a_negative(budget):
+    # q_s = q_v = 4 here; a budget too small for a (q,t) pair must leave
+    # that pair open, so the bracket always still holds 4
+    net = sub_combination(3, 6, 17, 1)
+    for res, bracket in (
+        (qs_exact(net, budget), "exhaustive-bracket"),
+        (qv_exact(net, budget), "bracket"),
+    ):
+        if res.exact:
+            assert res.value == 4 and check_certificate(res.certificate)[0]
+        else:
+            assert res.method == bracket and res.certificate is None
+            assert res.lo <= 4 <= res.hi

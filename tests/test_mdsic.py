@@ -4,6 +4,7 @@ import json
 import pytest
 
 from netgap import mdsic
+from netgap.certs import Verdict
 from netgap.errors import InternalError
 from netgap.gf import Matrix, field_of_order, make_field
 from netgap.lincode import search_solution, verify_solution
@@ -25,8 +26,9 @@ from netgap.mdsic import (
     solution_to_ic,
     solvability_by_code,
     standard_frame,
+    subcombination_solution,
 )
-from netgap.networks import build_combination
+from netgap.networks import build_butterfly, build_combination
 from netgap.subspaces import (
     DirectSumIndex,
     canonicalize,
@@ -409,3 +411,45 @@ def test_linear_code_json_roundtrip():
     code = rs_code(4, 5, 2)
     back = linear_code_from_json(json.loads(json.dumps(linear_code_to_json(code))))
     assert back.generator == code.generator and back.length == code.length
+
+
+# ---------------------------------------------------------------------------
+# the assignment search over a listed hypergraph
+# ---------------------------------------------------------------------------
+
+def test_search_order_adds_the_diagonal_vertex_when_its_frame_allows_it():
+    # every 3 of the middles 0..3 feed a terminal: the frame is the
+    # coordinate blocks on 0, 1, 2 and the diagonal on 3
+    assert mdsic._search_order([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (3, 4, 5)], 6) == (
+        [0, 1, 2, 3, 4, 5], 4
+    )
+    # no four middles have that: the first terminal's three take the blocks
+    # and 5 completes a terminal before 3 and 4, which share one each
+    assert mdsic._search_order([(0, 1, 2), (1, 2, 5), (2, 3, 4)], 6) == ([0, 1, 2, 5, 3, 4], 3)
+
+
+@pytest.mark.parametrize(
+    "q,t,r", [(3, 1, 4), (3, 1, 5), (4, 1, 6), (4, 1, 7), (5, 1, 7), (2, 2, 6), (2, 2, 7)]
+)
+def test_a_listed_complete_hypergraph_gets_the_ic_verdict(q, t, r):
+    # the same question as ic_exists_of_size, asked without the interchange
+    # of the middles or the size bound: a different tree, the same verdict
+    edges = list(itertools.combinations(range(r), 3))
+    _, best, exact, _ = mdsic._assignment_search(
+        field_of_order(q), t, 3, 3, 10**6, 10**6, r, edges, target=r
+    )
+    config = IndependentConfiguration(field_of_order(q), t, 3, tuple(best))
+    assert (len(best) == r) == (ic_exists_of_size(q, t, 3, 3, r) is not None)
+    assert exact == (len(best) < r) and ic_is_valid(config, 3)
+
+
+def test_subcombination_solution_needs_a_sub_combination_network_with_two_messages():
+    for net in (build_butterfly(), build_combination(1, 3, 1), build_combination(3, 5, 2)):
+        with pytest.raises(ValueError, match="sub-combination network with h >= 2"):
+            subcombination_solution(net, 2, 1)
+
+
+def test_subcombination_solution_raises_internal_error_on_a_rejected_code(monkeypatch):
+    monkeypatch.setattr(mdsic, "verify_solution", lambda net, code: Verdict(False, {}, "forced"))
+    with pytest.raises(InternalError, match="rejected code"):
+        subcombination_solution(build_combination(3, 4, 3), 3, 1)

@@ -1,4 +1,6 @@
 import itertools
+import operator
+import random
 import signal
 import time
 
@@ -609,6 +611,58 @@ def test_static_order_is_built_once_and_left_out_of_equality():
     assert g.static_order is g.static_order
     assert g.static_order == degree_order(g.adjacency_masks())
     assert g == UGraph(g.num_vertices, g.edges, g.labels)
+
+
+def _degree_order_by_strings(adj):
+    """`degree_order` as it was: every mask's n-character binary string
+    permuted, O(n) per mask however sparse the graph."""
+    n = len(adj)
+    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
+    if not n:
+        return order, []
+    width = f"0{n}b"
+    pick = operator.itemgetter(*[n - 1 - v for v in reversed(order)])
+    return order, [int("".join(pick(format(adj[v], width))), 2) for v in order]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_degree_order_matches_the_string_permutation_on_random_graphs(seed):
+    # densities from empty to complete, sizes from 0 to a q-Kneser graph's
+    rng = random.Random(seed)
+    n = rng.choice([0, 1, 2, 7, 40, 130])
+    p = rng.choice([0.0, 0.02, 0.1, 0.3, 0.7, 1.0])
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+    adj = UGraph.from_edges(n, pairs).adjacency_masks()
+    assert degree_order(adj) == _degree_order_by_strings(adj)
+
+
+@pytest.mark.parametrize("params", [(2, 4, 2), (3, 4, 2), (2, 5, 2), (2, 6, 3)])
+def test_degree_order_matches_the_string_permutation_on_qkneser_graphs(params):
+    adj = build_qkneser(*params).adjacency_masks()
+    assert degree_order(adj) == _degree_order_by_strings(adj)
+
+
+def test_degree_order_of_a_long_path_sets_bits_one_by_one():
+    # the string permutation takes O(n^2) characters here (0.3-0.6 s at
+    # n = 3000); the relabelling must follow the edges instead
+    n = 3000
+    adj = _path(n).adjacency_masks()
+    start = time.perf_counter()
+    order, masks = degree_order(adj)
+    assert time.perf_counter() - start < 0.2
+    position = {v: i for i, v in enumerate(order)}
+    assert [m.bit_count() for m in masks] == [len(_path_neighbours(v, n)) for v in order]
+    assert all(
+        masks[i] >> position[u] & 1 for i, v in enumerate(order) for u in _path_neighbours(v, n)
+    )
+
+
+def _path(n):
+    return UGraph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+
+
+def _path_neighbours(v, n):
+    return [u for u in (v - 1, v + 1) if 0 <= u < n]
 
 
 def _cycle(n):
