@@ -70,6 +70,14 @@ def check_deadline(done: int) -> None:
         raise BudgetExhausted("wall-clock timeout", nodes_used=done)
 
 
+def check_deadline_over(done: int, count: int) -> None:
+    """`check_deadline` for the elements done..done+count-1 at once: read
+    once, at the first checkpoint among them, if there is one."""
+    checkpoint = done | CHECKPOINT_MASK
+    if checkpoint < done + count:
+        check_deadline(checkpoint)
+
+
 # the node limit of every search that is given none
 DEFAULT_BUDGET = 10**8
 
@@ -99,3 +107,17 @@ class Budget:
         if i & CHECKPOINT_MASK == CHECKPOINT_MASK:
             check_deadline(i)
         self.used = i + 1
+
+    def spend_many(self, count: int, what: str = "search") -> None:
+        """`count` calls of `spend` at once: the same limit, and the deadline
+        read once, at the first checkpoint they cross, if they cross one."""
+        i = self.used
+        end = i + count
+        checkpoint = i | CHECKPOINT_MASK
+        if checkpoint < min(end, self.limit):
+            self.used = checkpoint
+            check_deadline(checkpoint)
+        if end > self.limit:
+            self.used = self.limit
+            raise BudgetExhausted(f"{what} budget exhausted", nodes_used=self.limit)
+        self.used = end

@@ -117,21 +117,21 @@ def candidate_qt_pairs(v: int) -> list[tuple[int, int]]:
 @dataclass
 class Extremal:
     """An exact value (lo == hi) with its certificate, or an honest bracket
-    from a stopped search.  The certificate is the dict that
-    `certs.check_certificate` replays."""
+    from a stopped search (exact=False), whose ends may meet: a scan stopped
+    at its sufficiency bound knows the value but has not certified it.  The
+    certificate is the dict that `certs.check_certificate` replays."""
 
     lo: int
     hi: int
     method: str
     certificate: dict | None = None
+    exact: bool = True
 
     def __post_init__(self):
+        if self.exact and self.lo != self.hi:
+            raise InternalError(f"exact {self.method} value with bracket [{self.lo}, {self.hi}]")
         if self.exact and self.certificate is None:
             raise InternalError(f"exact {self.method} value {self.lo} without a certificate")
-
-    @property
-    def exact(self) -> bool:
-        return self.lo == self.hi
 
     @property
     def value(self) -> int:
@@ -198,7 +198,7 @@ def qs_exact(net: Network, budget: int = DEFAULT_BUDGET) -> Extremal:
         if lo == hi:
             cert = coloring_certificate(skel.graph, res.coloring, "skeleton coloring")
             return Extremal(hi, hi, "skeleton-chi", certificate=cert)
-        return Extremal(lo, hi, "skeleton-chi-bracket")
+        return Extremal(lo, hi, "skeleton-chi-bracket", exact=False)
     solve = subcombination_solution if _by_middle_spaces(net) else search_solution
     bound = _scalar_upper_bound(net)
     q = 2
@@ -206,7 +206,7 @@ def qs_exact(net: Network, budget: int = DEFAULT_BUDGET) -> Extremal:
         try:
             code = solve(net, q, 1, budget)
         except BudgetExhausted:
-            return Extremal(q, bound, "exhaustive-bracket")
+            return Extremal(q, bound, "exhaustive-bracket", exact=False)
         if code is not None:
             return Extremal(q, q, "exhaustive", certificate=code_certificate(net, code))
         q = psi(q + 1)
@@ -257,7 +257,7 @@ def qv_exact(net: Network, budget: int = DEFAULT_BUDGET) -> Extremal:
                 if code is not None:
                     return Extremal(v, v, method, certificate=code_certificate(net, code))
             except BudgetExhausted:
-                return Extremal(v, v_max, "bracket")
+                return Extremal(v, v_max, "bracket", exact=False)
         v = psi(v + 1)
     raise AssertionError("vector scan passed the sufficiency bound without a solution")
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import CHECKPOINT_MASK, check_deadline
+from .errors import CHECKPOINT_MASK, check_deadline, check_deadline_over
 from .subspaces import Subspace
 
 
@@ -24,8 +24,9 @@ class UGraph:
 
     @classmethod
     def from_edges(cls, num_vertices, edge_iter, labels=None, names=None) -> "UGraph":
+        """The graph of the listed pairs, in either order and with repeats."""
         # the deadline is read before every 1024th listed edge
-        seen = set()
+        masks = [0] * num_vertices
         for i, (a, b) in enumerate(edge_iter):
             if i & CHECKPOINT_MASK == CHECKPOINT_MASK:
                 check_deadline(i)
@@ -33,8 +34,50 @@ class UGraph:
                 raise ValueError(f"self-loop at vertex {a}")
             if not (0 <= a < num_vertices and 0 <= b < num_vertices):
                 raise ValueError(f"edge ({a},{b}) out of range")
-            seen.add((a, b) if a < b else (b, a))
-        return cls(num_vertices, tuple(sorted(seen)), labels, names)
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
+        return cls.from_masks(num_vertices, masks, labels, names)
+
+    @classmethod
+    def from_masks(cls, num_vertices, masks, labels=None, names=None) -> "UGraph":
+        """The graph whose vertex v is adjacent to the set bits of masks[v].
+
+        The masks must be symmetric; the graph keeps them as its adjacency.
+        One walk over each mask's bits above its vertex lists the sorted
+        edge tuple, reading the deadline before every 1024th edge (once per
+        vertex whose edges cross a checkpoint).
+        """
+        masks = list(masks)
+        if len(masks) != num_vertices:
+            raise ValueError(f"{len(masks)} masks for {num_vertices} vertices")
+        edges = []
+        for a, mask in enumerate(masks):
+            if mask < 0 or mask >> num_vertices:
+                raise ValueError(f"mask of vertex {a} out of range")
+            if mask >> a & 1:
+                raise ValueError(f"self-loop at vertex {a}")
+            above = mask >> (a + 1)
+            check_deadline_over(len(edges), above.bit_count())
+            while above:
+                low = above & -above
+                b = a + low.bit_length()
+                if not masks[b] >> a & 1:
+                    raise ValueError(f"masks not symmetric at ({a},{b})")
+                edges.append((a, b))
+                above ^= low
+        g = cls(num_vertices, tuple(edges), labels, names)
+        g.__dict__["_masks"] = masks  # what `_masks` would rebuild from the edges
+        return g
+
+    @cached_property
+    def _masks(self) -> list[int]:
+        """Neighbourhoods as bitmasks, kept by `from_masks` or built from the
+        edges on first use; not a field, so it stays out of equality."""
+        adj = [0] * self.num_vertices
+        for a, b in self.edges:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        return adj
 
     def adjacency(self) -> list[set[int]]:
         adj = [set() for _ in range(self.num_vertices)]
@@ -45,11 +88,7 @@ class UGraph:
 
     def adjacency_masks(self) -> list[int]:
         """Neighbourhoods as bitmasks: bit u of entry v is set iff uv is an edge."""
-        adj = [0] * self.num_vertices
-        for a, b in self.edges:
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-        return adj
+        return list(self._masks)
 
     @cached_property
     def vertex_names(self) -> tuple[str, ...]:
@@ -62,11 +101,10 @@ class UGraph:
 
         Not a field, so it stays out of equality and hashing.
         """
-        return degree_order(self.adjacency_masks())
+        return degree_order(self._masks)
 
     def degree_sequence(self) -> list[int]:
-        adj = self.adjacency()
-        return [len(s) for s in adj]
+        return [mask.bit_count() for mask in self._masks]
 
     def is_complete(self) -> bool:
         n = self.num_vertices
@@ -97,7 +135,8 @@ def degree_order(adj: list[int]) -> tuple[list[int], list[int]]:
 
 
 def complete_graph(n: int) -> UGraph:
-    return UGraph.from_edges(n, ((a, b) for a in range(n) for b in range(a + 1, n)))
+    full = (1 << n) - 1
+    return UGraph.from_masks(n, [full ^ (1 << v) for v in range(n)])
 
 
 @dataclass(frozen=True)

@@ -61,38 +61,49 @@ class Network:
         """(`is_subcombination`, `combination_parameters`) from one walk over
         the source edges, the middles and the terminals' in-lists, cached
         like `_incidence` and like it outside equality, hashing and JSON.
+
+        Each terminal's feeders are one bitmask, bit k standing for the
+        middle of the k-th source edge: a feeder that is no middle adds no
+        bit and a middle feeding twice adds one, so the feeders are distinct
+        middles iff the popcount is the in-degree.
         """
         outs, ins = self._incidence
         src_out = outs.get(self.source, ())
-        middles = {e.head for e in src_out}
-        terms = set(self.terminals)
+        bit = {e.head: 1 << k for k, e in enumerate(src_out)}
+        terms = dict.fromkeys(self.terminals)  # a set in the terminals' order
         if (
-            len(middles) != len(src_out)
-            or middles & terms
-            or set(self.nodes) != {self.source} | middles | terms
-            or any(len(ins[m]) != 1 for m in middles)
+            len(bit) != len(src_out)
+            or not terms.keys().isdisjoint(bit)
+            or set(self.nodes) != {self.source, *bit, *terms}
+            or any(len(ins[m]) != 1 for m in bit)
         ):
             return False, None
-        # a sub-combination network's middles feed only terminals, each drawing h edges
-        sub = self.source not in terms and terms.issuperset(
-            [e.head for m in middles for e in outs.get(m, ())]
-        )
-        degrees, feeder_sets = set(), set()
-        for i, term in enumerate(self.terminals):
+        degrees, feeder_masks = set(), set()
+        fed = 0  # edges into terminals, all from middles
+        for i, term in enumerate(terms):
             if i & CHECKPOINT_MASK == CHECKPOINT_MASK:
                 check_deadline(i)
             in_list = ins.get(term, ())
-            feeders = frozenset([e.tail for e in in_list])
-            if len(feeders) != len(in_list) or not feeders <= middles or term in outs:
+            mask = 0
+            for e in in_list:
+                mask |= bit.get(e.tail, 0)
+            if mask.bit_count() != len(in_list) or term in outs:
                 return False, None
             degrees.add(len(in_list))
-            feeder_sets.add(feeders)
-        sub = sub and degrees <= {self.h}
+            feeder_masks.add(mask)
+            fed += len(in_list)
+        # a sub-combination network's middles feed only terminals (so their
+        # out-degrees add up to the edges into terminals), each drawing h edges
+        sub = (
+            self.source not in terms
+            and degrees <= {self.h}
+            and sum(len(outs.get(m, ())) for m in bit) == fed
+        )
         # a full combination network has one terminal per s-subset of its r middles
-        if self.source in middles or len(degrees) != 1:
+        if self.source in bit or len(degrees) != 1:
             return sub, None
         r, (s,) = len(src_out), degrees
-        if len(feeder_sets) != len(self.terminals) or len(self.terminals) != math.comb(r, s):
+        if len(feeder_masks) != len(self.terminals) or len(self.terminals) != math.comb(r, s):
             return sub, None
         return sub, (self.h, r, s)
 
@@ -307,33 +318,37 @@ def build_kneser(q: int, t: int, h: int, *, max_terminal_scan: int = ENUMERATION
     # candidate terminal scanned, per terminal edge made and per vector
     # listed in a span, so only the deadline stops the construction
     if h == 2:
+        # the terminals are the set bits above the diagonal of the pair
+        # masks, row by row; a row's candidates are spent at once
         masks = DirectSumIndex(middles).pair_masks()
         bud = Budget(3 * n_subsets)
-
-        def spans(subset) -> bool:
-            return masks[subset[0]] >> subset[1] & 1
+        subsets = []
+        for a, mask in enumerate(masks):
+            bud.spend_many(r - 1 - a)
+            above = mask >> (a + 1)
+            while above:
+                low = above & -above
+                subsets.append((a, a + low.bit_length()))
+                above ^= low
     else:
         index = DirectSumIndex(middles)
         bud = Budget((h + 1) * n_subsets + math.comb(r, h - 1) * q ** ((h - 1) * t))
-
-        def spans(subset) -> bool:
-            return index.in_direct_sum(subset, bud)
+        subsets = []
+        for subset in itertools.combinations(range(r), h):
+            bud.spend()
+            if index.in_direct_sum(subset, bud):
+                subsets.append(subset)
 
     middle_ids = [f"m{i}" for i in range(r)]
+    ids = iter(_edge_ids(r + h * len(subsets)))
+    edges = [Edge(next(ids), "s", m) for m in middle_ids]
     terminals = []
-    pairs = []
-    for subset in itertools.combinations(range(r), h):
-        bud.spend()
-        if not spans(subset):
-            continue
-        tname = "t" + "_".join(str(i) for i in subset)
+    for subset in subsets:
+        tname = "t" + "_".join([str(i) for i in subset])
         terminals.append(tname)
-        pairs.extend((tname, middle_ids[i]) for i in subset)
-    ids = _edge_ids(r + len(pairs))
-    edges = [Edge(ids[i], "s", middle_ids[i]) for i in range(r)]
-    for k, (tname, m) in enumerate(pairs):
-        bud.spend()
-        edges.append(Edge(ids[r + k], m, tname))
+        for i in subset:
+            bud.spend()
+            edges.append(Edge(next(ids), middle_ids[i], tname))
     net = Network(
         h=h,
         source="s",

@@ -21,14 +21,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .errors import (
-    CHECKPOINT_MASK,
-    DEFAULT_BUDGET,
-    Budget,
-    BudgetExhausted,
-    SizeLimitExceeded,
-    check_deadline,
-)
+from .errors import DEFAULT_BUDGET, Budget, BudgetExhausted, SizeLimitExceeded
 from .gf import field_of_order
 from .graphs import Coloring, Hypergraph, UGraph
 from .subspaces import (
@@ -51,12 +44,7 @@ def build_qkneser(q: int, n: int, m: int, *, limit: int = ENUMERATION_LIMIT) -> 
     fld = field_of_order(q)
     verts = enumerate_subspaces(fld, n, m, limit=limit)
     masks = DirectSumIndex(verts).pair_masks()
-    edges = []
-    for i, mask in enumerate(masks):
-        if i & CHECKPOINT_MASK == CHECKPOINT_MASK:
-            check_deadline(i)
-        edges.extend((i, j) for j in _bits(mask >> (i + 1) << (i + 1)))
-    return UGraph.from_edges(len(verts), edges, labels=tuple(verts))
+    return UGraph.from_masks(len(verts), masks, labels=tuple(verts))
 
 
 def build_qkneser_hyper(q: int, t: int, h: int, *, limit: int = ENUMERATION_LIMIT) -> Hypergraph:
@@ -191,13 +179,6 @@ def greedy_clique(g: UGraph) -> tuple[int, ...]:
         clique.append(order[v])
         candidates &= adj[v]
     return tuple(sorted(clique))
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +364,7 @@ def find_homomorphism(g1: UGraph, g2: UGraph, budget: int = DEFAULT_BUDGET) -> d
         if g2.num_vertices == 0:
             return None
         return {v: 0 for v in range(g1.num_vertices)}
-    if g1.num_vertices == g2.num_vertices and set(g1.edges) == set(g2.edges):
+    if g1.adjacency_masks() == g2.adjacency_masks():
         return {v: v for v in range(g1.num_vertices)}
     # adjacent vertices get distinct adjacent images, so a clique maps
     # injectively onto a clique: any clique of g1 may be pinned to distinct

@@ -10,10 +10,11 @@ into a q-Kneser graph.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
-from .errors import CHECKPOINT_MASK, check_deadline
+from .errors import check_deadline_over
 from .graphs import UGraph
 from .networks import Edge, Network, _edge_ids, validate_network
 
@@ -29,38 +30,54 @@ class SkeletonGraph:
 
 
 def skeleton(net: Network) -> SkeletonGraph:
-    # the deadline is read before every 1024th edge classed or node joined
+    """The classes, numbered by their root edge's place in the edge list.
+
+    A node of in-degree 1 continues the class of its one in-edge, so a
+    class is its root edge and the out-edges of the nodes it reaches
+    through such nodes.  Every node ORs the class bits of its in-edges into
+    one mask, and each class's adjacency mask ORs the masks of the nodes
+    its edges enter, less its own bit (a node of in-degree 1 adds nothing).
+    The deadline is read before every 1024th edge of each of the three
+    walks, once per node or class whose edges cross a checkpoint.
+    """
     outs, ins = net._incidence
     single = {v for v, in_list in ins.items() if len(in_list) == 1}
     roots = [e for e in net.edges if e.tail not in single]
     class_members: list[list[str]] = []
-    edge_class: dict[str, int] = {}
+    class_heads: list[list[str]] = []  # the node each member edge enters
     done = 0
-    for idx, root in enumerate(roots):
-        members = []
-        frontier = [root]
+    for root in roots:
+        check_deadline_over(done, 1)
+        done += 1
+        members, heads = [root.id], [root.head]
+        frontier = [root.head] if root.head in single else []
         while frontier:
-            e = frontier.pop()
-            if done & CHECKPOINT_MASK == CHECKPOINT_MASK:
-                check_deadline(done)
-            done += 1
-            members.append(e.id)
-            edge_class[e.id] = idx
-            if e.head in single:
-                frontier.extend(outs.get(e.head, ()))
+            out = outs.get(frontier.pop(), ())
+            check_deadline_over(done, len(out))
+            done += len(out)
+            members += [e.id for e in out]
+            entered = [e.head for e in out]
+            heads += entered
+            frontier += [v for v in entered if v in single]
         class_members.append(members)
+        class_heads.append(heads)
+
+    node_bits: dict[str, int] = {}
+    for k, heads in enumerate(class_heads):
+        check_deadline_over(done, len(heads))
+        done += len(heads)
+        bit = 1 << k
+        for v in heads:
+            node_bits[v] = node_bits.get(v, 0) | bit
+    adj = []
+    for k, heads in enumerate(class_heads):
+        check_deadline_over(done, len(heads))
+        done += len(heads)
+        adj.append(reduce(or_, map(node_bits.__getitem__, heads), 0) & ~(1 << k))
 
     class_ids = [min(members) for members in class_members]
-    edge_pairs = set()
-    for i, v in enumerate(net.nodes, done):
-        if i & CHECKPOINT_MASK == CHECKPOINT_MASK:
-            check_deadline(i)
-        incoming = ins.get(v, ())
-        if len(incoming) > 1:
-            joined = sorted({edge_class[e.id] for e in incoming})
-            edge_pairs.update(itertools.combinations(joined, 2))
-    graph = UGraph.from_edges(len(roots), edge_pairs, names=tuple(class_ids))
-    classes = {class_ids[i]: frozenset(class_members[i]) for i in range(len(roots))}
+    graph = UGraph.from_masks(len(roots), adj, names=tuple(class_ids))
+    classes = {cid: frozenset(members) for cid, members in zip(class_ids, class_members)}
     return SkeletonGraph(graph=graph, classes=classes)
 
 

@@ -159,9 +159,9 @@ def test_chromatic_number_past_the_deadline_raises_or_brackets():
 
 
 def test_qkneser_edge_listing_stops_at_an_expired_deadline(monkeypatch):
-    # qK_{6:3} over F_2: 1395 vertex rows pass the first checkpoint.  Its
-    # subspaces and their masks are made before the deadline, and the graph
-    # must not be reached, so only the edge listing can stop it
+    # qK_{6:3} over F_2: 1395 vertices of degree 512.  Its subspaces and
+    # their masks are made before the deadline, so only the listing of the
+    # graph's edges from the masks can stop it
     fld = field_of_order(2)
     verts = enumerate_subspaces(fld, 6, 3)
     masks = DirectSumIndex(verts).pair_masks()
@@ -169,14 +169,54 @@ def test_qkneser_edge_listing_stops_at_an_expired_deadline(monkeypatch):
     monkeypatch.setattr(
         qkneser, "DirectSumIndex", lambda spaces: types.SimpleNamespace(pair_masks=lambda: masks)
     )
-
-    def unreached(*args, **kw):
-        raise AssertionError("the edge listing read no deadline")
-
-    monkeypatch.setattr(qkneser, "UGraph", types.SimpleNamespace(from_edges=unreached))
     with deadline(EXPIRED), pytest.raises(BudgetExhausted, match="wall-clock") as exc:
         build_qkneser(2, 6, 3)
     assert exc.value.nodes_used == FIRST_CHECKPOINT
+    g = build_qkneser(2, 6, 3)
+    assert g.adjacency_masks() == masks and len(g.edges) == 1395 * 512 // 2
+
+
+def test_graph_from_masks_stops_at_an_expired_deadline():
+    # one node per listed edge, read once per vertex whose edges cross a
+    # checkpoint: K_50 lists 1225 edges, K_45 990
+    for n, edges in ((50, 1225), (45, 990)):
+        full = (1 << n) - 1
+        masks = [full ^ (1 << v) for v in range(n)]
+        if edges > FIRST_CHECKPOINT:
+            with deadline(EXPIRED), pytest.raises(BudgetExhausted, match="wall-clock") as exc:
+                UGraph.from_masks(n, masks)
+            assert exc.value.nodes_used == FIRST_CHECKPOINT
+        else:
+            with deadline(EXPIRED):
+                assert len(UGraph.from_masks(n, masks).edges) == edges
+
+
+@pytest.mark.parametrize("limit", [5, 1023, 1024, 1500, 3000])
+@pytest.mark.parametrize("expired", [False, True])
+def test_a_bulk_spend_is_the_same_as_single_spends(limit, expired):
+    # the same limit and node count, and the deadline read at the first
+    # checkpoint a bulk crosses
+    def outcome(spend_rows):
+        bud = Budget(limit)
+        with deadline(EXPIRED if expired else None):
+            try:
+                spend_rows(bud)
+            except BudgetExhausted as exc:
+                return bud.used, exc.nodes_used, bud.out_of_nodes
+        return bud.used, None, bud.out_of_nodes
+
+    for rows in ([0, 3, 1020, 1, 500], [1023, 1, 1], [1024], [700, 700, 700, 700], [2999, 2]):
+
+        def single(bud):
+            for count in rows:
+                for _ in range(count):
+                    bud.spend()
+
+        def bulk(bud):
+            for count in rows:
+                bud.spend_many(count)
+
+        assert outcome(bulk) == outcome(single), rows
 
 
 def test_flow_solver_set_up_stops_at_an_expired_deadline():

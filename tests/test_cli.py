@@ -857,3 +857,24 @@ def test_build_missing_flags_usage_error(capsys):
     assert run_cli(["build", "comb", "2", "3"], capsys)[0] == EXIT_USAGE
     assert run_cli(["chi"], capsys)[0] == EXIT_USAGE
     assert run_cli(["gap"], capsys)[0] == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", ["qs", "qv", "gap"])
+def test_a_scan_stopped_at_its_bound_prints_a_bracket(tmp_path, capsys, command):
+    # N_{3,4,4} under one node: the scans stop at their bound q = 2 with the
+    # bracket [2, 2], which is no certified value: exit 3, no certificate
+    cert = tmp_path / "cert.json"
+    out_flag = ["--cert-prefix", str(tmp_path / "gap")] if command == "gap" else ["--cert", str(cert)]
+    code, out, _ = run_cli([command, "--comb", "3", "4", "4", "--budget", "1", *out_flag], capsys)
+    assert code == EXIT_BUDGET
+    expected = {"qs": "q_s(N_{3,4,4}) in [2, 2]", "qv": "q_v(N_{3,4,4}) in [2, 2]", "gap": "gap in [0, 0]"}
+    assert expected[command] in out
+    assert list(tmp_path.iterdir()) == []
+    code, out, _ = run_cli([command, "--comb", "3", "4", "4", "--budget", "1", "--json", *out_flag], capsys)
+    assert code == EXIT_BUDGET
+    obj = json.loads(out)
+    if command == "gap":
+        assert obj["q_s"]["lower"] == obj["q_s"]["upper"] == 2 and obj["gap_bracket"] == [0, 0]
+    else:
+        label = command.replace("q", "q_")
+        assert obj[f"{label}_lower"] == obj[f"{label}_upper"] == 2

@@ -204,6 +204,28 @@ def test_every_route_returns_its_replayable_certificate(run, method):
 def test_an_exact_value_without_a_certificate_is_an_internal_error():
     with pytest.raises(InternalError):
         Extremal(4, 4, "exhaustive")
+    with pytest.raises(InternalError, match="bracket"):
+        Extremal(3, 4, "exhaustive", certificate={"kind": "network-code"})
+    assert not Extremal(4, 4, "bracket", exact=False).exact
+
+
+@pytest.mark.parametrize(
+    ("run", "method"), [(qs_exact, "exhaustive-bracket"), (qv_exact, "bracket")], ids=["qs", "qv"]
+)
+def test_a_scan_stopped_at_its_bound_stays_a_bracket(run, method):
+    # N_{3,4,4}: one terminal, so psi(2) = 2 bounds the scan, and one node
+    # does not decide q = 2.  The ends meet, but nothing is certified
+    net = build_combination(3, 4, 4)
+    res = run(net, budget=1)
+    assert (res.lo, res.hi, res.exact, res.certificate, res.method) == (2, 2, False, None, method)
+    with pytest.raises(ValueError):
+        res.value
+    assert run(net).exact and run(net).value == 2
+
+
+def test_gap_of_scans_stopped_at_their_bound_is_a_bracket():
+    report = gap_exact(build_combination(3, 4, 4), budget=1)
+    assert not report.exact and report.gap == (0, 0)
 
 
 def test_n_2_5_2_values():

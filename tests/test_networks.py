@@ -631,3 +631,19 @@ def test_shape_is_computed_once_and_stays_out_of_equality():
     assert net == other and hash(net) == hash(other)
     assert network_to_json(net) == network_to_json(other)
     assert "_shape" not in [f.name for f in dataclasses.fields(net)]
+
+
+@pytest.mark.parametrize("feeder", ["m0", "s"], ids=["middle-twice", "not-a-middle"])
+def test_shape_counts_each_middle_feeder_once(feeder):
+    # N_{2,4,2} with t0_1 fed by m0 and by `feeder` instead of m1: each
+    # terminal's feeder mask sets one bit per distinct middle, so m0 twice
+    # sets one and the source none, and the popcount falls below the
+    # in-degree though every degree is still h
+    base = build_combination(2, 4, 2)
+    edges = tuple(
+        Edge(e.id, feeder, e.head) if (e.tail, e.head) == ("m1", "t0_1") else e for e in base.edges
+    )
+    net = Network(base.h, base.source, base.terminals, base.nodes, edges)
+    assert net.in_degree("t0_1") == net.h
+    assert not is_subcombination(net) and not _is_subcombination_oracle(net)
+    assert combination_parameters(net) is None is _combination_parameters_oracle(net)

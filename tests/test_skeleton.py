@@ -138,6 +138,36 @@ def test_skeleton_matches_the_pairwise_join_oracle(seed):
     assert list(skel.graph.edges) == pairs
 
 
+def _joined_network(rng: random.Random) -> Network:
+    """A random DAG, never validated, whose node j has in-degree >= 3 and is
+    fed twice by one class: two parallel edges from p, a node of in-degree 1,
+    and one edge each from two other nodes.  j feeds k, so j's out-edge
+    roots a class too.  The edge list is shuffled."""
+    nodes = ["s"] + [f"n{i}" for i in range(rng.randint(3, 7))]
+    pairs = []
+    for i, v in enumerate(nodes[1:], 1):
+        for u in rng.sample(nodes[:i], rng.randint(1, min(i, 3))):
+            pairs.extend([(u, v)] * rng.randint(1, 2))
+    pairs += [(rng.choice(nodes), "p"), ("p", "j"), ("p", "j"), ("j", "k")]
+    pairs += [(u, "j") for u in rng.sample(nodes, 2)]
+    rng.shuffle(pairs)
+    edges = tuple(Edge(f"e{k:02d}", u, v) for k, (u, v) in enumerate(pairs))
+    return Network(h=2, source="s", terminals=("k",), nodes=(*nodes, "p", "j", "k"), edges=edges)
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=150, deadline=None)
+def test_skeleton_matches_the_pairwise_join_oracle_on_wide_joins(seed):
+    net = _joined_network(random.Random(seed))
+    assert net.in_degree("j") == 4 and net.in_degree("p") == 1
+    skel = skeleton(net)
+    ids, members, pairs = _skeleton_oracle(net)
+    assert list(skel.class_ids) == ids
+    assert [skel.classes[cid] for cid in ids] == members
+    assert list(skel.graph.edges) == pairs
+    assert skel.graph.adjacency_masks() == UGraph.from_edges(len(ids), pairs).adjacency_masks()
+
+
 def test_reverse_skeleton_triangle():
     net = reverse_skeleton(complete_graph(3))
     middles = [v for v in net.nodes if v.startswith("v")]
