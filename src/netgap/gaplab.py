@@ -55,6 +55,8 @@ def psi(x) -> int:
     """Smallest prime power >= x (x a positive real; exact for int/Fraction)."""
     if x <= 0:
         raise ValueError(f"psi needs a positive argument, got {x}")
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError(f"psi needs a finite argument, got {x}")
     n = x if isinstance(x, int) else math.ceil(x)
     n = max(n, 2)
     while not is_prime_power(n):

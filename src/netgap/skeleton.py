@@ -86,7 +86,9 @@ def reverse_skeleton(g: UGraph) -> Network:
 
     Source feeding one middle node per vertex; one terminal per edge, fed
     by its two endpoint middle nodes.  The result is a sub-network of the
-    full combination network on len(g) middle nodes.
+    full combination network on len(g) middle nodes.  Middle nodes carry
+    the vertex names; terminals are named by vertex indices, which stay
+    distinct even where names contain the separator.
     """
     names = g.vertex_names
     degrees = g.degree_sequence()
@@ -94,7 +96,7 @@ def reverse_skeleton(g: UGraph) -> Network:
     if isolated:
         raise ValueError(f"isolated vertices {isolated} would be non-essential middle nodes")
     middles = [f"v{name}" for name in names]
-    terminals = [f"t{names[a]}_{names[b]}" for a, b in g.edges]
+    terminals = [f"t{a}_{b}" for a, b in g.edges]
     ids = _edge_ids(g.num_vertices + 2 * len(g.edges))
     edges = [Edge(ids[i], "s", middles[i]) for i in range(g.num_vertices)]
     k = g.num_vertices

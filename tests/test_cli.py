@@ -1,4 +1,5 @@
 import functools
+import gc
 import json
 import os
 import random
@@ -20,7 +21,7 @@ from netgap.cli import (
     build_parser,
     main,
 )
-from netgap.networks import build_kneser, network_to_json
+from netgap.networks import build_combination, build_kneser, network_to_json
 
 
 def run_cli(args, capsys):
@@ -37,6 +38,14 @@ def test_psi_command(capsys):
 def test_psi_json(capsys):
     code, out, _ = run_cli(["psi", "10", "--json"], capsys)
     assert code == EXIT_OK and json.loads(out) == {"psi": 11}
+
+
+@pytest.mark.parametrize("x", ["nan", "inf", "1e400"])
+def test_psi_of_a_non_finite_argument_is_a_usage_error(x, capsys):
+    # 1e400 parses as inf; neither has an integer ceiling to scan from
+    code, out, err = run_cli(["psi", x], capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: psi needs a finite argument")
 
 
 def test_build_comb_and_verify_roundtrip(tmp_path, capsys):
@@ -832,6 +841,19 @@ def test_build_from_graph_extend_parallelize(tmp_path, capsys):
     assert par["h"] == 4 and len(par["edges"]) == 2 * len(obj["edges"])
 
 
+def test_build_from_graph_names_terminals_apart_when_names_hold_the_separator(tmp_path, capsys):
+    # by names, both terminals would be "ta_b_c"; by vertex indices they differ
+    graph = {"vertices": ["a_b", "c", "a", "b_c"], "edges": [["a_b", "c"], ["a", "b_c"]]}
+    g_path = tmp_path / "g.json"
+    g_path.write_text(json.dumps(graph))
+    net_path = tmp_path / "net.json"
+    code, _, err = run_cli(["build", "from-graph", "--graph", str(g_path), "-o", str(net_path)], capsys)
+    assert code == EXIT_OK, err
+    obj = json.loads(net_path.read_text())
+    assert obj["terminals"] == ["t0_1", "t2_3"]
+    assert {e["to"] for e in obj["edges"] if e["from"] == "s"} == {"va_b", "vc", "va", "vb_c"}
+
+
 def test_build_prune_repairs_imported_network(tmp_path, capsys):
     from netgap.networks import build_butterfly, network_to_json
 
@@ -878,3 +900,111 @@ def test_a_scan_stopped_at_its_bound_prints_a_bracket(tmp_path, capsys, command)
     else:
         label = command.replace("q", "q_")
         assert obj[f"{label}_lower"] == obj[f"{label}_upper"] == 2
+
+
+# ---------------------------------------------------------------------------
+# the cyclic collector is paused for each command
+# ---------------------------------------------------------------------------
+
+def _set_collector(enabled):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.fixture
+def collector_state():
+    was_enabled = gc.isenabled()
+    yield
+    _set_collector(was_enabled)
+
+
+def _n24_file(tmp_path):
+    net_path = tmp_path / "n242.json"
+    net_path.write_text(json.dumps(network_to_json(build_combination(2, 4, 2))))
+    return str(net_path)
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (["psi", "6"], EXIT_OK),
+        (["solve", "--network", "{n242}", "--q", "2"], EXIT_NEGATIVE),
+        (["build", "comb", "2", "2", "3"], EXIT_USAGE),
+        (["solve", "--network", "{n242}", "--q", "2", "--budget", "2"], EXIT_BUDGET),
+    ],
+    ids=["ok", "negative", "usage", "budget"],
+)
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_main_hands_back_the_collector_state(
+    tmp_path, capsys, collector_state, argv, exit_code, enabled
+):
+    n242 = _n24_file(tmp_path)
+    argv = [a.format(n242=n242) for a in argv] + (
+        ["--cert", str(tmp_path / "c.json")] if argv[0] == "solve" else []
+    )
+    _set_collector(enabled)
+    assert run_cli(argv, capsys)[0] == exit_code
+    assert gc.isenabled() == enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_the_collector_is_paused_inside_a_command_and_back_after_any_exit(
+    capsys, collector_state, monkeypatch, enabled
+):
+    from netgap import cli
+
+    seen = []
+    monkeypatch.setattr(cli, "psi", lambda x: seen.append(gc.isenabled()) or 7)
+    _set_collector(enabled)
+    assert run_cli(["psi", "6"], capsys)[:2] == (EXIT_OK, "7\n")
+    assert seen == [False] and gc.isenabled() == enabled
+
+    def crash(x):
+        raise RuntimeError("not a netgap error")
+
+    monkeypatch.setattr(cli, "psi", crash)
+    with pytest.raises(RuntimeError):
+        main(["psi", "6"])
+    assert gc.isenabled() == enabled
+    # argparse's usage errors exit before the command starts
+    with pytest.raises(SystemExit) as exc:
+        main(["psi"])
+    assert exc.value.code == EXIT_USAGE and gc.isenabled() == enabled
+    capsys.readouterr()
+
+
+def test_commands_create_no_reference_cycles(tmp_path, capsys, collector_state):
+    # cli.main pauses the cyclic collector for a command; that is sound only
+    # while no command leaves garbage that only the collector can free.
+    # --json is left out: the standard library's indenting encoder leaves a
+    # few cycles per print, a fixed amount however long the command ran.
+    k222 = tmp_path / "k222.json"
+    k222.write_text(json.dumps(network_to_json(build_kneser(2, 2, 2))))
+    n232 = tmp_path / "n232.json"
+    n232.write_text(json.dumps(network_to_json(build_combination(2, 3, 2))))
+    n242 = _n24_file(tmp_path)
+    commands = [
+        (["gap", "--network", str(k222), "--cert-prefix", str(tmp_path / "gap")], EXIT_OK),
+        (["qs", "--network", str(k222), "--cert", str(tmp_path / "qs.json")], EXIT_OK),
+        (["qv", "--network", str(k222), "--cert", str(tmp_path / "qv.json")], EXIT_OK),
+        (["solve", "--network", n242, "--q", "2", "--cert", str(tmp_path / "neg.json")],
+         EXIT_NEGATIVE),
+        (["solve", "--network", str(n232), "--q", "2", "--cert", str(tmp_path / "pos.json")],
+         EXIT_OK),
+        (["ic", "search", "--q", "2", "--t", "2", "--h", "3", "--alpha", "3",
+          "--cert", str(tmp_path / "ic.json")], EXIT_OK),
+        (["check-cert", *(str(tmp_path / name) for name in (
+            "gap-qs-cert.json", "gap-qv-cert.json", "qs.json", "qv.json", "pos.json", "ic.json"
+        ))], EXIT_OK),
+        (["solve", "--network", n242, "--q", "2", "--budget", "2",
+          "--cert", str(tmp_path / "stopped.json")], EXIT_BUDGET),
+    ]
+    main(["psi", "6"])  # builds the parser, which leaves cycles once per process
+    gc.disable()
+    gc.collect()
+    for argv, exit_code in commands:
+        assert main(argv) == exit_code, argv
+        assert gc.collect() == 0, argv
+    capsys.readouterr()

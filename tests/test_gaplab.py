@@ -98,7 +98,8 @@ def test_butterfly_chi_and_search_agree():
 
 def test_chi_and_search_agree_on_reverse_skeletons():
     from netgap.graphs import UGraph, complete_graph
-    from netgap.qkneser import chromatic_number
+    from netgap.mdsic import subcombination_solution
+    from netgap.qkneser import build_qkneser, chromatic_number, find_homomorphism
     from netgap.skeleton import reverse_skeleton
 
     instances = [
@@ -128,12 +129,22 @@ def test_chi_and_search_agree_on_reverse_skeletons():
              (5, 9), (5, 10), (6, 7), (6, 8), (6, 9), (7, 8), (7, 9), (7, 10), (8, 10)],
         ),
     ]
+    target = build_qkneser(2, 4, 2)
     for g in instances:
         net = reverse_skeleton(g)
         qs = qs_exact(net)
         assert qs.method == "skeleton-chi"
         # the chi route tests only the counts q + 1; the exact chi is the oracle
         assert qs.value == _qs_by_search(net) == psi(chromatic_number(g).chi - 1)
+        # the assignment search at h = 2, mostly on non-full N_{2,r,2}
+        # sub-networks: scalar, its least q is q_s; over (2,2), a solution
+        # is a homomorphism into 2K_{4:2}
+        q = 2
+        while subcombination_solution(net, q, 1) is None:
+            q = psi(q + 1)
+        assert q == qs.value
+        hom = find_homomorphism(g, target)
+        assert (subcombination_solution(net, 2, 2) is None) == (hom is None)
     # K_{3,2;2}: 10 colors of the skeleton 3K_{4:2} are refuted and 11 is
     # skipped (10 is no prime power), so chi stays in [11, 12], and
     # psi(10) = psi(11) = 11 is certified by the greedy 12-coloring

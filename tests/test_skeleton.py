@@ -198,6 +198,10 @@ def test_roundtrip_examples():
     assert skeleton_roundtrip_check(complete_graph(3))
     path4 = UGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert skeleton_roundtrip_check(path4)
+    # named vertices holding the terminal-name separator "_"
+    named = UGraph.from_edges(4, [(0, 1), (2, 3)], names=["a_b", "c", "a", "b_c"])
+    assert skeleton_roundtrip_check(named)
+    assert reverse_skeleton(named).terminals == ("t0_1", "t2_3")
 
 
 @given(st.integers(0, 10**9))
