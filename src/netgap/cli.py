@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import re
 import sys
 import time
 
@@ -86,11 +87,38 @@ def _write_json(path: str, obj: dict) -> None:
         fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
+# a JSON string, an empty container, or one of the other structural marks
+_JSON_MARK = re.compile(r'"(?:[^"\\]|\\.)*"|[{\[][}\]]?|[}\],:]')
+
+
+def _indented(obj) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte.
+
+    json.dumps with an indent runs the pure-Python encoder, whose nested
+    closures are left in reference cycles by every call.  The C encoder's
+    compact text, laid out mark by mark, is the same text without them.
+    """
+    depth = 0
+
+    def layout(mark: re.Match) -> str:
+        nonlocal depth
+        text = mark.group()
+        c = text[0]
+        if c == '"' or len(text) == 2:
+            return text
+        if c in "{[":
+            depth += 1
+            return c + "\n" + "  " * depth
+        if c in "}]":
+            depth -= 1
+            return "\n" + "  " * depth + c
+        return ",\n" + "  " * depth if c == "," else ": "
+
+    return _JSON_MARK.sub(layout, json.dumps(obj, sort_keys=True, separators=(",", ":")))
+
+
 def _emit(args, obj: dict, human: str) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(obj, indent=2, sort_keys=True))
-    else:
-        print(human)
+    print(_indented(obj) if getattr(args, "json", False) else human)
 
 
 def _write_output(args, obj: dict, human: str) -> None:

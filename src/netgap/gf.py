@@ -26,22 +26,75 @@ TABLE_LIMIT = 2**16
 Felt = int
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality for
+# every n below PRIME_TEST_LIMIT (Sorenson and Webster, "Strong pseudoprimes
+# to twelve prime bases", 2017).  Above it netgap gives no answer rather
+# than an unproven one.
+PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def strong_probable_prime(n: int, bases: Sequence[int]) -> bool:
+    """Miller-Rabin: does odd n, larger than every base, pass the strong
+    test to each base?"""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _iroot(n: int, m: int) -> int:
+    """floor(n^(1/m)), exact: a float estimate, then corrected."""
+    r = int(round(n ** (1 / m)))
+    while r**m > n:
+        r -= 1
+    while (r + 1) ** m <= n:
+        r += 1
+    return r
+
+
 def prime_power(n: int) -> tuple[int, int] | None:
-    """(p, m) with n = p^m for a prime p and m >= 1, or None."""
+    """(p, m) with n = p^m for a prime p and m >= 1, or None.
+
+    Trial division by the primes up to 41, then a deterministic Miller-Rabin
+    test, then exact m-th roots.  Raises ValueError for n >= PRIME_TEST_LIMIT,
+    where no test is proven.
+    """
     if n < 2:
         return None
-    p = 2
-    while p * p <= n:
+    if n >= PRIME_TEST_LIMIT:
+        raise ValueError(f"{n} is beyond {PRIME_TEST_LIMIT}, where no primality test is proven")
+    for p in _PRIME_BASES:
         if n % p == 0:
-            break
-        p += 1
-    else:
+            m = 0
+            while n % p == 0:
+                n //= p
+                m += 1
+            return (p, m) if n == 1 else None
+    # no prime factor up to 41: n < 43^2 is prime, and a larger prime
+    # power p^m has p >= 43, so m <= log_43 n
+    if n < 43 * 43 or strong_probable_prime(n, _PRIME_BASES):
         return n, 1
-    m = 0
-    while n % p == 0:
-        n //= p
-        m += 1
-    return (p, m) if n == 1 else None
+    top = 2
+    while 43 ** (top + 1) <= n:
+        top += 1
+    # the largest m with an exact root: n = p^m iff that root is prime
+    for m in range(top, 1, -1):
+        r = _iroot(n, m)
+        if r**m == n:
+            return (r, m) if strong_probable_prime(r, _PRIME_BASES) else None
+    return None
 
 
 def is_prime(n: int) -> bool:

@@ -47,6 +47,7 @@ from .subspaces import (
     Subspace,
     canonicalize,
     enumerate_subspaces,
+    positions,
     subspace_from_rows,
 )
 
@@ -366,9 +367,7 @@ def _assignment_search(
     # symmetry: GL(ht, q) maps every assignment onto one that puts the
     # standard frame on the first positions (module docstring); the checks
     # below guard the frame itself
-    index_of = {s.sort_key: i for i, s in enumerate(universe)}
-    for s in standard_frame(fld, t, h, alpha)[:pinned]:
-        i = index_of[s.sort_key]
+    for i in positions(universe, standard_frame(fld, t, h, alpha)[:pinned]):
         if not (candidates() >> i & 1 and fits(i)):
             raise AssertionError("the standard frame is not an independent configuration")
         chosen.append(i)

@@ -236,8 +236,9 @@ def prune(net: Network) -> Network:
 # ---------------------------------------------------------------------------
 
 def _edge_ids(count: int) -> list[str]:
-    width = len(str(max(count - 1, 0)))
-    return [f"e{i:0{width}d}" for i in range(count)]
+    # one %-format built once: a nested f-string spec is parsed per id
+    form = f"e%0{len(str(max(count - 1, 0)))}d"
+    return [form % i for i in range(count)]
 
 
 def build_combination(h: int, r: int, s: int, *, max_terminals: int = ENUMERATION_LIMIT) -> Network:

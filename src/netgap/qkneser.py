@@ -31,6 +31,7 @@ from .subspaces import (
     coordinate_subspace,
     enumerate_subspaces,
     intersection,
+    positions,
     spread,
     subspace_from_rows,
 )
@@ -70,8 +71,7 @@ def spread_clique(q: int, t: int) -> tuple[int, ...]:
     """Vertex indices of a (q^t+1)-clique of qK_{2t:t} coming from a t-spread."""
     fld = field_of_order(q)
     members = spread(fld, t)
-    index = {s.sort_key: i for i, s in enumerate(enumerate_subspaces(fld, 2 * t, t))}
-    return tuple(sorted(index[s.sort_key] for s in members))
+    return tuple(sorted(positions(enumerate_subspaces(fld, 2 * t, t), members)))
 
 
 def qkneser_clique_number(q: int, t: int) -> int:

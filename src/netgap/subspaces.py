@@ -5,19 +5,26 @@ and ordering of subspaces are plain tuple comparisons.  The canonical
 total order is (pivot-column set, then flattened basis entries), which
 fixes vertex numbering for everything built downstream.
 
+`enumerate_subspaces` lists a universe straight from flat RREF data: per
+pivot set, every basis is read off its free entries in one step.
+
 Direct sums over a fixed list of subspaces -- "which pairs are
 independent", "which spaces does the span of these members meet" -- are
 answered by one DirectSumIndex, which lists every nonzero vector once and
 turns each question into bit tests; `sum_dim` is the rank-based check
 for one-off questions and the reference the index is tested against.
+The index holds vectors packed into ints (`PackedVectors`): one base-p
+digit per bit slot, added by XOR when p = 2 and by a guarded slot add
+for odd p, the same form for every q.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .errors import Budget, SizeLimitExceeded
+from .errors import CHECKPOINT_MASK, Budget, SizeLimitExceeded
 from .gf import FieldSpec, Matrix, element_tables, poly_mod, rank, rref, smallest_irreducible
 
 ENUMERATION_LIMIT = 10**6
@@ -87,36 +94,52 @@ def enumerate_subspaces(field: FieldSpec, n: int, t: int, *, limit: int = ENUMER
     """All t-subspaces of F_q^n in canonical order.
 
     Iterates RREF profiles (pivot sets x free entries) so the cost is linear
-    in the output size.  Each subspace is one node of a Budget sized to the
-    count, so only the wall-clock deadline can stop the enumeration.
+    in the output size: each basis is read straight off its free entries
+    into flat row-major data.  Each subspace is one node of a Budget sized
+    to the count, spent up to a checkpoint interval at a time, so only the
+    wall-clock deadline can stop the enumeration.
     """
     count = gaussian_coefficient(n, t, field.q)
     if count > limit:
         raise SizeLimitExceeded(f"{count} subspaces of F_{field.q}^{n} exceed limit {limit}")
-    out: list[Subspace] = []
     if t == 0:
         return [Subspace(field, n, 0, Matrix.zeros(field, 0, n))]
+    if t == n:  # the whole space; below, `take` reads at least two entries
+        return [Subspace(field, n, n, Matrix.identity(field, n))]
+    out: list[Subspace] = []
     bud = Budget(count)
     for pivots in itertools.combinations(range(n), t):
-        pivot_set = set(pivots)
-        free_positions = [
-            (i, j)
-            for i in range(t)
-            for j in range(pivots[i] + 1, n)
-            if j not in pivot_set
+        # entry (i, j) of the basis is free iff j lies right of pivot i and
+        # is no pivot column; `take` reads the flat data off the free values
+        # followed by (0, 1): a free entry's value, 1 at a pivot, else 0
+        free = [
+            i * n + j
+            for i, p in enumerate(pivots)
+            for j in range(p + 1, n)
+            if j not in pivots
         ]
-        template = [[0] * n for _ in range(t)]
+        k = len(free)
+        source = [k] * (t * n)
         for i, p in enumerate(pivots):
-            template[i][p] = 1
-        for values in itertools.product(field.elements(), repeat=len(free_positions)):
-            bud.spend()
-            rows = [list(r) for r in template]
-            for (i, j), v in zip(free_positions, values):
-                rows[i][j] = v
-            basis = Matrix.from_rows(field, rows)
-            out.append(Subspace(field, n, t, basis))
+            source[i * n + p] = k + 1
+        for slot, pos in enumerate(free):
+            source[pos] = slot
+        take = itemgetter(*source)
+        # free values in itertools.product order are the bases in canonical order
+        values = itertools.product(field.elements(), repeat=k)
+        while chunk := list(itertools.islice(values, CHECKPOINT_MASK + 1)):
+            bud.spend_many(len(chunk))
+            out.extend([Subspace(field, n, t, Matrix(field, t, n, take(v + (0, 1)))) for v in chunk])
     assert len(out) == count
     return out
+
+
+def positions(universe: list[Subspace], members) -> list[int]:
+    """The index in `universe` of each member, all of one dimension and
+    ambient space: an RREF basis of fixed shape names its space, so its
+    flat data is key enough."""
+    index = {s.basis.data: i for i, s in enumerate(universe)}
+    return [index[s.basis.data] for s in members]
 
 
 def subspaces_up_to_dim(field: FieldSpec, n: int, t: int, *, limit: int = ENUMERATION_LIMIT) -> list[Subspace]:
@@ -143,52 +166,110 @@ def sum_dim(spaces) -> int:
     return rank(Matrix.from_rows(first.field, rows))
 
 
+class PackedVectors:
+    """Vectors of F_q^n as ints, and their sums, for one field and n.
+
+    gf codes an element of F_{p^m} by its base-p digits, and adds elements
+    digit-wise mod p.  A vector packs its n*m digits into slots of `width`
+    bits, digit i of coordinate j in slot j*m + i, so adding vectors adds
+    every slot at once.  For p = 2 a slot is one bit and the add is XOR.
+    For odd p a slot has a guard bit above the p.bit_length() bits of a
+    digit: a slot sum d < 2p - 1 plus the offset 2^(width-1) - p sets the
+    guard bit iff d >= p, and those slots alone lose p.  The add is chosen
+    once, here, as `sums`.
+    """
+
+    def __init__(self, field: FieldSpec, n: int):
+        p, m = field.p, field.m
+        self.field, self.n = field, n
+        self.width = width = 1 if p == 2 else p.bit_length() + 1
+        # each element code spread over its m digit slots
+        spread = [0] * field.q
+        for a in range(field.q):
+            c = a
+            for i in range(m):
+                spread[a] |= c % p << i * width
+                c //= p
+        self.coords = [[x << j * m * width for x in spread] for j in range(n)]
+        if p == 2:
+
+            def sums(us: list[int], ws: list[int]) -> list[int]:
+                return [u ^ w for u in us for w in ws]
+
+        else:
+            top = width - 1
+            ones = sum(1 << k * width for k in range(n * m))
+            offset, guard = ((1 << top) - p) * ones, ones << top
+
+            def sums(us: list[int], ws: list[int]) -> list[int]:
+                return [(s := u + w) - (((s + offset) & guard) >> top) * p for u in us for w in ws]
+
+        self.sums = sums
+        self._neg_mul = element_tables(field)[1]
+
+    def pack(self, vec) -> int:
+        return sum([coord[a] for coord, a in zip(self.coords, vec)])
+
+    def unpack(self, x: int) -> tuple[int, ...]:
+        p, m, w = self.field.p, self.field.m, self.width
+        digits = [x >> k * w & (1 << w) - 1 for k in range(self.n * m)]
+        return tuple(
+            sum(d * p**i for i, d in enumerate(digits[j * m : (j + 1) * m])) for j in range(self.n)
+        )
+
+    def multiples(self, vec) -> list[int]:
+        """The q - 1 nonzero multiples of a nonzero vector, packed: -c*vec
+        over c != 0."""
+        return [self.pack([mul[a] for a in vec]) for mul in self._neg_mul[1:]]
+
+
 class DirectSumIndex:
     """Which members of a list of subspaces are in direct sum, by bit tests.
 
-    Every nonzero vector of every space is listed once and mapped to the
-    bitmask of the spaces holding it (`holders`).  A set of spaces meets a
-    space S_j in a nonzero vector iff some nonzero vector of their span has
-    bit j among its holders, so direct sums become mask tests instead of
-    rank computations.  Answers over index subsets are cached for the life
-    of the index; build one per search and drop it with the search.
+    Every nonzero vector of every space is listed once, packed
+    (`PackedVectors`), and mapped to the bitmask of the spaces holding it
+    (`holders`).  A set of spaces meets a space S_j in a nonzero vector iff
+    some nonzero vector of their span has bit j among its holders, so
+    direct sums become mask tests instead of rank computations.  Answers
+    over index subsets are cached for the life of the index; build one per
+    search and drop it with the search.
     """
 
     def __init__(self, spaces):
         spaces = list(spaces)
+        field, n = (spaces[0].field, spaces[0].ambient) if spaces else (None, 0)
         for s in spaces:
-            if s.field != spaces[0].field or s.ambient != spaces[0].ambient:
+            # identity first: the members of a universe share one FieldSpec
+            if s.ambient != n or (s.field is not field and s.field != field):
                 raise ValueError("DirectSumIndex: mixed fields or ambient spaces")
         self.spaces = spaces
         self.full = (1 << len(spaces)) - 1
-        # one node per vector listed, so only the deadline stops the listing
-        bud = Budget(sum(s.field.q**s.dim for s in spaces))
+        self.packed = packed = PackedVectors(field, n) if spaces else None
+        # one node per vector listed, the zero vector included, so only the
+        # deadline stops the listing
+        sizes = [field.q**s.dim for s in spaces]
+        bud = Budget(sum(sizes))
         points = []
-        for s in spaces:
+        multiples: dict[tuple, list[int]] = {}  # per basis row: universes share rows
+        for s, size in zip(spaces, sizes):
             # the span as sums, row by row: old vectors plus each nonzero
-            # multiple of the next row, so every vector is listed once;
-            # -c*y over c != 0 gives every nonzero multiple
-            add, neg_mul, _ = element_tables(s.field)
-            nonzero = neg_mul[1:]
-            span = [(0,) * s.ambient]
-            bud.spend()
-            for row in s.basis.row_list():
-                multiples = [[mul[y] for y in row] for mul in nonzero]
-                new = [
-                    tuple([add[x][y] for x, y in zip(u, m)])
-                    for u in span
-                    for m in multiples
-                ]
-                for _ in new:
-                    bud.spend()
-                span += new
+            # multiple of the next row, so every vector is listed once
+            bud.spend_many(size)
+            data = s.basis.data
+            span = [0]
+            for k in range(0, len(data), n):
+                row = data[k : k + n]
+                ms = multiples.get(row)
+                if ms is None:
+                    ms = multiples[row] = packed.multiples(row)
+                span += packed.sums(span, ms)
             points.append(span[1:])
-        holders: dict[tuple, int] = {}
+        holders: dict[int, int] = {}
         for i, pts in enumerate(points):
             bit = 1 << i
             for vec in pts:
                 holders[vec] = holders.get(vec, 0) | bit
-        self.points = points  # nonzero vectors of each space
+        self.points = points  # packed nonzero vectors of each space
         self.holders = holders
         self._blocked: dict[tuple, int] = {}
 
@@ -224,22 +305,17 @@ class DirectSumIndex:
         mask = self._blocked.get(subset)
         if mask is not None:
             return mask
-        add = element_tables(self.spaces[0].field)[0]
         holders = self.holders
-        span = [(0,) * self.spaces[0].ambient]
+        span = [0]
         mask = 0
         for i in subset:
             if mask >> i & 1:
                 mask = self.full
                 break
-            new = [
-                tuple([add[x][y] for x, y in zip(u, w)])
-                for u in span
-                for w in self.points[i]
-            ]
+            new = self.packed.sums(span, self.points[i])
+            if bud is not None:
+                bud.spend_many(len(new))
             for vec in new:
-                if bud is not None:
-                    bud.spend()
                 mask |= holders.get(vec, 0)
             span += new
         self._blocked[subset] = mask

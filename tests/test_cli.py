@@ -1,5 +1,7 @@
+import contextlib
 import functools
 import gc
+import io
 import json
 import os
 import random
@@ -10,6 +12,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import netgap
 from netgap import errors
@@ -38,6 +42,40 @@ def test_psi_command(capsys):
 def test_psi_json(capsys):
     code, out, _ = run_cli(["psi", "10", "--json"], capsys)
     assert code == EXIT_OK and json.loads(out) == {"psi": 11}
+
+
+def _json_values(depth):
+    scalars = st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text()
+    )
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+        max_leaves=depth,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values(30))
+def test_json_output_is_the_standard_library_layout(obj):
+    # --json prints what json.dumps(indent=2, sort_keys=True) would, byte
+    # for byte, whatever the value: here psi's, through a stand-in
+    from unittest import mock
+
+    from netgap import cli
+
+    out = io.StringIO()
+    with mock.patch.object(cli, "psi", lambda x: obj), contextlib.redirect_stdout(out):
+        assert main(["psi", "6", "--json"]) == EXIT_OK
+    assert out.getvalue() == json.dumps({"psi": obj}, indent=2, sort_keys=True) + "\n"
+
+
+def test_psi_beyond_the_proven_prime_test_is_a_usage_error(capsys):
+    start = time.monotonic()
+    code, out, err = run_cli(["psi", "1e30"], capsys)
+    assert time.monotonic() - start < 1
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and "no primality test is proven" in err
 
 
 @pytest.mark.parametrize("x", ["nan", "inf", "1e400"])
@@ -977,9 +1015,8 @@ def test_the_collector_is_paused_inside_a_command_and_back_after_any_exit(
 
 def test_commands_create_no_reference_cycles(tmp_path, capsys, collector_state):
     # cli.main pauses the cyclic collector for a command; that is sound only
-    # while no command leaves garbage that only the collector can free.
-    # --json is left out: the standard library's indenting encoder leaves a
-    # few cycles per print, a fixed amount however long the command ran.
+    # while no command leaves garbage that only the collector can free,
+    # with or without --json
     k222 = tmp_path / "k222.json"
     k222.write_text(json.dumps(network_to_json(build_kneser(2, 2, 2))))
     n232 = tmp_path / "n232.json"
@@ -1001,6 +1038,10 @@ def test_commands_create_no_reference_cycles(tmp_path, capsys, collector_state):
         (["solve", "--network", n242, "--q", "2", "--budget", "2",
           "--cert", str(tmp_path / "stopped.json")], EXIT_BUDGET),
     ]
+    commands += [
+        ([*argv, "--json"], exit_code) for argv, exit_code in commands if argv[0] != "check-cert"
+    ]
+    commands.append((["psi", "7", "--json"], EXIT_OK))
     main(["psi", "6"])  # builds the parser, which leaves cycles once per process
     gc.disable()
     gc.collect()

@@ -9,6 +9,7 @@ from netgap.gaplab import is_prime_power
 from netgap.gf import (
     Matrix,
     element_tables,
+    PRIME_TEST_LIMIT,
     field_of_order,
     is_prime,
     make_field,
@@ -20,6 +21,7 @@ from netgap.gf import (
     rref,
     solve_left,
     smallest_irreducible,
+    strong_probable_prime,
 )
 from netgap.lincode import RunningEchelon
 
@@ -109,6 +111,46 @@ def test_prime_power_matches_brute_force():
         else:
             with pytest.raises(ValueError, match=f"q={n} is not a prime power"):
                 field_of_order(n)
+
+
+# Miller-Rabin bases proven deterministic for every n < 2^64 (J. Sinclair,
+# 2011): a second set, independent of the first 13 primes that netgap uses
+SINCLAIR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+
+
+def test_prime_power_matches_a_second_set_of_bases():
+    rng = random.Random(64)
+    # above every Sinclair base, so each is a valid witness
+    odd = [rng.randrange(2**31, 2**64) | 1 for _ in range(3000)]
+    primes = [n for n in odd if strong_probable_prime(n, SINCLAIR_BASES)]
+    assert len(primes) > 50
+    for n in odd:
+        assert is_prime(n) == strong_probable_prime(n, SINCLAIR_BASES), n
+    # squares and products of two primes, below the proven limit
+    small = [n for n in (rng.randrange(2**31, 2**40) | 1 for _ in range(1000)) if is_prime(n)]
+    for p, r in zip(small, small[1:]):
+        assert prime_power(p**2) == (p, 2) and prime_power(p * r) is None
+
+
+def test_prime_power_on_large_arguments():
+    # strong pseudoprimes to the first 9 and the first 12 prime bases: the
+    # 13th base, 41, is what exposes the second
+    spsp_9 = 149491 * 747451 * 34233211
+    spsp_12 = 399165290221 * 798330580441
+    assert strong_probable_prime(spsp_12, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+    assert prime_power(spsp_9) is None and prime_power(spsp_12) is None
+    assert prime_power(399165290221) == (399165290221, 1)
+    assert prime_power(2**61 - 1) == (2**61 - 1, 1)
+    assert prime_power((2**31 - 1) ** 2) == (2**31 - 1, 2)
+    assert prime_power(43**14) == (43, 14) and prime_power(3**50) == (3, 50)
+    assert prime_power(47**2 * 53**2) is None and prime_power(2**81) == (2, 81)
+    # the limit is the smallest strong pseudoprime to all 13 bases: no
+    # answer there or above, rather than an unproven one
+    assert PRIME_TEST_LIMIT == 1287836182261 * 2575672364521
+    assert prime_power(PRIME_TEST_LIMIT - 1) is None  # even
+    for n in (PRIME_TEST_LIMIT, 10**30):
+        with pytest.raises(ValueError, match="no primality test is proven"):
+            prime_power(n)
 
 
 def test_make_field_rejects_bad_parameters():

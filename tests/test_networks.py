@@ -256,6 +256,14 @@ def _sum_dim_terminals(middles, h):
             yield subset
 
 
+@pytest.mark.parametrize("count", [0, 1, 2, 10, 11, 101, 10660])
+def test_edge_ids_are_zero_padded_to_the_widest(count):
+    from netgap.networks import _edge_ids
+
+    width = len(str(max(count - 1, 0)))
+    assert _edge_ids(count) == ["e" + str(i).zfill(width) for i in range(count)]
+
+
 def _build_kneser_oracle(q, t, h):
     """K_{q,t;h} with every h-subset of middles tested by sum_dim, as the
     builder did before it read direct sums off a DirectSumIndex."""

@@ -6,13 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netgap.errors import SizeLimitExceeded
-from netgap.gf import Matrix, make_field
+from netgap.gf import Matrix, element_tables, field_of_order, make_field
 from netgap.subspaces import (
     DirectSumIndex,
+    PackedVectors,
+    Subspace,
     canonicalize,
     enumerate_subspaces,
     gaussian_coefficient,
     intersection,
+    positions,
     spread,
     subspace_from_rows,
     subspaces_up_to_dim,
@@ -281,31 +284,144 @@ def test_index_pair_masks_and_edge_cases():
     assert index.in_direct_sum((0, 1)) and not index.in_direct_sum((1, 2))
 
 
-def _row_combination_index(spaces):
-    """A DirectSumIndex whose vectors are listed by Matrix.row_combinations,
-    one FieldSpec.add/mul per coordinate: the listing the element tables
-    replaced, kept as the oracle."""
-    index = DirectSumIndex.__new__(DirectSumIndex)
-    index.spaces = list(spaces)
-    index.full = (1 << len(spaces)) - 1
-    index.points = [[v for v in s.basis.row_combinations() if any(v)] for s in spaces]
-    index.holders = {}
-    for i, pts in enumerate(index.points):
-        for v in pts:
-            index.holders[v] = index.holders.get(v, 0) | 1 << i
-    index._blocked = {}
-    return index
+class _TupleSpanOracle:
+    """The listing and the index as they were before vectors were packed:
+    bases built row by row with Matrix.from_rows, and spans listed as
+    tuples through the element tables, one space at a time.  The oracle
+    for the packed kernel."""
+
+    def __init__(self, spaces, listing=None):
+        self.spaces = list(spaces)
+        self.full = (1 << len(self.spaces)) - 1
+        self.points = [self._span(s)[1:] for s in self.spaces] if listing is None else listing
+        self.holders = {}
+        for i, pts in enumerate(self.points):
+            for v in pts:
+                self.holders[v] = self.holders.get(v, 0) | 1 << i
+
+    @staticmethod
+    def enumerate_by_rows(field, n, t):
+        if t == 0:
+            return [Subspace(field, n, 0, Matrix.zeros(field, 0, n))]
+        out = []
+        for pivots in itertools.combinations(range(n), t):
+            free = [(i, j) for i in range(t) for j in range(pivots[i] + 1, n) if j not in pivots]
+            template = [[0] * n for _ in range(t)]
+            for i, p in enumerate(pivots):
+                template[i][p] = 1
+            for values in itertools.product(field.elements(), repeat=len(free)):
+                rows = [list(r) for r in template]
+                for (i, j), v in zip(free, values):
+                    rows[i][j] = v
+                out.append(Subspace(field, n, t, Matrix.from_rows(field, rows)))
+        return out
+
+    @staticmethod
+    def _span(s):
+        add, neg_mul, _ = element_tables(s.field)
+        span = [(0,) * s.ambient]
+        for row in s.basis.row_list():
+            multiples = [[mul[y] for y in row] for mul in neg_mul[1:]]
+            span += [tuple([add[x][y] for x, y in zip(u, m)]) for u in span for m in multiples]
+        return span
+
+    def pair_masks(self):
+        masks = []
+        for i, pts in enumerate(self.points):
+            meets = 1 << i
+            for vec in pts:
+                meets |= self.holders[vec]
+            masks.append(self.full & ~meets)
+        return masks
+
+    def blocked(self, subset):
+        add = element_tables(self.spaces[0].field)[0]
+        span = [(0,) * self.spaces[0].ambient]
+        mask = 0
+        for i in subset:
+            if mask >> i & 1:
+                return self.full
+            new = [tuple([add[x][y] for x, y in zip(u, w)]) for u in span for w in self.points[i]]
+            for vec in new:
+                mask |= self.holders.get(vec, 0)
+            span += new
+        return mask
+
+
+def _kernel_cases(max_members=1400, max_vectors=25_000):
+    """Every (q, n, t) with q in {2, 3, 4, 5, 7, 8, 9}, q^n <= 9^4 and at
+    most `max_members` t-subspaces of F_q^n, t = 0 and t = n included, whose
+    spans the tuple oracle lists in well under a second."""
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for n in itertools.takewhile(lambda n: q**n <= 9**4, itertools.count(1)):
+            for t in range(n + 1):
+                count = gaussian_coefficient(n, t, q)
+                if count <= max_members and count * q**t <= max_vectors:
+                    yield q, n, t
+
+
+KERNEL_CASES = list(_kernel_cases())
+
+
+@pytest.mark.parametrize("q,n,t", KERNEL_CASES, ids=[f"{q}-{n}-{t}" for q, n, t in KERNEL_CASES])
+def test_packed_kernel_matches_the_tuple_span_oracle(q, n, t):
+    f = field_of_order(q)
+    universe = enumerate_subspaces(f, n, t)
+    # the same bases in the same order, and with them the same positions
+    by_rows = _TupleSpanOracle.enumerate_by_rows(f, n, t)
+    assert [s.basis for s in universe] == [s.basis for s in by_rows]
+    rng = random.Random(q * 100 + n * 10 + t)
+    members = rng.sample(universe, min(len(universe), 20))
+    assert positions(universe, members) == [universe.index(s) for s in members]
+    # a zero space and a lower dimension make direct sums of mixed spaces
+    lower = enumerate_subspaces(f, n, max(t - 1, 0))
+    spaces = universe + [subspace_from_rows(f, [], n)] + rng.sample(lower, min(len(lower), 5))
+    index, oracle = DirectSumIndex(spaces), _TupleSpanOracle(spaces)
+    assert [sorted(map(index.packed.unpack, pts)) for pts in index.points] == [
+        sorted(pts) for pts in oracle.points
+    ]
+    assert index.pair_masks() == oracle.pair_masks()
+    sizes = [min(k, len(spaces)) for k in (1, 2, 2, 3, 3, 3, 4) * 4]
+    subsets = [()] + [tuple(rng.sample(range(len(spaces)), k)) for k in sizes]
+    # a member inside the span of two others: a dependent subset
+    if n >= 2 and t == 1:
+        i, j = rng.sample(range(len(universe)), 2)
+        u, v = universe[i].basis.row(0), universe[j].basis.row(0)
+        inside = subspace_from_rows(f, [[f.add(x, y) for x, y in zip(u, v)]], n)
+        subsets.append((i, j, positions(universe, [inside])[0]))
+    for subset in subsets:
+        assert index.blocked(subset) == oracle.blocked(subset), subset
+        if subset:
+            expected = not oracle.blocked(subset[:-1]) >> subset[-1] & 1
+            assert index.in_direct_sum(subset) == expected, subset
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27, 49])
+def test_packed_sums_add_digit_wise_mod_p(q):
+    # the guarded slot add against the field's own add, on random vectors
+    f = field_of_order(q)
+    packed = PackedVectors(f, 5)
+    rng = random.Random(q)
+    us = [tuple(rng.randrange(q) for _ in range(5)) for _ in range(20)]
+    ws = [tuple(rng.randrange(q) for _ in range(5)) for _ in range(20)] + [(q - 1,) * 5]
+    for u in us:
+        assert packed.unpack(packed.pack(u)) == u
+        got = packed.sums([packed.pack(u)], [packed.pack(w) for w in ws])
+        assert [packed.unpack(x) for x in got] == [tuple(map(f.add, u, w)) for w in ws]
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1)], ids=["F2", "F3", "F4", "F5"])
 @pytest.mark.parametrize("n", [2, 3])
 def test_index_listing_matches_row_combinations(p, m, n):
+    # the packed points, decoded, are the vectors Matrix.row_combinations
+    # lists with one FieldSpec.add/mul per coordinate
     f = make_field(p, m)
     spaces = [s for d in (0, 1, n) for s in enumerate_subspaces(f, n, d)]
-    fast, slow = DirectSumIndex(spaces), _row_combination_index(spaces)
+    listing = [[v for v in s.basis.row_combinations() if any(v)] for s in spaces]
+    fast, slow = DirectSumIndex(spaces), _TupleSpanOracle(spaces, listing)
     for s, pts, expected in zip(spaces, fast.points, slow.points):
         assert len(pts) == len(set(pts)) == f.q**s.dim - 1
-        assert set(pts) == set(expected)
+        assert {fast.packed.unpack(x) for x in pts} == set(expected)
     assert fast.pair_masks() == slow.pair_masks()
     for subset in itertools.chain(
         [()], itertools.combinations(range(len(spaces)), 1), itertools.combinations(range(len(spaces)), 2)
