@@ -137,7 +137,7 @@ def cmd_build(args) -> int:
     if args.what in ("comb", "kneser") and len(args.params) != 3:
         raise ValueError(f"build {args.what} needs exactly three parameters")
     if args.what == "comb":
-        net = build_combination(args.params[0], args.params[1], args.params[2])
+        net = build_combination(*args.params, max_terminals=args.max_subspaces)
     elif args.what == "kneser":
         q, t, h = args.params
         net = build_kneser(q, t, h, max_terminal_scan=args.max_subspaces)
@@ -399,7 +399,7 @@ def _load_gap_network(args):
         return build_kneser(q, t, h, max_terminal_scan=args.max_subspaces), f"K_{{{q},{t};{h}}}"
     if args.comb:
         h, r, s = args.comb
-        return build_combination(h, r, s), f"N_{{{h},{r},{s}}}"
+        return build_combination(h, r, s, max_terminals=args.max_subspaces), f"N_{{{h},{r},{s}}}"
     net = network_from_json(_read_json(args.network))
     return net, args.network
 

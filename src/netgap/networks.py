@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
@@ -241,6 +242,47 @@ def _edge_ids(count: int) -> list[str]:
     return [form % i for i in range(count)]
 
 
+def _middle_network(
+    h: int,
+    middles: list[str],
+    hyperedges: Iterable[tuple[int, ...]],
+    labels: dict | None = None,
+    bud: Budget | None = None,
+) -> Network:
+    """Source `s` -> one middle per name -> one terminal per hyperedge.
+
+    The form of every combination, Kneser and reverse-skeleton network: a
+    hyperedge is a tuple of middle indices, and its terminal `t<i>_<j>...`
+    is fed by those middles in order.  Edges are numbered source edges
+    first, then each terminal's.  One node per terminal edge is spent on
+    `bud` (by default a budget of exactly those), so only the deadline
+    stops the construction.
+    """
+    hyperedges = list(hyperedges)
+    n_edges = len(middles) + sum(map(len, hyperedges))
+    if bud is None:
+        bud = Budget(n_edges)
+    ids = iter(_edge_ids(n_edges))
+    edges = [Edge(next(ids), "s", m) for m in middles]
+    terminals = []
+    for members in hyperedges:
+        bud.spend_many(len(members))
+        tname = "t" + "_".join([str(i) for i in members])
+        terminals.append(tname)
+        for i in members:
+            edges.append(Edge(next(ids), middles[i], tname))
+    net = Network(
+        h=h,
+        source="s",
+        terminals=tuple(terminals),
+        nodes=("s", *middles, *terminals),
+        edges=tuple(edges),
+        labels=labels,
+    )
+    validate_network(net)
+    return net
+
+
 def build_combination(h: int, r: int, s: int, *, max_terminals: int = ENUMERATION_LIMIT) -> Network:
     """The N_{h,r,s} combination network."""
     if s < 1 or r < s:
@@ -250,25 +292,7 @@ def build_combination(h: int, r: int, s: int, *, max_terminals: int = ENUMERATIO
     n_terminals = math.comb(r, s)
     if n_terminals > max_terminals:
         raise SizeLimitExceeded(f"{n_terminals} terminals exceed limit {max_terminals}")
-    middles = [f"m{i}" for i in range(r)]
-    terminals = []
-    pairs = []  # (terminal, middle) in construction order
-    for subset in itertools.combinations(range(r), s):
-        t = "t" + "_".join(str(i) for i in subset)
-        terminals.append(t)
-        pairs.extend((t, middles[i]) for i in subset)
-    ids = _edge_ids(r + len(pairs))
-    edges = [Edge(ids[i], "s", middles[i]) for i in range(r)]
-    edges.extend(Edge(ids[r + k], m, t) for k, (t, m) in enumerate(pairs))
-    net = Network(
-        h=h,
-        source="s",
-        terminals=tuple(terminals),
-        nodes=("s", *middles, *terminals),
-        edges=tuple(edges),
-    )
-    validate_network(net)
-    return net
+    return _middle_network(h, [f"m{i}" for i in range(r)], itertools.combinations(range(r), s))
 
 
 def build_butterfly() -> Network:
@@ -306,8 +330,7 @@ def build_kneser(q: int, t: int, h: int, *, max_terminal_scan: int = ENUMERATION
     from .gf import field_of_order
 
     fld = field_of_order(q)
-    n = h * t
-    middles = enumerate_subspaces(fld, n, t)
+    middles = enumerate_subspaces(fld, h * t, t)
     r = len(middles)
     n_subsets = math.comb(r, h)
     if n_subsets > max_terminal_scan:
@@ -316,50 +339,13 @@ def build_kneser(q: int, t: int, h: int, *, max_terminal_scan: int = ENUMERATION
             f"limit {max_terminal_scan}"
         )
     # h t-subspaces span F_q^{ht} iff they are in direct sum.  One node per
-    # candidate terminal scanned, per terminal edge made and per vector
-    # listed in a span, so only the deadline stops the construction
-    if h == 2:
-        # the terminals are the set bits above the diagonal of the pair
-        # masks, row by row; a row's candidates are spent at once
-        masks = DirectSumIndex(middles).pair_masks()
-        bud = Budget(3 * n_subsets)
-        subsets = []
-        for a, mask in enumerate(masks):
-            bud.spend_many(r - 1 - a)
-            above = mask >> (a + 1)
-            while above:
-                low = above & -above
-                subsets.append((a, a + low.bit_length()))
-                above ^= low
-    else:
-        index = DirectSumIndex(middles)
-        bud = Budget((h + 1) * n_subsets + math.comb(r, h - 1) * q ** ((h - 1) * t))
-        subsets = []
-        for subset in itertools.combinations(range(r), h):
-            bud.spend()
-            if index.in_direct_sum(subset, bud):
-                subsets.append(subset)
-
+    # candidate scanned, per vector listed in a span of k < h middles (at
+    # most q^{kt} each) and per terminal edge made, so only the deadline
+    # stops the construction
+    bud = Budget((h + 1) * n_subsets + sum(math.comb(r, k) * q ** (k * t) for k in range(2, h)))
     middle_ids = [f"m{i}" for i in range(r)]
-    ids = iter(_edge_ids(r + h * len(subsets)))
-    edges = [Edge(next(ids), "s", m) for m in middle_ids]
-    terminals = []
-    for subset in subsets:
-        tname = "t" + "_".join([str(i) for i in subset])
-        terminals.append(tname)
-        for i in subset:
-            bud.spend()
-            edges.append(Edge(next(ids), middle_ids[i], tname))
-    net = Network(
-        h=h,
-        source="s",
-        terminals=tuple(terminals),
-        nodes=("s", *middle_ids, *terminals),
-        edges=tuple(edges),
-        labels={mid: sub for mid, sub in zip(middle_ids, middles)},
-    )
-    validate_network(net)
-    return net
+    subsets = DirectSumIndex(middles).direct_sum_subsets(h, bud)
+    return _middle_network(h, middle_ids, subsets, dict(zip(middle_ids, middles)), bud)
 
 
 def _fresh_prefix(net: Network) -> str:

@@ -16,7 +16,6 @@ properness here is a pairwise condition.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -54,17 +53,16 @@ def build_qkneser_hyper(q: int, t: int, h: int, *, limit: int = ENUMERATION_LIMI
         raise ValueError("hypergraph generalization needs h >= 2")
     fld = field_of_order(q)
     verts = enumerate_subspaces(fld, h * t, t, limit=limit)
-    n_subsets = math.comb(len(verts), h)
+    r = len(verts)
+    n_subsets = math.comb(r, h)
     if n_subsets > limit:
         raise SizeLimitExceeded(f"{n_subsets} candidate hyperedges exceed limit {limit}")
-    # h t-subspaces sum to F_q^{ht} iff they are in direct sum
-    index = DirectSumIndex(verts)
-    hyperedges = [
-        subset
-        for subset in itertools.combinations(range(len(verts)), h)
-        if index.in_direct_sum(subset)
-    ]
-    return Hypergraph.from_hyperedges(len(verts), h, hyperedges, labels=tuple(verts))
+    # h t-subspaces sum to F_q^{ht} iff they are in direct sum.  One node
+    # per candidate scanned and per vector listed in a span of k < h
+    # vertices (at most q^{kt} each), so only the deadline stops the listing
+    bud = Budget(n_subsets + sum(math.comb(r, k) * q ** (k * t) for k in range(2, h)))
+    hyperedges = DirectSumIndex(verts).direct_sum_subsets(h, bud)
+    return Hypergraph.from_hyperedges(r, h, hyperedges, labels=tuple(verts))
 
 
 def spread_clique(q: int, t: int) -> tuple[int, ...]:

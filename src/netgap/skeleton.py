@@ -16,7 +16,7 @@ from operator import or_
 
 from .errors import check_deadline_over
 from .graphs import UGraph
-from .networks import Edge, Network, _edge_ids, validate_network
+from .networks import Network, _middle_network
 
 
 @dataclass(frozen=True)
@@ -95,24 +95,7 @@ def reverse_skeleton(g: UGraph) -> Network:
     isolated = [names[v] for v in range(g.num_vertices) if degrees[v] == 0]
     if isolated:
         raise ValueError(f"isolated vertices {isolated} would be non-essential middle nodes")
-    middles = [f"v{name}" for name in names]
-    terminals = [f"t{a}_{b}" for a, b in g.edges]
-    ids = _edge_ids(g.num_vertices + 2 * len(g.edges))
-    edges = [Edge(ids[i], "s", middles[i]) for i in range(g.num_vertices)]
-    k = g.num_vertices
-    for (a, b), term in zip(g.edges, terminals):
-        edges.append(Edge(ids[k], middles[a], term))
-        edges.append(Edge(ids[k + 1], middles[b], term))
-        k += 2
-    net = Network(
-        h=2,
-        source="s",
-        terminals=tuple(terminals),
-        nodes=("s", *middles, *terminals),
-        edges=tuple(edges),
-    )
-    validate_network(net)
-    return net
+    return _middle_network(2, [f"v{name}" for name in names], g.edges)
 
 
 def skeleton_roundtrip_check(g: UGraph) -> bool:

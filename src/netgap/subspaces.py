@@ -9,10 +9,11 @@ fixes vertex numbering for everything built downstream.
 pivot set, every basis is read off its free entries in one step.
 
 Direct sums over a fixed list of subspaces -- "which pairs are
-independent", "which spaces does the span of these members meet" -- are
-answered by one DirectSumIndex, which lists every nonzero vector once and
-turns each question into bit tests; `sum_dim` is the rank-based check
-for one-off questions and the reference the index is tested against.
+independent", "which spaces does the span of these members meet", "which
+h-subsets are in direct sum" -- are answered by one DirectSumIndex, which
+lists every nonzero vector once and turns each question into bit tests;
+`sum_dim` is the rank-based check for one-off questions and the
+reference the index is tested against.
 The index holds vectors packed into ints (`PackedVectors`): one base-p
 digit per bit slot, added by XOR when p = 2 and by a guarded slot add
 for odd p, the same form for every q.
@@ -321,13 +322,38 @@ class DirectSumIndex:
         self._blocked[subset] = mask
         return mask
 
-    def in_direct_sum(self, subset: tuple[int, ...], bud: Budget | None = None) -> bool:
-        """Are the spaces at the non-empty `subset` in direct sum?
+    def direct_sum_subsets(self, h: int, bud: Budget) -> list[tuple[int, ...]]:
+        """The h-subsets (h >= 2) of spaces in direct sum, as index tuples in
+        lexicographic order.
 
-        Read off `blocked` of all but the last member, so subsets sharing
-        that prefix share one span listing.
+        Depth first over prefixes in direct sum, on an explicit stack: a
+        one-member prefix extends by the set bits above it in its
+        `pair_masks` row, a longer one by the bits above its last member
+        that its `blocked` mask leaves clear, so no superset of a dependent
+        prefix is visited.  Each prefix spends one node per candidate above
+        its last member, all at once, and `blocked` one per vector it lists.
         """
-        return not self.blocked(subset[:-1], bud) >> subset[-1] & 1
+        if h < 2:
+            raise ValueError("direct-sum subsets need h >= 2")
+        masks = self.pair_masks()
+        last = len(masks) - 1
+        out: list[tuple[int, ...]] = []
+        stack = [(a,) for a in range(last, -1, -1)]  # the next prefix on top
+        while stack:
+            prefix = stack.pop()
+            top = prefix[-1]
+            bud.spend_many(last - top)
+            free = masks[top] if len(prefix) == 1 else self.full & ~self.blocked(prefix, bud)
+            free >>= top + 1
+            deeper = len(prefix) < h - 1
+            extended = [] if deeper else out
+            while free:
+                low = free & -free
+                free ^= low
+                extended.append(prefix + (top + low.bit_length(),))
+            if deeper:
+                stack += reversed(extended)
+        return out
 
 
 def subspace_sum(spaces) -> Subspace:

@@ -27,6 +27,7 @@ from netgap.networks import (
 )
 from netgap.qkneser import (
     build_qkneser,
+    build_qkneser_hyper,
     chromatic_number,
     find_homomorphism,
     greedy_coloring,
@@ -246,7 +247,8 @@ def test_enumeration_stops_at_an_expired_deadline():
 
 def test_kneser_network_construction_stops_at_an_expired_deadline():
     # K_{2,2;2}: 35 middles (no checkpoint while listing them or their 140
-    # vectors), then 595 candidate terminals and 560 terminal edges
+    # vectors), then 595 candidate terminals, spent row by row off the pair
+    # masks, and 560 terminal edges
     with deadline(EXPIRED), pytest.raises(BudgetExhausted, match="wall-clock"):
         build_kneser(2, 2, 2)
     assert len(build_kneser(2, 2, 2).terminals) == 280
@@ -271,12 +273,33 @@ def test_direct_sum_index_stops_at_an_expired_deadline():
 
 
 def test_kneser_span_listings_spend_on_the_construction_budget():
-    # K_{3,1;3}: 286 candidate terminals and 702 terminal edges stay under
-    # the first checkpoint; the 78 listed spans of two lines (8 vectors
-    # each) carry the construction past it
+    # K_{3,1;3}: the lister spends 78 candidate pairs, 286 candidate
+    # terminals and the 78 listed spans of two lines (8 vectors each), 988
+    # nodes; the 702 terminal edges carry the construction past the first
+    # checkpoint
     with deadline(EXPIRED), pytest.raises(BudgetExhausted, match="wall-clock"):
         build_kneser(3, 1, 3)
     assert len(build_kneser(3, 1, 3).terminals) == 234
+
+
+def test_direct_sum_subsets_spend_per_candidate_and_listed_vector():
+    # the 13 lines of F_3^3: 78 candidate pairs off the pair masks, then 286
+    # candidate triples and 8 listed vectors for each of the 78 pairs
+    index = DirectSumIndex(enumerate_subspaces(field_of_order(3), 3, 1))
+    bud = Budget(10**6)
+    assert len(index.direct_sum_subsets(3, bud)) == 234
+    assert bud.used == 78 + 286 + 78 * 8
+
+
+def test_qkneser_hypergraph_listing_stops_at_an_expired_deadline():
+    # qK^4_{4:1} over F_3: 40 lines (no checkpoint while listing them or
+    # their 120 vectors), then 91,390 candidate hyperedges
+    with deadline(EXPIRED), pytest.raises(BudgetExhausted, match="wall-clock") as exc:
+        build_qkneser_hyper(3, 1, 4)
+    assert exc.value.nodes_used == FIRST_CHECKPOINT
+    # qK^3_{3:1} over F_2: 119 nodes, no checkpoint is reached
+    with deadline(EXPIRED):
+        assert len(build_qkneser_hyper(2, 1, 3).hyperedges) == 28
 
 
 def test_skeleton_stops_at_an_expired_deadline():

@@ -105,6 +105,20 @@ def test_build_comb_and_verify_roundtrip(tmp_path, capsys):
     assert code == EXIT_OK and "ACCEPT" in out
 
 
+def test_max_subspaces_limits_combination_networks(tmp_path, capsys):
+    # N_{2,5,2} has C(5, 2) = 10 terminals
+    net_path = tmp_path / "net.json"
+    argv = ["build", "comb", "2", "5", "2", "-o", str(net_path)]
+    code, _, err = run_cli(argv + ["--max-subspaces", "5"], capsys)
+    assert code == EXIT_USAGE and "10 terminals exceed limit 5" in err
+    assert not net_path.exists()
+    code, _, _ = run_cli(argv + ["--max-subspaces", "10"], capsys)
+    assert code == EXIT_OK and len(json.loads(net_path.read_text())["terminals"]) == 10
+    for command in ("qs", "qv", "gap"):
+        code, _, err = run_cli([command, "--comb", "2", "5", "2", "--max-subspaces", "5"], capsys)
+        assert code == EXIT_USAGE and "10 terminals exceed limit 5" in err
+
+
 def test_verify_rejects_broken_code(tmp_path, capsys):
     net_path = tmp_path / "net.json"
     run_cli(["build", "comb", "2", "3", "2", "-o", str(net_path)], capsys)

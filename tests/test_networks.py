@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import json
 import random
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netgap.errors import SizeLimitExceeded, UnsolvableNetwork
+from netgap.graphs import UGraph, ugraph_from_json
 from netgap.networks import (
     Edge,
     Network,
@@ -29,6 +31,7 @@ from netgap.networks import (
     topological_order,
     validate_network,
 )
+from netgap.skeleton import reverse_skeleton
 from netgap.subspaces import sum_dim
 
 
@@ -300,6 +303,58 @@ def test_build_kneser_h2_matches_sum_dim_oracle(q, t):
 @pytest.mark.parametrize("q,t,h", [(2, 1, 3), (3, 1, 3), (4, 1, 3), (2, 1, 4)])
 def test_build_kneser_h3_h4_matches_sum_dim_oracle(q, t, h):
     assert network_to_json(build_kneser(q, t, h)) == network_to_json(_build_kneser_oracle(q, t, h))
+
+
+def _named_five_cycle():
+    names = "abcde"
+    edges = [[names[i], names[(i + 1) % 5]] for i in range(5)]
+    return ugraph_from_json({"vertices": list(names), "edges": edges})
+
+
+def _petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return UGraph.from_edges(10, outer + spokes + inner)
+
+
+# the networks of the form source -> middles -> terminals that the
+# benchmark reads or the tests lean on
+PINNED_BUILDS = {
+    "N_{2,6,2}": lambda: build_combination(2, 6, 2),
+    "N_{3,6,3}": lambda: build_combination(3, 6, 3),
+    "N_{3,5,3}": lambda: build_combination(3, 5, 3),
+    "N_{4,8,4}": lambda: build_combination(4, 8, 4),
+    "K_{2,2;2}": lambda: build_kneser(2, 2, 2),
+    "K_{3,2;2}": lambda: build_kneser(3, 2, 2),
+    "K_{2,1;3}": lambda: build_kneser(2, 1, 3),
+    "K_{3,1;3}": lambda: build_kneser(3, 1, 3),
+    "K_{2,1;4}": lambda: build_kneser(2, 1, 4),
+    "C_5": lambda: reverse_skeleton(_named_five_cycle()),
+    "Petersen": lambda: reverse_skeleton(_petersen()),
+}
+
+# SHA-256 of json.dumps(network_to_json(net), sort_keys=True) for each, as
+# three separate builders made them before one builder made them all
+BUILDER_DIGESTS = {
+    "N_{2,6,2}": "b00e177163a2b5be3d10f6ba68e7ae585eb26f32be8d5ffad7efaf85776cb5fc",
+    "N_{3,6,3}": "3bf2cb072a953247c9b3f70df1f01d0cc94e6db0e1adfab2bd6c5562a1178cf5",
+    "N_{3,5,3}": "e7a4aa02e947d70094ec555b836f0ac6a2ae263aee55f7990bfa489f03751c9d",
+    "N_{4,8,4}": "7cf32733a4db517af62910d2da80423184dafb7caebbb42839d60fe40f16b799",
+    "K_{2,2;2}": "e5132dbf2dfaad27c2e88236ca85d3306a700b93ac8df3434df2877afe611dcc",
+    "K_{3,2;2}": "70d7a200ff314f9fb0a9ec82a9aee7bea44d7c164cf921a544d5eab3897fecc5",
+    "K_{2,1;3}": "ef995e6e78dda752fcf9b33b0632424116845f3417bbc19bf6e1d080d7783300",
+    "K_{3,1;3}": "018e9d8a7b318e2d10123db3a5b3599c47b225659cb14ce191333df13918066d",
+    "K_{2,1;4}": "83c3db8e42e0097726ec13ca6499f562dabc14d6155251c6b55fcea8dd406543",
+    "C_5": "65031165e2f3e181ed224369644c7d415b980689e5b1b9797bb77f0e072735fd",
+    "Petersen": "350b99e535b8338a0121a6f5d402e7c05750925ac094de0835541297852cc65e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BUILDS))
+def test_builders_output_is_pinned(name):
+    text = json.dumps(network_to_json(PINNED_BUILDS[name]()), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == BUILDER_DIGESTS[name]
 
 
 def _index_test_networks():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netgap.errors import SizeLimitExceeded
+from netgap.errors import Budget, SizeLimitExceeded
 from netgap.gf import Matrix, element_tables, field_of_order, make_field
 from netgap.subspaces import (
     DirectSumIndex,
@@ -281,7 +281,53 @@ def test_index_pair_masks_and_edge_cases():
     assert index.blocked((1,)) == 0b110
     assert index.blocked((1, 2)) == 0b111
     assert index.blocked((0, 1)) == 0b110
-    assert index.in_direct_sum((0, 1)) and not index.in_direct_sum((1, 2))
+    assert index.direct_sum_subsets(2, Budget(10)) == [(0, 1), (0, 2)]
+
+
+@st.composite
+def _spaces_with_dependences(draw):
+    """3 to 10 subspaces of F_q^n, q in {2, 3, 4} and n in 2..4, shuffled:
+    spans of 0 to 2 random rows, then maybe the zero space, repeats of
+    drawn members, and the line through the sum of two drawn lines, which
+    makes a dependent triple with them."""
+    q = draw(st.sampled_from([2, 3, 4]))
+    f = make_field(*{2: (2, 1), 3: (3, 1), 4: (2, 2)}[q])
+    n = draw(st.integers(2, 4))
+    row = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    rows = draw(st.lists(st.lists(row, max_size=2), min_size=3, max_size=6))
+    spaces = [subspace_from_rows(f, r, n) for r in rows]
+    if draw(st.booleans()):
+        spaces.append(subspace_from_rows(f, [], n))
+    spaces += draw(st.lists(st.sampled_from(spaces), max_size=2))
+    lines = list(dict.fromkeys(s.basis.row(0) for s in spaces if s.dim == 1))
+    if len(lines) >= 2:
+        u, v = draw(st.lists(st.sampled_from(lines), min_size=2, max_size=2, unique=True))
+        spaces.append(subspace_from_rows(f, [[f.add(x, y) for x, y in zip(u, v)]], n))
+    return draw(st.permutations(spaces))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_spaces_with_dependences(), st.sampled_from([2, 3, 4]))
+def test_direct_sum_subsets_match_a_sum_dim_scan(spaces, h):
+    expected = [
+        subset
+        for subset in itertools.combinations(range(len(spaces)), h)
+        if sum_dim([spaces[i] for i in subset]) == sum(spaces[i].dim for i in subset)
+    ]
+    assert DirectSumIndex(spaces).direct_sum_subsets(h, Budget(10**6)) == expected
+
+
+def test_direct_sum_subsets_edge_cases():
+    f = make_field(2, 1)
+    zero = subspace_from_rows(f, [], 3)
+    line = subspace_from_rows(f, [(1, 0, 0)], 3)
+    assert DirectSumIndex([]).direct_sum_subsets(2, Budget(1)) == []
+    # zero spaces are in direct sum with everything, themselves included
+    index = DirectSumIndex([zero, zero, line, line])
+    assert index.direct_sum_subsets(2, Budget(100)) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
+    assert index.direct_sum_subsets(3, Budget(100)) == [(0, 1, 2), (0, 1, 3)]
+    with pytest.raises(ValueError):
+        index.direct_sum_subsets(1, Budget(100))
 
 
 class _TupleSpanOracle:
@@ -391,9 +437,6 @@ def test_packed_kernel_matches_the_tuple_span_oracle(q, n, t):
         subsets.append((i, j, positions(universe, [inside])[0]))
     for subset in subsets:
         assert index.blocked(subset) == oracle.blocked(subset), subset
-        if subset:
-            expected = not oracle.blocked(subset[:-1]) >> subset[-1] & 1
-            assert index.in_direct_sum(subset) == expected, subset
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27, 49])
