@@ -81,6 +81,17 @@ def _read_json(path: str) -> dict:
             raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
+def _load(path: str, parse):
+    """`parse` of the JSON in `path`.  A file of the wrong shape makes the
+    parser index, call or look up what is not there; that is an input
+    error naming the file, not a traceback."""
+    obj = _read_json(path)
+    try:
+        return parse(obj)
+    except (TypeError, AttributeError, IndexError, KeyError) as exc:
+        raise ValueError(f"{path}: malformed input ({type(exc).__name__}: {exc})") from None
+
+
 def _write_json(path: str, obj: dict) -> None:
     # compact and one line: json.dumps without indent runs the C encoder
     with open(path, "w") as fh:
@@ -144,21 +155,21 @@ def cmd_build(args) -> int:
     elif args.what == "from-graph":
         if not args.graph:
             raise ValueError("build from-graph needs --graph")
-        net = reverse_skeleton(ugraph_from_json(_read_json(args.graph)))
+        net = reverse_skeleton(_load(args.graph, ugraph_from_json))
     elif args.what == "extend":
         if not args.network or args.messages is None:
             raise ValueError("build extend needs --network and --messages")
-        net = extend_messages(network_from_json(_read_json(args.network)), args.messages)
+        net = extend_messages(_load(args.network, network_from_json), args.messages)
     elif args.what == "parallelize":
         if not args.network or args.factor is None:
             raise ValueError("build parallelize needs --network and --factor")
-        net = parallelize(network_from_json(_read_json(args.network)), args.factor)
+        net = parallelize(_load(args.network, network_from_json), args.factor)
     elif args.what == "prune":
         if not args.network:
             raise ValueError("build prune needs --network")
         from .networks import prune, validate_network
 
-        net = prune(network_from_json(_read_json(args.network), validate=False))
+        net = prune(_load(args.network, lambda obj: network_from_json(obj, validate=False)))
         validate_network(net)
     else:
         raise ValueError(f"unknown build target {args.what!r}")
@@ -175,7 +186,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_skeleton(args) -> int:
-    net = network_from_json(_read_json(args.network))
+    net = _load(args.network, network_from_json)
     skel = skeleton(net)
     if args.dot:
         with open(args.dot, "w") as fh:
@@ -204,7 +215,7 @@ def _chi_target(args):
         q, t, h = args.qkneser_hyper
         hyper = build_qkneser_hyper(q, t, h, limit=args.max_subspaces)
         return hyper.co_occurrence(), hyper, f"qK^{h}_{{{h * t}:{t}}} over F_{q}"
-    g = ugraph_from_json(_read_json(args.graph))
+    g = _load(args.graph, ugraph_from_json)
     return g, None, args.graph
 
 
@@ -237,7 +248,7 @@ def cmd_chi(args) -> int:
 
 
 def cmd_hom(args) -> int:
-    g1 = ugraph_from_json(_read_json(args.source))
+    g1 = _load(args.source, ugraph_from_json)
     if args.to_qkneser:
         q, n, m = args.to_qkneser
         g2 = build_qkneser(q, n, m, limit=args.max_subspaces)
@@ -248,7 +259,7 @@ def cmd_hom(args) -> int:
         g2 = complete_graph(args.to_complete)
         desc2 = f"K_{args.to_complete}"
     elif args.target:
-        g2 = ugraph_from_json(_read_json(args.target))
+        g2 = _load(args.target, ugraph_from_json)
         desc2 = args.target
     else:
         raise ValueError("hom needs --to, --to-qkneser, or --to-complete")
@@ -290,7 +301,7 @@ def cmd_coloring(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    net = network_from_json(_read_json(args.network))
+    net = _load(args.network, network_from_json)
     try:
         code = search_solution(net, args.q, args.t, args.budget)
     except BudgetExhausted:
@@ -314,8 +325,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    net = network_from_json(_read_json(args.network))
-    code = code_from_json(_read_json(args.code))
+    net = _load(args.network, network_from_json)
+    code = _load(args.code, code_from_json)
     verdict = verify_solution(net, code)
     nt = net.h * code.t
     lines = [f"{'terminal':<16} rank (need {nt})"]
@@ -356,7 +367,7 @@ def cmd_ic(args) -> int:
     if args.action == "check":
         if not args.witness or args.alpha is None:
             raise ValueError("ic check needs --witness and --alpha")
-        config = ic_from_json(_read_json(args.witness))
+        config = _load(args.witness, ic_from_json)
         ok = ic_is_valid(config, args.alpha)
         _emit(
             args,
@@ -400,7 +411,7 @@ def _load_gap_network(args):
     if args.comb:
         h, r, s = args.comb
         return build_combination(h, r, s, max_terminals=args.max_subspaces), f"N_{{{h},{r},{s}}}"
-    net = network_from_json(_read_json(args.network))
+    net = _load(args.network, network_from_json)
     return net, args.network
 
 

@@ -284,12 +284,27 @@ class FormulaResult:
     note: str
 
 
+# the parameters each closed form reads
+_FORMULA_PARAMETERS = {
+    "kneser-h2": ("q", "t"),
+    "minimal-h2-upper": ("q", "t"),
+    "kneser-h2-t2-lower": ("q", "t"),
+    "kneser-h3-lower": ("q", "t", "h"),
+    "combination-upper": ("h", "r"),
+}
+
+
 def gap_formulas(kind: str, **params) -> FormulaResult:
     """Evaluate one of the closed-form gap bounds.
 
     Values are computed even outside the stated hypotheses, but then
     flagged; psi arguments are kept exact via Fraction.
     """
+    if kind not in _FORMULA_PARAMETERS:
+        raise ValueError(f"unknown formula kind {kind!r}")
+    for name in _FORMULA_PARAMETERS[kind]:
+        if name not in params:
+            raise ValueError(f"formula {kind} needs the parameter {name}")
     if kind in ("kneser-h2", "minimal-h2-upper", "kneser-h2-t2-lower", "kneser-h3-lower"):
         q, t = params["q"], params["t"]
         if q < 2 or t < 1:
@@ -317,15 +332,13 @@ def gap_formulas(kind: str, **params) -> FormulaResult:
         value = psi(arg) - q**t
         ok = is_prime_power(q) and t >= 2 and h >= 3
         note = "gap(K_{q,t;h}) >= this for h >= 3, t >= 2"
-    elif kind == "combination-upper":
+    else:  # combination-upper
         h, r = params["h"], params["r"]
         if h < 1 or r < h or r < 2:
             raise ValueError(f"need r >= max(h, 2) and h >= 1, got h={h}, r={r}")
         value = psi(r - 1) - psi(r - h + 1)
         ok = r >= h >= 2
         note = "gap(N_{h,r,h}) <= this"
-    else:
-        raise ValueError(f"unknown formula kind {kind!r}")
     return FormulaResult(kind=kind, value=value, hypotheses_ok=ok, note=note)
 
 

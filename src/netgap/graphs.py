@@ -11,7 +11,8 @@ from .subspaces import Subspace
 
 @dataclass(frozen=True)
 class UGraph:
-    """Simple undirected graph on vertices 0..num_vertices-1.
+    """Simple undirected graph on vertices 0..num_vertices-1: its sorted
+    edge list, and one neighbour bitmask per vertex as its only adjacency.
 
     Vertices may carry subspace labels (q-Kneser graphs) or string names
     (skeleton graphs); both are optional and ignored by the solvers.
@@ -77,13 +78,6 @@ class UGraph:
         for a, b in self.edges:
             adj[a] |= 1 << b
             adj[b] |= 1 << a
-        return adj
-
-    def adjacency(self) -> list[set[int]]:
-        adj = [set() for _ in range(self.num_vertices)]
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
         return adj
 
     def adjacency_masks(self) -> list[int]:
@@ -225,7 +219,7 @@ def coloring_certificate(g: UGraph, coloring: Coloring, context: str = "") -> di
     graph = ugraph_to_json(g)
     if g.labels is not None:
         graph["labels"] = {
-            str(i): [list(row) for row in s.basis.row_list()] for i, s in enumerate(g.labels)
+            str(i): [list(row) for row in s.row_list()] for i, s in enumerate(g.labels)
         }
     names = g.vertex_names
     return {

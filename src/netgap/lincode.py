@@ -195,7 +195,7 @@ def search_solution(
     order = _completion_dfs_order(net)
 
     def with_rows(spaces) -> list[tuple[Subspace, list]]:
-        return [(w, w.basis.row_list()) for w in spaces]
+        return [(w, w.row_list()) for w in spaces]
 
     global_candidates = with_rows(subspaces_up_to_dim(fld, nt, t))
     # <e_1..e_d> for d = t down to 0: canonical representatives per dimension
@@ -206,7 +206,7 @@ def search_solution(
     sub_cache: dict = {}
 
     def candidates_within(space: Subspace) -> list[tuple[Subspace, list]]:
-        key = space.basis.data
+        key = space.data
         cached = sub_cache.get(key)
         if cached is not None:
             return cached
@@ -223,7 +223,7 @@ def search_solution(
                     if dim == 0:
                         out.append(subspace_from_rows(fld, [], nt))
                     else:
-                        rows = abstract.basis.mul(space.basis).row_list()
+                        rows = abstract.mul(space).row_list()
                         out.append(subspace_from_rows(fld, rows, nt))
         out = sub_cache[key] = with_rows(out)
         return out
@@ -311,7 +311,7 @@ def search_solution(
     mats = {}
     for e in net.edges:
         sub = assignment[e.id]
-        rows = sub.basis.row_list() + [(0,) * nt] * (t - sub.dim)
+        rows = sub.row_list() + [(0,) * nt] * (t - sub.dim)
         mats[e.id] = Matrix.from_rows(fld, rows)
     code = NetworkCode(field=fld, t=t, h=net.h, assignment=mats)
     verdict = verify_solution(net, code)
@@ -364,7 +364,7 @@ def extend_solution(base: Network, ext: Network, code: NetworkCode) -> NetworkCo
         assignment[e.id] = Matrix.from_rows(fld, rows)
 
     def block_matrix(block: int) -> Matrix:
-        return coordinate_subspace(fld, width_new, t, block * t).basis
+        return Matrix(fld, t, width_new, coordinate_subspace(fld, width_new, t, block * t).data)
 
     for i, e in enumerate(to_source):
         assignment[e.id] = block_matrix(i)

@@ -230,7 +230,7 @@ def standard_frame(fld: FieldSpec, t: int, h: int, alpha: int) -> list[Subspace]
 
     def member(columns_of_row) -> Subspace:
         rows = [[int(j in cols) for j in range(n)] for cols in columns_of_row]
-        return Subspace(fld, n, t, Matrix.from_rows(fld, rows))
+        return Subspace.from_rows(fld, rows)
 
     members = [member([{b * t + i} for i in range(t)]) for b in range(alpha)]
     if alpha == h:
@@ -519,8 +519,11 @@ def subcombination_solution(
 
 
 def _forwarding_code(net: Network, fld: FieldSpec, t: int, spaces) -> NetworkCode:
-    """The i-th space on the i-th source edge, forwarded by its middle node."""
-    middle = {e.head: s.basis for e, s in zip(net.out_edges(net.source), spaces)}
+    """The i-th space on the i-th source edge, forwarded by its middle node;
+    each basis is carried as a plain coding Matrix."""
+    middle = {
+        e.head: Matrix(fld, s.rows, s.cols, s.data) for e, s in zip(net.out_edges(net.source), spaces)
+    }
     assignment = {e.id: middle[e.head if e.tail == net.source else e.tail] for e in net.edges}
     return NetworkCode(field=fld, t=t, h=net.h, assignment=assignment)
 
@@ -591,7 +594,7 @@ def ic_to_json(config: IndependentConfiguration) -> dict:
         "m": config.field.m,
         "t": config.t,
         "h": config.h,
-        "members": [[list(row) for row in s.basis.row_list()] for s in config.members],
+        "members": [[list(row) for row in s.row_list()] for s in config.members],
     }
 
 

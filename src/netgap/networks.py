@@ -327,6 +327,8 @@ def build_kneser(q: int, t: int, h: int, *, max_terminal_scan: int = ENUMERATION
     """
     if h < 2:
         raise ValueError("Kneser networks need h >= 2")
+    if t < 1:
+        raise ValueError(f"Kneser networks need t >= 1, got t={t}")
     from .gf import field_of_order
 
     fld = field_of_order(q)
@@ -552,7 +554,7 @@ def network_to_json(net: Network) -> dict:
         obj["field"] = {"p": some.field.p, "m": some.field.m}
         obj["ambient"] = some.ambient
         obj["labels"] = {
-            node: [list(row) for row in sub.basis.row_list()] for node, sub in net.labels.items()
+            node: [list(row) for row in sub.row_list()] for node, sub in net.labels.items()
         }
     return obj
 

@@ -51,6 +51,8 @@ def build_qkneser_hyper(q: int, t: int, h: int, *, limit: int = ENUMERATION_LIMI
     """qK^h_{ht:t}: hyperedges are the h-subsets of t-subspaces summing to F_q^{ht}."""
     if h < 2:
         raise ValueError("hypergraph generalization needs h >= 2")
+    if t < 1:
+        raise ValueError(f"hypergraph generalization needs t >= 1, got t={t}")
     fld = field_of_order(q)
     verts = enumerate_subspaces(fld, h * t, t, limit=limit)
     r = len(verts)
@@ -376,23 +378,22 @@ def find_homomorphism(g1: UGraph, g2: UGraph, budget: int = DEFAULT_BUDGET) -> d
     if complete2 and len(clique) > len(clique2):
         return None
 
-    n1, n2 = g1.num_vertices, g2.num_vertices
-    adj1 = g1.adjacency()
-    adj2_mask = g2.adjacency_masks()
-    full2 = (1 << n2) - 1
+    n1 = g1.num_vertices
+    adj1, adj2 = g1.adjacency_masks(), g2.adjacency_masks()
+    full2 = (1 << g2.num_vertices) - 1
 
-    # order: seed with the clique, then most-placed-neighbors first
-    order = list(clique)
-    placed = set(order)
-    while len(order) < n1:
-        v = max(
-            (u for u in range(n1) if u not in placed),
-            key=lambda u: (len(adj1[u] & placed), len(adj1[u]), -u),
+    # order: seed with the clique, then most-placed-neighbors first; each
+    # image must be adjacent to those of the neighbours placed before it
+    order, mapped_neighbors, placed = [], [], 0
+    for i in range(n1):
+        v = clique[i] if i < len(clique) else max(
+            (u for u in range(n1) if not placed >> u & 1),
+            key=lambda u: ((placed & adj1[u]).bit_count(), adj1[u].bit_count(), -u),
         )
+        before = adj1[v] & placed
+        mapped_neighbors.append([u for u in range(before.bit_length()) if before >> u & 1])
         order.append(v)
-        placed.add(v)
-    pos_of = {v: i for i, v in enumerate(order)}
-    mapped_neighbors = [[u for u in adj1[v] if pos_of[u] < pos_of[v]] for v in order]
+        placed |= 1 << v
 
     bud = Budget(budget)
     phi: dict[int, int] = {}
@@ -404,7 +405,7 @@ def find_homomorphism(g1: UGraph, g2: UGraph, budget: int = DEFAULT_BUDGET) -> d
     while len(untried) < n1:
         cand = full2
         for u in mapped_neighbors[len(untried)]:
-            cand &= adj2_mask[phi[u]]
+            cand &= adj2[phi[u]]
             if not cand:
                 break
         untried.append(cand)
@@ -431,6 +432,8 @@ def canonical_coloring(q: int, n: int, m: int, *, limit: int = ENUMERATION_LIMIT
     is the canonically least 1-subspace of the intersection.  Uses at most
     (q^{n-m+1}-1)/(q-1) colors.
     """
+    if m < 1:
+        raise ValueError(f"construction needs m >= 1, got m={m}")
     if n < 2 * m:
         raise ValueError(f"construction needs n >= 2m, got n={n}, m={m}")
     fld = field_of_order(q)
@@ -439,7 +442,7 @@ def canonical_coloring(q: int, n: int, m: int, *, limit: int = ENUMERATION_LIMIT
 
     def least_line(space: Subspace) -> tuple:
         best = None
-        for vec in space.basis.row_combinations():
+        for vec in space.row_combinations():
             if not any(vec):
                 continue
             line = subspace_from_rows(fld, [vec], n)

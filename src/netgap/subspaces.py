@@ -1,9 +1,9 @@
 """Canonical subspaces of F_q^n, Gaussian coefficients, and spreads.
 
-A subspace is identified with its reduced-row-echelon basis, so equality
-and ordering of subspaces are plain tuple comparisons.  The canonical
-total order is (pivot-column set, then flattened basis entries), which
-fixes vertex numbering for everything built downstream.
+A subspace is its reduced-row-echelon basis, one `gf.Matrix` object, so
+equality and ordering of subspaces are plain tuple comparisons.  The
+canonical total order is (pivot-column set, then flattened basis
+entries), which fixes vertex numbering for everything built downstream.
 
 `enumerate_subspaces` lists a universe straight from flat RREF data: per
 pivot set, every basis is read off its free entries in one step.
@@ -22,7 +22,6 @@ for odd p, the same form for every q.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import CHECKPOINT_MASK, Budget, SizeLimitExceeded
@@ -31,40 +30,39 @@ from .gf import FieldSpec, Matrix, element_tables, poly_mod, rank, rref, smalles
 ENUMERATION_LIMIT = 10**6
 
 
-@dataclass(frozen=True)
-class Subspace:
-    field: FieldSpec
-    ambient: int
-    dim: int
-    basis: Matrix  # RREF, dim rows, ambient cols
+class Subspace(Matrix):
+    """A subspace of F_q^n as its RREF basis: `dim` rows, `ambient` = n
+    columns.  The constructors do not reduce (`canonicalize` and
+    `subspace_from_rows` do); a Subspace never equals a plain Matrix."""
+
+    @property
+    def dim(self) -> int:
+        return self.rows
+
+    @property
+    def ambient(self) -> int:
+        return self.cols
 
     @property
     def pivots(self) -> tuple[int, ...]:
-        out = []
-        for i in range(self.dim):
-            row = self.basis.row(i)
-            for j, x in enumerate(row):
-                if x != 0:
-                    out.append(j)
-                    break
-        return tuple(out)
+        """Each row's first nonzero column."""
+        return tuple(next(j for j, x in enumerate(self.row(i)) if x) for i in range(self.rows))
 
     @property
     def sort_key(self) -> tuple:
-        return (self.pivots, self.basis.data)
+        return (self.pivots, self.data)
 
 
 def canonicalize(field: FieldSpec, vectors: Matrix) -> Subspace:
     """Subspace spanned by the rows; zero span yields dim 0."""
     reduced, rk, _ = rref(vectors)
-    basis = Matrix(field, rk, vectors.cols, reduced.data[: rk * vectors.cols])
-    return Subspace(field=field, ambient=vectors.cols, dim=rk, basis=basis)
+    return Subspace(field, rk, vectors.cols, reduced.data[: rk * vectors.cols])
 
 
 def subspace_from_rows(field: FieldSpec, rows, ambient: int) -> Subspace:
     rows = list(rows)
     if not rows:
-        return Subspace(field, ambient, 0, Matrix.zeros(field, 0, ambient))
+        return Subspace.zeros(field, 0, ambient)
     return canonicalize(field, Matrix.from_rows(field, rows))
 
 
@@ -104,9 +102,9 @@ def enumerate_subspaces(field: FieldSpec, n: int, t: int, *, limit: int = ENUMER
     if count > limit:
         raise SizeLimitExceeded(f"{count} subspaces of F_{field.q}^{n} exceed limit {limit}")
     if t == 0:
-        return [Subspace(field, n, 0, Matrix.zeros(field, 0, n))]
+        return [Subspace.zeros(field, 0, n)]
     if t == n:  # the whole space; below, `take` reads at least two entries
-        return [Subspace(field, n, n, Matrix.identity(field, n))]
+        return [Subspace.identity(field, n)]
     out: list[Subspace] = []
     bud = Budget(count)
     for pivots in itertools.combinations(range(n), t):
@@ -130,7 +128,7 @@ def enumerate_subspaces(field: FieldSpec, n: int, t: int, *, limit: int = ENUMER
         values = itertools.product(field.elements(), repeat=k)
         while chunk := list(itertools.islice(values, CHECKPOINT_MASK + 1)):
             bud.spend_many(len(chunk))
-            out.extend([Subspace(field, n, t, Matrix(field, t, n, take(v + (0, 1)))) for v in chunk])
+            out.extend([Subspace(field, t, n, take(v + (0, 1))) for v in chunk])
     assert len(out) == count
     return out
 
@@ -139,8 +137,8 @@ def positions(universe: list[Subspace], members) -> list[int]:
     """The index in `universe` of each member, all of one dimension and
     ambient space: an RREF basis of fixed shape names its space, so its
     flat data is key enough."""
-    index = {s.basis.data: i for i, s in enumerate(universe)}
-    return [index[s.basis.data] for s in members]
+    index = {s.data: i for i, s in enumerate(universe)}
+    return [index[s.data] for s in members]
 
 
 def subspaces_up_to_dim(field: FieldSpec, n: int, t: int, *, limit: int = ENUMERATION_LIMIT) -> list[Subspace]:
@@ -161,7 +159,7 @@ def sum_dim(spaces) -> int:
     for s in spaces:
         if s.field != first.field or s.ambient != first.ambient:
             raise ValueError("sum_dim: mixed fields or ambient spaces")
-        rows.extend(s.basis.row_list())
+        rows.extend(s.row_list())
     if not rows:
         return 0
     return rank(Matrix.from_rows(first.field, rows))
@@ -256,7 +254,7 @@ class DirectSumIndex:
             # the span as sums, row by row: old vectors plus each nonzero
             # multiple of the next row, so every vector is listed once
             bud.spend_many(size)
-            data = s.basis.data
+            data = s.data
             span = [0]
             for k in range(0, len(data), n):
                 row = data[k : k + n]
@@ -361,7 +359,7 @@ def subspace_sum(spaces) -> Subspace:
     first = spaces[0]
     rows = []
     for s in spaces:
-        rows.extend(s.basis.row_list())
+        rows.extend(s.row_list())
     return subspace_from_rows(first.field, rows, first.ambient)
 
 
@@ -370,19 +368,9 @@ def intersection(a: Subspace, b: Subspace) -> Subspace:
     if a.field != b.field or a.ambient != b.ambient:
         raise ValueError("intersection: mixed fields or ambient spaces")
     f, n = a.field, a.ambient
-    rows = []
-    for r in a.basis.row_list():
-        rows.append(list(r) + list(r))
-    for r in b.basis.row_list():
-        rows.append(list(r) + [0] * n)
-    if not rows:
-        return Subspace(f, n, 0, Matrix.zeros(f, 0, n))
-    reduced, rk, _ = rref(Matrix.from_rows(f, rows))
-    inter_rows = []
-    for i in range(rk):
-        row = reduced.row(i)
-        if not any(row[:n]):
-            inter_rows.append(row[n:])
+    rows = [r + r for r in a.row_list()] + [r + (0,) * n for r in b.row_list()]
+    reduced, rk, _ = rref(Matrix(f, len(rows), 2 * n, tuple(x for r in rows for x in r)))
+    inter_rows = [row[n:] for row in reduced.row_list()[:rk] if not any(row[:n])]
     return subspace_from_rows(f, inter_rows, n)
 
 

@@ -5,7 +5,7 @@ import types
 
 import pytest
 
-from netgap import errors, qkneser
+from netgap import errors, gf, qkneser
 from netgap.errors import Budget, BudgetExhausted, deadline
 from netgap.gf import field_of_order
 from netgap.graphs import UGraph, complete_graph, ugraph_from_json
@@ -243,6 +243,20 @@ def test_enumeration_stops_at_an_expired_deadline():
     # 155 subspaces: no checkpoint is reached
     with deadline(EXPIRED):
         assert len(enumerate_subspaces(fld, 5, 2)) == 155
+
+
+def test_element_tables_stop_at_an_expired_deadline_and_cache_nothing(monkeypatch):
+    # 3 * 1031 entries per row: the first row crosses a checkpoint
+    monkeypatch.setattr(gf, "_ELEMENT_TABLE_CACHE", {})
+    fld = field_of_order(1031)
+    with deadline(EXPIRED), pytest.raises(BudgetExhausted, match="wall-clock"):
+        gf.element_tables(fld)
+    assert gf._ELEMENT_TABLE_CACHE == {}
+    # F_7's 147 entries reach no checkpoint
+    with deadline(EXPIRED):
+        add, neg_mul, scale = gf.element_tables(field_of_order(7))
+    assert add[3][5] == 1 and neg_mul[2][3] == 1 and scale[3][6] == 2
+    assert list(gf._ELEMENT_TABLE_CACHE) == [field_of_order(7)]
 
 
 def test_kneser_network_construction_stops_at_an_expired_deadline():

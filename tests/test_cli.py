@@ -418,6 +418,76 @@ def test_usage_error_exit_codes(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+def _write_malformed_inputs(tmp_path):
+    """A valid network and, beside it, one file of each wrong shape."""
+    net = network_to_json(build_combination(2, 3, 2))
+    (tmp_path / "net.json").write_text(json.dumps(net))
+    (tmp_path / "string-nodes.json").write_text(
+        json.dumps(dict(net, nodes=[node["id"] for node in net["nodes"]]))
+    )
+    (tmp_path / "code.json").write_text(
+        json.dumps({"p": 2, "m": 1, "q": 2, "t": 1, "h": 2, "edges": {"e0": 5}})
+    )
+    (tmp_path / "ic.json").write_text(json.dumps({"p": 2, "m": 1, "t": 1, "h": 2, "members": 5}))
+    (tmp_path / "list.json").write_text("[1, 2]")
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["qs", "--network", "string-nodes.json"], "string-nodes.json"),
+        (["solve", "--network", "string-nodes.json", "--q", "2"], "string-nodes.json"),
+        (["skeleton", "--network", "string-nodes.json"], "string-nodes.json"),
+        (["build", "extend", "--network", "string-nodes.json", "--messages", "3"], "string-nodes.json"),
+        (["build", "prune", "--network", "list.json"], "list.json"),
+        (["verify", "--network", "net.json", "--code", "code.json"], "code.json"),
+        (["ic", "check", "--witness", "ic.json", "--alpha", "2"], "ic.json"),
+        (["qs", "--network", "list.json"], "list.json"),
+        (["chi", "--graph", "list.json"], "list.json"),
+        (["hom", "--from", "list.json", "--to-complete", "3"], "list.json"),
+        (["build", "from-graph", "--graph", "list.json"], "list.json"),
+    ],
+    ids=[
+        "qs-string-nodes",
+        "solve-string-nodes",
+        "skeleton-string-nodes",
+        "build-extend-string-nodes",
+        "build-prune-list",
+        "verify-code-int-edge",
+        "ic-check-int-members",
+        "qs-list",
+        "chi-list",
+        "hom-from-list",
+        "build-from-graph-list",
+    ],
+)
+def test_a_malformed_input_file_is_a_usage_error_naming_the_file(tmp_path, capsys, monkeypatch, argv, bad):
+    _write_malformed_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(argv, capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith(f"error: {bad}: malformed input") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["coloring", "--qkneser", "2", "4", "0"], "needs m >= 1"),
+        (["build", "kneser", "2", "0", "2"], "need t >= 1"),
+        (["qv", "--kneser", "2", "0", "2"], "need t >= 1"),
+        (["chi", "--qkneser-hyper", "2", "0", "2"], "needs t >= 1"),
+        (["formula", "kneser-h3-lower", "q=2", "t=2"], "needs the parameter h"),
+    ],
+    ids=["coloring-m0", "build-kneser-t0", "qv-kneser-t0", "chi-hyper-t0", "formula-no-h"],
+)
+def test_a_parameter_error_names_the_parameter(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(argv, capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
+
+
 def test_check_cert_rejects_tampered(tmp_path, capsys):
     cert = tmp_path / "chi.json"
     run_cli(["chi", "--qkneser", "2", "2", "1", "--cert", str(cert)], capsys)

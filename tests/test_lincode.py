@@ -21,7 +21,7 @@ from netgap.lincode import (
     split_to_scalar,
     verify_solution,
 )
-from netgap.mdsic import ic_exists_of_size
+from netgap.mdsic import ic_exists_of_size, ic_max_size, ic_to_solution
 from netgap.networks import (
     Edge,
     Network,
@@ -210,11 +210,16 @@ def test_message_extension_preserves_solvability(h_new, q):
 
 
 def test_code_json_roundtrip():
-    code = classic_butterfly_code()
-    obj = json.loads(json.dumps(code_to_json(code)))
-    back = code_from_json(obj)
-    assert back.assignment == code.assignment
-    assert back.field == code.field and back.t == code.t and back.h == code.h
+    # a code's coding matrices are plain Matrix objects, also where they
+    # were read off subspaces (a Subspace never equals a Matrix)
+    base, ext = build_butterfly(), extend_messages(build_butterfly(), 3)
+    carried = extend_solution(base, ext, classic_butterfly_code())
+    forwarded = ic_to_solution(ic_max_size(2, 1, 2, 2).witness)
+    for code in (classic_butterfly_code(), carried, forwarded):
+        obj = json.loads(json.dumps(code_to_json(code)))
+        back = code_from_json(obj)
+        assert back.assignment == code.assignment
+        assert back.field == code.field and back.t == code.t and back.h == code.h
 
 
 def _brute_force_scalar_solvable(net, q):

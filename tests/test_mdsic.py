@@ -200,14 +200,14 @@ def test_standard_frame_is_a_reduced_ic(q, t, h):
     for alpha in range(2, h + 1):
         frame = standard_frame(fld, t, h, alpha)
         assert len(frame) == alpha + (alpha == h)
-        assert all(canonicalize(fld, s.basis) == s for s in frame)
+        assert all(canonicalize(fld, s) == s for s in frame)
         assert ic_is_valid(IndependentConfiguration(fld, t, h, tuple(frame)), alpha)
         # the blocks are the coordinate subspaces, in block order
         for b in range(alpha):
             assert frame[b] == coordinate_subspace(fld, h * t, t, b * t)
     if h * t == 2:
         # (1;2,2): the frame is the three points 0:1, 1:0 and 1:1
-        rows = [s.basis.row(0) for s in standard_frame(fld, t, h, h)]
+        rows = [s.row(0) for s in standard_frame(fld, t, h, h)]
         assert rows == [(1, 0), (0, 1), (1, 1)]
 
 

@@ -274,18 +274,58 @@ def test_chromatic_number_tests_only_the_needed_counts(n, bits, needed_bits):
     assert chromatic_number(g, needed=lambda k: True) == chromatic_number(g)
 
 
+def _random_pair(seed, sizes1, sizes2, p1, p2):
+    rng = random.Random(seed)
+    n1, n2 = rng.randint(*sizes1), rng.randint(*sizes2)
+    g1 = UGraph.from_edges(n1, [(a, b) for a in range(n1) for b in range(a + 1, n1) if rng.random() < p1])
+    g2 = UGraph.from_edges(n2, [(a, b) for a in range(n2) for b in range(a + 1, n2) if rng.random() < p2])
+    return g1, g2
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_homomorphism_matches_brute_force(seed):
-    import random
-
-    rng = random.Random(seed)
-    n1, n2 = rng.randint(1, 5), rng.randint(1, 4)
-    g1 = UGraph.from_edges(n1, [(a, b) for a in range(n1) for b in range(a + 1, n1) if rng.random() < 0.5])
-    g2 = UGraph.from_edges(n2, [(a, b) for a in range(n2) for b in range(a + 1, n2) if rng.random() < 0.6])
+    g1, g2 = _random_pair(seed, (1, 5), (1, 4), 0.5, 0.6)
     phi = find_homomorphism(g1, g2)
     assert (phi is not None) == _brute_hom_exists(g1, g2)
     if phi is not None:
         assert homomorphism_ok(g1, g2, phi)
+
+
+# The maps find_homomorphism returned when its vertex order was computed on
+# sets of neighbours, image of vertex 0 first; None where there is none.
+# The order is now computed on the adjacency masks, with the same key, so
+# the search tree and the first map it reaches are the same.
+SMALL_PAIR_MAPS = [
+    (0, 1, 0, 1), None, (0,), None, (0, 1), (0, 0, 0, 1, 1), None, (0, 1, 1), (0, 0), None,
+    None, (0, 1, 0, 2), None, (0, 0, 0), (0,), (0, 0), (0, 1, 3), (0, 0, 0, 1, 1), (0, 0), (0,),
+    (0, 0), (0, 0), None, None, None, None, (0, 1), None, (0,), None,
+]
+LARGER_PAIR_MAPS = [
+    (4, 3, 3, 2, 3, 4, 5, 5, 2, 4, 3, 2), None, (1, 4, 0, 0, 1, 4, 1, 0, 1, 0),
+    (0, 2, 0, 1, 0, 2, 2, 0, 1), (1, 0, 1, 1, 2, 2, 2, 0, 3), (0, 2, 3, 2, 2, 2, 2, 6, 3), None,
+    (0, 3, 0, 2, 0, 1, 1, 1, 0, 3, 0, 2), (2, 0, 2, 4, 0, 3, 2, 4, 3, 4), (1, 0, 0, 0, 1, 3, 1),
+    (2, 5, 7, 7, 2, 4, 1, 7, 5, 2, 7), (0, 3, 3, 0, 3, 3, 0, 5), None, (0, 0, 3, 4, 0, 2, 2, 2, 3),
+    None, (0, 0, 2, 0, 0, 0), (0, 1, 0, 1, 1, 3, 0, 5), None, (2, 2, 4, 0, 0, 2, 4, 2, 0),
+    (1, 0, 1, 0, 4, 0),
+]
+
+
+def _as_images(phi):
+    return None if phi is None else tuple(phi[v] for v in range(len(phi)))
+
+
+def test_homomorphisms_are_the_pinned_maps():
+    for seed, expected in enumerate(SMALL_PAIR_MAPS):
+        g1, g2 = _random_pair(seed, (1, 5), (1, 4), 0.5, 0.6)
+        assert _as_images(find_homomorphism(g1, g2)) == expected, seed
+    # 6 to 12 vertices into 4 to 8, mostly into graphs that are not complete,
+    # so the vertex order decides which map is found first
+    for seed, expected in enumerate(LARGER_PAIR_MAPS):
+        g1, g2 = _random_pair(1000 + seed, (6, 12), (4, 8), 0.35, 0.6)
+        phi = find_homomorphism(g1, g2, budget=10**5)
+        assert _as_images(phi) == expected, seed
+        if phi is not None:
+            assert homomorphism_ok(g1, g2, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +348,16 @@ def _build_qkneser_oracle(q, n, m):
 
 def _bits(mask):
     return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def _neighbour_sets(g):
+    """Each vertex's neighbours as a set, read off the edge list: the
+    set-based adjacency the oracles below run on."""
+    adj = [set() for _ in range(g.num_vertices)]
+    for a, b in g.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
 
 
 def _max_clique_oracle(g, budget=DEFAULT_BUDGET):
@@ -437,7 +487,7 @@ def _colour_bound_clique_oracle(g, budget=DEFAULT_BUDGET):
     """Colour-bounded branch and bound on sorted lists of positions in the
     static order (-degree, v), branching on the lowest position first."""
     n = g.num_vertices
-    nbrs = g.adjacency()
+    nbrs = _neighbour_sets(g)
     order = sorted(range(n), key=lambda v: (-len(nbrs[v]), v))
     pos = {v: i for i, v in enumerate(order)}
     adj = [{pos[u] for u in nbrs[v]} for v in order]
@@ -513,7 +563,7 @@ def test_colour_bound_oracle_matches_brute_force(n, bits):
 def _greedy_coloring_oracle(g):
     """Set-based DSATUR greedy: an O(n) pick by min() per vertex."""
     n = g.num_vertices
-    adj = g.adjacency()
+    adj = _neighbour_sets(g)
     color = {}
     forbid = [set() for _ in range(n)]
     degree = [len(adj[v]) for v in range(n)]
@@ -552,7 +602,7 @@ def _compare_colorable(g, k, pinned, budget=DEFAULT_BUDGET):
     outcomes = []
     for fn, adj, bud in (
         (_dsatur, degree_order(g.adjacency_masks()), new_bud),
-        (_k_colorable_oracle, [sorted(s) for s in g.adjacency()], old_bud),
+        (_k_colorable_oracle, [sorted(s) for s in _neighbour_sets(g)], old_bud),
     ):
         try:
             outcomes.append(fn(adj, k, pinned, bud))
@@ -726,7 +776,7 @@ def test_greedy_clique_is_the_first_dive_of_the_clique_search(n, bits):
     edges = set(g.edges)
     assert list(clique) == sorted(set(clique))
     assert all(pair in edges for pair in itertools.combinations(clique, 2))
-    adj = g.adjacency()
+    adj = _neighbour_sets(g)
     assert not any(
         v not in clique and all(u in adj[v] for u in clique) for v in range(n)
     )

@@ -32,7 +32,7 @@ def test_canonicalize_full_space():
 def test_canonicalize_repeated_rows():
     f = make_field(2, 1)
     s = canonicalize(f, Matrix.from_rows(f, [(1, 1), (1, 1)]))
-    assert s.dim == 1 and s.basis.row_list() == [(1, 1)]
+    assert s.dim == 1 and s.row_list() == [(1, 1)]
 
 
 def test_canonicalize_generator_order_invariant():
@@ -73,7 +73,7 @@ def test_gaussian_brute_force_oracle_f3_squared():
 def test_enumerate_lines_of_f2_squared():
     f = make_field(2, 1)
     subs = enumerate_subspaces(f, 2, 1)
-    assert {s.basis.row_list()[0] for s in subs} == {(1, 0), (0, 1), (1, 1)}
+    assert {s.row_list()[0] for s in subs} == {(1, 0), (0, 1), (1, 1)}
 
 
 def test_enumerate_full_space_single():
@@ -92,6 +92,41 @@ def test_enumerate_counts_and_canonical_order():
                 keys = [s.sort_key for s in subs]
                 assert keys == sorted(keys)
                 assert len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize(
+    "q,n,t", [(2, 3, 0), (2, 4, 2), (2, 4, 4), (3, 3, 1), (3, 3, 3), (4, 3, 2), (5, 2, 1)]
+)
+def test_each_listed_subspace_is_its_own_rref_basis(q, n, t):
+    f = field_of_order(q)
+    for s in enumerate_subspaces(f, n, t):
+        assert isinstance(s, Matrix) and isinstance(s, Subspace)
+        assert (s.rows, s.cols) == (s.dim, s.ambient) == (t, n)
+        assert s.field is f and len(s.data) == t * n
+        assert canonicalize(f, s) == s
+
+
+def test_subspaces_are_equal_exactly_when_shape_and_data_agree():
+    f = make_field(3, 1)
+    line = subspace_from_rows(f, [(2, 1, 0)], 3)
+    same = Subspace(f, 1, 3, (1, 2, 0))
+    assert line == same and hash(line) == hash(same) and len({line, same}) == 1
+    assert Subspace.from_rows(f, [(1, 2, 0)]) == line
+    # the same data in another shape, or other data in the same shape
+    assert Subspace(f, 3, 1, (1, 2, 0)) != line
+    assert Subspace(f, 1, 3, (1, 0, 0)) != line
+    assert Subspace.zeros(f, 0, 3) != Subspace.zeros(f, 0, 2)
+    assert subspace_from_rows(f, [], 3) == Subspace.zeros(f, 0, 3)
+    # the same space over another field
+    assert subspace_from_rows(make_field(5, 1), [(2, 1, 0)], 3) != line
+
+
+def test_a_subspace_never_equals_a_plain_matrix():
+    f = make_field(2, 1)
+    for s in enumerate_subspaces(f, 3, 1) + enumerate_subspaces(f, 2, 2):
+        plain = Matrix(f, s.rows, s.cols, s.data)
+        assert s != plain and plain != s
+        assert len({s, plain}) == 2
 
 
 def test_enumerate_limit():
@@ -120,7 +155,7 @@ def test_sum_dim_matches_stacked_rank_oracle():
             canonicalize(f, Matrix.from_rows(f, [[rng.randrange(2) for _ in range(6)] for _ in range(2)]))
             for _ in range(3)
         ]
-        rows = [row for s in spaces for row in s.basis.row_list()]
+        rows = [row for s in spaces for row in s.row_list()]
         assert sum_dim(spaces) == rank(Matrix.from_rows(f, rows))
 
 
@@ -140,7 +175,7 @@ def test_spread_defining_properties(q, t):
     seen = {}
     for i, s in enumerate(members):
         assert s.dim == t
-        for v in s.basis.row_combinations():
+        for v in s.row_combinations():
             if any(v):
                 assert v not in seen
                 seen[v] = i
@@ -152,7 +187,7 @@ def test_intersection_zassenhaus():
     a = subspace_from_rows(f, [(1, 0, 0), (0, 1, 0)], 3)
     b = subspace_from_rows(f, [(0, 1, 0), (0, 0, 1)], 3)
     inter = intersection(a, b)
-    assert inter.dim == 1 and inter.basis.row_list() == [(0, 1, 0)]
+    assert inter.dim == 1 and inter.row_list() == [(0, 1, 0)]
     assert sum_dim([a, b]) == 3
 
 
@@ -259,7 +294,7 @@ def test_blocked_on_dependent_triples_of_lines(q):
     for _ in range(10):
         i, j, new = rng.sample(range(len(lines)), 3)
         # a third line inside the plane of the first two, then any third line
-        u, v = lines[i].basis.row(0), lines[j].basis.row(0)
+        u, v = lines[i].row(0), lines[j].row(0)
         inside = subspace_from_rows(f, [[f.add(x, y) for x, y in zip(u, v)]], 4)
         coplanar = (i, j, position[inside.sort_key])
         assert index.blocked(coplanar) == full == _blocked_oracle(lines, coplanar)
@@ -299,7 +334,7 @@ def _spaces_with_dependences(draw):
     if draw(st.booleans()):
         spaces.append(subspace_from_rows(f, [], n))
     spaces += draw(st.lists(st.sampled_from(spaces), max_size=2))
-    lines = list(dict.fromkeys(s.basis.row(0) for s in spaces if s.dim == 1))
+    lines = list(dict.fromkeys(s.row(0) for s in spaces if s.dim == 1))
     if len(lines) >= 2:
         u, v = draw(st.lists(st.sampled_from(lines), min_size=2, max_size=2, unique=True))
         spaces.append(subspace_from_rows(f, [[f.add(x, y) for x, y in zip(u, v)]], n))
@@ -348,7 +383,7 @@ class _TupleSpanOracle:
     @staticmethod
     def enumerate_by_rows(field, n, t):
         if t == 0:
-            return [Subspace(field, n, 0, Matrix.zeros(field, 0, n))]
+            return [Subspace.zeros(field, 0, n)]
         out = []
         for pivots in itertools.combinations(range(n), t):
             free = [(i, j) for i in range(t) for j in range(pivots[i] + 1, n) if j not in pivots]
@@ -359,14 +394,14 @@ class _TupleSpanOracle:
                 rows = [list(r) for r in template]
                 for (i, j), v in zip(free, values):
                     rows[i][j] = v
-                out.append(Subspace(field, n, t, Matrix.from_rows(field, rows)))
+                out.append(Subspace.from_rows(field, rows))
         return out
 
     @staticmethod
     def _span(s):
         add, neg_mul, _ = element_tables(s.field)
         span = [(0,) * s.ambient]
-        for row in s.basis.row_list():
+        for row in s.row_list():
             multiples = [[mul[y] for y in row] for mul in neg_mul[1:]]
             span += [tuple([add[x][y] for x, y in zip(u, m)]) for u in span for m in multiples]
         return span
@@ -415,7 +450,7 @@ def test_packed_kernel_matches_the_tuple_span_oracle(q, n, t):
     universe = enumerate_subspaces(f, n, t)
     # the same bases in the same order, and with them the same positions
     by_rows = _TupleSpanOracle.enumerate_by_rows(f, n, t)
-    assert [s.basis for s in universe] == [s.basis for s in by_rows]
+    assert universe == by_rows
     rng = random.Random(q * 100 + n * 10 + t)
     members = rng.sample(universe, min(len(universe), 20))
     assert positions(universe, members) == [universe.index(s) for s in members]
@@ -432,7 +467,7 @@ def test_packed_kernel_matches_the_tuple_span_oracle(q, n, t):
     # a member inside the span of two others: a dependent subset
     if n >= 2 and t == 1:
         i, j = rng.sample(range(len(universe)), 2)
-        u, v = universe[i].basis.row(0), universe[j].basis.row(0)
+        u, v = universe[i].row(0), universe[j].row(0)
         inside = subspace_from_rows(f, [[f.add(x, y) for x, y in zip(u, v)]], n)
         subsets.append((i, j, positions(universe, [inside])[0]))
     for subset in subsets:
@@ -460,7 +495,7 @@ def test_index_listing_matches_row_combinations(p, m, n):
     # lists with one FieldSpec.add/mul per coordinate
     f = make_field(p, m)
     spaces = [s for d in (0, 1, n) for s in enumerate_subspaces(f, n, d)]
-    listing = [[v for v in s.basis.row_combinations() if any(v)] for s in spaces]
+    listing = [[v for v in s.row_combinations() if any(v)] for s in spaces]
     fast, slow = DirectSumIndex(spaces), _TupleSpanOracle(spaces, listing)
     for s, pts, expected in zip(spaces, fast.points, slow.points):
         assert len(pts) == len(set(pts)) == f.q**s.dim - 1
