@@ -480,7 +480,13 @@ def cmd_formula(args) -> int:
     params = {}
     for assign in args.params:
         key, _, value = assign.partition("=")
-        params[key] = int(value)
+        try:
+            number = int(value)
+        except ValueError:
+            raise ValueError(f"formula parameter {assign!r} is not key=integer") from None
+        if key in params:
+            raise ValueError(f"formula parameter {key} is given twice")
+        params[key] = number
     res = gap_formulas(args.kind, **params)
     flag = "" if res.hypotheses_ok else "  [outside stated hypotheses]"
     _emit(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from contextlib import contextmanager
 
@@ -86,12 +87,14 @@ class Budget:
     """Node counter for one search, also enforcing the wall-clock deadline.
 
     `spend` raises BudgetExhausted when the node limit is reached, and at
-    every checkpoint once the deadline has passed.
+    every checkpoint once the deadline has passed.  With no node limit, the
+    default, only the deadline stops the search: for walks whose size is
+    known in advance and that must run to the end.
     """
 
     __slots__ = ("limit", "used")
 
-    def __init__(self, limit: int):
+    def __init__(self, limit: float = math.inf):
         self.limit = limit
         self.used = 0
 

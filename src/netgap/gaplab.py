@@ -1,11 +1,11 @@
 """Smallest prime power psi, exact q_s / q_v / gap, and the closed-form bounds.
 
 q_s is the least field size with a scalar solution, q_v the least q^t with a
-vector solution.  Exact values are decided per instance by the cheapest
-certified route available: skeleton chromatic number (minimal, two
-messages), independent-configuration search (full minimal combination
-networks), graph homomorphism, or exhaustive code search; every answer
-carries a replayable certificate.
+vector solution.  Both come from one scan over the (q,t) pairs, each decided
+by the cheapest certified route available: skeleton chromatic number
+(minimal, two messages), independent-configuration search (full minimal
+combination networks), graph homomorphism, or exhaustive code search; every
+answer carries a replayable certificate.
 """
 
 from __future__ import annotations
@@ -15,13 +15,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    DEFAULT_BUDGET,
-    BudgetExhausted,
-    InternalError,
-    SizeLimitExceeded,
-    UnsolvableNetwork,
-)
+from .errors import DEFAULT_BUDGET, BudgetExhausted, InternalError, UnsolvableNetwork
 from .gf import prime_power
 from .graphs import coloring_certificate, homomorphism_certificate
 from .lincode import code_certificate, search_solution
@@ -168,29 +162,33 @@ class GapReport:
 # exact q_s / q_v
 # ---------------------------------------------------------------------------
 
-def _scalar_upper_bound(net: Network) -> int:
-    # any field size >= the number of terminals admits a multicast solution
-    return psi(max(2, len(net.terminals)))
-
-
 def _by_middle_spaces(net: Network) -> bool:
-    """Route q_s and q_v through `subcombination_solution`: sub-combination
-    networks with h >= 3 and full N_{2,r,2}.  Every other two-message
-    sub-combination network takes the skeleton routes."""
+    """True for the networks whose (q,t) pairs `subcombination_solution`
+    decides: sub-combination networks with h >= 3, and full N_{2,r,2}.  q_s
+    of a full N_{2,r,2} takes the skeleton's chromatic number before this
+    is asked, since the network is minimal with two messages."""
     full = combination_parameters(net) is not None
     return is_subcombination(net) and (net.h >= 3 or (net.h == 2 and full))
 
 
-def qs_exact(net: Network, budget: int = DEFAULT_BUDGET) -> Extremal:
-    """Smallest field size with a scalar linear solution, with certificate.
+def _least(net: Network, budget: int, vector: bool) -> Extremal:
+    """The least q^t with a (q,t)-linear solution, t = 1 unless `vector`:
+    the one scan behind `qs_exact` and `qv_exact`.
 
-    Minimal two-message networks take the skeleton's chromatic number,
-    sub-combination networks with h >= 3 the assignment search over their
-    middle nodes, and every other network the exhaustive code search.
+    One route per call, the first that applies: for q_s of a minimal
+    two-message network the skeleton's chromatic number, in one call whose
+    greedy colouring gives the bracket's upper end; for `_by_middle_spaces`
+    networks the assignment search over the middle nodes (labelled `ic` for
+    q_v of a full N_{h,r,h}, where it is the IC search); for q_v of the other
+    minimal two-message networks a homomorphism of the skeleton into
+    qK_{2t:t}; else the exhaustive code search.  `decide(q, t)` gives
+    (method, certificate) or None per pair, by ascending q^t and then q, and
+    raises BudgetExhausted when undecided, which leaves [q^t, bound].
     """
     if not is_solvable(net):
         raise UnsolvableNetwork("network fails the cut criterion")
-    if net.h == 2 and net._routing_minimal:
+    minimal_two = net.h == 2 and net._routing_minimal
+    if minimal_two and not vector:
         # a scalar solution over F_q is a homomorphism of the skeleton into
         # qK_{2:1} = K_{q+1}, so q_s = psi(chi - 1) and only the colour
         # counts q + 1 decide it; q_s is exact once the bracket's ends agree
@@ -201,74 +199,63 @@ def qs_exact(net: Network, budget: int = DEFAULT_BUDGET) -> Extremal:
             cert = coloring_certificate(skel.graph, res.coloring, "skeleton coloring")
             return Extremal(hi, hi, "skeleton-chi", certificate=cert)
         return Extremal(lo, hi, "skeleton-chi-bracket", exact=False)
-    solve = subcombination_solution if _by_middle_spaces(net) else search_solution
-    bound = _scalar_upper_bound(net)
-    q = 2
-    while q <= bound:
-        try:
-            code = solve(net, q, 1, budget)
-        except BudgetExhausted:
-            return Extremal(q, bound, "exhaustive-bracket", exact=False)
-        if code is not None:
-            return Extremal(q, q, "exhaustive", certificate=code_certificate(net, code))
-        q = psi(q + 1)
-    raise AssertionError("scalar scan passed the sufficiency bound without a solution")
+    by_middles = _by_middle_spaces(net)
+    if minimal_two and not by_middles:
+        skel = net._skeleton
+        # any clique, proven maximum or not, maps injectively
+        clique_size = len(greedy_clique(skel.graph))
+
+        def decide(q, t):
+            if clique_size > qkneser_clique_number(q, t):
+                return None  # the target's cliques are too small
+            target = build_qkneser(q, 2 * t, t)
+            phi = find_homomorphism(skel.graph, target, budget)
+            if phi is None:
+                return None
+            return "homomorphism", homomorphism_certificate(
+                skel.graph, target, phi, "skeleton into q-Kneser graph"
+            )
+    else:
+        solve = subcombination_solution if by_middles else search_solution
+        # on a full N_{h,r,h} the middle spaces form an IC
+        method = "ic" if vector and by_middles and combination_parameters(net) else "exhaustive"
+
+        def decide(q, t):
+            code = solve(net, q, t, budget)
+            return None if code is None else (method, code_certificate(net, code))
+
+    # any field size >= the number of terminals admits a multicast solution
+    bound = psi(max(2, len(net.terminals)))
+    v = 2
+    while v <= bound:
+        for q, t in candidate_qt_pairs(v) if vector else [(v, 1)]:
+            try:
+                found = decide(q, t)
+            except BudgetExhausted:
+                return Extremal(v, bound, "bracket" if vector else "exhaustive-bracket", exact=False)
+            if found is not None:
+                return Extremal(v, v, found[0], certificate=found[1])
+        v = psi(v + 1)
+    raise InternalError(f"scan passed its sufficiency bound {bound} without a solution")
+
+
+def qs_exact(net: Network, budget: int = DEFAULT_BUDGET) -> Extremal:
+    """Smallest field size with a scalar linear solution, with certificate:
+    `_least` over the pairs (q, 1)."""
+    return _least(net, budget, vector=False)
 
 
 def qv_exact(net: Network, budget: int = DEFAULT_BUDGET) -> Extremal:
-    """Smallest q^t with a (q,t)-linear solution, with certificate.
-
-    Candidate values ascend; ties between (q,t) pairs prefer smaller q.
-    Each candidate is decided by the cheapest certified route: the
-    assignment search over the middle nodes on sub-combination networks
-    with h >= 3 and full N_{2,r,2} (labelled `ic` on a full N_{h,r,h},
-    where it is the IC search), skeleton homomorphism on the other minimal
-    two-message networks, exhaustive code search otherwise.
-    """
-    if not is_solvable(net):
-        raise UnsolvableNetwork("network fails the cut criterion")
-    by_middles = _by_middle_spaces(net)
-    solve = subcombination_solution if by_middles else search_solution
-    # on a full N_{h,r,h} the middle spaces form an IC
-    method = "ic" if by_middles and combination_parameters(net) else "exhaustive"
-    hom_route = not by_middles and net.h == 2 and net._routing_minimal
-    skel = net._skeleton if hom_route else None
-    # any clique, proven maximum or not, maps injectively
-    skel_clique_size = len(greedy_clique(skel.graph)) if hom_route else 0
-    v_max = _scalar_upper_bound(net)
-    v = 2
-    while v <= v_max:
-        for q, t in candidate_qt_pairs(v):
-            try:
-                if hom_route:
-                    if skel_clique_size > qkneser_clique_number(q, t):
-                        continue  # the target's cliques are too small
-                    try:
-                        target = build_qkneser(q, 2 * t, t)
-                    except SizeLimitExceeded:
-                        target = None  # too many t-subspaces to list: search codes
-                    if target is not None:
-                        phi = find_homomorphism(skel.graph, target, budget)
-                        if phi is not None:
-                            cert = homomorphism_certificate(
-                                skel.graph, target, phi, "skeleton into q-Kneser graph"
-                            )
-                            return Extremal(v, v, "homomorphism", certificate=cert)
-                        continue
-                code = solve(net, q, t, budget)
-                if code is not None:
-                    return Extremal(v, v, method, certificate=code_certificate(net, code))
-            except BudgetExhausted:
-                return Extremal(v, v_max, "bracket", exact=False)
-        v = psi(v + 1)
-    raise AssertionError("vector scan passed the sufficiency bound without a solution")
+    """Smallest q^t with a (q,t)-linear solution, with certificate: `_least`
+    over every pair (q, t)."""
+    return _least(net, budget, vector=True)
 
 
 def gap_exact(net: Network, budget: int = DEFAULT_BUDGET, description: str = "network") -> GapReport:
     qs = qs_exact(net, budget)
     qv = qv_exact(net, budget)
-    if qs.exact and qv.exact:
-        assert qv.value <= qs.value, "vector optimum exceeded scalar optimum"
+    if qs.exact and qv.exact and qv.value > qs.value:
+        raise InternalError(f"vector optimum {qv.value} exceeded scalar optimum {qs.value}")
     return GapReport(network=description, qs=qs, qv=qv)
 
 
@@ -364,7 +351,11 @@ def gap_table_rows(qs=(2, 3), ts=(1, 2), exact_limit: int = 4, budget: int = DEF
                 net = build_kneser(q, t, 2)
                 report = gap_exact(net, budget, description=f"K_{{{q},{t};2}}")
                 if report.exact:
-                    assert report.qv.value == qv_val and report.qs.value == qs_val
+                    exact = (report.qv.value, report.qs.value)
+                    if exact != (qv_val, qs_val):
+                        raise InternalError(
+                            f"K_{{{q},{t};2}}: exact (q_v, q_s) = {exact}, closed form {(qv_val, qs_val)}"
+                        )
                     methods = report.methods
             rows.append(
                 {

@@ -331,7 +331,7 @@ def element_tables(f: FieldSpec) -> tuple[list[list[Felt]], list[list[Felt]], li
     return cached
 
 
-def make_field(p: int, m: int, *, max_q: int = MAX_FIELD_SIZE) -> FieldSpec:
+def make_field(p: int, m: int) -> FieldSpec:
     """F_{p^m} with modulus smallest_irreducible(F_p, m); F_p itself has modulus x.
 
     The modulus is the first monic irreducible polynomial in a fixed
@@ -342,8 +342,8 @@ def make_field(p: int, m: int, *, max_q: int = MAX_FIELD_SIZE) -> FieldSpec:
     if m < 1:
         raise ValueError(f"extension degree m={m} must be >= 1")
     q = p**m
-    if q > max_q:
-        raise SizeLimitExceeded(f"field size {q} exceeds limit {max_q}")
+    if q > MAX_FIELD_SIZE:
+        raise SizeLimitExceeded(f"field size {q} exceeds limit {MAX_FIELD_SIZE}")
     cached = _FIELD_CACHE.get((p, m))
     if cached is not None:
         return cached
@@ -354,12 +354,12 @@ def make_field(p: int, m: int, *, max_q: int = MAX_FIELD_SIZE) -> FieldSpec:
     return field
 
 
-def field_of_order(q: int, *, max_q: int = MAX_FIELD_SIZE) -> FieldSpec:
+def field_of_order(q: int) -> FieldSpec:
     """The field of size q, for q any prime power."""
     pp = prime_power(q)
     if pp is None:
         raise ValueError(f"q={q} is not a prime power")
-    return make_field(*pp, max_q=max_q)
+    return make_field(*pp)
 
 
 # ---------------------------------------------------------------------------

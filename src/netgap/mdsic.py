@@ -100,12 +100,12 @@ def _hamming(a, b) -> int:
     return sum(1 for x, y in zip(a, b) if x != y)
 
 
-def min_distance(code, *, limit: int = BRUTE_FORCE_LIMIT) -> int:
+def min_distance(code) -> int:
     """Exact minimum distance by enumeration."""
     if isinstance(code, LinearCode):
         total = code.field.q**code.dim
-        if total > limit:
-            raise SizeLimitExceeded(f"{total} codewords exceed brute-force limit {limit}")
+        if total > BRUTE_FORCE_LIMIT:
+            raise SizeLimitExceeded(f"{total} codewords exceed brute-force limit {BRUTE_FORCE_LIMIT}")
         best = None
         zero = (0,) * code.length
         for word in code.generator.row_combinations():
@@ -118,8 +118,8 @@ def min_distance(code, *, limit: int = BRUTE_FORCE_LIMIT) -> int:
             raise ValueError("code has no nonzero codewords")
         return best
     pairs = len(code.codewords) * (len(code.codewords) - 1) // 2
-    if pairs > limit:
-        raise SizeLimitExceeded(f"{pairs} codeword pairs exceed brute-force limit {limit}")
+    if pairs > BRUTE_FORCE_LIMIT:
+        raise SizeLimitExceeded(f"{pairs} codeword pairs exceed brute-force limit {BRUTE_FORCE_LIMIT}")
     if len(code.codewords) < 2:
         raise ValueError("distance needs at least two codewords")
     return min(_hamming(a, b) for a, b in itertools.combinations(code.codewords, 2))
@@ -449,8 +449,6 @@ def ic_exists_of_size(
     alpha: int,
     size: int,
     budget: int = DEFAULT_BUDGET,
-    *,
-    limit: int = ENUMERATION_LIMIT,
 ) -> IndependentConfiguration | None:
     """A (t;h,alpha)_q-IC with `size` members, or None (complete search).
 
@@ -468,7 +466,9 @@ def ic_exists_of_size(
     frame = standard_frame(fld, t, h, alpha)
     if size <= len(frame):
         return IndependentConfiguration(fld, t, h, tuple(frame[:size]))
-    _, best, exact, nodes = _assignment_search(fld, t, h, alpha, budget, limit, bound, target=size)
+    _, best, exact, nodes = _assignment_search(
+        fld, t, h, alpha, budget, ENUMERATION_LIMIT, bound, target=size
+    )
     if len(best) >= size:
         return IndependentConfiguration(fld, t, h, tuple(best[:size]))
     if not exact:

@@ -164,9 +164,8 @@ def topological_order(net: Network) -> list[str]:
 
 def essential_nodes(net: Network) -> set[str]:
     """Nodes on some source-to-terminal path."""
-    # one node per visit, at most one per source, terminal and edge head in
-    # each direction, so only the deadline stops it
-    bud = Budget(1 + len(net.terminals) + 2 * len(net.edges))
+    # one node per visit, and only the deadline stops it
+    bud = Budget()
     outs, ins = net._incidence
     fwd = {net.source}
     frontier = deque([net.source])
@@ -255,13 +254,13 @@ def _middle_network(
     hyperedge is a tuple of middle indices, and its terminal `t<i>_<j>...`
     is fed by those middles in order.  Edges are numbered source edges
     first, then each terminal's.  One node per terminal edge is spent on
-    `bud` (by default a budget of exactly those), so only the deadline
-    stops the construction.
+    `bud` (by default one with no node limit), so only the deadline stops
+    the construction.
     """
     hyperedges = list(hyperedges)
     n_edges = len(middles) + sum(map(len, hyperedges))
     if bud is None:
-        bud = Budget(n_edges)
+        bud = Budget()
     ids = iter(_edge_ids(n_edges))
     edges = [Edge(next(ids), "s", m) for m in middles]
     terminals = []
@@ -341,10 +340,9 @@ def build_kneser(q: int, t: int, h: int, *, max_terminal_scan: int = ENUMERATION
             f"limit {max_terminal_scan}"
         )
     # h t-subspaces span F_q^{ht} iff they are in direct sum.  One node per
-    # candidate scanned, per vector listed in a span of k < h middles (at
-    # most q^{kt} each) and per terminal edge made, so only the deadline
-    # stops the construction
-    bud = Budget((h + 1) * n_subsets + sum(math.comb(r, k) * q ** (k * t) for k in range(2, h)))
+    # candidate scanned, per vector listed in a span of k < h middles and
+    # per terminal edge made, and only the deadline stops the construction
+    bud = Budget()
     middle_ids = [f"m{i}" for i in range(r)]
     subsets = DirectSumIndex(middles).direct_sum_subsets(h, bud)
     return _middle_network(h, middle_ids, subsets, dict(zip(middle_ids, middles)), bud)
@@ -491,7 +489,7 @@ def is_solvable(net: Network) -> bool:
     if is_subcombination(net):
         return True  # h disjoint source-middle-terminal paths per terminal
     solver = _FlowSolver(net)
-    bud = Budget(len(net.terminals))  # one node per terminal: only the deadline stops it
+    bud = Budget()  # one node per terminal: only the deadline stops it
     for t in net.terminals:
         bud.spend()
         if solver.max_flow_to(solver.node_index[t], cutoff=net.h) < net.h:
@@ -522,7 +520,7 @@ def is_minimal(net: Network) -> bool:
             mask |= reach[e.head]
         reach[v] = mask
     # one node per max flow: only the deadline stops it
-    bud = Budget(sum(reach[e.head].bit_count() for e in net.edges))
+    bud = Budget()
     for k, e in enumerate(net.edges):
         mask = reach[e.head]
         while mask:

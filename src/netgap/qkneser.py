@@ -41,6 +41,8 @@ from .subspaces import (
 
 def build_qkneser(q: int, n: int, m: int, *, limit: int = ENUMERATION_LIMIT) -> UGraph:
     """qK_{n:m}: m-subspaces of F_q^n, adjacent iff trivially intersecting."""
+    if not 1 <= m <= n:
+        raise ValueError(f"qK_{{n:m}} needs 1 <= m <= n, got n={n}, m={m}")
     fld = field_of_order(q)
     verts = enumerate_subspaces(fld, n, m, limit=limit)
     masks = DirectSumIndex(verts).pair_masks()
@@ -61,9 +63,8 @@ def build_qkneser_hyper(q: int, t: int, h: int, *, limit: int = ENUMERATION_LIMI
         raise SizeLimitExceeded(f"{n_subsets} candidate hyperedges exceed limit {limit}")
     # h t-subspaces sum to F_q^{ht} iff they are in direct sum.  One node
     # per candidate scanned and per vector listed in a span of k < h
-    # vertices (at most q^{kt} each), so only the deadline stops the listing
-    bud = Budget(n_subsets + sum(math.comb(r, k) * q ** (k * t) for k in range(2, h)))
-    hyperedges = DirectSumIndex(verts).direct_sum_subsets(h, bud)
+    # vertices, and only the deadline stops the listing
+    hyperedges = DirectSumIndex(verts).direct_sum_subsets(h, Budget())
     return Hypergraph.from_hyperedges(r, h, hyperedges, labels=tuple(verts))
 
 
@@ -170,7 +171,7 @@ def greedy_clique(g: UGraph) -> tuple[int, ...]:
     per clique vertex, so only the wall-clock deadline can stop it.
     """
     order, adj = g.static_order
-    bud = Budget(len(adj))
+    bud = Budget()
     clique = []
     candidates = (1 << len(adj)) - 1
     while candidates:
@@ -280,7 +281,7 @@ def greedy_coloring(g: UGraph) -> Coloring:
     wall-clock deadline can stop it.
     """
     n = g.num_vertices
-    return _dsatur(g.static_order, n, (), Budget(n))
+    return _dsatur(g.static_order, n, (), Budget())
 
 
 @dataclass

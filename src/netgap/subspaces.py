@@ -94,8 +94,8 @@ def enumerate_subspaces(field: FieldSpec, n: int, t: int, *, limit: int = ENUMER
 
     Iterates RREF profiles (pivot sets x free entries) so the cost is linear
     in the output size: each basis is read straight off its free entries
-    into flat row-major data.  Each subspace is one node of a Budget sized
-    to the count, spent up to a checkpoint interval at a time, so only the
+    into flat row-major data.  Each subspace is one node of a Budget with no
+    node limit, spent up to a checkpoint interval at a time, so only the
     wall-clock deadline can stop the enumeration.
     """
     count = gaussian_coefficient(n, t, field.q)
@@ -106,7 +106,7 @@ def enumerate_subspaces(field: FieldSpec, n: int, t: int, *, limit: int = ENUMER
     if t == n:  # the whole space; below, `take` reads at least two entries
         return [Subspace.identity(field, n)]
     out: list[Subspace] = []
-    bud = Budget(count)
+    bud = Budget()
     for pivots in itertools.combinations(range(n), t):
         # entry (i, j) of the basis is free iff j lies right of pivot i and
         # is no pivot column; `take` reads the flat data off the free values
@@ -141,11 +141,11 @@ def positions(universe: list[Subspace], members) -> list[int]:
     return [index[s.data] for s in members]
 
 
-def subspaces_up_to_dim(field: FieldSpec, n: int, t: int, *, limit: int = ENUMERATION_LIMIT) -> list[Subspace]:
+def subspaces_up_to_dim(field: FieldSpec, n: int, t: int) -> list[Subspace]:
     """Subspaces of dimension t, t-1, ..., 0, each block in canonical order."""
     out: list[Subspace] = []
     for d in range(t, -1, -1):
-        out.extend(enumerate_subspaces(field, n, d, limit=limit))
+        out.extend(enumerate_subspaces(field, n, d))
     return out
 
 
@@ -244,16 +244,15 @@ class DirectSumIndex:
         self.spaces = spaces
         self.full = (1 << len(spaces)) - 1
         self.packed = packed = PackedVectors(field, n) if spaces else None
-        # one node per vector listed, the zero vector included, so only the
+        # one node per vector listed, the zero vector included, and only the
         # deadline stops the listing
-        sizes = [field.q**s.dim for s in spaces]
-        bud = Budget(sum(sizes))
+        bud = Budget()
         points = []
         multiples: dict[tuple, list[int]] = {}  # per basis row: universes share rows
-        for s, size in zip(spaces, sizes):
+        for s in spaces:
             # the span as sums, row by row: old vectors plus each nonzero
             # multiple of the next row, so every vector is listed once
-            bud.spend_many(size)
+            bud.spend_many(field.q**s.dim)
             data = s.data
             span = [0]
             for k in range(0, len(data), n):
@@ -374,7 +373,7 @@ def intersection(a: Subspace, b: Subspace) -> Subspace:
     return subspace_from_rows(f, inter_rows, n)
 
 
-def spread(field: FieldSpec, t: int, *, limit: int = ENUMERATION_LIMIT) -> list[Subspace]:
+def spread(field: FieldSpec, t: int) -> list[Subspace]:
     """A t-spread of F_q^{2t}: q^t+1 pairwise trivially intersecting t-subspaces.
 
     Standard field-extension construction: the lines of F_{q^t}^2 viewed as
@@ -382,8 +381,8 @@ def spread(field: FieldSpec, t: int, *, limit: int = ENUMERATION_LIMIT) -> list[
     irreducible g of degree t.
     """
     q = field.q
-    if q**t + 1 > limit or 2 * t * q**t > limit:
-        raise SizeLimitExceeded(f"spread of F_{q}^{2*t} exceeds limit {limit}")
+    if q**t + 1 > ENUMERATION_LIMIT or 2 * t * q**t > ENUMERATION_LIMIT:
+        raise SizeLimitExceeded(f"spread of F_{q}^{2*t} exceeds limit {ENUMERATION_LIMIT}")
     n = 2 * t
     g = smallest_irreducible(field, t)
 

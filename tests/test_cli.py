@@ -478,10 +478,20 @@ def test_a_malformed_input_file_is_a_usage_error_naming_the_file(tmp_path, capsy
         (["qv", "--kneser", "2", "0", "2"], "need t >= 1"),
         (["chi", "--qkneser-hyper", "2", "0", "2"], "needs t >= 1"),
         (["formula", "kneser-h3-lower", "q=2", "t=2"], "needs the parameter h"),
+        (["chi", "--qkneser", "2", "0", "0"], "got n=0, m=0"),
+        (["hom", "--from", "edge.json", "--to-qkneser", "2", "0", "0"], "got n=0, m=0"),
+        (["formula", "kneser-h2", "q2", "t=2"], "parameter 'q2' is not key=integer"),
+        (["formula", "kneser-h2", "q=2", "t=two"], "parameter 't=two' is not key=integer"),
+        (["formula", "kneser-h2", "q=2", "t=2", "t=3"], "parameter t is given twice"),
     ],
-    ids=["coloring-m0", "build-kneser-t0", "qv-kneser-t0", "chi-hyper-t0", "formula-no-h"],
+    ids=[
+        "coloring-m0", "build-kneser-t0", "qv-kneser-t0", "chi-hyper-t0", "formula-no-h",
+        "chi-qkneser-n0-m0", "hom-to-qkneser-n0-m0", "formula-no-equals", "formula-not-integer",
+        "formula-repeated-key",
+    ],
 )
 def test_a_parameter_error_names_the_parameter(tmp_path, capsys, monkeypatch, argv, message):
+    (tmp_path / "edge.json").write_text(json.dumps({"vertices": [0, 1], "edges": [[0, 1]]}))
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(argv, capsys)
     assert code == EXIT_USAGE and out == ""
@@ -699,7 +709,7 @@ def _run_script(script):
 # Child process body: with `python -O` stripping every assert, each
 # self-check must still raise once the check it guards is made to fail.
 _SELF_CHECKS_UNDER_O = """
-from netgap import lincode, mdsic
+from netgap import gaplab, lincode, mdsic
 from netgap.errors import InternalError
 from netgap.networks import Edge, Network, build_butterfly, build_combination
 
@@ -721,6 +731,19 @@ try:
     lincode.search_solution(Network(2, "s", ("t",), ("s", "a", "t"), edges), 2, 1)
 except ValueError:
     print("order check")
+# q_s = 1 below the butterfly's q_v = 2, then a K_{2,1;2} row off its closed form
+gaplab.qs_exact = lambda net, budget: gaplab.Extremal(1, 1, "stub", certificate={})
+try:
+    gaplab.gap_exact(build_butterfly())
+except InternalError:
+    print("gap check")
+gaplab.gap_exact = lambda net, budget, description: gaplab.GapReport(
+    description, gaplab.Extremal(3, 3, "stub", certificate={}), gaplab.Extremal(2, 2, "stub", certificate={})
+)
+try:
+    gaplab.gap_table_rows(qs=(2,), ts=(1,), exact_limit=2)
+except InternalError:
+    print("table check")
 """
 
 
@@ -730,7 +753,9 @@ def test_self_checks_survive_python_dash_o():
         capture_output=True, text=True, env=_child_env(), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:3] == ["ic check", "search check", "order check"]
+    assert proc.stdout.split("\n")[:5] == [
+        "ic check", "search check", "order check", "gap check", "table check"
+    ]
 
 
 def test_chi_wall_clock_timeout_is_enforced(tmp_path):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netgap.certs import check_certificate
-from netgap.errors import InternalError, UnsolvableNetwork
+from netgap.errors import DEFAULT_BUDGET, InternalError, SizeLimitExceeded, UnsolvableNetwork
 from netgap.gaplab import (
     Extremal,
     candidate_qt_pairs,
@@ -20,15 +22,19 @@ from netgap.gaplab import (
     qv_exact,
     verify_bertrand_range,
 )
+from netgap.graphs import UGraph
 from netgap.lincode import search_solution
 from netgap.networks import (
     build_butterfly,
     build_combination,
     build_kneser,
     combination_parameters,
+    extend_messages,
     is_minimal,
     is_subcombination,
+    parallelize,
 )
+from netgap.skeleton import reverse_skeleton
 
 from subnetworks import relabel, sub_combination
 
@@ -155,6 +161,116 @@ def test_chi_and_search_agree_on_reverse_skeletons():
     assert (res.lo, res.hi) == (11, 12)
     assert check_certificate(qs.certificate) == (True, "proper coloring with 12 colors")
     assert qs.value == psi(chromatic_number(graph).chi - 1) == 11
+
+
+# (lo, hi, exact, method, SHA-256 of the certificate's sorted JSON) of q_s
+# and q_v: every route, both code-search labels and the skeleton chi
+# bracket that the greedy colouring closes at 11
+_ROUTE_PINS = [
+    pytest.param(
+        build_butterfly,
+        DEFAULT_BUDGET,
+        (2, 2, True, "skeleton-chi", "188cbebee44f29e1621e414546e69d9a67cc36757f20e6a3c65802b6a35f3874"),
+        (2, 2, True, "homomorphism", "710961ecf7d4a60d680e548b8a6c404d2777e5839d33f78320c4327187b06327"),
+        id="butterfly",
+    ),
+    pytest.param(
+        lambda: extend_messages(build_combination(2, 3, 2), 3),
+        DEFAULT_BUDGET,
+        (2, 2, True, "exhaustive", "ff6141b7fc0b6ce3eba62cca85d4dc3fefc451715524d1a971fdba6e312980dd"),
+        (2, 2, True, "exhaustive", "ff6141b7fc0b6ce3eba62cca85d4dc3fefc451715524d1a971fdba6e312980dd"),
+        id="N232-extend3",
+    ),
+    pytest.param(
+        lambda: parallelize(build_combination(2, 3, 2), 2),
+        DEFAULT_BUDGET,
+        (2, 2, True, "exhaustive", "d5f98371f36b2c5de0176f7aeb09b41b41bef4299858be949ea43d2ec60d2fe8"),
+        (2, 2, True, "exhaustive", "d5f98371f36b2c5de0176f7aeb09b41b41bef4299858be949ea43d2ec60d2fe8"),
+        id="N232-parallel2",
+    ),
+    pytest.param(
+        lambda: build_kneser(2, 1, 2),
+        DEFAULT_BUDGET,
+        (2, 2, True, "skeleton-chi", "070667205e4c841a2d5c4da8ea17e843b36ea7214969fb9ca195cef3477de180"),
+        (2, 2, True, "ic", "e299a95d0d476d4de791315058fa234fd46a091bc41673f644cd8d41a0aa5e87"),
+        id="K212",
+    ),
+    pytest.param(
+        lambda: build_kneser(2, 2, 2),
+        DEFAULT_BUDGET,
+        (5, 5, True, "skeleton-chi", "86629e4b606fd75f95c3fb9b74453d80b9178d07be7ced870f8c8bb255f2a665"),
+        (4, 4, True, "homomorphism", "a75267d5c4a5e4b302b559a73ca633b70759f1f0e693e29ca85425703d327dc8"),
+        id="K222",
+    ),
+    pytest.param(
+        lambda: build_kneser(3, 2, 2),
+        DEFAULT_BUDGET,
+        (11, 11, True, "skeleton-chi", "ea85d7e991d6239d251733cfb597f86451742150c80558b31ab332ebe9ae53bf"),
+        (9, 9, True, "homomorphism", "97170b1bec692708d3a8c7b586a90ad78bb9bfdd304d82988c7d5636f2f4f6de"),
+        id="K322",
+    ),
+    pytest.param(
+        lambda: build_combination(2, 5, 2),
+        DEFAULT_BUDGET,
+        (4, 4, True, "skeleton-chi", "5b967fb9ddfb9bc97bf4fc4cae588b9332e7fb906e40fb78124ccdfbcdd821be"),
+        (4, 4, True, "ic", "48ba0ba233aae038ce60b9e059d80e81fc9737bdad1e84a0f77a2d76d3d94497"),
+        id="N252",
+    ),
+    pytest.param(
+        lambda: build_combination(3, 6, 3),
+        DEFAULT_BUDGET,
+        (4, 4, True, "exhaustive", "e7eddf64d0e1fd905b9de13905ebaa512f2576f38b0fb4068ea3c096ea0b080c"),
+        (4, 4, True, "ic", "e8d282a15c50381a6ed326db37f0e12a63333d6678be7d2b050ebcbf69c95ec7"),
+        id="N363",
+    ),
+    pytest.param(
+        lambda: build_combination(4, 7, 4),
+        DEFAULT_BUDGET,
+        (7, 7, True, "exhaustive", "286b54629ce91082f6c907856fdabd9b41a5bf3ca0861764fd256f20c8d6cf53"),
+        (7, 7, True, "ic", "286b54629ce91082f6c907856fdabd9b41a5bf3ca0861764fd256f20c8d6cf53"),
+        id="N474",
+    ),
+    pytest.param(
+        lambda: sub_combination(3, 8, 50, 1),
+        DEFAULT_BUDGET,
+        (7, 7, True, "exhaustive", "acbc73bf680fabbdfd183d064d3cc53a55c8f3fd428761d3f0f227ded13049d1"),
+        (7, 7, True, "exhaustive", "acbc73bf680fabbdfd183d064d3cc53a55c8f3fd428761d3f0f227ded13049d1"),
+        id="N383-50",
+    ),
+    pytest.param(
+        lambda: reverse_skeleton(UGraph.from_edges(5, [(v, (v + 1) % 5) for v in range(5)])),
+        DEFAULT_BUDGET,
+        (2, 2, True, "skeleton-chi", "0793efdbb1f15beb995667305ef3ad48a423c17299a79d7f5d7b685d1e4b8368"),
+        (2, 2, True, "homomorphism", "4bdb18f6ae6c355bdf939872e0b1e041e3822dd4d64919ca47b6c58f221984bf"),
+        id="C5-reverse",
+    ),
+    pytest.param(
+        lambda: build_kneser(3, 2, 2),
+        1206,
+        (9, 11, False, "skeleton-chi-bracket", "74234e98afe7498fb5daf1f36ac2d78acc339464f950703b8c019892f982b90b"),
+        (9, 9, True, "homomorphism", "97170b1bec692708d3a8c7b586a90ad78bb9bfdd304d82988c7d5636f2f4f6de"),
+        id="K322-1206",
+    ),
+]
+
+
+@pytest.mark.parametrize(("build", "budget", "qs_pin", "qv_pin"), _ROUTE_PINS)
+def test_routes_labels_brackets_and_certificates_are_pinned(build, budget, qs_pin, qv_pin):
+    for run, pin in ((qs_exact, qs_pin), (qv_exact, qv_pin)):
+        res = run(build(), budget)
+        digest = hashlib.sha256(json.dumps(res.certificate, sort_keys=True).encode()).hexdigest()
+        assert (res.lo, res.hi, res.exact, res.method, digest) == pin, run.__name__
+
+
+def test_a_homomorphism_target_too_large_to_list_ends_qv(monkeypatch):
+    # the code search listing the same t-subspaces would stop at the same
+    # limit, so q_v reports the limit instead of searching codes
+    from netgap import gaplab
+    from netgap.qkneser import build_qkneser
+
+    monkeypatch.setattr(gaplab, "build_qkneser", lambda q, n, m: build_qkneser(q, n, m, limit=0))
+    with pytest.raises(SizeLimitExceeded, match="exceed limit 0"):
+        qv_exact(build_butterfly())
 
 
 def test_unsolvable_reported_distinctly():
