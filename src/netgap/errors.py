@@ -1,9 +1,17 @@
-"""Shared exception types and the one search budget."""
+"""Shared exception types and the one search budget.
+
+`Budget` is the only reader of the wall-clock deadline: every search and
+every walk that `deadline` must be able to stop spends its nodes on one,
+by `spend`, `spend_many` or `each`, so the checkpoint cadence is known
+here alone.
+"""
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 
 
@@ -41,11 +49,11 @@ _deadline: float | None = None
 
 @contextmanager
 def deadline(seconds: float | None):
-    """Stop the searches run inside the block once `seconds` have passed.
+    """Stop the searches and walks run inside the block once `seconds` have passed.
 
-    The limit is checked cooperatively by `check_deadline`: it ends the
-    running search or walk at its next checkpoint and, once past, every
-    later one too.  None or 0 sets no limit.
+    The limit is checked cooperatively: each `Budget` reads it at its
+    checkpoints, so it ends the running search or walk at its next one
+    and, once past, every later one too.  None or 0 sets no limit.
     """
     global _deadline
     _deadline = time.monotonic() + seconds if seconds else None
@@ -55,28 +63,16 @@ def deadline(seconds: float | None):
         _deadline = None
 
 
-# the one checkpoint cadence: the deadline is read before the node or
-# element at 0-based index i when i & CHECKPOINT_MASK == CHECKPOINT_MASK,
-# that is before every 1024th one
-CHECKPOINT_MASK = 1023
+# the one checkpoint cadence: a Budget reads the deadline before the node at
+# 0-based index i when i & _CHECKPOINT_MASK == _CHECKPOINT_MASK, that is
+# before every 1024th one
+_CHECKPOINT_MASK = 1023
 
 
-def check_deadline(done: int) -> None:
-    """Raise BudgetExhausted, with `done` nodes used, once the deadline has passed.
-
-    `Budget.spend` calls it at every checkpoint; walks that no node limit
-    could stop call it at the same checkpoints themselves, passing i.
-    """
+def _check_deadline(done: int) -> None:
+    """Raise BudgetExhausted, with `done` nodes used, once the deadline has passed."""
     if _deadline is not None and time.monotonic() >= _deadline:
         raise BudgetExhausted("wall-clock timeout", nodes_used=done)
-
-
-def check_deadline_over(done: int, count: int) -> None:
-    """`check_deadline` for the elements done..done+count-1 at once: read
-    once, at the first checkpoint among them, if there is one."""
-    checkpoint = done | CHECKPOINT_MASK
-    if checkpoint < done + count:
-        check_deadline(checkpoint)
 
 
 # the node limit of every search that is given none
@@ -107,8 +103,8 @@ class Budget:
         i = self.used
         if i >= self.limit:
             raise BudgetExhausted(f"{what} budget exhausted", nodes_used=i)
-        if i & CHECKPOINT_MASK == CHECKPOINT_MASK:
-            check_deadline(i)
+        if i & _CHECKPOINT_MASK == _CHECKPOINT_MASK:
+            _check_deadline(i)
         self.used = i + 1
 
     def spend_many(self, count: int, what: str = "search") -> None:
@@ -116,11 +112,26 @@ class Budget:
         read once, at the first checkpoint they cross, if they cross one."""
         i = self.used
         end = i + count
-        checkpoint = i | CHECKPOINT_MASK
+        checkpoint = i | _CHECKPOINT_MASK
         if checkpoint < min(end, self.limit):
             self.used = checkpoint
-            check_deadline(checkpoint)
+            _check_deadline(checkpoint)
         if end > self.limit:
             self.used = self.limit
             raise BudgetExhausted(f"{what} budget exhausted", nodes_used=self.limit)
         self.used = end
+
+    def each(self, items: Iterable, what: str = "search") -> Iterator:
+        """Yield the items, spending one node on each: one `spend_many` per
+        chunk, each ending just before a checkpoint, so the deadline is read
+        before the item a `spend` per item would read it at.  A chunk is
+        taken ahead, so a list that grows while it is walked must `spend`."""
+        items = iter(items)
+        while True:
+            # up to the next checkpoint, or a whole interval from one
+            size = _CHECKPOINT_MASK - (self.used & _CHECKPOINT_MASK) or _CHECKPOINT_MASK + 1
+            chunk = list(itertools.islice(items, size))
+            if not chunk:
+                return
+            self.spend_many(len(chunk), what)
+            yield from chunk

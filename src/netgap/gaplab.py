@@ -292,6 +292,9 @@ def gap_formulas(kind: str, **params) -> FormulaResult:
     for name in _FORMULA_PARAMETERS[kind]:
         if name not in params:
             raise ValueError(f"formula {kind} needs the parameter {name}")
+    for name in params:
+        if name not in _FORMULA_PARAMETERS[kind]:
+            raise ValueError(f"formula {kind} takes no parameter {name}")
     if kind in ("kneser-h2", "minimal-h2-upper", "kneser-h2-t2-lower", "kneser-h3-lower"):
         q, t = params["q"], params["t"]
         if q < 2 or t < 1:

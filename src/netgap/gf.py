@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import SizeLimitExceeded, check_deadline_over
+from .errors import Budget, SizeLimitExceeded
 
 MAX_FIELD_SIZE = 2**20
 # Above this order, multiplication falls back to schoolbook reduction
@@ -313,15 +313,16 @@ def element_tables(f: FieldSpec) -> tuple[list[list[Felt]], list[list[Felt]], li
 
     add[a][b] = a+b, neg_mul[c][y] = -c*y and scale[a][y] = a^{-1}*y, with
     scale[0] None.  Every caller gets the same lists: index, never modify.
-    The 3q^2 entries are built row by row, and the deadline is read at
-    their checkpoints; tables cut short by it are not cached.
+    The 3q^2 entries are built row by row, one node each on a Budget with
+    no node limit; tables cut short by the deadline are not cached.
     """
     cached = _ELEMENT_TABLE_CACHE.get(f)
     if cached is None:
         q = f.q
         add, neg_mul, scale = [], [], [None]
+        bud = Budget()
         for a in range(q):
-            check_deadline_over(3 * q * a, 3 * q)
+            bud.spend_many(3 * q)
             add.append([f.add(a, b) for b in range(q)])
             neg_mul.append([f.neg(f.mul(a, y)) for y in range(q)])
             if a:

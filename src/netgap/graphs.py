@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import CHECKPOINT_MASK, check_deadline, check_deadline_over
+from .errors import Budget
 from .subspaces import Subspace
 
 
@@ -26,11 +26,9 @@ class UGraph:
     @classmethod
     def from_edges(cls, num_vertices, edge_iter, labels=None, names=None) -> "UGraph":
         """The graph of the listed pairs, in either order and with repeats."""
-        # the deadline is read before every 1024th listed edge
+        # one node per listed edge, and only the deadline stops it
         masks = [0] * num_vertices
-        for i, (a, b) in enumerate(edge_iter):
-            if i & CHECKPOINT_MASK == CHECKPOINT_MASK:
-                check_deadline(i)
+        for a, b in Budget().each(edge_iter):
             if a == b:
                 raise ValueError(f"self-loop at vertex {a}")
             if not (0 <= a < num_vertices and 0 <= b < num_vertices):
@@ -45,20 +43,20 @@ class UGraph:
 
         The masks must be symmetric; the graph keeps them as its adjacency.
         One walk over each mask's bits above its vertex lists the sorted
-        edge tuple, reading the deadline before every 1024th edge (once per
-        vertex whose edges cross a checkpoint).
+        edge tuple, one node per edge, spent a vertex at a time.
         """
         masks = list(masks)
         if len(masks) != num_vertices:
             raise ValueError(f"{len(masks)} masks for {num_vertices} vertices")
         edges = []
+        bud = Budget()
         for a, mask in enumerate(masks):
             if mask < 0 or mask >> num_vertices:
                 raise ValueError(f"mask of vertex {a} out of range")
             if mask >> a & 1:
                 raise ValueError(f"self-loop at vertex {a}")
             above = mask >> (a + 1)
-            check_deadline_over(len(edges), above.bit_count())
+            bud.spend_many(above.bit_count())
             while above:
                 low = above & -above
                 b = a + low.bit_length()

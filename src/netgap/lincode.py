@@ -76,6 +76,17 @@ def node_space_dim(net: Network, code: NetworkCode, node: str) -> int:
     return rank(stack(*mats))
 
 
+def forwarding_code(net: Network, fld: FieldSpec, t: int, matrices) -> NetworkCode:
+    """The i-th t x ht matrix on the i-th source edge, forwarded by its
+    middle node on each of its out-edges.  Each is carried as a plain coding
+    Matrix, so a subspace's basis may be passed as it is."""
+    middle = {
+        e.head: Matrix(fld, m.rows, m.cols, m.data) for e, m in zip(net.out_edges(net.source), matrices)
+    }
+    assignment = {e.id: middle[e.head if e.tail == net.source else e.tail] for e in net.edges}
+    return NetworkCode(field=fld, t=t, h=net.h, assignment=assignment)
+
+
 def solution_from_classical_code(net: Network, generator: Matrix) -> NetworkCode:
     """Scalar code for a combination network from an h x r generator matrix.
 
@@ -89,17 +100,8 @@ def solution_from_classical_code(net: Network, generator: Matrix) -> NetworkCode
     if generator.rows != h or generator.cols != r:
         raise ValueError(f"generator must be {h}x{r}, got {generator.rows}x{generator.cols}")
     fld = generator.field
-    assignment = {}
-    src_edges = net.out_edges(net.source)
-    middle_vec = {}
-    for i, e in enumerate(src_edges):
-        vec = tuple(generator.entry(k, i) for k in range(h))
-        assignment[e.id] = Matrix.from_rows(fld, [vec])
-        middle_vec[e.head] = assignment[e.id]
-    for e in net.edges:
-        if e.tail in middle_vec:
-            assignment[e.id] = middle_vec[e.tail]
-    return NetworkCode(field=fld, t=1, h=h, assignment=assignment)
+    columns = [Matrix(fld, 1, h, tuple(generator.entry(k, i) for k in range(h))) for i in range(r)]
+    return forwarding_code(net, fld, 1, columns)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from .certs import check_certificate
 from .errors import DEFAULT_BUDGET, Budget, BudgetExhausted, InternalError, SizeLimitExceeded
 from .gf import FieldSpec, Matrix, field_of_order, prime_power
-from .lincode import NetworkCode, solution_from_classical_code, verify_solution
+from .lincode import NetworkCode, forwarding_code, solution_from_classical_code, verify_solution
 from .networks import Network, build_combination, combination_parameters, is_subcombination
 from .subspaces import (
     ENUMERATION_LIMIT,
@@ -511,21 +511,11 @@ def subcombination_solution(
         spaces = None if len(best) < size else [s for _, s in sorted(zip(order, best))]
     if spaces is None:
         return None
-    code = _forwarding_code(net, fld, t, spaces)
+    code = forwarding_code(net, fld, t, spaces)
     verdict = verify_solution(net, code)
     if not verdict.ok:
         raise InternalError(f"assignment search produced a rejected code: {verdict.failure}")
     return code
-
-
-def _forwarding_code(net: Network, fld: FieldSpec, t: int, spaces) -> NetworkCode:
-    """The i-th space on the i-th source edge, forwarded by its middle node;
-    each basis is carried as a plain coding Matrix."""
-    middle = {
-        e.head: Matrix(fld, s.rows, s.cols, s.data) for e, s in zip(net.out_edges(net.source), spaces)
-    }
-    assignment = {e.id: middle[e.head if e.tail == net.source else e.tail] for e in net.edges}
-    return NetworkCode(field=fld, t=t, h=net.h, assignment=assignment)
 
 
 def ic_to_solution(config: IndependentConfiguration) -> NetworkCode:
@@ -537,7 +527,7 @@ def ic_to_solution(config: IndependentConfiguration) -> NetworkCode:
     if not ic_is_valid(config, config.h):
         raise ValueError("not a valid independent configuration at alpha = h")
     net = build_combination(config.h, len(config.members), config.h)
-    return _forwarding_code(net, config.field, config.t, config.members)
+    return forwarding_code(net, config.field, config.t, config.members)
 
 
 def solution_to_ic(net: Network, code: NetworkCode) -> IndependentConfiguration:

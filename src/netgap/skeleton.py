@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
-from .errors import check_deadline_over
+from .errors import Budget
 from .graphs import UGraph
 from .networks import Network, _middle_network
 
@@ -37,24 +37,22 @@ def skeleton(net: Network) -> SkeletonGraph:
     through such nodes.  Every node ORs the class bits of its in-edges into
     one mask, and each class's adjacency mask ORs the masks of the nodes
     its edges enter, less its own bit (a node of in-degree 1 adds nothing).
-    The deadline is read before every 1024th edge of each of the three
-    walks, once per node or class whose edges cross a checkpoint.
+    Each of the three walks spends one node per edge on one Budget with no
+    node limit, a node or class at a time.
     """
     outs, ins = net._incidence
     single = {v for v, in_list in ins.items() if len(in_list) == 1}
     roots = [e for e in net.edges if e.tail not in single]
     class_members: list[list[str]] = []
     class_heads: list[list[str]] = []  # the node each member edge enters
-    done = 0
+    bud = Budget()
     for root in roots:
-        check_deadline_over(done, 1)
-        done += 1
+        bud.spend()
         members, heads = [root.id], [root.head]
         frontier = [root.head] if root.head in single else []
         while frontier:
             out = outs.get(frontier.pop(), ())
-            check_deadline_over(done, len(out))
-            done += len(out)
+            bud.spend_many(len(out))
             members += [e.id for e in out]
             entered = [e.head for e in out]
             heads += entered
@@ -64,15 +62,13 @@ def skeleton(net: Network) -> SkeletonGraph:
 
     node_bits: dict[str, int] = {}
     for k, heads in enumerate(class_heads):
-        check_deadline_over(done, len(heads))
-        done += len(heads)
+        bud.spend_many(len(heads))
         bit = 1 << k
         for v in heads:
             node_bits[v] = node_bits.get(v, 0) | bit
     adj = []
     for k, heads in enumerate(class_heads):
-        check_deadline_over(done, len(heads))
-        done += len(heads)
+        bud.spend_many(len(heads))
         adj.append(reduce(or_, map(node_bits.__getitem__, heads), 0) & ~(1 << k))
 
     class_ids = [min(members) for members in class_members]

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from operator import itemgetter
 
-from .errors import CHECKPOINT_MASK, Budget, SizeLimitExceeded
+from .errors import Budget, SizeLimitExceeded
 from .gf import FieldSpec, Matrix, element_tables, poly_mod, rank, rref, smallest_irreducible
 
 ENUMERATION_LIMIT = 10**6
@@ -95,8 +95,7 @@ def enumerate_subspaces(field: FieldSpec, n: int, t: int, *, limit: int = ENUMER
     Iterates RREF profiles (pivot sets x free entries) so the cost is linear
     in the output size: each basis is read straight off its free entries
     into flat row-major data.  Each subspace is one node of a Budget with no
-    node limit, spent up to a checkpoint interval at a time, so only the
-    wall-clock deadline can stop the enumeration.
+    node limit, so only the wall-clock deadline can stop the enumeration.
     """
     count = gaussian_coefficient(n, t, field.q)
     if count > limit:
@@ -126,9 +125,7 @@ def enumerate_subspaces(field: FieldSpec, n: int, t: int, *, limit: int = ENUMER
         take = itemgetter(*source)
         # free values in itertools.product order are the bases in canonical order
         values = itertools.product(field.elements(), repeat=k)
-        while chunk := list(itertools.islice(values, CHECKPOINT_MASK + 1)):
-            bud.spend_many(len(chunk))
-            out.extend([Subspace(field, t, n, take(v + (0, 1))) for v in chunk])
+        out.extend([Subspace(field, t, n, take(v + (0, 1))) for v in bud.each(values)])
     assert len(out) == count
     return out
 

@@ -217,7 +217,30 @@ def test_a_bulk_spend_is_the_same_as_single_spends(limit, expired):
             for count in rows:
                 bud.spend_many(count)
 
-        assert outcome(bulk) == outcome(single), rows
+        def each(bud):
+            for count in rows:
+                for _ in bud.each(range(count)):
+                    pass
+
+        assert outcome(bulk) == outcome(single) == outcome(each), rows
+
+
+def test_each_reads_the_deadline_where_single_spends_would(monkeypatch):
+    # the items before a checkpoint are yielded before the deadline is read
+    # there, and a walk reads the clock as often as a spend per item would
+    seen = []
+    with deadline(EXPIRED), pytest.raises(BudgetExhausted, match="wall-clock") as exc:
+        for item in Budget().each(range(5000)):
+            seen.append(item)
+    assert exc.value.nodes_used == FIRST_CHECKPOINT and seen == list(range(FIRST_CHECKPOINT))
+    reads = []
+    monkeypatch.setattr(errors, "time", types.SimpleNamespace(monotonic=lambda: reads.append(1) or 0))
+    single = lambda bud: [bud.spend() for _ in range(5000)]  # noqa: E731
+    for walk in (single, lambda bud: list(bud.each(range(5000)))):
+        reads.clear()
+        with deadline(10**9):
+            walk(Budget())
+        assert len(reads) == 1 + 4  # the deadline's start, then 1023, 2047, 3071 and 4095
 
 
 def test_flow_solver_set_up_stops_at_an_expired_deadline():

@@ -483,11 +483,12 @@ def test_a_malformed_input_file_is_a_usage_error_naming_the_file(tmp_path, capsy
         (["formula", "kneser-h2", "q2", "t=2"], "parameter 'q2' is not key=integer"),
         (["formula", "kneser-h2", "q=2", "t=two"], "parameter 't=two' is not key=integer"),
         (["formula", "kneser-h2", "q=2", "t=2", "t=3"], "parameter t is given twice"),
+        (["formula", "kneser-h2", "q=2", "t=2", "z=3"], "takes no parameter z"),
     ],
     ids=[
         "coloring-m0", "build-kneser-t0", "qv-kneser-t0", "chi-hyper-t0", "formula-no-h",
         "chi-qkneser-n0-m0", "hom-to-qkneser-n0-m0", "formula-no-equals", "formula-not-integer",
-        "formula-repeated-key",
+        "formula-repeated-key", "formula-unknown-key",
     ],
 )
 def test_a_parameter_error_names_the_parameter(tmp_path, capsys, monkeypatch, argv, message):

@@ -438,6 +438,8 @@ def test_formula_unknown_kind():
         gap_formulas("kneser-h2", q=2, t=0)
     with pytest.raises(ValueError):
         gap_formulas("combination-upper", h=3, r=2)
+    with pytest.raises(ValueError, match="takes no parameter h"):
+        gap_formulas("kneser-h2", q=2, t=2, h=3)
 
 
 def test_formula_inequalities_across_grid():

@@ -89,3 +89,26 @@ def test_no_test_module_imports_a_private_name_from_the_cli():
                     if alias.name.startswith("_")
                 ]
     assert private == []
+
+
+def test_only_errors_reads_the_deadline():
+    # every search and walk spends on an `errors.Budget`, the one reader of
+    # the wall-clock deadline: no other module knows the checkpoint cadence
+    # or reads the monotonic clock
+    cadence = {"check_deadline", "check_deadline_over", "CHECKPOINT_MASK", "monotonic"}
+    readers = []
+    for path in sorted((ROOT / "src" / "netgap").glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name.lstrip("_") in cadence:
+                readers.append(f"{path.name}:{node.lineno} {name}")
+    assert readers == []
