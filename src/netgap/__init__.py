@@ -32,7 +32,7 @@ from .networks import (
     parallelize,
     prune,
 )
-from .skeleton import SkeletonGraph, reverse_skeleton, skeleton, skeleton_roundtrip_check
+from .skeleton import SkeletonGraph, reverse_skeleton, skeleton
 from .qkneser import (
     build_qkneser,
     build_qkneser_hyper,

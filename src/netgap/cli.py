@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 verified-negative result (no solution, no
 homomorphism, rejected code), 2 usage or input error, 3 budget or timeout
 exhaustion.  Every search runs on an explicit stack, so the depth of an
 input never limits it; a JSON file nested deeper than the decoder follows
-is an input error.  Every search result is written beside a replayable
+is an input error, and a command that runs out of memory exits 2 with one
+`error:` line.  Every search result is written beside a replayable
 certificate which `check-cert` re-verifies from first principles.  Each
 certificate is made by its kind's maker in `graphs`, `lincode` or `mdsic`
 (for `qs`, `qv` and `gap`, by the route that settled the value); this
@@ -179,7 +180,7 @@ def cmd_build(args) -> int:
     _write_output(
         args,
         network_to_json(net),
-        f"network: {len(net.nodes)} nodes, {len(net.edges)} edges, "
+        f"network: {len(net.nodes)} nodes, {len(net.edge_ids)} edges, "
         f"{len(net.terminals)} terminals, h={net.h}",
     )
     return EXIT_OK
@@ -725,6 +726,9 @@ def main(argv=None) -> int:
         return EXIT_BUDGET
     except (NetgapError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:  # what the command held is freed by now
+        print("error: out of memory", file=sys.stderr)
         return EXIT_USAGE
     finally:
         if collecting:

@@ -113,7 +113,7 @@ class Budget:
         i = self.used
         end = i + count
         checkpoint = i | _CHECKPOINT_MASK
-        if checkpoint < min(end, self.limit):
+        if checkpoint < end and checkpoint < self.limit:
             self.used = checkpoint
             _check_deadline(checkpoint)
         if end > self.limit:

@@ -177,9 +177,6 @@ class FieldSpec:
             return exp[(self.q - 1) - log[a]]
         return self.pow(a, self.q - 2)
 
-    def div(self, a: Felt, b: Felt) -> Felt:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: Felt, k: int) -> Felt:
         out = 1
         base = a
@@ -192,10 +189,6 @@ class FieldSpec:
 
     def elements(self) -> range:
         return range(self.q)
-
-    def check_element(self, a: Felt) -> None:
-        if not 0 <= a < self.q:
-            raise ValueError(f"element code {a} out of range for field of size {self.q}")
 
 
 # ---------------------------------------------------------------------------

@@ -108,31 +108,32 @@ def solution_from_classical_code(net: Network, generator: Matrix) -> NetworkCode
 # exhaustive solution search
 # ---------------------------------------------------------------------------
 
-def _completion_dfs_order(net: Network) -> list:
-    """Edge order for the search: a linear extension that completes merge
+def _completion_dfs_order(net: Network) -> list[int]:
+    """Edge indices in search order: a linear extension that completes merge
     nodes and terminals as early as possible, so rank checks prune early.
 
     A depth-first walk on an explicit stack of out-edge iterators: a node is
     entered as soon as its last in-edge is scheduled, before the rest of
     its tail's out-edges.
     """
-    remaining_in = {v: net.in_degree(v) for v in net.nodes}
+    head = net.head
+    remaining_in = net.in_degrees()
     scheduled = []
-    seen = set()
-    walk = [iter(net.out_edges(net.source))]
+    seen = bytearray(len(head))
+    walk = [iter(net.out_slice(net.index_of(net.source)))]
     while walk:
         for e in walk[-1]:
-            if e.id in seen:
+            if seen[e]:
                 continue
-            seen.add(e.id)
+            seen[e] = 1
             scheduled.append(e)
-            remaining_in[e.head] -= 1
-            if remaining_in[e.head] == 0:
-                walk.append(iter(net.out_edges(e.head)))
+            remaining_in[head[e]] -= 1
+            if remaining_in[head[e]] == 0:
+                walk.append(iter(net.out_slice(head[e])))
                 break
         else:
             walk.pop()
-    if len(scheduled) != len(net.edges):
+    if len(scheduled) != len(head):
         raise ValueError("network has edges unreachable from the source")
     return scheduled
 
@@ -236,7 +237,6 @@ def search_solution(
     # the space a node forwards, kept only for nodes with out-edges; a node
     # with one in-edge forwards that edge's (already canonical) subspace
     node_space: dict = {}
-    has_out = {e.tail for e in net.edges}
     # terminal -> echelon basis of the sum of its assigned in-edge spaces
     echelon = {term: RunningEchelon(fld) for term in net.terminals}
     # In a full combination network every permutation of the middle nodes,
@@ -253,20 +253,21 @@ def search_solution(
     # start at 0); its head's echelon (None off the terminals); how many of
     # the head's in-edges come later; and the head's in-edge ids when the
     # head then forwards (None otherwise).
-    remaining = {v: net.in_degree(v) for v in net.nodes}
+    edges, ids = net.edges, net.edge_ids
+    remaining = net.in_degrees()
     plan = []
     last_sorted = None
-    for i, e in enumerate(order):
-        head = e.head
+    for i, k in enumerate(order):
+        e, head = edges[k], net.head[k]
         remaining[head] -= 1
         after = remaining[head]
-        ins = [f.id for f in net.in_edges(head)] if after == 0 and head in has_out else None
+        ins = None if after or not net.out_slice(head) else [ids[f] for f in net.in_slice(head)]
         cands, start_from = None, None
         if e.tail == net.source:
             cands = first_candidates if i == 0 else global_candidates
             if sorted_sources and i > 0:
                 start_from, last_sorted = last_sorted, i
-        plan.append((e, cands, start_from, echelon.get(head), after, ins))
+        plan.append((e, cands, start_from, echelon.get(e.head), after, ins))
 
     bud = Budget(budget)
     # An explicit stack replaces recursion, so the depth is not bounded by

@@ -495,14 +495,15 @@ def subcombination_solution(
     if not is_subcombination(net) or net.h < 2:
         raise ValueError("the assignment search needs a sub-combination network with h >= 2")
     fld = field_of_order(q)
-    sources = net.out_edges(net.source)
+    sources = net.out_slice(net.index_of(net.source))
     size = len(sources)
     if combination_parameters(net) is not None:
         config = ic_exists_of_size(q, t, net.h, net.h, size, budget)
         spaces = None if config is None else list(config.members)
     else:
-        position = {e.head: i for i, e in enumerate(sources)}
-        edges = [tuple(position[e.tail] for e in net.in_edges(v)) for v in net.terminals]
+        position = {net.head[e]: i for i, e in enumerate(sources)}  # middle -> its source edge
+        feeders = (net.in_slice(net.index_of(v)) for v in net.terminals)
+        edges = [tuple(position[net.tail[e]] for e in ins) for ins in feeders]
         order, best, exact, nodes = _assignment_search(
             fld, t, net.h, net.h, budget, ENUMERATION_LIMIT, size, edges, target=size
         )

@@ -2,25 +2,31 @@
 
 Networks are multigraphs: parallel edges are first-class citizens with
 their own ids, which both the message-extension construction and
-m-parallelization rely on.
+m-parallelization rely on.  Names are kept at the boundary (the `Edge`
+view and the JSON form); inside, a node is an index and an edge a place
+in the edge list, and every walk reads one cached index of the nodes'
+out- and in-edges.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from collections import deque
-from collections.abc import Iterable
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
+from operator import eq, itemgetter
 
 from .errors import Budget, SizeLimitExceeded, UnsolvableNetwork
-from .gf import make_field
+from .gf import field_of_order, make_field
 from .subspaces import ENUMERATION_LIMIT, DirectSumIndex, enumerate_subspaces
 
 
 @dataclass(frozen=True)
 class Edge:
+    """One edge by name, the view of an edge outside this module."""
+
     id: str
     tail: str
     head: str
@@ -31,163 +37,245 @@ class Edge:
 _MINIMALITY_PROBE_EDGES = 120
 
 
+def _grouped(n: int, keys: tuple) -> tuple[array, array]:
+    """(start, order): the places of `keys` grouped by key in place order,
+    group k being order[start[k] : start[k + 1]].  A stable counting sort
+    into int arrays: each group's end, then its places from the back."""
+    start = array("l", [0]) * (n + 1)
+    for k in keys:
+        start[k] += 1
+    start, order = array("l", itertools.accumulate(start)), array("l", [0]) * len(keys)
+    for e in range(len(keys) - 1, -1, -1):
+        start[keys[e]] -= 1
+        order[start[keys[e]]] = e
+    return start, order
+
+
 @dataclass(frozen=True)
 class Network:
+    """A DAG multigraph with one source, its terminals and h messages.
+
+    Names are kept once, as tuples, and the structure is integers:
+    - `nodes`: the node names; node index k is `nodes[k]`;
+    - `edge_ids`: the edge ids in edge-list order; edge e is `edge_ids[e]`;
+    - `tail`, `head`: the node index of each edge's tail and head;
+    - `strays`: names edges use that `nodes` lacks, indexed after the
+      nodes (only a network `validate_network` rejects has any);
+    - `labels`: node name -> subspace, where the middles carry one.
+    Builders and the parser give the arrays; `from_edges` takes `Edge`s.
+    The cached properties below are built on first use and stay out of
+    equality, hashing and the JSON form.
+    """
+
     h: int
     source: str
     terminals: tuple[str, ...]
     nodes: tuple[str, ...]
-    edges: tuple[Edge, ...]
+    edge_ids: tuple[str, ...]
+    tail: tuple[int, ...]
+    head: tuple[int, ...]
+    strays: tuple[str, ...] = ()
     labels: dict | None = dc_field(default=None, compare=False)
 
-    @cached_property
-    def _incidence(self) -> tuple[dict, dict]:
-        """(outgoing, incoming) edge lists per node, in edge-list order.
+    @classmethod
+    def from_edges(cls, h, source, terminals, nodes, edges, labels=None) -> Network:
+        """The network on a list of `Edge`s, the one way in by name."""
+        edges = tuple(edges)
+        ends = (lambda: (e.tail for e in edges)), (lambda: (e.head for e in edges))
+        return _named(h, source, terminals, nodes, [e.id for e in edges], *ends, labels)
 
-        Built on first use from the edges alone, so nodes without edges and
-        names outside `nodes` read as empty; not a field, so it stays out of
-        equality, hashing and the JSON form.  Spent per edge: `Budget.each`'s
-        chunk lists, here and in the other walks that index a network, raised
-        a `kneser-gap` pass's peak RSS by 0.15 MB (Python 3.11, 2-vCPU VM).
-        """
-        outs: dict[str, list[Edge]] = {}
-        ins: dict[str, list[Edge]] = {}
-        bud = Budget()
-        for e in self.edges:
-            bud.spend()
-            outs.setdefault(e.tail, []).append(e)
-            ins.setdefault(e.head, []).append(e)
-        return outs, ins
+    @cached_property
+    def _node_of(self) -> dict:
+        """Name -> node index (a name given twice: its last place)."""
+        return dict(zip(self.nodes + self.strays, itertools.count()))
+
+    @cached_property
+    def _index(self) -> tuple:
+        """(out_start, out_edge, in_start, in_edge): node k's out-edges are
+        out_edge[out_start[k] : out_start[k + 1]], in edge-list order, and
+        likewise its in-edges; one stable counting sort per direction."""
+        n = len(self.nodes) + len(self.strays)
+        Budget().spend_many(len(self.tail))
+        return *_grouped(n, self.tail), *_grouped(n, self.head)
 
     @cached_property
     def _shape(self) -> tuple[bool, tuple[int, int, int] | None]:
         """(`is_subcombination`, `combination_parameters`) from one walk over
-        the source edges, the middles and the terminals' in-lists, cached
-        like `_incidence` and like it outside equality, hashing and JSON.
+        the source edges and the middles' out-edges.
 
-        Each terminal's feeders are one bitmask, bit k standing for the
-        middle of the k-th source edge: a feeder that is no middle adds no
-        bit and a middle feeding twice adds one, so the feeders are distinct
-        middles iff the popcount is the in-degree.
+        Each node's feeders among the middles are one bitmask, bit k
+        standing for the middle of the k-th source edge: a feeder that is no
+        middle adds no bit and a middle feeding twice adds one, so a
+        terminal's feeders are distinct middles iff the popcount is its
+        in-degree.
         """
-        outs, ins = self._incidence
-        src_out = outs.get(self.source, ())
-        bit = {e.head: 1 << k for k, e in enumerate(src_out)}
-        terms = dict.fromkeys(self.terminals)  # a set in the terminals' order
-        if (
-            len(bit) != len(src_out)
-            or not terms.keys().isdisjoint(bit)
-            or set(self.nodes) != {self.source, *bit, *terms}
-            or any(len(ins[m]) != 1 for m in bit)
+        out_start, out_edge, in_start, _ = self._index
+        node_of = self._node_of
+        src = node_of.get(self.source)
+        terms = list(dict.fromkeys(map(node_of.get, self.terminals)))  # each once, in order
+        if src is None or None in terms:
+            return False, None
+        head = self.head
+        mids = [head[e] for e in out_edge[out_start[src] : out_start[src + 1]]]
+        if (  # the source, the middles and the terminals must be every node
+            len(set(mids)) != len(mids)
+            or not set(mids).isdisjoint(terms)
+            or max((src, *mids, *terms)) >= len(self.nodes)
+            or len({src, *mids, *terms}) != len(node_of) - len(self.strays)
+            or any(in_start[m + 1] - in_start[m] != 1 for m in mids)
         ):
             return False, None
-        degrees, feeder_masks = set(), set()
-        fed = 0  # edges into terminals, all from middles
-        bud = Budget()
-        for term in terms:
-            bud.spend()
-            in_list = ins.get(term, ())
-            mask = 0
-            for e in in_list:
-                mask |= bit.get(e.tail, 0)
-            if mask.bit_count() != len(in_list) or term in outs:
-                return False, None
-            degrees.add(len(in_list))
-            feeder_masks.add(mask)
-            fed += len(in_list)
+        masks = [0] * (len(self.nodes) + len(self.strays))
+        bud = Budget()  # one node per middle's out-edge, then per terminal
+        for k, m in enumerate(mids):
+            bud.spend_many(out_start[m + 1] - out_start[m])
+            bit = 1 << k
+            for v in map(head.__getitem__, out_edge[out_start[m] : out_start[m + 1]]):
+                masks[v] |= bit
+        bud.spend_many(len(terms))
+        feeders = [masks[v] for v in terms]
+        degrees = [in_start[v + 1] - in_start[v] for v in terms]
+        if list(map(int.bit_count, feeders)) != degrees or any(
+            out_start[v] != out_start[v + 1] for v in terms
+        ):
+            return False, None
         # a sub-combination network's middles feed only terminals (so their
         # out-degrees add up to the edges into terminals), each drawing h edges
-        sub = (
-            self.source not in terms
-            and degrees <= {self.h}
-            and sum(len(outs.get(m, ())) for m in bit) == fed
+        subcombination = (
+            src not in terms
+            and set(degrees) <= {self.h}
+            and sum(out_start[m + 1] - out_start[m] for m in mids) == sum(degrees)
         )
         # a full combination network has one terminal per s-subset of its r middles
-        if self.source in bit or len(degrees) != 1:
-            return sub, None
-        r, (s,) = len(src_out), degrees
-        if len(feeder_masks) != len(self.terminals) or len(self.terminals) != math.comb(r, s):
-            return sub, None
-        return sub, (self.h, r, s)
+        if src in mids or len(set(degrees)) != 1:
+            return subcombination, None
+        r, s = len(mids), degrees[0]
+        if len(set(feeders)) != len(self.terminals) or len(self.terminals) != math.comb(r, s):
+            return subcombination, None
+        return subcombination, (self.h, r, s)
 
     @cached_property
     def _routing_minimal(self) -> bool:
-        """Minimality for route selection, cached like `_shape`: the
-        sub-combination shape, else the edge-deletion test on networks of at
-        most _MINIMALITY_PROBE_EDGES edges, else False (unknown, so the
-        routes fall back to certified exhaustive searches)."""
-        if self._shape[0]:
-            return True
-        return len(self.edges) <= _MINIMALITY_PROBE_EDGES and is_minimal(self)
+        """Minimality for route selection: the sub-combination shape, else
+        the edge-deletion test on networks of at most
+        _MINIMALITY_PROBE_EDGES edges, else False (unknown, so the routes
+        fall back to certified exhaustive searches)."""
+        return self._shape[0] or len(self.edge_ids) <= _MINIMALITY_PROBE_EDGES and is_minimal(self)
 
     @cached_property
     def _skeleton(self):
-        """The edge-class skeleton, built on first use and cached like `_shape`."""
+        """The edge-class skeleton."""
         from .skeleton import skeleton
 
         return skeleton(self)
 
+    def index_of(self, node: str) -> int:
+        """A node name's index; KeyError for a name no node or edge has."""
+        return self._node_of[node]
+
+    def out_slice(self, k: int) -> list[int]:
+        """The edges leaving node index k, in edge-list order."""
+        return self._index[1][self._index[0][k] : self._index[0][k + 1]].tolist()
+
+    def in_slice(self, k: int) -> list[int]:
+        """The edges entering node index k, in edge-list order."""
+        return self._index[3][self._index[2][k] : self._index[2][k + 1]].tolist()
+
+    def in_degrees(self) -> list[int]:
+        """A new list of the in-degree of every node index."""
+        return list(map(int.__sub__, self._index[2][1:], self._index[2]))
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """Every edge by name, in edge-list order, made on each call."""
+        return tuple(self._views(range(len(self.edge_ids))))
+
+    def _views(self, edges) -> list[Edge]:
+        names = self.nodes + self.strays
+        return [Edge(self.edge_ids[e], names[self.tail[e]], names[self.head[e]]) for e in edges]
+
     def in_edges(self, node: str) -> list[Edge]:
-        return list(self._incidence[1].get(node, ()))
+        k = self._node_of.get(node)
+        return [] if k is None else self._views(self.in_slice(k))
 
     def out_edges(self, node: str) -> list[Edge]:
-        return list(self._incidence[0].get(node, ()))
+        k = self._node_of.get(node)
+        return [] if k is None else self._views(self.out_slice(k))
 
     def in_degree(self, node: str) -> int:
-        return len(self._incidence[1].get(node, ()))
+        k = self._node_of.get(node)
+        return 0 if k is None else self._index[2][k + 1] - self._index[2][k]
 
-    def without_edge(self, eid: str) -> "Network":
-        return Network(
-            h=self.h,
-            source=self.source,
-            terminals=self.terminals,
-            nodes=self.nodes,
-            edges=tuple(e for e in self.edges if e.id != eid),
-            labels=self.labels,
+    def without_edge(self, eid: str) -> Network:
+        keep = [i != eid for i in self.edge_ids]
+        ids, tail, head = (
+            tuple(itertools.compress(a, keep)) for a in (self.edge_ids, self.tail, self.head)
         )
+        return replace(self, edge_ids=ids, tail=tail, head=head)
 
 
-def topological_order(net: Network) -> list[str]:
-    """Kahn's algorithm; raises on cycles. Deterministic by node order."""
-    outs, ins = net._incidence
-    indeg = {v: len(ins.get(v, ())) for v in net.nodes}
-    order = [v for v in net.nodes if not indeg[v]]
-    bud = Budget()  # one node per node, and only the deadline stops it
-    for v in order:  # the order is its own queue
-        bud.spend()
-        for e in outs.get(v, ()):
-            indeg[e.head] -= 1
-            if not indeg[e.head]:
-                order.append(e.head)
+def _named(h, source, terminals, nodes, ids, tails, heads, labels) -> Network:
+    """The network whose edge ends are named by `tails()` and `heads()`,
+    each a fresh iterator; an end that is not among `nodes` becomes a
+    stray.  The name map made here is the network's `_node_of`."""
+    nodes = tuple(nodes)
+    node_of = dict(zip(nodes, itertools.count()))
+    index = node_of.__getitem__
+    try:
+        tail, head, strays = tuple(map(index, tails())), tuple(map(index, heads())), ()
+    except KeyError:
+        ends = itertools.chain(*zip(tails(), heads()))
+        strays = tuple(dict.fromkeys(v for v in ends if v not in node_of))
+        node_of.update(zip(strays, itertools.count(len(nodes))))
+        tail, head = tuple(map(index, tails())), tuple(map(index, heads()))
+    net = Network(h, source, tuple(terminals), nodes, tuple(ids), tail, head, strays, labels)
+    net.__dict__["_node_of"] = node_of  # what `_node_of` would rebuild from the names
+    return net
+
+
+def _kahn(net: Network) -> list[int]:
+    """Kahn's algorithm on node indices, the list its own queue; raises on
+    cycles.  One node per edge, and only the deadline stops it."""
+    out_start, out_edge, _, _ = net._index
+    head, indeg, spend = net.head, net.in_degrees(), Budget().spend_many
+    order = [k for k in map(net._node_of.__getitem__, net.nodes) if not indeg[k]]
+    for v in order:
+        lo, hi = out_start[v], out_start[v + 1]
+        if lo < hi:
+            spend(hi - lo)
+            for w in map(head.__getitem__, out_edge[lo:hi]):
+                indeg[w] -= 1
+                if not indeg[w]:
+                    order.append(w)
     if len(order) != len(net.nodes):
         raise ValueError("network graph contains a cycle")
     return order
 
 
+def topological_order(net: Network) -> list[str]:
+    """Kahn's algorithm; raises on cycles. Deterministic by node order."""
+    return list(map((net.nodes + net.strays).__getitem__, _kahn(net)))
+
+
 def essential_nodes(net: Network) -> set[str]:
-    """Nodes on some source-to-terminal path."""
-    # one node per visit, and only the deadline stops it
-    bud = Budget()
-    outs, ins = net._incidence
-    fwd = {net.source}
-    frontier = deque([net.source])
-    while frontier:
-        v = frontier.popleft()
-        bud.spend()
-        for e in outs.get(v, ()):
-            if e.head not in fwd:
-                fwd.add(e.head)
-                frontier.append(e.head)
-    back = set(net.terminals)
-    frontier = deque(net.terminals)
-    while frontier:
-        v = frontier.popleft()
-        bud.spend()
-        for e in ins.get(v, ()):
-            if e.tail not in back:
-                back.add(e.tail)
-                frontier.append(e.tail)
-    return fwd & back
+    """Nodes on some source-to-terminal path: reached from the source along
+    the edges and from a terminal against them, one node spent per edge."""
+    out_start, out_edge, in_start, in_edge = net._index
+    names, bud, reached = net.nodes + net.strays, Budget(), []
+    for seeds, start, edge, ends in (
+        ([net.source], out_start, out_edge, net.head),
+        (net.terminals, in_start, in_edge, net.tail),
+    ):
+        seen = bytearray(len(names))
+        frontier = [v for v in map(net._node_of.get, seeds) if v is not None]
+        while frontier:
+            v = frontier.pop()
+            if not seen[v]:
+                seen[v] = 1
+                bud.spend_many(start[v + 1] - start[v])
+                frontier += map(ends.__getitem__, edge[start[v] : start[v + 1]])
+        reached.append(seen)
+    return set(itertools.compress(names, map(int.__and__, *reached)))
 
 
 def validate_network(net: Network) -> None:
@@ -195,42 +283,39 @@ def validate_network(net: Network) -> None:
         raise ValueError("message count h must be >= 1")
     if not net.terminals:
         raise ValueError("network needs at least one terminal")
-    node_set = set(net.nodes)
-    if len(node_set) != len(net.nodes):
+    out_start, _, in_start, _ = net._index
+    node_of, n = net._node_of, len(net.nodes)
+    if len(node_of) != n + len(net.strays):
         raise ValueError("duplicate node ids")
-    if net.source not in node_set:
+    if node_of.get(net.source, n) >= n:
         raise ValueError("source not among nodes")
-    if len({e.id for e in net.edges}) != len(net.edges):
+    if len(set(net.edge_ids)) != len(net.edge_ids):
         raise ValueError("duplicate edge ids")
-    outs, ins = net._incidence
-    if not node_set.issuperset(outs) or not node_set.issuperset(ins):
-        bad = next(e for e in net.edges if e.tail not in node_set or e.head not in node_set)
-        raise ValueError(f"edge {bad.id} references unknown node")
+    if max(net.tail, default=-1) >= n or max(net.head, default=-1) >= n:
+        bad = next(e for e, ends in enumerate(zip(net.tail, net.head)) if max(ends) >= n)
+        raise ValueError(f"edge {net.edge_ids[bad]} references unknown node")
     for t in net.terminals:
-        if t not in node_set:
+        if node_of.get(t, n) >= n:
             raise ValueError(f"terminal {t} not among nodes")
-    topological_order(net)
-    if net.source in ins:
+    _kahn(net)
+    if net.in_degree(net.source):
         raise ValueError("source must have in-degree 0")
     # in a DAG every node is reached from a node of in-degree 0 and reaches
     # a node of out-degree 0, so every node lies on a source-to-terminal
     # path iff the source is the only node of in-degree 0 and every node of
     # out-degree 0 is a terminal
-    if len(ins) != len(node_set) - 1 or not outs.keys() >= node_set.difference(net.terminals):
+    sources = sum(map(eq, in_start, itertools.islice(in_start, 1, n + 1)))
+    sinks = itertools.compress(range(n), map(eq, out_start, itertools.islice(out_start, 1, None)))
+    if sources != 1 or not set(map(node_of.get, net.terminals)).issuperset(sinks):
         raise ValueError("network contains non-essential nodes")
 
 
 def prune(net: Network) -> Network:
     """Drop non-essential nodes (for imported networks)."""
     keep = essential_nodes(net)
-    return Network(
-        h=net.h,
-        source=net.source,
-        terminals=net.terminals,
-        nodes=tuple(v for v in net.nodes if v in keep),
-        edges=tuple(e for e in net.edges if e.tail in keep and e.head in keep),
-        labels=net.labels,
-    )
+    edges = [e for e in net.edges if e.tail in keep and e.head in keep]
+    nodes = [v for v in net.nodes if v in keep]
+    return Network.from_edges(net.h, net.source, net.terminals, nodes, edges, net.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -244,48 +329,36 @@ def _edge_ids(count: int) -> list[str]:
 
 
 def _middle_network(
-    h: int,
-    middles: list[str],
-    hyperedges: Iterable[tuple[int, ...]],
-    labels: dict | None = None,
-    bud: Budget | None = None,
+    h: int, middles: list[str], hyperedges, labels: dict | None = None, bud: Budget | None = None
 ) -> Network:
     """Source `s` -> one middle per name -> one terminal per hyperedge.
 
     The form of every combination, Kneser and reverse-skeleton network: a
     hyperedge is a tuple of middle indices, and its terminal `t<i>_<j>...`
-    is fed by those middles in order.  Edges are numbered source edges
-    first, then each terminal's.  One node per terminal edge is spent on
-    `bud` (by default one with no node limit), so only the deadline stops
-    the construction.
+    is fed by those middles in order.  Node 0 is the source, then the
+    middles, then the terminals; edges are numbered source edges first,
+    then each terminal's.  One node per terminal edge is spent on `bud`
+    (by default one with no node limit), so only the deadline stops the
+    construction.  Not validated here: a caller whose hyperedges come from
+    outside the program validates the result.
     """
-    hyperedges = list(hyperedges)
-    n_edges = len(middles) + sum(map(len, hyperedges))
     if bud is None:
         bud = Budget()
-    ids = iter(_edge_ids(n_edges))
-    edges = [Edge(next(ids), "s", m) for m in middles]
+    r = len(middles)
     terminals = []
-    for members in hyperedges:
+    tail, head = [0] * r, list(range(1, r + 1))
+    for k, members in enumerate(hyperedges, r + 1):
         bud.spend_many(len(members))
-        tname = "t" + "_".join([str(i) for i in members])
-        terminals.append(tname)
-        for i in members:
-            edges.append(Edge(next(ids), middles[i], tname))
-    net = Network(
-        h=h,
-        source="s",
-        terminals=tuple(terminals),
-        nodes=("s", *middles, *terminals),
-        edges=tuple(edges),
-        labels=labels,
-    )
-    validate_network(net)
-    return net
+        terminals.append("t" + "_".join([str(i) for i in members]))
+        tail += [i + 1 for i in members]
+        head += [k] * len(members)
+    nodes, ids = ("s", *middles, *terminals), tuple(_edge_ids(len(tail)))
+    return Network(h, "s", tuple(terminals), nodes, ids, tuple(tail), tuple(head), labels=labels)
 
 
 def build_combination(h: int, r: int, s: int, *, max_terminals: int = ENUMERATION_LIMIT) -> Network:
-    """The N_{h,r,s} combination network."""
+    """The N_{h,r,s} combination network, valid by construction: with
+    r >= s >= 1 every middle lies in some s-subset."""
     if s < 1 or r < s:
         raise ValueError(f"require r >= s >= 1, got r={r}, s={s}")
     if h < 1:
@@ -298,26 +371,9 @@ def build_combination(h: int, r: int, s: int, *, max_terminals: int = ENUMERATIO
 
 def build_butterfly() -> Network:
     """The butterfly network with the standard node/edge labelling."""
-    edges = [
-        Edge("e1", "s", "v1"),
-        Edge("e2", "s", "v2"),
-        Edge("e3", "v1", "v3"),
-        Edge("e4", "v2", "v3"),
-        Edge("e5", "v1", "t1"),
-        Edge("e6", "v3", "v4"),
-        Edge("e7", "v2", "t2"),
-        Edge("e8", "v4", "t1"),
-        Edge("e9", "v4", "t2"),
-    ]
-    net = Network(
-        h=2,
-        source="s",
-        terminals=("t1", "t2"),
-        nodes=("s", "v1", "v2", "v3", "v4", "t1", "t2"),
-        edges=tuple(edges),
-    )
-    validate_network(net)
-    return net
+    pairs = "s v1, s v2, v1 v3, v2 v3, v1 t1, v3 v4, v2 t2, v4 t1, v4 t2".split(", ")
+    edges = [Edge(f"e{i}", *pair.split()) for i, pair in enumerate(pairs, 1)]
+    return Network.from_edges(2, "s", ("t1", "t2"), "s v1 v2 v3 v4 t1 t2".split(), edges)
 
 
 def build_kneser(q: int, t: int, h: int, *, max_terminal_scan: int = ENUMERATION_LIMIT) -> Network:
@@ -325,13 +381,13 @@ def build_kneser(q: int, t: int, h: int, *, max_terminal_scan: int = ENUMERATION
 
     Middle nodes carry all t-subspaces of F_q^{ht} in canonical order; a
     terminal exists for each h-subset whose labels sum to the full space.
+    Valid by construction: every t-subspace has h - 1 others completing it
+    to a direct sum, so every middle feeds a terminal.
     """
     if h < 2:
         raise ValueError("Kneser networks need h >= 2")
     if t < 1:
         raise ValueError(f"Kneser networks need t >= 1, got t={t}")
-    from .gf import field_of_order
-
     fld = field_of_order(q)
     middles = enumerate_subspaces(fld, h * t, t)
     r = len(middles)
@@ -351,7 +407,7 @@ def build_kneser(q: int, t: int, h: int, *, max_terminal_scan: int = ENUMERATION
 
 
 def _fresh_prefix(net: Network) -> str:
-    taken = set(net.nodes) | {e.id for e in net.edges}
+    taken = set(net.nodes) | set(net.edge_ids)
     prefix = "x"
     while any(name.startswith(prefix) for name in taken):
         prefix += "x"
@@ -364,21 +420,11 @@ def extend_messages(net: Network, h_new: int) -> Network:
     if h_new <= net.h:
         raise ValueError(f"h'={h_new} must exceed h={net.h}")
     prefix = _fresh_prefix(net)
-    new_source = prefix + "src"
-    edges = [Edge(f"{prefix}s{i}", new_source, net.source) for i in range(net.h)]
-    edges.extend(net.edges)
-    for term in net.terminals:
-        edges.extend(
-            Edge(f"{prefix}t_{term}_{j}", new_source, term) for j in range(h_new - net.h)
-        )
-    out = Network(
-        h=h_new,
-        source=new_source,
-        terminals=net.terminals,
-        nodes=(new_source, *net.nodes),
-        edges=tuple(edges),
-        labels=net.labels,
-    )
+    src = prefix + "src"
+    edges = [Edge(f"{prefix}s{i}", src, net.source) for i in range(net.h)] + list(net.edges)
+    extra = range(h_new - net.h)
+    edges += [Edge(f"{prefix}t_{term}_{j}", src, term) for term in net.terminals for j in extra]
+    out = Network.from_edges(h_new, src, net.terminals, (src, *net.nodes), edges, net.labels)
     validate_network(out)
     return out
 
@@ -387,16 +433,13 @@ def parallelize(net: Network, m: int) -> Network:
     """Duplicate every edge m times and scale the message count by m."""
     if m < 1:
         raise ValueError("parallelization factor must be >= 1")
-    edges = tuple(
-        Edge(f"{e.id}.{j}", e.tail, e.head) for e in net.edges for j in range(1, m + 1)
-    )
-    out = Network(
+    copies = range(1, m + 1)
+    out = replace(
+        net,
         h=net.h * m,
-        source=net.source,
-        terminals=net.terminals,
-        nodes=net.nodes,
-        edges=edges,
-        labels=net.labels,
+        edge_ids=tuple(f"{eid}.{j}" for eid in net.edge_ids for j in copies),
+        tail=tuple(k for k in net.tail for _ in copies),
+        head=tuple(k for k in net.head for _ in copies),
     )
     validate_network(out)
     return out
@@ -423,56 +466,41 @@ def is_subcombination(net: Network) -> bool:
 # cuts and minimality
 # ---------------------------------------------------------------------------
 
-class _FlowSolver:
-    """Unit-capacity max flow with BFS augmenting paths; the arc structure
-    is built once and capacities reset between terminals."""
-
-    def __init__(self, net: Network):
-        self.node_index = {v: i for i, v in enumerate(net.nodes)}
-        self.n = len(net.nodes)
-        self.to: list[int] = []
-        self.adj: list[list[int]] = [[] for _ in net.nodes]
-        bud = Budget()
-        for e in net.edges:
-            bud.spend()
-            u, v = self.node_index[e.tail], self.node_index[e.head]
-            self.adj[u].append(len(self.to))
-            self.to.append(v)
-            self.adj[v].append(len(self.to))
-            self.to.append(u)
-        self.src = self.node_index[net.source]
-
-    def max_flow_to(
-        self, terminal_index: int, cutoff: int | None = None, without: int | None = None
-    ) -> int:
-        """Max flow to a node; `without` is the index of an edge left out."""
-        cap = bytearray(b"\x01\x00" * (len(self.to) // 2))
-        if without is not None:
-            cap[2 * without] = 0
-        to, adj = self.to, self.adj
-        dst = terminal_index
-        flow = 0
-        while cutoff is None or flow < cutoff:
-            parent_arc = [-1] * self.n
-            parent_arc[self.src] = -2
-            queue = deque([self.src])
-            while queue and parent_arc[dst] == -1:
-                u = queue.popleft()
-                for ai in adj[u]:
-                    v = to[ai]
-                    if cap[ai] and parent_arc[v] == -1:
-                        parent_arc[v] = ai
+def _max_flow(net: Network, dst: int, cutoff: int | None = None, without: int | None = None) -> int:
+    """Unit-capacity max flow from the source to node index `dst`, by BFS
+    augmenting paths on the edge index: edge e is residual arc 2e forward
+    and 2e + 1 back.  `without` is the index of an edge left out."""
+    out_start, out_edge, in_start, in_edge = net._index
+    tail, head, src = net.tail, net.head, net._node_of[net.source]
+    cap = bytearray(b"\x01\x00" * len(tail))
+    if without is not None:
+        cap[2 * without] = 0
+    flow = 0
+    while cutoff is None or flow < cutoff:
+        parent_arc = [-1] * (len(out_start) - 1)
+        parent_arc[src] = -2
+        queue = deque([src])
+        while queue and parent_arc[dst] == -1:
+            u = queue.popleft()
+            for arcs, ends, back in (
+                (out_edge[out_start[u] : out_start[u + 1]], head, 0),
+                (in_edge[in_start[u] : in_start[u + 1]], tail, 1),
+            ):
+                for e in arcs:
+                    v = ends[e]
+                    if cap[2 * e + back] and parent_arc[v] == -1:
+                        parent_arc[v] = 2 * e + back
                         queue.append(v)
-            if parent_arc[dst] == -1:
-                return flow
-            v = dst
-            while v != self.src:
-                ai = parent_arc[v]
-                cap[ai] -= 1
-                cap[ai ^ 1] += 1
-                v = to[ai ^ 1]
-            flow += 1
-        return flow
+        if parent_arc[dst] == -1:
+            return flow
+        v = dst
+        while v != src:
+            arc = parent_arc[v]
+            cap[arc] -= 1
+            cap[arc ^ 1] += 1
+            v = head[arc >> 1] if arc & 1 else tail[arc >> 1]
+        flow += 1
+    return flow
 
 
 def min_cut(net: Network, terminal: str) -> int:
@@ -482,17 +510,15 @@ def min_cut(net: Network, terminal: str) -> int:
     """
     if terminal not in net.terminals:
         raise ValueError(f"{terminal!r} is not a terminal")
-    solver = _FlowSolver(net)
-    return solver.max_flow_to(solver.node_index[terminal])
+    return _max_flow(net, net.index_of(terminal))
 
 
 def is_solvable(net: Network) -> bool:
     """Cut criterion: every terminal separated by cuts of size >= h."""
     if is_subcombination(net):
         return True  # h disjoint source-middle-terminal paths per terminal
-    solver = _FlowSolver(net)
     for t in Budget().each(net.terminals):  # only the deadline stops it
-        if solver.max_flow_to(solver.node_index[t], cutoff=net.h) < net.h:
+        if _max_flow(net, net.index_of(t), cutoff=net.h) < net.h:
             return False
     return True
 
@@ -501,34 +527,34 @@ def is_minimal(net: Network) -> bool:
     """True iff removing any single edge breaks the cut criterion.
 
     Raises UnsolvableNetwork when the input itself fails the criterion,
-    since minimality is undefined there.  One flow solver serves every
-    reduced network, and only the terminals reachable from the removed
-    edge's head are re-checked: no path to any other terminal uses the
-    edge, so their flows cannot drop.  Each max flow spends one budget
-    node, so the deadline reaches them.
+    since minimality is undefined there.  Only the terminals reachable from
+    the removed edge's head are re-checked: no path to any other terminal
+    uses the edge, so their flows cannot drop.  Each max flow spends one
+    budget node, so the deadline reaches them.
     """
     if not is_solvable(net):
         raise UnsolvableNetwork("network fails the cut criterion; minimality undefined")
-    solver = _FlowSolver(net)
-    term_bit = {t: 1 << k for k, t in enumerate(net.terminals)}
-    term_index = [solver.node_index[t] for t in net.terminals]
-    # bitmask of the terminals reachable from each node, itself included
-    reach: dict[str, int] = {}
-    for v in reversed(topological_order(net)):
-        mask = term_bit.get(v, 0)
-        for e in net.out_edges(v):
-            mask |= reach[e.head]
-        reach[v] = mask
+    out_start, out_edge, _, _ = net._index
+    terms = [net._node_of[t] for t in net.terminals]
+    # bitmask of the terminals reachable from each node, itself included;
+    # one node per edge walked, and only the deadline stops it
+    reach = [0] * (len(out_start) - 1)
+    for k, v in enumerate(terms):
+        reach[v] = 1 << k
+    bud = Budget()
+    for v in reversed(_kahn(net)):
+        bud.spend_many(out_start[v + 1] - out_start[v])
+        for w in map(net.head.__getitem__, out_edge[out_start[v] : out_start[v + 1]]):
+            reach[v] |= reach[w]
     # one node per max flow: only the deadline stops it
     bud = Budget()
-    for k, e in enumerate(net.edges):
-        mask = reach[e.head]
+    for e, v in enumerate(net.head):
+        mask = reach[v]
         while mask:
             low = mask & -mask
             mask ^= low
             bud.spend()
-            flow = solver.max_flow_to(term_index[low.bit_length() - 1], net.h, without=k)
-            if flow < net.h:
+            if _max_flow(net, terms[low.bit_length() - 1], net.h, without=e) < net.h:
                 break
         else:
             return False  # every terminal keeps its cut without this edge
@@ -540,12 +566,16 @@ def is_minimal(net: Network) -> bool:
 # ---------------------------------------------------------------------------
 
 def network_to_json(net: Network) -> dict:
+    name = (net.nodes + net.strays).__getitem__
     obj = {
         "h": net.h,
         "source": net.source,
         "terminals": list(net.terminals),
         "nodes": [{"id": v} for v in net.nodes],
-        "edges": [{"id": e.id, "from": e.tail, "to": e.head} for e in net.edges],
+        "edges": [
+            {"id": eid, "from": a, "to": b}
+            for eid, a, b in zip(net.edge_ids, map(name, net.tail), map(name, net.head))
+        ],
     }
     if net.labels:
         some = next(iter(net.labels.values()))
@@ -572,30 +602,18 @@ def network_from_json(obj: dict, *, validate: bool = True) -> Network:
         labels = {
             node: subspace_from_rows(fld, rows, ambient) for node, rows in obj["labels"].items()
         }
-    net = Network(
-        h=obj["h"],
-        source=obj["source"],
-        terminals=tuple(obj["terminals"]),
-        nodes=tuple(n["id"] for n in obj["nodes"]),
-        edges=tuple(Edge(e["id"], e["from"], e["to"]) for e in obj["edges"]),
-        labels=labels,
-    )
+    edges, nodes = obj["edges"], map(itemgetter("id"), obj["nodes"])
+    ids = tuple(map(itemgetter("id"), edges))
+    tails, heads = (lambda: map(itemgetter("from"), edges)), (lambda: map(itemgetter("to"), edges))
+    net = _named(obj["h"], obj["source"], obj["terminals"], nodes, ids, tails, heads, labels)
     if validate:
         validate_network(net)
     return net
 
 
 def network_to_dot(net: Network) -> str:
+    shape = dict.fromkeys(net.terminals, "doublecircle") | {net.source: "box"}
     lines = ["digraph N {"]
-    for v in net.nodes:
-        if v == net.source:
-            shape = "box"
-        elif v in net.terminals:
-            shape = "doublecircle"
-        else:
-            shape = "circle"
-        lines.append(f'  "{v}" [shape={shape}];')
-    for e in net.edges:
-        lines.append(f'  "{e.tail}" -> "{e.head}" [label="{e.id}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines += [f'  "{v}" [shape={shape.get(v, "circle")}];' for v in net.nodes]
+    lines += [f'  "{e.tail}" -> "{e.head}" [label="{e.id}"];' for e in net.edges]
+    return "\n".join(lines) + "\n}\n"

@@ -11,22 +11,27 @@ into a q-Kneser graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import or_
 
 from .errors import Budget
 from .graphs import UGraph
-from .networks import Network, _middle_network
+from .networks import Network, _middle_network, validate_network
 
 
 @dataclass(frozen=True)
 class SkeletonGraph:
     graph: UGraph  # vertex names are class ids
-    classes: dict  # class id -> frozenset of edge ids
+    members: tuple  # per vertex, its class's edge ids, the root edge first
 
     @property
     def class_ids(self) -> tuple[str, ...]:
         return self.graph.names
+
+    @cached_property
+    def classes(self) -> dict:
+        """Class id -> frozenset of edge ids; the searches read only the graph."""
+        return {cid: frozenset(m) for cid, m in zip(self.class_ids, self.members)}
 
 
 def skeleton(net: Network) -> SkeletonGraph:
@@ -37,44 +42,40 @@ def skeleton(net: Network) -> SkeletonGraph:
     through such nodes.  Every node ORs the class bits of its in-edges into
     one mask, and each class's adjacency mask ORs the masks of the nodes
     its edges enter, less its own bit (a node of in-degree 1 adds nothing).
-    Each of the three walks spends one node per edge on one Budget with no
-    node limit, a node or class at a time.
+    The three walks spend on one Budget with no node limit: one node per
+    root and per edge of each node's out-edges or class they take.
     """
-    outs, ins = net._incidence
-    single = {v for v, in_list in ins.items() if len(in_list) == 1}
-    roots = [e for e in net.edges if e.tail not in single]
-    class_members: list[list[str]] = []
-    class_heads: list[list[str]] = []  # the node each member edge enters
+    tail, head, ids = net.tail, net.head, net.edge_ids
+    single = bytes(d == 1 for d in net.in_degrees())
+    roots = [e for e, v in enumerate(tail) if not single[v]]
+    class_members, class_heads = [], []  # each class's edge ids, and the nodes they enter
     bud = Budget()
     for root in roots:
         bud.spend()
-        members, heads = [root.id], [root.head]
-        frontier = [root.head] if root.head in single else []
+        members, heads = [ids[root]], [head[root]]
+        frontier = [head[root]] if single[head[root]] else []
         while frontier:
-            out = outs.get(frontier.pop(), ())
+            out = net.out_slice(frontier.pop())
             bud.spend_many(len(out))
-            members += [e.id for e in out]
-            entered = [e.head for e in out]
-            heads += entered
-            frontier += [v for v in entered if v in single]
+            members += [ids[e] for e in out]
+            heads += (entered := [head[e] for e in out])
+            frontier += [v for v in entered if single[v]]
         class_members.append(members)
         class_heads.append(heads)
 
-    node_bits: dict[str, int] = {}
+    node_bits = [0] * len(single)
     for k, heads in enumerate(class_heads):
         bud.spend_many(len(heads))
         bit = 1 << k
         for v in heads:
-            node_bits[v] = node_bits.get(v, 0) | bit
+            node_bits[v] |= bit
     adj = []
     for k, heads in enumerate(class_heads):
         bud.spend_many(len(heads))
         adj.append(reduce(or_, map(node_bits.__getitem__, heads), 0) & ~(1 << k))
 
-    class_ids = [min(members) for members in class_members]
-    graph = UGraph.from_masks(len(roots), adj, names=tuple(class_ids))
-    classes = {cid: frozenset(members) for cid, members in zip(class_ids, class_members)}
-    return SkeletonGraph(graph=graph, classes=classes)
+    graph = UGraph.from_masks(len(roots), adj, names=tuple(map(min, class_members)))
+    return SkeletonGraph(graph=graph, members=tuple(map(tuple, class_members)))
 
 
 def reverse_skeleton(g: UGraph) -> Network:
@@ -91,31 +92,9 @@ def reverse_skeleton(g: UGraph) -> Network:
     isolated = [names[v] for v in range(g.num_vertices) if degrees[v] == 0]
     if isolated:
         raise ValueError(f"isolated vertices {isolated} would be non-essential middle nodes")
-    return _middle_network(2, [f"v{name}" for name in names], g.edges)
-
-
-def skeleton_roundtrip_check(g: UGraph) -> bool:
-    """skeleton(reverse_skeleton(g)) matches g under the natural labels."""
-    net = reverse_skeleton(g)
-    skel = skeleton(net)
-    names = g.vertex_names
-    middle_of_vertex = {f"v{name}": i for i, name in enumerate(names)}
-
-    # each class must contain exactly one source edge; its head names the vertex
-    edge_of = {e.id: e for e in net.edges}
-    class_vertex: dict[int, int] = {}
-    for idx, cid in enumerate(skel.class_ids):
-        src_edges = [edge_of[eid] for eid in skel.classes[cid] if edge_of[eid].tail == net.source]
-        if len(src_edges) != 1:
-            return False
-        class_vertex[idx] = middle_of_vertex[src_edges[0].head]
-    if sorted(class_vertex.values()) != list(range(g.num_vertices)):
-        return False
-    mapped = {
-        (min(class_vertex[a], class_vertex[b]), max(class_vertex[a], class_vertex[b]))
-        for a, b in skel.graph.edges
-    }
-    return mapped == set(g.edges)
+    net = _middle_network(2, [f"v{name}" for name in names], g.edges)
+    validate_network(net)  # the names and edges come from outside
+    return net
 
 
 def skeleton_to_dot(skel: SkeletonGraph) -> str:

@@ -274,11 +274,14 @@ class DirectSumIndex:
         That is, they share no nonzero vector: dim(S_i + S_j) = dim S_i +
         dim S_j.  Space i meets exactly the holders of its own vectors; bit i
         is cleared explicitly, which keeps dim-0 spaces in direct sum with
-        every other space but not with themselves.
+        every other space but not with themselves.  One node per vector
+        ORed, spent a space at a time: only the deadline stops it.
         """
         holders = self.holders
+        spend = Budget().spend_many
         masks = []
         for i, pts in enumerate(self.points):
+            spend(len(pts))
             meets = 1 << i
             for vec in pts:
                 meets |= holders[vec]

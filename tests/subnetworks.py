@@ -18,7 +18,7 @@ def sub_combination(h: int, r: int, keep: int, seed: int) -> Network:
     full = build_combination(h, r, h)
     kept = set(random.Random(seed).sample(full.terminals, keep))
     middles = {e.tail for e in full.edges if e.head in kept}
-    net = Network(
+    net = Network.from_edges(
         h,
         full.source,
         tuple(v for v in full.terminals if v in kept),

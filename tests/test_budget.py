@@ -244,11 +244,11 @@ def test_each_reads_the_deadline_where_single_spends_would(monkeypatch):
 
 
 def test_flow_solver_set_up_stops_at_an_expired_deadline():
-    # a single path of 1100 edges: the arc set-up passes the first
-    # checkpoint before any flow is pushed
+    # a single path of 1100 edges: building the edge index the flow solver
+    # reads passes the first checkpoint before any flow is pushed
     nodes = ("s", *(f"v{i}" for i in range(1, 1100)), "t")
     edges = tuple(Edge(f"e{i}", a, b) for i, (a, b) in enumerate(zip(nodes, nodes[1:])))
-    net = Network(h=1, source="s", terminals=("t",), nodes=nodes, edges=edges)
+    net = Network.from_edges(h=1, source="s", terminals=("t",), nodes=nodes, edges=edges)
     with deadline(EXPIRED), pytest.raises(BudgetExhausted, match="wall-clock") as exc:
         min_cut(net, "t")
     assert exc.value.nodes_used == FIRST_CHECKPOINT
@@ -292,10 +292,17 @@ def test_kneser_network_construction_stops_at_an_expired_deadline():
 
 
 def test_direct_sum_masks_stop_at_an_expired_deadline():
-    # 130 planes of F_3^4 with 9 vectors each
-    planes = enumerate_subspaces(field_of_order(3), 4, 2)
-    with deadline(EXPIRED), pytest.raises(BudgetExhausted, match="wall-clock"):
-        DirectSumIndex(planes).pair_masks()
+    # 130 planes of F_3^4 with 8 nonzero vectors each: the index is built
+    # first, and the masks alone OR 1040 vectors, past the first checkpoint
+    index = DirectSumIndex(enumerate_subspaces(field_of_order(3), 4, 2))
+    with deadline(EXPIRED), pytest.raises(BudgetExhausted, match="wall-clock") as exc:
+        index.pair_masks()
+    assert exc.value.nodes_used == FIRST_CHECKPOINT
+    assert len(index.pair_masks()) == 130
+    # 40 lines of F_3^4 with 2 nonzero vectors each: no checkpoint is reached
+    lines = DirectSumIndex(enumerate_subspaces(field_of_order(3), 4, 1))
+    with deadline(EXPIRED):
+        assert len(lines.pair_masks()) == 40
 
 
 def test_direct_sum_index_stops_at_an_expired_deadline():
@@ -349,7 +356,7 @@ def test_skeleton_stops_at_an_expired_deadline():
 def test_network_validation_stops_at_an_expired_deadline():
     # reading a network builds its edge index and validates it (topological
     # order, essential nodes), each a pass over thousands of nodes or edges
-    net = build_kneser(3, 2, 2)  # its edge index is built here
+    net = build_kneser(3, 2, 2)  # its edge index is built by the first walk
     for check in (topological_order, essential_nodes):
         with deadline(EXPIRED), pytest.raises(BudgetExhausted, match="wall-clock"):
             check(net)
@@ -411,12 +418,12 @@ def test_minimality_check_reads_the_deadline_on_each_reduced_network(monkeypatch
     # a single path of 1100 edges: the checks of the reduced networks pass
     # a deadline checkpoint.  The clock below ticks once per read, and the
     # deadline falls between the second and the third read after the
-    # up-front cut check (the first two are the flow solver's arc set-up
-    # and the topological order), so only the reduced networks' checks can
-    # reach it.
+    # up-front cut check (the first two are the topological order and the
+    # walk that finds the terminals each node reaches), so only the reduced
+    # networks' checks can reach it.
     nodes = ("s", *(f"v{i}" for i in range(1, 1100)), "t")
     edges = tuple(Edge(f"e{i}", a, b) for i, (a, b) in enumerate(zip(nodes, nodes[1:])))
-    net = Network(h=1, source="s", terminals=("t",), nodes=nodes, edges=edges)
+    net = Network.from_edges(h=1, source="s", terminals=("t",), nodes=nodes, edges=edges)
     assert is_solvable(net)
     ticks = itertools.count()
     monkeypatch.setattr(errors, "time", types.SimpleNamespace(monotonic=lambda: next(ticks)))

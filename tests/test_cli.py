@@ -729,7 +729,7 @@ except InternalError:
     print("search check")
 edges = (Edge("e1", "s", "t"), Edge("e2", "s", "t"), Edge("e3", "a", "t"))
 try:
-    lincode.search_solution(Network(2, "s", ("t",), ("s", "a", "t"), edges), 2, 1)
+    lincode.search_solution(Network.from_edges(2, "s", ("t",), ("s", "a", "t"), edges), 2, 1)
 except ValueError:
     print("order check")
 # q_s = 1 below the butterfly's q_v = 2, then a K_{2,1;2} row off its closed form
@@ -808,7 +808,7 @@ def test_searches_deeper_than_the_recursion_limit_give_certified_answers(tmp_pat
     nodes = ("s", *(f"v{i}" for i in range(1, 1100)), "t")
     edges = tuple(Edge(f"e{i}", a, b) for i, (a, b) in enumerate(zip(nodes, nodes[1:])))
     path = tmp_path / "path.json"
-    path.write_text(json.dumps(network_to_json(Network(1, "s", ("t",), nodes, edges))))
+    path.write_text(json.dumps(network_to_json(Network.from_edges(1, "s", ("t",), nodes, edges))))
     solve_cert = tmp_path / "s.json"
     code, _, err = run_cli(
         ["solve", "--network", str(path), "--q", "2", "--cert", str(solve_cert)], capsys
@@ -1121,6 +1121,21 @@ def test_the_collector_is_paused_inside_a_command_and_back_after_any_exit(
         main(["psi"])
     assert exc.value.code == EXIT_USAGE and gc.isenabled() == enabled
     capsys.readouterr()
+
+
+def test_running_out_of_memory_is_one_error_line(capsys, collector_state, monkeypatch):
+    # a command that exhausts memory exits with the usage code and one
+    # `error:` line, never a traceback, and the collector is back on
+    from netgap import cli
+
+    def exhaust(x):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "psi", exhaust)
+    _set_collector(True)
+    code, out, err = run_cli(["psi", "6"], capsys)
+    assert (code, out, err) == (EXIT_USAGE, "", "error: out of memory\n")
+    assert gc.isenabled()
 
 
 def test_commands_create_no_reference_cycles(tmp_path, capsys, collector_state):

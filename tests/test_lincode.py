@@ -101,7 +101,7 @@ def test_node_space_dims():
 
 
 def test_node_fed_identical_edges():
-    net = Network(
+    net = Network.from_edges(
         h=1,
         source="s",
         terminals=("t",),
@@ -149,7 +149,7 @@ def test_search_nonexistence_matches_code_theory():
 
 
 def test_search_trivial_direct_paths():
-    net = Network(
+    net = Network.from_edges(
         h=2,
         source="s",
         terminals=("t",),
@@ -257,7 +257,7 @@ def test_search_matches_brute_force_on_random_networks(seed):
                             k += 1
             if not (2 <= len(edges) <= max_edges):
                 continue
-            cand = Network(h=2, source="s", terminals=("t0",), nodes=tuple(nodes), edges=tuple(edges))
+            cand = Network.from_edges(2, "s", ("t0",), tuple(nodes), tuple(edges))
             cand = prune(cand)
             if "t0" not in cand.nodes or not cand.edges:
                 continue
@@ -310,7 +310,7 @@ def test_search_matches_brute_force_on_combination_networks(params, q, t):
 def _terminal_subset(net, keep):
     dropped = set(net.terminals) - set(keep)
     return prune(
-        Network(
+        Network.from_edges(
             h=net.h,
             source=net.source,
             terminals=tuple(keep),
@@ -371,7 +371,7 @@ def _relabelled(net, seed):
     rng.shuffle(terminals)
     nodes = list(names)
     rng.shuffle(nodes)
-    return Network(
+    return Network.from_edges(
         h=net.h,
         source=node[net.source],
         terminals=tuple(terminals),
@@ -456,7 +456,7 @@ def test_search_raises_internal_error_when_its_code_is_rejected(monkeypatch):
 def test_search_rejects_a_network_with_unreachable_edges():
     # the edge a -> t cannot be reached from the source, so no edge order
     # covers it; the cut bound at t still holds through the two s -> t edges
-    net = Network(
+    net = Network.from_edges(
         h=2,
         source="s",
         terminals=("t",),

@@ -107,7 +107,7 @@ def test_combination_minimal_iff_s_equals_h(r):
 
 
 def _with_edge(net, tail, head):
-    return Network(
+    return Network.from_edges(
         h=net.h,
         source=net.source,
         terminals=net.terminals,
@@ -223,7 +223,7 @@ def test_solvability_check():
 
 def test_prune_removes_non_essential():
     net = build_butterfly()
-    with_extra = Network(
+    with_extra = Network.from_edges(
         h=net.h,
         source=net.source,
         terminals=net.terminals,
@@ -243,6 +243,11 @@ def test_json_roundtrip_with_labels(tmp_path):
     back = network_from_json(json.loads(text))
     assert back.edges == net.edges and back.terminals == net.terminals
     assert back.labels == net.labels
+    # parallel edges keep their ids, their order and their count
+    net = parallelize(build_combination(2, 3, 2), 2)
+    back = network_from_json(json.loads(json.dumps(network_to_json(net))))
+    assert back == net and network_to_json(back) == network_to_json(net)
+    assert [e.id for e in back.in_edges("t0_1")] == ["e3.1", "e3.2", "e4.1", "e4.2"]
 
 
 def test_dot_export_mentions_roles():
@@ -285,7 +290,7 @@ def _build_kneser_oracle(q, t, h):
     ids = _edge_ids(r + len(pairs))
     edges = [Edge(ids[i], "s", middle_ids[i]) for i in range(r)]
     edges.extend(Edge(ids[r + k], m, tname) for k, (tname, m) in enumerate(pairs))
-    return Network(
+    return Network.from_edges(
         h=h,
         source="s",
         terminals=tuple(terminals),
@@ -359,7 +364,7 @@ def test_builders_output_is_pinned(name):
 
 def _index_test_networks():
     bf = build_butterfly()
-    isolated = Network(
+    isolated = Network.from_edges(
         h=bf.h,
         source=bf.source,
         terminals=bf.terminals,
@@ -404,7 +409,7 @@ def test_adjacency_index_stays_out_of_equality_and_json():
     assert fresh == used and hash(fresh) == hash(used)
     assert network_to_json(fresh) == network_to_json(used)
     assert [f.name for f in dataclasses.fields(used)] == [
-        "h", "source", "terminals", "nodes", "edges", "labels"
+        "h", "source", "terminals", "nodes", "edge_ids", "tail", "head", "strays", "labels"
     ]
     reduced = used.without_edge("e5")
     assert [e.id for e in reduced.in_edges("t1")] == ["e8"]
@@ -639,7 +644,7 @@ def _mutated_networks(draw):
             h = draw(st.integers(0, 4))
     if draw(st.booleans()):
         edges = draw(st.permutations(edges))
-    return Network(
+    return Network.from_edges(
         h=h, source=net.source, terminals=tuple(terminals), nodes=tuple(nodes), edges=tuple(edges)
     )
 
@@ -650,10 +655,30 @@ def test_shape_and_validation_match_the_separate_walks(net):
     assert combination_parameters(net) == _combination_parameters_oracle(net)
     assert is_subcombination(net) == _is_subcombination_oracle(net)
     # a fresh copy, so validation runs before the shape is cached
-    copy = Network(net.h, net.source, net.terminals, net.nodes, net.edges)
+    copy = Network.from_edges(net.h, net.source, net.terminals, net.nodes, net.edges)
     assert _outcome(validate_network, copy) == _outcome(_validate_oracle, net)
     if set(net.nodes) >= {v for e in net.edges for v in (e.tail, e.head)}:
         assert _outcome(topological_order, net) == _outcome(_topological_order_oracle, net)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated_networks())
+def test_edge_index_matches_a_scan_of_the_edge_list(net):
+    # every node's in- and out-edges in edge-list order, and its in-degree,
+    # as a plain scan of the edges finds them, strays and absent names too
+    edges = net.edges
+    assert [e.id for e in edges] == list(net.edge_ids)
+    named = {v for e in edges for v in (e.tail, e.head)}
+    for node in (*net.nodes, *sorted(named), "absent"):
+        ins = [e for e in edges if e.head == node]
+        assert net.in_edges(node) == ins and net.in_degree(node) == len(ins)
+        assert net.out_edges(node) == [e for e in edges if e.tail == node]
+    if set(net.nodes) >= named:
+        assert _outcome(topological_order, net) == _outcome(_topological_order_oracle, net)
+    # the JSON form round-trips, parallel edges, strays and repeats included
+    obj = network_to_json(net)
+    back = network_from_json(json.loads(json.dumps(obj)), validate=False)
+    assert network_to_json(back) == obj and back == net
 
 
 def test_shape_on_degenerate_networks():
@@ -661,8 +686,8 @@ def test_shape_on_degenerate_networks():
     # in-degree 0 (one 0-subset of one middle), and a source that is its own
     # only terminal: answers the random edits rarely reach
     loop = (Edge("l", "s", "s"),)
-    looped = Network(h=1, source="s", terminals=("t",), nodes=("s", "t"), edges=loop)
-    lone = [Network(h=h, source="s", terminals=("s",), nodes=("s",), edges=()) for h in (0, 1)]
+    looped = Network.from_edges(h=1, source="s", terminals=("t",), nodes=("s", "t"), edges=loop)
+    lone = [Network.from_edges(h, "s", ("s",), ("s",), ()) for h in (0, 1)]
     for net in [looped, *lone]:
         assert combination_parameters(net) == _combination_parameters_oracle(net)
         assert is_subcombination(net) == _is_subcombination_oracle(net)
@@ -706,7 +731,7 @@ def test_shape_counts_each_middle_feeder_once(feeder):
     edges = tuple(
         Edge(e.id, feeder, e.head) if (e.tail, e.head) == ("m1", "t0_1") else e for e in base.edges
     )
-    net = Network(base.h, base.source, base.terminals, base.nodes, edges)
+    net = Network.from_edges(base.h, base.source, base.terminals, base.nodes, edges)
     assert net.in_degree("t0_1") == net.h
     assert not is_subcombination(net) and not _is_subcombination_oracle(net)
     assert combination_parameters(net) is None is _combination_parameters_oracle(net)

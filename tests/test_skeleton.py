@@ -9,7 +9,7 @@ from netgap.graphs import UGraph, complete_graph
 from netgap.lincode import search_solution
 from netgap.networks import Edge, Network, build_butterfly, build_combination, prune
 from netgap.qkneser import build_qkneser, find_homomorphism
-from netgap.skeleton import reverse_skeleton, skeleton, skeleton_roundtrip_check
+from netgap.skeleton import reverse_skeleton, skeleton
 
 
 def test_butterfly_skeleton_exact_classes():
@@ -30,7 +30,7 @@ def test_combination_skeleton_is_complete():
 
 
 def test_single_path_single_class():
-    net = Network(
+    net = Network.from_edges(
         h=1,
         source="s",
         terminals=("t",),
@@ -76,7 +76,7 @@ def _random_network(rng: random.Random) -> Network | None:
                     k += 1
     if len(edges) > 50:
         return None
-    net = Network(h=1, source="s", terminals=("t0", "t1"), nodes=tuple(nodes), edges=tuple(edges))
+    net = Network.from_edges(h=1, source="s", terminals=("t0", "t1"), nodes=tuple(nodes), edges=tuple(edges))
     net = prune(net)
     if not net.edges or "t0" not in net.nodes or "t1" not in net.nodes:
         return None
@@ -152,7 +152,7 @@ def _joined_network(rng: random.Random) -> Network:
     pairs += [(u, "j") for u in rng.sample(nodes, 2)]
     rng.shuffle(pairs)
     edges = tuple(Edge(f"e{k:02d}", u, v) for k, (u, v) in enumerate(pairs))
-    return Network(h=2, source="s", terminals=("k",), nodes=(*nodes, "p", "j", "k"), edges=edges)
+    return Network.from_edges(h=2, source="s", terminals=("k",), nodes=(*nodes, "p", "j", "k"), edges=edges)
 
 
 @given(st.integers(0, 10**9))
@@ -192,6 +192,30 @@ def test_reverse_skeleton_rejects_isolated():
     g = UGraph.from_edges(3, [(0, 1)])
     with pytest.raises(ValueError):
         reverse_skeleton(g)
+
+
+def skeleton_roundtrip_check(g: UGraph) -> bool:
+    """skeleton(reverse_skeleton(g)) matches g under the natural labels."""
+    net = reverse_skeleton(g)
+    skel = skeleton(net)
+    names = g.vertex_names
+    middle_of_vertex = {f"v{name}": i for i, name in enumerate(names)}
+
+    # each class must contain exactly one source edge; its head names the vertex
+    edge_of = {e.id: e for e in net.edges}
+    class_vertex: dict[int, int] = {}
+    for idx, cid in enumerate(skel.class_ids):
+        src_edges = [edge_of[eid] for eid in skel.classes[cid] if edge_of[eid].tail == net.source]
+        if len(src_edges) != 1:
+            return False
+        class_vertex[idx] = middle_of_vertex[src_edges[0].head]
+    if sorted(class_vertex.values()) != list(range(g.num_vertices)):
+        return False
+    mapped = {
+        (min(class_vertex[a], class_vertex[b]), max(class_vertex[a], class_vertex[b]))
+        for a, b in skel.graph.edges
+    }
+    return mapped == set(g.edges)
 
 
 def test_roundtrip_examples():
