@@ -13,11 +13,12 @@ independent-configuration ones.  A malformed certificate (a missing key,
 a value of the wrong type) is rejected, never raised.
 
 A network-code certificate is checked for its shape before any rank:
-q = p^m; every edge has a t x ht matrix over F_q; the code's h is the
-network's; the source, the terminals and every edge endpoint are listed
-nodes; every node without inputs but the source has no outputs; and the
-edge graph is acyclic (Kahn's sweep), so every terminal's data flows from
-the source.  An independent-configuration certificate needs 1 <= alpha <= h.
+q = p^m; t >= 1; every edge has a t x ht matrix over F_q; the code's h is
+the network's; the source, the terminals and every edge endpoint are
+listed nodes; every node without inputs but the source has no outputs;
+and the edge graph is acyclic (Kahn's sweep), so every terminal's data
+flows from the source.  An independent-configuration certificate needs
+t >= 1 and 1 <= alpha <= h.
 """
 
 from __future__ import annotations
@@ -109,6 +110,8 @@ def network_code_verdict(cert: dict) -> Verdict:
     if code["q"] != fld.q:
         return shape(f"code declares q={code['q']}, but p^m = {fld.q}")
     t, nt = code["t"], net["h"] * code["t"]
+    if t < 1:
+        return shape(f"code declares t={t}, but t >= 1")
     mats = {}
     for e in net["edges"]:
         if e["id"] not in code["edges"]:
@@ -175,6 +178,8 @@ def _check_ic(cert: dict) -> tuple[bool, str]:
     obj = cert["ic"]
     fld = make_field(obj["p"], obj["m"])
     t, h, alpha = obj["t"], obj["h"], cert["alpha"]
+    if t < 1:
+        return False, f"t={t}, but a configuration needs t >= 1"
     if not 1 <= alpha <= h:
         return False, f"alpha={alpha} is outside 1..{h}"
     bases = []

@@ -198,7 +198,8 @@ def cmd_skeleton(args) -> int:
         with open(args.dimacs, "w") as fh:
             fh.write(ugraph_to_dimacs(skel.graph))
     classes = {cid: sorted(m) for cid, m in skel.classes.items()}
-    human = [f"skeleton: {skel.graph.num_vertices} classes, {len(skel.graph.edges)} edges"]
+    num_edges = sum(skel.graph.degree_sequence()) // 2
+    human = [f"skeleton: {skel.graph.num_vertices} classes, {num_edges} edges"]
     for cid in skel.class_ids:
         human.append(f"  {cid}: {{{', '.join(classes[cid])}}}")
     _write_output(args, skeleton_to_json(skel), "\n".join(human))
@@ -254,7 +255,7 @@ def cmd_hom(args) -> int:
         q, n, m = args.to_qkneser
         g2 = build_qkneser(q, n, m, limit=args.max_subspaces)
         desc2 = f"qK_{{{n}:{m}}} over F_{q}"
-    elif args.to_complete:
+    elif args.to_complete is not None:
         from .graphs import complete_graph
 
         g2 = complete_graph(args.to_complete)

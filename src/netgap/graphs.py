@@ -1,4 +1,8 @@
-"""Undirected graphs, uniform hypergraphs, colorings, their file formats and certificates."""
+"""Undirected graphs, uniform hypergraphs, colorings, their file formats and certificates.
+
+A graph is its neighbour bitmasks; edge pairs are listed from them only
+when a graph is written (JSON, DIMACS, DOT and the certificates).
+"""
 
 from __future__ import annotations
 
@@ -11,17 +15,32 @@ from .subspaces import Subspace
 
 @dataclass(frozen=True)
 class UGraph:
-    """Simple undirected graph on vertices 0..num_vertices-1: its sorted
-    edge list, and one neighbour bitmask per vertex as its only adjacency.
+    """Simple undirected graph on vertices 0..num_vertices-1, held as its
+    neighbour bitmasks: bit u of masks[v] is set iff uv is an edge.
 
     Vertices may carry subspace labels (q-Kneser graphs) or string names
-    (skeleton graphs); both are optional and ignored by the solvers.
+    (skeleton graphs); both are optional and ignored by the solvers.  The
+    constructor checks the masks in O(V), but not their symmetry: every
+    builder makes symmetric masks, and `from_edges` is the way in from
+    outside.
     """
 
     num_vertices: int
-    edges: tuple[tuple[int, int], ...]  # sorted pairs a < b, deduplicated
+    masks: tuple[int, ...]
     labels: tuple[Subspace, ...] | None = None
     names: tuple[str, ...] | None = None
+
+    def __post_init__(self):
+        n, masks = self.num_vertices, self.masks
+        if type(masks) is not tuple:
+            raise ValueError(f"masks must be a tuple, not {type(masks).__name__}")
+        if len(masks) != n:
+            raise ValueError(f"{len(masks)} masks for {n} vertices")
+        for v, mask in enumerate(masks):
+            if type(mask) is not int or mask < 0 or mask >> n:
+                raise ValueError(f"mask {mask!r} of vertex {v} out of range")
+            if mask >> v & 1:
+                raise ValueError(f"self-loop at vertex {v}")
 
     @classmethod
     def from_edges(cls, num_vertices, edge_iter, labels=None, names=None) -> "UGraph":
@@ -35,52 +54,22 @@ class UGraph:
                 raise ValueError(f"edge ({a},{b}) out of range")
             masks[a] |= 1 << b
             masks[b] |= 1 << a
-        return cls.from_masks(num_vertices, masks, labels, names)
+        return cls(num_vertices, tuple(masks), labels, names)
 
-    @classmethod
-    def from_masks(cls, num_vertices, masks, labels=None, names=None) -> "UGraph":
-        """The graph whose vertex v is adjacent to the set bits of masks[v].
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The sorted pairs a < b, listed from the masks on each read.
 
-        The masks must be symmetric; the graph keeps them as its adjacency.
-        One walk over each mask's bits above its vertex lists the sorted
-        edge tuple, one node per edge, spent a vertex at a time.
+        Only the writers read it, after the answer, so it spends nothing.
         """
-        masks = list(masks)
-        if len(masks) != num_vertices:
-            raise ValueError(f"{len(masks)} masks for {num_vertices} vertices")
-        edges = []
-        bud = Budget()
-        for a, mask in enumerate(masks):
-            if mask < 0 or mask >> num_vertices:
-                raise ValueError(f"mask of vertex {a} out of range")
-            if mask >> a & 1:
-                raise ValueError(f"self-loop at vertex {a}")
+        pairs = []
+        for a, mask in enumerate(self.masks):
             above = mask >> (a + 1)
-            bud.spend_many(above.bit_count())
             while above:
                 low = above & -above
-                b = a + low.bit_length()
-                if not masks[b] >> a & 1:
-                    raise ValueError(f"masks not symmetric at ({a},{b})")
-                edges.append((a, b))
+                pairs.append((a, a + low.bit_length()))
                 above ^= low
-        g = cls(num_vertices, tuple(edges), labels, names)
-        g.__dict__["_masks"] = masks  # what `_masks` would rebuild from the edges
-        return g
-
-    @cached_property
-    def _masks(self) -> list[int]:
-        """Neighbourhoods as bitmasks, kept by `from_masks` or built from the
-        edges on first use; not a field, so it stays out of equality."""
-        adj = [0] * self.num_vertices
-        for a, b in self.edges:
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-        return adj
-
-    def adjacency_masks(self) -> list[int]:
-        """Neighbourhoods as bitmasks: bit u of entry v is set iff uv is an edge."""
-        return list(self._masks)
+        return tuple(pairs)
 
     @cached_property
     def vertex_names(self) -> tuple[str, ...]:
@@ -93,14 +82,14 @@ class UGraph:
 
         Not a field, so it stays out of equality and hashing.
         """
-        return degree_order(self._masks)
+        return degree_order(self.masks)
 
     def degree_sequence(self) -> list[int]:
-        return [mask.bit_count() for mask in self._masks]
+        return [mask.bit_count() for mask in self.masks]
 
     def is_complete(self) -> bool:
         n = self.num_vertices
-        return len(self.edges) == n * (n - 1) // 2
+        return sum(self.degree_sequence()) == n * (n - 1)
 
 
 def degree_order(adj: list[int]) -> tuple[list[int], list[int]]:
@@ -127,8 +116,10 @@ def degree_order(adj: list[int]) -> tuple[list[int], list[int]]:
 
 
 def complete_graph(n: int) -> UGraph:
+    if n < 0:
+        raise ValueError(f"K_n needs n >= 0, got n={n}")
     full = (1 << n) - 1
-    return UGraph.from_masks(n, [full ^ (1 << v) for v in range(n)])
+    return UGraph(n, tuple(full ^ (1 << v) for v in range(n)))
 
 
 @dataclass(frozen=True)
@@ -156,15 +147,15 @@ class Hypergraph:
         """Graph with an edge wherever two vertices share a hyperedge.
 
         Proper colorings of the hypergraph (no hyperedge with a repeated
-        color) are exactly proper colorings of this graph.
+        color) are exactly proper colorings of this graph.  Each hyperedge
+        ORs its members into their masks, one node per hyperedge.
         """
-        import itertools
-
-        def pairs():
-            for he in self.hyperedges:
-                yield from itertools.combinations(he, 2)
-
-        return UGraph.from_edges(self.num_vertices, pairs(), labels=self.labels)
+        masks = [0] * self.num_vertices
+        for he in Budget().each(self.hyperedges):
+            members = sum(1 << v for v in he)
+            for v in he:
+                masks[v] |= members ^ (1 << v)
+        return UGraph(self.num_vertices, tuple(masks), labels=self.labels)
 
 
 Coloring = dict[int, int]
@@ -192,8 +183,9 @@ def ugraph_from_json(obj: dict) -> UGraph:
 
 
 def ugraph_to_dimacs(g: UGraph) -> str:
-    lines = [f"p edge {g.num_vertices} {len(g.edges)}"]
-    lines.extend(f"e {a + 1} {b + 1}" for a, b in g.edges)
+    edges = g.edges
+    lines = [f"p edge {g.num_vertices} {len(edges)}"]
+    lines.extend(f"e {a + 1} {b + 1}" for a, b in edges)
     return "\n".join(lines) + "\n"
 
 

@@ -190,6 +190,8 @@ def search_solution(
     search proves none exists.  Raises BudgetExhausted when undecided:
     running out of budget is never reported as nonexistence.
     """
+    if t < 1:
+        raise ValueError(f"a (q,t)-linear solution needs t >= 1, got t={t}")
     fld = field_of_order(q)
     nt = net.h * t
     if not is_solvable(net):

@@ -567,18 +567,6 @@ def linear_code_to_json(code: LinearCode) -> dict:
     }
 
 
-def linear_code_from_json(obj: dict) -> LinearCode:
-    from .gf import make_field, rank
-
-    fld = make_field(obj["p"], obj["m"])
-    gen = Matrix.from_rows(fld, obj["generator"])
-    if gen.rows != obj["dim"] or gen.cols != obj["length"]:
-        raise ValueError("generator shape disagrees with declared length/dimension")
-    if rank(gen) != gen.rows:
-        raise ValueError("generator is not full row rank")
-    return LinearCode(field=fld, length=obj["length"], dim=obj["dim"], generator=gen)
-
-
 def ic_to_json(config: IndependentConfiguration) -> dict:
     return {
         "p": config.field.p,

@@ -217,7 +217,7 @@ class Network:
 def _named(h, source, terminals, nodes, ids, tails, heads, labels) -> Network:
     """The network whose edge ends are named by `tails()` and `heads()`,
     each a fresh iterator; an end that is not among `nodes` becomes a
-    stray.  The name map made here is the network's `_node_of`."""
+    stray."""
     nodes = tuple(nodes)
     node_of = dict(zip(nodes, itertools.count()))
     index = node_of.__getitem__
@@ -228,9 +228,7 @@ def _named(h, source, terminals, nodes, ids, tails, heads, labels) -> Network:
         strays = tuple(dict.fromkeys(v for v in ends if v not in node_of))
         node_of.update(zip(strays, itertools.count(len(nodes))))
         tail, head = tuple(map(index, tails())), tuple(map(index, heads()))
-    net = Network(h, source, tuple(terminals), nodes, tuple(ids), tail, head, strays, labels)
-    net.__dict__["_node_of"] = node_of  # what `_node_of` would rebuild from the names
-    return net
+    return Network(h, source, tuple(terminals), nodes, tuple(ids), tail, head, strays, labels)
 
 
 def _kahn(net: Network) -> list[int]:

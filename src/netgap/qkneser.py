@@ -46,7 +46,7 @@ def build_qkneser(q: int, n: int, m: int, *, limit: int = ENUMERATION_LIMIT) -> 
     fld = field_of_order(q)
     verts = enumerate_subspaces(fld, n, m, limit=limit)
     masks = DirectSumIndex(verts).pair_masks()
-    return UGraph.from_masks(len(verts), masks, labels=tuple(verts))
+    return UGraph(len(verts), tuple(masks), labels=tuple(verts))
 
 
 def build_qkneser_hyper(q: int, t: int, h: int, *, limit: int = ENUMERATION_LIMIT) -> Hypergraph:
@@ -326,7 +326,7 @@ def chromatic_number(
     n = g.num_vertices
     if n == 0:
         return ChiResult(0, 0, {}, (), 0)
-    if not g.edges:
+    if not any(g.masks):
         return ChiResult(1, 1, {v: 0 for v in range(n)}, (0,), 0)
     bud = Budget(budget)
     clique = greedy_clique(g)
@@ -361,11 +361,11 @@ def find_homomorphism(g1: UGraph, g2: UGraph, budget: int = DEFAULT_BUDGET) -> d
     """
     if g1.num_vertices == 0:
         return {}
-    if not g1.edges:
+    if not any(g1.masks):
         if g2.num_vertices == 0:
             return None
         return {v: 0 for v in range(g1.num_vertices)}
-    if g1.adjacency_masks() == g2.adjacency_masks():
+    if g1.masks == g2.masks:
         return {v: v for v in range(g1.num_vertices)}
     # adjacent vertices get distinct adjacent images, so a clique maps
     # injectively onto a clique: any clique of g1 may be pinned to distinct
@@ -380,7 +380,7 @@ def find_homomorphism(g1: UGraph, g2: UGraph, budget: int = DEFAULT_BUDGET) -> d
         return None
 
     n1 = g1.num_vertices
-    adj1, adj2 = g1.adjacency_masks(), g2.adjacency_masks()
+    adj1, adj2 = g1.masks, g2.masks
     full2 = (1 << g2.num_vertices) - 1
 
     # order: seed with the clique, then most-placed-neighbors first; each

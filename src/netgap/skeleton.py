@@ -74,7 +74,7 @@ def skeleton(net: Network) -> SkeletonGraph:
         bud.spend_many(len(heads))
         adj.append(reduce(or_, map(node_bits.__getitem__, heads), 0) & ~(1 << k))
 
-    graph = UGraph.from_masks(len(roots), adj, names=tuple(map(min, class_members)))
+    graph = UGraph(len(roots), tuple(adj), names=tuple(map(min, class_members)))
     return SkeletonGraph(graph=graph, members=tuple(map(tuple, class_members)))
 
 

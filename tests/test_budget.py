@@ -159,10 +159,10 @@ def test_chromatic_number_past_the_deadline_raises_or_brackets():
     assert res.nodes_used == FIRST_CHECKPOINT
 
 
-def test_qkneser_edge_listing_stops_at_an_expired_deadline(monkeypatch):
+def test_qkneser_edge_listing_spends_nothing_past_the_deadline(monkeypatch):
     # qK_{6:3} over F_2: 1395 vertices of degree 512.  Its subspaces and
-    # their masks are made before the deadline, so only the listing of the
-    # graph's edges from the masks can stop it
+    # their masks are made before the deadline, and the graph is its masks,
+    # so neither building it nor listing its edges for a writer can stop
     fld = field_of_order(2)
     verts = enumerate_subspaces(fld, 6, 3)
     masks = DirectSumIndex(verts).pair_masks()
@@ -170,26 +170,19 @@ def test_qkneser_edge_listing_stops_at_an_expired_deadline(monkeypatch):
     monkeypatch.setattr(
         qkneser, "DirectSumIndex", lambda spaces: types.SimpleNamespace(pair_masks=lambda: masks)
     )
-    with deadline(EXPIRED), pytest.raises(BudgetExhausted, match="wall-clock") as exc:
-        build_qkneser(2, 6, 3)
-    assert exc.value.nodes_used == FIRST_CHECKPOINT
-    g = build_qkneser(2, 6, 3)
-    assert g.adjacency_masks() == masks and len(g.edges) == 1395 * 512 // 2
+    with deadline(EXPIRED):
+        g = build_qkneser(2, 6, 3)
+        assert g.masks == tuple(masks) and len(g.edges) == 1395 * 512 // 2
 
 
-def test_graph_from_masks_stops_at_an_expired_deadline():
-    # one node per listed edge, read once per vertex whose edges cross a
-    # checkpoint: K_50 lists 1225 edges, K_45 990
+def test_complete_graph_spends_nothing_past_the_deadline():
+    # K_50 has 1225 edges, past the first checkpoint, and K_45 990
     for n, edges in ((50, 1225), (45, 990)):
         full = (1 << n) - 1
-        masks = [full ^ (1 << v) for v in range(n)]
-        if edges > FIRST_CHECKPOINT:
-            with deadline(EXPIRED), pytest.raises(BudgetExhausted, match="wall-clock") as exc:
-                UGraph.from_masks(n, masks)
-            assert exc.value.nodes_used == FIRST_CHECKPOINT
-        else:
-            with deadline(EXPIRED):
-                assert len(UGraph.from_masks(n, masks).edges) == edges
+        masks = tuple(full ^ (1 << v) for v in range(n))
+        with deadline(EXPIRED):
+            g = UGraph(n, masks)
+            assert g == complete_graph(n) and len(g.edges) == edges
 
 
 @pytest.mark.parametrize("limit", [5, 1023, 1024, 1500, 3000])

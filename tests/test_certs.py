@@ -161,6 +161,12 @@ def _local_inconsistency(cert):
     cert["code"]["edges"]["e8"] = [[0, 1]]  # v4 only holds x1
 
 
+def _t_zero(cert):
+    # a (2,0) "code": every matrix is 0 x 0, so every rank check would pass
+    cert["code"]["t"] = 0
+    cert["code"]["edges"] = {eid: [] for eid in cert["code"]["edges"]}
+
+
 @pytest.mark.parametrize(
     "edit,kind,message",
     [
@@ -175,6 +181,7 @@ def _local_inconsistency(cert):
         (lambda c: c["network"]["edges"][0].update(to="x"), "shape", "references unknown node"),
         (_local_inconsistency, "local", "edge e8 leaving node v4 is not computable"),
         (_terminal_starved, "terminal", "terminal t1 has rank 1 < 2"),
+        (_t_zero, "shape", "code declares t=0, but t >= 1"),
     ],
 )
 def test_network_code_rejected(code_cert, edit, kind, message):
@@ -227,6 +234,12 @@ def test_ic_accepted(ic_cert):
     )
 
 
+def _t_zero_ic(cert):
+    # a (0;2,2)_2 configuration: empty members, each 0-dimensional
+    cert["ic"]["t"] = 0
+    cert["ic"]["members"] = [[] for _ in cert["ic"]["members"]]
+
+
 def _duplicate_member(cert):
     cert["ic"]["members"].append(cert["ic"]["members"][0])
 
@@ -241,6 +254,7 @@ def _duplicate_member(cert):
         (lambda c: c["ic"]["members"].append([[1, 0, 0], [0, 1, 0]]), "member is not"),
         (lambda c: c["ic"]["members"].append([[2, 0, 0, 0], [0, 1, 0, 0]]), "member is not"),
         (_duplicate_member, "an alpha-subset fails the direct-sum condition"),
+        (_t_zero_ic, "t=0, but a configuration needs t >= 1"),
     ],
 )
 def test_ic_rejected(ic_cert, edit, message):

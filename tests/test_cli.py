@@ -143,6 +143,45 @@ def test_solve_negative_exit_code(tmp_path, capsys):
     assert code == EXIT_NEGATIVE and "no (2,1)-linear solution" in out
 
 
+@pytest.mark.parametrize("t", ["0", "-1"])
+def test_solve_rejects_t_below_one_with_the_usage_code(tmp_path, capsys, t):
+    net_path, cert = tmp_path / "net.json", tmp_path / "c.json"
+    run_cli(["build", "comb", "2", "3", "2", "-o", str(net_path)], capsys)
+    code, out, err = run_cli(
+        ["solve", "--network", str(net_path), "--q", "2", "--t", t, "--cert", str(cert)], capsys
+    )
+    assert code == EXIT_USAGE and out == "" and f"t >= 1, got t={t}" in err
+    assert not cert.exists()
+
+
+def test_a_code_or_configuration_with_t_zero_fails_its_checks(tmp_path, capsys):
+    # a (2,0) "solution" of N_{2,3,2} (every matrix empty) and a (0;2,2)_2
+    # configuration (every member empty) pass every rank check, so t itself
+    # must be checked
+    net_path, code_cert, ic_cert = tmp_path / "n.json", tmp_path / "code.json", tmp_path / "ic.json"
+    run_cli(["build", "comb", "2", "3", "2", "-o", str(net_path)], capsys)
+    run_cli(["solve", "--network", str(net_path), "--q", "2", "--cert", str(code_cert)], capsys)
+    run_cli(["ic", "search", "--q", "2", "--t", "1", "--h", "2", "--alpha", "2", "--cert", str(ic_cert)], capsys)
+    obj = json.loads(code_cert.read_text())
+    obj["code"]["t"] = 0
+    obj["code"]["edges"] = {eid: [] for eid in obj["code"]["edges"]}
+    code_cert.write_text(json.dumps(obj))
+    obj = json.loads(ic_cert.read_text())
+    obj["ic"]["t"] = 0
+    obj["ic"]["members"] = [[] for _ in obj["ic"]["members"]]
+    ic_cert.write_text(json.dumps(obj))
+    witness = tmp_path / "witness.json"
+    witness.write_text(json.dumps(obj["ic"]))
+    code, out, _ = run_cli(["check-cert", str(code_cert), str(ic_cert)], capsys)
+    assert code == EXIT_NEGATIVE
+    assert out.splitlines() == [
+        f"{code_cert}: FAIL - code declares t=0, but t >= 1",
+        f"{ic_cert}: FAIL - t=0, but a configuration needs t >= 1",
+    ]
+    code, out, _ = run_cli(["ic", "check", "--witness", str(witness), "--alpha", "2"], capsys)
+    assert code == EXIT_NEGATIVE and "INVALID" in out
+
+
 def test_solve_budget_exit_code(tmp_path, capsys):
     net_path = tmp_path / "net.json"
     run_cli(["build", "comb", "2", "4", "2", "-o", str(net_path)], capsys)
@@ -261,6 +300,20 @@ def test_hom_positive_negative(tmp_path, capsys):
     assert code == EXIT_OK
     code, out, _ = run_cli(["hom", "--from", str(g_path), "--to-complete", "2"], capsys)
     assert code == EXIT_NEGATIVE and "no homomorphism" in out
+
+
+def test_hom_into_k_zero_and_no_negative_order(tmp_path, capsys):
+    k2, empty = tmp_path / "k2.json", tmp_path / "empty.json"
+    k2.write_text(json.dumps({"vertices": ["a", "b"], "edges": [["a", "b"]]}))
+    empty.write_text(json.dumps({"vertices": [], "edges": []}))
+    cert = tmp_path / "hom.json"
+    code, out, _ = run_cli(["hom", "--from", str(k2), "--to-complete", "0", "--cert", str(cert)], capsys)
+    assert code == EXIT_NEGATIVE and "no homomorphism into K_0" in out
+    code, out, _ = run_cli(["hom", "--from", str(empty), "--to-complete", "0", "--cert", str(cert)], capsys)
+    assert code == EXIT_OK and "homomorphism found" in out
+    assert run_cli(["check-cert", str(cert)], capsys)[0] == EXIT_OK
+    code, out, err = run_cli(["hom", "--from", str(k2), "--to-complete", "-1"], capsys)
+    assert code == EXIT_USAGE and out == "" and "n=-1" in err
 
 
 def test_skeleton_command_lists_classes(tmp_path, capsys):
@@ -843,18 +896,20 @@ def test_gap_timeout_holds_after_a_bracketed_qs(tmp_path):
 
 
 def test_gap_timeout_holds_after_a_qs_bracketed_by_the_limit(tmp_path):
-    # The skeleton is the Mycielski graph M6 (chi = 6, triangle-free):
-    # refuting 5 colors, which q_s = 4 or 5 hinges on, outlasts the limit,
-    # so q_s is a bracket; the q_v searches that follow must still stop.
+    # The skeleton is the Mycielski graph M7 (95 vertices, chi = 7,
+    # triangle-free): 3 and 4 colors are refuted in milliseconds, but
+    # refuting 5 colors, which q_s = 4 hinges on, takes seconds, so q_s is
+    # a bracket; the q_v searches that follow must still stop.  (M6 is too
+    # small: its 5 colors fall in about 1 s.)
     from netgap.graphs import UGraph
     from netgap.skeleton import reverse_skeleton
 
     g = UGraph.from_edges(2, [(0, 1)])
-    for _ in range(4):
+    for _ in range(5):
         n = g.num_vertices
         edges = list(g.edges) + [(a, n + b) for a, b in g.edges] + [(b, n + a) for a, b in g.edges]
         g = UGraph.from_edges(2 * n + 1, edges + [(n + v, 2 * n) for v in range(n)])
-    net_path = tmp_path / "m6.json"
+    net_path = tmp_path / "m7.json"
     net_path.write_text(json.dumps(network_to_json(reverse_skeleton(g))))
     start = time.monotonic()
     proc = _run_module(
@@ -864,7 +919,7 @@ def test_gap_timeout_holds_after_a_qs_bracketed_by_the_limit(tmp_path):
     assert proc.returncode == EXIT_BUDGET, proc.stderr
     assert time.monotonic() - start < 3
     report = json.loads(proc.stdout)
-    assert report["q_s"] == {"lower": 4, "upper": 5, "method": "skeleton-chi-bracket"}
+    assert report["q_s"] == {"lower": 4, "upper": 7, "method": "skeleton-chi-bracket"}
     assert report["q_v"]["method"] == "bracket"
 
 

@@ -1,10 +1,13 @@
-"""UGraph construction: every graph is made from adjacency masks."""
+"""UGraph construction: a graph is its neighbour bitmasks."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netgap.graphs import UGraph, complete_graph
+from netgap.graphs import Hypergraph, UGraph, complete_graph, ugraph_from_json
+from netgap.networks import build_butterfly, build_combination, build_kneser
+from netgap.qkneser import build_qkneser, build_qkneser_hyper
+from netgap.skeleton import skeleton
 
 
 @st.composite
@@ -27,38 +30,39 @@ def test_from_masks_and_from_edges_give_equal_graphs(case):
         masks[a] |= 1 << b
         masks[b] |= 1 << a
     listed = UGraph.from_edges(n, pairs, names=tuple(f"v{i}" for i in range(n)))
-    masked = UGraph.from_masks(n, masks, names=tuple(f"v{i}" for i in range(n)))
+    masked = UGraph(n, tuple(masks), names=tuple(f"v{i}" for i in range(n)))
     assert listed == masked and hash(listed) == hash(masked)
     assert list(listed.edges) == sorted({(min(p), max(p)) for p in pairs})
-    assert listed.adjacency_masks() == masked.adjacency_masks() == masks
-    # a graph made from its edge tuple alone rebuilds the same masks
-    assert UGraph(n, listed.edges).adjacency_masks() == masks
-    assert listed.static_order == UGraph(n, listed.edges).static_order
+    assert listed.masks == masked.masks == tuple(masks)
+    # a graph made from its listed edges has the same masks
+    assert UGraph.from_edges(n, listed.edges).masks == tuple(masks)
+    assert listed.static_order == UGraph.from_edges(n, listed.edges).static_order
     assert listed.degree_sequence() == [m.bit_count() for m in masks]
 
 
-def test_from_masks_keeps_its_masks_out_of_equality():
-    g = UGraph.from_masks(3, [0b110, 0b001, 0b001])
+def test_masks_labels_and_names_are_the_graph():
+    g = UGraph(3, (0b110, 0b001, 0b001))
     assert g.edges == ((0, 1), (0, 2))
-    assert g == UGraph(3, ((0, 1), (0, 2))) and "_masks" in vars(g)
-    # callers get a copy
-    g.adjacency_masks()[0] = 0
-    assert g.adjacency_masks() == [0b110, 0b001, 0b001]
+    assert g == UGraph.from_edges(3, [(0, 2), (1, 0)]) and hash(g) == hash(UGraph(3, g.masks))
+    assert g != UGraph(3, (0b010, 0b001, 0b000))
+    assert g != UGraph(3, g.masks, names=("a", "b", "c"))
+    assert g.degree_sequence() == [2, 1, 1] and not g.is_complete()
 
 
 @pytest.mark.parametrize(
     ("n", "masks", "message"),
     [
-        (2, [0b10, 0b00], "not symmetric"),
-        (2, [0b01, 0b00], "self-loop"),
-        (2, [0b110, 0b000], "out of range"),
-        (2, [-1, 0], "out of range"),
-        (3, [0b110, 0b001], "2 masks for 3 vertices"),
+        (3, ((0, 1), (0, 2), (1, 2)), "out of range"),  # edges where the masks go
+        (2, (0b01, 0b00), "self-loop"),
+        (2, (0b110, 0b000), "out of range"),
+        (2, (-1, 0), "out of range"),
+        (3, (0b110, 0b001), "2 masks for 3 vertices"),
+        (2, [0b10, 0b01], "must be a tuple"),
     ],
 )
 def test_from_masks_rejects_what_is_no_simple_graph(n, masks, message):
     with pytest.raises(ValueError, match=message):
-        UGraph.from_masks(n, masks)
+        UGraph(n, masks)
 
 
 @pytest.mark.parametrize(
@@ -74,3 +78,33 @@ def test_complete_graph_from_masks():
         g = complete_graph(n)
         assert g.is_complete() and len(g.edges) == n * (n - 1) // 2
         assert g == UGraph.from_edges(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
+
+
+def test_complete_graph_rejects_a_negative_order():
+    with pytest.raises(ValueError, match="n=-1"):
+        complete_graph(-1)
+
+
+_BUILDERS = {
+    "skeleton-K222": lambda: skeleton(build_kneser(2, 2, 2)).graph,
+    "skeleton-N353": lambda: skeleton(build_combination(3, 5, 3)).graph,
+    "skeleton-butterfly": lambda: skeleton(build_butterfly()).graph,
+    "qkneser-2-4-2": lambda: build_qkneser(2, 4, 2),
+    "qkneser-3-4-2": lambda: build_qkneser(3, 4, 2),
+    "complete-0": lambda: complete_graph(0),
+    "complete-7": lambda: complete_graph(7),
+    "from-edges": lambda: UGraph.from_edges(6, [(0, 1), (1, 0), (5, 2), (3, 4), (2, 5)]),
+    "from-json": lambda: ugraph_from_json({"vertices": ["a", "b", "c", "d"], "edges": [["a", "c"], ["d", "a"]]}),
+    "co-occurrence": lambda: Hypergraph.from_hyperedges(6, 3, [(0, 1, 2), (2, 3, 4), (4, 5, 0)]).co_occurrence(),
+    "co-occurrence-qkneser-hyper": lambda: build_qkneser_hyper(2, 1, 3).co_occurrence(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BUILDERS))
+def test_every_builder_makes_symmetric_loop_free_masks(name):
+    # the constructor does not check symmetry: each builder makes it
+    g = _BUILDERS[name]()
+    n, masks = g.num_vertices, g.masks
+    assert not any(masks[v] >> v & 1 for v in range(n))
+    assert all(masks[a] >> b & 1 == masks[b] >> a & 1 for a in range(n) for b in range(n))
+    assert g.edges == tuple((a, b) for a in range(n) for b in range(a + 1, n) if masks[a] >> b & 1)

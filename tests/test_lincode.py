@@ -84,6 +84,13 @@ def test_local_inconsistency_detected():
     assert "e8" in verdict.failure
 
 
+@pytest.mark.parametrize("t", [0, -1])
+def test_search_solution_needs_t_of_at_least_one(t):
+    # at t = 0 every matrix is empty and every rank check would pass
+    with pytest.raises(ValueError, match=f"t >= 1, got t={t}"):
+        search_solution(build_combination(2, 3, 2), 2, t)
+
+
 def test_missing_assignment_raises():
     code = dict(classic_butterfly_code().assignment)
     del code["e9"]

@@ -165,7 +165,7 @@ def test_skeleton_matches_the_pairwise_join_oracle_on_wide_joins(seed):
     assert list(skel.class_ids) == ids
     assert [skel.classes[cid] for cid in ids] == members
     assert list(skel.graph.edges) == pairs
-    assert skel.graph.adjacency_masks() == UGraph.from_edges(len(ids), pairs).adjacency_masks()
+    assert skel.graph.masks == UGraph.from_edges(len(ids), pairs).masks
 
 
 def test_reverse_skeleton_triangle():
