@@ -84,12 +84,12 @@ def _read_json(path: str) -> dict:
 
 def _load(path: str, parse):
     """`parse` of the JSON in `path`.  A file of the wrong shape makes the
-    parser index, call or look up what is not there; that is an input
-    error naming the file, not a traceback."""
+    parser index, call, unpack or look up what is not there, or fails its
+    checks; that is an input error naming the file, not a traceback."""
     obj = _read_json(path)
     try:
         return parse(obj)
-    except (TypeError, AttributeError, IndexError, KeyError) as exc:
+    except (TypeError, AttributeError, IndexError, KeyError, ValueError) as exc:
         raise ValueError(f"{path}: malformed input ({type(exc).__name__}: {exc})") from None
 
 

@@ -174,6 +174,8 @@ def ugraph_to_json(g: UGraph) -> dict:
 
 
 def ugraph_from_json(obj: dict) -> UGraph:
+    if type(obj["vertices"]) is not list or type(obj["edges"]) is not list:
+        raise ValueError("graph vertices and edges must be lists")
     names = [str(v) for v in obj["vertices"]]
     index = {name: i for i, name in enumerate(names)}
     if len(index) != len(names):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
 from operator import eq, itemgetter
@@ -99,58 +99,60 @@ class Network:
         return *_grouped(n, self.tail), *_grouped(n, self.head)
 
     @cached_property
-    def _shape(self) -> tuple[bool, tuple[int, int, int] | None]:
-        """(`is_subcombination`, `combination_parameters`) from one walk over
-        the source edges and the middles' out-edges.
+    def _layers(self) -> tuple:
+        """(roots, mids, indeg, outdeg, feeders) from one pass over the edge
+        arrays, no index: the source edges in edge-list order, their heads,
+        Counters of the degrees, and each node's feeders among the middles
+        as one bitmask, bit k standing for mids[k]."""
+        tail, head = self.tail, self.head
+        src = self._node_of.get(self.source)
+        sourced = () if src is None else map(src.__eq__, tail)
+        roots = list(itertools.compress(itertools.count(), sourced))
+        mids = list(map(head.__getitem__, roots))
+        bit = {m: 1 << k for k, m in enumerate(mids)}
+        feeders = [0] * (len(self.nodes) + len(self.strays))  # by place: names may repeat
+        Budget().spend_many(len(tail))  # one node per edge
+        for b, v in zip(map(bit.get, tail), head):
+            if b:
+                feeders[v] |= b
+        return roots, mids, Counter(head), Counter(tail), feeders
 
-        Each node's feeders among the middles are one bitmask, bit k
-        standing for the middle of the k-th source edge: a feeder that is no
-        middle adds no bit and a middle feeding twice adds one, so a
-        terminal's feeders are distinct middles iff the popcount is its
-        in-degree.
-        """
-        out_start, out_edge, in_start, _ = self._index
+    @cached_property
+    def _shape(self) -> tuple[bool, tuple[int, int, int] | None]:
+        """(`is_subcombination`, `combination_parameters`) from the layers: a
+        feeder that is no middle adds no bit and a middle feeding twice adds
+        one, so a terminal's feeders are distinct middles iff the popcount
+        of its feeder mask is its in-degree."""
+        _, mids, indeg, outdeg, feeders = self._layers
         node_of = self._node_of
         src = node_of.get(self.source)
         terms = list(dict.fromkeys(map(node_of.get, self.terminals)))  # each once, in order
         if src is None or None in terms:
             return False, None
-        head = self.head
-        mids = [head[e] for e in out_edge[out_start[src] : out_start[src + 1]]]
         if (  # the source, the middles and the terminals must be every node
             len(set(mids)) != len(mids)
             or not set(mids).isdisjoint(terms)
             or max((src, *mids, *terms)) >= len(self.nodes)
             or len({src, *mids, *terms}) != len(node_of) - len(self.strays)
-            or any(in_start[m + 1] - in_start[m] != 1 for m in mids)
+            or any(indeg[m] != 1 for m in mids)
         ):
             return False, None
-        masks = [0] * (len(self.nodes) + len(self.strays))
-        bud = Budget()  # one node per middle's out-edge, then per terminal
-        for k, m in enumerate(mids):
-            bud.spend_many(out_start[m + 1] - out_start[m])
-            bit = 1 << k
-            for v in map(head.__getitem__, out_edge[out_start[m] : out_start[m + 1]]):
-                masks[v] |= bit
-        bud.spend_many(len(terms))
-        feeders = [masks[v] for v in terms]
-        degrees = [in_start[v + 1] - in_start[v] for v in terms]
-        if list(map(int.bit_count, feeders)) != degrees or any(
-            out_start[v] != out_start[v + 1] for v in terms
-        ):
+        masks = list(map(feeders.__getitem__, terms))
+        degrees = list(map(indeg.__getitem__, terms))
+        if list(map(int.bit_count, masks)) != degrees or not outdeg.keys().isdisjoint(terms):
             return False, None
         # a sub-combination network's middles feed only terminals (so their
         # out-degrees add up to the edges into terminals), each drawing h edges
         subcombination = (
             src not in terms
             and set(degrees) <= {self.h}
-            and sum(out_start[m + 1] - out_start[m] for m in mids) == sum(degrees)
+            and sum(outdeg[m] for m in mids) == sum(degrees)
         )
         # a full combination network has one terminal per s-subset of its r middles
         if src in mids or len(set(degrees)) != 1:
             return subcombination, None
         r, s = len(mids), degrees[0]
-        if len(set(feeders)) != len(self.terminals) or len(self.terminals) != math.comb(r, s):
+        if len(set(masks)) != len(self.terminals) or len(self.terminals) != math.comb(r, s):
             return subcombination, None
         return subcombination, (self.h, r, s)
 
@@ -168,6 +170,15 @@ class Network:
         from .skeleton import skeleton
 
         return skeleton(self)
+
+    def middle_layer(self) -> tuple[list[int], list[int]] | None:
+        """(roots, feeders) of a network of three layers, source -> middles
+        -> terminals: the sub-combination shape (which keeps the source out
+        of the middles) with every middle feeding.  Bit k of feeders[v] is
+        set when the head of roots[k], the source edges in edge-list order,
+        feeds node v.  None for any other network."""
+        roots, mids, _, outdeg, feeders = self._layers
+        return (roots, feeders) if self._shape[0] and all(map(outdeg.__getitem__, mids)) else None
 
     def index_of(self, node: str) -> int:
         """A node name's index; KeyError for a name no node or edge has."""
@@ -281,7 +292,6 @@ def validate_network(net: Network) -> None:
         raise ValueError("message count h must be >= 1")
     if not net.terminals:
         raise ValueError("network needs at least one terminal")
-    out_start, _, in_start, _ = net._index
     node_of, n = net._node_of, len(net.nodes)
     if len(node_of) != n + len(net.strays):
         raise ValueError("duplicate node ids")
@@ -295,6 +305,10 @@ def validate_network(net: Network) -> None:
     for t in net.terminals:
         if node_of.get(t, n) >= n:
             raise ValueError(f"terminal {t} not among nodes")
+    # three layers, source -> middles -> terminals, are acyclic, the source
+    # is their one node of in-degree 0 and every sink is a terminal
+    if net.middle_layer() is not None:
+        return
     _kahn(net)
     if net.in_degree(net.source):
         raise ValueError("source must have in-degree 0")
@@ -302,6 +316,7 @@ def validate_network(net: Network) -> None:
     # a node of out-degree 0, so every node lies on a source-to-terminal
     # path iff the source is the only node of in-degree 0 and every node of
     # out-degree 0 is a terminal
+    out_start, _, in_start, _ = net._index
     sources = sum(map(eq, in_start, itertools.islice(in_start, 1, n + 1)))
     sinks = itertools.compress(range(n), map(eq, out_start, itertools.islice(out_start, 1, None)))
     if sources != 1 or not set(map(node_of.get, net.terminals)).issuperset(sinks):

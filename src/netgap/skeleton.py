@@ -35,7 +35,30 @@ class SkeletonGraph:
 
 
 def skeleton(net: Network) -> SkeletonGraph:
-    """The classes, numbered by their root edge's place in the edge list.
+    """The classes, numbered by their root edge's place in the edge list."""
+    layer = net.middle_layer()
+    return _class_walk(net) if layer is None else _layered(net, *layer)
+
+
+def _layered(net: Network, roots: list[int], feeders: list[int]) -> SkeletonGraph:
+    """The skeleton of a three-layer network: class k is the k-th source
+    edge and its middle's out-edges, its mask the OR of the feeder masks of
+    the terminals they enter less its own bit; one node per edge spent."""
+    tail, head, ids = net.tail, net.head, net.edge_ids
+    class_of = {head[e]: k for k, e in enumerate(roots)}
+    members, adj = [[ids[e]] for e in roots], [0] * len(roots)
+    Budget().spend_many(len(tail))
+    for e, k in enumerate(map(class_of.get, tail)):
+        if k is not None:
+            members[k].append(ids[e])
+            adj[k] |= feeders[head[e]]
+    adj = tuple(a & ~(1 << k) for k, a in enumerate(adj))
+    graph = UGraph(len(roots), adj, names=tuple(map(min, members)))
+    return SkeletonGraph(graph=graph, members=tuple(map(tuple, members)))
+
+
+def _class_walk(net: Network) -> SkeletonGraph:
+    """The skeleton of any network, by walking each class from its root.
 
     A node of in-degree 1 continues the class of its one in-edge, so a
     class is its root edge and the out-edges of the nodes it reaches

@@ -483,6 +483,13 @@ def _write_malformed_inputs(tmp_path):
     )
     (tmp_path / "ic.json").write_text(json.dumps({"p": 2, "m": 1, "t": 1, "h": 2, "members": 5}))
     (tmp_path / "list.json").write_text("[1, 2]")
+    # a graph edge of three names, and vertices as a string, one per character
+    (tmp_path / "three-names.json").write_text(
+        json.dumps({"vertices": ["a", "b", "c"], "edges": [["a", "b", "c"]]})
+    )
+    (tmp_path / "string-vertices.json").write_text(
+        json.dumps({"vertices": "abc", "edges": [["a", "b"], ["b", "c"]]})
+    )
 
 
 @pytest.mark.parametrize(
@@ -499,6 +506,8 @@ def _write_malformed_inputs(tmp_path):
         (["chi", "--graph", "list.json"], "list.json"),
         (["hom", "--from", "list.json", "--to-complete", "3"], "list.json"),
         (["build", "from-graph", "--graph", "list.json"], "list.json"),
+        (["chi", "--graph", "three-names.json"], "three-names.json"),
+        (["chi", "--graph", "string-vertices.json"], "string-vertices.json"),
     ],
     ids=[
         "qs-string-nodes",
@@ -512,6 +521,8 @@ def _write_malformed_inputs(tmp_path):
         "chi-list",
         "hom-from-list",
         "build-from-graph-list",
+        "chi-three-name-edge",
+        "chi-string-vertices",
     ],
 )
 def test_a_malformed_input_file_is_a_usage_error_naming_the_file(tmp_path, capsys, monkeypatch, argv, bad):

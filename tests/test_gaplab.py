@@ -540,6 +540,14 @@ def test_gap_computes_each_network_structure_once(monkeypatch):
     assert minimality == [bf] and skeletons == [net, bf]
 
 
+def test_q_s_of_a_kneser_file_builds_no_edge_index():
+    # K_{2,2;2} is three layers: reading it, validating it, its shape and
+    # its skeleton all come from one pass over its edges, with no index
+    net = relabel(build_kneser(2, 2, 2), 5)
+    assert qs_exact(net).value == 5
+    assert "_layers" in vars(net) and "_index" not in vars(net)
+
+
 # ---------------------------------------------------------------------------
 # the assignment search over the middle nodes (sub-combination networks)
 # ---------------------------------------------------------------------------

@@ -73,6 +73,21 @@ def test_from_edges_rejects_loops_and_unknown_vertices(pairs, message):
         UGraph.from_edges(3, pairs)
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"vertices": "abc", "edges": [["a", "b"], ["b", "c"]]},
+        {"vertices": ["a", "b"], "edges": "ab"},
+        {"vertices": {"a": 0, "b": 1}, "edges": [["a", "b"]]},
+    ],
+    ids=["string-vertices", "string-edges", "object-vertices"],
+)
+def test_graph_json_takes_only_lists(obj):
+    # a string would be read one vertex or one edge end per character
+    with pytest.raises(ValueError, match="must be lists"):
+        ugraph_from_json(obj)
+
+
 def test_complete_graph_from_masks():
     for n in range(6):
         g = complete_graph(n)

@@ -31,7 +31,7 @@ from netgap.networks import (
     topological_order,
     validate_network,
 )
-from netgap.skeleton import reverse_skeleton
+from netgap.skeleton import _class_walk, reverse_skeleton, skeleton
 from netgap.subspaces import sum_dim
 
 
@@ -735,3 +735,28 @@ def test_shape_counts_each_middle_feeder_once(feeder):
     assert net.in_degree("t0_1") == net.h
     assert not is_subcombination(net) and not _is_subcombination_oracle(net)
     assert combination_parameters(net) is None is _combination_parameters_oracle(net)
+
+
+def test_the_layers_are_sized_by_place_when_a_node_name_repeats():
+    # m0 named again at the end: its edges use its last place, past the
+    # count of distinct names, so the layer pass sizes its masks by place
+    base = build_combination(2, 3, 2)
+    net = Network.from_edges(base.h, base.source, base.terminals, base.nodes + ("m0",), base.edges)
+    assert is_subcombination(net) and _is_subcombination_oracle(net)
+    assert combination_parameters(net) == (2, 3, 2) == _combination_parameters_oracle(net)
+    assert skeleton(net) == _class_walk(net)
+    with pytest.raises(ValueError, match="duplicate node ids"):
+        validate_network(net)
+
+
+def test_a_middle_feeding_nothing_is_no_middle_layer():
+    # N_{2,3,2} with a fourth middle fed by the source alone still has the
+    # sub-combination shape, but the middle is a sink that is no terminal
+    base = build_combination(2, 3, 2)
+    edges = base.edges + (Edge("idle", base.source, "m3"),)
+    net = Network.from_edges(base.h, base.source, base.terminals, base.nodes + ("m3",), edges)
+    assert is_subcombination(net) and _is_subcombination_oracle(net)
+    assert net.middle_layer() is None
+    with pytest.raises(ValueError, match="non-essential nodes"):
+        validate_network(net)
+    assert skeleton(net) == _class_walk(net) and len(skeleton(net).class_ids) == 4

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -7,9 +8,18 @@ from hypothesis import strategies as st
 
 from netgap.graphs import UGraph, complete_graph
 from netgap.lincode import search_solution
-from netgap.networks import Edge, Network, build_butterfly, build_combination, prune
+from netgap.networks import (
+    Edge,
+    Network,
+    build_butterfly,
+    build_combination,
+    build_kneser,
+    network_from_json,
+    network_to_json,
+    prune,
+)
 from netgap.qkneser import build_qkneser, find_homomorphism
-from netgap.skeleton import reverse_skeleton, skeleton
+from netgap.skeleton import _class_walk, _layered, reverse_skeleton, skeleton
 
 
 def test_butterfly_skeleton_exact_classes():
@@ -166,6 +176,77 @@ def test_skeleton_matches_the_pairwise_join_oracle_on_wide_joins(seed):
     assert [skel.classes[cid] for cid in ids] == members
     assert list(skel.graph.edges) == pairs
     assert skel.graph.masks == UGraph.from_edges(len(ids), pairs).masks
+
+
+_LAYERED_BASES = [
+    lambda: build_combination(2, 3, 2),
+    lambda: build_combination(2, 5, 2),
+    lambda: build_combination(3, 5, 3),
+    lambda: build_combination(1, 3, 1),
+    lambda: build_kneser(2, 1, 2),
+    lambda: build_kneser(2, 1, 3),
+    lambda: reverse_skeleton(UGraph.from_edges(5, [(v, (v + 1) % 5) for v in range(5)])),
+]
+
+
+@st.composite
+def _sub_combination_networks(draw):
+    """A builder's three-layer network with terminals dropped and a few
+    edits, renamed, its edge list shuffled, read back from its JSON form.
+
+    Dropping terminals leaves middles that feed nothing, kept or dropped.
+    The edits add a parallel edge, a middle -> middle edge, a middle ->
+    terminal edge or a middle fed by the source alone, or change h.  The
+    new edge ids put a class's least id anywhere in it.
+    """
+    obj = network_to_json(draw(st.sampled_from(_LAYERED_BASES))())
+    for key in ("labels", "field", "ambient"):
+        obj.pop(key, None)
+    src = obj["source"]
+    keep = draw(st.sets(st.sampled_from(obj["terminals"]), min_size=1))
+    obj["terminals"] = [v for v in obj["terminals"] if v in keep]
+    edges = [e for e in obj["edges"] if e["from"] == src or e["to"] in keep]
+    if draw(st.integers(0, 3)):  # mostly, drop the middles that feed nothing
+        fed = {e["from"] for e in edges if e["to"] in keep}
+        edges = [e for e in edges if e["from"] != src or e["to"] in fed]
+    middles = [e["to"] for e in edges if e["from"] == src]
+    fresh = itertools.count()
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        kind = draw(st.sampled_from(["parallel", "cross", "terminal", "idle", "h"]))
+        if kind == "parallel":
+            edges.append(dict(draw(st.sampled_from(edges)), id=f"p{next(fresh)}"))
+        elif kind == "cross":
+            ends = draw(st.sampled_from(middles)), draw(st.sampled_from(middles))
+            edges.append({"id": f"c{next(fresh)}", "from": ends[0], "to": ends[1]})
+        elif kind == "terminal":
+            ends = draw(st.sampled_from(middles)), draw(st.sampled_from(obj["terminals"]))
+            edges.append({"id": f"t{next(fresh)}", "from": ends[0], "to": ends[1]})
+        elif kind == "idle":
+            middles.append(f"idle{next(fresh)}")
+            edges.append({"id": f"i{next(fresh)}", "from": src, "to": middles[-1]})
+        else:
+            obj["h"] = draw(st.integers(1, 4))
+    names = [src, *dict.fromkeys(middles), *obj["terminals"]]
+    new = dict(zip(names, (f"n{k}" for k in draw(st.permutations(range(len(names)))))))
+    ids = (f"e{k}" for k in draw(st.permutations(range(len(edges)))))
+    obj["source"], obj["terminals"] = new[src], [new[v] for v in obj["terminals"]]
+    obj["nodes"] = [{"id": new[v]} for v in draw(st.permutations(names))]
+    obj["edges"] = [
+        {"id": eid, "from": new[e["from"]], "to": new[e["to"]]}
+        for eid, e in zip(ids, draw(st.permutations(edges)))
+    ]
+    return network_from_json(json.loads(json.dumps(obj)), validate=False)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_sub_combination_networks())
+def test_the_layered_skeleton_matches_the_class_walk(net):
+    walk, layer = _class_walk(net), net.middle_layer()
+    if layer is not None:
+        fast = _layered(net, *layer)
+        assert fast.graph.masks == walk.graph.masks
+        assert fast.class_ids == walk.class_ids and fast.members == walk.members
+    assert skeleton(net) == walk
 
 
 def test_reverse_skeleton_triangle():

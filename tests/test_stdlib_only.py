@@ -115,13 +115,14 @@ def test_only_errors_reads_the_deadline():
 
 
 def test_only_networks_reads_the_edge_index():
-    # a network's edge index is private to `networks`: every other module
-    # walks a network through its methods (`out_slice`, `in_slice`, ...)
+    # a network's edge index and its layer pass are private to `networks`:
+    # every other module reads a network through its methods (`out_slice`,
+    # `in_slice`, `middle_layer`, ...)
     readers = []
     for path in sorted((ROOT / "src" / "netgap").glob("*.py")):
         if path.name == "networks.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Attribute) and node.attr in {"_index", "_node_of"}:
+            if isinstance(node, ast.Attribute) and node.attr in {"_index", "_node_of", "_layers"}:
                 readers.append(f"{path.name}:{node.lineno} {node.attr}")
     assert readers == []
