@@ -554,8 +554,8 @@ def _add_search_limits(p) -> None:
     )
 
 
-def _add_max_subspaces(p) -> None:
-    p.add_argument("--max-subspaces", type=int, default=ENUMERATION_LIMIT, help="enumeration limit")
+def _add_max_subspaces(p, bounds: str) -> None:
+    p.add_argument("--max-subspaces", type=int, default=ENUMERATION_LIMIT, help=f"limit on {bounds}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -576,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="write network JSON here")
     p.add_argument("--dot", help="also write DOT here")
     _add_common(p)
-    _add_max_subspaces(p)
+    _add_max_subspaces(p, "comb's terminals; the h-subsets of middles kneser scans, once listed")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("skeleton", help="edge-class skeleton of a network")
@@ -594,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dimacs", help="also export the (co-occurrence) graph as DIMACS")
     _add_common(p, cert_default="chi-cert.json")
     _add_search_limits(p)
-    _add_max_subspaces(p)
+    _add_max_subspaces(p, "the subspaces listed, and --qkneser-hyper's candidate hyperedges")
     p.set_defaults(func=cmd_chi)
 
     p = sub.add_parser("hom", help="graph homomorphism search")
@@ -604,13 +604,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to-complete", type=int, metavar="K")
     _add_common(p, cert_default="hom-cert.json")
     _add_search_limits(p)
-    _add_max_subspaces(p)
+    _add_max_subspaces(p, "the subspaces listed as the vertices of --to-qkneser")
     p.set_defaults(func=cmd_hom)
 
     p = sub.add_parser("coloring", help="canonical q-Kneser coloring")
     p.add_argument("--qkneser", type=int, nargs=3, metavar=("Q", "N", "M"), required=True)
     _add_common(p, cert_default="coloring-cert.json")
-    _add_max_subspaces(p)
+    _add_max_subspaces(p, "the subspaces listed as the q-Kneser graph's vertices")
     p.set_defaults(func=cmd_coloring)
 
     p = sub.add_parser("solve", help="exhaustive (q,t)-solution search")
@@ -644,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", help="IC JSON (check)")
     _add_common(p, cert_default="ic-cert.json")
     _add_search_limits(p)
-    _add_max_subspaces(p)
+    _add_max_subspaces(p, "the t-subspaces of F_q^{ht} listed by search")
     p.set_defaults(func=cmd_ic)
 
     p = sub.add_parser("psi", help="smallest prime power >= x")
@@ -659,7 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--comb", type=int, nargs=3, metavar=("H", "R", "S"))
         _add_common(p, cert_default=f"{name}-cert.json")
         _add_search_limits(p)
-        _add_max_subspaces(p)
+        _add_max_subspaces(p, "only the network built from --comb or --kneser, as for build")
         p.set_defaults(func=cmd_extremal)
 
     p = sub.add_parser("gap", help="exact gap with certificates")
@@ -669,7 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cert-prefix", default="gap", help="certificate path prefix")
     _add_common(p)
     _add_search_limits(p)
-    _add_max_subspaces(p)
+    _add_max_subspaces(p, "only the network built from --comb or --kneser, as for build")
     p.set_defaults(func=cmd_gap)
 
     p = sub.add_parser("formula", help="closed-form gap bounds")

@@ -176,6 +176,8 @@ def ugraph_to_json(g: UGraph) -> dict:
 def ugraph_from_json(obj: dict) -> UGraph:
     if type(obj["vertices"]) is not list or type(obj["edges"]) is not list:
         raise ValueError("graph vertices and edges must be lists")
+    if any(type(e) not in (list, tuple) or len(e) != 2 for e in obj["edges"]):
+        raise ValueError("graph edges must be lists of two vertex names")
     names = [str(v) for v in obj["vertices"]]
     index = {name: i for i, name in enumerate(names)}
     if len(index) != len(names):

@@ -40,7 +40,7 @@ from .certs import check_certificate
 from .errors import DEFAULT_BUDGET, Budget, BudgetExhausted, InternalError, SizeLimitExceeded
 from .gf import FieldSpec, Matrix, field_of_order, prime_power
 from .lincode import NetworkCode, forwarding_code, solution_from_classical_code, verify_solution
-from .networks import Network, build_combination, combination_parameters, is_subcombination
+from .networks import Network, build_combination, combination_parameters
 from .subspaces import (
     ENUMERATION_LIMIT,
     DirectSumIndex,
@@ -492,18 +492,18 @@ def subcombination_solution(
     Each middle forwards its source edge's space, on the network's own
     edge ids.
     """
-    if not is_subcombination(net) or net.h < 2:
+    layer = net.middle_layer()
+    if layer is None or net.h < 2:
         raise ValueError("the assignment search needs a sub-combination network with h >= 2")
     fld = field_of_order(q)
-    sources = net.out_slice(net.index_of(net.source))
-    size = len(sources)
+    size = len(layer[0])  # one middle per source edge
     if combination_parameters(net) is not None:
         config = ic_exists_of_size(q, t, net.h, net.h, size, budget)
         spaces = None if config is None else list(config.members)
     else:
-        position = {net.head[e]: i for i, e in enumerate(sources)}  # middle -> its source edge
-        feeders = (net.in_slice(net.index_of(v)) for v in net.terminals)
-        edges = [tuple(position[net.tail[e]] for e in ins) for ins in feeders]
+        # a terminal's hyperedge: the set bits of its feeder mask, bit k first
+        bits = (bin(layer[1][net.index_of(v)])[:1:-1] for v in net.terminals)
+        edges = [tuple(k for k, b in enumerate(mask) if b == "1") for mask in bits]
         order, best, exact, nodes = _assignment_search(
             fld, t, net.h, net.h, budget, ENUMERATION_LIMIT, size, edges, target=size
         )
@@ -533,18 +533,18 @@ def ic_to_solution(config: IndependentConfiguration) -> NetworkCode:
 
 def solution_to_ic(net: Network, code: NetworkCode) -> IndependentConfiguration:
     """Read the middle-layer subspaces of an accepted solution back off as an IC."""
-    params = combination_parameters(net)
-    if params is None or params[2] != params[0]:
+    params, layer = combination_parameters(net), net.middle_layer()
+    if params is None or params[2] != params[0] or layer is None:
         raise ValueError("network is not a full minimal combination network")
     h = params[0]
     verdict = verify_solution(net, code)
     if not verdict.ok:
         raise ValueError(f"code rejected: {verdict.failure}")
     members = []
-    for e in net.out_edges(net.source):
-        sub = canonicalize(code.field, code.assignment[e.id])
+    for eid in map(net.edge_ids.__getitem__, layer[0]):
+        sub = canonicalize(code.field, code.assignment[eid])
         if sub.dim != code.t:
-            raise ValueError(f"source edge {e.id} carries a rank-deficient space")
+            raise ValueError(f"source edge {eid} carries a rank-deficient space")
         members.append(sub)
     config = IndependentConfiguration(field=code.field, t=code.t, h=h, members=tuple(members))
     if not ic_is_valid(config, h):

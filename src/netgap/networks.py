@@ -4,19 +4,20 @@ Networks are multigraphs: parallel edges are first-class citizens with
 their own ids, which both the message-extension construction and
 m-parallelization rely on.  Names are kept at the boundary (the `Edge`
 view and the JSON form); inside, a node is an index and an edge a place
-in the edge list, and every walk reads one cached index of the nodes'
-out- and in-edges.
+in the edge list.  A network of three layers, source -> middles ->
+terminals, is read off one pass over its edge arrays (`middle_layer`);
+every other walk reads one cached index, each node's list of out-edges
+and list of in-edges.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
-from operator import eq, itemgetter
+from operator import itemgetter
 
 from .errors import Budget, SizeLimitExceeded, UnsolvableNetwork
 from .gf import field_of_order, make_field
@@ -35,20 +36,6 @@ class Edge:
 # edge counts up to which the edge-deletion minimality test is cheap enough
 # to run for route selection; bigger networks must be structurally minimal
 _MINIMALITY_PROBE_EDGES = 120
-
-
-def _grouped(n: int, keys: tuple) -> tuple[array, array]:
-    """(start, order): the places of `keys` grouped by key in place order,
-    group k being order[start[k] : start[k + 1]].  A stable counting sort
-    into int arrays: each group's end, then its places from the back."""
-    start = array("l", [0]) * (n + 1)
-    for k in keys:
-        start[k] += 1
-    start, order = array("l", itertools.accumulate(start)), array("l", [0]) * len(keys)
-    for e in range(len(keys) - 1, -1, -1):
-        start[keys[e]] -= 1
-        order[start[keys[e]]] = e
-    return start, order
 
 
 @dataclass(frozen=True)
@@ -90,13 +77,16 @@ class Network:
         return dict(zip(self.nodes + self.strays, itertools.count()))
 
     @cached_property
-    def _index(self) -> tuple:
-        """(out_start, out_edge, in_start, in_edge): node k's out-edges are
-        out_edge[out_start[k] : out_start[k + 1]], in edge-list order, and
-        likewise its in-edges; one stable counting sort per direction."""
-        n = len(self.nodes) + len(self.strays)
+    def _index(self) -> tuple[list[list[int]], list[list[int]]]:
+        """(outs, ins): each node place's out- and in-edges in edge-list order
+        (names may repeat), from one loop, so both lists share each edge's int."""
+        outs = [[] for _ in range(len(self.nodes) + len(self.strays))]
+        ins = [[] for _ in outs]
         Budget().spend_many(len(self.tail))
-        return *_grouped(n, self.tail), *_grouped(n, self.head)
+        for e, v, w in zip(itertools.count(), self.tail, self.head):
+            outs[v].append(e)
+            ins[w].append(e)
+        return outs, ins
 
     @cached_property
     def _layers(self) -> tuple:
@@ -186,15 +176,15 @@ class Network:
 
     def out_slice(self, k: int) -> list[int]:
         """The edges leaving node index k, in edge-list order."""
-        return self._index[1][self._index[0][k] : self._index[0][k + 1]].tolist()
+        return self._index[0][k][:]
 
     def in_slice(self, k: int) -> list[int]:
         """The edges entering node index k, in edge-list order."""
-        return self._index[3][self._index[2][k] : self._index[2][k + 1]].tolist()
+        return self._index[1][k][:]
 
     def in_degrees(self) -> list[int]:
         """A new list of the in-degree of every node index."""
-        return list(map(int.__sub__, self._index[2][1:], self._index[2]))
+        return list(map(len, self._index[1]))
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -214,8 +204,7 @@ class Network:
         return [] if k is None else self._views(self.out_slice(k))
 
     def in_degree(self, node: str) -> int:
-        k = self._node_of.get(node)
-        return 0 if k is None else self._index[2][k + 1] - self._index[2][k]
+        return len(self.in_edges(node))
 
     def without_edge(self, eid: str) -> Network:
         keep = [i != eid for i in self.edge_ids]
@@ -245,17 +234,15 @@ def _named(h, source, terminals, nodes, ids, tails, heads, labels) -> Network:
 def _kahn(net: Network) -> list[int]:
     """Kahn's algorithm on node indices, the list its own queue; raises on
     cycles.  One node per edge, and only the deadline stops it."""
-    out_start, out_edge, _, _ = net._index
+    outs = net._index[0]
     head, indeg, spend = net.head, net.in_degrees(), Budget().spend_many
     order = [k for k in map(net._node_of.__getitem__, net.nodes) if not indeg[k]]
     for v in order:
-        lo, hi = out_start[v], out_start[v + 1]
-        if lo < hi:
-            spend(hi - lo)
-            for w in map(head.__getitem__, out_edge[lo:hi]):
-                indeg[w] -= 1
-                if not indeg[w]:
-                    order.append(w)
+        spend(len(outs[v]))
+        for w in map(head.__getitem__, outs[v]):
+            indeg[w] -= 1
+            if not indeg[w]:
+                order.append(w)
     if len(order) != len(net.nodes):
         raise ValueError("network graph contains a cycle")
     return order
@@ -269,20 +256,17 @@ def topological_order(net: Network) -> list[str]:
 def essential_nodes(net: Network) -> set[str]:
     """Nodes on some source-to-terminal path: reached from the source along
     the edges and from a terminal against them, one node spent per edge."""
-    out_start, out_edge, in_start, in_edge = net._index
+    outs, ins = net._index
     names, bud, reached = net.nodes + net.strays, Budget(), []
-    for seeds, start, edge, ends in (
-        ([net.source], out_start, out_edge, net.head),
-        (net.terminals, in_start, in_edge, net.tail),
-    ):
+    for seeds, lists, ends in (([net.source], outs, net.head), (net.terminals, ins, net.tail)):
         seen = bytearray(len(names))
         frontier = [v for v in map(net._node_of.get, seeds) if v is not None]
         while frontier:
             v = frontier.pop()
             if not seen[v]:
                 seen[v] = 1
-                bud.spend_many(start[v + 1] - start[v])
-                frontier += map(ends.__getitem__, edge[start[v] : start[v + 1]])
+                bud.spend_many(len(lists[v]))
+                frontier += map(ends.__getitem__, lists[v])
         reached.append(seen)
     return set(itertools.compress(names, map(int.__and__, *reached)))
 
@@ -316,10 +300,9 @@ def validate_network(net: Network) -> None:
     # a node of out-degree 0, so every node lies on a source-to-terminal
     # path iff the source is the only node of in-degree 0 and every node of
     # out-degree 0 is a terminal
-    out_start, _, in_start, _ = net._index
-    sources = sum(map(eq, in_start, itertools.islice(in_start, 1, n + 1)))
-    sinks = itertools.compress(range(n), map(eq, out_start, itertools.islice(out_start, 1, None)))
-    if sources != 1 or not set(map(node_of.get, net.terminals)).issuperset(sinks):
+    outs, ins = net._index
+    sinks = [v for v in range(n) if not outs[v]]
+    if ins.count([]) != 1 or not set(map(node_of.get, net.terminals)).issuperset(sinks):
         raise ValueError("network contains non-essential nodes")
 
 
@@ -483,22 +466,19 @@ def _max_flow(net: Network, dst: int, cutoff: int | None = None, without: int | 
     """Unit-capacity max flow from the source to node index `dst`, by BFS
     augmenting paths on the edge index: edge e is residual arc 2e forward
     and 2e + 1 back.  `without` is the index of an edge left out."""
-    out_start, out_edge, in_start, in_edge = net._index
+    outs, ins = net._index
     tail, head, src = net.tail, net.head, net._node_of[net.source]
     cap = bytearray(b"\x01\x00" * len(tail))
     if without is not None:
         cap[2 * without] = 0
     flow = 0
     while cutoff is None or flow < cutoff:
-        parent_arc = [-1] * (len(out_start) - 1)
+        parent_arc = [-1] * len(outs)
         parent_arc[src] = -2
         queue = deque([src])
         while queue and parent_arc[dst] == -1:
             u = queue.popleft()
-            for arcs, ends, back in (
-                (out_edge[out_start[u] : out_start[u + 1]], head, 0),
-                (in_edge[in_start[u] : in_start[u + 1]], tail, 1),
-            ):
+            for arcs, ends, back in ((outs[u], head, 0), (ins[u], tail, 1)):
                 for e in arcs:
                     v = ends[e]
                     if cap[2 * e + back] and parent_arc[v] == -1:
@@ -547,17 +527,17 @@ def is_minimal(net: Network) -> bool:
     """
     if not is_solvable(net):
         raise UnsolvableNetwork("network fails the cut criterion; minimality undefined")
-    out_start, out_edge, _, _ = net._index
+    outs = net._index[0]
     terms = [net._node_of[t] for t in net.terminals]
     # bitmask of the terminals reachable from each node, itself included;
     # one node per edge walked, and only the deadline stops it
-    reach = [0] * (len(out_start) - 1)
+    reach = [0] * len(outs)
     for k, v in enumerate(terms):
         reach[v] = 1 << k
     bud = Budget()
     for v in reversed(_kahn(net)):
-        bud.spend_many(out_start[v + 1] - out_start[v])
-        for w in map(net.head.__getitem__, out_edge[out_start[v] : out_start[v + 1]]):
+        bud.spend_many(len(outs[v]))
+        for w in map(net.head.__getitem__, outs[v]):
             reach[v] |= reach[w]
     # one node per max flow: only the deadline stops it
     bud = Budget()

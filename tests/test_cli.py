@@ -490,6 +490,8 @@ def _write_malformed_inputs(tmp_path):
     (tmp_path / "string-vertices.json").write_text(
         json.dumps({"vertices": "abc", "edges": [["a", "b"], ["b", "c"]]})
     )
+    # a graph edge as a string, which would unpack one name per character
+    (tmp_path / "string-edge.json").write_text(json.dumps({"vertices": ["a", "b"], "edges": ["ab"]}))
 
 
 @pytest.mark.parametrize(
@@ -508,6 +510,8 @@ def _write_malformed_inputs(tmp_path):
         (["build", "from-graph", "--graph", "list.json"], "list.json"),
         (["chi", "--graph", "three-names.json"], "three-names.json"),
         (["chi", "--graph", "string-vertices.json"], "string-vertices.json"),
+        (["chi", "--graph", "string-edge.json"], "string-edge.json"),
+        (["build", "from-graph", "--graph", "string-edge.json"], "string-edge.json"),
     ],
     ids=[
         "qs-string-nodes",
@@ -523,6 +527,8 @@ def _write_malformed_inputs(tmp_path):
         "build-from-graph-list",
         "chi-three-name-edge",
         "chi-string-vertices",
+        "chi-string-edge",
+        "build-from-graph-string-edge",
     ],
 )
 def test_a_malformed_input_file_is_a_usage_error_naming_the_file(tmp_path, capsys, monkeypatch, argv, bad):

@@ -548,6 +548,24 @@ def test_q_s_of_a_kneser_file_builds_no_edge_index():
     assert "_layers" in vars(net) and "_index" not in vars(net)
 
 
+@pytest.mark.parametrize(
+    "make, qs, qv",
+    [
+        (lambda: build_combination(3, 6, 3), (4, "exhaustive"), (4, "ic")),
+        (lambda: build_combination(3, 5, 3), (4, "exhaustive"), (4, "ic")),
+        (lambda: sub_combination(3, 8, 50, 1), (7, "exhaustive"), (7, "exhaustive")),
+    ],
+    ids=["N363", "N353", "N383-keep-50"],
+)
+def test_the_middle_space_routes_build_no_edge_index(make, qs, qv):
+    # the assignment search, the IC search and the forwarding code read the
+    # middle layer alone, in the builder's labelling and a relabelled one
+    for net in (make(), relabel(make(), 3)):
+        a, b = qs_exact(net), qv_exact(net)
+        assert ((a.value, a.method), (b.value, b.method)) == (qs, qv)
+        assert "_layers" in vars(net) and "_index" not in vars(net)
+
+
 # ---------------------------------------------------------------------------
 # the assignment search over the middle nodes (sub-combination networks)
 # ---------------------------------------------------------------------------

@@ -79,8 +79,13 @@ def test_from_edges_rejects_loops_and_unknown_vertices(pairs, message):
         {"vertices": "abc", "edges": [["a", "b"], ["b", "c"]]},
         {"vertices": ["a", "b"], "edges": "ab"},
         {"vertices": {"a": 0, "b": 1}, "edges": [["a", "b"]]},
+        {"vertices": ["a", "b"], "edges": ["ab"]},
+        {"vertices": ["a", "b"], "edges": [["a", "b"], ["a"]]},
+        {"vertices": ["a", "b"], "edges": [["a", "b", "a"]]},
+        {"vertices": ["a", "b"], "edges": [{"a": "b"}]},
     ],
-    ids=["string-vertices", "string-edges", "object-vertices"],
+    ids=["string-vertices", "string-edges", "object-vertices", "string-edge", "one-name-edge",
+         "three-name-edge", "object-edge"],
 )
 def test_graph_json_takes_only_lists(obj):
     # a string would be read one vertex or one edge end per character

@@ -7,7 +7,7 @@ from netgap import mdsic
 from netgap.certs import Verdict
 from netgap.errors import InternalError
 from netgap.gf import Matrix, field_of_order, make_field
-from netgap.lincode import search_solution, verify_solution
+from netgap.lincode import forwarding_code, search_solution, verify_solution
 from netgap.mdsic import (
     Codebook,
     IndependentConfiguration,
@@ -27,7 +27,7 @@ from netgap.mdsic import (
     standard_frame,
     subcombination_solution,
 )
-from netgap.networks import build_butterfly, build_combination
+from netgap.networks import Edge, Network, build_butterfly, build_combination
 from netgap.subspaces import (
     DirectSumIndex,
     canonicalize,
@@ -448,6 +448,26 @@ def test_subcombination_solution_needs_a_sub_combination_network_with_two_messag
     for net in (build_butterfly(), build_combination(1, 3, 1), build_combination(3, 5, 2)):
         with pytest.raises(ValueError, match="sub-combination network with h >= 2"):
             subcombination_solution(net, 2, 1)
+
+
+def test_the_middle_layer_readers_reject_a_network_without_one():
+    # the butterfly has no middle layer; N_{2,3,2} with an edge from a
+    # middle back to the source keeps the combination shape but not three
+    # layers.  Each is a ValueError, never an unpacked None
+    fld = field_of_order(2)
+    bf = build_butterfly()
+    with pytest.raises(ValueError, match="three layers"):
+        forwarding_code(bf, fld, 1, [Matrix(fld, 1, 2, (1, 0)), Matrix(fld, 1, 2, (0, 1))])
+    with pytest.raises(ValueError, match="sub-combination network with h >= 2"):
+        subcombination_solution(bf, 2, 1)
+    base = build_combination(2, 3, 2)
+    looped = Network.from_edges(
+        2, "s", base.terminals, base.nodes, base.edges + (Edge("back", "m0", "s"),)
+    )
+    code = ic_to_solution(ic_max_size(2, 1, 2, 2).witness)
+    for net in (bf, looped):
+        with pytest.raises(ValueError, match="not a full minimal combination network"):
+            solution_to_ic(net, code)
 
 
 def test_subcombination_solution_raises_internal_error_on_a_rejected_code(monkeypatch):

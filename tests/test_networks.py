@@ -661,8 +661,21 @@ def test_shape_and_validation_match_the_separate_walks(net):
         assert _outcome(topological_order, net) == _outcome(_topological_order_oracle, net)
 
 
+@st.composite
+def _reindexed_networks(draw):
+    """A mutated network with every edge copied 1 to 3 times, as
+    `parallelize` copies them but unvalidated, and its edge list shuffled
+    or kept."""
+    net = draw(_mutated_networks())
+    m = draw(st.integers(1, 3))
+    edges = [Edge(f"{e.id}.{j}", e.tail, e.head) for e in net.edges for j in range(m)]
+    if draw(st.booleans()):
+        edges = draw(st.permutations(edges))
+    return Network.from_edges(net.h * m, net.source, net.terminals, net.nodes, edges)
+
+
 @settings(max_examples=400, deadline=None)
-@given(_mutated_networks())
+@given(_reindexed_networks())
 def test_edge_index_matches_a_scan_of_the_edge_list(net):
     # every node's in- and out-edges in edge-list order, and its in-degree,
     # as a plain scan of the edges finds them, strays and absent names too
