@@ -25,7 +25,6 @@ from .networks import (
     build_kneser,
     combination_parameters,
     is_solvable,
-    is_subcombination,
 )
 from .qkneser import (
     build_qkneser,
@@ -164,11 +163,11 @@ class GapReport:
 
 def _by_middle_spaces(net: Network) -> bool:
     """True for the networks whose (q,t) pairs `subcombination_solution`
-    decides: sub-combination networks with h >= 3, and full N_{2,r,2}.  q_s
+    decides: those with a middle layer and h >= 3, and full N_{2,r,2}.  q_s
     of a full N_{2,r,2} takes the skeleton's chromatic number before this
     is asked, since the network is minimal with two messages."""
-    full = combination_parameters(net) is not None
-    return is_subcombination(net) and (net.h >= 3 or (net.h == 2 and full))
+    decided = net.h >= 3 or net.h == 2 and combination_parameters(net) is not None
+    return decided and net.middle_layer() is not None
 
 
 def _least(net: Network, budget: int, vector: bool) -> Extremal:

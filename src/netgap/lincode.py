@@ -77,17 +77,16 @@ def node_space_dim(net: Network, code: NetworkCode, node: str) -> int:
 
 
 def forwarding_code(net: Network, fld: FieldSpec, t: int, matrices) -> NetworkCode:
-    """The i-th t x ht matrix on the i-th source edge of a three-layer network
-    (else ValueError), forwarded by its middle on each of its out-edges as a
-    plain coding Matrix, so a subspace's basis may be passed as it is."""
-    layer = net.middle_layer()
-    if layer is None:
-        raise ValueError("forwarding needs a network of three layers, source -> middles -> terminals")
-    middle = {net.head[e]: Matrix(fld, m.rows, m.cols, m.data) for e, m in zip(layer[0], matrices)}
+    """The i-th t x ht matrix on the i-th source edge, forwarded by its middle
+    (that edge's head) on each of its out-edges as a plain coding Matrix, so
+    a subspace's basis may be passed as it is; ValueError unless every edge
+    leaves the source or a middle."""
+    middle = {net.head[e]: Matrix(fld, m.rows, m.cols, m.data) for e, m in zip(net.source_edges(), matrices)}
     src = net.index_of(net.source)  # a source edge carries its head's space, any other its tail's
+    if not middle.keys() | {src} >= set(net.tail):
+        raise ValueError("forwarding needs three layers: every edge leaves the source or a middle")
     ends = zip(net.edge_ids, net.tail, net.head)
-    assignment = {eid: middle[w if v == src else v] for eid, v, w in ends}
-    return NetworkCode(field=fld, t=t, h=net.h, assignment=assignment)
+    return NetworkCode(fld, t, net.h, {eid: middle[w if v == src else v] for eid, v, w in ends})
 
 
 def solution_from_classical_code(net: Network, generator: Matrix) -> NetworkCode:

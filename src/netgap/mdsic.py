@@ -502,8 +502,8 @@ def subcombination_solution(
         spaces = None if config is None else list(config.members)
     else:
         # a terminal's hyperedge: the set bits of its feeder mask, bit k first
-        bits = (bin(layer[1][net.index_of(v)])[:1:-1] for v in net.terminals)
-        edges = [tuple(k for k, b in enumerate(mask) if b == "1") for mask in bits]
+        masks = map(layer[1].__getitem__, map(net.index_of, net.terminals))
+        edges = [tuple(k for k in range(size) if mask >> k & 1) for mask in masks]
         order, best, exact, nodes = _assignment_search(
             fld, t, net.h, net.h, budget, ENUMERATION_LIMIT, size, edges, target=size
         )

@@ -170,6 +170,10 @@ class Network:
         roots, mids, _, outdeg, feeders = self._layers
         return (roots, feeders) if self._shape[0] and all(map(outdeg.__getitem__, mids)) else None
 
+    def source_edges(self) -> list[int]:
+        """The edges leaving the source in edge-list order, read without the index."""
+        return self._layers[0][:]
+
     def index_of(self, node: str) -> int:
         """A node name's index; KeyError for a name no node or edge has."""
         return self._node_of[node]
@@ -196,12 +200,10 @@ class Network:
         return [Edge(self.edge_ids[e], names[self.tail[e]], names[self.head[e]]) for e in edges]
 
     def in_edges(self, node: str) -> list[Edge]:
-        k = self._node_of.get(node)
-        return [] if k is None else self._views(self.in_slice(k))
+        return self._views(self._index[1][self._node_of[node]]) if node in self._node_of else []
 
     def out_edges(self, node: str) -> list[Edge]:
-        k = self._node_of.get(node)
-        return [] if k is None else self._views(self.out_slice(k))
+        return self._views(self._index[0][self._node_of[node]]) if node in self._node_of else []
 
     def in_degree(self, node: str) -> int:
         return len(self.in_edges(node))

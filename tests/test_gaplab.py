@@ -25,6 +25,8 @@ from netgap.gaplab import (
 from netgap.graphs import UGraph
 from netgap.lincode import search_solution
 from netgap.networks import (
+    Edge,
+    Network,
     build_butterfly,
     build_combination,
     build_kneser,
@@ -602,6 +604,20 @@ def test_middle_space_route_agrees_with_the_code_search(seed):
         )
         for res in (qs_r, qv_r):
             assert check_certificate(res.certificate) == (True, "accepted linear solution")
+
+
+def test_a_middle_feeding_nothing_takes_the_code_search_with_the_same_answers():
+    # N_{3,4,3} with a fifth middle fed by the source alone keeps the
+    # sub-combination shape but has no middle layer, so q_s and q_v come
+    # from the code search, never a ValueError from the middle-space route
+    base = build_combination(3, 4, 3)
+    edges = base.edges + (Edge("idle", base.source, "m4"),)
+    net = Network.from_edges(base.h, base.source, base.terminals, base.nodes + ("m4",), edges)
+    assert is_subcombination(net) and net.middle_layer() is None
+    for run in (qs_exact, qv_exact):
+        res = run(net)
+        assert (res.value, res.method) == (run(base).value, "exhaustive")
+        assert check_certificate(res.certificate) == (True, "accepted linear solution")
 
 
 @pytest.mark.parametrize(

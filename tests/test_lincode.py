@@ -135,6 +135,16 @@ def test_solution_from_classical_code_non_mds_rejects():
     assert not verdict.ok and verdict.failure_kind == "terminal"
 
 
+def test_solution_from_classical_code_on_terminals_wider_than_h():
+    # N_{2,r,3} is three layers but no sub-combination network (its
+    # terminals draw 3 > h edges): the middles still forward
+    for r, gen in ((3, [(1, 0, 1), (0, 1, 1)]), (4, [(1, 0, 1, 1), (0, 1, 1, 0)])):
+        net = build_combination(2, r, 3)
+        assert combination_parameters(net) == (2, r, 3) and net.middle_layer() is None
+        code = solution_from_classical_code(net, Matrix.from_rows(F2, gen))
+        assert verify_solution(net, code).ok
+
+
 def test_identity_generator_on_n_hhh():
     for h in (2, 3):
         net = build_combination(h, h, h)

@@ -73,6 +73,12 @@ def test_solvability_positive_emits_verified_code():
     assert verify_solution(net, res.network_code).ok
 
 
+def test_solvability_emits_verified_code_when_s_exceeds_h():
+    for q, r, s in ((2, 3, 3), (3, 4, 3)):
+        res = solvability_by_code(2, r, s, rs_code(q, r, 2))
+        assert bool(res) and verify_solution(build_combination(2, r, s), res.network_code).ok
+
+
 def test_solvability_identity_on_h_h_h():
     f2 = make_field(2, 1)
     code = LinearCode(f2, 3, 3, Matrix.identity(f2, 3))
