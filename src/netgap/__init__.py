@@ -7,7 +7,7 @@ q_s / q_v / gap computation with replayable certificates.
 """
 
 from .errors import BudgetExhausted, InternalError, NetgapError, SizeLimitExceeded, UnsolvableNetwork
-from .gf import FieldSpec, Matrix, field_of_order, make_field, rank, rowspace_contains, rref
+from .gf import FieldSpec, Matrix, field_of_order, make_field, rank, rref
 from .subspaces import (
     Subspace,
     canonicalize,
@@ -47,7 +47,6 @@ from .lincode import (
     NetworkCode,
     Verdict,
     extend_solution,
-    node_space_dim,
     restrict_solution,
     search_solution,
     solution_from_classical_code,
@@ -55,7 +54,6 @@ from .lincode import (
     verify_solution,
 )
 from .mdsic import (
-    Codebook,
     IndependentConfiguration,
     LinearCode,
     ic_exists_of_size,
@@ -66,7 +64,6 @@ from .mdsic import (
     min_distance,
     rs_code,
     solution_to_ic,
-    solvability_by_code,
 )
 from .gaplab import (
     Extremal,
@@ -78,7 +75,6 @@ from .gaplab import (
     psi,
     qs_exact,
     qv_exact,
-    verify_bertrand_range,
 )
 
 __version__ = "0.1.0"

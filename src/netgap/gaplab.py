@@ -57,45 +57,6 @@ def psi(x) -> int:
     return n
 
 
-def prime_powers_up_to(limit: int) -> list[int]:
-    """Sorted prime powers <= limit, by sieve."""
-    if limit < 2:
-        return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, int(limit**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = b"\x00" * len(sieve[p * p :: p])
-    out = []
-    for p in range(2, limit + 1):
-        if sieve[p]:
-            power = p
-            while power <= limit:
-                out.append(power)
-                power *= p
-    return sorted(out)
-
-
-def verify_bertrand_range(n_max: int) -> bool:
-    """Check psi(n) - n <= n for all 1 <= n <= n_max.
-
-    Equivalent gap form: for consecutive prime powers a < b, every n in
-    (a, b] needs b <= 2n, worst at n = a+1.  Avoids n_max psi scans.
-    """
-    pps = prime_powers_up_to(2 * n_max + 2)
-    if not pps or pps[0] != 2:
-        return False
-    # n = 1 and n = 2 are both served by 2
-    prev = pps[0]
-    for b in pps[1:]:
-        if prev >= n_max:
-            break
-        if b > 2 * (prev + 1):
-            return False
-        prev = b
-    return prev >= n_max or pps[-1] >= n_max
-
-
 def candidate_qt_pairs(v: int) -> list[tuple[int, int]]:
     """(q, t) with q^t = v, smaller q first (the deterministic tie order)."""
     pp = prime_power(v)

@@ -486,13 +486,6 @@ def rank(mat: Matrix) -> int:
     return rref(mat)[1]
 
 
-def rowspace_contains(a: Matrix, b: Matrix) -> bool:
-    """True iff every row of b lies in the row space of a."""
-    if a.cols != b.cols or a.field != b.field:
-        raise ValueError("rowspace_contains: incompatible matrices")
-    return rank(a.stack(b)) == rank(a)
-
-
 def solve_left(basis: Matrix, target: Matrix) -> Matrix | None:
     """X with X @ basis == target, or None if some row is outside the span."""
     if basis.cols != target.cols or basis.field != target.field:

@@ -66,16 +66,6 @@ def verify_solution(net: Network, code: NetworkCode) -> Verdict:
     return verdict
 
 
-def node_space_dim(net: Network, code: NetworkCode, node: str) -> int:
-    """Dimension of the message space a node has access to."""
-    if node == net.source:
-        raise ValueError("the source holds all messages; its space is not edge-derived")
-    mats = [code.assignment[e.id] for e in net.in_edges(node)]
-    if not mats:
-        raise ValueError(f"node {node} has no incoming edges")
-    return rank(stack(*mats))
-
-
 def forwarding_code(net: Network, fld: FieldSpec, t: int, matrices) -> NetworkCode:
     """The i-th t x ht matrix on the i-th source edge, forwarded by its middle
     (that edge's head) on each of its out-edges as a plain coding Matrix, so

@@ -1,4 +1,8 @@
-"""Classical codes, the code-solvability bridge, and independent configurations.
+"""Classical codes and independent configurations.
+
+`rs_code` and `min_distance` serve `mds`.  A linear code solves N_{h,r,s}
+when `verify_solution`, the one network-code checker, accepts its
+`lincode.solution_from_classical_code`: exactly when d >= r - s + 1.
 
 A (t;h,alpha)_q independent configuration is a set of t-subspaces of
 F_q^{ht} in which every alpha members are in direct sum.  Size-r
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 from .certs import check_certificate
 from .errors import DEFAULT_BUDGET, Budget, BudgetExhausted, InternalError, SizeLimitExceeded
 from .gf import FieldSpec, Matrix, field_of_order, prime_power
-from .lincode import NetworkCode, forwarding_code, solution_from_classical_code, verify_solution
+from .lincode import NetworkCode, forwarding_code, verify_solution
 from .networks import Network, build_combination, combination_parameters
 from .subspaces import (
     ENUMERATION_LIMIT,
@@ -60,18 +64,6 @@ class LinearCode:
     length: int
     dim: int
     generator: Matrix  # dim x length, full row rank
-
-
-@dataclass(frozen=True)
-class Codebook:
-    field: FieldSpec
-    length: int
-    codewords: tuple
-    declared_distance: int | None = None
-
-    def __post_init__(self):
-        if len(set(self.codewords)) != len(self.codewords):
-            raise ValueError("codebook contains repeated words")
 
 
 def rs_code(q: int, r: int, h: int) -> LinearCode:
@@ -96,80 +88,16 @@ def rs_code(q: int, r: int, h: int) -> LinearCode:
     return LinearCode(field=fld, length=r, dim=h, generator=Matrix.from_rows(fld, rows))
 
 
-def _hamming(a, b) -> int:
-    return sum(1 for x, y in zip(a, b) if x != y)
-
-
-def min_distance(code) -> int:
-    """Exact minimum distance by enumeration."""
-    if isinstance(code, LinearCode):
-        total = code.field.q**code.dim
-        if total > BRUTE_FORCE_LIMIT:
-            raise SizeLimitExceeded(f"{total} codewords exceed brute-force limit {BRUTE_FORCE_LIMIT}")
-        best = None
-        zero = (0,) * code.length
-        for word in code.generator.row_combinations():
-            if word == zero:
-                continue
-            w = sum(1 for x in word if x)
-            if best is None or w < best:
-                best = w
-        if best is None:
-            raise ValueError("code has no nonzero codewords")
-        return best
-    pairs = len(code.codewords) * (len(code.codewords) - 1) // 2
-    if pairs > BRUTE_FORCE_LIMIT:
-        raise SizeLimitExceeded(f"{pairs} codeword pairs exceed brute-force limit {BRUTE_FORCE_LIMIT}")
-    if len(code.codewords) < 2:
-        raise ValueError("distance needs at least two codewords")
-    return min(_hamming(a, b) for a, b in itertools.combinations(code.codewords, 2))
-
-
-@dataclass
-class SolvabilityResult:
-    solvable: bool
-    distance: int
-    required_distance: int
-    network_code: NetworkCode | None = None  # emitted for linear codes
-    forwarding: dict | None = None  # description for nonlinear codebooks
-
-    def __bool__(self) -> bool:
-        return self.solvable
-
-
-def solvability_by_code(h: int, r: int, s: int, code) -> SolvabilityResult:
-    """Does the code solve the combination network with parameters (h, r, s)?
-
-    True iff the code has length r, q^h words, and distance >= r-s+1.  For
-    linear codes the scalar network code is emitted alongside; codebooks get
-    the repeat-and-forward description.
-    """
-    if code.length != r:
-        raise ValueError(f"code length {code.length} does not match r={r}")
-    q = code.field.q
-    if isinstance(code, LinearCode):
-        if code.dim != h:
-            raise ValueError(f"code dimension {code.dim} does not match h={h}")
-        size = q**h
-    else:
-        size = len(code.codewords)
-        if size != q**h:
-            raise ValueError(f"codebook size {size} is not q^h = {q**h}")
-    required = r - s + 1
-    d = min_distance(code)
-    if d < required:
-        return SolvabilityResult(False, d, required)
-    if isinstance(code, LinearCode):
-        net = build_combination(h, r, s)
-        network_code = solution_from_classical_code(net, code.generator)
-        return SolvabilityResult(True, d, required, network_code=network_code)
-    forwarding = {
-        "scheme": "encode-at-source-forward-in-middle",
-        "length": r,
-        "size": size,
-        "distance": d,
-    }
-    return SolvabilityResult(True, d, required, forwarding=forwarding)
+def min_distance(code: LinearCode) -> int:
+    """Exact minimum distance of a linear code: its least nonzero weight."""
+    total = code.field.q**code.dim
+    if total > BRUTE_FORCE_LIMIT:
+        raise SizeLimitExceeded(f"{total} codewords exceed brute-force limit {BRUTE_FORCE_LIMIT}")
+    weights = (sum(1 for x in word if x) for word in code.generator.row_combinations())
+    best = min((w for w in weights if w), default=0)
+    if not best:
+        raise ValueError("code has no nonzero codewords")
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -288,9 +288,12 @@ def validate_network(net: Network) -> None:
     if max(net.tail, default=-1) >= n or max(net.head, default=-1) >= n:
         bad = next(e for e, ends in enumerate(zip(net.tail, net.head)) if max(ends) >= n)
         raise ValueError(f"edge {net.edge_ids[bad]} references unknown node")
+    seen = bytearray(n)
     for t in net.terminals:
-        if node_of.get(t, n) >= n:
-            raise ValueError(f"terminal {t} not among nodes")
+        k = node_of.get(t, n)
+        if k >= n or seen[k]:
+            raise ValueError(f"terminal {t} {'not among nodes' if k >= n else 'listed twice'}")
+        seen[k] = 1
     # three layers, source -> middles -> terminals, are acyclic, the source
     # is their one node of in-degree 0 and every sink is a terminal
     if net.middle_layer() is not None:

@@ -12,24 +12,22 @@ from contextlib import contextmanager
 import pytest
 
 from netgap.certs import check_certificate
-from netgap.gf import field_of_order, make_field
+from netgap.gf import make_field, rank, stack
 from netgap.graphs import complete_graph
 from netgap.lincode import (
     extend_solution,
-    node_space_dim,
     restrict_solution,
     search_solution,
+    solution_from_classical_code,
     split_to_scalar,
     verify_solution,
 )
 from netgap.mdsic import (
-    Codebook,
     ic_max_size,
     ic_to_solution,
     min_distance,
     rs_code,
     solution_to_ic,
-    solvability_by_code,
 )
 from netgap.networks import (
     build_butterfly,
@@ -39,7 +37,7 @@ from netgap.networks import (
     parallelize,
     extend_messages,
 )
-from netgap.gaplab import gap_exact, psi, qs_exact, verify_bertrand_range
+from netgap.gaplab import gap_exact, psi, qs_exact
 from netgap.qkneser import (
     build_qkneser,
     build_qkneser_hyper,
@@ -210,18 +208,16 @@ def test_c08_code_solvability_bridge_both_directions():
         for q in (2, 3, 4):
             for r in range(2, q + 2):
                 code = rs_code(q, r, 2)
-                res = solvability_by_code(2, r, 2, code)
-                assert res.solvable
+                assert min_distance(code) == r - 1
                 net = build_combination(2, r, 2)
-                verdict = verify_solution(net, res.network_code)
+                verdict = verify_solution(net, solution_from_classical_code(net, code.generator))
                 assert verdict.ok and len(verdict.terminal_ranks) == len(net.terminals)
             with pytest.raises(ValueError):
                 rs_code(q, q + 2, 2)
-        # negative side at r = q+2
-        f2 = field_of_order(2)
+        # negative side at r = q+2: no 4 binary words of length 4 at distance 3
         words = list(itertools.product(range(2), repeat=4))
         assert all(
-            min_distance(Codebook(f2, 4, subset)) < 3
+            min(sum(x != y for x, y in zip(a, b)) for a, b in itertools.combinations(subset, 2)) < 3
             for subset in itertools.combinations(words, 4)
         )
         assert search_solution(build_combination(2, 4, 2), 2, 1) is None
@@ -272,9 +268,13 @@ def test_c11_minimality_suite():
         for net, q, t in cases:
             code = search_solution(net, q, t)
             assert code is not None
+            ranks = verify_solution(net, code).terminal_ranks
             for node in net.nodes:
-                if node != net.source:
-                    assert node_space_dim(net, code, node) == net.in_degree(node) * t
+                if node in ranks:
+                    assert ranks[node] == net.in_degree(node) * t
+                elif node != net.source:
+                    dim = rank(stack(*(code.matrix(e.id) for e in net.in_edges(node))))
+                    assert dim == net.in_degree(node) * t
         # row-splitting maps the (2,2)-solution to a scalar one on 2G
         net = build_butterfly()
         code = search_solution(net, 2, 2)
@@ -300,7 +300,12 @@ def test_c12_message_extension_equivalence():
 
 def test_c13_psi_suite():
     with criterion(13, "psi spot values, Bertrand range to 1e6, field-size table", 10):
-        assert verify_bertrand_range(10**6)
+        # psi(n) <= 2n for every n <= 10^6: worst just above each prime power v
+        v = psi(1)
+        while v < 10**6:
+            nxt = psi(v + 1)
+            assert nxt <= 2 * (v + 1), v
+            v = nxt
         assert psi(5) == 5 and psi(6) == 7 and psi(10) == 11
         expected = {
             (2, 1): 2, (2, 2): 5, (2, 3): 11,

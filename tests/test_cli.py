@@ -425,6 +425,20 @@ def test_qv_of_n_4_8_4_by_the_ic_route(tmp_path, capsys):
     assert code == EXIT_OK and "OK" in out
 
 
+def test_qv_of_a_network_listing_a_terminal_twice_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # the clean N_{3,4,3} file answers by the IC search; the repeat is refused
+    monkeypatch.chdir(tmp_path)
+    obj = network_to_json(build_combination(3, 4, 3))
+    Path("clean.json").write_text(json.dumps(obj))
+    obj["terminals"].append(obj["terminals"][0])
+    Path("repeat.json").write_text(json.dumps(obj))
+    code, out, _ = run_cli(["qv", "--network", "clean.json", "--json"], capsys)
+    assert code == EXIT_OK and (json.loads(out)["q_v"], json.loads(out)["method"]) == (2, "ic")
+    code, out, err = run_cli(["qv", "--network", "repeat.json"], capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: repeat.json: malformed input") and "listed twice" in err, err
+
+
 @pytest.mark.parametrize("r", [7, 8])
 def test_gap_of_n_4_r_4_is_exact_and_certified(tmp_path, capsys, r):
     # q_s: ic_size_bound refutes q = 2, 3 (and q = 4 at r = 8), the

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from netgap import lincode
 from netgap.errors import BudgetExhausted, InternalError
-from netgap.gf import Matrix, make_field
+from netgap.gf import Matrix, make_field, rank, stack
 from netgap.lincode import (
     NetworkCode,
     RunningEchelon,
@@ -14,7 +14,6 @@ from netgap.lincode import (
     code_from_json,
     code_to_json,
     extend_solution,
-    node_space_dim,
     restrict_solution,
     search_solution,
     solution_from_classical_code,
@@ -101,10 +100,9 @@ def test_missing_assignment_raises():
 def test_node_space_dims():
     net = build_butterfly()
     code = classic_butterfly_code()
-    assert node_space_dim(net, code, "v3") == 2
-    assert node_space_dim(net, code, "v4") == 1
-    with pytest.raises(ValueError):
-        node_space_dim(net, code, "s")
+    dims = {v: rank(stack(*(code.matrix(e.id) for e in net.in_edges(v)))) for v in ("v3", "v4")}
+    assert dims == {"v3": 2, "v4": 1}
+    assert verify_solution(net, code).terminal_ranks == {"t1": 2, "t2": 2}
 
 
 def test_node_fed_identical_edges():
@@ -117,7 +115,8 @@ def test_node_fed_identical_edges():
     )
     v = Matrix.from_rows(F2, [(1,)])
     code = NetworkCode(F2, 1, 1, {"e1": v, "e2": v, "e3": v})
-    assert node_space_dim(net, code, "a") == 1
+    assert rank(stack(*(code.matrix(e.id) for e in net.in_edges("a")))) == 1
+    assert verify_solution(net, code).terminal_ranks == {"t": 1}
 
 
 def test_solution_from_classical_code_mds():
@@ -198,9 +197,11 @@ def test_node_dims_saturate_on_minimal_accepted():
         assert is_minimal(net)
         code = search_solution(net, q, t)
         assert code is not None
-        for node in net.nodes:
-            if node != net.source:
-                assert node_space_dim(net, code, node) == net.in_degree(node) * t
+        ranks = verify_solution(net, code).terminal_ranks
+        assert all(ranks[v] == net.in_degree(v) * t for v in net.terminals)
+        for node in set(net.nodes) - set(net.terminals) - {net.source}:
+            dim = rank(stack(*(code.matrix(e.id) for e in net.in_edges(node))))
+            assert dim == net.in_degree(node) * t
 
 
 def test_split_to_scalar_butterfly_vector_solution():

@@ -1,15 +1,15 @@
 import itertools
 import json
+import random
 
 import pytest
 
 from netgap import mdsic
 from netgap.certs import Verdict
 from netgap.errors import InternalError
-from netgap.gf import Matrix, field_of_order, make_field
-from netgap.lincode import forwarding_code, search_solution, verify_solution
+from netgap.gf import Matrix, field_of_order, make_field, rank
+from netgap.lincode import forwarding_code, search_solution, solution_from_classical_code, verify_solution
 from netgap.mdsic import (
-    Codebook,
     IndependentConfiguration,
     LinearCode,
     ic_exists_of_size,
@@ -23,7 +23,6 @@ from netgap.mdsic import (
     min_distance,
     rs_code,
     solution_to_ic,
-    solvability_by_code,
     standard_frame,
     subcombination_solution,
 )
@@ -56,52 +55,73 @@ def test_min_distance_repetition_and_codebook():
     f2 = make_field(2, 1)
     rep = LinearCode(f2, 3, 1, Matrix.from_rows(f2, [(1, 1, 1)]))
     assert min_distance(rep) == 3
-    book = Codebook(f2, 3, ((0, 0, 0), (1, 1, 1), (0, 1, 1)))
-    assert min_distance(book) == 1
+    # the least nonzero weight is the least distance between two codewords
+    f3 = field_of_order(3)
+    code = LinearCode(f3, 4, 2, Matrix.from_rows(f3, [(1, 0, 2, 1), (0, 1, 1, 0)]))
+    book = list(code.generator.row_combinations())
+    distances = (sum(x != y for x, y in zip(a, b)) for a, b in itertools.combinations(book, 2))
+    assert min_distance(code) == 2 == min(distances)
 
 
-def test_codebook_rejects_duplicates():
-    f2 = make_field(2, 1)
-    with pytest.raises(ValueError):
-        Codebook(f2, 2, ((0, 0), (0, 0)))
+def _classical_verdict(net, code):
+    return verify_solution(net, solution_from_classical_code(net, code.generator))
 
 
 def test_solvability_positive_emits_verified_code():
-    res = solvability_by_code(2, 3, 2, rs_code(2, 3, 2))
-    assert bool(res) and res.network_code is not None
-    net = build_combination(2, 3, 2)
-    assert verify_solution(net, res.network_code).ok
+    assert _classical_verdict(build_combination(2, 3, 2), rs_code(2, 3, 2)).ok
 
 
 def test_solvability_emits_verified_code_when_s_exceeds_h():
     for q, r, s in ((2, 3, 3), (3, 4, 3)):
-        res = solvability_by_code(2, r, s, rs_code(q, r, 2))
-        assert bool(res) and verify_solution(build_combination(2, r, s), res.network_code).ok
+        assert _classical_verdict(build_combination(2, r, s), rs_code(q, r, 2)).ok
 
 
 def test_solvability_identity_on_h_h_h():
     f2 = make_field(2, 1)
     code = LinearCode(f2, 3, 3, Matrix.identity(f2, 3))
-    res = solvability_by_code(3, 3, 3, code)
-    assert bool(res) and res.distance == 1
+    assert min_distance(code) == 1 and _classical_verdict(build_combination(3, 3, 3), code).ok
 
 
 def test_solvability_all_f2_codebooks_of_length_4_fail():
-    # exhaustive: no binary codebook with 4 words of length 4 reaches distance 3
+    # exhaustive: no binary codebook with 4 words of length 4 reaches distance
+    # 3, and the checker rejects every linear one as a code for N_{2,4,2}
     f2 = field_of_order(2)
+    net = build_combination(2, 4, 2)
     words = list(itertools.product(range(2), repeat=4))
+    linear = 0
     for subset in itertools.combinations(words, 4):
-        res = solvability_by_code(2, 4, 2, Codebook(f2, 4, subset))
-        assert not res
-        assert res.distance < res.required_distance
+        assert min(sum(x != y for x, y in zip(a, b)) for a, b in itertools.combinations(subset, 2)) < 3
+        gen = Matrix.from_rows(f2, subset[1:3])
+        if subset[0] == (0, 0, 0, 0) and rank(gen) == 2 and set(gen.row_combinations()) == set(subset):
+            linear += 1
+            assert not _classical_verdict(net, LinearCode(f2, 4, 2, gen)).ok
+    assert linear == 35  # the 2-dimensional subspaces of F_2^4
 
 
-def test_solvability_nonlinear_description():
-    f2 = field_of_order(2)
-    book = Codebook(f2, 3, ((0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1)))
-    res = solvability_by_code(2, 3, 2, book)
-    assert bool(res) and res.forwarding is not None
-    assert res.forwarding["distance"] == 2
+def _rank_two_generators(q, r):
+    f = field_of_order(q)
+    for entries in itertools.product(range(q), repeat=2 * r):
+        gen = Matrix(f, 2, r, entries)
+        if rank(gen) == 2:
+            yield LinearCode(f, r, 2, gen)
+
+
+def test_classical_code_solves_iff_its_distance_reaches_r_minus_s_plus_1():
+    # every 2 x r generator of rank 2 over F_2 and F_3 for r = 3, 4 (a seeded
+    # sample of the 6,240 over F_3 at r = 4): the checker accepts the
+    # forwarding code on N_{2,r,s} exactly when d >= r - s + 1
+    verdicts = set()
+    for q, r in ((2, 3), (2, 4), (3, 3), (3, 4)):
+        codes = list(_rank_two_generators(q, r))
+        if (q, r) == (3, 4):
+            codes = random.Random(7).sample(codes, 400)
+        for s in (2, 3):
+            net = build_combination(2, r, s)
+            for code in codes:
+                solvable = min_distance(code) >= r - s + 1
+                assert _classical_verdict(net, code).ok == solvable, (code.generator, s)
+                verdicts.add(solvable)
+    assert verdicts == {True, False}
 
 
 def test_ic_validity_examples():
@@ -383,8 +403,7 @@ def test_spread_solves_n_2_5_2_over_f2_t2():
 
 def test_reverse_of_rs_solution_reads_off_the_lines():
     net = build_combination(2, 3, 2)
-    res = solvability_by_code(2, 3, 2, rs_code(2, 3, 2))
-    config = solution_to_ic(net, res.network_code)
+    config = solution_to_ic(net, solution_from_classical_code(net, rs_code(2, 3, 2).generator))
     f2 = field_of_order(2)
     expected = {s.sort_key for s in enumerate_subspaces(f2, 2, 1)}
     assert {s.sort_key for s in config.members} == expected

@@ -548,9 +548,11 @@ def _validate_oracle(net):
     for e in net.edges:
         if e.tail not in node_set or e.head not in node_set:
             raise ValueError(f"edge {e.id} references unknown node")
-    for t in net.terminals:
+    for i, t in enumerate(net.terminals):
         if t not in node_set:
             raise ValueError(f"terminal {t} not among nodes")
+        if t in net.terminals[:i]:
+            raise ValueError(f"terminal {t} listed twice")
     _topological_order_oracle(net)
     if any(e.head == net.source for e in net.edges):
         raise ValueError("source must have in-degree 0")
@@ -759,6 +761,18 @@ def test_the_layers_are_sized_by_place_when_a_node_name_repeats():
     assert combination_parameters(net) == (2, 3, 2) == _combination_parameters_oracle(net)
     assert skeleton(net) == _class_walk(net)
     with pytest.raises(ValueError, match="duplicate node ids"):
+        validate_network(net)
+
+
+def test_a_terminal_listed_twice_is_rejected():
+    # a repeated terminal would make the shape read a full N_{3,4,3} as not
+    # full, so q_v would leave the IC route for the assignment search
+    obj = network_to_json(build_combination(3, 4, 3))
+    obj["terminals"].append(obj["terminals"][0])
+    with pytest.raises(ValueError, match=f"terminal {obj['terminals'][0]} listed twice"):
+        network_from_json(obj)
+    net = network_from_json(obj, validate=False)
+    with pytest.raises(ValueError, match="listed twice"):
         validate_network(net)
 
 

@@ -1,8 +1,10 @@
 """Source-wide guards: netgap depends on the Python standard library alone,
-no function in it calls itself, and the tests use only the CLI's public
-names."""
+no function in it calls itself, the tests use only the CLI's public names,
+and every function the benchmark's tracer wraps exists."""
 
 import ast
+import importlib
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -126,3 +128,19 @@ def test_only_networks_reads_the_edge_index():
             if isinstance(node, ast.Attribute) and node.attr in {"_index", "_node_of", "_layers"}:
                 readers.append(f"{path.name}:{node.lineno} {node.attr}")
     assert readers == []
+
+
+def test_every_traced_boundary_is_a_package_function():
+    # the tracer looks each boundary up with no default, so a deleted or
+    # renamed one would break every traced bench pass
+    spec = importlib.util.spec_from_file_location("_bench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [
+        f"{mod}.{fn}"
+        for mod, fns in tracer.BOUNDARIES.items()
+        for fn in fns
+        if not callable(getattr(importlib.import_module(f"netgap.{mod}"), fn, None))
+    ]
+    assert missing == []
+
