@@ -2,10 +2,14 @@
 
 A graph is its neighbour bitmasks; edge pairs are listed from them only
 when a graph is written (JSON, DIMACS, DOT and the certificates).
+`backtrack` is the one backtracking walk over bitmask domains, behind
+homomorphisms (`qkneser.find_homomorphism`) and the assignment of one
+middle space per vertex of a hypergraph (`mdsic._assignment_search`).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -113,6 +117,77 @@ def degree_order(adj: list[int]) -> tuple[list[int], list[int]]:
             mask ^= low
         masks.append(relabelled)
     return order, masks
+
+
+def backtrack(
+    earlier: list,
+    allowed: list[int],
+    bud: Budget,
+    what: str = "search",
+    *,
+    fits: Callable[[list[int], int], bool] | None = None,
+    pinned: tuple[int, ...] = (),
+    ascending: bool = False,
+    best: list[int] | None = None,
+) -> list[int] | None:
+    """The first assignment of values 0..len(allowed)-1 to positions
+    0..len(earlier)-1, or None after a complete search.
+
+    Position k may take value j when j is set in `allowed[v]` for the
+    value v of every position in `earlier[k]` and, if given, `fits(values
+    of positions 0..k-1, j)` holds.  The `pinned` values take the first
+    positions.  Values are tried lowest first, spending one node of `bud`
+    (labelled `what`) each.  With `ascending` the values rise along the
+    positions after the pins, and a value is cut once those left cannot
+    beat the longest prefix reached, which `best` holds, in place, also
+    when `bud` stops the walk.  An explicit stack replaces recursion.
+    """
+    best = [] if best is None else best
+    chosen: list[int] = []
+    full = (1 << len(allowed)) - 1
+
+    def candidates() -> int:
+        mask = full
+        for p in earlier[len(chosen)]:
+            mask &= allowed[chosen[p]]
+        return mask
+
+    for j in pinned:
+        if not (candidates() >> j & 1 and (fits is None or fits(chosen, j))):
+            raise AssertionError(f"pinned value {j} is not allowed at position {len(chosen)}")
+        chosen.append(j)
+    base, start = len(chosen), 0
+    stack: list[int] = []  # per open position past the pins: its untried values
+    while len(chosen) < len(earlier):
+        if len(chosen) > len(best):
+            best[:] = chosen
+        mask = candidates() & -(1 << start)
+        if not ascending or len(chosen) + mask.bit_count() > len(best):
+            stack.append(mask)
+        # take the next value of the innermost open position
+        while stack:
+            k = base + len(stack) - 1
+            del chosen[k:]  # leave the branch taken last
+            untried = stack[-1]
+            while untried:
+                low = untried & -untried
+                untried ^= low
+                bud.spend(what)
+                if ascending and k + untried.bit_count() < len(best):
+                    untried = 0  # no later value here beats the best
+                elif fits is None or fits(chosen, low.bit_length() - 1):
+                    break
+            else:
+                stack.pop()
+                continue
+            stack[-1] = untried
+            chosen.append(low.bit_length() - 1)
+            start = low.bit_length() if ascending else 0
+            break
+        else:
+            return None
+    best[:] = chosen
+    return chosen
 
 
 def complete_graph(n: int) -> UGraph:

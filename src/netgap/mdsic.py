@@ -12,12 +12,13 @@ sub-combination network a solution is one t-subspace per middle node with
 every terminal's h spaces in direct sum: an assignment over the
 hypergraph of the terminals, of which the IC is the complete case.
 
-One assignment search serves both.  It lists the universe of t-subspaces
-once into a DirectSumIndex.  Its pair masks restrict candidates to spaces
-independent of every chosen co-member, and its cached `blocked` masks
-over the other members of a hyperedge decide the alpha-wise test with bit
-tests, so the search makes no rank call per candidate.  `ic_is_valid`,
-behind `ic check`, replays a witness through `certs`.
+One assignment search serves both, a walk of `graphs.backtrack`.  It
+lists the universe of t-subspaces once into a DirectSumIndex.  Its pair
+masks restrict candidates to spaces independent of every chosen
+co-member, and its cached `blocked` masks over the other members of a
+hyperedge decide the alpha-wise test with bit tests, so the search makes
+no rank call per candidate.  `ic_is_valid`, behind `ic check`, replays a
+witness through `certs`.
 
 Frame lemma.  GL(ht, q) maps ICs to ICs of the same size, and it maps any
 IC with at least alpha + [alpha = h] members to one that starts with the
@@ -43,6 +44,7 @@ from dataclasses import dataclass
 from .certs import check_certificate
 from .errors import DEFAULT_BUDGET, Budget, BudgetExhausted, InternalError, SizeLimitExceeded
 from .gf import FieldSpec, Matrix, field_of_order, prime_power
+from .graphs import backtrack
 from .lincode import NetworkCode, forwarding_code, verify_solution
 from .networks import Network, build_combination, combination_parameters
 from .subspaces import (
@@ -166,20 +168,6 @@ def standard_frame(fld: FieldSpec, t: int, h: int, alpha: int) -> list[Subspace]
     return members
 
 
-def _alpha_ok(index: DirectSumIndex, chosen: list[int], new: int, alpha: int) -> bool:
-    """Every alpha of chosen + [new] are in direct sum, given chosen is an IC.
-
-    Only the alpha-sets holding `new` are new; for alpha = 2 the search's
-    pair masks have already decided them.
-    """
-    if alpha == 2 or len(chosen) + 1 < alpha:
-        return True
-    for subset in itertools.combinations(chosen, alpha - 1):
-        if index.blocked(subset) >> new & 1:
-            return False
-    return True
-
-
 def _search_order(edges: list[tuple[int, ...]], size: int) -> tuple[list[int], int]:
     """Search order of a hypergraph's vertices 0..size-1, and how many of
     the first take the standard frame.
@@ -245,105 +233,53 @@ def _assignment_search(
     over middle nodes); None is the complete alpha-uniform hypergraph,
     whose assignments are ICs.  A vertex takes a candidate that the pair
     masks of its assigned co-members allow and that `blocked` of the other
-    members of each hyperedge it completes leaves clear (`_alpha_ok`).
-    The first vertices take the standard frame.  The vertices of the
-    complete hypergraph are interchangeable, so they take ascending
-    universe indices, and a node is cut once its candidates cannot beat
-    the best prefix.  Returns (search order, spaces of the best prefix,
-    exact, nodes used); a search stopped at the target is not exact.
+    members of each hyperedge it completes leaves clear.  The first
+    vertices take the standard frame.  The vertices of the complete
+    hypergraph are interchangeable, so they take ascending universe
+    indices, and a node is cut once its candidates cannot beat the best
+    prefix.  Returns (search order, spaces of the best prefix, exact,
+    nodes used); a search stopped at the target is not exact.
     """
     complete = edges is None
-    n = h * t
-    universe = enumerate_subspaces(fld, n, t, limit=limit)
+    universe = enumerate_subspaces(fld, h * t, t, limit=limit)
     index = DirectSumIndex(universe)
-    pair_ok = index.pair_masks()
-    # per position (and one past the last): the earlier positions sharing a
-    # hyperedge with it, and the other members' positions of each
-    # hyperedge it completes.  In the complete hypergraph that is every
-    # earlier position, whose alpha-sets `_alpha_ok` tests together.
+    # per position: the other members' positions of each hyperedge it
+    # completes, and the earlier positions sharing a hyperedge with it.  In
+    # the complete hypergraph that is every earlier position, all of whose
+    # alpha-sets with the new one are tested together.
     if complete:
         order, pinned = list(range(size)), alpha + (alpha == h)
-        earlier = [range(k) for k in range(size + 1)]
-        members = [[p] for p in earlier]
+        members = [[range(k)] for k in range(size)]
+        earlier = [range(k) for k in range(size)]
     else:
         order, pinned = _search_order(edges, size)
         position = {v: k for k, v in enumerate(order)}
-        members = [[] for _ in range(size + 1)]
+        members = [[] for _ in range(size)]
         for e in dict.fromkeys(frozenset(e) for e in edges):
             last = max(e, key=position.get)
             members[position[last]].append(tuple(sorted(position[u] for u in e if u != last)))
         earlier = [sorted({p for c in cs for p in c}) for cs in members]
 
-    chosen: list[int] = []
-
-    def candidates() -> int:
-        mask = index.full
-        for p in earlier[len(chosen)]:
-            mask &= pair_ok[chosen[p]]
-        return mask
-
-    def fits(j: int) -> bool:
-        return all(
-            _alpha_ok(index, [chosen[p] for p in c], j, alpha) for c in members[len(chosen)]
+    def fits(chosen: list[int], j: int) -> bool:
+        # alpha >= 3 (the pair masks decide pairs): no (alpha-1)-set may block j
+        return not any(
+            index.blocked(subset) >> j & 1
+            for c in members[len(chosen)]
+            for subset in itertools.combinations([chosen[p] for p in c], alpha - 1)
         )
 
-    def reach(mask: int, j: int) -> int:
-        # each later vertex of the complete hypergraph takes a distinct
-        # candidate after j; elsewhere nothing smaller than `size` is known
-        return len(chosen) + bin(mask >> j).count("1") if complete else size
-
     # symmetry: GL(ht, q) maps every assignment onto one that puts the
-    # standard frame on the first positions (module docstring); the checks
-    # below guard the frame itself
-    for i in positions(universe, standard_frame(fld, t, h, alpha)[:pinned]):
-        if not (candidates() >> i & 1 and fits(i)):
-            raise AssertionError("the standard frame is not an independent configuration")
-        chosen.append(i)
-    best = list(chosen)
-    base = len(chosen)
+    # standard frame on the first positions (module docstring)
+    frame = tuple(positions(universe, standard_frame(fld, t, h, alpha)[:pinned]))
+    best: list[int] = []
     bud = Budget(budget)
-    # one frame per open node, the k-th extending chosen[:base + k]:
-    # [its candidate mask, the next universe index to try]
-    stack: list[list[int]] = []
-    cand_mask, start = candidates(), 0
-    stopped = target is not None and len(best) >= target  # at the target or the bound
     try:
-        while not stopped:
-            if len(chosen) > len(best):
-                best = list(chosen)
-                if (target is not None and len(best) >= target) or len(best) == size:
-                    stopped = True
-                    break
-            if reach(cand_mask, start) > len(best):
-                stack.append([cand_mask, start])
-            # assign the next candidate of the innermost open node
-            while stack:
-                frame = stack[-1]
-                del chosen[base + len(stack) - 1 :]  # leave the branch taken last
-                cand_mask, j = frame
-                rest = cand_mask >> j
-                while rest:
-                    j += (rest & -rest).bit_length() - 1
-                    bud.spend()
-                    if reach(cand_mask, j) <= len(best):
-                        rest = 0  # no later branch of this node beats the best
-                        break
-                    if fits(j):
-                        break
-                    j += 1
-                    rest = cand_mask >> j
-                if rest:
-                    frame[1] = j + 1
-                    chosen.append(j)
-                    # the complete hypergraph's interchangeable vertices
-                    # take ascending universe indices
-                    cand_mask, start = candidates(), (j + 1 if complete else 0)
-                    break
-                stack.pop()
-            else:
-                break
+        found = backtrack(
+            earlier[:target], index.pair_masks(), bud,
+            fits=None if alpha == 2 else fits, pinned=frame, ascending=complete, best=best,
+        )
         # stopping at the target size proves nothing about the maximum
-        exact = not (stopped and target is not None)
+        exact = found is None or target is None
     except BudgetExhausted:
         exact = False
     return order, [universe[i] for i in best], exact, bud.used

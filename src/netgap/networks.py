@@ -142,7 +142,10 @@ class Network:
         if src in mids or len(set(degrees)) != 1:
             return subcombination, None
         r, s = len(mids), degrees[0]
-        if len(set(masks)) != len(self.terminals) or len(self.terminals) != math.comb(r, s):
+        if len(self.terminals) != math.comb(r, s) or len(masks) != len(self.terminals):
+            return subcombination, None
+        masks.sort()  # not a set: 1 << k hashes as 1 << (k % 61), so sparse masks collide
+        if any(map(int.__eq__, masks, masks[1:])):
             return subcombination, None
         return subcombination, (self.h, r, s)
 

@@ -6,12 +6,13 @@ as many colors as vertices, which never backtracks; the chromatic-number
 solver runs it for iterated k-colorability tests (every k, or only the
 counts its caller needs decided), with a clique pinned to distinct
 colors to break color symmetry; homomorphisms into a complete graph are
-k-colorings.  The maximum clique comes from a branch and bound whose
-branches are cut by a greedy coloring of their candidates.  Where any
-clique serves (a lower bound, a pin), the first dive of that branch and
-bound, `greedy_clique`, gives one without the proof of maximality.
-Hypergraph coloring reduces to coloring the co-occurrence graph, since
-properness here is a pairwise condition.
+k-colorings, and into any other graph a walk of `graphs.backtrack` over
+its neighbour masks, clique first.  The maximum clique comes from a
+branch and bound whose branches are cut by a greedy coloring of their
+candidates.  Where any clique serves (a lower bound, a pin), the first
+dive of that branch and bound, `greedy_clique`, gives one without the
+proof of maximality.  Hypergraph coloring reduces to coloring the
+co-occurrence graph, since properness here is a pairwise condition.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import DEFAULT_BUDGET, Budget, BudgetExhausted, SizeLimitExceeded
 from .gf import field_of_order
-from .graphs import Coloring, Hypergraph, UGraph
+from .graphs import Coloring, Hypergraph, UGraph, backtrack
 from .subspaces import (
     ENUMERATION_LIMIT,
     DirectSumIndex,
@@ -357,7 +358,8 @@ def find_homomorphism(g1: UGraph, g2: UGraph, budget: int = DEFAULT_BUDGET) -> d
 
     Complete-graph targets delegate to the k-coloring search (a map into
     K_k is exactly a proper k-coloring); identical graphs short-circuit to
-    the identity.  Raises BudgetExhausted when undecided.
+    the identity.  Any other target is a `backtrack` walk over g2's masks,
+    one node per image tried.  Raises BudgetExhausted when undecided.
     """
     if g1.num_vertices == 0:
         return {}
@@ -380,46 +382,21 @@ def find_homomorphism(g1: UGraph, g2: UGraph, budget: int = DEFAULT_BUDGET) -> d
         return None
 
     n1 = g1.num_vertices
-    adj1, adj2 = g1.masks, g2.masks
-    full2 = (1 << g2.num_vertices) - 1
-
+    adj1 = g1.masks
     # order: seed with the clique, then most-placed-neighbors first; each
     # image must be adjacent to those of the neighbours placed before it
-    order, mapped_neighbors, placed = [], [], 0
+    order, earlier, placed = [], [], 0
     for i in range(n1):
         v = clique[i] if i < len(clique) else max(
             (u for u in range(n1) if not placed >> u & 1),
             key=lambda u: ((placed & adj1[u]).bit_count(), adj1[u].bit_count(), -u),
         )
         before = adj1[v] & placed
-        mapped_neighbors.append([u for u in range(before.bit_length()) if before >> u & 1])
+        earlier.append([k for k, u in enumerate(order) if before >> u & 1])
         order.append(v)
         placed |= 1 << v
-
-    bud = Budget(budget)
-    phi: dict[int, int] = {}
-    # one entry per position on the search path: the untried images of its
-    # vertex, lowest first; an explicit stack, so the depth is not bounded
-    # by the interpreter.  phi holds stale images past the path, each
-    # rewritten before it is read again.
-    untried: list[int] = []
-    while len(untried) < n1:
-        cand = full2
-        for u in mapped_neighbors[len(untried)]:
-            cand &= adj2[phi[u]]
-            if not cand:
-                break
-        untried.append(cand)
-        while not untried[-1]:
-            untried.pop()
-            if not untried:
-                return None
-        cand = untried[-1]
-        low = cand & -cand
-        untried[-1] = cand ^ low
-        bud.spend("homomorphism")
-        phi[order[len(untried) - 1]] = low.bit_length() - 1
-    return phi
+    images = backtrack(earlier, g2.masks, Budget(budget), "homomorphism")
+    return None if images is None else dict(zip(order, images))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from netgap.errors import Budget, BudgetExhausted, deadline
 from netgap.gf import field_of_order
 from netgap.graphs import UGraph, complete_graph, ugraph_from_json
 from netgap.lincode import search_solution
-from netgap.mdsic import ic_exists_of_size, ic_max_size
+from netgap.mdsic import ic_exists_of_size, ic_is_valid, ic_max_size
 from netgap.networks import (
     Edge,
     Network,
@@ -107,6 +107,33 @@ def test_ic_searches_stop_at_an_expired_deadline():
     assert result.size < result.bound
     with deadline(EXPIRED), pytest.raises(BudgetExhausted):
         ic_exists_of_size(3, 1, 4, 3, 11)
+
+
+def _cycle(n):
+    return UGraph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+
+
+def test_find_homomorphism_stops_with_its_own_label():
+    # C5 has no homomorphism into a longer odd cycle, and the general
+    # search needs more than 3 nodes to say so
+    with pytest.raises(BudgetExhausted, match="^homomorphism budget exhausted$") as exc:
+        find_homomorphism(_cycle(5), _cycle(7), budget=3)
+    assert exc.value.nodes_used == 3
+    assert find_homomorphism(_cycle(5), _cycle(7)) is None
+    # into C101 the search outlasts the first checkpoint; the clique search
+    # of the target ends before it
+    assert find_homomorphism(_cycle(5), _cycle(101)) is None
+    with deadline(EXPIRED), pytest.raises(BudgetExhausted, match="^wall-clock timeout$") as exc:
+        find_homomorphism(_cycle(5), _cycle(101))
+    assert exc.value.nodes_used == FIRST_CHECKPOINT
+
+
+def test_ic_search_stopped_by_its_budget_keeps_the_longest_prefix():
+    # (1;4,3)_3 has maximum 10 in 58,130 nodes; 100 nodes reach a 10-member
+    # configuration without the proof that no larger one exists
+    result = ic_max_size(3, 1, 4, 3, budget=100)
+    assert (result.size, result.exact, result.nodes_used) == (10, False, 100)
+    assert ic_is_valid(result.witness, 3)
 
 
 def _mycielski(g):

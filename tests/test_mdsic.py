@@ -3,10 +3,12 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netgap import mdsic
 from netgap.certs import Verdict
-from netgap.errors import InternalError
+from netgap.errors import DEFAULT_BUDGET, InternalError
 from netgap.gf import Matrix, field_of_order, make_field, rank
 from netgap.lincode import forwarding_code, search_solution, solution_from_classical_code, verify_solution
 from netgap.mdsic import (
@@ -28,6 +30,7 @@ from netgap.mdsic import (
 )
 from netgap.networks import Edge, Network, build_butterfly, build_combination
 from netgap.subspaces import (
+    ENUMERATION_LIMIT,
     DirectSumIndex,
     canonicalize,
     coordinate_subspace,
@@ -36,6 +39,8 @@ from netgap.subspaces import (
     subspace_from_rows,
     sum_dim,
 )
+
+import reference_searches
 
 
 def test_rs_code_examples():
@@ -264,7 +269,7 @@ def _two_pin_search(q, t, h, alpha):
                 continue
             if len(chosen) + bin(cand_mask >> j).count("1") <= len(best):
                 return False
-            if not mdsic._alpha_ok(index, chosen, j, alpha):
+            if not reference_searches.alpha_ok(index, chosen, j, alpha):
                 continue
             chosen.append(j)
             if extend(j + 1, cand_mask & pair_ok[j]):
@@ -340,18 +345,18 @@ def test_frame_pin_settles_the_7_arc_in_pg_3_5():
     assert len(found.members) == 8 and ic_is_valid(found, 4)
 
 
-def _alpha_ok_oracle(index, chosen, new, alpha):
-    """The IC search's alpha test before the direct-sum index: one sum_dim
-    per (alpha-1)-subset of the chosen set, for every candidate."""
-    if len(chosen) + 1 < alpha:
-        return True
-    universe = index.spaces
-    t = universe[new].dim
-    for subset in itertools.combinations(chosen, alpha - 1):
-        spaces = [universe[i] for i in subset] + [universe[new]]
-        if sum_dim(spaces) != alpha * t:
-            return False
-    return True
+class _SumDimBlocked:
+    """A `blocked(subset)` mask as the IC search read it before the
+    direct-sum index: bit j is one sum_dim of the subset's spaces and
+    space j, taken when the search shifts the mask by j."""
+
+    def __init__(self, index, subset):
+        self.spaces = [index.spaces[i] for i in subset]
+        self.universe = index.spaces
+
+    def __rshift__(self, j):
+        spaces = self.spaces + [self.universe[j]]
+        return int(sum_dim(spaces) != len(spaces) * self.universe[j].dim)
 
 
 @pytest.mark.parametrize(
@@ -359,7 +364,9 @@ def _alpha_ok_oracle(index, chosen, new, alpha):
 )
 def test_ic_search_walks_the_sum_dim_oracle_tree(monkeypatch, q, t, h, alpha):
     fast = ic_max_size(q, t, h, alpha)
-    monkeypatch.setattr(mdsic, "_alpha_ok", _alpha_ok_oracle)
+    monkeypatch.setattr(
+        DirectSumIndex, "blocked", lambda index, subset, bud=None: _SumDimBlocked(index, subset)
+    )
     slow = ic_max_size(q, t, h, alpha)
     assert (fast.size, fast.exact, fast.nodes_used) == (slow.size, slow.exact, slow.nodes_used)
     assert ic_to_json(fast.witness) == ic_to_json(slow.witness)
@@ -467,6 +474,44 @@ def test_a_listed_complete_hypergraph_gets_the_ic_verdict(q, t, r):
     config = IndependentConfiguration(field_of_order(q), t, 3, tuple(best))
     assert (len(best) == r) == (ic_exists_of_size(q, t, 3, 3, r) is not None)
     assert exact == (len(best) < r) and ic_is_valid(config, 3)
+
+
+@st.composite
+def _assignment_questions(draw):
+    """(fld, t, h, alpha, budget, size, edges, target) for `_assignment_search`
+    as its callers ask: h = 2 and 3, the complete hypergraph up to its size
+    bound or a listed one, and sometimes a node budget small enough to
+    stop the walk."""
+    q, t, h = draw(st.sampled_from([(2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3), (3, 1, 3), (4, 1, 3)]))
+    budget = draw(st.one_of(st.just(10**6), st.integers(0, 60)))
+    if draw(st.booleans()):
+        alpha = draw(st.integers(2, h))
+        size, edges = ic_size_bound(q, t, h, alpha), None
+        pinned = alpha + (alpha == h)
+    else:
+        alpha, size = h, draw(st.integers(h, 7))
+        subsets = list(itertools.combinations(range(size), h))
+        edges = draw(st.lists(st.sampled_from(subsets), min_size=1, max_size=12))
+        pinned = mdsic._search_order(edges, size)[1]
+    target = draw(st.one_of(st.none(), st.integers(pinned, size)))
+    return field_of_order(q), t, h, alpha, budget, size, edges, target
+
+
+@given(_assignment_questions())
+@settings(max_examples=150, deadline=None)
+def test_assignment_search_walks_the_reference_tree(question):
+    fld, t, h, alpha, budget, size, edges, target = question
+    args = (fld, t, h, alpha, budget, ENUMERATION_LIMIT, size, edges, target)
+    order, spaces, exact, nodes = mdsic._assignment_search(*args)
+    ref_order, ref_spaces, ref_exact, ref_nodes = reference_searches.assignment_search(*args)
+    if edges is None and target is None and size == alpha + 1 == h + 1:
+        # (1;h,h)_2: the frame alone meets the size bound.  The reference
+        # then tried one more member, which the bound refutes, spending a
+        # node per candidate left (none for h = 2); the walk ends there
+        assert nodes == 0
+        ref_nodes = 0
+    assert (order, exact, nodes) == (ref_order, ref_exact, ref_nodes)
+    assert [s.sort_key for s in spaces] == [s.sort_key for s in ref_spaces]
 
 
 def test_subcombination_solution_needs_a_sub_combination_network_with_two_messages():

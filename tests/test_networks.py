@@ -787,3 +787,18 @@ def test_a_middle_feeding_nothing_is_no_middle_layer():
     with pytest.raises(ValueError, match="non-essential nodes"):
         validate_network(net)
     assert skeleton(net) == _class_walk(net) and len(skeleton(net).class_ids) == 4
+
+
+def test_a_repeated_feeder_set_over_many_middles_is_not_full():
+    # N_{2,64,2} with terminal t62_63 rewired onto m0 and m1: still C(64, 2)
+    # terminals of two feeders each, but two share a feeder set.  Over more
+    # than 61 middles such sparse masks collide in hashing, so the shape
+    # tells them apart by sorting
+    obj = network_to_json(build_combination(2, 64, 2))
+    into = [e for e in obj["edges"] if e["to"] == "t62_63"]
+    for edge, middle in zip(into, ("m0", "m1")):
+        edge["from"] = middle
+    net = network_from_json(obj)
+    assert len(net.terminals) == 2016 and is_subcombination(net)
+    assert combination_parameters(net) is None and _combination_parameters_oracle(net) is None
+    assert combination_parameters(build_combination(2, 64, 2)) == (2, 64, 2)

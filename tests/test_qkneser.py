@@ -33,6 +33,7 @@ from netgap.networks import build_kneser
 from netgap.skeleton import skeleton
 from netgap.subspaces import sum_dim
 
+import reference_searches
 from certified import coloring_ok, homomorphism_ok, hypergraph_coloring_ok
 
 
@@ -326,6 +327,29 @@ def test_homomorphisms_are_the_pinned_maps():
         assert _as_images(phi) == expected, seed
         if phi is not None:
             assert homomorphism_ok(g1, g2, phi)
+
+
+def _outcome(search, g1, g2, budget):
+    """(the map as (vertex, image) pairs in its order, or None) or the stop."""
+    try:
+        phi = search(g1, g2, budget)
+    except BudgetExhausted as exc:
+        return str(exc), exc.nodes_used
+    return None if phi is None else list(phi.items())
+
+
+@given(
+    st.integers(1, 9), st.integers(0, 2**36 - 1), st.integers(3, 7), st.integers(0, 2**21 - 1),
+    st.sampled_from([DEFAULT_BUDGET, 10**4, 40, 7]),
+)
+@settings(max_examples=300, deadline=None)
+def test_homomorphism_walks_the_reference_tree(n1, bits1, n2, bits2, budget):
+    # drawn targets are mostly neither complete nor the source itself, so
+    # the general search runs: the walker reaches the reference loop's
+    # map, in its order, or stops where it stops
+    g1, g2 = _random_graph(n1, bits1), _random_graph(n2, bits2)
+    expected = _outcome(reference_searches.find_homomorphism, g1, g2, budget)
+    assert _outcome(find_homomorphism, g1, g2, budget) == expected
 
 
 # ---------------------------------------------------------------------------
