@@ -141,6 +141,16 @@ def _write_output(args, obj: dict, human: str) -> None:
         _emit(args, obj, human)
 
 
+def _undecided(args, exc: BudgetExhausted) -> int:
+    """Report a search stopped by its node budget or the deadline, naming which."""
+    _emit(
+        args,
+        {"status": "unknown", "reason": str(exc), "nodes_used": exc.nodes_used},
+        f"undecided: {exc} after {exc.nodes_used} nodes",
+    )
+    return EXIT_BUDGET
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -267,9 +277,8 @@ def cmd_hom(args) -> int:
         raise ValueError("hom needs --to, --to-qkneser, or --to-complete")
     try:
         phi = find_homomorphism(g1, g2, args.budget)
-    except BudgetExhausted:
-        _emit(args, {"status": "unknown"}, "undecided: budget exhausted")
-        return EXIT_BUDGET
+    except BudgetExhausted as exc:
+        return _undecided(args, exc)
     if phi is None:
         _emit(
             args,
@@ -306,9 +315,8 @@ def cmd_solve(args) -> int:
     net = _load(args.network, network_from_json)
     try:
         code = search_solution(net, args.q, args.t, args.budget)
-    except BudgetExhausted:
-        _emit(args, {"status": "unknown"}, "undecided: budget exhausted")
-        return EXIT_BUDGET
+    except BudgetExhausted as exc:
+        return _undecided(args, exc)
     if code is None:
         _emit(
             args,

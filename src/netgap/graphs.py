@@ -3,8 +3,10 @@
 A graph is its neighbour bitmasks; edge pairs are listed from them only
 when a graph is written (JSON, DIMACS, DOT and the certificates).
 `backtrack` is the one backtracking walk over bitmask domains, behind
-homomorphisms (`qkneser.find_homomorphism`) and the assignment of one
-middle space per vertex of a hypergraph (`mdsic._assignment_search`).
+homomorphisms (`qkneser.find_homomorphism`), the maximum clique
+(`qkneser.max_clique`) and the assignment of one middle space per vertex
+of a hypergraph (`mdsic._assignment_search`).  Its ascending walks, the
+clique and the independent configuration, share one colour-class cut.
 """
 
 from __future__ import annotations
@@ -137,10 +139,19 @@ def backtrack(
     value v of every position in `earlier[k]` and, if given, `fits(values
     of positions 0..k-1, j)` holds.  The `pinned` values take the first
     positions.  Values are tried lowest first, spending one node of `bud`
-    (labelled `what`) each.  With `ascending` the values rise along the
-    positions after the pins, and a value is cut once those left cannot
-    beat the longest prefix reached, which `best` holds, in place, also
-    when `bud` stops the walk.  An explicit stack replaces recursion.
+    (labelled `what`) each.  An explicit stack replaces recursion.
+
+    With `ascending` the values rise along the positions after the pins,
+    and `best` holds, in place, the longest prefix reached, also when
+    `bud` stops the walk.  Each open position bounds its values by a
+    greedy colouring of its candidates (Tomita & Seki, DMTCS 2003): from
+    the highest candidate down, each class takes the highest uncoloured
+    value, then every lower one not allowed beside the class so far.
+    Values from v on take at most one per class whose top is at or above
+    v, so once v passes the top of class `need` = len(best) - k the
+    values of position k from v on are cut, and a value cut spends no
+    node.  The bound needs every position constrained against all
+    earlier ones (`earlier[k]` is range(k)), as in every ascending caller.
     """
     best = [] if best is None else best
     chosen: list[int] = []
@@ -158,24 +169,39 @@ def backtrack(
         chosen.append(j)
     base, start = len(chosen), 0
     stack: list[int] = []  # per open position past the pins: its untried values
+    tops_of: list[list[int]] = []  # with `ascending`, per open position: its class tops
     while len(chosen) < len(earlier):
         if len(chosen) > len(best):
             best[:] = chosen
         mask = candidates() & -(1 << start)
-        if not ascending or len(chosen) + mask.bit_count() > len(best):
-            stack.append(mask)
+        stack.append(mask)
+        if ascending:
+            # tops[i]: the highest value of colour class i, decreasing in i
+            tops, rest = [], mask
+            while rest:
+                top = rest.bit_length() - 1
+                tops.append(top)
+                rest ^= 1 << top
+                free = rest & ~allowed[top]
+                while free:
+                    w = free.bit_length() - 1
+                    rest ^= 1 << w
+                    free &= ~allowed[w]
+                    free ^= 1 << w
+            tops_of[len(stack) - 1 :] = [tops]
         # take the next value of the innermost open position
         while stack:
             k = base + len(stack) - 1
             del chosen[k:]  # leave the branch taken last
             untried = stack[-1]
+            if ascending and len(best) >= k:
+                need, tops = len(best) - k, tops_of[len(stack) - 1]
+                untried &= (2 << tops[need]) - 1 if need < len(tops) else 0
             while untried:
                 low = untried & -untried
                 untried ^= low
                 bud.spend(what)
-                if ascending and k + untried.bit_count() < len(best):
-                    untried = 0  # no later value here beats the best
-                elif fits is None or fits(chosen, low.bit_length() - 1):
+                if fits is None or fits(chosen, low.bit_length() - 1):
                     break
             else:
                 stack.pop()

@@ -131,12 +131,14 @@ class Network:
         degrees = list(map(indeg.__getitem__, terms))
         if list(map(int.bit_count, masks)) != degrees or not outdeg.keys().isdisjoint(terms):
             return False, None
-        # a sub-combination network's middles feed only terminals (so their
-        # out-degrees add up to the edges into terminals), each drawing h edges
+        # a sub-combination network's middles each feed, and feed only,
+        # terminals (so their out-degrees add up to the edges into
+        # terminals), each drawing h edges
         subcombination = (
             src not in terms
             and set(degrees) <= {self.h}
             and sum(outdeg[m] for m in mids) == sum(degrees)
+            and all(map(outdeg.__getitem__, mids))
         )
         # a full combination network has one terminal per s-subset of its r middles
         if src in mids or len(set(degrees)) != 1:
@@ -166,12 +168,12 @@ class Network:
 
     def middle_layer(self) -> tuple[list[int], list[int]] | None:
         """(roots, feeders) of a network of three layers, source -> middles
-        -> terminals: the sub-combination shape (which keeps the source out
-        of the middles) with every middle feeding.  Bit k of feeders[v] is
-        set when the head of roots[k], the source edges in edge-list order,
-        feeds node v.  None for any other network."""
-        roots, mids, _, outdeg, feeders = self._layers
-        return (roots, feeders) if self._shape[0] and all(map(outdeg.__getitem__, mids)) else None
+        -> terminals: the sub-combination shape, which keeps the source out
+        of the middles and has every middle feeding.  Bit k of feeders[v]
+        is set when the head of roots[k], the source edges in edge-list
+        order, feeds node v.  None for any other network."""
+        roots, _, _, _, feeders = self._layers
+        return (roots, feeders) if self._shape[0] else None
 
     def source_edges(self) -> list[int]:
         """The edges leaving the source in edge-list order, read without the index."""
@@ -457,11 +459,11 @@ def combination_parameters(net: Network) -> tuple[int, int, int] | None:
 def is_subcombination(net: Network) -> bool:
     """Sub-network of a combination network with every terminal of in-degree h.
 
-    Shape: one source edge per middle node, middle nodes feed only
-    terminals, each terminal draws exactly h edges from h distinct middle
-    nodes.  Such networks are always minimal: dropping a terminal edge
-    starves that terminal, dropping a source edge starves any terminal the
-    middle node feeds (and it feeds one, since all nodes are essential).
+    Shape: one source edge per middle node, middle nodes feed at least
+    one terminal and only terminals, each terminal draws exactly h edges
+    from h distinct middle nodes.  Such networks are always minimal:
+    dropping a terminal edge starves that terminal, dropping a source edge
+    starves any terminal the middle node feeds, and it feeds one.
     """
     return net._shape[0]
 

@@ -7,11 +7,11 @@ solver runs it for iterated k-colorability tests (every k, or only the
 counts its caller needs decided), with a clique pinned to distinct
 colors to break color symmetry; homomorphisms into a complete graph are
 k-colorings, and into any other graph a walk of `graphs.backtrack` over
-its neighbour masks, clique first.  The maximum clique comes from a
-branch and bound whose branches are cut by a greedy coloring of their
-candidates.  Where any clique serves (a lower bound, a pin), the first
-dive of that branch and bound, `greedy_clique`, gives one without the
-proof of maximality.  Hypergraph coloring reduces to coloring the
+its neighbour masks, clique first.  The maximum clique is an ascending
+walk of the same walker, whose branches are cut by a greedy coloring of
+their candidates.  Where any clique serves (a lower bound, a pin), the
+first dive of that walk, `greedy_clique`, gives one without the proof of
+maximality.  Hypergraph coloring reduces to coloring the
 co-occurrence graph, since properness here is a pairwise condition.
 """
 
@@ -91,70 +91,25 @@ def qkneser_clique_number(q: int, t: int) -> int:
 # ---------------------------------------------------------------------------
 
 def max_clique(g: UGraph, budget: int = DEFAULT_BUDGET) -> tuple[tuple[int, ...], bool]:
-    """Exact maximum clique by branch and bound; (clique, completed).
+    """Exact maximum clique; (clique, completed).
 
-    Branches on candidates in the static order (-degree, v), lowest first.
-    Each node bounds its branches by a greedy colouring of its candidates
-    (Tomita & Seki, DMTCS 2003): classes are built from the highest
-    candidate down, each taking the highest uncoloured vertex and then
-    every lower one not adjacent to the class so far.  A clique among the
-    candidates at or above v has at most one vertex per class whose top
-    is at or above v, so once v passes the top of class `need` (the
-    clique still needs more than `need` vertices to beat the best) every
-    later branch is cut.  The bound never cuts a branch holding a larger
-    clique and the branching order is kept, so the result is the first
-    maximum clique in that order, as without the bound.
+    An ascending `backtrack` walk over the positions in the static order
+    (-degree, v), each constrained against all earlier ones: lowest
+    candidate first, with every branch cut by the colour classes of its
+    candidates.  The bound never cuts a branch holding a larger clique and
+    the branching order is kept, so the result is the first maximum clique
+    in that order.  One node for the root and one per vertex tried.
 
-    Running out of `budget` nodes returns the best clique with
-    completed=False; any other BudgetExhausted (the wall-clock deadline)
-    propagates.  An explicit stack replaces recursion, so the clique size
-    is not bounded by the interpreter.
+    Running out of `budget` nodes returns the longest clique the walk
+    reached, a prefix of its current branch, with completed=False; any
+    other BudgetExhausted (the wall-clock deadline) propagates.
     """
     order, adj = g.static_order
     best: list[int] = []
-    current: list[int] = []
     bud = Budget(budget)
-    # one frame per open node, the k-th extending current[:k]:
-    # [its untried candidates, the tops of its colour classes]
-    stack: list[list] = []
-    candidates = (1 << len(adj)) - 1
     try:
-        while True:
-            bud.spend("clique")
-            if candidates:
-                # tops[i]: the highest vertex of colour class i, decreasing in i
-                tops = []
-                rest = candidates
-                while rest:
-                    top = rest.bit_length() - 1
-                    tops.append(top)
-                    rest ^= 1 << top
-                    free = rest & ~adj[top]
-                    while free:
-                        w = free.bit_length() - 1
-                        rest ^= 1 << w
-                        free &= ~adj[w]
-                        free ^= 1 << w
-                stack.append([candidates, tops])
-            elif len(current) > len(best):
-                best = list(current)
-            # branch on the next candidate of the innermost open node
-            while stack:
-                frame = stack[-1]
-                del current[len(stack) - 1 :]  # leave the branch taken last
-                candidates, tops = frame
-                if candidates:
-                    low = candidates & -candidates
-                    v = low.bit_length() - 1
-                    need = len(best) - len(current)
-                    if need < 0 or (need < len(tops) and v <= tops[need]):
-                        frame[0] = candidates ^ low
-                        current.append(v)
-                        candidates = frame[0] & adj[v]
-                        break
-                stack.pop()
-            else:
-                break
+        bud.spend("clique")
+        backtrack([range(k) for k in range(len(adj))], adj, bud, "clique", ascending=True, best=best)
         completed = True
     except BudgetExhausted:
         if not bud.out_of_nodes:

@@ -1,13 +1,14 @@
-"""Reference searches for the tests: the homomorphism search and the
-middle-space assignment search as each ran its own backtracking loop,
-before both became callers of `graphs.backtrack`.  The walker must
-reproduce their trees: the same maps and spaces, node for node."""
+"""Reference searches for the tests: the homomorphism search, the
+middle-space assignment search and the maximum clique search as each ran
+its own backtracking loop, before all three became callers of
+`graphs.backtrack`.  The walker must reproduce their trees: the same
+maps, spaces and cliques, node for node."""
 
 import itertools
 
 from netgap.errors import DEFAULT_BUDGET, Budget, BudgetExhausted
 from netgap.mdsic import _search_order, standard_frame
-from netgap.qkneser import _dsatur, greedy_clique, max_clique
+from netgap.qkneser import _dsatur, greedy_clique
 from netgap.subspaces import DirectSumIndex, enumerate_subspaces, positions
 
 
@@ -27,7 +28,7 @@ def find_homomorphism(g1, g2, budget=DEFAULT_BUDGET):
     if g2.is_complete():
         return _dsatur(g1.static_order, g2.num_vertices, clique, Budget(budget))
 
-    clique2, complete2 = max_clique(g2, budget=max(budget // 10, 1000))
+    clique2, complete2, _ = max_clique(g2, budget=max(budget // 10, 1000))
     if complete2 and len(clique) > len(clique2):
         return None
 
@@ -70,6 +71,61 @@ def find_homomorphism(g1, g2, budget=DEFAULT_BUDGET):
     return phi
 
 
+def max_clique(g, budget=DEFAULT_BUDGET):
+    """`qkneser.max_clique` with its own loop: (clique, completed, nodes
+    used).  One node per node of the tree, the root and the leaves too,
+    and a branch the colour bound cuts is never entered.  A stopped search
+    returns the longest clique at a leaf reached."""
+    order, adj = g.static_order
+    best, current = [], []
+    bud = Budget(budget)
+    # one frame per open node, the k-th extending current[:k]:
+    # [its untried candidates, the tops of its colour classes]
+    stack = []
+    candidates = (1 << len(adj)) - 1
+    try:
+        while True:
+            bud.spend("clique")
+            if candidates:
+                # tops[i]: the highest vertex of colour class i, decreasing in i
+                tops = []
+                rest = candidates
+                while rest:
+                    top = rest.bit_length() - 1
+                    tops.append(top)
+                    rest ^= 1 << top
+                    free = rest & ~adj[top]
+                    while free:
+                        w = free.bit_length() - 1
+                        rest ^= 1 << w
+                        free &= ~adj[w]
+                        free ^= 1 << w
+                stack.append([candidates, tops])
+            elif len(current) > len(best):
+                best = list(current)
+            # branch on the next candidate of the innermost open node
+            while stack:
+                frame = stack[-1]
+                del current[len(stack) - 1 :]  # leave the branch taken last
+                candidates, tops = frame
+                if candidates:
+                    low = candidates & -candidates
+                    v = low.bit_length() - 1
+                    need = len(best) - len(current)
+                    if need < 0 or (need < len(tops) and v <= tops[need]):
+                        frame[0] = candidates ^ low
+                        current.append(v)
+                        candidates = frame[0] & adj[v]
+                        break
+                stack.pop()
+            else:
+                break
+        completed = True
+    except BudgetExhausted:
+        completed = False
+    return tuple(sorted(order[v] for v in best)), completed, bud.used
+
+
 def alpha_ok(index, chosen, new, alpha):
     """Every alpha of chosen + [new] are in direct sum, given chosen is an IC,
     read off the `blocked` masks; for alpha = 2 the pair masks decide."""
@@ -83,7 +139,14 @@ def alpha_ok(index, chosen, new, alpha):
 
 def assignment_search(fld, t, h, alpha, budget, limit, size, edges=None, target=None):
     """`mdsic._assignment_search` with its own loop: (search order, spaces
-    of the best prefix, exact, nodes used)."""
+    of the best prefix, exact, nodes used).  The complete hypergraph's
+    ascending walk cuts a value once the candidates from it on cannot
+    beat the best prefix, by count; a value cut is never tried, so it
+    spends no node, as in the walker.  The walker cuts by colour classes
+    instead; on the pair masks of these universes both cut the same
+    values, which the node-for-node comparison checks.  A frame that
+    meets the size bound ends the search, as it ends the walk; the old
+    loop still tried one more member there, refuted by the bound."""
     complete = edges is None
     universe = enumerate_subspaces(fld, h * t, t, limit=limit)
     index = DirectSumIndex(universe)
@@ -125,7 +188,7 @@ def assignment_search(fld, t, h, alpha, budget, limit, size, edges=None, target=
     # one frame per open node: [its candidate mask, the next universe index to try]
     stack = []
     cand_mask, start = candidates(), 0
-    stopped = target is not None and len(best) >= target
+    stopped = len(best) == size or (target is not None and len(best) >= target)
     try:
         while not stopped:
             if len(chosen) > len(best):
@@ -142,10 +205,10 @@ def assignment_search(fld, t, h, alpha, budget, limit, size, edges=None, target=
                 rest = cand_mask >> j
                 while rest:
                     j += (rest & -rest).bit_length() - 1
-                    bud.spend()
                     if reach(cand_mask, j) <= len(best):
                         rest = 0
                         break
+                    bud.spend()
                     if fits(j):
                         break
                     j += 1

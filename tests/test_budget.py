@@ -99,8 +99,9 @@ def test_search_solution_stops_at_an_expired_deadline():
 
 
 def test_ic_searches_stop_at_an_expired_deadline():
-    # the exhaustive (1;4,3)_3 search takes 58,130 nodes (maximum 10, bound
-    # 14), so both searches pass the first checkpoint
+    # the exhaustive (1;4,3)_3 search takes 50,129 nodes (maximum 10, bound
+    # 14; 58,130 while a value the bound cuts was charged), so both searches
+    # pass the first checkpoint
     with deadline(EXPIRED):
         result = ic_max_size(3, 1, 4, 3)
     assert not result.exact and result.nodes_used == FIRST_CHECKPOINT
@@ -129,7 +130,7 @@ def test_find_homomorphism_stops_with_its_own_label():
 
 
 def test_ic_search_stopped_by_its_budget_keeps_the_longest_prefix():
-    # (1;4,3)_3 has maximum 10 in 58,130 nodes; 100 nodes reach a 10-member
+    # (1;4,3)_3 has maximum 10 in 50,129 nodes; 100 nodes reach a 10-member
     # configuration without the proof that no larger one exists
     result = ic_max_size(3, 1, 4, 3, budget=100)
     assert (result.size, result.exact, result.nodes_used) == (10, False, 100)

@@ -193,6 +193,53 @@ def test_solve_budget_exit_code(tmp_path, capsys):
     assert code == EXIT_BUDGET
 
 
+def _assert_undecided(argv, capsys, reason, nodes_used):
+    """Both outputs of a stopped search name the stop and the nodes it used."""
+    code, out, _ = run_cli(argv, capsys)
+    assert code == EXIT_BUDGET and out == f"undecided: {reason} after {nodes_used} nodes\n"
+    code, out, _ = run_cli(argv + ["--json"], capsys)
+    assert code == EXIT_BUDGET
+    assert json.loads(out) == {"status": "unknown", "reason": reason, "nodes_used": nodes_used}
+
+
+# the deadline is read before every 1024th node, so an expired one stops a
+# search after 1023
+@pytest.mark.parametrize(
+    "stop, reason, nodes_used",
+    [
+        (["--budget", "5"], "homomorphism budget exhausted", 5),
+        (["--timeout-secs", "1e-9"], "wall-clock timeout", 1023),
+    ],
+    ids=["budget", "deadline"],
+)
+def test_hom_reports_which_stop_left_it_undecided(tmp_path, capsys, stop, reason, nodes_used):
+    # C5 has no homomorphism into C101, and the search outlasts the first
+    # checkpoint; the clique search of the target ends before it
+    for n in (5, 101):
+        names = [f"v{i}" for i in range(n)]
+        edges = [[names[i], names[(i + 1) % n]] for i in range(n)]
+        (tmp_path / f"c{n}.json").write_text(json.dumps({"vertices": names, "edges": edges}))
+    argv = ["hom", "--from", str(tmp_path / "c5.json"), "--to", str(tmp_path / "c101.json")]
+    _assert_undecided(argv + stop, capsys, reason, nodes_used)
+
+
+@pytest.mark.parametrize(
+    "stop, reason, nodes_used",
+    [
+        (["--budget", "2"], "solution search budget exhausted", 2),
+        (["--timeout-secs", "1e-9"], "wall-clock timeout", 1023),
+    ],
+    ids=["budget", "deadline"],
+)
+def test_solve_reports_which_stop_left_it_undecided(tmp_path, capsys, stop, reason, nodes_used):
+    # the (2,2) search on N_{2,6,2} is negative and outlasts the first checkpoint
+    net_path, cert = tmp_path / "net.json", tmp_path / "c.json"
+    run_cli(["build", "comb", "2", "6", "2", "-o", str(net_path)], capsys)
+    argv = ["solve", "--network", str(net_path), "--q", "2", "--t", "2", "--cert", str(cert)]
+    _assert_undecided(argv + stop, capsys, reason, nodes_used)
+    assert not cert.exists()
+
+
 def test_chi_qkneser_with_certificate(tmp_path, capsys):
     cert = tmp_path / "chi.json"
     code, out, _ = run_cli(["chi", "--qkneser", "2", "4", "2", "--cert", str(cert)], capsys)
@@ -968,7 +1015,7 @@ def test_main_clears_the_deadline(tmp_path, capsys, first, exit_code):
         first + ["--timeout-secs", "1e-9", "--cert", str(tmp_path / "first.json")], capsys
     )
     assert code == exit_code and errors._deadline is None
-    # 58,130 search nodes: a deadline left behind would stop it at node 1024
+    # 50,129 search nodes: a deadline left behind would stop it at node 1024
     code, out, _ = run_cli(
         ["ic", "search", "--q", "3", "--t", "1", "--h", "4", "--alpha", "3",
          "--cert", str(tmp_path / "ic.json")],

@@ -25,6 +25,7 @@ from netgap.lincode import search_solution
 from netgap.networks import (
     Edge,
     Network,
+    _middle_network,
     build_butterfly,
     build_combination,
     build_kneser,
@@ -604,17 +605,31 @@ def test_middle_space_route_agrees_with_the_code_search(seed):
 
 
 def test_a_middle_feeding_nothing_takes_the_code_search_with_the_same_answers():
-    # N_{3,4,3} with a fifth middle fed by the source alone keeps the
-    # sub-combination shape but has no middle layer, so q_s and q_v come
-    # from the code search, never a ValueError from the middle-space route
+    # N_{3,4,3} with a fifth middle fed by the source alone loses the
+    # sub-combination shape and the middle layer with it, so q_s and q_v
+    # come from the code search, never a ValueError from the middle-space
+    # route
     base = build_combination(3, 4, 3)
     edges = base.edges + (Edge("idle", base.source, "m4"),)
     net = Network.from_edges(base.h, base.source, base.terminals, base.nodes + ("m4",), edges)
-    assert is_subcombination(net) and net.middle_layer() is None
+    assert not is_subcombination(net) and net.middle_layer() is None
     for run in (qs_exact, qv_exact):
         res = run(net)
         assert (res.value, res.method) == (run(base).value, "exhaustive")
         assert check_certificate(res.certificate) == (True, "accepted linear solution")
+
+
+def test_an_idle_middle_is_not_minimal_so_qs_skips_the_skeleton_route():
+    # N_{2,3,2} plus a fourth middle fed by the source alone: its source
+    # edge can go, so the network is not minimal, and q_s must not take
+    # skeleton chi, a route that needs a minimal network
+    net = _middle_network(2, ["m0", "m1", "m2", "m3"], [(0, 1), (0, 2), (1, 2)])
+    assert not is_subcombination(net) and not is_minimal(net)
+    assert not net._routing_minimal
+    qs, qv = qs_exact(net), qv_exact(net)
+    assert (qs.value, qv.value) == (2, 2) and qs.method != "skeleton-chi"
+    for res in (qs, qv):
+        assert check_certificate(res.certificate)[0]
 
 
 @pytest.mark.parametrize(

@@ -481,7 +481,7 @@ def _is_subcombination_oracle(net):
     if set(net.nodes) != {net.source} | middle_set | term_set:
         return False
     for mid in middles:
-        if len(ins.get(mid, ())) != 1:
+        if len(ins.get(mid, ())) != 1 or not outs.get(mid):
             return False
         if any(e.head not in term_set for e in outs.get(mid, ())):
             return False
@@ -777,12 +777,13 @@ def test_a_terminal_listed_twice_is_rejected():
 
 
 def test_a_middle_feeding_nothing_is_no_middle_layer():
-    # N_{2,3,2} with a fourth middle fed by the source alone still has the
-    # sub-combination shape, but the middle is a sink that is no terminal
+    # N_{2,3,2} with a fourth middle fed by the source alone: the middle is
+    # a sink that is no terminal, so the network has neither the
+    # sub-combination shape nor a middle layer
     base = build_combination(2, 3, 2)
     edges = base.edges + (Edge("idle", base.source, "m3"),)
     net = Network.from_edges(base.h, base.source, base.terminals, base.nodes + ("m3",), edges)
-    assert is_subcombination(net) and _is_subcombination_oracle(net)
+    assert not is_subcombination(net) and not _is_subcombination_oracle(net)
     assert net.middle_layer() is None
     with pytest.raises(ValueError, match="non-essential nodes"):
         validate_network(net)

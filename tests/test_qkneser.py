@@ -352,6 +352,32 @@ def test_homomorphism_walks_the_reference_tree(n1, bits1, n2, bits2, budget):
     assert _outcome(find_homomorphism, g1, g2, budget) == expected
 
 
+def _is_clique(g, vertices):
+    return all(g.masks[a] >> b & 1 for a, b in itertools.combinations(vertices, 2))
+
+
+@given(st.integers(0, 24), st.integers(0, 2**276 - 1), st.data())
+@settings(max_examples=150, deadline=None)
+def test_max_clique_walks_the_reference_tree(n, bits, data):
+    # the walker spends one node per vertex tried and one on the root, the
+    # reference loop one per node: the same count, so every budget stops
+    # both or neither.  A stopped walk keeps the longest clique it
+    # reached, never shorter than the reference's best leaf
+    g = _random_graph(n, bits)
+    _, completed, nodes = reference_searches.max_clique(g)
+    assert completed
+    drawn = data.draw(st.integers(1, nodes))
+    for budget in sorted({b for b in (1, drawn, nodes - 1, nodes) if b >= 1}):
+        clique, completed = max_clique(g, budget=budget)
+        expected, expected_completed, used = reference_searches.max_clique(g, budget=budget)
+        assert completed == expected_completed == (budget == nodes)
+        assert used == budget
+        if completed:
+            assert clique == expected
+        else:
+            assert _is_clique(g, clique) and len(clique) >= len(expected)
+
+
 # ---------------------------------------------------------------------------
 # the bit-parallel kernels against the scan-based code they replaced
 # ---------------------------------------------------------------------------
@@ -567,8 +593,15 @@ def test_max_clique_matches_brute_force_and_scan_oracle(n, bits, budget):
     # so a complete run returns the popcount-bounded search's clique
     assert (clique, complete) == _max_clique_oracle(g)
     # the same search tree as the colour-bound oracle: a node budget stops
-    # both at the same clique
-    assert max_clique(g, budget=budget) == _colour_bound_clique_oracle(g, budget=budget)
+    # both or neither.  A stopped walk keeps the longest clique it reached,
+    # a prefix of its branch, never shorter than the oracle's best leaf
+    stopped, completed = max_clique(g, budget=budget)
+    oracle, oracle_completed = _colour_bound_clique_oracle(g, budget=budget)
+    assert completed == oracle_completed
+    if completed:
+        assert stopped == oracle
+    else:
+        assert _is_clique(g, stopped) and len(stopped) >= len(oracle)
     # and a subtree of the popcount-bounded one: it ends within its budget
     if _max_clique_oracle(g, budget=budget)[1]:
         assert max_clique(g, budget=budget)[1]
