@@ -17,7 +17,7 @@ from .subspaces import (
     spread,
     sum_dim,
 )
-from .graphs import Hypergraph, UGraph, complete_graph
+from .graphs import UGraph, complete_graph
 from .networks import (
     Network,
     build_butterfly,
@@ -35,7 +35,6 @@ from .networks import (
 from .skeleton import SkeletonGraph, reverse_skeleton, skeleton
 from .qkneser import (
     build_qkneser,
-    build_qkneser_hyper,
     canonical_coloring,
     chromatic_number,
     find_homomorphism,

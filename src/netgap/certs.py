@@ -7,8 +7,8 @@ checkers here are netgap's only coloring, homomorphism, network-code and
 independent-configuration predicates: `lincode.verify_solution` and
 `mdsic.ic_is_valid` replay their arguments through them, and this module
 imports nothing from netgap but `gf`.  Each kind has one maker, beside
-the objects it serialises: `graphs` makes coloring, hypergraph-coloring
-and homomorphism certificates, `lincode` network-code ones and `mdsic`
+the objects it serialises: `graphs` makes coloring and homomorphism
+certificates, `lincode` network-code ones and `mdsic`
 independent-configuration ones.  A malformed certificate (a missing key,
 a value of the wrong type) is rejected, never raised.
 
@@ -53,20 +53,6 @@ def _check_coloring(cert: dict) -> tuple[bool, str]:
     if used != cert["num_colors"]:
         return False, f"claims {cert['num_colors']} colors but uses {used}"
     return True, f"proper coloring with {used} colors"
-
-
-def _check_hypergraph_coloring(cert: dict) -> tuple[bool, str]:
-    colors = {int(k): v for k, v in cert["colors"].items()}
-    if set(colors) != set(range(cert["num_vertices"])):
-        return False, "coloring does not cover the vertex set exactly"
-    for he in cert["hyperedges"]:
-        cs = [colors[v] for v in he]
-        if len(set(cs)) != len(cs):
-            return False, f"hyperedge {he} repeats a color"
-    used = len(set(colors.values()))
-    if used != cert["num_colors"]:
-        return False, f"claims {cert['num_colors']} colors but uses {used}"
-    return True, f"proper hypergraph coloring with {used} colors"
 
 
 def _check_homomorphism(cert: dict) -> tuple[bool, str]:
@@ -196,7 +182,6 @@ def _check_ic(cert: dict) -> tuple[bool, str]:
 
 _CHECKERS = {
     "coloring": _check_coloring,
-    "hypergraph-coloring": _check_hypergraph_coloring,
     "homomorphism": _check_homomorphism,
     "network-code": _check_network_code,
     "independent-configuration": _check_ic,

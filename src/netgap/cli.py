@@ -35,7 +35,6 @@ from .gaplab import (
 from .graphs import (
     coloring_certificate,
     homomorphism_certificate,
-    hypergraph_coloring_certificate,
     ugraph_from_json,
 )
 from .lincode import code_certificate, code_from_json, search_solution, verify_solution
@@ -60,13 +59,11 @@ from .networks import (
 )
 from .qkneser import (
     build_qkneser,
-    build_qkneser_hyper,
     canonical_coloring,
     chromatic_number,
     find_homomorphism,
 )
 from .skeleton import reverse_skeleton, skeleton, skeleton_to_dot, skeleton_to_json
-from .subspaces import ENUMERATION_LIMIT
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -159,10 +156,9 @@ def cmd_build(args) -> int:
     if args.what in ("comb", "kneser") and len(args.params) != 3:
         raise ValueError(f"build {args.what} needs exactly three parameters")
     if args.what == "comb":
-        net = build_combination(*args.params, max_terminals=args.max_subspaces)
+        net = build_combination(*args.params)
     elif args.what == "kneser":
-        q, t, h = args.params
-        net = build_kneser(q, t, h, max_terminal_scan=args.max_subspaces)
+        net = build_kneser(*args.params)
     elif args.what == "from-graph":
         if not args.graph:
             raise ValueError("build from-graph needs --graph")
@@ -216,34 +212,21 @@ def cmd_skeleton(args) -> int:
     return EXIT_OK
 
 
-def _chi_target(args):
-    if not (args.qkneser or args.qkneser_hyper or args.graph):
-        raise ValueError("chi needs --graph, --qkneser, or --qkneser-hyper")
+def cmd_chi(args) -> int:
     if args.qkneser:
         q, n, m = args.qkneser
-        g = build_qkneser(q, n, m, limit=args.max_subspaces)
-        return g, None, f"qK_{{{n}:{m}}} over F_{q}"
-    if args.qkneser_hyper:
-        q, t, h = args.qkneser_hyper
-        hyper = build_qkneser_hyper(q, t, h, limit=args.max_subspaces)
-        return hyper.co_occurrence(), hyper, f"qK^{h}_{{{h * t}:{t}}} over F_{q}"
-    g = _load(args.graph, ugraph_from_json)
-    return g, None, args.graph
-
-
-def cmd_chi(args) -> int:
-    target, hyper, desc = _chi_target(args)
+        g, desc = build_qkneser(q, n, m), f"qK_{{{n}:{m}}} over F_{q}"
+    elif args.graph:
+        g, desc = _load(args.graph, ugraph_from_json), args.graph
+    else:
+        raise ValueError("chi needs --graph or --qkneser")
     if args.dimacs:
         from .graphs import ugraph_to_dimacs
 
         with open(args.dimacs, "w") as fh:
-            fh.write(ugraph_to_dimacs(target))
-    res = chromatic_number(target, args.budget)
-    if hyper is not None:
-        cert = hypergraph_coloring_certificate(hyper, res.coloring, desc)
-    else:
-        cert = coloring_certificate(target, res.coloring, desc)
-    _write_json(args.cert, cert)
+            fh.write(ugraph_to_dimacs(g))
+    res = chromatic_number(g, args.budget)
+    _write_json(args.cert, coloring_certificate(g, res.coloring, desc))
     if res.exact:
         _emit(
             args,
@@ -263,7 +246,7 @@ def cmd_hom(args) -> int:
     g1 = _load(args.source, ugraph_from_json)
     if args.to_qkneser:
         q, n, m = args.to_qkneser
-        g2 = build_qkneser(q, n, m, limit=args.max_subspaces)
+        g2 = build_qkneser(q, n, m)
         desc2 = f"qK_{{{n}:{m}}} over F_{q}"
     elif args.to_complete is not None:
         from .graphs import complete_graph
@@ -298,8 +281,8 @@ def cmd_hom(args) -> int:
 
 def cmd_coloring(args) -> int:
     q, n, m = args.qkneser
-    colors = canonical_coloring(q, n, m, limit=args.max_subspaces)
-    g = build_qkneser(q, n, m, limit=args.max_subspaces)
+    colors = canonical_coloring(q, n, m)
+    g = build_qkneser(q, n, m)
     cert = coloring_certificate(g, colors, f"canonical coloring of qK_{{{n}:{m}}} over F_{q}")
     _write_json(args.cert, cert)
     used = len(set(colors.values()))
@@ -385,7 +368,7 @@ def cmd_ic(args) -> int:
             f"{'valid' if ok else 'INVALID'} configuration of size {len(config.members)}",
         )
         return EXIT_OK if ok else EXIT_NEGATIVE
-    result = ic_max_size(args.q, args.t, args.h, args.alpha, args.budget, limit=args.max_subspaces)
+    result = ic_max_size(args.q, args.t, args.h, args.alpha, args.budget)
     cert = ic_certificate(
         result.witness,
         args.alpha,
@@ -417,10 +400,10 @@ def _load_gap_network(args):
         raise ValueError("need --network, --kneser, or --comb")
     if args.kneser:
         q, t, h = args.kneser
-        return build_kneser(q, t, h, max_terminal_scan=args.max_subspaces), f"K_{{{q},{t};{h}}}"
+        return build_kneser(q, t, h), f"K_{{{q},{t};{h}}}"
     if args.comb:
         h, r, s = args.comb
-        return build_combination(h, r, s, max_terminals=args.max_subspaces), f"N_{{{h},{r},{s}}}"
+        return build_combination(h, r, s), f"N_{{{h},{r},{s}}}"
     net = _load(args.network, network_from_json)
     return net, args.network
 
@@ -554,16 +537,21 @@ def _add_common(p, cert_default: str | None = None) -> None:
         p.add_argument("--cert", default=cert_default, help="certificate output path")
 
 
+def _seconds(text: str) -> float:
+    """A wall-clock limit: a number >= 0.  NaN is refused, since no time
+    ever reaches it."""
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"needs a number of seconds >= 0, got {text!r}")
+    return value
+
+
 def _add_search_limits(p) -> None:
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search-node budget")
     p.add_argument(
-        "--timeout-secs", type=float, default=None,
-        help="wall-clock limit, checked cooperatively by every search",
+        "--timeout-secs", type=_seconds, default=None,
+        help="wall-clock limit, checked cooperatively by every search; 0 sets none",
     )
-
-
-def _add_max_subspaces(p, bounds: str) -> None:
-    p.add_argument("--max-subspaces", type=int, default=ENUMERATION_LIMIT, help=f"limit on {bounds}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -584,7 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="write network JSON here")
     p.add_argument("--dot", help="also write DOT here")
     _add_common(p)
-    _add_max_subspaces(p, "comb's terminals; the h-subsets of middles kneser scans, once listed")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("skeleton", help="edge-class skeleton of a network")
@@ -598,11 +585,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chi", help="exact chromatic number")
     p.add_argument("--graph", help="graph JSON")
     p.add_argument("--qkneser", type=int, nargs=3, metavar=("Q", "N", "M"))
-    p.add_argument("--qkneser-hyper", type=int, nargs=3, metavar=("Q", "T", "H"))
-    p.add_argument("--dimacs", help="also export the (co-occurrence) graph as DIMACS")
+    p.add_argument("--dimacs", help="also export the graph as DIMACS")
     _add_common(p, cert_default="chi-cert.json")
     _add_search_limits(p)
-    _add_max_subspaces(p, "the subspaces listed, and --qkneser-hyper's candidate hyperedges")
     p.set_defaults(func=cmd_chi)
 
     p = sub.add_parser("hom", help="graph homomorphism search")
@@ -612,13 +597,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to-complete", type=int, metavar="K")
     _add_common(p, cert_default="hom-cert.json")
     _add_search_limits(p)
-    _add_max_subspaces(p, "the subspaces listed as the vertices of --to-qkneser")
     p.set_defaults(func=cmd_hom)
 
     p = sub.add_parser("coloring", help="canonical q-Kneser coloring")
     p.add_argument("--qkneser", type=int, nargs=3, metavar=("Q", "N", "M"), required=True)
     _add_common(p, cert_default="coloring-cert.json")
-    _add_max_subspaces(p, "the subspaces listed as the q-Kneser graph's vertices")
     p.set_defaults(func=cmd_coloring)
 
     p = sub.add_parser("solve", help="exhaustive (q,t)-solution search")
@@ -652,7 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", help="IC JSON (check)")
     _add_common(p, cert_default="ic-cert.json")
     _add_search_limits(p)
-    _add_max_subspaces(p, "the t-subspaces of F_q^{ht} listed by search")
     p.set_defaults(func=cmd_ic)
 
     p = sub.add_parser("psi", help="smallest prime power >= x")
@@ -667,7 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--comb", type=int, nargs=3, metavar=("H", "R", "S"))
         _add_common(p, cert_default=f"{name}-cert.json")
         _add_search_limits(p)
-        _add_max_subspaces(p, "only the network built from --comb or --kneser, as for build")
         p.set_defaults(func=cmd_extremal)
 
     p = sub.add_parser("gap", help="exact gap with certificates")
@@ -677,7 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cert-prefix", default="gap", help="certificate path prefix")
     _add_common(p)
     _add_search_limits(p)
-    _add_max_subspaces(p, "only the network built from --comb or --kneser, as for build")
     p.set_defaults(func=cmd_gap)
 
     p = sub.add_parser("formula", help="closed-form gap bounds")

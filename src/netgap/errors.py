@@ -20,7 +20,7 @@ class NetgapError(Exception):
 
 
 class SizeLimitExceeded(NetgapError):
-    """An enumeration or construction would exceed its configured limit."""
+    """An enumeration or construction would exceed its size limit."""
 
 
 class BudgetExhausted(NetgapError):

@@ -1,11 +1,11 @@
-"""Undirected graphs, uniform hypergraphs, colorings, their file formats and certificates.
+"""Undirected graphs, colorings, their file formats and certificates.
 
 A graph is its neighbour bitmasks; edge pairs are listed from them only
 when a graph is written (JSON, DIMACS, DOT and the certificates).
 `backtrack` is the one backtracking walk over bitmask domains, behind
 homomorphisms (`qkneser.find_homomorphism`), the maximum clique
-(`qkneser.max_clique`) and the assignment of one middle space per vertex
-of a hypergraph (`mdsic._assignment_search`).  Its ascending walks, the
+(`qkneser.max_clique`) and the assignment of one middle space per middle
+node (`mdsic._assignment_search`).  Its ascending walks, the
 clique and the independent configuration, share one colour-class cut.
 """
 
@@ -223,42 +223,6 @@ def complete_graph(n: int) -> UGraph:
     return UGraph(n, tuple(full ^ (1 << v) for v in range(n)))
 
 
-@dataclass(frozen=True)
-class Hypergraph:
-    """h-uniform hypergraph; hyperedges are sorted index tuples."""
-
-    num_vertices: int
-    h: int
-    hyperedges: tuple[tuple[int, ...], ...]
-    labels: tuple[Subspace, ...] | None = None
-
-    @classmethod
-    def from_hyperedges(cls, num_vertices, h, hyperedge_iter, labels=None) -> "Hypergraph":
-        seen = set()
-        for he in hyperedge_iter:
-            he = tuple(sorted(he))
-            if len(set(he)) != len(he):
-                raise ValueError(f"repeated vertex in hyperedge {he}")
-            if len(he) != h:
-                raise ValueError(f"hyperedge {he} is not {h}-uniform")
-            seen.add(he)
-        return cls(num_vertices, h, tuple(sorted(seen)), labels)
-
-    def co_occurrence(self) -> UGraph:
-        """Graph with an edge wherever two vertices share a hyperedge.
-
-        Proper colorings of the hypergraph (no hyperedge with a repeated
-        color) are exactly proper colorings of this graph.  Each hyperedge
-        ORs its members into their masks, one node per hyperedge.
-        """
-        masks = [0] * self.num_vertices
-        for he in Budget().each(self.hyperedges):
-            members = sum(1 << v for v in he)
-            for v in he:
-                masks[v] |= members ^ (1 << v)
-        return UGraph(self.num_vertices, tuple(masks), labels=self.labels)
-
-
 Coloring = dict[int, int]
 
 
@@ -322,17 +286,6 @@ def coloring_certificate(g: UGraph, coloring: Coloring, context: str = "") -> di
         "context": context,
         "graph": graph,
         "colors": {names[v]: c for v, c in coloring.items()},
-        "num_colors": len(set(coloring.values())),
-    }
-
-
-def hypergraph_coloring_certificate(hyper: Hypergraph, coloring: Coloring, context: str = "") -> dict:
-    return {
-        "kind": "hypergraph-coloring",
-        "context": context,
-        "num_vertices": hyper.num_vertices,
-        "hyperedges": [list(he) for he in hyper.hyperedges],
-        "colors": {str(v): c for v, c in coloring.items()},
         "num_colors": len(set(coloring.values())),
     }
 

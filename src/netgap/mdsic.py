@@ -42,22 +42,20 @@ import itertools
 from dataclasses import dataclass
 
 from .certs import check_certificate
-from .errors import DEFAULT_BUDGET, Budget, BudgetExhausted, InternalError, SizeLimitExceeded
+from .errors import DEFAULT_BUDGET, Budget, BudgetExhausted, InternalError
 from .gf import FieldSpec, Matrix, field_of_order, prime_power
 from .graphs import backtrack
 from .lincode import NetworkCode, forwarding_code, verify_solution
 from .networks import Network, build_combination, combination_parameters
 from .subspaces import (
-    ENUMERATION_LIMIT,
     DirectSumIndex,
     Subspace,
     canonicalize,
+    check_size,
     enumerate_subspaces,
     positions,
     subspace_from_rows,
 )
-
-BRUTE_FORCE_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -92,9 +90,7 @@ def rs_code(q: int, r: int, h: int) -> LinearCode:
 
 def min_distance(code: LinearCode) -> int:
     """Exact minimum distance of a linear code: its least nonzero weight."""
-    total = code.field.q**code.dim
-    if total > BRUTE_FORCE_LIMIT:
-        raise SizeLimitExceeded(f"{total} codewords exceed brute-force limit {BRUTE_FORCE_LIMIT}")
+    check_size(code.field.q**code.dim, "codewords")
     weights = (sum(1 for x in word if x) for word in code.generator.row_combinations())
     best = min((w for w in weights if w), default=0)
     if not best:
@@ -220,7 +216,6 @@ def _assignment_search(
     h: int,
     alpha: int,
     budget: int,
-    limit: int,
     size: int,
     edges: list[tuple[int, ...]] | None = None,
     target: int | None = None,
@@ -241,7 +236,7 @@ def _assignment_search(
     nodes used); a search stopped at the target is not exact.
     """
     complete = edges is None
-    universe = enumerate_subspaces(fld, h * t, t, limit=limit)
+    universe = enumerate_subspaces(fld, h * t, t)
     index = DirectSumIndex(universe)
     # per position: the other members' positions of each hyperedge it
     # completes, and the earlier positions sharing a hyperedge with it.  In
@@ -291,8 +286,6 @@ def ic_max_size(
     h: int,
     alpha: int,
     budget: int = DEFAULT_BUDGET,
-    *,
-    limit: int = ENUMERATION_LIMIT,
 ) -> ICSearchResult:
     """Exact maximum size of a (t;h,alpha)_q-IC with witness.
 
@@ -302,7 +295,7 @@ def ic_max_size(
     """
     fld = field_of_order(q)
     bound = ic_size_bound(q, t, h, alpha)
-    _, best, exact, nodes = _assignment_search(fld, t, h, alpha, budget, limit, bound)
+    _, best, exact, nodes = _assignment_search(fld, t, h, alpha, budget, bound)
     return ICSearchResult(len(best), IndependentConfiguration(fld, t, h, tuple(best)), bound, exact, nodes)
 
 
@@ -330,9 +323,7 @@ def ic_exists_of_size(
     frame = standard_frame(fld, t, h, alpha)
     if size <= len(frame):
         return IndependentConfiguration(fld, t, h, tuple(frame[:size]))
-    _, best, exact, nodes = _assignment_search(
-        fld, t, h, alpha, budget, ENUMERATION_LIMIT, bound, target=size
-    )
+    _, best, exact, nodes = _assignment_search(fld, t, h, alpha, budget, bound, target=size)
     if len(best) >= size:
         return IndependentConfiguration(fld, t, h, tuple(best[:size]))
     if not exact:
@@ -369,7 +360,7 @@ def subcombination_solution(
         masks = map(layer[1].__getitem__, map(net.index_of, net.terminals))
         edges = [tuple(k for k in range(size) if mask >> k & 1) for mask in masks]
         order, best, exact, nodes = _assignment_search(
-            fld, t, net.h, net.h, budget, ENUMERATION_LIMIT, size, edges, target=size
+            fld, t, net.h, net.h, budget, size, edges, target=size
         )
         if len(best) < size and not exact:
             raise BudgetExhausted("assignment search ran out of budget", nodes_used=nodes)

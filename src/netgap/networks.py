@@ -19,9 +19,9 @@ from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
 from operator import itemgetter
 
-from .errors import Budget, SizeLimitExceeded, UnsolvableNetwork
+from .errors import Budget, UnsolvableNetwork
 from .gf import field_of_order, make_field
-from .subspaces import ENUMERATION_LIMIT, DirectSumIndex, enumerate_subspaces
+from .subspaces import DirectSumIndex, check_size, enumerate_subspaces
 
 
 @dataclass(frozen=True)
@@ -362,16 +362,14 @@ def _middle_network(
     return Network(h, "s", tuple(terminals), nodes, ids, tuple(tail), tuple(head), labels=labels)
 
 
-def build_combination(h: int, r: int, s: int, *, max_terminals: int = ENUMERATION_LIMIT) -> Network:
+def build_combination(h: int, r: int, s: int) -> Network:
     """The N_{h,r,s} combination network, valid by construction: with
     r >= s >= 1 every middle lies in some s-subset."""
     if s < 1 or r < s:
         raise ValueError(f"require r >= s >= 1, got r={r}, s={s}")
     if h < 1:
         raise ValueError("h must be >= 1")
-    n_terminals = math.comb(r, s)
-    if n_terminals > max_terminals:
-        raise SizeLimitExceeded(f"{n_terminals} terminals exceed limit {max_terminals}")
+    check_size(math.comb(r, s), "terminals")
     return _middle_network(h, [f"m{i}" for i in range(r)], itertools.combinations(range(r), s))
 
 
@@ -382,7 +380,7 @@ def build_butterfly() -> Network:
     return Network.from_edges(2, "s", ("t1", "t2"), "s v1 v2 v3 v4 t1 t2".split(), edges)
 
 
-def build_kneser(q: int, t: int, h: int, *, max_terminal_scan: int = ENUMERATION_LIMIT) -> Network:
+def build_kneser(q: int, t: int, h: int) -> Network:
     """The Kneser network K_{q,t;h}.
 
     Middle nodes carry all t-subspaces of F_q^{ht} in canonical order; a
@@ -397,12 +395,7 @@ def build_kneser(q: int, t: int, h: int, *, max_terminal_scan: int = ENUMERATION
     fld = field_of_order(q)
     middles = enumerate_subspaces(fld, h * t, t)
     r = len(middles)
-    n_subsets = math.comb(r, h)
-    if n_subsets > max_terminal_scan:
-        raise SizeLimitExceeded(
-            f"scanning {n_subsets} candidate terminals of K_{{{q},{t};{h}}} exceeds "
-            f"limit {max_terminal_scan}"
-        )
+    check_size(math.comb(r, h), f"candidate terminals of K_{{{q},{t};{h}}}")
     # h t-subspaces span F_q^{ht} iff they are in direct sum.  One node per
     # candidate scanned, per vector listed in a span of k < h middles and
     # per terminal edge made, and only the deadline stops the construction
@@ -605,8 +598,12 @@ def network_from_json(obj: dict, *, validate: bool = True) -> Network:
         labels = {
             node: subspace_from_rows(fld, rows, ambient) for node, rows in obj["labels"].items()
         }
+    if type(obj["h"]) is not int:
+        raise ValueError(f"message count h must be an integer, got {obj['h']!r}")
     edges, nodes = obj["edges"], map(itemgetter("id"), obj["nodes"])
     ids = tuple(map(itemgetter("id"), edges))
+    if {*map(type, ids)} - {str}:
+        raise ValueError("edge ids must be strings")
     tails, heads = (lambda: map(itemgetter("from"), edges)), (lambda: map(itemgetter("to"), edges))
     net = _named(obj["h"], obj["source"], obj["terminals"], nodes, ids, tails, heads, labels)
     if validate:

@@ -1,4 +1,4 @@
-"""q-Kneser graphs and hypergraphs, exact chromatic number, homomorphisms.
+"""q-Kneser graphs, exact chromatic number, homomorphisms.
 
 Every coloring here comes from one DSATUR search (`_dsatur`) on the
 graph's cached static order.  The greedy coloring is its first dive with
@@ -11,21 +11,18 @@ its neighbour masks, clique first.  The maximum clique is an ascending
 walk of the same walker, whose branches are cut by a greedy coloring of
 their candidates.  Where any clique serves (a lower bound, a pin), the
 first dive of that walk, `greedy_clique`, gives one without the proof of
-maximality.  Hypergraph coloring reduces to coloring the
-co-occurrence graph, since properness here is a pairwise condition.
+maximality.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .errors import DEFAULT_BUDGET, Budget, BudgetExhausted, SizeLimitExceeded
+from .errors import DEFAULT_BUDGET, Budget, BudgetExhausted
 from .gf import field_of_order
-from .graphs import Coloring, Hypergraph, UGraph, backtrack
+from .graphs import Coloring, UGraph, backtrack
 from .subspaces import (
-    ENUMERATION_LIMIT,
     DirectSumIndex,
     Subspace,
     coordinate_subspace,
@@ -40,33 +37,20 @@ from .subspaces import (
 # builders
 # ---------------------------------------------------------------------------
 
-def build_qkneser(q: int, n: int, m: int, *, limit: int = ENUMERATION_LIMIT) -> UGraph:
-    """qK_{n:m}: m-subspaces of F_q^n, adjacent iff trivially intersecting."""
+def build_qkneser(q: int, n: int, m: int) -> UGraph:
+    """qK_{n:m}: m-subspaces of F_q^n, adjacent iff trivially intersecting.
+
+    For h >= 2, qK_{ht:t} is also the co-occurrence graph of the direct-sum
+    h-sets of t-subspaces (two spaces meeting trivially extend to one by
+    h - 2 spaces of a complement), so its chromatic number is that of the
+    hypergraph qK^h_{ht:t}.
+    """
     if not 1 <= m <= n:
         raise ValueError(f"qK_{{n:m}} needs 1 <= m <= n, got n={n}, m={m}")
     fld = field_of_order(q)
-    verts = enumerate_subspaces(fld, n, m, limit=limit)
+    verts = enumerate_subspaces(fld, n, m)
     masks = DirectSumIndex(verts).pair_masks()
     return UGraph(len(verts), tuple(masks), labels=tuple(verts))
-
-
-def build_qkneser_hyper(q: int, t: int, h: int, *, limit: int = ENUMERATION_LIMIT) -> Hypergraph:
-    """qK^h_{ht:t}: hyperedges are the h-subsets of t-subspaces summing to F_q^{ht}."""
-    if h < 2:
-        raise ValueError("hypergraph generalization needs h >= 2")
-    if t < 1:
-        raise ValueError(f"hypergraph generalization needs t >= 1, got t={t}")
-    fld = field_of_order(q)
-    verts = enumerate_subspaces(fld, h * t, t, limit=limit)
-    r = len(verts)
-    n_subsets = math.comb(r, h)
-    if n_subsets > limit:
-        raise SizeLimitExceeded(f"{n_subsets} candidate hyperedges exceed limit {limit}")
-    # h t-subspaces sum to F_q^{ht} iff they are in direct sum.  One node
-    # per candidate scanned and per vector listed in a span of k < h
-    # vertices, and only the deadline stops the listing
-    hyperedges = DirectSumIndex(verts).direct_sum_subsets(h, Budget())
-    return Hypergraph.from_hyperedges(r, h, hyperedges, labels=tuple(verts))
 
 
 def spread_clique(q: int, t: int) -> tuple[int, ...]:
@@ -260,9 +244,9 @@ class ChiResult:
 
 
 def chromatic_number(
-    target, budget: int = DEFAULT_BUDGET, needed: Callable[[int], bool] | None = None
+    g: UGraph, budget: int = DEFAULT_BUDGET, needed: Callable[[int], bool] | None = None
 ) -> ChiResult:
-    """Exact chromatic number of a UGraph or Hypergraph.
+    """Exact chromatic number of a graph.
 
     lo starts at the size of a clique (`greedy_clique`, not a proven
     maximum: any clique bounds chi and may be pinned), hi at the greedy
@@ -276,9 +260,6 @@ def chromatic_number(
     hi is the color count of the returned coloring, so no needed k lies in
     [lo, hi) but the bracket may stay open.  By default every k is needed.
     """
-    if isinstance(target, Hypergraph):
-        target = target.co_occurrence()
-    g: UGraph = target
     n = g.num_vertices
     if n == 0:
         return ChiResult(0, 0, {}, (), 0)
@@ -358,7 +339,7 @@ def find_homomorphism(g1: UGraph, g2: UGraph, budget: int = DEFAULT_BUDGET) -> d
 # canonical coloring of qK_{n:m}
 # ---------------------------------------------------------------------------
 
-def canonical_coloring(q: int, n: int, m: int, *, limit: int = ENUMERATION_LIMIT) -> Coloring:
+def canonical_coloring(q: int, n: int, m: int) -> Coloring:
     """Proper coloring of qK_{n:m} through a fixed (n-m+1)-subspace.
 
     Every m-subspace meets S = <e_1,...,e_{n-m+1}> nontrivially; the color
@@ -370,7 +351,7 @@ def canonical_coloring(q: int, n: int, m: int, *, limit: int = ENUMERATION_LIMIT
     if n < 2 * m:
         raise ValueError(f"construction needs n >= 2m, got n={n}, m={m}")
     fld = field_of_order(q)
-    verts = enumerate_subspaces(fld, n, m, limit=limit)
+    verts = enumerate_subspaces(fld, n, m)
     s_space = coordinate_subspace(fld, n, n - m + 1)
 
     def least_line(space: Subspace) -> tuple:

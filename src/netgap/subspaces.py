@@ -30,6 +30,14 @@ from .gf import FieldSpec, Matrix, element_tables, poly_mod, rank, rref, smalles
 ENUMERATION_LIMIT = 10**6
 
 
+def check_size(count: int, what: str) -> None:
+    """Refuse to list `count` items (`what` names them) above
+    ENUMERATION_LIMIT, read at each call: the one size limit of every
+    listing and construction."""
+    if count > ENUMERATION_LIMIT:
+        raise SizeLimitExceeded(f"{count} {what} exceed limit {ENUMERATION_LIMIT}")
+
+
 class Subspace(Matrix):
     """A subspace of F_q^n as its RREF basis: `dim` rows, `ambient` = n
     columns.  The constructors do not reduce (`canonicalize` and
@@ -89,7 +97,7 @@ def gaussian_coefficient(n: int, t: int, q: int) -> int:
     return num // den
 
 
-def enumerate_subspaces(field: FieldSpec, n: int, t: int, *, limit: int = ENUMERATION_LIMIT) -> list[Subspace]:
+def enumerate_subspaces(field: FieldSpec, n: int, t: int) -> list[Subspace]:
     """All t-subspaces of F_q^n in canonical order.
 
     Iterates RREF profiles (pivot sets x free entries) so the cost is linear
@@ -98,8 +106,7 @@ def enumerate_subspaces(field: FieldSpec, n: int, t: int, *, limit: int = ENUMER
     node limit, so only the wall-clock deadline can stop the enumeration.
     """
     count = gaussian_coefficient(n, t, field.q)
-    if count > limit:
-        raise SizeLimitExceeded(f"{count} subspaces of F_{field.q}^{n} exceed limit {limit}")
+    check_size(count, f"subspaces of F_{field.q}^{n}")
     if t == 0:
         return [Subspace.zeros(field, 0, n)]
     if t == n:  # the whole space; below, `take` reads at least two entries
@@ -381,8 +388,7 @@ def spread(field: FieldSpec, t: int) -> list[Subspace]:
     irreducible g of degree t.
     """
     q = field.q
-    if q**t + 1 > ENUMERATION_LIMIT or 2 * t * q**t > ENUMERATION_LIMIT:
-        raise SizeLimitExceeded(f"spread of F_{q}^{2*t} exceeds limit {ENUMERATION_LIMIT}")
+    check_size(2 * t * q**t, f"columns of the spread members of F_{q}^{2 * t}")
     n = 2 * t
     g = smallest_irreducible(field, t)
 

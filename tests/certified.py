@@ -2,19 +2,11 @@
 certificates the CLI would write for them."""
 
 from netgap.certs import check_certificate
-from netgap.graphs import (
-    coloring_certificate,
-    homomorphism_certificate,
-    hypergraph_coloring_certificate,
-)
+from netgap.graphs import coloring_certificate, homomorphism_certificate
 
 
 def coloring_ok(g, coloring) -> bool:
     return check_certificate(coloring_certificate(g, coloring))[0]
-
-
-def hypergraph_coloring_ok(hyper, coloring) -> bool:
-    return check_certificate(hypergraph_coloring_certificate(hyper, coloring))[0]
 
 
 def homomorphism_ok(g1, g2, phi) -> bool:

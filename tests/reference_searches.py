@@ -137,7 +137,7 @@ def alpha_ok(index, chosen, new, alpha):
     return True
 
 
-def assignment_search(fld, t, h, alpha, budget, limit, size, edges=None, target=None):
+def assignment_search(fld, t, h, alpha, budget, size, edges=None, target=None):
     """`mdsic._assignment_search` with its own loop: (search order, spaces
     of the best prefix, exact, nodes used).  The complete hypergraph's
     ascending walk cuts a value once the candidates from it on cannot
@@ -148,7 +148,7 @@ def assignment_search(fld, t, h, alpha, budget, limit, size, edges=None, target=
     meets the size bound ends the search, as it ends the walk; the old
     loop still tried one more member there, refuted by the bound."""
     complete = edges is None
-    universe = enumerate_subspaces(fld, h * t, t, limit=limit)
+    universe = enumerate_subspaces(fld, h * t, t)
     index = DirectSumIndex(universe)
     pair_ok = index.pair_masks()
     if complete:

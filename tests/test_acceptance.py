@@ -12,6 +12,7 @@ from contextlib import contextmanager
 import pytest
 
 from netgap.certs import check_certificate
+from netgap.errors import Budget
 from netgap.gf import make_field, rank, stack
 from netgap.graphs import complete_graph
 from netgap.lincode import (
@@ -40,7 +41,6 @@ from netgap.networks import (
 from netgap.gaplab import gap_exact, psi, qs_exact
 from netgap.qkneser import (
     build_qkneser,
-    build_qkneser_hyper,
     canonical_coloring,
     chromatic_number,
     find_homomorphism,
@@ -48,7 +48,7 @@ from netgap.qkneser import (
     spread_clique,
 )
 from netgap.skeleton import skeleton
-from netgap.subspaces import enumerate_subspaces, gaussian_coefficient
+from netgap.subspaces import DirectSumIndex, enumerate_subspaces, gaussian_coefficient
 
 from certified import coloring_ok, homomorphism_ok
 
@@ -186,19 +186,20 @@ def test_c06_canonical_coloring_color_counts():
 
 def test_c07_hypergraph_chromatic_number():
     with criterion(7, "chi(2K^3_{3:1}) = 7 by solver and by direct brute force", 10):
-        hyper = build_qkneser_hyper(2, 1, 3)
-        res = chromatic_number(hyper)
+        # the solver colors qK_{3:1}, the co-occurrence graph of the hypergraph
+        res = chromatic_number(build_qkneser(2, 3, 1))
         assert res.exact and res.chi == 7
 
-        # direct hypergraph oracle: no 6-coloring exists, a 7-coloring does
+        # direct hypergraph oracle on the direct-sum 3-subsets of the 7
+        # lines of F_2^3: no 6-coloring exists, a 7-coloring does
+        lines = enumerate_subspaces(make_field(2, 1), 3, 1)
+        hyperedges = DirectSumIndex(lines).direct_sum_subsets(3, Budget())
+
         def proper(assignment):
-            return all(
-                len({assignment[v] for v in he}) == len(he) for he in hyper.hyperedges
-            )
+            return all(len({assignment[v] for v in he}) == len(he) for he in hyperedges)
 
         assert not any(
-            proper(assignment)
-            for assignment in itertools.product(range(6), repeat=hyper.num_vertices)
+            proper(assignment) for assignment in itertools.product(range(6), repeat=len(lines))
         )
         assert proper(tuple(range(7)))
 

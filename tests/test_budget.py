@@ -27,7 +27,6 @@ from netgap.networks import (
 )
 from netgap.qkneser import (
     build_qkneser,
-    build_qkneser_hyper,
     chromatic_number,
     find_homomorphism,
     greedy_coloring,
@@ -357,14 +356,17 @@ def test_direct_sum_subsets_spend_per_candidate_and_listed_vector():
 
 
 def test_qkneser_hypergraph_listing_stops_at_an_expired_deadline():
-    # qK^4_{4:1} over F_3: 40 lines (no checkpoint while listing them or
-    # their 120 vectors), then 91,390 candidate hyperedges
+    # the hyperedges of qK^4_{4:1} over F_3, the direct-sum 4-subsets of
+    # its 40 lines (listed, with their 120 vectors, before the deadline
+    # starts), from 91,390 candidates
+    lines = enumerate_subspaces(field_of_order(3), 4, 1)
     with deadline(EXPIRED), pytest.raises(BudgetExhausted, match="wall-clock") as exc:
-        build_qkneser_hyper(3, 1, 4)
+        DirectSumIndex(lines).direct_sum_subsets(4, Budget())
     assert exc.value.nodes_used == FIRST_CHECKPOINT
     # qK^3_{3:1} over F_2: 119 nodes, no checkpoint is reached
+    lines = enumerate_subspaces(field_of_order(2), 3, 1)
     with deadline(EXPIRED):
-        assert len(build_qkneser_hyper(2, 1, 3).hyperedges) == 28
+        assert len(DirectSumIndex(lines).direct_sum_subsets(3, Budget())) == 28
 
 
 def test_skeleton_stops_at_an_expired_deadline():

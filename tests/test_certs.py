@@ -12,12 +12,11 @@ from netgap.graphs import (
     coloring_certificate,
     complete_graph,
     homomorphism_certificate,
-    hypergraph_coloring_certificate,
 )
 from netgap.lincode import code_certificate, search_solution
 from netgap.mdsic import ic_certificate, ic_max_size
 from netgap.networks import build_butterfly
-from netgap.qkneser import build_qkneser, build_qkneser_hyper, chromatic_number, find_homomorphism
+from netgap.qkneser import build_qkneser, chromatic_number, find_homomorphism
 
 
 def tampered(cert: dict, edit) -> dict:
@@ -59,36 +58,6 @@ def _recolor_an_edge(cert):
 )
 def test_coloring_rejected(coloring_cert, edit, message):
     assert_rejected(tampered(coloring_cert, edit), message)
-
-
-# --- hypergraph coloring -----------------------------------------------------
-
-@pytest.fixture(scope="module")
-def hypergraph_cert():
-    hyper = build_qkneser_hyper(2, 1, 3)
-    res = chromatic_number(hyper)
-    return hypergraph_coloring_certificate(hyper, res.coloring)
-
-
-def test_hypergraph_coloring_accepted(hypergraph_cert):
-    assert check_certificate(hypergraph_cert) == (True, "proper hypergraph coloring with 7 colors")
-
-
-def _repeat_in_a_hyperedge(cert):
-    a, b = cert["hyperedges"][0][:2]
-    cert["colors"][str(b)] = cert["colors"][str(a)]
-
-
-@pytest.mark.parametrize(
-    "edit,message",
-    [
-        (lambda c: c["colors"].update({"7": 0}), "does not cover the vertex set"),
-        (_repeat_in_a_hyperedge, "repeats a color"),
-        (lambda c: c.update(num_colors=8), "claims 8 colors but uses 7"),
-    ],
-)
-def test_hypergraph_coloring_rejected(hypergraph_cert, edit, message):
-    assert_rejected(tampered(hypergraph_cert, edit), message)
 
 
 # --- homomorphism ------------------------------------------------------------
@@ -265,6 +234,10 @@ def test_unknown_kind_rejected():
     assert check_certificate({"kind": "proof-by-assertion"}) == (
         False, "unknown certificate kind 'proof-by-assertion'"
     )
+    # a hypergraph's coloring is certified as its co-occurrence graph's
+    stored = {"kind": "hypergraph-coloring", "num_vertices": 2, "hyperedges": [[0, 1]],
+              "colors": {"0": 0, "1": 1}, "num_colors": 2}
+    assert check_certificate(stored) == (False, "unknown certificate kind 'hypergraph-coloring'")
 
 
 # --- malformed certificates --------------------------------------------------
@@ -273,13 +246,12 @@ def test_unknown_kind_rejected():
     ("fixture", "edit"),
     [
         ("coloring_cert", lambda c: c["graph"]["edges"].append(["0", "unlisted"])),
-        ("hypergraph_cert", lambda c: c["hyperedges"].append([0, 99, 100])),
         ("hom_cert", lambda c: c["to"].pop("edges")),
         ("code_cert", lambda c: c["code"].pop("p")),
         ("ic_cert", lambda c: c.update(alpha="2")),
         ("ic_cert", lambda c: c["ic"].pop("t")),
     ],
-    ids=["coloring", "hypergraph", "homomorphism", "network-code", "ic-alpha", "ic-t"],
+    ids=["coloring", "homomorphism", "network-code", "ic-alpha", "ic-t"],
 )
 def test_malformed_certificate_is_rejected_not_raised(request, fixture, edit):
     assert_rejected(tampered(request.getfixturevalue(fixture), edit), "malformed certificate: ")

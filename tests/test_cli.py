@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netgap
-from netgap import errors
+from netgap import errors, subspaces
 from netgap.cli import (
     EXIT_BUDGET,
     EXIT_NEGATIVE,
@@ -105,18 +105,30 @@ def test_build_comb_and_verify_roundtrip(tmp_path, capsys):
     assert code == EXIT_OK and "ACCEPT" in out
 
 
-def test_max_subspaces_limits_combination_networks(tmp_path, capsys):
-    # N_{2,5,2} has C(5, 2) = 10 terminals
-    net_path = tmp_path / "net.json"
-    argv = ["build", "comb", "2", "5", "2", "-o", str(net_path)]
-    code, _, err = run_cli(argv + ["--max-subspaces", "5"], capsys)
-    assert code == EXIT_USAGE and "10 terminals exceed limit 5" in err
-    assert not net_path.exists()
-    code, _, _ = run_cli(argv + ["--max-subspaces", "10"], capsys)
-    assert code == EXIT_OK and len(json.loads(net_path.read_text())["terminals"]) == 10
-    for command in ("qs", "qv", "gap"):
-        code, _, err = run_cli([command, "--comb", "2", "5", "2", "--max-subspaces", "5"], capsys)
-        assert code == EXIT_USAGE and "10 terminals exceed limit 5" in err
+def test_every_listing_refuses_above_the_enumeration_limit(tmp_path, capsys, monkeypatch):
+    (tmp_path / "edge.json").write_text(json.dumps({"vertices": [0, 1], "edges": [[0, 1]]}))
+    monkeypatch.chdir(tmp_path)
+    # N_{2,5,2} has C(5, 2) = 10 terminals; at the default limit it is built
+    code, _, _ = run_cli(["build", "comb", "2", "5", "2", "-o", "n.json"], capsys)
+    assert code == EXIT_OK and len(json.loads(Path("n.json").read_text())["terminals"]) == 10
+    monkeypatch.setattr(subspaces, "ENUMERATION_LIMIT", 5)
+    refused = [
+        (["build", "comb", "2", "5", "2", "-o", "m.json"], "10 terminals"),
+        (["qs", "--comb", "2", "5", "2"], "10 terminals"),
+        (["qv", "--comb", "2", "5", "2"], "10 terminals"),
+        (["gap", "--comb", "2", "5", "2"], "10 terminals"),
+        # the 5 lines of F_4^2 are listed, their C(5, 2) pairs are not scanned
+        (["build", "kneser", "4", "1", "2"], "10 candidate terminals of K_{4,1;2}"),
+        (["chi", "--qkneser", "2", "3", "1"], "7 subspaces of F_2^3"),
+        (["hom", "--from", "edge.json", "--to-qkneser", "2", "3", "1"], "7 subspaces of F_2^3"),
+        (["coloring", "--qkneser", "2", "4", "2"], "35 subspaces of F_2^4"),
+        (["ic", "search", "--q", "2", "--t", "1", "--h", "3", "--alpha", "2"], "7 subspaces of F_2^3"),
+        (["mds", "--q", "4", "--r", "5", "--h", "2"], "16 codewords"),
+    ]
+    for argv, what in refused:
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {what} exceed limit 5\n"), argv
+    assert not Path("m.json").exists()
 
 
 def test_verify_rejects_broken_code(tmp_path, capsys):
@@ -324,9 +336,10 @@ def test_kneser_q_s_and_q_v_run_no_clique_search(tmp_path, capsys, monkeypatch):
 
 
 def test_chi_hypergraph(tmp_path, capsys):
+    # chi(qK^3_{3:1}) over F_2 is that of its co-occurrence graph qK_{3:1}
     cert = tmp_path / "chi-h.json"
-    code, out, _ = run_cli(["chi", "--qkneser-hyper", "2", "1", "3", "--cert", str(cert)], capsys)
-    assert code == EXIT_OK and "= 7" in out
+    code, out, _ = run_cli(["chi", "--qkneser", "2", "3", "1", "--cert", str(cert)], capsys)
+    assert code == EXIT_OK and "chi(qK_{3:1} over F_2) = 7" in out
     code, _, _ = run_cli(["check-cert", str(cert)], capsys)
     assert code == EXIT_OK
 
@@ -553,6 +566,11 @@ def _write_malformed_inputs(tmp_path):
     )
     # a graph edge as a string, which would unpack one name per character
     (tmp_path / "string-edge.json").write_text(json.dumps({"vertices": ["a", "b"], "edges": ["ab"]}))
+    # a message count that is no integer, and edge ids that are no strings
+    for name, h in (("h-float", 2.0), ("h-bool", True), ("h-half", 2.5)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(dict(net, h=h)))
+    int_ids = [dict(edge, id=i) for i, edge in enumerate(net["edges"])]
+    (tmp_path / "int-edge-ids.json").write_text(json.dumps(dict(net, edges=int_ids)))
 
 
 @pytest.mark.parametrize(
@@ -573,6 +591,10 @@ def _write_malformed_inputs(tmp_path):
         (["chi", "--graph", "string-vertices.json"], "string-vertices.json"),
         (["chi", "--graph", "string-edge.json"], "string-edge.json"),
         (["build", "from-graph", "--graph", "string-edge.json"], "string-edge.json"),
+        (["qv", "--network", "h-float.json"], "h-float.json"),
+        (["gap", "--network", "h-bool.json"], "h-bool.json"),
+        (["solve", "--network", "h-half.json", "--q", "2"], "h-half.json"),
+        (["qs", "--network", "int-edge-ids.json"], "int-edge-ids.json"),
     ],
     ids=[
         "qs-string-nodes",
@@ -590,6 +612,10 @@ def _write_malformed_inputs(tmp_path):
         "chi-string-vertices",
         "chi-string-edge",
         "build-from-graph-string-edge",
+        "qv-h-float",
+        "gap-h-bool",
+        "solve-h-half",
+        "qs-int-edge-ids",
     ],
 )
 def test_a_malformed_input_file_is_a_usage_error_naming_the_file(tmp_path, capsys, monkeypatch, argv, bad):
@@ -607,7 +633,6 @@ def test_a_malformed_input_file_is_a_usage_error_naming_the_file(tmp_path, capsy
         (["coloring", "--qkneser", "2", "4", "0"], "needs m >= 1"),
         (["build", "kneser", "2", "0", "2"], "need t >= 1"),
         (["qv", "--kneser", "2", "0", "2"], "need t >= 1"),
-        (["chi", "--qkneser-hyper", "2", "0", "2"], "needs t >= 1"),
         (["formula", "kneser-h3-lower", "q=2", "t=2"], "needs the parameter h"),
         (["chi", "--qkneser", "2", "0", "0"], "got n=0, m=0"),
         (["hom", "--from", "edge.json", "--to-qkneser", "2", "0", "0"], "got n=0, m=0"),
@@ -617,7 +642,7 @@ def test_a_malformed_input_file_is_a_usage_error_naming_the_file(tmp_path, capsy
         (["formula", "kneser-h2", "q=2", "t=2", "z=3"], "takes no parameter z"),
     ],
     ids=[
-        "coloring-m0", "build-kneser-t0", "qv-kneser-t0", "chi-hyper-t0", "formula-no-h",
+        "coloring-m0", "build-kneser-t0", "qv-kneser-t0", "formula-no-h",
         "chi-qkneser-n0-m0", "hom-to-qkneser-n0-m0", "formula-no-equals", "formula-not-integer",
         "formula-repeated-key", "formula-unknown-key",
     ],
@@ -821,6 +846,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
         ("reproduce_gap_results.py", "N_{4,7,4}: q_v=7 q_s=7 gap=0"),
         ("reproduce_gap_results.py", "N_{4,8,4}: q_v=7 q_s=7 gap=0"),
         ("kneser_chromatic.py", "qK_{4:2} over F_2: 35 vertices, clique >= 5, chi = 6"),
+        ("kneser_chromatic.py", "qK^3_{3:1} over F_2: chi = chi(qK_{3:1} over F_2) = 7"),
     ],
 )
 def test_experiment_script_runs(script, line):
@@ -1026,7 +1052,6 @@ def test_main_clears_the_deadline(tmp_path, capsys, first, exit_code):
 
 SEARCH_COMMANDS = {"chi", "hom", "solve", "ic", "qs", "qv", "gap", "gap-table"}
 TEXT_ONLY_COMMANDS = {"gap-table", "check-cert"}  # they print no JSON, so take no --json
-ENUMERATING_COMMANDS = {"build", "chi", "hom", "coloring", "ic", "qs", "qv", "gap"}
 MINIMAL_ARGV = {
     "build": ["build", "comb"],
     "skeleton": ["skeleton", "--network", "n.json"],
@@ -1065,9 +1090,28 @@ def test_limit_flags_only_where_they_are_read(command, capsys):
     searches = command in SEARCH_COMMANDS
     assert _parses(base + ["--budget", "3"]) == searches
     assert _parses(base + ["--timeout-secs", "0.5"]) == searches
-    assert _parses(base + ["--max-subspaces", "10"]) == (command in ENUMERATING_COMMANDS)
+    # every listing refuses above one limit, `subspaces.ENUMERATION_LIMIT`
+    assert not _parses(base + ["--max-subspaces", "10"])
+    assert not _parses(base + ["--qkneser-hyper", "2", "1", "3"])
     assert _parses(base + ["--json"]) == (command not in TEXT_ONLY_COMMANDS)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["nan", "NaN", "-1", "-0.5", "-inf"])
+def test_a_timeout_no_time_reaches_is_a_usage_error(value, capsys):
+    # a NaN deadline would never pass, so the search would run unbounded
+    with pytest.raises(SystemExit) as exc:
+        main(["chi", "--qkneser", "2", "6", "3", f"--timeout-secs={value}"])
+    assert exc.value.code == EXIT_USAGE
+    assert f"--timeout-secs: needs a number of seconds >= 0, got '{value}'" in capsys.readouterr().err
+
+
+def test_a_zero_timeout_sets_no_limit(tmp_path, capsys):
+    # K_{2,2;2}'s construction crosses a checkpoint, where any passed deadline stops it
+    argv = ["qs", "--kneser", "2", "2", "2", "--cert", str(tmp_path / "qs.json"), "--timeout-secs"]
+    assert run_cli(argv + ["1e-9"], capsys)[0] == EXIT_BUDGET
+    code, out, _ = run_cli(argv + ["0"], capsys)
+    assert code == EXIT_OK and "q_s(K_{2,2;2}) = 5" in out
 
 
 @pytest.mark.skipif(shutil.which("netgap") is None, reason="netgap console script not installed")

@@ -265,12 +265,12 @@ def test_routes_labels_brackets_and_certificates_are_pinned(build, budget, qs_pi
 def test_a_homomorphism_target_too_large_to_list_ends_qv(monkeypatch):
     # the code search listing the same t-subspaces would stop at the same
     # limit, so q_v reports the limit instead of searching codes
-    from netgap import gaplab
-    from netgap.qkneser import build_qkneser
+    from netgap import subspaces
 
-    monkeypatch.setattr(gaplab, "build_qkneser", lambda q, n, m: build_qkneser(q, n, m, limit=0))
+    net = build_butterfly()
+    monkeypatch.setattr(subspaces, "ENUMERATION_LIMIT", 0)
     with pytest.raises(SizeLimitExceeded, match="exceed limit 0"):
-        qv_exact(build_butterfly())
+        qv_exact(net)
 
 
 def test_unsolvable_reported_distinctly():

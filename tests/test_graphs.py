@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netgap.graphs import Hypergraph, UGraph, complete_graph, ugraph_from_json
+from netgap.graphs import UGraph, complete_graph, ugraph_from_json
 from netgap.networks import build_butterfly, build_combination, build_kneser
-from netgap.qkneser import build_qkneser, build_qkneser_hyper
+from netgap.qkneser import build_qkneser
 from netgap.skeleton import skeleton
 
 
@@ -115,8 +115,6 @@ _BUILDERS = {
     "complete-7": lambda: complete_graph(7),
     "from-edges": lambda: UGraph.from_edges(6, [(0, 1), (1, 0), (5, 2), (3, 4), (2, 5)]),
     "from-json": lambda: ugraph_from_json({"vertices": ["a", "b", "c", "d"], "edges": [["a", "c"], ["d", "a"]]}),
-    "co-occurrence": lambda: Hypergraph.from_hyperedges(6, 3, [(0, 1, 2), (2, 3, 4), (4, 5, 0)]).co_occurrence(),
-    "co-occurrence-qkneser-hyper": lambda: build_qkneser_hyper(2, 1, 3).co_occurrence(),
 }
 
 

@@ -30,7 +30,6 @@ from netgap.mdsic import (
 )
 from netgap.networks import Edge, Network, build_butterfly, build_combination
 from netgap.subspaces import (
-    ENUMERATION_LIMIT,
     DirectSumIndex,
     canonicalize,
     coordinate_subspace,
@@ -469,7 +468,7 @@ def test_a_listed_complete_hypergraph_gets_the_ic_verdict(q, t, r):
     # of the middles or the size bound: a different tree, the same verdict
     edges = list(itertools.combinations(range(r), 3))
     _, best, exact, _ = mdsic._assignment_search(
-        field_of_order(q), t, 3, 3, 10**6, 10**6, r, edges, target=r
+        field_of_order(q), t, 3, 3, 10**6, r, edges, target=r
     )
     config = IndependentConfiguration(field_of_order(q), t, 3, tuple(best))
     assert (len(best) == r) == (ic_exists_of_size(q, t, 3, 3, r) is not None)
@@ -501,7 +500,7 @@ def _assignment_questions(draw):
 @settings(max_examples=150, deadline=None)
 def test_assignment_search_walks_the_reference_tree(question):
     fld, t, h, alpha, budget, size, edges, target = question
-    args = (fld, t, h, alpha, budget, ENUMERATION_LIMIT, size, edges, target)
+    args = (fld, t, h, alpha, budget, size, edges, target)
     order, spaces, exact, nodes = mdsic._assignment_search(*args)
     ref_order, ref_spaces, ref_exact, ref_nodes = reference_searches.assignment_search(*args)
     assert (order, exact, nodes) == (ref_order, ref_exact, ref_nodes)

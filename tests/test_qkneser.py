@@ -20,7 +20,6 @@ from netgap.errors import DEFAULT_BUDGET, Budget, BudgetExhausted
 from netgap.qkneser import (
     _dsatur,
     build_qkneser,
-    build_qkneser_hyper,
     canonical_coloring,
     chromatic_number,
     find_homomorphism,
@@ -31,10 +30,11 @@ from netgap.qkneser import (
 )
 from netgap.networks import build_kneser
 from netgap.skeleton import skeleton
-from netgap.subspaces import sum_dim
+from netgap.gf import field_of_order
+from netgap.subspaces import DirectSumIndex, enumerate_subspaces, sum_dim
 
 import reference_searches
-from certified import coloring_ok, homomorphism_ok, hypergraph_coloring_ok
+from certified import coloring_ok, homomorphism_ok
 
 
 def test_qkneser_2_2_1_is_triangle():
@@ -59,20 +59,25 @@ def test_qkneser_edges_certified_by_labels():
         assert sum_dim([g.labels[a], g.labels[b]]) == 4
 
 
+def _direct_sum_sets(q, t, h):
+    """The hyperedges of qK^h_{ht:t}: the h-sets of t-subspaces of F_q^{ht}
+    in direct sum, over the vertices of qK_{ht:t}."""
+    verts = enumerate_subspaces(field_of_order(q), h * t, t)
+    return verts, DirectSumIndex(verts).direct_sum_subsets(h, Budget())
+
+
 def test_hypergraph_h2_matches_graph_edges():
-    g = build_qkneser(2, 2, 1)
-    hyper = build_qkneser_hyper(2, 1, 2)
-    assert set(hyper.hyperedges) == set(g.edges)
+    assert tuple(_direct_sum_sets(2, 1, 2)[1]) == build_qkneser(2, 2, 1).edges
 
 
 def test_hypergraph_2_1_3_counts():
-    hyper = build_qkneser_hyper(2, 1, 3)
-    assert hyper.num_vertices == 7 and len(hyper.hyperedges) == 28
+    verts, hyperedges = _direct_sum_sets(2, 1, 3)
+    assert len(verts) == 7 and len(hyperedges) == 28
 
 
 def test_hypergraph_h1_rejected():
-    with pytest.raises(ValueError):
-        build_qkneser_hyper(2, 1, 1)
+    with pytest.raises(ValueError, match="need h >= 2"):
+        _direct_sum_sets(2, 1, 1)
 
 
 def test_chi_triangle():
@@ -87,20 +92,26 @@ def test_chi_qk21_is_q_plus_1(q):
 
 
 def test_chi_hypergraph_2_1_3_is_7():
-    hyper = build_qkneser_hyper(2, 1, 3)
-    res = chromatic_number(hyper)
+    # qK^3_{3:1} over F_2 has the proper colorings of qK_{3:1}
+    g = build_qkneser(2, 3, 1)
+    res = chromatic_number(g)
     assert res.exact and res.chi == 7
-    assert hypergraph_coloring_ok(hyper, res.coloring)
+    assert coloring_ok(g, res.coloring)
 
 
 def test_hypergraph_graph_chromatic_equality():
-    # the hypergraph and plain q-Kneser chromatic numbers agree
-    for q, t, h in ((2, 1, 3), (2, 1, 4)):
-        hyper = build_qkneser_hyper(q, t, h)
-        graph = build_qkneser(q, h * t, t)
-        res_h = chromatic_number(hyper)
-        res_g = chromatic_number(graph)
-        assert res_h.exact and res_g.exact and res_h.chi == res_g.chi
+    # two t-subspaces share a direct-sum h-set iff they meet trivially, so
+    # the hypergraph's co-occurrence graph, whose colorings are its own, is
+    # qK_{ht:t}: the same masks over the same labels
+    for q, t, h in ((2, 1, 2), (2, 2, 2), (2, 1, 3), (3, 1, 3), (4, 1, 3), (2, 1, 4), (2, 1, 5)):
+        verts, hyperedges = _direct_sum_sets(q, t, h)
+        masks = [0] * len(verts)
+        for he in hyperedges:
+            members = sum(1 << v for v in he)
+            for v in he:
+                masks[v] |= members ^ (1 << v)
+        graph = UGraph(len(verts), tuple(masks), labels=tuple(verts))
+        assert graph == build_qkneser(q, h * t, t), (q, t, h)
 
 
 def test_chi_bracket_on_budget_exhaustion():
@@ -510,18 +521,14 @@ def test_build_qkneser_matches_sum_dim_oracle(q, n, m):
 
 
 @pytest.mark.parametrize("q,t,h", [(2, 1, 2), (2, 2, 2), (2, 1, 3), (3, 1, 3), (4, 1, 3), (2, 1, 4)])
-def test_build_qkneser_hyper_matches_sum_dim_oracle(q, t, h):
-    from netgap.gf import field_of_order
-    from netgap.subspaces import enumerate_subspaces
-
-    verts = enumerate_subspaces(field_of_order(q), h * t, t)
-    expected = tuple(
+def test_direct_sum_sets_of_qkneser_vertices_match_sum_dim_oracle(q, t, h):
+    verts, hyperedges = _direct_sum_sets(q, t, h)
+    expected = [
         subset
         for subset in itertools.combinations(range(len(verts)), h)
         if sum_dim([verts[i] for i in subset]) == h * t
-    )
-    hyper = build_qkneser_hyper(q, t, h)
-    assert hyper.hyperedges == expected and hyper.labels == tuple(verts)
+    ]
+    assert hyperedges == expected
 
 
 def _brute_clique_number(g):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netgap import subspaces
 from netgap.errors import Budget, SizeLimitExceeded
 from netgap.gf import Matrix, element_tables, field_of_order, make_field
 from netgap.subspaces import (
@@ -129,10 +130,12 @@ def test_a_subspace_never_equals_a_plain_matrix():
         assert len({s, plain}) == 2
 
 
-def test_enumerate_limit():
+def test_enumerate_limit(monkeypatch):
+    # 35 subspaces, refused above a limit of 10 read at the call
     f = make_field(2, 1)
-    with pytest.raises(SizeLimitExceeded):
-        enumerate_subspaces(f, 4, 2, limit=10)
+    monkeypatch.setattr(subspaces, "ENUMERATION_LIMIT", 10)
+    with pytest.raises(SizeLimitExceeded, match="35 subspaces of F_2\\^4 exceed limit 10"):
+        enumerate_subspaces(f, 4, 2)
 
 
 def test_sum_dim_examples():
