@@ -386,6 +386,46 @@ def test_skeleton_command_lists_classes(tmp_path, capsys):
     assert "e1: {e1, e3, e5}" in out
 
 
+def test_skeleton_and_chi_writers_list_every_vertex_and_edge_once(tmp_path, capsys):
+    # the DOT and DIMACS files of N_{2,3,2}'s skeleton: each class is one
+    # vertex line of the DOT file, each pair of classes sharing a terminal
+    # one edge line of the DOT file, of `skeleton --dimacs` and of the
+    # `chi --dimacs` of the skeleton's graph file
+    from netgap.skeleton import skeleton
+
+    net = build_combination(2, 3, 2)
+    net_path, graph_path = tmp_path / "n.json", tmp_path / "skel.json"
+    net_path.write_text(json.dumps(network_to_json(net)))
+    dot, dimacs, chi_dimacs = (tmp_path / name for name in ("s.dot", "s.dimacs", "chi.dimacs"))
+    code, _, _ = run_cli(
+        ["skeleton", "--network", str(net_path), "--dot", str(dot), "--dimacs", str(dimacs),
+         "-o", str(graph_path)],
+        capsys,
+    )
+    assert code == EXIT_OK
+    code, _, _ = run_cli(
+        ["chi", "--graph", str(graph_path), "--dimacs", str(chi_dimacs),
+         "--cert", str(tmp_path / "chi.json")],
+        capsys,
+    )
+    assert code == EXIT_OK
+    graph = skeleton(net).graph
+    names, edges = graph.vertex_names, graph.edges
+    assert (len(names), len(edges)) == (3, 3)
+    dot_lines = dot.read_text().splitlines()
+    assert dot_lines[0] == "graph G {" and dot_lines[-1] == "}"
+    body = sorted(dot_lines[1:-1])
+    expected = [f'  "{name}";' for name in names]
+    expected += [f'  "{names[a]}" -- "{names[b]}";' for a, b in edges]
+    assert body == sorted(expected)
+    for path in (dimacs, chi_dimacs):
+        header, *lines = path.read_text().splitlines()
+        assert header == f"p edge {len(names)} {len(edges)}"
+        pairs = [tuple(sorted(map(int, line.split()[1:]))) for line in lines]
+        assert all(line.startswith("e ") for line in lines)
+        assert sorted(pairs) == sorted(tuple(sorted((a + 1, b + 1))) for a, b in edges)
+
+
 def test_gap_kneser_command(tmp_path, capsys):
     code, out, _ = run_cli(
         ["gap", "--kneser", "2", "2", "2", "--cert-prefix", str(tmp_path / "gap")], capsys
