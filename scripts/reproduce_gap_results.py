@@ -34,7 +34,7 @@ def main() -> None:
     ] + [(f"N_{{4,{r},4}}", build_combination(4, r, 4)) for r in (7, 8)]
     for name, net in instances:
         start = time.time()
-        report = gap_exact(net, args.budget, description=name)
+        report = gap_exact(net, args.budget)
         print(
             f"{name:>12}: q_v={report.qv.value} q_s={report.qs.value} "
             f"gap={report.gap}  [{report.methods}]  ({time.time() - start:.2f}s)"

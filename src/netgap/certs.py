@@ -13,12 +13,13 @@ independent-configuration ones.  A malformed certificate (a missing key,
 a value of the wrong type) is rejected, never raised.
 
 A network-code certificate is checked for its shape before any rank:
-q = p^m; t >= 1; every edge has a t x ht matrix over F_q; the code's h is
-the network's; the source, the terminals and every edge endpoint are
-listed nodes; every node without inputs but the source has no outputs;
-and the edge graph is acyclic (Kahn's sweep), so every terminal's data
-flows from the source.  An independent-configuration certificate needs
-t >= 1 and 1 <= alpha <= h.
+p, m, q, t and h are ints (`gf.checked_int`); q = p^m; t >= 1; every
+edge has a t x ht matrix over F_q; the code's h is the network's; the
+source, the terminals and every edge endpoint are listed nodes; every
+node without inputs but the source has no outputs; and the edge graph
+is acyclic (Kahn's sweep), so every terminal's data flows from the
+source.  An independent-configuration certificate needs int p, m, t, h
+and alpha, t >= 1 and 1 <= alpha <= h.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .gf import Matrix, make_field, rank, stack
+from .gf import Matrix, checked_int, make_field, rank, stack
 
 
 @dataclass
@@ -93,9 +94,10 @@ def network_code_verdict(cert: dict) -> Verdict:
         return Verdict(ok=False, terminal_ranks={}, failure=failure, failure_kind="shape")
 
     fld = make_field(code["p"], code["m"])
-    if code["q"] != fld.q:
+    if checked_int(code["q"], "q") != fld.q:
         return shape(f"code declares q={code['q']}, but p^m = {fld.q}")
-    t, nt = code["t"], net["h"] * code["t"]
+    t = checked_int(code["t"], "t")
+    nt = checked_int(net["h"], "h") * t
     if t < 1:
         return shape(f"code declares t={t}, but t >= 1")
     mats = {}
@@ -106,7 +108,7 @@ def network_code_verdict(cert: dict) -> Verdict:
         if mat is None:
             return shape(f"edge {e['id']}: matrix must be {t}x{nt} over the code's field")
         mats[e["id"]] = mat
-    if code["h"] != net["h"]:
+    if checked_int(code["h"], "h") != net["h"]:
         return shape(f"code declares h={code['h']}, network has h={net['h']}")
 
     nodes = {n["id"] for n in net["nodes"]}
@@ -163,7 +165,8 @@ def _check_network_code(cert: dict) -> tuple[bool, str]:
 def _check_ic(cert: dict) -> tuple[bool, str]:
     obj = cert["ic"]
     fld = make_field(obj["p"], obj["m"])
-    t, h, alpha = obj["t"], obj["h"], cert["alpha"]
+    t, h = checked_int(obj["t"], "t"), checked_int(obj["h"], "h")
+    alpha = checked_int(cert["alpha"], "alpha")
     if t < 1:
         return False, f"t={t}, but a configuration needs t >= 1"
     if not 1 <= alpha <= h:

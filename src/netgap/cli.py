@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import re
 import sys
 import time
 
@@ -36,6 +35,8 @@ from .graphs import (
     coloring_certificate,
     homomorphism_certificate,
     ugraph_from_json,
+    ugraph_to_dimacs,
+    ugraph_to_dot,
 )
 from .lincode import code_certificate, code_from_json, search_solution, verify_solution
 from .mdsic import (
@@ -63,7 +64,7 @@ from .qkneser import (
     chromatic_number,
     find_homomorphism,
 )
-from .skeleton import reverse_skeleton, skeleton, skeleton_to_dot, skeleton_to_json
+from .skeleton import reverse_skeleton, skeleton, skeleton_to_json
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -96,38 +97,9 @@ def _write_json(path: str, obj: dict) -> None:
         fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-# a JSON string, an empty container, or one of the other structural marks
-_JSON_MARK = re.compile(r'"(?:[^"\\]|\\.)*"|[{\[][}\]]?|[}\],:]')
-
-
-def _indented(obj) -> str:
-    """json.dumps(obj, indent=2, sort_keys=True), byte for byte.
-
-    json.dumps with an indent runs the pure-Python encoder, whose nested
-    closures are left in reference cycles by every call.  The C encoder's
-    compact text, laid out mark by mark, is the same text without them.
-    """
-    depth = 0
-
-    def layout(mark: re.Match) -> str:
-        nonlocal depth
-        text = mark.group()
-        c = text[0]
-        if c == '"' or len(text) == 2:
-            return text
-        if c in "{[":
-            depth += 1
-            return c + "\n" + "  " * depth
-        if c in "}]":
-            depth -= 1
-            return "\n" + "  " * depth + c
-        return ",\n" + "  " * depth if c == "," else ": "
-
-    return _JSON_MARK.sub(layout, json.dumps(obj, sort_keys=True, separators=(",", ":")))
-
-
 def _emit(args, obj: dict, human: str) -> None:
-    print(_indented(obj) if getattr(args, "json", False) else human)
+    # --json prints the compact line `_write_json` writes
+    print(json.dumps(obj, sort_keys=True) if getattr(args, "json", False) else human)
 
 
 def _write_output(args, obj: dict, human: str) -> None:
@@ -193,22 +165,17 @@ def cmd_build(args) -> int:
 
 
 def cmd_skeleton(args) -> int:
-    net = _load(args.network, network_from_json)
-    skel = skeleton(net)
+    skel = skeleton(_load(args.network, network_from_json))
     if args.dot:
         with open(args.dot, "w") as fh:
-            fh.write(skeleton_to_dot(skel))
+            fh.write(ugraph_to_dot(skel.graph))
     if args.dimacs:
-        from .graphs import ugraph_to_dimacs
-
         with open(args.dimacs, "w") as fh:
             fh.write(ugraph_to_dimacs(skel.graph))
-    classes = {cid: sorted(m) for cid, m in skel.classes.items()}
-    num_edges = sum(skel.graph.degree_sequence()) // 2
-    human = [f"skeleton: {skel.graph.num_vertices} classes, {num_edges} edges"]
-    for cid in skel.class_ids:
-        human.append(f"  {cid}: {{{', '.join(classes[cid])}}}")
-    _write_output(args, skeleton_to_json(skel), "\n".join(human))
+    obj = skeleton_to_json(skel)
+    human = [f"skeleton: {len(obj['vertices'])} classes, {len(obj['edges'])} edges"]
+    human += [f"  {cid}: {{{', '.join(members)}}}" for cid, members in obj["classes"].items()]
+    _write_output(args, obj, "\n".join(human))
     return EXIT_OK
 
 
@@ -221,8 +188,6 @@ def cmd_chi(args) -> int:
     else:
         raise ValueError("chi needs --graph or --qkneser")
     if args.dimacs:
-        from .graphs import ugraph_to_dimacs
-
         with open(args.dimacs, "w") as fh:
             fh.write(ugraph_to_dimacs(g))
     res = chromatic_number(g, args.budget)
@@ -437,7 +402,7 @@ def cmd_extremal(args) -> int:
 
 def cmd_gap(args) -> int:
     net, desc = _load_gap_network(args)
-    report = gap_exact(net, args.budget, description=desc)
+    report = gap_exact(net, args.budget)
     for label, extremal in (("qs", report.qs), ("qv", report.qv)):
         if extremal.exact:
             _write_json(f"{args.cert_prefix}-{label}-cert.json", extremal.certificate)

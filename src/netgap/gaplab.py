@@ -98,7 +98,6 @@ class Extremal:
 
 @dataclass
 class GapReport:
-    network: str
     qs: Extremal
     qv: Extremal
 
@@ -211,12 +210,12 @@ def qv_exact(net: Network, budget: int = DEFAULT_BUDGET) -> Extremal:
     return _least(net, budget, vector=True)
 
 
-def gap_exact(net: Network, budget: int = DEFAULT_BUDGET, description: str = "network") -> GapReport:
+def gap_exact(net: Network, budget: int = DEFAULT_BUDGET) -> GapReport:
     qs = qs_exact(net, budget)
     qv = qv_exact(net, budget)
     if qs.exact and qv.exact and qv.value > qs.value:
         raise InternalError(f"vector optimum {qv.value} exceeded scalar optimum {qs.value}")
-    return GapReport(network=description, qs=qs, qv=qv)
+    return GapReport(qs=qs, qv=qv)
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +305,13 @@ def gap_table_rows(qs=(2, 3), ts=(1, 2), exact_limit: int = 4, budget: int = DEF
     for q in qs:
         for t in ts:
             start = time.time()
-            qv_val = q**t
-            qs_val = psi(q**t + q ** (t - 1) - 1)
             formula = gap_formulas("kneser-h2", q=q, t=t)
+            qv_val = q**t
+            qs_val = qv_val + formula.value
             methods = "formula" if formula.hypotheses_ok else "formula(outside-hypotheses)"
             if q**t <= exact_limit:
                 net = build_kneser(q, t, 2)
-                report = gap_exact(net, budget, description=f"K_{{{q},{t};2}}")
+                report = gap_exact(net, budget)
                 if report.exact:
                     exact = (report.qv.value, report.qs.value)
                     if exact != (qv_val, qs_val):

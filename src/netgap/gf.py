@@ -325,12 +325,22 @@ def element_tables(f: FieldSpec) -> tuple[list[list[Felt]], list[list[Felt]], li
     return cached
 
 
+def checked_int(value, name: str) -> int:
+    """`value` if its type is int, a bool not included: the check on every
+    count that a file parser reads, which refuses 2.0 or true naming it."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def make_field(p: int, m: int) -> FieldSpec:
     """F_{p^m} with modulus smallest_irreducible(F_p, m); F_p itself has modulus x.
 
     The modulus is the first monic irreducible polynomial in a fixed
     order, so the result is bit-identical across runs.
     """
+    checked_int(p, "p")
+    checked_int(m, "extension degree m")
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
     if m < 1:

@@ -28,6 +28,7 @@ from .errors import DEFAULT_BUDGET, Budget, InternalError
 from .gf import (
     FieldSpec,
     Matrix,
+    checked_int,
     element_tables,
     field_of_order,
     make_field,
@@ -410,9 +411,9 @@ def code_to_json(code: NetworkCode) -> dict:
 
 def code_from_json(obj: dict) -> NetworkCode:
     fld = make_field(obj["p"], obj["m"])
-    if fld.q != obj["q"]:
+    if fld.q != checked_int(obj["q"], "q"):
         raise ValueError("inconsistent field parameters")
-    t, h = obj["t"], obj["h"]
+    t, h = checked_int(obj["t"], "t"), checked_int(obj["h"], "h")
     assignment = {}
     for eid, rows in obj["edges"].items():
         assignment[eid] = Matrix.from_rows(fld, rows)

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 from .certs import check_certificate
 from .errors import DEFAULT_BUDGET, Budget, BudgetExhausted, InternalError
-from .gf import FieldSpec, Matrix, field_of_order, prime_power
+from .gf import FieldSpec, Matrix, checked_int, field_of_order, make_field, prime_power
 from .graphs import backtrack
 from .lincode import NetworkCode, forwarding_code, verify_solution
 from .networks import Network, build_combination, combination_parameters
@@ -433,12 +433,10 @@ def ic_to_json(config: IndependentConfiguration) -> dict:
 
 
 def ic_from_json(obj: dict) -> IndependentConfiguration:
-    from .gf import make_field
-
     fld = make_field(obj["p"], obj["m"])
-    n = obj["h"] * obj["t"]
-    members = tuple(subspace_from_rows(fld, rows, n) for rows in obj["members"])
-    return IndependentConfiguration(field=fld, t=obj["t"], h=obj["h"], members=members)
+    t, h = checked_int(obj["t"], "t"), checked_int(obj["h"], "h")
+    members = tuple(subspace_from_rows(fld, rows, h * t) for rows in obj["members"])
+    return IndependentConfiguration(field=fld, t=t, h=h, members=members)
 
 
 def ic_certificate(config: IndependentConfiguration, alpha: int, context: str = "") -> dict:

@@ -20,7 +20,7 @@ from functools import cached_property
 from operator import itemgetter
 
 from .errors import Budget, UnsolvableNetwork
-from .gf import field_of_order, make_field
+from .gf import checked_int, field_of_order, make_field
 from .subspaces import DirectSumIndex, check_size, enumerate_subspaces
 
 
@@ -598,8 +598,7 @@ def network_from_json(obj: dict, *, validate: bool = True) -> Network:
         labels = {
             node: subspace_from_rows(fld, rows, ambient) for node, rows in obj["labels"].items()
         }
-    if type(obj["h"]) is not int:
-        raise ValueError(f"message count h must be an integer, got {obj['h']!r}")
+    checked_int(obj["h"], "message count h")
     edges, nodes = obj["edges"], map(itemgetter("id"), obj["nodes"])
     ids = tuple(map(itemgetter("id"), edges))
     if {*map(type, ids)} - {str}:

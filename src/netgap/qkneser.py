@@ -30,7 +30,6 @@ from .subspaces import (
     intersection,
     positions,
     spread,
-    subspace_from_rows,
 )
 
 # ---------------------------------------------------------------------------
@@ -343,8 +342,11 @@ def canonical_coloring(q: int, n: int, m: int) -> Coloring:
     """Proper coloring of qK_{n:m} through a fixed (n-m+1)-subspace.
 
     Every m-subspace meets S = <e_1,...,e_{n-m+1}> nontrivially; the color
-    is the canonically least 1-subspace of the intersection.  Uses at most
-    (q^{n-m+1}-1)/(q-1) colors.
+    is the canonically least 1-subspace of the intersection, which is the
+    first row r_0 of its RREF: every vector of the intersection starts at
+    r_0's pivot p_0 or later, and at each later pivot only its own row is
+    nonzero.  Lines are ordered by (p_0, r_0), their canonical order.
+    Uses at most (q^{n-m+1}-1)/(q-1) colors.
     """
     if m < 1:
         raise ValueError(f"construction needs m >= 1, got m={m}")
@@ -354,21 +356,10 @@ def canonical_coloring(q: int, n: int, m: int) -> Coloring:
     verts = enumerate_subspaces(fld, n, m)
     s_space = coordinate_subspace(fld, n, n - m + 1)
 
-    def least_line(space: Subspace) -> tuple:
-        best = None
-        for vec in space.row_combinations():
-            if not any(vec):
-                continue
-            line = subspace_from_rows(fld, [vec], n)
-            if best is None or line.sort_key < best:
-                best = line.sort_key
-        assert best is not None
-        return best
-
     line_of_vertex = []
     for v in verts:
         inter = intersection(v, s_space)
         assert inter.dim >= 1
-        line_of_vertex.append(least_line(inter))
+        line_of_vertex.append((inter.pivots[0], inter.row(0)))
     palette = {key: i for i, key in enumerate(sorted(set(line_of_vertex)))}
     return {i: palette[key] for i, key in enumerate(line_of_vertex)}

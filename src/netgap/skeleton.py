@@ -15,7 +15,7 @@ from functools import cached_property, reduce
 from operator import or_
 
 from .errors import Budget
-from .graphs import UGraph
+from .graphs import UGraph, ugraph_to_json
 from .networks import Network, _middle_network, validate_network
 
 
@@ -120,15 +120,7 @@ def reverse_skeleton(g: UGraph) -> Network:
     return net
 
 
-def skeleton_to_dot(skel: SkeletonGraph) -> str:
-    from .graphs import ugraph_to_dot
-
-    return ugraph_to_dot(skel.graph)
-
-
 def skeleton_to_json(skel: SkeletonGraph) -> dict:
-    from .graphs import ugraph_to_json
-
     obj = ugraph_to_json(skel.graph)
     obj["classes"] = {cid: sorted(members) for cid, members in skel.classes.items()}
     return obj

@@ -2,14 +2,24 @@
 middle-space assignment search and the maximum clique search as each ran
 its own backtracking loop, before all three became callers of
 `graphs.backtrack`.  The walker must reproduce their trees: the same
-maps, spaces and cliques, node for node."""
+maps, spaces and cliques, node for node.  Also the canonical q-Kneser
+coloring as it searched every vector of each intersection for the least
+line, before it read that line off the intersection's RREF."""
 
 import itertools
 
 from netgap.errors import DEFAULT_BUDGET, Budget, BudgetExhausted
+from netgap.gf import field_of_order
 from netgap.mdsic import _search_order, standard_frame
 from netgap.qkneser import _dsatur, greedy_clique
-from netgap.subspaces import DirectSumIndex, enumerate_subspaces, positions
+from netgap.subspaces import (
+    DirectSumIndex,
+    coordinate_subspace,
+    enumerate_subspaces,
+    intersection,
+    positions,
+    subspace_from_rows,
+)
 
 
 def find_homomorphism(g1, g2, budget=DEFAULT_BUDGET):
@@ -225,3 +235,25 @@ def assignment_search(fld, t, h, alpha, budget, size, edges=None, target=None):
     except BudgetExhausted:
         exact = False
     return order, [universe[i] for i in best], exact, bud.used
+
+
+def canonical_coloring(q, n, m):
+    """`qkneser.canonical_coloring` by search: each m-subspace's color is
+    the least line, in the canonical order of 1-subspaces, among the spans
+    of the nonzero vectors it shares with S = <e_1,...,e_{n-m+1}>."""
+    fld = field_of_order(q)
+    s_space = coordinate_subspace(fld, n, n - m + 1)
+
+    def least_line(space):
+        lines = (
+            subspace_from_rows(fld, [vec], n).sort_key
+            for vec in space.row_combinations()
+            if any(vec)
+        )
+        return min(lines)
+
+    line_of_vertex = [
+        least_line(intersection(v, s_space)) for v in enumerate_subspaces(fld, n, m)
+    ]
+    palette = {key: i for i, key in enumerate(sorted(set(line_of_vertex)))}
+    return {i: palette[key] for i, key in enumerate(line_of_vertex)}

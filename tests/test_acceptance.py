@@ -83,7 +83,7 @@ def test_c02_butterfly_pipeline():
             "e6": frozenset({"e6", "e8", "e9"}),
         }
         assert skel.graph.num_vertices == 3 and len(skel.graph.edges) == 3
-        report = gap_exact(net, description="butterfly")
+        report = gap_exact(net)
         assert report.exact and report.qs.value == 2 and report.qv.value == 2
         assert report.gap == 0
         qs = qs_exact(net)
@@ -148,7 +148,7 @@ def test_c03_chromatic_number_of_2K42():
 def test_c04_kneser_network_gap_at_2_2():
     with criterion(4, "gap(K_{2,2;2}) = psi(5) - 4 = 1 with certificates", 300):
         net = build_kneser(2, 2, 2)
-        report = gap_exact(net, description="K_{2,2;2}")
+        report = gap_exact(net)
         assert report.exact
         assert report.qv.value == 4 and report.qv.method == "homomorphism"
         hom = report.qv.certificate
@@ -247,7 +247,7 @@ def test_c10_zero_gap_for_full_combination_h2():
     with criterion(10, "gap(N_{2,r,2}) = 0 with q_s = q_v = psi(r-1) for r in 3..6", 120):
         for r in range(3, 7):
             net = build_combination(2, r, 2)
-            report = gap_exact(net, description=f"N_{{2,{r},2}}")
+            report = gap_exact(net)
             assert report.exact and report.gap == 0
             assert report.qs.value == report.qv.value == psi(r - 1)
 

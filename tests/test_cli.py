@@ -58,8 +58,8 @@ def _json_values(depth):
 @settings(max_examples=300, deadline=None)
 @given(_json_values(30))
 def test_json_output_is_the_standard_library_layout(obj):
-    # --json prints what json.dumps(indent=2, sort_keys=True) would, byte
-    # for byte, whatever the value: here psi's, through a stand-in
+    # --json prints what json.dumps(sort_keys=True) would, the compact line
+    # of the C encoder, whatever the value: here psi's, through a stand-in
     from unittest import mock
 
     from netgap import cli
@@ -67,7 +67,7 @@ def test_json_output_is_the_standard_library_layout(obj):
     out = io.StringIO()
     with mock.patch.object(cli, "psi", lambda x: obj), contextlib.redirect_stdout(out):
         assert main(["psi", "6", "--json"]) == EXIT_OK
-    assert out.getvalue() == json.dumps({"psi": obj}, indent=2, sort_keys=True) + "\n"
+    assert out.getvalue() == json.dumps({"psi": obj}, sort_keys=True) + "\n"
 
 
 def test_psi_beyond_the_proven_prime_test_is_a_usage_error(capsys):
@@ -668,6 +668,39 @@ def test_a_malformed_input_file_is_a_usage_error_naming_the_file(tmp_path, capsy
 
 
 @pytest.mark.parametrize(
+    "key, value", [("p", 2.0), ("m", 1.0), ("t", True), ("h", 2.0)], ids=["p", "m", "t", "h"]
+)
+def test_a_count_that_is_not_an_integer_is_refused_naming_it(tmp_path, capsys, key, value):
+    # a code, IC or certificate file whose p, m, t or h is a float or a
+    # bool: verify and ic check exit 2, check-cert fails, each naming the
+    # value, where a lenient parser read 2.0 as 2 and true as 1
+    net_path, solved, ic_cert = (tmp_path / name for name in ("n.json", "sol.json", "ic.json"))
+    net_path.write_text(json.dumps(network_to_json(build_combination(2, 3, 2))))
+    assert run_cli(["solve", "--network", str(net_path), "--q", "2", "--cert", str(solved)],
+                   capsys)[0] == EXIT_OK
+    assert run_cli(["ic", "search", "--q", "2", "--t", "2", "--h", "2", "--alpha", "2",
+                    "--cert", str(ic_cert)], capsys)[0] == EXIT_OK
+    cert, ic = json.loads(solved.read_text()), json.loads(ic_cert.read_text())
+    cert["code"][key] = ic["ic"][key] = value
+    if key == "h":
+        cert["network"]["h"] = value
+    files = {}
+    for name, obj in (("code", cert["code"]), ("ic", ic["ic"]), ("cert", cert), ("ic-cert", ic)):
+        files[name] = tmp_path / f"bad-{name}.json"
+        files[name].write_text(json.dumps(obj))
+    named = f"{key} must be an integer, got {value!r}"
+    for argv in (
+        ["verify", "--network", str(net_path), "--code", str(files["code"])],
+        ["ic", "check", "--witness", str(files["ic"]), "--alpha", "2"],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (EXIT_USAGE, "") and named in err, (argv, err)
+    code, out, _ = run_cli(["check-cert", str(files["cert"]), str(files["ic-cert"])], capsys)
+    assert code == EXIT_NEGATIVE
+    assert out.count("FAIL") == 2 and out.count(named) == 2, out
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["coloring", "--qkneser", "2", "4", "0"], "needs m >= 1"),
@@ -935,8 +968,8 @@ try:
     gaplab.gap_exact(build_butterfly())
 except InternalError:
     print("gap check")
-gaplab.gap_exact = lambda net, budget, description: gaplab.GapReport(
-    description, gaplab.Extremal(3, 3, "stub", certificate={}), gaplab.Extremal(2, 2, "stub", certificate={})
+gaplab.gap_exact = lambda net, budget: gaplab.GapReport(
+    gaplab.Extremal(3, 3, "stub", certificate={}), gaplab.Extremal(2, 2, "stub", certificate={})
 )
 try:
     gaplab.gap_table_rows(qs=(2,), ts=(1,), exact_limit=2)

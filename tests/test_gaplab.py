@@ -82,7 +82,7 @@ def test_candidate_qt_pairs_prefers_smaller_q():
 
 
 def test_butterfly_gap_zero():
-    report = gap_exact(build_butterfly(), description="butterfly")
+    report = gap_exact(build_butterfly())
     assert report.exact
     assert report.qs.value == 2 and report.qv.value == 2 and report.gap == 0
 
@@ -365,7 +365,7 @@ def test_n_2_5_2_values():
 
 def test_kneser_2_2_2_gap_one():
     net = build_kneser(2, 2, 2)
-    report = gap_exact(net, description="K_{2,2;2}")
+    report = gap_exact(net)
     assert report.exact
     assert report.qv.value == 4 and report.qs.value == 5 and report.gap == 1
     assert report.qv.method == "homomorphism" and report.qs.method == "skeleton-chi"
@@ -377,7 +377,7 @@ def test_kneser_3_2_2_gap_two():
     # 11 (11 colors would decide nothing); vector side certified by the
     # identity homomorphism
     net = build_kneser(3, 2, 2)
-    report = gap_exact(net, description="K_{3,2;2}")
+    report = gap_exact(net)
     assert report.exact
     assert report.qv.value == 9 and report.qs.value == 11 and report.gap == 2
     assert report.gap == gap_formulas("kneser-h2", q=3, t=2).value
@@ -394,7 +394,7 @@ def test_qv_skips_targets_below_a_clique_not_proven_maximum():
 def test_n_3_7_3_values():
     # the IC search on the full network: ic_size_bound refutes q <= 4,
     # the search refutes q = 5 and finds q = 7
-    report = gap_exact(build_combination(3, 7, 3), description="N_{3,7,3}")
+    report = gap_exact(build_combination(3, 7, 3))
     assert report.exact
     assert report.qs.value == 7 and report.qs.method == "exhaustive"
     assert report.qv.value == 7 and report.gap == 0

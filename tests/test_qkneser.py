@@ -223,6 +223,14 @@ def test_canonical_coloring_values_and_properness():
             assert used <= 7  # n = 2m case: construction bound, optimality not claimed
 
 
+@pytest.mark.parametrize("q, n, m", [(2, 4, 2), (3, 4, 2), (4, 4, 2), (3, 5, 2), (2, 6, 3)])
+def test_canonical_coloring_reads_the_least_line_off_the_rref(q, n, m):
+    # the first RREF row of V ∩ S is the least line that a search over
+    # every vector of V ∩ S finds, over prime and extension fields and
+    # for n = 2m and n > 2m alike
+    assert canonical_coloring(q, n, m) == reference_searches.canonical_coloring(q, n, m)
+
+
 def test_canonical_coloring_precondition():
     with pytest.raises(ValueError):
         canonical_coloring(2, 3, 2)
