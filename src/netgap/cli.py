@@ -98,7 +98,6 @@ def _write_json(path: str, obj: dict) -> None:
 
 
 def _emit(args, obj: dict, human: str) -> None:
-    # --json prints the compact line `_write_json` writes
     print(json.dumps(obj, sort_keys=True) if getattr(args, "json", False) else human)
 
 

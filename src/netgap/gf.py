@@ -326,8 +326,8 @@ def element_tables(f: FieldSpec) -> tuple[list[list[Felt]], list[list[Felt]], li
 
 
 def checked_int(value, name: str) -> int:
-    """`value` if its type is int, a bool not included: the check on every
-    count that a file parser reads, which refuses 2.0 or true naming it."""
+    """`value` if its type is exactly int, so not a bool: the one check on
+    every count that a file parser reads, refusing 2.0 or true by name."""
     if type(value) is not int:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return value

@@ -24,7 +24,6 @@ from .gf import field_of_order
 from .graphs import Coloring, UGraph, backtrack
 from .subspaces import (
     DirectSumIndex,
-    Subspace,
     coordinate_subspace,
     enumerate_subspaces,
     intersection,
