@@ -14,12 +14,13 @@ a value of the wrong type) is rejected, never raised.
 
 A network-code certificate is checked for its shape before any rank:
 p, m, q, t and h are ints (`gf.checked_int`); q = p^m; t >= 1; every
-edge has a t x ht matrix over F_q; the code's h is the network's; the
-source, the terminals and every edge endpoint are listed nodes; every
-node without inputs but the source has no outputs; and the edge graph
-is acyclic (Kahn's sweep), so every terminal's data flows from the
-source.  An independent-configuration certificate needs int p, m, t, h
-and alpha, t >= 1 and 1 <= alpha <= h.
+edge has a t x ht matrix over F_q (`gf.matrix_from_json`, which refuses
+1.0 and true); the code's h is the network's; the source, the terminals
+and every edge endpoint are listed nodes; every node without inputs but
+the source has no outputs; and the edge graph is acyclic (Kahn's sweep),
+so every terminal's data flows from the source.  An independent-
+configuration certificate needs int p, m, t, h and alpha, t >= 1,
+1 <= alpha <= h and t x ht members, or `check_ic` raises.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .gf import Matrix, checked_int, make_field, rank, stack
+from .gf import checked_int, make_field, matrix_from_json, rank, stack
 
 
 @dataclass
@@ -74,16 +75,6 @@ def _check_homomorphism(cert: dict) -> tuple[bool, str]:
     return True, "valid homomorphism"
 
 
-def _matrix(fld, rows, t: int, width: int) -> Matrix | None:
-    """`rows` as a t x width matrix over fld, or None when the shape is off
-    or an entry is not an element of fld."""
-    if len(rows) != t or any(len(row) != width for row in rows):
-        return None
-    mat = Matrix.from_rows(fld, rows)
-    elements = range(fld.q)
-    return mat if all(x in elements for x in mat.data) else None
-
-
 def network_code_verdict(cert: dict) -> Verdict:
     """Every terminal's rank and the first failure of a network-code
     certificate: "shape" (module docstring), "local" (an edge not computable
@@ -104,10 +95,10 @@ def network_code_verdict(cert: dict) -> Verdict:
     for e in net["edges"]:
         if e["id"] not in code["edges"]:
             return shape(f"missing assignment for edge {e['id']}")
-        mat = _matrix(fld, code["edges"][e["id"]], t, nt)
-        if mat is None:
-            return shape(f"edge {e['id']}: matrix must be {t}x{nt} over the code's field")
-        mats[e["id"]] = mat
+        try:
+            mats[e["id"]] = matrix_from_json(fld, code["edges"][e["id"]], t, nt)
+        except ValueError as exc:
+            return shape(f"edge {e['id']}: matrix must be {t}x{nt} over the code's field: {exc}")
     if checked_int(code["h"], "h") != net["h"]:
         return shape(f"code declares h={code['h']}, network has h={net['h']}")
 
@@ -162,7 +153,8 @@ def _check_network_code(cert: dict) -> tuple[bool, str]:
     return v.ok, v.failure or "accepted linear solution"
 
 
-def _check_ic(cert: dict) -> tuple[bool, str]:
+def check_ic(cert: dict) -> tuple[bool, str]:
+    """(valid, why) of an independent-configuration certificate; a malformed member raises."""
     obj = cert["ic"]
     fld = make_field(obj["p"], obj["m"])
     t, h = checked_int(obj["t"], "t"), checked_int(obj["h"], "h")
@@ -171,11 +163,14 @@ def _check_ic(cert: dict) -> tuple[bool, str]:
         return False, f"t={t}, but a configuration needs t >= 1"
     if not 1 <= alpha <= h:
         return False, f"alpha={alpha} is outside 1..{h}"
-    bases = []
+    bases, failure = [], "member is not a t-dimensional subspace of F_q^{ht}"
     for rows in obj["members"]:
-        mat = _matrix(fld, rows, t, h * t)
-        if mat is None or rank(mat) != t:
-            return False, "member is not a t-dimensional subspace of F_q^{ht}"
+        try:
+            mat = matrix_from_json(fld, rows, t, h * t)
+        except ValueError as exc:
+            raise ValueError(f"{failure}: {exc}") from None
+        if rank(mat) != t:
+            return False, failure
         bases.append(mat)
     for subset in itertools.combinations(bases, alpha):
         if rank(stack(*subset)) != alpha * t:
@@ -187,7 +182,7 @@ _CHECKERS = {
     "coloring": _check_coloring,
     "homomorphism": _check_homomorphism,
     "network-code": _check_network_code,
-    "independent-configuration": _check_ic,
+    "independent-configuration": check_ic,
 }
 
 

@@ -20,9 +20,10 @@ import json
 import sys
 import time
 
-from .certs import check_certificate
+from .certs import check_certificate, check_ic, network_code_verdict
 from .errors import DEFAULT_BUDGET, BudgetExhausted, NetgapError, deadline
 from .gaplab import (
+    FORMULA_PARAMETERS,
     Extremal,
     gap_exact,
     gap_formulas,
@@ -38,11 +39,9 @@ from .graphs import (
     ugraph_to_dimacs,
     ugraph_to_dot,
 )
-from .lincode import code_certificate, code_from_json, search_solution, verify_solution
+from .lincode import code_certificate, search_solution
 from .mdsic import (
     ic_certificate,
-    ic_from_json,
-    ic_is_valid,
     ic_max_size,
     ic_size_bound,
     linear_code_to_json,
@@ -282,13 +281,18 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    net = _load(args.network, network_from_json)
-    code = _load(args.code, code_from_json)
-    verdict = verify_solution(net, code)
-    nt = net.h * code.t
+    net = network_to_json(_load(args.network, network_from_json))
+
+    def replay(code: dict):
+        # the code file itself goes to the checker; a "shape" failure is malformed input
+        verdict = network_code_verdict({"network": net, "code": code})
+        if verdict.failure_kind == "shape":
+            raise ValueError(verdict.failure)
+        return verdict, net["h"] * code["t"]
+
+    verdict, nt = _load(args.code, replay)
     lines = [f"{'terminal':<16} rank (need {nt})"]
-    for term, r in verdict.terminal_ranks.items():
-        lines.append(f"{term:<16} {r}")
+    lines += [f"{term:<16} {r}" for term, r in verdict.terminal_ranks.items()]
     lines.append("ACCEPT" if verdict.ok else f"REJECT: {verdict.failure}")
     _emit(
         args,
@@ -324,13 +328,18 @@ def cmd_ic(args) -> int:
     if args.action == "check":
         if not args.witness or args.alpha is None:
             raise ValueError("ic check needs --witness and --alpha")
-        config = _load(args.witness, ic_from_json)
-        ok = ic_is_valid(config, args.alpha)
-        _emit(
-            args,
-            {"valid": ok, "size": len(config.members)},
-            f"{'valid' if ok else 'INVALID'} configuration of size {len(config.members)}",
-        )
+
+        def replay(obj: dict):
+            # the witness file itself goes to the checker, which raises on a malformed
+            # member; an alpha outside 1..h fails a certificate, but is an input error here
+            ok, failure = check_ic({"alpha": args.alpha, "ic": obj})
+            if not 1 <= args.alpha <= obj["h"]:
+                raise ValueError(failure)
+            return ok, len(obj["members"])
+
+        ok, size = _load(args.witness, replay)
+        verdict = "valid" if ok else "INVALID"
+        _emit(args, {"valid": ok, "size": size}, f"{verdict} configuration of size {size}")
         return EXIT_OK if ok else EXIT_NEGATIVE
     result = ic_max_size(args.q, args.t, args.h, args.alpha, args.budget)
     cert = ic_certificate(
@@ -510,8 +519,16 @@ def _seconds(text: str) -> float:
     return value
 
 
+def _nodes(text: str) -> int:
+    """A search-node budget: an integer >= 0, since a negative one passes for a spent one."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"needs a node count >= 0, got {text!r}")
+    return value
+
+
 def _add_search_limits(p) -> None:
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search-node budget")
+    p.add_argument("--budget", type=_nodes, default=DEFAULT_BUDGET, help="search-node budget")
     p.add_argument(
         "--timeout-secs", type=_seconds, default=None,
         help="wall-clock limit, checked cooperatively by every search; 0 sets none",
@@ -625,16 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gap)
 
     p = sub.add_parser("formula", help="closed-form gap bounds")
-    p.add_argument(
-        "kind",
-        choices=[
-            "kneser-h2",
-            "minimal-h2-upper",
-            "kneser-h2-t2-lower",
-            "kneser-h3-lower",
-            "combination-upper",
-        ],
-    )
+    p.add_argument("kind", choices=list(FORMULA_PARAMETERS))
     p.add_argument("params", nargs="+", help="assignments like q=2 t=2 h=3 r=5")
     _add_common(p)
     p.set_defaults(func=cmd_formula)

@@ -230,8 +230,8 @@ class FormulaResult:
     note: str
 
 
-# the parameters each closed form reads
-_FORMULA_PARAMETERS = {
+# the parameters each closed form reads, keyed by its kind: the one list of kinds
+FORMULA_PARAMETERS = {
     "kneser-h2": ("q", "t"),
     "minimal-h2-upper": ("q", "t"),
     "kneser-h2-t2-lower": ("q", "t"),
@@ -246,13 +246,13 @@ def gap_formulas(kind: str, **params) -> FormulaResult:
     Values are computed even outside the stated hypotheses, but then
     flagged; psi arguments are kept exact via Fraction.
     """
-    if kind not in _FORMULA_PARAMETERS:
+    if kind not in FORMULA_PARAMETERS:
         raise ValueError(f"unknown formula kind {kind!r}")
-    for name in _FORMULA_PARAMETERS[kind]:
+    for name in FORMULA_PARAMETERS[kind]:
         if name not in params:
             raise ValueError(f"formula {kind} needs the parameter {name}")
     for name in params:
-        if name not in _FORMULA_PARAMETERS[kind]:
+        if name not in FORMULA_PARAMETERS[kind]:
             raise ValueError(f"formula {kind} takes no parameter {name}")
     if kind in ("kneser-h2", "minimal-h2-upper", "kneser-h2-t2-lower", "kneser-h3-lower"):
         q, t = params["q"], params["t"]
@@ -303,6 +303,8 @@ def gap_table_rows(qs=(2, 3), ts=(1, 2), exact_limit: int = 4, budget: int = DEF
     """
     rows = []
     for q in qs:
+        if not is_prime_power(q):
+            raise ValueError(f"q={q} is not a prime power")
         for t in ts:
             start = time.time()
             formula = gap_formulas("kneser-h2", q=q, t=t)

@@ -7,7 +7,8 @@ degree first.  All matrices are row-major tuples of such codes.
 This module is the one home of field arithmetic: prime-power
 factorisation, polynomials over any F_q (which also give F_{p^m} its
 modulus and the spreads their extension field), and the per-field
-log/antilog and element tables.
+log/antilog and element tables; and the readers of counts and matrices
+in files, `checked_int` and `matrix_from_json`.
 """
 
 from __future__ import annotations
@@ -448,6 +449,25 @@ class Matrix:
                         idx = i * other.cols + j
                         out[idx] = f.add(out[idx], f.mul(a, b))
         return Matrix(f, self.rows, other.cols, tuple(out))
+
+
+def matrix_from_json(field: FieldSpec, rows, nrows: int | None, ncols: int) -> Matrix:
+    """The one reader of a matrix that a file writes as a list of rows:
+    `nrows` rows (None: any number) of `ncols` entries, each an int in
+    [0, q), so neither 1.0 nor true.  Raises ValueError naming the first
+    value it refuses."""
+    if type(rows) is not list:
+        raise ValueError(f"a matrix must be a list of rows, got {rows!r}")
+    if nrows is not None and len(rows) != nrows:
+        raise ValueError(f"a matrix must have {nrows} rows, got {len(rows)}")
+    for row in rows:
+        if type(row) is not list or len(row) != ncols:
+            raise ValueError(f"a matrix row must be a list of {ncols} entries, got {row!r}")
+    data = tuple(itertools.chain.from_iterable(rows))
+    if {*map(type, data)} - {int} or data and not 0 <= min(data) <= max(data) < field.q:
+        bad = next(x for x in data if type(x) is not int or not 0 <= x < field.q)
+        raise ValueError(f"a matrix entry must be an integer in [0, {field.q}), got {bad!r}")
+    return Matrix(field, len(rows), ncols, data)
 
 
 def stack(*matrices: Matrix) -> Matrix:

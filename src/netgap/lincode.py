@@ -28,10 +28,8 @@ from .errors import DEFAULT_BUDGET, Budget, InternalError
 from .gf import (
     FieldSpec,
     Matrix,
-    checked_int,
     element_tables,
     field_of_order,
-    make_field,
     rank,
     solve_left,
     stack,
@@ -407,19 +405,6 @@ def code_to_json(code: NetworkCode) -> dict:
         "h": code.h,
         "edges": {eid: [list(row) for row in mat.row_list()] for eid, mat in code.assignment.items()},
     }
-
-
-def code_from_json(obj: dict) -> NetworkCode:
-    fld = make_field(obj["p"], obj["m"])
-    if fld.q != checked_int(obj["q"], "q"):
-        raise ValueError("inconsistent field parameters")
-    t, h = checked_int(obj["t"], "t"), checked_int(obj["h"], "h")
-    assignment = {}
-    for eid, rows in obj["edges"].items():
-        assignment[eid] = Matrix.from_rows(fld, rows)
-        if assignment[eid].rows != t or assignment[eid].cols != h * t:
-            raise ValueError(f"edge {eid}: expected {t}x{h * t} matrix")
-    return NetworkCode(field=fld, t=t, h=h, assignment=assignment)
 
 
 def code_certificate(net: Network, code: NetworkCode, context: str = "") -> dict:

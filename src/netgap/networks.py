@@ -20,8 +20,8 @@ from functools import cached_property
 from operator import itemgetter
 
 from .errors import Budget, UnsolvableNetwork
-from .gf import checked_int, field_of_order, make_field
-from .subspaces import DirectSumIndex, check_size, enumerate_subspaces
+from .gf import checked_int, field_of_order, make_field, matrix_from_json
+from .subspaces import DirectSumIndex, canonicalize, check_size, enumerate_subspaces
 
 
 @dataclass(frozen=True)
@@ -592,11 +592,10 @@ def network_from_json(obj: dict, *, validate: bool = True) -> Network:
     labels = None
     if "labels" in obj:
         fld = make_field(obj["field"]["p"], obj["field"]["m"])
-        ambient = obj["ambient"]
-        from .subspaces import subspace_from_rows
-
+        ambient = checked_int(obj["ambient"], "ambient")
         labels = {
-            node: subspace_from_rows(fld, rows, ambient) for node, rows in obj["labels"].items()
+            node: canonicalize(fld, matrix_from_json(fld, rows, None, ambient))
+            for node, rows in obj["labels"].items()
         }
     checked_int(obj["h"], "message count h")
     edges, nodes = obj["edges"], map(itemgetter("id"), obj["nodes"])

@@ -700,6 +700,84 @@ def test_a_count_that_is_not_an_integer_is_refused_naming_it(tmp_path, capsys, k
     assert out.count("FAIL") == 2 and out.count(named) == 2, out
 
 
+@pytest.mark.parametrize("entry", [1.0, True], ids=["float", "bool"])
+def test_a_code_entry_that_is_not_an_integer_is_refused_naming_it(tmp_path, capsys, entry):
+    # verify hands the code file itself to the checker: an entry 1.0 once
+    # ended in a traceback, and true was accepted by verify and check-cert
+    net_path, solved = tmp_path / "n.json", tmp_path / "sol.json"
+    net_path.write_text(json.dumps(network_to_json(build_combination(2, 3, 2))))
+    assert run_cli(["solve", "--network", str(net_path), "--q", "2", "--cert", str(solved)],
+                   capsys)[0] == EXIT_OK
+    cert = json.loads(solved.read_text())
+    matrix = cert["code"]["edges"]["e0"]
+    cert["code"]["edges"]["e0"] = [[entry if x == 1 else x for x in row] for row in matrix]
+    code_path, cert_path = tmp_path / "code.json", tmp_path / "cert.json"
+    code_path.write_text(json.dumps(cert["code"]))
+    cert_path.write_text(json.dumps(cert))
+    named = f"matrix must be 1x2 over the code's field: a matrix entry must be an integer in [0, 2), got {entry!r}"
+    code, out, err = run_cli(["verify", "--network", str(net_path), "--code", str(code_path)], capsys)
+    assert (code, out) == (EXIT_USAGE, "") and err.startswith(f"error: {code_path}: malformed input")
+    assert named in err and err.count("\n") == 1, err
+    code, out, _ = run_cli(["check-cert", str(cert_path)], capsys)
+    assert code == EXIT_NEGATIVE and out == f"{cert_path}: FAIL - edge e0: {named}\n"
+
+
+@pytest.mark.parametrize("entry", [7, True], ids=["seven", "bool"])
+def test_an_ic_witness_entry_outside_the_field_is_refused_naming_it(tmp_path, capsys, entry):
+    # ic check hands the witness file itself to the checker: an entry 7 over
+    # F_3 was read as 1 and the witness called INVALID, true as 1 and valid
+    cert = tmp_path / "ic.json"
+    assert run_cli(["ic", "search", "--q", "3", "--t", "1", "--h", "2", "--alpha", "2",
+                    "--cert", str(cert)], capsys)[0] == EXIT_OK
+    witness = json.loads(cert.read_text())["ic"]
+    assert witness["members"][0] == [[1, 0]]
+    witness["members"][0] = [[entry, 0]]
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(witness))
+    code, out, err = run_cli(["ic", "check", "--witness", str(path), "--alpha", "2"], capsys)
+    assert (code, out) == (EXIT_USAGE, "") and err.startswith(f"error: {path}: malformed input")
+    assert f"a matrix entry must be an integer in [0, 3), got {entry!r}" in err, err
+
+
+@pytest.mark.parametrize("alpha", ["0", "3"])
+def test_ic_check_refuses_an_alpha_outside_one_to_h(tmp_path, capsys, alpha):
+    # a certificate with such an alpha fails, but as an argument it is an
+    # input error at both ends, not a verified INVALID
+    cert, path = tmp_path / "ic.json", tmp_path / "witness.json"
+    run_cli(["ic", "search", "--q", "3", "--t", "1", "--h", "2", "--alpha", "2", "--cert", str(cert)], capsys)
+    path.write_text(json.dumps(json.loads(cert.read_text())["ic"]))
+    code, out, err = run_cli(["ic", "check", "--witness", str(path), "--alpha", alpha], capsys)
+    assert (code, out) == (EXIT_USAGE, "") and f"alpha={alpha} is outside 1..2" in err, err
+    assert run_cli(["ic", "check", "--witness", str(path), "--alpha", "2"], capsys)[0] == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "row, named",
+    [
+        ([7, 0], "a matrix entry must be an integer in [0, 2), got 7"),
+        ([True, 0], "a matrix entry must be an integer in [0, 2), got True"),
+        ([1, 0, 1], "a matrix row must be a list of 2 entries, got [1, 0, 1]"),
+    ],
+    ids=["seven", "bool", "wide"],
+)
+def test_a_label_outside_the_field_or_the_ambient_is_refused_naming_it(tmp_path, capsys, row, named):
+    # every label of K_{2,1;2} is read at the declared ambient 2 over F_2;
+    # a wide label was read at its own width and written on as "ambient": 3
+    obj = network_to_json(build_kneser(2, 1, 2))
+    assert (obj["ambient"], obj["field"]) == (2, {"p": 2, "m": 1})
+    obj["labels"][next(iter(obj["labels"]))] = [row]
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(obj))
+    for argv in (
+        ["qv", "--network", str(path), "--cert", str(tmp_path / "qv.json")],
+        ["build", "parallelize", "--network", str(path), "--factor", "1", "-o", str(tmp_path / "p.json")],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (EXIT_USAGE, "") and err.startswith(f"error: {path}: malformed input")
+        assert named in err, err
+    assert not (tmp_path / "qv.json").exists() and not (tmp_path / "p.json").exists()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -713,11 +791,13 @@ def test_a_count_that_is_not_an_integer_is_refused_naming_it(tmp_path, capsys, k
         (["formula", "kneser-h2", "q=2", "t=two"], "parameter 't=two' is not key=integer"),
         (["formula", "kneser-h2", "q=2", "t=2", "t=3"], "parameter t is given twice"),
         (["formula", "kneser-h2", "q=2", "t=2", "z=3"], "takes no parameter z"),
+        # there is no F_6, so no K_{6,1;2}, whose closed-form row was printed
+        (["gap-table", "--q", "6", "--t", "1"], "q=6 is not a prime power"),
     ],
     ids=[
         "coloring-m0", "build-kneser-t0", "qv-kneser-t0", "formula-no-h",
         "chi-qkneser-n0-m0", "hom-to-qkneser-n0-m0", "formula-no-equals", "formula-not-integer",
-        "formula-repeated-key", "formula-unknown-key",
+        "formula-repeated-key", "formula-unknown-key", "gap-table-q6",
     ],
 )
 def test_a_parameter_error_names_the_parameter(tmp_path, capsys, monkeypatch, argv, message):
@@ -1177,6 +1257,22 @@ def test_a_timeout_no_time_reaches_is_a_usage_error(value, capsys):
         main(["chi", "--qkneser", "2", "6", "3", f"--timeout-secs={value}"])
     assert exc.value.code == EXIT_USAGE
     assert f"--timeout-secs: needs a number of seconds >= 0, got '{value}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["qs", "--comb", "3", "6", "3", "--budget", "-5"], ["chi", "--qkneser", "2", "4", "2", "--budget", "-1"]],
+    ids=["qs", "chi"],
+)
+def test_a_negative_budget_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
+    # a negative budget passed for a spent one: qs printed the bracket
+    # [4, 23] and chi [5, 6], each with the budget exit code; 0 is a budget
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert f"--budget: needs a node count >= 0, got '{argv[-1]}'" in capsys.readouterr().err
+    assert main(argv[:-1] + ["0"]) == EXIT_BUDGET
 
 
 def test_a_zero_timeout_sets_no_limit(tmp_path, capsys):

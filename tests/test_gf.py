@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 import random
 
 import pytest
@@ -13,6 +15,7 @@ from netgap.gf import (
     field_of_order,
     is_prime,
     make_field,
+    matrix_from_json,
     poly_mod,
     poly_mul,
     prime_power,
@@ -22,7 +25,10 @@ from netgap.gf import (
     smallest_irreducible,
     strong_probable_prime,
 )
-from netgap.lincode import RunningEchelon
+from netgap.lincode import NetworkCode, RunningEchelon, code_certificate, code_to_json
+from netgap.mdsic import IndependentConfiguration, ic_certificate, ic_to_json
+from netgap.networks import build_combination, network_from_json, network_to_json
+from netgap.subspaces import canonicalize, enumerate_subspaces
 
 EXHAUSTIVE_QS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
@@ -327,3 +333,107 @@ def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23}
     for n in range(25):
         assert is_prime(n) == (n in primes)
+
+
+# --- the one reader of a matrix in a file ------------------------------------
+
+def _shape(mat):
+    """A matrix by value: a Subspace and the Matrix of its rows compare equal."""
+    return mat.field, mat.rows, mat.cols, mat.data
+
+
+def _read(fld, rows, nrows, ncols):
+    # through JSON text, as a file holds it
+    return _shape(matrix_from_json(fld, json.loads(json.dumps(rows)), nrows, ncols))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1)]), st.integers(1, 2), st.randoms())
+def test_every_matrix_a_writer_writes_reads_back_unchanged(pm, t, rng):
+    # code edges, IC members and network labels, bare and in the
+    # certificates, each read at the shape its reader asks for
+    fld, n = make_field(*pm), 2 * t
+
+    def matrix(rows):
+        return Matrix(fld, rows, n, tuple(rng.randrange(fld.q) for _ in range(rows * n)))
+
+    net = build_combination(2, 3, 2)
+    labels = {v: canonicalize(fld, matrix(rng.randrange(4))) for v in net.nodes[1:4]}
+    net = dataclasses.replace(net, labels=labels)
+    code = NetworkCode(fld, t, 2, {eid: matrix(t) for eid in net.edge_ids})
+    members = tuple(rng.sample(enumerate_subspaces(fld, n, t), 3))
+    config = IndependentConfiguration(fld, t, 2, members)
+    cert, ic_cert = code_certificate(net, code), ic_certificate(config, 2)
+    for obj in (code_to_json(code), cert["code"]):
+        assert {eid: _read(fld, rows, t, n) for eid, rows in obj["edges"].items()} == {
+            eid: _shape(mat) for eid, mat in code.assignment.items()
+        }
+    for obj in (ic_to_json(config), ic_cert["ic"]):
+        assert [_read(fld, rows, t, n) for rows in obj["members"]] == list(map(_shape, members))
+    for obj in (network_to_json(net), cert["network"]):
+        assert obj["ambient"] == n
+        assert {v: _read(fld, rows, None, n) for v, rows in obj["labels"].items()} == {
+            v: _shape(label) for v, label in labels.items()
+        }
+        assert network_from_json(json.loads(json.dumps(obj))).labels == labels
+
+
+def _bad_value(kind, q):
+    """A strategy for one value of the given kind that no matrix over F_q holds."""
+    return {
+        "float": st.floats(),
+        "bool": st.booleans(),
+        "string": st.text(),
+        "null": st.none(),
+        "negative": st.integers(max_value=-1),
+        "at-least-q": st.integers(min_value=q),
+    }[kind]
+
+
+@pytest.mark.parametrize(
+    "kind", ["float", "bool", "string", "null", "negative", "at-least-q", "ragged", "wrong-width"]
+)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_the_matrix_reader_refuses_each_bad_value_naming_it(kind, data):
+    q = data.draw(st.sampled_from([2, 3, 4, 5]), "q")
+    fld = field_of_order(q)
+    nrows, ncols = data.draw(st.integers(1, 3), "nrows"), data.draw(st.integers(1, 4), "ncols")
+    rows = [[data.draw(st.integers(0, q - 1)) for _ in range(ncols)] for _ in range(nrows)]
+    i = data.draw(st.integers(0, nrows - 1), "row")
+    if kind == "ragged":  # one row of another length
+        length = data.draw(st.integers(0, 5).filter(lambda k: k != ncols), "length")
+        bad = rows[i] = [0] * length
+    elif kind == "wrong-width":  # every row of another, common length
+        width = data.draw(st.integers(0, 5).filter(lambda k: k != ncols), "width")
+        rows = [[0] * width for _ in rows]
+        bad = rows[0]
+    else:
+        bad = rows[i][data.draw(st.integers(0, ncols - 1), "column")] = data.draw(_bad_value(kind, q))
+    # labels take any row count, but a label's width is fixed as well
+    for expected_rows in (nrows, None):
+        with pytest.raises(ValueError) as exc:
+            matrix_from_json(fld, rows, expected_rows, ncols)
+        assert f"got {bad!r}" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "rows, nrows, message",
+    [
+        (5, 1, "a matrix must be a list of rows, got 5"),
+        ({"0": [1, 0]}, None, "a matrix must be a list of rows, got {'0': [1, 0]}"),
+        ([[1, 0]], 2, "a matrix must have 2 rows, got 1"),
+        (["10"], 1, "a matrix row must be a list of 2 entries, got '10'"),
+    ],
+    ids=["number", "object", "one-row-short", "string-row"],
+)
+def test_the_matrix_reader_refuses_what_is_no_list_of_rows(rows, nrows, message):
+    with pytest.raises(ValueError) as exc:
+        matrix_from_json(make_field(2, 1), rows, nrows, 2)
+    assert str(exc.value) == message
+
+
+def test_a_label_takes_any_row_count():
+    fld = make_field(3, 1)
+    for rows in ([], [[1, 2, 0]], [[1, 2, 0], [0, 0, 1], [2, 1, 0]]):
+        assert _shape(matrix_from_json(fld, rows, None, 3)) == (fld, len(rows), 3, tuple(sum(rows, [])))

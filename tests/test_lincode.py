@@ -1,5 +1,3 @@
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,8 +9,6 @@ from netgap.lincode import (
     NetworkCode,
     RunningEchelon,
     Verdict,
-    code_from_json,
-    code_to_json,
     extend_solution,
     restrict_solution,
     search_solution,
@@ -20,7 +16,7 @@ from netgap.lincode import (
     split_to_scalar,
     verify_solution,
 )
-from netgap.mdsic import ic_exists_of_size, ic_max_size, ic_to_solution
+from netgap.mdsic import ic_exists_of_size
 from netgap.networks import (
     Edge,
     Network,
@@ -225,19 +221,6 @@ def test_message_extension_preserves_solvability(h_new, q):
     assert verify_solution(ext, carried).ok
     recovered = restrict_solution(base, ext, ext_code)
     assert verify_solution(base, recovered).ok
-
-
-def test_code_json_roundtrip():
-    # a code's coding matrices are plain Matrix objects, also where they
-    # were read off subspaces (a Subspace never equals a Matrix)
-    base, ext = build_butterfly(), extend_messages(build_butterfly(), 3)
-    carried = extend_solution(base, ext, classic_butterfly_code())
-    forwarded = ic_to_solution(ic_max_size(2, 1, 2, 2).witness)
-    for code in (classic_butterfly_code(), carried, forwarded):
-        obj = json.loads(json.dumps(code_to_json(code)))
-        back = code_from_json(obj)
-        assert back.assignment == code.assignment
-        assert back.field == code.field and back.t == code.t and back.h == code.h
 
 
 def _brute_force_scalar_solvable(net, q):

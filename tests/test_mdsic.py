@@ -15,7 +15,6 @@ from netgap.mdsic import (
     IndependentConfiguration,
     LinearCode,
     ic_exists_of_size,
-    ic_from_json,
     ic_is_valid,
     ic_max_size,
     ic_size_bound,
@@ -428,13 +427,6 @@ def test_ic_solution_equivalence_at_maximal_r(q, t, h):
     bigger = build_combination(h, r + 1, h)
     assert search_solution(bigger, q, t) is None
     assert ic_exists_of_size(q, t, h, h, r + 1) is None
-
-
-def test_ic_json_roundtrip():
-    res = ic_max_size(2, 1, 3, 3)
-    obj = json.loads(json.dumps(ic_to_json(res.witness)))
-    back = ic_from_json(obj)
-    assert [s.sort_key for s in back.members] == [s.sort_key for s in res.witness.members]
 
 
 def test_linear_code_json_roundtrip():
