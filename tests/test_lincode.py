@@ -1,14 +1,17 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netgap import lincode
 from netgap.errors import BudgetExhausted, InternalError
-from netgap.gf import Matrix, make_field, rank, stack
+from netgap.gf import Matrix, make_field, matrix_from_json, rank, stack
 from netgap.lincode import (
     NetworkCode,
     RunningEchelon,
     Verdict,
+    code_to_json,
     extend_solution,
     restrict_solution,
     search_solution,
@@ -16,7 +19,7 @@ from netgap.lincode import (
     split_to_scalar,
     verify_solution,
 )
-from netgap.mdsic import ic_exists_of_size
+from netgap.mdsic import ic_exists_of_size, ic_max_size, ic_to_solution
 from netgap.networks import (
     Edge,
     Network,
@@ -221,6 +224,22 @@ def test_message_extension_preserves_solvability(h_new, q):
     assert verify_solution(ext, carried).ok
     recovered = restrict_solution(base, ext, ext_code)
     assert verify_solution(base, recovered).ok
+
+
+def test_code_json_roundtrip():
+    # a code's coding matrices, also those read off subspaces, come back
+    # from the file through the one matrix reader as the same values
+    base, ext = build_butterfly(), extend_messages(build_butterfly(), 3)
+    carried = extend_solution(base, ext, classic_butterfly_code())
+    forwarded = ic_to_solution(ic_max_size(2, 1, 2, 2).witness)
+    for code in (classic_butterfly_code(), carried, forwarded):
+        obj = json.loads(json.dumps(code_to_json(code)))
+        fld = make_field(obj["p"], obj["m"])
+        assert (fld, obj["t"], obj["h"]) == (code.field, code.t, code.h)
+        back = {eid: matrix_from_json(fld, rows, code.t, code.h * code.t) for eid, rows in obj["edges"].items()}
+        assert {eid: (m.rows, m.cols, m.data) for eid, m in back.items()} == {
+            eid: (m.rows, m.cols, m.data) for eid, m in code.assignment.items()
+        }
 
 
 def _brute_force_scalar_solvable(net, q):

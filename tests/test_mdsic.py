@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from netgap import mdsic
 from netgap.certs import Verdict
 from netgap.errors import DEFAULT_BUDGET, InternalError
-from netgap.gf import Matrix, field_of_order, make_field, rank
+from netgap.gf import Matrix, field_of_order, make_field, matrix_from_json, rank
 from netgap.lincode import forwarding_code, search_solution, solution_from_classical_code, verify_solution
 from netgap.mdsic import (
     IndependentConfiguration,
@@ -427,6 +427,15 @@ def test_ic_solution_equivalence_at_maximal_r(q, t, h):
     bigger = build_combination(h, r + 1, h)
     assert search_solution(bigger, q, t) is None
     assert ic_exists_of_size(q, t, h, h, r + 1) is None
+
+
+def test_ic_json_roundtrip():
+    # the members come back from the file through the one matrix reader
+    res = ic_max_size(2, 1, 3, 3)
+    obj = json.loads(json.dumps(ic_to_json(res.witness)))
+    fld = make_field(obj["p"], obj["m"])
+    back = [matrix_from_json(fld, rows, obj["t"], obj["h"] * obj["t"]) for rows in obj["members"]]
+    assert [canonicalize(fld, m).sort_key for m in back] == [s.sort_key for s in res.witness.members]
 
 
 def test_linear_code_json_roundtrip():
